@@ -232,7 +232,7 @@ class Divisor:
     def last_point(self) -> Summand:
         """The limit machinery consumes points in reverse construction order."""
         if not self.summands:
-            raise ValueError("no finite points to remove")
+            raise NotAdmissible("no finite points to remove")
         return self.summands[-1]
 
     def move_last_point_to_infinity(self) -> "Divisor":

@@ -396,7 +396,7 @@ def normalized_limit(T: LaxMatrix) -> LaxMatrix:
     div = T.divisor
     last = div.last_point()
     if not isinstance(last.point, str):
-        raise ValueError("limits need a symbolic last point")
+        raise NotAdmissible("limits need a symbolic last point")
     target_div = div.move_last_point_to_infinity()
     xv = x_var(last.point)
     n = T.n

@@ -34,6 +34,7 @@ from .coweight import Divisor
 from .errors import (
     MismatchWithRational,
     NegativeEpsPower,
+    NotAdmissible,
     NotLinearCase,
     NotPolynomial,
     SignatureMismatch,
@@ -410,7 +411,7 @@ def limits_trig(T: TrigLaxMatrix, direction: str) -> TrigLaxMatrix:
     div = T.divisor
     last = div.last_point()
     if not isinstance(last.point, str):
-        raise ValueError("limits need a symbolic last point")
+        raise NotAdmissible("limits need a symbolic last point")
     xv = x_var(last.point)
     n = T.n
     if direction == "to_zero":

@@ -25,7 +25,12 @@ Variables are identified by tuples:
 
 Exponents of 'v' and 'wh' variables may be negative (they are units);
 all other exponents are non-negative.  The canonical term order is graded
-lexicographic with variables compared by their identifying tuples.
+lexicographic: total degree first, then exponents compared variable by
+variable in var_precedence rank (z, w, v, eps, x, p, wh; smaller indices
+first within a kind).  grlex_key ranks the variables of an operation once
+and maps each monomial to a natively comparable (degree, exponent tuple)
+key.  Exact division (poly_div_exact) pops the leading remainder term
+from a heap ordered by that key, so each step costs O(log n).
 
 Coefficients are arbitrary-precision Fractions; nothing here is ever
 floating point.  Values are immutable after construction and every
@@ -35,7 +40,9 @@ callers can parallelize over independent computations without locks.
 
 from __future__ import annotations
 
+import heapq
 import random
+import zlib
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -128,56 +135,27 @@ def var_precedence(v: Var):
     return (_KIND_RANK[v[0]],) + tuple(v[1:])
 
 
-def mono_cmp_key(m: Monomial):
-    """Sort key realizing graded lexicographic order: total degree first,
-    ties broken by the most significant variable with a larger exponent."""
-    return (mono_deg(m), _LexTail(m))
+def grlex_key(variables: Iterable[Var], sign: int = 1):
+    """Sort key for monomials over `variables` in the canonical term order.
 
+    The variables are ranked once by var_precedence; a monomial maps to
+    (total degree, dense exponent tuple in that rank), absent variables
+    reading as 0.  Tuples compare natively, so this is graded
+    lexicographic order: total degree first, ties broken by the most
+    significant variable with the larger exponent (Laurent exponents
+    included).  sign=-1 negates every entry, reversing the order (for
+    min-heaps)."""
+    order = sorted(variables, key=var_precedence)
+    pos = {v: k for k, v in enumerate(order)}
+    n = len(order)
 
-class _LexTail:
-    """Comparison helper: lex order on exponent vectors, the most
-    significant variable with the larger exponent wins."""
+    def key(m: Monomial):
+        ex = [0] * n
+        for v, e in m:
+            ex[pos[v]] = sign * e
+        return (sum(ex), tuple(ex))
 
-    __slots__ = ("items",)
-
-    def __init__(self, m: Monomial):
-        # items sorted most-significant first
-        self.items = sorted(m, key=lambda ve: var_precedence(ve[0]))
-
-    def _walk(self, other: "_LexTail") -> int:
-        a, b = self.items, other.items
-        ia = ib = 0
-        while ia < len(a) or ib < len(b):
-            ka = var_precedence(a[ia][0]) if ia < len(a) else None
-            kb = var_precedence(b[ib][0]) if ib < len(b) else None
-            if ka is not None and (kb is None or ka < kb):
-                ea, eb = a[ia][1], 0
-                ia += 1
-            elif kb is not None and (ka is None or kb < ka):
-                ea, eb = 0, b[ib][1]
-                ib += 1
-            else:
-                ea, eb = a[ia][1], b[ib][1]
-                ia += 1
-                ib += 1
-            if ea != eb:
-                return 1 if ea > eb else -1
-        return 0
-
-    def __lt__(self, other):
-        return self._walk(other) < 0
-
-    def __gt__(self, other):
-        return self._walk(other) > 0
-
-    def __eq__(self, other):
-        return self.items == other.items
-
-    def __le__(self, other):
-        return self._walk(other) <= 0
-
-    def __ge__(self, other):
-        return self._walk(other) >= 0
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +332,7 @@ class Poly:
     def leading_term(self) -> Tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=mono_cmp_key)
+        m = max(self.terms, key=grlex_key(self.variables()))
         return m, self.terms[m]
 
     def total_degree(self) -> int:
@@ -493,6 +471,8 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return _P_ZERO
+    if _divides_directly(f, g):
+        return _poly_div_nonneg(f, g)
     # normalize every variable of both operands to zero minimum exponent;
     # the quotient is corrected by the difference of the removed contents
     shift_f: Monomial = _EMPTY_MONO
@@ -517,13 +497,47 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
     return q * Poly.monomial(adjust) if adjust else q
 
 
+def _divides_directly(f: Poly, g: Poly) -> bool:
+    """True when f / g needs no content normalization: neither operand
+    has a negative exponent and no unit variable divides every term of g.
+    Then a quotient exists only with non-negative exponents, which plain
+    division finds.  (Unit content in g, as in f = 1, g = v, can ask for
+    a Laurent quotient; that takes the normalizing path.)"""
+    for m in f.terms:
+        for _, e in m:
+            if e < 0:
+                return False
+    shared = None
+    for m in g.terms:
+        units = set()
+        for v, e in m:
+            if e < 0:
+                return False
+            if v[0] in _UNIT_KINDS:
+                units.add(v)
+        shared = units if shared is None else shared & units
+    return not shared
+
+
 def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
-    gm, gc = g.leading_term()
+    """Sparse division with a heap of remainder terms (Johnson 1974;
+    Monagan & Pearce 2011): each step pops the leading remainder term in
+    O(log n) instead of scanning the remainder.  Heap entries are
+    (negated order key, monomial); an entry whose monomial has left the
+    remainder is stale and skipped.  Exact quotients are unique, so the
+    verdict and q do not depend on the term order used."""
+    neg_key = grlex_key(f.variables() | g.variables(), sign=-1)
+    gm = min(g.terms, key=neg_key)
+    gc = g.terms[gm]
     rem = dict(f.terms)
+    heap = [(neg_key(m), m) for m in rem]
+    heapq.heapify(heap)
     q: Dict[Monomial, Fraction] = {}
     while rem:
-        fm = max(rem, key=mono_cmp_key)
-        fc = rem[fm]
+        fm = heapq.heappop(heap)[1]
+        fc = rem.get(fm)
+        if fc is None:
+            continue
         if not mono_divides(gm, fm):
             return None
         t = mono_div(fm, gm)
@@ -531,11 +545,16 @@ def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
         q[t] = q.get(t, Q0) + tc
         for m, c in g.terms.items():
             key = mono_mul(m, t)
-            nc = rem.get(key, Q0) - c * tc
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -c * tc
+                heapq.heappush(heap, (neg_key(key), key))
+                continue
+            nc = old - c * tc
             if nc:
                 rem[key] = nc
             else:
-                rem.pop(key, None)
+                del rem[key]
     return Poly(q)
 
 
@@ -574,7 +593,8 @@ class Atom:
 
 
 def _atom_key(p: Poly):
-    return tuple(sorted(p.terms.items(), key=lambda kv: mono_cmp_key(kv[0])))
+    key = grlex_key(p.variables())
+    return tuple(sorted(p.terms.items(), key=lambda kv: key(kv[0])))
 
 
 _TRIG_ATOM_KINDS = frozenset({"z", "w", "wh", "x", "v"})
@@ -1144,7 +1164,7 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
     if not any(not is_unit_var(u) for u in rest) and len(p.decompose(v)) <= 2:
         # two-term Laurent combo missed by shape test (multiplicity > 2 forms)
         pass
-    rng = random.Random(_FACTOR_RNG_SEED ^ hash(_atom_key(p)))
+    rng = random.Random(_FACTOR_RNG_SEED ^ zlib.crc32(repr(_atom_key(p)).encode()))
     for _attempt in range(8):
         point = {u: Fraction(rng.randint(2, 97)) for u in rest}
         uni = {k: c.evaluate(point) for k, c in p.decompose(v).items()}

@@ -75,12 +75,12 @@ class CheckResult:
 
 
 def _timed(name: str, fn: Callable[[], Tuple[bool, str]]) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     try:
         ok, detail = fn()
     except LaxkitError as exc:
         ok, detail = False, f"{type(exc).__name__}: {exc}"
-    return CheckResult(name, ok, time.time() - start, detail)
+    return CheckResult(name, ok, time.perf_counter() - start, detail)
 
 
 # ---------------------------------------------------------------------------

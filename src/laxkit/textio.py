@@ -26,7 +26,7 @@ from .ratfun import (
     V,
     W,
     Z,
-    mono_cmp_key,
+    grlex_key,
     p_var,
     wh_var,
     x_var,
@@ -80,7 +80,7 @@ def render_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts: List[str] = []
-    for m in sorted(p.terms, key=mono_cmp_key, reverse=True):
+    for m in sorted(p.terms, key=grlex_key(p.variables()), reverse=True):
         c = p.terms[m]
         neg = c < 0
         c_abs = -c if neg else c
@@ -525,7 +525,7 @@ def latex_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for m in sorted(p.terms, key=mono_cmp_key, reverse=True):
+    for m in sorted(p.terms, key=grlex_key(p.variables()), reverse=True):
         c = p.terms[m]
         neg = c < 0
         c_abs = -c if neg else c

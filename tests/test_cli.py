@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, file round trips, reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import laxkit
 from laxkit.cli import main
+from laxkit.suite import block_example_divisor, trig_n3_divisor
 
 TODA = {
     "n": 2,
@@ -115,6 +120,34 @@ def test_limit_and_degenerate(tmp_path, capsys):
     assert "z - p[1,1]" in out
 
 
+def test_limit_without_finite_point_is_usage_error(tmp_path, capsys):
+    # TODA has no finite point; a numeric point has no variable to send
+    path = _write(tmp_path, "toda.json", TODA)
+    assert main(["limit", "--divisor", path]) == 2
+    assert "no finite points" in capsys.readouterr().err
+    numeric = dict(DST, points=[dict(DST["points"][0], x="3")])
+    path = _write(tmp_path, "dst3.json", numeric)
+    assert main(["limit", "--divisor", path]) == 2
+    assert "symbolic last point" in capsys.readouterr().err
+
+
+def test_trig_limit_without_finite_point_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "trig1.json", TRIG1)
+    numeric = {
+        "n": 2,
+        "mode": "trig",
+        "points": [{"x": "3", "coweight": {"fundamental": [0, 1]}}],
+        "infinity": {"fundamental": [-1, 0]},
+        "zero": {"fundamental": [0, 1]},
+    }
+    path3 = _write(tmp_path, "trig3.json", numeric)
+    for direction in ("zero", "infinity"):
+        assert main(["limit", "--divisor", path, "--direction", direction]) == 2
+        assert "no finite points" in capsys.readouterr().err
+        assert main(["limit", "--divisor", path3, "--direction", direction]) == 2
+        assert "symbolic last point" in capsys.readouterr().err
+
+
 def test_coproduct_command(tmp_path, capsys):
     toda = _write(tmp_path, "toda.json", TODA)
     code = main(
@@ -142,3 +175,20 @@ def test_fuse_command(tmp_path, capsys):
     ) == 0
     data = json.loads((tmp_path / "fused.json").read_text())
     assert len(data["signature"]["slot_counts"]) == 2
+
+
+def test_build_output_independent_of_hash_seed(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(laxkit.__file__)))
+    for name, div in (("block", block_example_divisor()), ("trig3", trig_n3_divisor())):
+        path = _write(tmp_path, f"{name}.json", div.to_json())
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{name}-{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "laxkit.cli", "build", "--divisor", path,
+                 "--out", str(out), "--quiet"],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

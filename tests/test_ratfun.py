@@ -1,5 +1,6 @@
 """Kernel unit tests: exact arithmetic, atoms, series, limits, inversion."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,16 +8,24 @@ import pytest
 
 from laxkit.errors import DivergesAtInfinity, NotAtomFactorable
 from laxkit.ratfun import (
+    EPS,
     Poly,
     RatFun,
     V,
+    W,
     Z,
+    _atom_key,
     equals_probabilistic,
+    grlex_key,
+    is_unit_var,
     p_var,
+    poly_div_exact,
     series_expand,
+    var_precedence,
     wh_var,
     x_var,
 )
+from laxkit.textio import latex_poly, render_poly
 
 z = RatFun.variable(Z)
 p11 = RatFun.variable(p_var(1, 1))
@@ -229,3 +238,156 @@ def test_poly_coeffs_requires_clean_denominator():
     assert coeffs[2].equals(p11)
     assert coeffs[1].equals(1)
     assert coeffs[0].equals(3)
+
+
+# ---------------------------------------------------------------------------
+# term order: the kernel's dense grlex key against a pairwise comparator
+
+
+def _oracle_cmp(a, b):
+    """Reference term order, compared pairwise: total degree first, then
+    walk the variables most significant first (var_precedence) and let
+    the larger exponent win, absent variables reading as 0."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    ia = sorted(a, key=lambda ve: var_precedence(ve[0]))
+    ib = sorted(b, key=lambda ve: var_precedence(ve[0]))
+    ka = kb = 0
+    while ka < len(ia) or kb < len(ib):
+        pa = var_precedence(ia[ka][0]) if ka < len(ia) else None
+        pb = var_precedence(ib[kb][0]) if kb < len(ib) else None
+        if pa is not None and (pb is None or pa < pb):
+            ea, eb = ia[ka][1], 0
+            ka += 1
+        elif pb is not None and (pa is None or pb < pa):
+            ea, eb = 0, ib[kb][1]
+            kb += 1
+        else:
+            ea, eb = ia[ka][1], ib[kb][1]
+            ka += 1
+            kb += 1
+        if ea != eb:
+            return 1 if ea > eb else -1
+    return 0
+
+
+_ORACLE_KEY = functools.cmp_to_key(_oracle_cmp)
+_ALL_KIND_VARS = [Z, W, V, EPS, x_var("x1"), x_var("x2")] + [
+    f(i, r, slot) for f in (p_var, wh_var) for slot in (1, 2) for i in (1, 2) for r in (1, 2)
+]
+
+
+def _random_mono(rng):
+    out = {}
+    for _ in range(rng.randint(0, 4)):
+        v = rng.choice(_ALL_KIND_VARS)
+        lo = -3 if is_unit_var(v) else 0
+        out[v] = out.get(v, 0) + rng.randint(lo, 3)
+    return tuple(sorted((v, e) for v, e in out.items() if e))
+
+
+def _random_laurent_poly(rng, coeffs):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        terms[_random_mono(rng)] = Fraction(rng.choice(coeffs))
+    return Poly(terms)
+
+
+def test_term_order_matches_pairwise_oracle():
+    rng = random.Random(31)
+    for _ in range(300):
+        p = _random_laurent_poly(rng, [-3, -1, 1, 2, Fraction(1, 2)])
+        desc = sorted(p.terms, key=_ORACLE_KEY, reverse=True)
+        assert p.leading_term() == (desc[0], p.terms[desc[0]])
+        assert _atom_key(p) == tuple((m, p.terms[m]) for m in reversed(desc))
+        monos = [_random_mono(rng) for _ in range(8)]
+        key = grlex_key({v for m in monos for v, _ in m})
+        assert sorted(set(monos), key=key) == sorted(set(monos), key=_ORACLE_KEY)
+
+
+def test_rendered_term_order_matches_pairwise_oracle():
+    # positive coefficients: terms then join with " + " (text) and " +" (LaTeX)
+    rng = random.Random(32)
+    for _ in range(200):
+        p = _random_laurent_poly(rng, [1, 2, Fraction(3, 2)])
+        desc = sorted(p.terms, key=_ORACLE_KEY, reverse=True)
+        single = [Poly({m: p.terms[m]}) for m in desc]
+        assert render_poly(p) == " + ".join(render_poly(s) for s in single)
+        assert latex_poly(p) == " +".join(latex_poly(s) for s in single)
+
+
+# ---------------------------------------------------------------------------
+# exact division against sympy (test-only oracle)
+
+_DIV_VARS = [Z, x_var("x1"), p_var(1, 1), V, wh_var(1, 1)]
+
+
+def _sympy_expr(sympy, p):
+    syms = {v: sympy.Symbol("_".join(map(str, v))) for v in _DIV_VARS}
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(syms[v] ** e for v, e in m))
+            for m, c in p.terms.items()
+        )
+    ), [syms[v] for v in _DIV_VARS]
+
+
+def _clear_units(p, drop_content):
+    """Multiply p by a unit monomial so every exponent is >= 0 and, with
+    drop_content, every unit variable has minimum exponent 0.  Unit
+    monomials are invertible, so this does not change divisibility."""
+    shift = []
+    for v in _DIV_VARS:
+        if is_unit_var(v):
+            lo = p.min_exp(v)
+            if lo < 0 or (drop_content and lo > 0):
+                shift.append((v, -lo))
+    return p * Poly.monomial(tuple(sorted(shift))) if shift else p
+
+
+def _sympy_divides(sympy, f, g):
+    fe, gens = _sympy_expr(sympy, _clear_units(f, False))
+    ge, _ = _sympy_expr(sympy, _clear_units(g, True))
+    _, rem = sympy.reduced(fe, [ge], *gens, order="grevlex")
+    return rem == 0
+
+
+def _random_div_poly(rng, terms):
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        mono = {}
+        for v in rng.sample(_DIV_VARS, rng.randint(0, 3)):
+            lo = -2 if is_unit_var(v) else 0
+            e = rng.randint(lo, 2)
+            if e:
+                mono[v] = e
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+        out[tuple(sorted(mono.items()))] = c
+    return Poly(out)
+
+
+def test_exact_division_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    hits = misses = 0
+    for idx in range(150):
+        f = _random_div_poly(rng, 4)
+        g = _random_div_poly(rng, 3)
+        if idx % 5 == 0:
+            g = g * Poly.variable(V)  # unit content the dividend may lack
+        assert poly_div_exact(f * g, g) == f
+        h = f * g + _random_div_poly(rng, 2)
+        if h.is_zero():
+            continue
+        q = poly_div_exact(h, g)
+        want = _sympy_divides(sympy, h, g)
+        assert (q is not None) == want, (h, g)
+        if q is not None:
+            hits += 1
+            assert q * g == h
+            assert all(e >= 0 or is_unit_var(v) for m in q.terms for v, e in m)
+        else:
+            misses += 1
+    assert hits and misses > 50
