@@ -82,10 +82,6 @@ class ShiftMonomial:
         self._key = tuple(sorted(self.exps.items()))
 
     @staticmethod
-    def identity() -> "ShiftMonomial":
-        return _SHIFT_ONE
-
-    @staticmethod
     def generator(i: int, r: int, m: int = 1, factor: int = 1) -> "ShiftMonomial":
         return ShiftMonomial({(factor, i, r): m})
 
@@ -268,9 +264,6 @@ class AlgebraElement:
 
     def rename_spectral(self, old, new) -> "AlgebraElement":
         return self.map_coeffs(lambda c: c.rename_var(old, new))
-
-    def subst_z(self, fn) -> "AlgebraElement":
-        return self.map_coeffs(fn)
 
     def z_poly_coeffs(self, var) -> Dict[int, "AlgebraElement"]:
         """Decompose by powers of a central variable (z-free denominators)."""
@@ -457,18 +450,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def mat_map(a, fn):
     return [[fn(x) for x in row] for row in a]
 
@@ -477,7 +458,3 @@ def mat_equal(a, b) -> bool:
     return all(
         (x - y).is_zero() for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
-
-
-def mat_embed(mat, target: AlgebraSignature, factor: int):
-    return mat_map(mat, lambda e: embed(e, target, factor))

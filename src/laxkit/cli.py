@@ -12,7 +12,15 @@ import sys
 from typing import List, Optional
 
 from .coweight import Divisor, PseudoYoungDiagram
-from .errors import LaxkitError, NotAdmissible, NotLinearCase, ParseError
+from .errors import (
+    BadDiagram,
+    LaxkitError,
+    NotAdmissible,
+    NotLinearCase,
+    ParseError,
+    SignatureMismatch,
+    SizeMismatch,
+)
 from .gelfand_tsetlin import gauge_and_compare
 from .lax_rational import (
     build_lax,
@@ -45,9 +53,16 @@ EXIT_IDENTITY_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _load_divisor(path: str, mode: Optional[str] = None) -> Divisor:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        div = Divisor.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ParseError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_divisor(path: str, mode: Optional[str] = None) -> Divisor:
+    div = Divisor.from_json(_read_json(path))
     if mode and div.mode != mode:
         raise NotAdmissible(
             f"divisor file is {div.mode!r} but --mode {mode!r} was requested"
@@ -77,12 +92,21 @@ def _emit_outputs(mat, args, out) -> None:
         _print_matrix(mat, out)
 
 
+def _pipeline(mode: str):
+    """(build, normalize, linear) of a divisor mode.  The names are looked
+    up per call, so wrappers installed on this module's attributes apply."""
+    return {
+        "rational": (build_lax, normalize_and_check_polynomial, build_linear_lax),
+        "trig": (
+            build_lax_trig, normalize_and_check_polynomial_trig, build_linear_lax_trig
+        ),
+    }[mode]
+
+
 def _build(div: Divisor, normalize: bool = True):
-    if div.mode == "rational":
-        mat = build_lax(div)
-        return normalize_and_check_polynomial(mat) if normalize else mat
-    mat = build_lax_trig(div)
-    return normalize_and_check_polynomial_trig(mat) if normalize else mat
+    build, norm, _ = _pipeline(div.mode)
+    mat = build(div)
+    return norm(mat) if normalize else mat
 
 
 def cmd_build(args, out) -> int:
@@ -94,19 +118,14 @@ def cmd_build(args, out) -> int:
 
 def cmd_linear(args, out) -> int:
     div = _load_divisor(args.divisor, args.mode)
-    mat = (
-        build_linear_lax(div)
-        if div.mode == "rational"
-        else build_linear_lax_trig(div)
-    )
-    _emit_outputs(mat, args, out)
+    _, _, linear = _pipeline(div.mode)
+    _emit_outputs(linear(div), args, out)
     return EXIT_OK
 
 
 def cmd_verify_rtt(args, out) -> int:
     if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            mat = matrix_from_json(json.load(fh))
+        mat = matrix_from_json(_read_json(args.matrix))
     else:
         mat = _build(_load_divisor(args.divisor, args.mode), normalize=False)
     report = verify_rtt(mat, probabilistic=args.probabilistic)
@@ -147,10 +166,10 @@ def cmd_limit(args, out) -> int:
         if args.direction == "zero":
             out.write("rational divisors only degenerate at infinity\n")
             return EXIT_USAGE
-        mat = normalized_limit(build_lax(div))
+        mat = normalized_limit(_build(div, normalize=False))
     else:
         direction = "to_zero" if args.direction == "zero" else "to_infinity"
-        mat = limits_trig(build_lax_trig(div), direction)
+        mat = limits_trig(_build(div, normalize=False), direction)
     _emit_outputs(mat, args, out)
     return EXIT_OK
 
@@ -196,7 +215,12 @@ def cmd_degenerate(args, out) -> int:
 
 
 def cmd_gt_compare(args, out) -> int:
-    rows = tuple(int(x) for x in args.young.split(","))
+    try:
+        rows = tuple(int(x) for x in args.young.split(","))
+    except ValueError:
+        raise ParseError(
+            f"--young needs comma-separated integers, got {args.young!r}"
+        ) from None
     cmp = gauge_and_compare(PseudoYoungDiagram(rows), args.n)
     for pos in sorted(cmp.gauged):
         mark = "PASS" if pos not in cmp.mismatches else "FAIL"
@@ -242,8 +266,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_linear)
 
     p = sub.add_parser("verify-rtt", help="exact exchange-relation check")
-    p.add_argument("--divisor")
-    p.add_argument("--matrix", help="verify a matrix JSON file instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--divisor")
+    source.add_argument("--matrix", help="verify a matrix JSON file instead")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument(
         "--probabilistic",
@@ -310,7 +335,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, sys.stdout)
-    except (NotAdmissible, NotLinearCase, ParseError, FileNotFoundError) as exc:
+    except (
+        NotAdmissible,
+        NotLinearCase,
+        ParseError,
+        BadDiagram,
+        SizeMismatch,
+        SignatureMismatch,
+        OSError,
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except LaxkitError as exc:

@@ -14,13 +14,13 @@ the a-vector sizes the slot rows of the difference-operator algebra.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraSignature
-from .errors import BadDiagram, NotAdmissible, SizeMismatch
+from .errors import BadDiagram, NotAdmissible, ParseError, SizeMismatch
 
 Point = Union[str, Fraction]
 
@@ -281,28 +281,62 @@ class Divisor:
 
     @staticmethod
     def from_json(data: dict) -> "Divisor":
-        n = int(data["n"])
-        mode = data["mode"]
-        points = []
-        for p in data.get("points", []):
-            x = p["x"]
-            if isinstance(x, (int, float)) or (
-                isinstance(x, str) and _looks_numeric(x)
-            ):
+        """Parse the wire format; malformed data raises ParseError."""
+        if not isinstance(data, dict):
+            raise ParseError("a divisor must be a JSON object")
+        n = _json_int(_json_field(data, "n", "divisor"), "n")
+        if n < 1:
+            raise ParseError(f"n must be positive, got {n}")
+        mode = _json_field(data, "mode", "divisor")
+        if mode not in ("rational", "trig"):
+            raise ParseError(f"mode must be 'rational' or 'trig', got {mode!r}")
+        points = data.get("points", [])
+        if not isinstance(points, list):
+            raise ParseError("points must be a list")
+        parsed = []
+        for p in points:
+            if not isinstance(p, dict):
+                raise ParseError(f"a point must be a JSON object, got {p!r}")
+            x = _json_field(p, "x", "point")
+            if isinstance(x, str):
+                x = Fraction(x) if _looks_numeric(x) else x
+            elif isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
                 x = Fraction(x)
-            points.append(
-                (x, Coweight.from_fundamental(p["coweight"]["fundamental"]))
-            )
-        mu = Coweight.from_fundamental(data["infinity"]["fundamental"])
+            else:
+                raise ParseError(f"point label must be a string or a number, got {x!r}")
+            parsed.append((x, _json_coweight(_json_field(p, "coweight", "point"), n)))
+        mu = _json_coweight(_json_field(data, "infinity", "divisor"), n)
         mu_zero = None
         if data.get("zero") is not None:
-            mu_zero = Coweight.from_fundamental(data["zero"]["fundamental"])
-        return Divisor.make(n, mode, points, mu, mu_zero)
+            if mode == "rational":
+                raise ParseError("rational divisors have no coefficient at zero")
+            mu_zero = _json_coweight(data["zero"], n)
+        return Divisor.make(n, mode, parsed, mu, mu_zero)
 
-    @staticmethod
-    def load(path: str) -> "Divisor":
-        with open(path, "r", encoding="utf-8") as fh:
-            return Divisor.from_json(json.load(fh))
+
+def _json_field(data: dict, key: str, what: str):
+    if key not in data:
+        raise ParseError(f"{what} is missing {key!r}")
+    return data[key]
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_coweight(data, n: int) -> Coweight:
+    """{"fundamental": [c_0, ..., c_{n-1}]} with integer coefficients."""
+    coeffs = data.get("fundamental") if isinstance(data, dict) else None
+    if not isinstance(coeffs, list) or len(coeffs) != n:
+        raise ParseError(f"a coweight needs {n} fundamental coefficients, got {data!r}")
+    return Coweight.from_fundamental([_json_int(c, "a coefficient") for c in coeffs])
 
 
 def _looks_numeric(s: str) -> bool:

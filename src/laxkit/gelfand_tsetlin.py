@@ -262,16 +262,3 @@ def gauge_and_compare(blambda: PseudoYoungDiagram, n: int,
         ok=not mismatches, mismatches=mismatches, gauged=gauged, expected=expected
     )
 
-
-def beta_parity(lay: GTLayout, i: int) -> int:
-    """a_{i-1} + a_{i+1} + 1 + blambda_{n-i} + blambda_{n-i+1}, which must
-    be odd for every valid layout."""
-    sig = lay.divisor().signature()
-    bl = lay.blambda.rows
-    return (
-        sig.a(i - 1)
-        + sig.a(i + 1)
-        + 1
-        + (bl[n_idx] if (n_idx := lay.n - i - 1) >= 0 else 0)
-        + bl[lay.n - i]
-    )

@@ -6,6 +6,10 @@ multi-index sums over slot tuples, with the shift generators on the
 right.  Everything downstream (normalization, qdet, limits, fusion, the
 linear fast path) reuses the same closed forms; the general builder is
 the oracle for all of them.
+
+The pipeline is shared with trig mode: lax_trig passes its own entry
+formulas and normalizer to the assembly, normalization and limit helpers
+here, and uses the same LaxMatrix type.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     AlgebraElement,
@@ -21,6 +25,7 @@ from .algebra import (
     ShiftMonomial,
     embed,
     mat_equal,
+    mat_identity,
     mat_map,
     mat_mul,
     mat_zero,
@@ -36,8 +41,7 @@ from .errors import (
 from .ratfun import Poly, RatFun, Z, p_var, x_var
 
 
-@dataclass
-class GaussFactors:
+class GaussFactors(NamedTuple):
     lower: List[List[AlgebraElement]]  # unit lower triangular
     diag: List[AlgebraElement]  # scalar entries
     upper: List[List[AlgebraElement]]  # unit upper triangular
@@ -65,12 +69,6 @@ class LaxMatrix:
 
 # ---------------------------------------------------------------------------
 # polynomial building blocks
-
-
-def _point_value(pt) -> RatFun:
-    if isinstance(pt, str):
-        return RatFun.variable(x_var(pt))
-    return RatFun.const(pt)
 
 
 def _point_poly(pt) -> Poly:
@@ -219,27 +217,27 @@ def lower_entry(div: Divisor, j: int, i: int, factor: int = 1,
     return out
 
 
-def build_gauss_factors(div: Divisor) -> GaussFactors:
-    if div.mode != "rational":
-        raise SignatureMismatch("rational builder got a trig divisor")
+def _gauss_factors(div: Divisor, mode: str, diag: Callable, upper: Callable,
+                   lower: Callable) -> GaussFactors:
+    """Fill the unitriangular factors from a mode's three entry formulas."""
+    if div.mode != mode:
+        raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
     sig = div.signature()
     n = div.n
-    lower = mat_zero(sig, n)
-    upper = mat_zero(sig, n)
-    for i in range(n):
-        lower[i][i] = AlgebraElement.one(sig)
-        upper[i][i] = AlgebraElement.one(sig)
-    diag = [AlgebraElement.from_ratfun(sig, diag_entry(div, i)) for i in range(1, n + 1)]
+    lower_f = mat_identity(sig, n)
+    upper_f = mat_identity(sig, n)
+    diag_f = [
+        AlgebraElement.from_ratfun(sig, diag(div, i, sig=sig)) for i in range(1, n + 1)
+    ]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            upper[i - 1][j - 1] = upper_entry(div, i, j, sig=sig)
-            lower[j - 1][i - 1] = lower_entry(div, j, i, sig=sig)
-    return GaussFactors(lower=lower, diag=diag, upper=upper)
+            upper_f[i - 1][j - 1] = upper(div, i, j, sig=sig)
+            lower_f[j - 1][i - 1] = lower(div, j, i, sig=sig)
+    return GaussFactors(lower=lower_f, diag=diag_f, upper=upper_f)
 
 
-def build_lax(div: Divisor) -> LaxMatrix:
-    """T(z) = F G E with the closed-form factors."""
-    gauss = build_gauss_factors(div)
+def _assemble(div: Divisor, gauss: GaussFactors) -> LaxMatrix:
+    """T(z) = F G E."""
     sig = div.signature()
     n = div.n
     entries = mat_zero(sig, n)
@@ -255,6 +253,15 @@ def build_lax(div: Divisor) -> LaxMatrix:
     return LaxMatrix(signature=sig, divisor=div, entries=entries, gauss=gauss)
 
 
+def build_gauss_factors(div: Divisor) -> GaussFactors:
+    return _gauss_factors(div, "rational", diag_entry, upper_entry, lower_entry)
+
+
+def build_lax(div: Divisor) -> LaxMatrix:
+    """T(z) = F G E with the closed-form factors."""
+    return _assemble(div, build_gauss_factors(div))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -268,11 +275,13 @@ def normalizer(div: Divisor) -> RatFun:
     return out
 
 
-def normalize_and_check_polynomial(T: LaxMatrix) -> LaxMatrix:
-    """Divide by Z_0(z) and assert every coefficient is polynomial in z."""
+def _normalize(T: LaxMatrix, normalizer_fn: Callable[[Divisor], RatFun]) -> LaxMatrix:
+    """Multiply by the mode's normalizer and assert every coefficient is a
+    polynomial in z: no spectral atom in a denominator, no negative power
+    of z in a numerator."""
     if T.divisor is None:
         raise ValueError("matrix carries no divisor")
-    factor = normalizer(T.divisor)
+    factor = normalizer_fn(T.divisor)
     entries = mat_map(T.entries, lambda e: e * factor)
     for a, row in enumerate(entries):
         for b, e in enumerate(row):
@@ -283,46 +292,50 @@ def normalize_and_check_polynomial(T: LaxMatrix) -> LaxMatrix:
                         f"entry ({a + 1},{b + 1}) keeps spectral atom {bad[0]!r}",
                         entry=(a + 1, b + 1),
                     )
-    return LaxMatrix(
-        signature=T.signature,
-        divisor=T.divisor,
-        entries=entries,
-        gauss=T.gauss,
-        normalized=True,
-    )
+                if c.num.min_exp(Z) < 0:
+                    raise NotPolynomial(
+                        f"entry ({a + 1},{b + 1}) has a pole at z = 0",
+                        entry=(a + 1, b + 1),
+                    )
+    return LaxMatrix(T.signature, T.divisor, entries, T.gauss, normalized=True)
+
+
+def normalize_and_check_polynomial(T: LaxMatrix) -> LaxMatrix:
+    """Divide by Z_0(z) and assert every coefficient is polynomial in z."""
+    return _normalize(T, normalizer)
 
 
 # ---------------------------------------------------------------------------
 # linear fast path
 
 
-def _young_data(div: Divisor) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Recover (blambda, bmu) row vectors from an encodable divisor."""
+def _young_data(div: Divisor, mode: str) -> List[Tuple[int, ...]]:
+    """Row vectors (blambda, bmu, and bmu- in trig mode) of a divisor the
+    linear fast path of the given mode may take; anything else raises."""
+    if div.mode != mode:
+        raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
+    if any(s.index == 0 for s in div.summands):
+        raise NotLinearCase("index-0 summands need the general builder")
     n = div.n
-    bl_cw = div.total_finite()
-    bl = tuple(-bl_cw.d[n - i] for i in range(1, n + 1))  # rows from coweight
-    bm = tuple(-div.mu.d[n - i] for i in range(1, n + 1))
-    return bl, bm
+    coweights = [div.total_finite(), div.mu] + ([div.mu_zero] if mode == "trig" else [])
+    rows = [tuple(-cw.d[n - i] for i in range(1, n + 1)) for cw in coweights]
+    if any(x < y for r in rows for x, y in zip(r, r[1:])):
+        raise NotLinearCase("divisor is not encoded by pseudo Young diagrams")
+    return rows
 
 
 def build_linear_lax(div: Divisor) -> LaxMatrix:
     """Closed-form degree-1 matrix for blambda_n = 0, bmu_n = -1 (the
     identity matrix when both vanish)."""
-    if div.mode != "rational":
-        raise SignatureMismatch("rational builder got a trig divisor")
-    if any(s.index == 0 for s in div.summands):
-        raise NotLinearCase("index-0 summands need the general builder")
-    bl, bm = _young_data(div)
+    bl, bm = _young_data(div, "rational")
     n = div.n
-    if any(x < y for x, y in zip(bl, bl[1:])) or any(x < y for x, y in zip(bm, bm[1:])):
-        raise NotLinearCase("divisor is not encoded by pseudo Young diagrams")
     sig = div.signature()
     if bl[n - 1] != 0:
         raise NotLinearCase(f"blambda_n = {bl[n-1]} != 0")
     if bm[n - 1] == 0:
         if any(bl) or any(bm):
             raise NotLinearCase("bmu_n = 0 forces the identity matrix case")
-        return LaxMatrix(sig, div, _identity_entries(sig, n))
+        return LaxMatrix(sig, div, mat_identity(sig, n))
     if bm[n - 1] != -1:
         raise NotLinearCase(f"bmu_n = {bm[n-1]} not in {{0, -1}}")
     m = max(i for i in range(1, n + 1) if bm[n - i] == -1)
@@ -339,7 +352,7 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
             for s in div.summands:
                 # epsilon_i of an index-k fundamental coweight is -1 for i > k
                 if i > s.index:
-                    val = val - s.sign * _point_value(s.point)
+                    val = val - s.sign * RatFun.from_poly(_point_poly(s.point))
             entries[i - 1][i - 1] = AlgebraElement.from_ratfun(sig, val)
         elif i <= m_prime:
             entries[i - 1][i - 1] = AlgebraElement.one(sig)
@@ -350,13 +363,6 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
             entries[i - 1][j - 1] = upper_entry(div, i, j, sig=sig, drop_pole=True)
             entries[j - 1][i - 1] = lower_entry(div, j, i, sig=sig, drop_pole=True)
     return LaxMatrix(sig, div, entries)
-
-
-def _identity_entries(sig: AlgebraSignature, n: int):
-    out = mat_zero(sig, n)
-    for i in range(n):
-        out[i][i] = AlgebraElement.one(sig)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +395,30 @@ def qdet_image(T_or_div) -> RatFun:
 # normalized limits
 
 
-def normalized_limit(T: LaxMatrix) -> LaxMatrix:
-    """Send the last point of the divisor to infinity (after the diagonal
-    column scaling for index >= 1) and return the resulting matrix; the
-    divisor moves its coefficient onto the framing point."""
-    div = T.divisor
+def _symbolic_last_point(div: Divisor):
+    """The last summand and its x variable; limits move symbolic points only."""
     last = div.last_point()
     if not isinstance(last.point, str):
         raise NotAdmissible("limits need a symbolic last point")
-    target_div = div.move_last_point_to_infinity()
-    xv = x_var(last.point)
+    return last, x_var(last.point)
+
+
+def _on_divisor(entries, div: Divisor) -> LaxMatrix:
+    """Entries re-homed on the signature of the divisor a limit produced."""
+    sig = div.signature()
+    entries = mat_map(entries, lambda e: AlgebraElement(sig, dict(e.terms)))
+    return LaxMatrix(sig, div, entries)
+
+
+def _limit_to_infinity(T: LaxMatrix) -> LaxMatrix:
+    """Send the last point x to infinity, in either mode.  An index-0 point
+    is divided out of every entry by its factor (z - x)^sign, which leaves
+    x only where other summands sit at the same point; otherwise the
+    columns past its index are scaled by -1/x and the leading term in x
+    is kept."""
+    div = T.divisor
+    last, xv = _symbolic_last_point(div)
+    target = div.move_last_point_to_infinity()
     n = T.n
     if last.index == 0:
         lin = RatFun.from_poly(_zvar() - Poly.variable(xv))
@@ -416,9 +436,14 @@ def normalized_limit(T: LaxMatrix) -> LaxMatrix:
         entries = mat_map(
             entries, lambda e: e.map_coeffs(lambda c: c.limit_leading(xv))
         )
-    sig = target_div.signature()
-    entries = mat_map(entries, lambda e: AlgebraElement(sig, dict(e.terms)))
-    return LaxMatrix(sig, target_div, entries)
+    return _on_divisor(entries, target)
+
+
+def normalized_limit(T: LaxMatrix) -> LaxMatrix:
+    """Send the last point of the divisor to infinity (after the diagonal
+    column scaling for index >= 1) and return the resulting matrix; the
+    divisor moves its coefficient onto the framing point."""
+    return _limit_to_infinity(T)
 
 
 # ---------------------------------------------------------------------------

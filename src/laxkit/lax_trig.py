@@ -1,5 +1,13 @@
 """Trigonometric Lax matrices over the multiplicative difference algebra.
 
+The matrix type, the F G E assembly, the normalize-and-check scan and the
+limit of the last point to infinity are shared with rational mode and
+live in lax_rational.  This module holds what is trig-specific: the
+Gauss-entry formulas, the normalizer, the closed-form linear matrix, the
+n = 2 quantum determinant, the limit of the last point to zero, the split
+of the finite exchange relations, and the degeneration to the rational
+case.
+
 Entries are uniform rational functions of the spectral parameter (the
 plus/minus current expansions of the construction are expansions of these
 same functions, so all identities are checked exactly on the rational
@@ -19,14 +27,14 @@ divisor with both framings merged at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .algebra import (
     AlgebraElement,
     AlgebraSignature,
     ShiftMonomial,
+    mat_identity,
     mat_map,
     mat_zero,
 )
@@ -34,35 +42,26 @@ from .coweight import Divisor
 from .errors import (
     MismatchWithRational,
     NegativeEpsPower,
-    NotAdmissible,
     NotLinearCase,
-    NotPolynomial,
-    SignatureMismatch,
 )
-from .lax_rational import LaxMatrix, build_lax
-from .ratfun import Poly, RatFun, V, Z, wh_var, x_var
+from .lax_rational import (
+    LaxMatrix,
+    _assemble,
+    _gauss_factors,
+    _limit_to_infinity,
+    _normalize,
+    _on_divisor,
+    _point_poly,
+    _symbolic_last_point,
+    _young_data,
+    build_lax,
+)
+from .ratfun import Poly, RatFun, V, Z, wh_var
 from .series import TruncSeries
 
 
-@dataclass
-class TrigLaxMatrix:
-    signature: AlgebraSignature
-    divisor: Optional[Divisor]
-    entries: List[List[AlgebraElement]]
-    gauss: Optional[Tuple[list, list, list]] = None
-    normalized: bool = False
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        return self.entries[i - 1][j - 1]
-
-    def equals(self, other) -> bool:
-        from .algebra import mat_equal
-
-        return mat_equal(self.entries, other.entries)
+# One matrix type for both modes; the trig name is kept for callers.
+TrigLaxMatrix = LaxMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +82,6 @@ def _w_half_prod(sig: AlgebraSignature, i: int, exp: int, factor: int = 1) -> Ra
 
 def _v_pow(k: int) -> Poly:
     return Poly.variable(V, k) if k else Poly.const(1)
-
-
-def _point_poly(pt) -> Poly:
-    if isinstance(pt, str):
-        return Poly.variable(x_var(pt))
-    return Poly.const(pt)
 
 
 def one_minus_ratio(num: Poly, den: Poly) -> RatFun:
@@ -233,39 +226,11 @@ def lower_entry_trig(div: Divisor, j: int, i: int,
     return out
 
 
-def build_gauss_factors_trig(div: Divisor):
-    if div.mode != "trig":
-        raise SignatureMismatch("trig builder got a rational divisor")
-    sig = div.signature()
-    n = div.n
-    lower = mat_zero(sig, n)
-    upper = mat_zero(sig, n)
-    for i in range(n):
-        lower[i][i] = AlgebraElement.one(sig)
-        upper[i][i] = AlgebraElement.one(sig)
-    diag = [
-        AlgebraElement.from_ratfun(sig, diag_entry_trig(div, i, sig))
-        for i in range(1, n + 1)
-    ]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            upper[i - 1][j - 1] = upper_entry_trig(div, i, j, sig)
-            lower[j - 1][i - 1] = lower_entry_trig(div, j, i, sig)
-    return lower, diag, upper
-
-
-def build_lax_trig(div: Divisor) -> TrigLaxMatrix:
-    lower, diag, upper = build_gauss_factors_trig(div)
-    sig = div.signature()
-    n = div.n
-    entries = mat_zero(sig, n)
-    for alpha in range(1, n + 1):
-        for beta in range(1, n + 1):
-            acc = AlgebraElement.zero(sig)
-            for i in range(1, min(alpha, beta) + 1):
-                acc = acc + lower[alpha - 1][i - 1] * (diag[i - 1] * upper[i - 1][beta - 1])
-            entries[alpha - 1][beta - 1] = acc
-    return TrigLaxMatrix(sig, div, entries, gauss=(lower, diag, upper))
+def build_lax_trig(div: Divisor) -> LaxMatrix:
+    return _assemble(
+        div,
+        _gauss_factors(div, "trig", diag_entry_trig, upper_entry_trig, lower_entry_trig),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,54 +248,25 @@ def normalizer_trig(div: Divisor) -> RatFun:
     return out
 
 
-def normalize_and_check_polynomial_trig(T: TrigLaxMatrix) -> TrigLaxMatrix:
-    factor = normalizer_trig(T.divisor)
-    entries = mat_map(T.entries, lambda e: e * factor)
-    for a, row in enumerate(entries):
-        for b, e in enumerate(row):
-            for s, c in e.terms.items():
-                bad = [atom for atom in c.den if atom.degree(Z)]
-                if bad:
-                    raise NotPolynomial(
-                        f"entry ({a + 1},{b + 1}) keeps spectral atom {bad[0]!r}",
-                        entry=(a + 1, b + 1),
-                    )
-                if c.num.min_exp(Z) < 0:
-                    raise NotPolynomial(
-                        f"entry ({a + 1},{b + 1}) has a pole at z = 0",
-                        entry=(a + 1, b + 1),
-                    )
-    return TrigLaxMatrix(T.signature, T.divisor, entries, T.gauss, normalized=True)
+def normalize_and_check_polynomial_trig(T: LaxMatrix) -> LaxMatrix:
+    return _normalize(T, normalizer_trig)
 
 
 # ---------------------------------------------------------------------------
 # linear fast path
 
 
-def build_linear_lax_trig(div: Divisor) -> TrigLaxMatrix:
+def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
     """Closed-form z T+ - T- matrix for blambda_n = bmu-_n = 0, bmu+_n = -1."""
-    if div.mode != "trig":
-        raise SignatureMismatch("trig builder got a rational divisor")
-    if any(s.index == 0 for s in div.summands):
-        raise NotLinearCase("index-0 summands need the general builder")
+    bl, bmp, bmm = _young_data(div, "trig")
     n = div.n
-    bl_cw = div.total_finite()
-    bl = tuple(-bl_cw.d[n - i] for i in range(1, n + 1))
-    bmp = tuple(-div.mu.d[n - i] for i in range(1, n + 1))
-    bmm = tuple(-div.mu_zero.d[n - i] for i in range(1, n + 1))
-    for rows in (bl, bmp, bmm):
-        if any(x < y for x, y in zip(rows, rows[1:])):
-            raise NotLinearCase("divisor is not encoded by pseudo Young diagrams")
     sig = div.signature()
     if bl[n - 1] != 0 or bmm[n - 1] != 0:
         raise NotLinearCase("blambda_n and bmu-_n must vanish")
     if bmp[n - 1] == 0:
         if any(bl) or any(bmp) or any(bmm):
             raise NotLinearCase("bmu+_n = 0 forces the identity matrix case")
-        entries = mat_zero(sig, n)
-        for i in range(n):
-            entries[i][i] = AlgebraElement.one(sig)
-        return TrigLaxMatrix(sig, div, entries)
+        return LaxMatrix(sig, div, mat_identity(sig, n))
     if bmp[n - 1] != -1:
         raise NotLinearCase(f"bmu+_n = {bmp[n-1]} not in {{0, -1}}")
 
@@ -382,14 +318,14 @@ def build_linear_lax_trig(div: Divisor) -> TrigLaxMatrix:
                     * scalar_factor(i),
                 )
                 entries[j - 1][i - 1] = f * g0
-    return TrigLaxMatrix(sig, div, entries)
+    return LaxMatrix(sig, div, entries)
 
 
 # ---------------------------------------------------------------------------
 # quantum determinant (n = 2)
 
 
-def qdet2_trig(T: TrigLaxMatrix) -> RatFun:
+def qdet2_trig(T: LaxMatrix) -> RatFun:
     """T_11(z) T_22(v^-2 z) - v^-1 T_12(z) T_21(v^-2 z); asserted scalar."""
     if T.n != 2:
         raise ValueError("qdet2 is the n = 2 quantum determinant")
@@ -405,61 +341,30 @@ def qdet2_trig(T: TrigLaxMatrix) -> RatFun:
 # limits
 
 
-def limits_trig(T: TrigLaxMatrix, direction: str) -> TrigLaxMatrix:
+def limits_trig(T: LaxMatrix, direction: str) -> LaxMatrix:
     """Send the last point to zero (plain substitution) or to infinity
     (column scaling then leading limit)."""
-    div = T.divisor
-    last = div.last_point()
-    if not isinstance(last.point, str):
-        raise NotAdmissible("limits need a symbolic last point")
-    xv = x_var(last.point)
-    n = T.n
-    if direction == "to_zero":
-        target = div.move_last_point_to_zero()
-        if last.index == 0:
-            f = RatFun.ratio(Poly.variable(Z) - Poly.variable(xv), Poly.variable(Z))
-            scale = f.invert() if last.sign == 1 else f
-            entries = mat_map(T.entries, lambda e: e * scale)
-            entries = mat_map(
-                entries, lambda e: e.map_coeffs(lambda c: c.set_value(xv, 0))
-            )
-        else:
-            entries = mat_map(
-                T.entries, lambda e: e.map_coeffs(lambda c: c.set_value(xv, 0))
-            )
-    elif direction == "to_infinity":
-        target = div.move_last_point_to_infinity()
-        if last.index == 0:
-            lin = RatFun.from_poly(Poly.variable(Z) - Poly.variable(xv))
-            scale = lin.invert() if last.sign == 1 else lin
-            entries = mat_map(T.entries, lambda e: e * scale)
-            entries = mat_map(
-                entries, lambda e: e.map_coeffs(lambda c: c.limit_leading(xv))
-            )
-        else:
-            minus_inv = RatFun.ratio(Poly.const(-1), Poly.variable(xv))
-            entries = [
-                [
-                    T.entries[a][b] * (minus_inv if b + 1 > last.index else 1)
-                    for b in range(n)
-                ]
-                for a in range(n)
-            ]
-            entries = mat_map(
-                entries, lambda e: e.map_coeffs(lambda c: c.limit_leading(xv))
-            )
-    else:
+    if direction == "to_infinity":
+        return _limit_to_infinity(T)
+    if direction != "to_zero":
         raise ValueError(direction)
-    sig = target.signature()
-    entries = mat_map(entries, lambda e: AlgebraElement(sig, dict(e.terms)))
-    return TrigLaxMatrix(sig, target, entries)
+    div = T.divisor
+    last, xv = _symbolic_last_point(div)
+    target = div.move_last_point_to_zero()
+    entries = T.entries
+    if last.index == 0:
+        f = RatFun.ratio(Poly.variable(Z) - Poly.variable(xv), Poly.variable(Z))
+        scale = f.invert() if last.sign == 1 else f
+        entries = mat_map(entries, lambda e: e * scale)
+    entries = mat_map(entries, lambda e: e.map_coeffs(lambda c: c.set_value(xv, 0)))
+    return _on_divisor(entries, target)
 
 
 # ---------------------------------------------------------------------------
 # finite RTT split
 
 
-def split_finite_rtt(T: TrigLaxMatrix):
+def split_finite_rtt(T: LaxMatrix):
     """Write a z-linear matrix as z T+ - T-; returns the two z-independent
     matrices (verification of the three finite relations lives in rtt)."""
     n = T.n
@@ -480,7 +385,7 @@ def split_finite_rtt(T: TrigLaxMatrix):
 # degeneration to the rational case
 
 
-def degenerate_to_rational(T: TrigLaxMatrix, order: int = 2) -> LaxMatrix:
+def degenerate_to_rational(T: LaxMatrix, order: int = 2) -> LaxMatrix:
     """Expand in the deformation parameter and match the rational builder
     on the merged divisor; returns the rational matrix."""
     div = T.divisor

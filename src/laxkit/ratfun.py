@@ -44,7 +44,7 @@ import heapq
 import random
 import zlib
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (
     DivergesAtInfinity,
@@ -381,14 +381,6 @@ class Poly:
                 if not value:
                     raise ZeroDivisionError("substituting 0 into a Laurent exponent")
                 out = out + coeff * (Q1 / value ** (-k))
-        return out
-
-    def subst_poly(self, v: Var, repl: "Poly") -> "Poly":
-        out = _P_ZERO
-        for k, coeff in self.decompose(v).items():
-            if k < 0:
-                raise ValueError("polynomial substitution into a Laurent exponent")
-            out = out + coeff * repl ** k
         return out
 
     def rename_var(self, old: Var, new: Var) -> "Poly":
@@ -745,9 +737,6 @@ class RatFun:
             raise ValueError("not a constant")
         return self.num.const_value()
 
-    def is_poly(self) -> bool:
-        return not self.den
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -875,18 +864,6 @@ class RatFun:
         return self.scale_var(wh_var(i, r, slot), ((V, m),))
 
     # -- structure in one variable
-
-    def degree_in(self, v: Var) -> int:
-        if self.is_zero():
-            raise ValueError("degree of zero")
-        return self.num.degree(v) - sum(
-            a.degree(v) * m for a, m in self.den.items()
-        )
-
-    def has_var(self, v: Var) -> bool:
-        if any(v == vv for vv in self.num.variables()):
-            return True
-        return any(v in a.poly.variables() for a in self.den)
 
     def limit_leading(self, v: Var) -> "RatFun":
         """Limit as v -> infinity.  Degrees equal: ratio of leading
@@ -1161,9 +1138,6 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
         return
     # all factors involve v, with scalar v-leading coefficients
     rest = [u for u in variables if u != v]
-    if not any(not is_unit_var(u) for u in rest) and len(p.decompose(v)) <= 2:
-        # two-term Laurent combo missed by shape test (multiplicity > 2 forms)
-        pass
     rng = random.Random(_FACTOR_RNG_SEED ^ zlib.crc32(repr(_atom_key(p)).encode()))
     for _attempt in range(8):
         point = {u: Fraction(rng.randint(2, 97)) for u in rest}
@@ -1172,7 +1146,6 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
         if roots is None:
             continue
         dv = p.partial(v)
-        progressed = False
         for rho in roots:
             point_v = dict(point)
             point_v[v] = rho
@@ -1191,7 +1164,7 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
                 unit_box[0] = unit_box[0] * cofactor
                 _factor_residual(q, unit_box, atoms)
                 return
-        if not progressed and roots is not None and len(roots) == 0:
+        if not roots:
             break
     # repeated-factor fallback: factors of dp/dv are factors of p when all
     # roots were multiple

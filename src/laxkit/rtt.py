@@ -387,10 +387,6 @@ class CoproductReport:
         return [c.name for c in self.checks if not c.ok]
 
 
-def _gauss_mode(series_mat, i: int, j: int, r: int):
-    return series_mat[i - 1][j - 1].coeff(r)
-
-
 def _nested_e_bracket(e_ones: List[AlgebraElement], a: int, b: int) -> AlgebraElement:
     """E^(1) attached to the root spanning rows a..b-1:
     [E_{b-1}, [..., [E_{a+1}, E_a] ...]]."""

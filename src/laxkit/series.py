@@ -100,16 +100,6 @@ class TruncSeries:
                 out[k] = c if cur is None else cur + c
         return TruncSeries(out, hi, self.zero)
 
-    def scale_left(self, c) -> "TruncSeries":
-        return TruncSeries(
-            {k: c * cc for k, cc in self.coeffs.items()}, self.hi, self.zero
-        )
-
-    def scale_right(self, c) -> "TruncSeries":
-        return TruncSeries(
-            {k: cc * c for k, cc in self.coeffs.items()}, self.hi, self.zero
-        )
-
     def inverse(self, order: int, invert_leading: Callable) -> "TruncSeries":
         """Reciprocal, exact through power min(order, hi - 2*val).
 

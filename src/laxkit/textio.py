@@ -450,14 +450,22 @@ def signature_to_json(sig) -> dict:
 
 
 def signature_from_json(data: dict):
+    """Inverse of signature_to_json; malformed data raises ParseError."""
     from .algebra import AlgebraSignature
 
-    return AlgebraSignature(
-        int(data["n"]),
-        data["mode"],
-        tuple(tuple(int(x) for x in a) for a in data["slot_counts"]),
-        tuple(data.get("points", [])),
-    )
+    if not isinstance(data, dict) or any(
+        k not in data for k in ("n", "mode", "slot_counts")
+    ):
+        raise ParseError("a signature needs 'n', 'mode' and 'slot_counts'")
+    try:
+        return AlgebraSignature(
+            int(data["n"]),
+            data["mode"],
+            tuple(tuple(int(x) for x in a) for a in data["slot_counts"]),
+            tuple(data.get("points", [])),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad signature: {exc}") from None
 
 
 def matrix_to_json(mat) -> dict:
@@ -476,15 +484,25 @@ def matrix_to_json(mat) -> dict:
 def matrix_from_json(data: dict):
     from .coweight import Divisor
     from .lax_rational import LaxMatrix
-    from .lax_trig import TrigLaxMatrix
 
+    if not isinstance(data, dict) or "signature" not in data:
+        raise ParseError("a matrix needs a 'signature'")
     sig = signature_from_json(data["signature"])
-    entries = [
-        [parse_element(text, sig) for text in row] for row in data["entries"]
-    ]
+    rows = data.get("entries")
+    if not (
+        isinstance(rows, list)
+        and len(rows) == sig.n
+        and all(
+            isinstance(row, list)
+            and len(row) == sig.n
+            and all(isinstance(text, str) for text in row)
+            for row in rows
+        )
+    ):
+        raise ParseError(f"a matrix needs {sig.n} rows of {sig.n} entry strings")
+    entries = [[parse_element(text, sig) for text in row] for row in rows]
     div = Divisor.from_json(data["divisor"]) if data.get("divisor") else None
-    cls = LaxMatrix if sig.mode == "rational" else TrigLaxMatrix
-    return cls(sig, div, entries)
+    return LaxMatrix(sig, div, entries)
 
 
 def latex_var_power(v, e: int) -> str:

@@ -192,3 +192,52 @@ def test_build_output_independent_of_hash_seed(tmp_path):
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# Malformed input: each row is (files to write, argv).  In argv, {name}
+# stands for the path of the written file name.json and {tmp} for a
+# directory.  Every row must exit 2 with a message and no traceback.
+MISSING_MODE = {k: v for k, v in DST.items() if k != "mode"}
+MALFORMED = {
+    "truncated-json": ({"d": '{"n": 2, "mode": "rational", "points": ['},
+                       ["build", "--divisor", "{d}"]),
+    "missing-mode": ({"d": MISSING_MODE}, ["build", "--divisor", "{d}"]),
+    "n-not-integer": ({"d": dict(DST, n="x")}, ["build", "--divisor", "{d}"]),
+    "rational-with-zero": ({"d": dict(TODA, zero={"fundamental": [0, 0]})},
+                           ["build", "--divisor", "{d}"]),
+    "short-coweight": ({"d": dict(TODA, infinity={"fundamental": [-1]})},
+                       ["qdet", "--divisor", "{d}"]),
+    "matrix-missing-signature": ({"m": {"entries": [["(1)"]]}},
+                                 ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-truncated-json": ({"m": '{"signature": '},
+                              ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-wrong-shape": (
+        {"m": {"signature": {"n": 2, "mode": "rational", "slot_counts": [[0]]},
+               "entries": [["(1)"]]}},
+        ["verify-rtt", "--matrix", "{m}"],
+    ),
+    "verify-rtt-no-source": ({}, ["verify-rtt"]),
+    "young-not-integer": ({}, ["gt-compare", "--young", "a", "--n", "2"]),
+    "young-wrong-size": ({}, ["gt-compare", "--young", "3,1", "--n", "2"]),
+    "young-increasing": ({}, ["gt-compare", "--young", "1,2", "--n", "2"]),
+    "fuse-mixed-modes": ({"r": TODA, "t": TRIG1},
+                         ["fuse", "--divisor", "{r}", "--divisor", "{t}"]),
+    "coproduct-mixed-modes": ({"r": TODA, "t": TRIG1},
+                              ["coproduct", "--divisor", "{r}", "--divisor", "{t}"]),
+    "divisor-is-directory": ({}, ["build", "--divisor", "{tmp}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_usage_error(case, tmp_path, capsys):
+    files, argv = MALFORMED[case]
+    paths = {"tmp": str(tmp_path)}
+    for name, payload in files.items():
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err and "identity failure" not in err

@@ -4,9 +4,9 @@ degeneration."""
 import pytest
 
 from laxkit.algebra import AlgebraElement, mat_equal
-from laxkit.coweight import PseudoYoungDiagram, divisor_from_young
+from laxkit.coweight import Coweight, Divisor, PseudoYoungDiagram, divisor_from_young
 from laxkit.errors import MismatchWithRational, NegativeEpsPower, NotLinearCase
-from laxkit.lax_rational import build_lax
+from laxkit.lax_rational import GaussFactors, LaxMatrix, build_lax, normalized_limit
 from laxkit.lax_trig import (
     TrigLaxMatrix,
     build_lax_trig,
@@ -84,6 +84,30 @@ def test_limits_match_rebuilt_divisors():
             div.to_json(),
             direction,
         )
+
+
+def test_index0_limit_keeps_other_summands_at_the_same_point():
+    # the last summand is index 0 at x, and x also carries an index-1
+    # summand that stays finite: x must survive the limit to infinity
+    for mode in ("rational", "trig"):
+        div = Divisor.make(
+            2, mode, [("x", Coweight.from_fundamental([1, 1]))],
+            Coweight.from_fundamental([-1, -1]),
+            Coweight.zero(2) if mode == "trig" else None,
+        )
+        assert div.last_point().index == 0
+        build = build_lax if mode == "rational" else build_lax_trig
+        T = build(div)
+        got = normalized_limit(T) if mode == "rational" else limits_trig(T, "to_infinity")
+        assert mat_equal(got.entries, build(div.move_last_point_to_infinity()).entries), mode
+
+
+def test_one_matrix_type_for_both_modes():
+    assert TrigLaxMatrix is LaxMatrix
+    T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(1)))
+    assert isinstance(T, LaxMatrix) and T.normalized
+    assert isinstance(T.gauss, GaussFactors)
+    assert T.gauss.diag is T.gauss[1]
 
 
 def test_case4_zero_limit_lands_on_case1():
