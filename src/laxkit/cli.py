@@ -233,6 +233,17 @@ def cmd_suite(args, out) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY_FAILED
 
 
+def _rank(text: str) -> int:
+    """argparse type for a rank n: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"rank must be an integer >= 1, got {text!r}")
+    return n
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lax",
@@ -285,7 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["rational", "trig", "finite"],
         default=["rational", "trig", "finite"],
     )
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_rank, default=2)
     p.set_defaults(fn=cmd_yang_baxter)
 
     p = sub.add_parser("qdet", help="quantum determinant")

@@ -32,10 +32,26 @@ and maps each monomial to a natively comparable (degree, exponent tuple)
 key.  Exact division (poly_div_exact) pops the leading remainder term
 from a heap ordered by that key, so each step costs O(log n).
 
-Coefficients are arbitrary-precision Fractions; nothing here is ever
-floating point.  Values are immutable after construction and every
-operation is pure, so they may be shared and sent across threads freely;
-callers can parallelize over independent computations without locks.
+Coefficients are exact rationals stored as plain ints whenever they are
+integral and as reduced Fractions only otherwise (_q enforces this, and
+every coefficient quotient goes through _qdiv); nothing here is ever
+floating point.  The formulas are products of linear forms with small
+integer coefficients, so nearly all arithmetic stays on Python ints.
+Since Fraction(2) == 2 and hash(Fraction(2)) == hash(2), the choice of
+representation is invisible to equality, Atom keys and rendering.
+
+RatFun._make cancels atoms by trial division.  Before each division by a
+linear atom it runs an exact one-sided test modulo the prime 2^61 - 1
+(_cannot_divide): the numerator is evaluated at a zero of the atom and
+a nonzero value proves that the atom does not divide it, so the long
+division is skipped.  The test only ever rejects with that certificate;
+every verdict and every reduced form is the one division would give.
+
+Values are immutable after construction and every operation is pure, so
+they may be shared and sent across threads freely; callers can
+parallelize over independent computations without locks.  (An Atom
+fills in its zero mod 2^61 - 1 on first use; it is a function of the
+atom alone, so concurrent fills agree.)
 """
 
 from __future__ import annotations
@@ -44,7 +60,7 @@ import heapq
 import random
 import zlib
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import (
     DivergesAtInfinity,
@@ -54,9 +70,29 @@ from .errors import (
 
 Var = Tuple
 Monomial = Tuple[Tuple[Var, int], ...]
+Coeff = Union[int, Fraction]
 
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+Q0 = 0
+Q1 = 1
+
+
+def _q(c):
+    """c as a coefficient: an int when c is integral, otherwise a reduced
+    Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _qdiv(a, b):
+    """Exact quotient a / b of two coefficients (int / int never becomes
+    a float)."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _q(a / b)
 
 Z = ("z",)
 W = ("w",)
@@ -162,11 +198,12 @@ def grlex_key(variables: Iterable[Var], sign: int = 1):
 
 
 class Poly:
-    """Immutable sparse polynomial: dict monomial -> Fraction, no zeros."""
+    """Immutable sparse polynomial: dict monomial -> coefficient (int, or
+    Fraction when not integral), no zeros."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Monomial, Fraction]):
+    def __init__(self, terms: Dict[Monomial, Coeff]):
         self.terms = terms
 
     # -- constructors
@@ -177,7 +214,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
+        c = _q(c)
         return Poly({_EMPTY_MONO: c}) if c else _P_ZERO
 
     @staticmethod
@@ -188,7 +225,7 @@ class Poly:
 
     @staticmethod
     def monomial(m: Monomial, c=Q1) -> "Poly":
-        c = Fraction(c)
+        c = _q(c)
         return Poly({m: c}) if c else _P_ZERO
 
     # -- predicates / views
@@ -199,7 +236,7 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _EMPTY_MONO in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Coeff:
         if not self.terms:
             return Q0
         if len(self.terms) == 1 and _EMPTY_MONO in self.terms:
@@ -236,9 +273,9 @@ class Poly:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, Q0) + c
+            nc = out.get(m, 0) + c
             if nc:
-                out[m] = nc
+                out[m] = _q(nc)
             else:
                 out.pop(m, None)
         return Poly(out)
@@ -256,20 +293,20 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _q(other)
             if not c:
                 return _P_ZERO
-            return Poly({m: cc * c for m, cc in self.terms.items()})
+            return Poly({m: _q(cc * c) for m, cc in self.terms.items()})
         other = _as_poly(other)
         if not self.terms or not other.terms:
             return _P_ZERO
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                nc = out.get(m, Q0) + ca * cb
+                nc = out.get(m, 0) + ca * cb
                 if nc:
-                    out[m] = nc
+                    out[m] = _q(nc)
                 else:
                     out.pop(m, None)
         return Poly(out)
@@ -314,7 +351,7 @@ class Poly:
 
     def decompose(self, v: Var) -> Dict[int, "Poly"]:
         """Write self = sum_k coeff_k * v^k; coefficients omit v."""
-        out: Dict[int, Dict[Monomial, Fraction]] = {}
+        out: Dict[int, Dict[Monomial, Coeff]] = {}
         for m, c in self.terms.items():
             e = 0
             rest = []
@@ -329,7 +366,7 @@ class Poly:
     def coeff_of(self, v: Var, k: int) -> "Poly":
         return self.decompose(v).get(k, _P_ZERO)
 
-    def leading_term(self) -> Tuple[Monomial, Fraction]:
+    def leading_term(self) -> Tuple[Monomial, Coeff]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=grlex_key(self.variables()))
@@ -340,9 +377,9 @@ class Poly:
 
     # -- substitutions
 
-    def shift_var(self, v: Var, c: Fraction) -> "Poly":
+    def shift_var(self, v: Var, c: Coeff) -> "Poly":
         """v -> v + c (binomial expansion; v must be non-Laurent in self)."""
-        c = Fraction(c)
+        c = _q(c)
         if not c:
             return self
         out = _P_ZERO
@@ -354,8 +391,8 @@ class Poly:
 
     def scale_var(self, v: Var, unit: Monomial, c=Q1) -> "Poly":
         """v -> c * unit * v  (unit a Laurent monomial in unit variables)."""
-        c = Fraction(c)
-        out: Dict[Monomial, Fraction] = {}
+        c = _q(c)
+        out: Dict[Monomial, Coeff] = {}
         for m, coeff in self.terms.items():
             e = 0
             for vv, ee in m:
@@ -363,16 +400,16 @@ class Poly:
                     e = ee
                     break
             nm = mono_mul(m, mono_pow(unit, e)) if e else m
-            nc = coeff * (c ** e if e >= 0 else Q1 / (c ** (-e)))
-            nc = out.get(nm, Q0) + nc
+            nc = coeff * (c ** e if e >= 0 else _qdiv(1, c ** (-e)))
+            nc = out.get(nm, 0) + nc
             if nc:
-                out[nm] = nc
+                out[nm] = _q(nc)
             else:
                 out.pop(nm, None)
         return Poly(out)
 
-    def set_value(self, v: Var, value: Fraction) -> "Poly":
-        value = Fraction(value)
+    def set_value(self, v: Var, value: Coeff) -> "Poly":
+        value = _q(value)
         out = _P_ZERO
         for k, coeff in self.decompose(v).items():
             if k >= 0:
@@ -380,13 +417,13 @@ class Poly:
             else:
                 if not value:
                     raise ZeroDivisionError("substituting 0 into a Laurent exponent")
-                out = out + coeff * (Q1 / value ** (-k))
+                out = out + coeff * _qdiv(1, value ** (-k))
         return out
 
     def rename_var(self, old: Var, new: Var) -> "Poly":
         if old == new:
             return self
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             items = dict(m)
             if old in items:
@@ -395,15 +432,15 @@ class Poly:
                 if not items[new]:
                     del items[new]
             nm = tuple(sorted(items.items()))
-            nc = out.get(nm, Q0) + c
+            nc = out.get(nm, 0) + c
             if nc:
-                out[nm] = nc
+                out[nm] = _q(nc)
             else:
                 out.pop(nm, None)
         return Poly(out)
 
     def partial(self, v: Var) -> "Poly":
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             for idx, (vv, e) in enumerate(m):
                 if vv == v:
@@ -413,16 +450,16 @@ class Poly:
                     else:
                         nm[idx] = (vv, e - 1)
                     key = tuple(nm)
-                    nc = out.get(key, Q0) + c * e
+                    nc = out.get(key, 0) + c * e
                     if nc:
-                        out[key] = nc
+                        out[key] = _q(nc)
                     else:
                         out.pop(key, None)
                     break
         return Poly(out)
 
-    def evaluate(self, assignment: Dict[Var, Fraction]) -> Fraction:
-        total = Q0
+    def evaluate(self, assignment: Dict[Var, Coeff]) -> Coeff:
+        total = 0
         for m, c in self.terms.items():
             term = c
             for v, e in m:
@@ -430,9 +467,9 @@ class Poly:
                 if e >= 0:
                     term *= val ** e
                 else:
-                    term *= Q1 / val ** (-e)
+                    term = _qdiv(term, val ** (-e))
             total += term
-        return total
+        return _q(total)
 
     def __repr__(self):
         from .textio import render_poly
@@ -524,7 +561,7 @@ def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
     rem = dict(f.terms)
     heap = [(neg_key(m), m) for m in rem]
     heapq.heapify(heap)
-    q: Dict[Monomial, Fraction] = {}
+    q: Dict[Monomial, Coeff] = {}
     while rem:
         fm = heapq.heappop(heap)[1]
         fc = rem.get(fm)
@@ -533,17 +570,16 @@ def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
         if not mono_divides(gm, fm):
             return None
         t = mono_div(fm, gm)
-        tc = fc / gc
-        q[t] = q.get(t, Q0) + tc
+        tc = _qdiv(fc, gc)
+        q[t] = tc  # t strictly decreases, so each quotient term is new
         for m, c in g.terms.items():
             key = mono_mul(m, t)
             old = rem.get(key)
+            nc = _q(-c * tc if old is None else old - c * tc)
             if old is None:
-                rem[key] = -c * tc
+                rem[key] = nc
                 heapq.heappush(heap, (neg_key(key), key))
-                continue
-            nc = old - c * tc
-            if nc:
+            elif nc:
                 rem[key] = nc
             else:
                 del rem[key]
@@ -562,12 +598,13 @@ class Atom:
     minimum, leading coefficient 1 under the term order.
     """
 
-    __slots__ = ("poly", "key", "_hash")
+    __slots__ = ("poly", "key", "_hash", "_root")
 
     def __init__(self, poly: Poly, key):
         self.poly = poly
         self.key = key
         self._hash = hash(key)
+        self._root = None  # _linear_root(poly), computed on first use
 
     def __eq__(self, other):
         return isinstance(other, Atom) and self.key == other.key
@@ -659,8 +696,110 @@ def _canonical_atom(p: Poly) -> Tuple[Atom, Poly]:
     scalar polynomial."""
     _, lc = p.leading_term()
     if lc != 1:
-        p = p * (Q1 / lc)
+        p = p * _qdiv(1, lc)
     return Atom(p, _atom_key(p)), Poly.const(lc)
+
+
+# ---------------------------------------------------------------------------
+# exact modular rejection test for trial division by linear atoms
+
+_P61 = (1 << 61) - 1
+
+
+def _residue(u: Var) -> int:
+    """Fixed residue of u mod _P61, in [1, 2^32]: nonzero, so unit
+    variables are invertible there.  Taken from a CRC of repr(u), not
+    hash(), so it is the same in every process."""
+    return zlib.crc32(repr(u).encode()) + 1
+
+
+def _mod_p(c: Coeff) -> Optional[int]:
+    """c mod _P61, or None when its denominator is divisible by _P61."""
+    if c.__class__ is int:
+        return c % _P61
+    d = c.denominator % _P61
+    if not d:
+        return None
+    return c.numerator * pow(d, -1, _P61) % _P61
+
+
+def _linear_root(p: Poly):
+    """(v, r) for a linear form p = c*v + rest over z/w/p/x whose
+    coefficients are integral mod _P61, c a unit there: p vanishes mod
+    _P61 at v = r when every other variable u is set to _residue(u).
+    False when p is not of that shape."""
+    v = c = None
+    rest = 0
+    for m, cm in p.terms.items():
+        cm = _mod_p(cm)
+        if cm is None:
+            return False
+        if not m:
+            rest += cm
+            continue
+        if len(m) != 1:
+            return False
+        u, e = m[0]
+        if e != 1 or u[0] not in _LINEAR_ATOM_KINDS:
+            return False
+        if v is None and cm:
+            v, c = u, cm
+        else:
+            rest += cm * _residue(u)
+    if v is None:
+        return False
+    return v, -rest * pow(c, -1, _P61) % _P61
+
+
+def _cannot_divide(num: Poly, atom: Atom) -> bool:
+    """True only when the atom provably does not divide num.
+
+    The test applies to linear atoms a = c*v + rest (all rational-mode
+    atoms; _linear_root picks a variable v whose coefficient c is a unit
+    mod P = 2^61 - 1) and to numerators whose coefficients are integral
+    mod P.  Let R = Z_(P)[other variables, unit variables^-1].  Atoms have
+    leading coefficient 1, so a is primitive over the local ring Z_(P),
+    and it is monic in v up to the unit c.  By Gauss's lemma (here:
+    division by a polynomial monic in v), if num = q * a exactly then q
+    lies in R[v], i.e. q is P-integral.
+
+    Setting v = r (the zero of a mod P) and every other u to
+    _residue(u) (nonzero, so units map to units) is a ring map
+    R[v] -> F_P; it sends num to q(pt) * a(pt) = 0.  So a nonzero value
+    num(pt) is a certificate that a does not divide num.  When num has a
+    negative power of v, v must map to a unit too, so r = 0 (monomial
+    atoms such as z) decides nothing.  Neither does a zero value, a
+    non-linear (trig) atom or a coefficient whose denominator is
+    divisible by P; the caller then divides as before.  No verdict and
+    no reduced form can differ from plain trial division."""
+    root = atom._root
+    if root is None:
+        root = atom._root = _linear_root(atom.poly)
+    if not root:
+        return False
+    v, rv = root
+    res = {v: rv}  # residues of the variables seen in this call
+    total = 0
+    for m, c in num.terms.items():
+        if c.__class__ is not int:
+            c = _mod_p(c)
+            if c is None:
+                return False
+        # exact products of residues; one reduction mod P at the end
+        for u, e in m:
+            r = res.get(u)
+            if r is None:
+                r = res[u] = _residue(u)
+            if e == 1:
+                c *= r
+            elif e > 0:
+                c *= r ** e
+            elif r:
+                c *= pow(r, e, _P61)
+            else:
+                return False  # v^-k with v at 0: no ring map, no verdict
+        total += c
+    return total % _P61 != 0
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +828,8 @@ class RatFun:
             changed = False
             for a in list(den):
                 while den.get(a, 0) > 0:
+                    if _cannot_divide(num, a):
+                        break
                     q = poly_div_exact(num, a.poly)
                     if q is None:
                         break
@@ -777,7 +918,7 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _q(other)
             if not c:
                 return _R_ZERO
             return RatFun(self.num * c, self.den)
@@ -860,7 +1001,7 @@ class RatFun:
         if m == 0:
             return self
         if mode == "rational":
-            return self.shift_var(p_var(i, r, slot), Fraction(m))
+            return self.shift_var(p_var(i, r, slot), m)
         return self.scale_var(wh_var(i, r, slot), ((V, m),))
 
     # -- structure in one variable
@@ -978,7 +1119,7 @@ def _invert_unit(unit: Poly) -> Poly:
     (m, c), = unit.terms.items()
     if any(not is_unit_var(v) for v, _ in m):
         raise ValueError("not a unit monomial")
-    return Poly.monomial(mono_pow(m, -1), Q1 / c)
+    return Poly.monomial(mono_pow(m, -1), _qdiv(1, c))
 
 
 def _series_invert_ratfun(s, order):
@@ -1074,7 +1215,7 @@ def _eps_poly_series(p: Poly, hi: int, lm) -> "TruncSeries":
             if k:
                 power = power * ell
                 fact = fact * k
-            add = term * power * (Q1 / fact)
+            add = term * power * _qdiv(1, fact)
             cur = coeffs.get(k, _R_ZERO) + RatFun.from_poly(add)
             if cur.is_zero():
                 coeffs.pop(k, None)
@@ -1104,6 +1245,15 @@ def factor_atoms(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
         return unit * residual, atoms
     _factor_residual(residual, unit_box := [unit], atoms)
     return unit_box[0], atoms
+
+
+def _factor_seed(p: Poly) -> int:
+    """Stable RNG seed for factoring p: a CRC of its canonical key, with
+    every coefficient written as a Fraction (the text the seed has always
+    been taken from), so sample points do not depend on how a
+    coefficient is stored or on the hash seed."""
+    key = tuple((m, Fraction(c)) for m, c in _atom_key(p))
+    return zlib.crc32(repr(key).encode())
 
 
 def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> None:
@@ -1138,13 +1288,15 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
         return
     # all factors involve v, with scalar v-leading coefficients
     rest = [u for u in variables if u != v]
-    rng = random.Random(_FACTOR_RNG_SEED ^ zlib.crc32(repr(_atom_key(p)).encode()))
+    rng = random.Random(_FACTOR_RNG_SEED ^ _factor_seed(p))
+    truncated = False  # some root list came from a partial divisor list
     for _attempt in range(8):
-        point = {u: Fraction(rng.randint(2, 97)) for u in rest}
+        point = {u: rng.randint(2, 97) for u in rest}
         uni = {k: c.evaluate(point) for k, c in p.decompose(v).items()}
-        roots = _rational_roots(uni)
+        roots, complete = _rational_roots(uni)
         if roots is None:
             continue
+        truncated = truncated or not complete
         dv = p.partial(v)
         for rho in roots:
             point_v = dict(point)
@@ -1154,7 +1306,7 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
                 continue  # multiple root; another attempt or derivative path
             cand = Poly.variable(v) - Poly.const(rho)
             for u in rest:
-                cu = p.partial(u).evaluate(point_v) / dvv
+                cu = _qdiv(p.partial(u).evaluate(point_v), dvv)
                 if cu:
                     cand = cand + Poly.variable(u) * cu - Poly.const(cu * point[u])
             q = poly_div_exact(p, cand)
@@ -1180,19 +1332,28 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
                 atoms[a] = atoms.get(a, 0) + 1
                 _factor_residual(q, unit_box, atoms)
                 return
+    if truncated:
+        raise NotAtomFactorable(
+            f"cannot factor {p!r}: a coefficient is past the factoring"
+            f" bound {DIVISOR_BOUND}, so rational roots may be missed"
+        )
     raise NotAtomFactorable(f"cannot factor {p!r}")
 
 
-def _rational_roots(uni: Dict[int, Fraction]) -> Optional[List[Fraction]]:
-    """All rational roots (with repetition collapsed) of sum c_k v^k."""
+def _rational_roots(
+    uni: Dict[int, Coeff],
+) -> Tuple[Optional[List[Fraction]], bool]:
+    """(roots, complete): the rational roots (with repetition collapsed)
+    of sum c_k v^k, None for the zero polynomial.  complete is False when
+    a coefficient is past DIVISOR_BOUND, so that roots may be missing."""
     if not uni:
-        return None
+        return None, True
     lo = min(uni)
     if lo:
         uni = {k - lo: c for k, c in uni.items()}
     deg = max(uni)
     if deg == 0:
-        return []
+        return [], True
     denom_lcm = 1
     for c in uni.values():
         denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
@@ -1200,11 +1361,13 @@ def _rational_roots(uni: Dict[int, Fraction]) -> Optional[List[Fraction]]:
     a0 = ints.get(0, 0)
     ad = ints[deg]
     if a0 == 0:
-        roots = _rational_roots({k - 1: Fraction(c) for k, c in ints.items() if k})
-        return ([Fraction(0)] + roots) if roots is not None else None
+        roots, complete = _rational_roots({k - 1: c for k, c in ints.items() if k})
+        return [Fraction(0)] + roots, complete
+    num_divs, num_complete = _divisors(abs(a0))
+    den_divs, den_complete = _divisors(abs(ad))
     cands = set()
-    for pn in _divisors(abs(a0)):
-        for qd in _divisors(abs(ad)):
+    for pn in num_divs:
+        for qd in den_divs:
             cands.add(Fraction(pn, qd))
             cands.add(Fraction(-pn, qd))
     out = []
@@ -1214,7 +1377,7 @@ def _rational_roots(uni: Dict[int, Fraction]) -> Optional[List[Fraction]]:
             val += c * rho ** k
         if val == 0:
             out.append(rho)
-    return out
+    return out, num_complete and den_complete
 
 
 def _gcd(a: int, b: int) -> int:
@@ -1223,9 +1386,16 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def _divisors(n: int) -> List[int]:
+# trial division up to 10^5 lists every divisor of n <= 10^10
+DIVISOR_BOUND = 10 ** 10
+
+
+def _divisors(n: int) -> Tuple[List[int], bool]:
+    """(divisors, complete) for n >= 0; ([1], True) for 0.  Past
+    DIVISOR_BOUND the list holds only the divisors up to 10^5 and their
+    cofactors, and complete is False."""
     if n == 0:
-        return [1]
+        return [1], True
     out = []
     i = 1
     while i * i <= n and i <= 100000:
@@ -1233,4 +1403,4 @@ def _divisors(n: int) -> List[int]:
             out.append(i)
             out.append(n // i)
         i += 1
-    return sorted(set(out))
+    return sorted(set(out)), n <= DIVISOR_BOUND

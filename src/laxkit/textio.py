@@ -395,6 +395,12 @@ def _parse_shift_indices(tok: _Tok, signature):
         tok.expect(",")
         i = a
         r = tok.integer()
+    if not (
+        1 <= slot <= signature.tensor_factors
+        and 1 <= i < signature.n
+        and 1 <= r <= signature.a(i, slot)
+    ):
+        raise ParseError(f"shift generator [{slot};{i},{r}] is not in the signature")
     return slot, i, r
 
 

@@ -216,7 +216,14 @@ MALFORMED = {
                "entries": [["(1)"]]}},
         ["verify-rtt", "--matrix", "{m}"],
     ),
+    "matrix-shift-outside-signature": (
+        {"m": {"signature": {"n": 2, "mode": "rational", "slot_counts": [[1]]},
+               "entries": [["(1) * e^{q[5,7]}", "0"], ["0", "(1)"]]}},
+        ["verify-rtt", "--matrix", "{m}"],
+    ),
     "verify-rtt-no-source": ({}, ["verify-rtt"]),
+    "yang-baxter-rank-0": ({}, ["yang-baxter", "--n", "0"]),
+    "yang-baxter-rank-negative": ({}, ["yang-baxter", "--n", "-1"]),
     "young-not-integer": ({}, ["gt-compare", "--young", "a", "--n", "2"]),
     "young-wrong-size": ({}, ["gt-compare", "--young", "3,1", "--n", "2"]),
     "young-increasing": ({}, ["gt-compare", "--young", "1,2", "--n", "2"]),

@@ -391,3 +391,230 @@ def test_exact_division_matches_sympy():
         else:
             misses += 1
     assert hits and misses > 50
+
+
+# ---------------------------------------------------------------------------
+# coefficients: plain ints when integral, reduced Fractions otherwise
+
+_MIXED_COEFFS = [-3, -1, 1, 2, 7, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2), Fraction(6, -3)]
+
+
+def _random_mixed_poly(rng, terms, laurent=True):
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        mono = {}
+        for v in rng.sample(_DIV_VARS, rng.randint(0, 3)):
+            lo = -2 if laurent and is_unit_var(v) else 0
+            e = rng.randint(lo, 2)
+            if e:
+                mono[v] = e
+        out[tuple(sorted(mono.items()))] = rng.choice(_MIXED_COEFFS)
+    total = Poly.zero()
+    for m, c in out.items():
+        total = total + Poly.monomial(m, c)  # Poly.monomial normalizes c
+    return total
+
+
+def _coeffs(f):
+    """Every coefficient held by a Poly, RatFun (numerator and atoms) or
+    TruncSeries of RatFuns."""
+    if isinstance(f, Poly):
+        return list(f.terms.values())
+    if isinstance(f, RatFun):
+        return _coeffs(f.num) + [c for a in f.den for c in _coeffs(a.poly)]
+    return [c for s in f.coeffs.values() for c in _coeffs(s)]
+
+
+def _assert_canonical(f):
+    for c in _coeffs(f):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (f, c)
+
+
+def test_coefficients_are_ints_when_integral():
+    rng = random.Random(51)
+    from laxkit.suite import random_ratfun
+
+    half = Fraction(1, 2)
+    for idx in range(40):
+        mode = "rational" if idx % 2 == 0 else "trig"
+        a, b = random_ratfun(rng, mode), random_ratfun(rng, mode)
+        a, b = a * half, b * Fraction(2, 3)
+        for f in (a + b, a - b, a * b, a * 2, (a * 2) * half, a.shift_slot(mode, 1, 1, 1, 1)):
+            _assert_canonical(f)
+        try:
+            _assert_canonical(a / b)
+        except (NotAtomFactorable, ZeroDivisionError):
+            pass
+        _assert_canonical(a.series("z_inf", 2))
+    for idx in range(60):
+        f = _random_mixed_poly(rng, 4)
+        g = _random_mixed_poly(rng, 3)
+        _assert_canonical(f)
+        for h in (f + g, f * g, f * half, f * 2, -f, poly_div_exact(f * g, g),
+                  f.rename_var(Z, W), f.partial(Z), f.scale_var(x_var("x1"), ((V, 1),), half)):
+            _assert_canonical(h)
+        nonlaurent = _random_mixed_poly(rng, 4, laurent=False)
+        _assert_canonical(nonlaurent.shift_var(Z, half))
+        _assert_canonical(nonlaurent.set_value(Z, Fraction(3, 2)))
+        value = f.evaluate({v: Fraction(k + 2, 2) for k, v in enumerate(_DIV_VARS)})
+        assert type(value) is int or value.denominator != 1
+    w11 = RatFun.variable(wh_var(1, 1), 2)
+    _assert_canonical(series_expand((w11 - RatFun.variable(V) * 3).invert(), "eps", 2))
+
+
+def test_mixed_coefficient_arithmetic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from laxkit.textio import parse_poly
+
+    rng = random.Random(52)
+    for _ in range(120):
+        f = _random_mixed_poly(rng, 4)
+        g = _random_mixed_poly(rng, 3)
+        fs, gs = _sympy_expr(sympy, f)[0], _sympy_expr(sympy, g)[0]
+        assert sympy.expand(_sympy_expr(sympy, f + g)[0] - (fs + gs)) == 0
+        assert sympy.expand(_sympy_expr(sympy, f * g)[0] - fs * gs) == 0
+        assert poly_div_exact(f * g, g) == f
+        for p in (f, g, f * g):
+            back = parse_poly(render_poly(p))
+            assert back == p
+            assert {m: type(c) for m, c in back.terms.items()} == {
+                m: type(c) for m, c in p.terms.items()
+            }
+        h = f * g + _random_mixed_poly(rng, 2)
+        if not h.is_zero():
+            assert (poly_div_exact(h, g) is not None) == _sympy_divides(sympy, h, g)
+
+
+def test_factor_seed_is_pinned():
+    # the value the seed had while every coefficient was a Fraction, so
+    # factorization sample points are unchanged
+    from laxkit.ratfun import _factor_seed
+    from laxkit.textio import parse_poly
+
+    p = parse_poly("z^2 + 1/2*z*x[a] - 3*x[a] - 2*p[1,1]")
+    assert _factor_seed(p) == 1637923143
+
+
+def test_factoring_past_the_divisor_bound_raises():
+    from laxkit.ratfun import DIVISOR_BOUND, _divisors, factor_atoms
+
+    assert _divisors(DIVISOR_BOUND) == (_divisors(DIVISOR_BOUND)[0], True)
+    assert _divisors(DIVISOR_BOUND)[0][-2:] == [DIVISOR_BOUND // 2, DIVISOR_BOUND]
+    # past the bound the list keeps the divisors up to 10^5 and their cofactors
+    n = 2 * 100003 * 100019
+    assert n > DIVISOR_BOUND
+    assert _divisors(n) == ([1, 2, n // 2, n], False)
+    # two rational roots above 10^5: the constant term is past the bound
+    zp = Poly.variable(Z)
+    p = (zp - 100003) * (zp - 100019)
+    assert p.terms[()] > DIVISOR_BOUND
+    with pytest.raises(NotAtomFactorable, match="factoring bound"):
+        factor_atoms(p)
+    # below the bound the same shape factors
+    _, atoms = factor_atoms((zp - 99991) * (zp - 99989))
+    assert sorted(render_poly(a.poly) for a in atoms) == ["z - 99989", "z - 99991"]
+
+
+def test_factoring_with_sampled_constant_terms_past_the_bound(monkeypatch):
+    # prod_k (z - x[k]) evaluated at sample points in 2..97 has a constant
+    # term past the bound, but every root is a divisor below 10^5
+    from laxkit import ratfun
+
+    seen = []
+    divisors = ratfun._divisors
+    monkeypatch.setattr(ratfun, "_divisors", lambda n: seen.append(n) or divisors(n))
+    xs = [x_var(f"x{k}") for k in range(1, 8)]
+    p = Poly.const(1)
+    for x in xs:
+        p = p * (Poly.variable(Z) - Poly.variable(x))
+    unit, atoms = ratfun.factor_atoms(p)
+    assert max(seen) > ratfun.DIVISOR_BOUND
+    assert unit == Poly.const(1) and set(atoms.values()) == {1}
+    assert sorted(render_poly(a.poly) for a in atoms) == sorted(
+        render_poly(Poly.variable(Z) - Poly.variable(x)) for x in xs
+    )
+    assert RatFun.from_poly(p).invert() * RatFun.from_poly(p) == RatFun.one()
+
+
+# ---------------------------------------------------------------------------
+# the modular rejection test in front of RatFun._make's trial divisions
+
+
+def _random_linear_atom(rng, coeffs):
+    from laxkit.ratfun import _canonical_atom
+
+    lin = [Z, W, x_var("x1"), x_var("x2"), p_var(1, 1), p_var(2, 1, 2)]
+    p = Poly.const(rng.choice([0] + coeffs))
+    for v in rng.sample(lin, rng.randint(1, 3)):
+        p = p + Poly.variable(v) * rng.choice(coeffs)
+    return _canonical_atom(p)[0]
+
+
+def test_rejection_never_fires_on_multiples():
+    from laxkit.ratfun import _cannot_divide
+
+    rng = random.Random(53)
+    coeffs = [-2, -1, 1, 3, Fraction(1, 2), Fraction(-7, 3)]
+    rejected = 0
+    for _ in range(300):
+        atom = _random_linear_atom(rng, coeffs)
+        f = _random_mixed_poly(rng, 5)
+        assert not _cannot_divide(f * atom.poly, atom)
+        assert not _cannot_divide(f * atom.poly * atom.poly, atom)
+        h = f * atom.poly + _random_mixed_poly(rng, 2)
+        if _cannot_divide(h, atom):
+            rejected += 1
+            assert poly_div_exact(h, atom.poly) is None
+    assert rejected > 200  # the test is not vacuous
+
+
+def test_rejection_falls_through_on_denominators_divisible_by_p():
+    from laxkit.ratfun import _P61, _cannot_divide, _canonical_atom
+
+    atom = _canonical_atom(Poly.variable(Z) - Poly.variable(x_var("x1")))[0]
+    f = Poly.variable(p_var(1, 1)) + Poly.const(Fraction(1, _P61))
+    # f is not a multiple of the atom, but no certificate exists mod P
+    assert not _cannot_divide(f, atom)
+    assert not _cannot_divide(f * 3 + Poly.const(Fraction(2, 5 * _P61)), atom)
+    assert _cannot_divide(Poly.variable(p_var(1, 1)) + 1, atom)
+    # an atom with such a coefficient is left to division as well
+    odd = _canonical_atom(Poly.variable(Z) + Poly.const(Fraction(1, _P61)))[0]
+    assert not _cannot_divide(Poly.variable(W), odd)
+    # and RatFun reduces exactly as before
+    ratio = RatFun.ratio(f * atom.poly, atom.poly)
+    assert ratio.num == f and not ratio.den
+    ratio = RatFun.ratio(f * atom.poly + 1, atom.poly)
+    assert list(ratio.den.values()) == [1]
+
+
+def test_rejection_is_not_applied_to_trig_atoms():
+    from laxkit.ratfun import _cannot_divide
+
+    w11 = RatFun.variable(wh_var(1, 1), 2)
+    w12 = RatFun.variable(wh_var(1, 2), 2)
+    v = RatFun.variable(V)
+    (atom,) = (w11 - v * w12).invert().den
+    assert not _cannot_divide(Poly.variable(Z), atom)
+    # Laurent units in a dividend of a linear atom
+    lin = (z - x1).invert()
+    (latom,) = lin.den
+    unit = Poly.monomial(((V, -3), (wh_var(1, 1), 2)), Fraction(5, 4))
+    num = (z - x1).num * unit
+    assert not _cannot_divide(num, latom)
+    assert _cannot_divide(num + Poly.monomial(((V, -1),)), latom)
+    reduced = RatFun.from_poly(num) * lin
+    assert reduced.num == unit and not reduced.den
+
+
+def test_negative_power_of_a_monomial_atom_variable():
+    # the atom z has its zero at z = 0, where z^-1 has no value: no
+    # verdict, so the value stays as plain division leaves it
+    from laxkit.ratfun import _cannot_divide
+    from laxkit.textio import parse_poly, parse_ratfun, render_ratfun
+
+    r = RatFun.from_poly(parse_poly("z^-1")) * RatFun.variable(Z, -1)
+    assert render_ratfun(r) == "(z^-1) / ((z))"
+    assert parse_ratfun("(z^-1) / ((z))") == r
+    (atom,) = r.den
+    assert not _cannot_divide(parse_poly("z^-1 + x[a]"), atom)
+    assert _cannot_divide(parse_poly("z + x[a]"), atom)
