@@ -58,7 +58,6 @@ from .ratfun import (
     V,
     W,
     Z,
-    equals_probabilistic,
     p_var,
     series_expand,
     wh_var,

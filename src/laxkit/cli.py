@@ -128,7 +128,7 @@ def cmd_verify_rtt(args, out) -> int:
         mat = matrix_from_json(_read_json(args.matrix))
     else:
         mat = _build(_load_divisor(args.divisor, args.mode), normalize=False)
-    report = verify_rtt(mat, probabilistic=args.probabilistic)
+    report = verify_rtt(mat)
     payload = report.to_json()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -281,11 +281,6 @@ def make_parser() -> argparse.ArgumentParser:
     source.add_argument("--divisor")
     source.add_argument("--matrix", help="verify a matrix JSON file instead")
     p.add_argument("--report", help="write the JSON report here")
-    p.add_argument(
-        "--probabilistic",
-        action="store_true",
-        help="randomized coefficient tests (exploratory; labeled in the report)",
-    )
     add_mode_flag(p)
     p.set_defaults(fn=cmd_verify_rtt)
 

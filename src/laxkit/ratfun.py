@@ -62,11 +62,7 @@ import zlib
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .errors import (
-    DivergesAtInfinity,
-    NotAtomFactorable,
-    PoleAtExpansionPoint,
-)
+from .errors import DivergesAtInfinity, NotAtomFactorable
 
 Var = Tuple
 Monomial = Tuple[Tuple[Var, int], ...]
@@ -1132,50 +1128,6 @@ def series_expand(f: RatFun, direction: str, order: int) -> "TruncSeries":
     if direction == "eps":
         return f.eps_series(order)
     return f.series(direction, order)
-
-
-_PROB_RNG = random.Random
-
-
-def equals_probabilistic(a: RatFun, b: RatFun, trials: int = 4,
-                         seed: int = 0xA5A5, bound: int = 10 ** 9) -> bool:
-    """Randomized equality: evaluate both sides at uniform rational points.
-
-    By the degree-counting (Schwartz-Zippel) bound, a nonzero difference of
-    total degree d vanishes at a uniform point of S^k with probability at
-    most d/|S|; with |S| = 2*bound and `trials` independent points the
-    false-positive probability is at most (d/(2*bound))^trials.  Never used
-    on acceptance paths; the exact cross-multiplied identity is the default.
-    """
-    diff = a - as_ratfun(b)
-    if diff.is_zero():
-        return True
-    rng = _PROB_RNG(seed)
-    variables = sorted(diff.num.variables())
-    for atom in diff.den:
-        variables = sorted(set(variables) | atom.poly.variables())
-    for _ in range(trials):
-        for _retry in range(32):
-            point = {
-                v: Fraction(rng.randint(-bound, bound), rng.randint(1, 997))
-                for v in variables
-            }
-            try:
-                den_val = Q1
-                for atom, m in diff.den.items():
-                    val = atom.poly.evaluate(point)
-                    if not val:
-                        raise ZeroDivisionError
-                    den_val *= val ** m
-                num_val = diff.num.evaluate(point)
-                break
-            except ZeroDivisionError:
-                continue
-        else:
-            raise PoleAtExpansionPoint("could not avoid the denominator locus")
-        if num_val:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """R-matrices, Yang-Baxter checks, the exchange-relation verifier,
 coproducts, and truncated-series Gauss decomposition.
 
-Scalar n^2 x n^2 matrices are kept sparse as {row: {col: RatFun}}.  The
-exchange check R T1(z) T2(w) = T2(w) T1(z) R is exact: both sides are
-matrices of difference-operator elements whose coefficients are rational
-in the two spectral parameters, and the difference is tested entrywise.
+Scalar n^2 x n^2 matrices are kept sparse as {row: {col: RatFun}}, the
+pair (i, a) of tensor indices flattened to i*n + a.  The exchange check
+R T1(z) T2(w) = T2(w) T1(z) R is exact and runs in components: with
+L = T(z) and M = T(w), component (ia, jb) reads
+
+    sum_{k,c} R[ia,kc] L_kj M_cb  =  sum_{k,c} M_ac L_ik R[kc,jb].
+
+R's entries are rational in z, w and v only.  No shift acts on these
+variables, so R is central and scales the products from either side.
 """
 
 from __future__ import annotations
@@ -24,12 +29,6 @@ Sparse = Dict[int, Dict[int, object]]
 
 # ---------------------------------------------------------------------------
 # sparse scalar matrices
-
-
-def _sp_set(m: Sparse, r: int, c: int, val) -> None:
-    if val.is_zero() if hasattr(val, "is_zero") else not val:
-        return
-    m.setdefault(r, {})[c] = val
 
 
 def _sp_add(m: Sparse, r: int, c: int, val) -> None:
@@ -60,12 +59,6 @@ def sp_sub(a: Sparse, b: Sparse) -> Sparse:
         for c, v in row.items():
             _sp_add(out, r, c, -v)
     return {r: row for r, row in out.items() if row}
-
-
-def sp_nonzero(a: Sparse):
-    for r, row in a.items():
-        for c, v in row.items():
-            yield r, c, v
 
 
 # ---------------------------------------------------------------------------
@@ -177,99 +170,73 @@ class RttReport:
     ok: bool
     failures: List[Tuple[int, int]] = field(default_factory=list)
     n: int = 0
-    probabilistic: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "n": self.n,
-            "failures": self.failures,
-            "probabilistic": self.probabilistic,
-        }
+        return {"ok": self.ok, "n": self.n, "failures": self.failures}
 
 
-def _t_leg(mat, n: int, sig: AlgebraSignature, leg: int) -> Sparse:
-    """T acting on tensor leg 1 or 2 of the square."""
-    out: Sparse = {}
-    for i in range(n):
-        for j in range(n):
-            e = mat[i][j]
-            if e.is_zero():
-                continue
-            for a in range(n):
-                if leg == 1:
-                    _sp_set(out, i * n + a, j * n + a, e)
-                else:
-                    _sp_set(out, a * n + i, a * n + j, e)
-    return out
+def _exchange_failures(r: Sparse, left, right) -> List[Tuple[int, int]]:
+    """Components (i*n+a, j*n+b) where R L1 M2 - M2 L1 R is nonzero, in order.
+
+    Component (ia, jb) of the difference is
+        sum_{k,c} R[ia,kc] L_kj M_cb - sum_{k,c} M_ac L_ik R[kc,jb];
+    each product L_kj M_cb or M_ac L_ik is formed once and shared."""
+    n = len(left)
+    zero = AlgebraElement.zero(left[0][0].signature)
+    minus_r_cols: Sparse = {}
+    for row, cols in r.items():
+        for col, val in cols.items():
+            minus_r_cols.setdefault(col, {})[row] = -val
+    lm: Dict[Tuple[int, int, int, int], AlgebraElement] = {}
+    ml: Dict[Tuple[int, int, int, int], AlgebraElement] = {}
+    failures = []
+    for ia in range(n * n):
+        i, a = divmod(ia, n)
+        for jb in range(n * n):
+            j, b = divmod(jb, n)
+            total = zero
+            for kc, val in r.get(ia, {}).items():
+                k, c = divmod(kc, n)
+                prod = lm.get((k, j, c, b))
+                if prod is None:
+                    prod = lm[k, j, c, b] = left[k][j] * right[c][b]
+                total = total + prod * val
+            for kc, val in minus_r_cols.get(jb, {}).items():
+                k, c = divmod(kc, n)
+                prod = ml.get((a, c, i, k))
+                if prod is None:
+                    prod = ml[a, c, i, k] = right[a][c] * left[i][k]
+                total = total + prod * val
+            if not total.is_zero():
+                failures.append((ia, jb))
+    return failures
 
 
-def verify_rtt(T, second=None, probabilistic: bool = False) -> RttReport:
-    """Check of R T1(z) T2(w) = T2(w) T1(z) R, exact by default.
-
-    `second` defaults to the same matrix; a different matrix over the same
-    signature checks the mixed exchange relation.  With `probabilistic`
-    the difference is tested by random rational evaluation (for
-    exploratory large instances only; the report is labeled)."""
-    sig = T.signature
+def verify_rtt(T) -> RttReport:
+    """Exact check of R(z, w) T1(z) T2(w) = T2(w) T1(z) R(z, w)."""
     n = T.n
-    other = second if second is not None else T
-    if other.signature != sig:
-        raise SignatureMismatch("mixed RTT needs a common signature")
-    lift = lambda f: AlgebraElement.from_ratfun(sig, f)
-    t1 = _t_leg(T.entries, n, sig, 1)
-    t2_entries = mat_map(other.entries, lambda e: e.rename_spectral(Z, W))
-    t2 = _t_leg(t2_entries, n, sig, 2)
-    zw = RatFun.variable(Z)
-    wv = RatFun.variable(W)
-    if sig.mode == "rational":
-        r = r_rational(n, zw - wv)
+    z = RatFun.variable(Z)
+    w = RatFun.variable(W)
+    if T.signature.mode == "rational":
+        r = r_rational(n, z - w)
     else:
-        r = r_trig(n, zw, wv)
-    r = {rr: {c: lift(v) for c, v in row.items()} for rr, row in r.items()}
-    lhs = sp_mul(sp_mul(r, t1), t2)
-    rhs = sp_mul(sp_mul(t2, t1), r)
-    diff = sp_sub(lhs, rhs)
-    if probabilistic:
-        from .ratfun import equals_probabilistic
-
-        failures = sorted(
-            {
-                (rr, c)
-                for rr, c, e in sp_nonzero(diff)
-                if any(
-                    not equals_probabilistic(coeff, RatFun.zero())
-                    for coeff in e.terms.values()
-                )
-            }
-        )
-    else:
-        failures = sorted({(rr, c) for rr, c, _ in sp_nonzero(diff)})
-    return RttReport(
-        ok=not failures, failures=failures, n=n, probabilistic=probabilistic
-    )
+        r = r_trig(n, z, w)
+    t_w = mat_map(T.entries, lambda e: e.rename_spectral(Z, W))
+    failures = _exchange_failures(r, T.entries, t_w)
+    return RttReport(ok=not failures, failures=failures, n=n)
 
 
 def verify_finite_rtt(t_plus, t_minus, sig: AlgebraSignature) -> RttReport:
-    """The three z-independent exchange relations of the split pair."""
+    """The three z-independent exchange relations of the split pair over
+    `sig`: R T+1 T+2 = T+2 T+1 R, the same for T-, and R T-1 T+2 =
+    T+2 T-1 R, with R = r_finite(n)."""
     n = len(t_plus)
-    lift = lambda f: AlgebraElement.from_ratfun(sig, f)
-    r = {
-        rr: {c: lift(v) for c, v in row.items()}
-        for rr, row in r_finite(n).items()
-    }
+    if t_plus[0][0].signature != sig:
+        raise SignatureMismatch("the split pair is not over the given signature")
+    r = r_finite(n)
     failures = []
-    for left, right in (
-        (t_plus, t_plus),
-        (t_minus, t_minus),
-        (t_minus, t_plus),
-    ):
-        l1 = _t_leg(left, n, sig, 1)
-        r2 = _t_leg(right, n, sig, 2)
-        lhs = sp_mul(sp_mul(r, l1), r2)
-        rhs = sp_mul(sp_mul(r2, l1), r)
-        diff = sp_sub(lhs, rhs)
-        failures.extend(sorted({(rr, c) for rr, c, _ in sp_nonzero(diff)}))
+    for left, right in ((t_plus, t_plus), (t_minus, t_minus), (t_minus, t_plus)):
+        failures.extend(_exchange_failures(r, left, right))
     return RttReport(ok=not failures, failures=failures, n=n)
 
 

@@ -192,7 +192,10 @@ class _Tok:
             # only a plain denominator digit run counts as a fraction here
             self._skip()
             if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                return Fraction(n, self.integer())
+                d = self.integer()
+                if not d:
+                    raise ParseError(f"zero denominator in {n}/{d}")
+                return Fraction(n, d)
             self.pos = save
         return Fraction(n)
 
@@ -243,6 +246,8 @@ def _parse_var(tok: _Tok):
         start = tok.pos
         depth = 1
         while depth:
+            if tok.pos == len(tok.text):
+                raise ParseError(f"unclosed label x[{tok.text[start:]}")
             ch = tok.text[tok.pos]
             if ch == "[":
                 depth += 1
@@ -342,6 +347,7 @@ def parse_element(text: str, signature) -> "AlgebraElement":
         tok.expect("(")
         coeff = _parse_ratfun_tok(tok)
         tok.expect(")")
+        _check_slot_vars(coeff, signature)
         exps = {}
         if tok.take("*"):
             while True:
@@ -395,13 +401,30 @@ def _parse_shift_indices(tok: _Tok, signature):
         tok.expect(",")
         i = a
         r = tok.integer()
+    _check_slot(signature, "shift generator", slot, i, r)
+    return slot, i, r
+
+
+def _check_slot(signature, what: str, slot: int, i: int, r: int) -> None:
     if not (
         1 <= slot <= signature.tensor_factors
         and 1 <= i < signature.n
         and 1 <= r <= signature.a(i, slot)
     ):
-        raise ParseError(f"shift generator [{slot};{i},{r}] is not in the signature")
-    return slot, i, r
+        raise ParseError(f"{what} [{slot};{i},{r}] is not in the signature")
+
+
+def _check_slot_vars(coeff: RatFun, signature) -> None:
+    """Slot variables of a coefficient: p in rational mode, wh in trig mode,
+    each at a slot of the signature."""
+    kind = "p" if signature.mode == "rational" else "wh"
+    for poly in [coeff.num] + [atom.poly for atom in coeff.den]:
+        for v in poly.variables():
+            if v[0] not in ("p", "wh"):
+                continue
+            if v[0] != kind:
+                raise ParseError(f"{v[0]} variables do not occur in {signature.mode} mode")
+            _check_slot(signature, f"{v[0]}-variable", *v[1:])
 
 
 def _parse_ratfun_tok(tok: _Tok) -> RatFun:
@@ -417,6 +440,8 @@ def _parse_ratfun_tok(tok: _Tok) -> RatFun:
                 tok.expect("(")
                 atom_poly = parse_poly(tok)
                 tok.expect(")")
+                if atom_poly.is_zero():
+                    raise ParseError("zero denominator factor")
                 k = _parse_power(tok)
                 out = out * RatFun.ratio(Poly.const(1), atom_poly) ** k
                 if not tok.take("*"):
@@ -435,8 +460,6 @@ def _parse_ratfun_tok(tok: _Tok) -> RatFun:
             if depth == 0:
                 break
             depth -= 1
-        elif ch in "+*" and depth == 0:
-            pass
         tok.pos += 1
     segment = tok.text[start : tok.pos]
     return RatFun.from_poly(parse_poly(segment))

@@ -198,6 +198,14 @@ def test_build_output_independent_of_hash_seed(tmp_path):
 # stands for the path of the written file name.json and {tmp} for a
 # directory.  Every row must exit 2 with a message and no traceback.
 MISSING_MODE = {k: v for k, v in DST.items() if k != "mode"}
+
+
+def _matrix(mode, entry):
+    """A 2x2 matrix file over slot counts [[1]] with `entry` at (1,1)."""
+    sig = {"n": 2, "mode": mode, "slot_counts": [[1]]}
+    return {"m": {"signature": sig, "entries": [[entry, "0"], ["0", "(1)"]]}}
+
+
 MALFORMED = {
     "truncated-json": ({"d": '{"n": 2, "mode": "rational", "points": ['},
                        ["build", "--divisor", "{d}"]),
@@ -221,6 +229,16 @@ MALFORMED = {
                "entries": [["(1) * e^{q[5,7]}", "0"], ["0", "(1)"]]}},
         ["verify-rtt", "--matrix", "{m}"],
     ),
+    "matrix-unclosed-label": (_matrix("rational", "(x[a)"),
+                              ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-zero-denominator": (_matrix("rational", "((1) / ((0)))"),
+                                ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-zero-fraction": (_matrix("rational", "(1/0)"),
+                             ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-slot-variable-outside-signature": (
+        _matrix("rational", "(p[5,7])"), ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-slot-variable-of-other-mode": (
+        _matrix("rational", "(wh[1,1])"), ["verify-rtt", "--matrix", "{m}"]),
     "verify-rtt-no-source": ({}, ["verify-rtt"]),
     "yang-baxter-rank-0": ({}, ["yang-baxter", "--n", "0"]),
     "yang-baxter-rank-negative": ({}, ["yang-baxter", "--n", "-1"]),

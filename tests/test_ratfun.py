@@ -15,7 +15,6 @@ from laxkit.ratfun import (
     W,
     Z,
     _atom_key,
-    equals_probabilistic,
     grlex_key,
     is_unit_var,
     p_var,
@@ -190,13 +189,6 @@ def test_equals_examples():
         num = (cr - 1 - b[0]) * (cr - 1 - b[1])
         tot = tot + num * (cr - c[1 - r]).invert()
     assert not tot.equals(1)
-
-
-def test_probabilistic_equality():
-    a = (z - p11) * (z + p11)
-    b = z * z - p11 * p11
-    assert equals_probabilistic(a, b)
-    assert not equals_probabilistic(a, b + 1)
 
 
 def test_invert_roundtrip_property():

@@ -5,7 +5,11 @@ import pytest
 from laxkit.algebra import AlgebraElement, mat_equal
 from laxkit.coweight import PseudoYoungDiagram, divisor_from_young
 from laxkit.lax_rational import build_lax, fuse
-from laxkit.lax_trig import build_lax_trig
+from laxkit.lax_trig import (
+    build_lax_trig,
+    normalize_and_check_polynomial_trig,
+    split_finite_rtt,
+)
 from laxkit.rtt import (
     check_yang_baxter,
     coproduct,
@@ -14,6 +18,7 @@ from laxkit.rtt import (
     recompose_gauss,
     series_gauss_decompose,
     verify_coproduct_generators,
+    verify_finite_rtt,
     verify_rtt,
 )
 from laxkit.suite import (
@@ -42,18 +47,64 @@ def test_rtt_examples():
     assert verify_rtt(build_lax_trig(trig_case_divisor(4))).ok
 
 
+def _plus_one(entries, i, j):
+    out = [list(row) for row in entries]
+    out[i][j] = out[i][j] + AlgebraElement.one(out[i][j].signature)
+    return out
+
+
+# Flattened failures (i*n+a, j*n+b) after adding 1 to entry (i, j): the
+# nonzero entries of the full n^2 x n^2 product R T1 T2 - T2 T1 R.
+CORRUPTION_FAILURES = {
+    "toda": {
+        (0, 0): [],
+        (0, 1): [(0, 1), (0, 2)],
+        (1, 0): [(1, 0), (2, 0)],
+        (1, 1): [(1, 2), (2, 1)],
+    },
+    "trig4": {
+        (0, 0): [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)],
+        (0, 1): [(0, 1), (0, 2), (1, 1), (1, 3), (2, 2), (2, 3)],
+        (1, 0): [(1, 0), (2, 0), (3, 1), (3, 2)],
+        (1, 1): [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)],
+    },
+    "first3": {
+        (0, 0): [],
+        (0, 1): [(0, 1), (0, 3)],
+        (0, 2): [(0, 2), (0, 6)],
+        (1, 0): [(1, 0), (3, 0)],
+        (1, 1): [(1, 3), (3, 1)],
+        (1, 2): [(1, 6), (3, 2)],
+        (2, 0): [(2, 0), (6, 0)],
+        (2, 1): [(2, 3), (6, 1)],
+        (2, 2): [(2, 6), (6, 2)],
+    },
+}
+
+
 def test_rtt_detects_corruption():
-    T = build_lax(toda_divisor())
-    sig = T.signature
-    broken = [[e for e in row] for row in T.entries]
-    broken[0][1] = broken[0][1] + AlgebraElement.one(sig)
     from laxkit.lax_rational import LaxMatrix
 
-    bad = LaxMatrix(sig, T.divisor, broken)
-    rep = verify_rtt(bad)
-    assert not rep.ok and rep.failures
-    rep_prob = verify_rtt(bad, probabilistic=True)
-    assert not rep_prob.ok and rep_prob.probabilistic
+    for name, T in (
+        ("toda", build_lax(toda_divisor())),
+        ("trig4", build_lax_trig(trig_case_divisor(4))),
+        ("first3", build_lax(first_example_divisor(3))),
+    ):
+        for (i, j), want in CORRUPTION_FAILURES[name].items():
+            bad = LaxMatrix(T.signature, T.divisor, _plus_one(T.entries, i, j))
+            rep = verify_rtt(bad)
+            assert rep.failures == want, (name, i, j)
+            assert rep.ok == (not want)
+
+
+def test_finite_rtt_detects_corruption():
+    T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(4)))
+    tp, tm = split_finite_rtt(T)
+    assert verify_finite_rtt(tp, tm, T.signature).ok
+    rep = verify_finite_rtt(_plus_one(tp, 0, 1), tm, T.signature)
+    assert not rep.ok
+    # one list per relation: T+T+, then T-T+
+    assert rep.failures == [(0, 1), (0, 2), (1, 3), (2, 3), (0, 1)]
 
 
 def test_coproduct_passes_rtt_and_contract():

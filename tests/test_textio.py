@@ -54,8 +54,11 @@ def test_random_ratfun_roundtrip():
 
 def test_random_element_roundtrip():
     rng = random.Random(32)
-    for mode, a in (("rational", (2,)), ("trig", (2,))):
-        sig = AlgebraSignature(2, mode, (a,), ("x1",))
+    # random_ratfun draws p[1,1], p[1,2], p[2,1] (rational) and wh[1,1],
+    # wh[1,2] (trig); parse_element rejects slot variables outside the
+    # signature, so every slot drawn must exist here
+    for mode in ("rational", "trig"):
+        sig = AlgebraSignature(3, mode, ((2, 1),), ("x1",))
         for _ in range(40):
             e = random_element(rng, sig)
             text = render_element(e)
