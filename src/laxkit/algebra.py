@@ -58,6 +58,10 @@ class AlgebraSignature:
             return 0
         return counts[i - 1]
 
+    def has_slot(self, factor: int, i: int, r: int) -> bool:
+        """True when slot (i, r) of tensor factor `factor` exists."""
+        return 1 <= factor <= self.tensor_factors and 1 <= r <= self.a(i, factor)
+
     def tensor(self, other: "AlgebraSignature") -> "AlgebraSignature":
         if self.n != other.n or self.mode != other.mode:
             raise SignatureMismatch("tensor of incompatible signatures")
@@ -352,8 +356,8 @@ class GammaGauge:
             for L, e in self.factors:
                 k_total = Fraction(0)
                 for (f, i, r), m in s.exps.items():
-                    coeff = L.coeff_of(p_var(i, r, f), 1).const_value() if not L.coeff_of(p_var(i, r, f), 1).is_zero() else Fraction(0)
-                    k_total += m * coeff
+                    lin = L.coeff_of(p_var(i, r, f), 1)
+                    k_total += m * (lin.const_value() if lin else 0)
                 if k_total.denominator != 1:
                     raise NonIntegerShift(f"Gamma shift by {k_total}")
                 factor = factor * _gamma_quotient(L, int(k_total), e)

@@ -24,13 +24,19 @@ Variables are identified by tuples:
     ('eps',)            degeneration parameter (reserved for series)
 
 Exponents of 'v' and 'wh' variables may be negative (they are units);
-all other exponents are non-negative.  The canonical term order is graded
-lexicographic: total degree first, then exponents compared variable by
-variable in var_precedence rank (z, w, v, eps, x, p, wh; smaller indices
-first within a kind).  grlex_key ranks the variables of an operation once
-and maps each monomial to a natively comparable (degree, exponent tuple)
-key.  Exact division (poly_div_exact) pops the leading remainder term
-from a heap ordered by that key, so each step costs O(log n).
+all other exponents are non-negative.
+
+Monomials are packed ints over one process-wide variable index (see
+monomials.py): a product is an int sum, and every Poly shares one
+layout, so no operand is ever repacked.  The canonical term order is
+graded lexicographic in var_precedence rank, read from decoded fields
+(monomials.grlex), never from int comparison; it fixes leading terms,
+the division heap, rendering and Atom keys, which hold decoded
+monomials, so results are the same in every process.  Every product
+checks a per-Poly bound on |exponent| first, so a field that would
+overflow raises OverflowError instead of wrapping.  Exact division
+(poly_div_exact) pops the leading remainder term from a heap ordered by
+that key, so each step costs O(log n).
 
 Coefficients are exact rationals stored as plain ints whenever they are
 integral and as reduced Fractions only otherwise (_q enforces this, and
@@ -42,16 +48,19 @@ representation is invisible to equality, Atom keys and rendering.
 
 RatFun._make cancels atoms by trial division.  Before each division by a
 linear atom it runs an exact one-sided test modulo the prime 2^61 - 1
-(_cannot_divide): the numerator is evaluated at a zero of the atom and
-a nonzero value proves that the atom does not divide it, so the long
-division is skipped.  The test only ever rejects with that certificate;
-every verdict and every reduced form is the one division would give.
+(rejection.cannot_divide): the numerator is evaluated at a zero of the
+atom and a nonzero value proves that the atom does not divide it, so
+the long division is skipped.  The test only ever rejects with that
+certificate; every verdict and every reduced form is the one division
+would give.
 
 Values are immutable after construction and every operation is pure, so
 they may be shared and sent across threads freely; callers can
-parallelize over independent computations without locks.  (An Atom
-fills in its zero mod 2^61 - 1 on first use; it is a function of the
-atom alone, so concurrent fills agree.)
+parallelize over independent computations without locks.  (A Poly
+caches its variable fields, an Atom its zero mod 2^61 - 1 and a
+module-level memo the value of a monomial at the fixed residues, all on
+first use; each is a function of its key alone, so concurrent fills
+agree.)  To move a value to another process, send its rendered text.
 """
 
 from __future__ import annotations
@@ -60,12 +69,28 @@ import heapq
 import random
 import zlib
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from . import monomials as mono
 from .errors import DivergesAtInfinity, NotAtomFactorable
+from .monomials import (
+    FW,
+    HALF,
+    MASK,
+    VARS,
+    Monomial,
+    Var,
+    by_precedence,
+    exact_bound,
+    field_of,
+    grlex,
+    pack_mono,
+    unpack_mono,
+    unpacked,
+)
+from .rejection import LINEAR_ATOM_KINDS, cannot_divide
 
-Var = Tuple
-Monomial = Tuple[Tuple[Var, int], ...]
 Coeff = Union[int, Fraction]
 
 Q0 = 0
@@ -114,93 +139,37 @@ def is_unit_var(v: Var) -> bool:
     return v[0] in _UNIT_KINDS
 
 
-# ---------------------------------------------------------------------------
-# monomial helpers (sorted tuples of (var, exp), exp != 0)
-
-_EMPTY_MONO: Monomial = ()
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for v, e in b:
-        ne = out.get(v, 0) + e
-        if ne:
-            out[v] = ne
-        else:
-            del out[v]
-    return tuple(sorted(out.items()))
-
-
-def mono_pow(m: Monomial, k: int) -> Monomial:
-    if k == 0 or not m:
-        return _EMPTY_MONO
-    return tuple((v, e * k) for v, e in m)
-
-
-def mono_deg(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when b / a has non-negative exponents."""
-    da = dict(a)
-    for v, e in b:
-        da[v] = da.get(v, 0) - e
-    return all(e <= 0 for e in da.values())
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b as a (possibly Laurent) monomial."""
-    return mono_mul(a, mono_pow(b, -1))
-
-
-_KIND_RANK = {"z": 0, "w": 1, "v": 2, "eps": 3, "x": 4, "p": 5, "wh": 6}
-
-
-def var_precedence(v: Var):
-    """Smaller key = more significant variable (z, w, v, eps, x, p, wh;
-    within a kind, smaller indices are more significant)."""
-    return (_KIND_RANK[v[0]],) + tuple(v[1:])
-
-
-def grlex_key(variables: Iterable[Var], sign: int = 1):
-    """Sort key for monomials over `variables` in the canonical term order.
-
-    The variables are ranked once by var_precedence; a monomial maps to
-    (total degree, dense exponent tuple in that rank), absent variables
-    reading as 0.  Tuples compare natively, so this is graded
-    lexicographic order: total degree first, ties broken by the most
-    significant variable with the larger exponent (Laurent exponents
-    included).  sign=-1 negates every entry, reversing the order (for
-    min-heaps)."""
-    order = sorted(variables, key=var_precedence)
-    pos = {v: k for k, v in enumerate(order)}
-    n = len(order)
-
-    def key(m: Monomial):
-        ex = [0] * n
-        for v, e in m:
-            ex[pos[v]] = sign * e
-        return (sum(ex), tuple(ex))
-
-    return key
+def _bounded(combine, *polys) -> int:
+    """combine(exponent bounds of polys) when it fits a field.  Cached
+    bounds that are too loose are first recomputed exactly; exact ones
+    that are too large raise OverflowError."""
+    b = combine(*(p._eb for p in polys))
+    if b >= HALF:
+        for p in polys:
+            p._eb = exact_bound(p.terms)
+        b = combine(*(p._eb for p in polys))
+        if b >= HALF:
+            raise OverflowError(f"exponents up to {b} do not fit a {FW}-bit field")
+    return b
 
 
 # ---------------------------------------------------------------------------
 
 
 class Poly:
-    """Immutable sparse polynomial: dict monomial -> coefficient (int, or
-    Fraction when not integral), no zeros."""
+    """Immutable sparse polynomial: dict packed monomial -> coefficient
+    (int, or Fraction when not integral), no zeros.
 
-    __slots__ = ("terms",)
+    _eb is an upper bound on |exponent| over all terms (exact when not
+    given); _ks caches the fields of the variables that occur, in
+    var_precedence order."""
 
-    def __init__(self, terms: Dict[Monomial, Coeff]):
+    __slots__ = ("terms", "_eb", "_ks")
+
+    def __init__(self, terms: Dict[Monomial, Coeff], eb: Optional[int] = None):
         self.terms = terms
+        self._eb = exact_bound(terms) if eb is None else eb
+        self._ks = None
 
     # -- constructors
 
@@ -211,18 +180,19 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = _q(c)
-        return Poly({_EMPTY_MONO: c}) if c else _P_ZERO
+        return Poly({0: c}, 0) if c else _P_ZERO
 
     @staticmethod
     def variable(v: Var, exp: int = 1) -> "Poly":
         if exp == 0:
             return _P_ONE
-        return Poly({((v, exp),): Q1})
+        return Poly({pack_mono(((v, exp),)): Q1}, abs(exp))
 
     @staticmethod
-    def monomial(m: Monomial, c=Q1) -> "Poly":
+    def monomial(m: Iterable[Tuple[Var, int]], c=Q1) -> "Poly":
+        """c * m for m given as ((var, exp), ...)."""
         c = _q(c)
-        return Poly({m: c}) if c else _P_ZERO
+        return Poly({pack_mono(m): c}) if c else _P_ZERO
 
     # -- predicates / views
 
@@ -230,21 +200,36 @@ class Poly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _EMPTY_MONO in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self) -> Coeff:
         if not self.terms:
             return Q0
-        if len(self.terms) == 1 and _EMPTY_MONO in self.terms:
-            return self.terms[_EMPTY_MONO]
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         raise ValueError("not a constant polynomial")
 
-    def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+    def _fields(self) -> tuple:
+        """Fields of the variables of self, in var_precedence order."""
+        ks = self._ks
+        if ks is None:
+            # (m + bias) ^ bias has a zero field exactly where m has one
+            bias = mono.BIAS
+            acc = 0
+            for m in self.terms:
+                acc |= (m + bias) ^ bias
+            found = []
+            k = 0
+            while acc:
+                if acc & MASK:
+                    found.append(k)
+                acc >>= FW
+                k += 1
+            ks = self._ks = by_precedence(found)
+        return ks
+
+    def variables(self) -> frozenset:
+        return frozenset(VARS[k] for k in self._fields())
 
     def __bool__(self):
         return bool(self.terms)
@@ -274,12 +259,12 @@ class Poly:
                 out[m] = _q(nc)
             else:
                 out.pop(m, None)
-        return Poly(out)
+        return Poly(out, max(self._eb, other._eb))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly({m: -c for m, c in self.terms.items()}, self._eb)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_as_poly(other))
@@ -292,20 +277,25 @@ class Poly:
             c = _q(other)
             if not c:
                 return _P_ZERO
-            return Poly({m: _q(cc * c) for m, cc in self.terms.items()})
+            return Poly({m: _q(cc * c) for m, cc in self.terms.items()}, self._eb)
         other = _as_poly(other)
-        if not self.terms or not other.terms:
+        at = self.terms
+        bt = other.terms
+        if not at or not bt:
             return _P_ZERO
+        eb = self._eb + other._eb
+        if eb >= HALF:
+            eb = _bounded(int.__add__, self, other)
         out: Dict[Monomial, Coeff] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
+        for ma, ca in at.items():
+            for mb, cb in bt.items():
+                m = ma + mb
                 nc = out.get(m, 0) + ca * cb
                 if nc:
                     out[m] = _q(nc)
                 else:
                     out.pop(m, None)
-        return Poly(out)
+        return Poly(out, eb)
 
     __rmul__ = __mul__
 
@@ -321,88 +311,115 @@ class Poly:
             k >>= 1
         return out
 
-    # -- per-variable structure
+    # -- per-variable structure (each decodes only the field of v)
+
+    def _shift_of(self, v: Var) -> Optional[int]:
+        """Bit offset of v's field, or None when v does not occur."""
+        k = mono.FIELD.get(v)
+        return None if k is None or k not in self._fields() else FW * k
 
     def degree(self, v: Var) -> int:
         """Largest exponent of v (0 when absent; min 0 even for Laurent)."""
-        d = 0
-        for m in self.terms:
-            for vv, e in m:
-                if vv == v and e > d:
-                    d = e
-        return d
+        s = self._shift_of(v)
+        if s is None:
+            return 0
+        bias = mono.BIAS
+        return max(0, max(((m + bias) >> s & MASK) for m in self.terms) - HALF)
 
     def min_exp(self, v: Var) -> int:
         """True minimum exponent of v over all terms (0 for the zero poly)."""
-        lo = None
-        for m in self.terms:
-            e = 0
-            for vv, ee in m:
-                if vv == v:
-                    e = ee
-                    break
-            if lo is None or e < lo:
-                lo = e
-        return 0 if lo is None else lo
+        s = self._shift_of(v)
+        if s is None:
+            return 0
+        bias = mono.BIAS
+        return min(((m + bias) >> s & MASK) for m in self.terms) - HALF
 
     def decompose(self, v: Var) -> Dict[int, "Poly"]:
         """Write self = sum_k coeff_k * v^k; coefficients omit v."""
+        s = self._shift_of(v)
+        if s is None:
+            return {0: self} if self.terms else {}
+        bias = mono.BIAS
         out: Dict[int, Dict[Monomial, Coeff]] = {}
         for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for vv, ee in m:
-                if vv == v:
-                    e = ee
-                else:
-                    rest.append((vv, ee))
-            out.setdefault(e, {})[tuple(rest)] = c
-        return {k: Poly(t) for k, t in out.items()}
+            e = ((m + bias) >> s & MASK) - HALF
+            out.setdefault(e, {})[m - (e << s)] = c
+        return {k: Poly(t, self._eb) for k, t in out.items()}
 
     def coeff_of(self, v: Var, k: int) -> "Poly":
         return self.decompose(v).get(k, _P_ZERO)
 
-    def leading_term(self) -> Tuple[Monomial, Coeff]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=grlex_key(self.variables()))
-        return m, self.terms[m]
+    def ordered_terms(self) -> List[Tuple[Tuple[Tuple[Var, int], ...], Coeff]]:
+        """Terms in descending canonical order, each monomial decoded to
+        ((var, exp), ...) in var_precedence order."""
+        ks = self._fields()
+        bias = mono.BIAS
+        shifts = [(VARS[k], FW * k) for k in ks]
+        out = []
+        for m in sorted(self.terms, key=grlex(ks), reverse=True):
+            y = m + bias
+            items = []
+            for v, s in shifts:
+                e = ((y >> s) & MASK) - HALF
+                if e:
+                    items.append((v, e))
+            out.append((tuple(items), self.terms[m]))
+        return out
 
     def total_degree(self) -> int:
-        return max((mono_deg(m) for m in self.terms), default=0)
+        return max((sum(e for _, e in unpacked(m)) for m in self.terms), default=0)
 
     # -- substitutions
 
     def shift_var(self, v: Var, c: Coeff) -> "Poly":
-        """v -> v + c (binomial expansion; v must be non-Laurent in self)."""
+        """v -> v + c, term by term: c0 * v^k * rest becomes
+        sum_j C(k, j) c^(k-j) c0 * v^j * rest (v must be non-Laurent)."""
         c = _q(c)
-        if not c:
+        s = self._shift_of(v)
+        if not c or s is None:
             return self
-        out = _P_ZERO
-        for k, coeff in self.decompose(v).items():
-            if k < 0:
-                raise ValueError("additive shift of a Laurent exponent")
-            out = out + coeff * (Poly.variable(v) + Poly.const(c)) ** k
-        return out
-
-    def scale_var(self, v: Var, unit: Monomial, c=Q1) -> "Poly":
-        """v -> c * unit * v  (unit a Laurent monomial in unit variables)."""
-        c = _q(c)
+        bias = mono.BIAS
+        powers = [Q1]
         out: Dict[Monomial, Coeff] = {}
         for m, coeff in self.terms.items():
-            e = 0
-            for vv, ee in m:
-                if vv == v:
-                    e = ee
-                    break
-            nm = mono_mul(m, mono_pow(unit, e)) if e else m
+            k = ((m + bias) >> s & MASK) - HALF
+            if k < 0:
+                raise ValueError("additive shift of a Laurent exponent")
+            while len(powers) <= k:
+                powers.append(powers[-1] * c)
+            base = m - (k << s)
+            for j in range(k, -1, -1):
+                nm = base + (j << s)
+                nc = out.get(nm, 0) + coeff * comb(k, j) * powers[k - j]
+                if nc:
+                    out[nm] = _q(nc)
+                else:
+                    out.pop(nm, None)
+        return Poly(out, self._eb)
+
+    def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]], c=Q1) -> "Poly":
+        """v -> c * unit * v  (unit ((var, exp), ...), a Laurent monomial
+        in unit variables)."""
+        c = _q(c)
+        unit = tuple(unit)
+        s = self._shift_of(v)
+        if s is None:
+            return self
+        ub = max((abs(e) for _, e in unit), default=0)
+        eb = _bounded(lambda b: b * (1 + ub), self)
+        um = pack_mono(unit)
+        bias = mono.BIAS
+        out: Dict[Monomial, Coeff] = {}
+        for m, coeff in self.terms.items():
+            e = ((m + bias) >> s & MASK) - HALF
+            nm = m + e * um if e else m
             nc = coeff * (c ** e if e >= 0 else _qdiv(1, c ** (-e)))
             nc = out.get(nm, 0) + nc
             if nc:
                 out[nm] = _q(nc)
             else:
                 out.pop(nm, None)
-        return Poly(out)
+        return Poly(out, eb)
 
     def set_value(self, v: Var, value: Coeff) -> "Poly":
         value = _q(value)
@@ -417,53 +434,52 @@ class Poly:
         return out
 
     def rename_var(self, old: Var, new: Var) -> "Poly":
-        if old == new:
+        s = self._shift_of(old)
+        if old == new or s is None:
             return self
+        eb = _bounded(lambda b: 2 * b, self)
+        sn = FW * field_of(new)
+        bias = mono.BIAS
         out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
-            items = dict(m)
-            if old in items:
-                e = items.pop(old)
-                items[new] = items.get(new, 0) + e
-                if not items[new]:
-                    del items[new]
-            nm = tuple(sorted(items.items()))
+            e = ((m + bias) >> s & MASK) - HALF
+            nm = m - (e << s) + (e << sn)
             nc = out.get(nm, 0) + c
             if nc:
                 out[nm] = _q(nc)
             else:
                 out.pop(nm, None)
-        return Poly(out)
+        return Poly(out, eb)
 
     def partial(self, v: Var) -> "Poly":
+        s = self._shift_of(v)
+        if s is None:
+            return _P_ZERO
+        eb = _bounded(lambda b: b + 1, self)
+        bias = mono.BIAS
+        one = 1 << s
         out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
-            for idx, (vv, e) in enumerate(m):
-                if vv == v:
-                    nm = list(m)
-                    if e == 1:
-                        nm.pop(idx)
-                    else:
-                        nm[idx] = (vv, e - 1)
-                    key = tuple(nm)
-                    nc = out.get(key, 0) + c * e
-                    if nc:
-                        out[key] = _q(nc)
-                    else:
-                        out.pop(key, None)
-                    break
-        return Poly(out)
+            e = ((m + bias) >> s & MASK) - HALF
+            if e:
+                out[m - one] = _q(c * e)  # distinct monomials stay distinct
+        return Poly(out, eb)
 
     def evaluate(self, assignment: Dict[Var, Coeff]) -> Coeff:
+        ks = self._fields()
+        vals = [(FW * k, assignment[VARS[k]]) for k in ks]
+        bias = mono.BIAS
         total = 0
         for m, c in self.terms.items():
             term = c
-            for v, e in m:
-                val = assignment[v]
-                if e >= 0:
-                    term *= val ** e
-                else:
-                    term = _qdiv(term, val ** (-e))
+            if m:
+                y = m + bias
+                for s, val in vals:
+                    e = ((y >> s) & MASK) - HALF
+                    if e > 0:
+                        term *= val ** e
+                    elif e:
+                        term = _qdiv(term, val ** (-e))
             total += term
         return _q(total)
 
@@ -473,8 +489,8 @@ class Poly:
         return f"Poly({render_poly(self)})"
 
 
-_P_ZERO = Poly({})
-_P_ONE = Poly({_EMPTY_MONO: Q1})
+_P_ZERO = Poly({}, 0)
+_P_ONE = Poly({0: Q1}, 0)
 
 
 def _as_poly(x) -> Poly:
@@ -483,6 +499,13 @@ def _as_poly(x) -> Poly:
     if isinstance(x, (int, Fraction)):
         return Poly.const(x)
     raise TypeError(f"cannot coerce {type(x)!r} to Poly")
+
+
+def _content(p: Poly) -> Dict[int, int]:
+    """Field -> minimum exponent, for each variable of p where it is
+    nonzero."""
+    lows = {k: p.min_exp(VARS[k]) for k in p._fields()}
+    return {k: lo for k, lo in lows.items() if lo}
 
 
 # ---------------------------------------------------------------------------
@@ -500,26 +523,20 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
         return _poly_div_nonneg(f, g)
     # normalize every variable of both operands to zero minimum exponent;
     # the quotient is corrected by the difference of the removed contents
-    shift_f: Monomial = _EMPTY_MONO
-    shift_g: Monomial = _EMPTY_MONO
-    for v in f.variables():
-        lo = f.min_exp(v)
-        if lo:
-            shift_f = mono_mul(shift_f, ((v, -lo),))
-    for v in g.variables():
-        lo = g.min_exp(v)
-        if lo:
-            shift_g = mono_mul(shift_g, ((v, -lo),))
-    fp = f * Poly.monomial(shift_f) if shift_f else f
-    gp = g * Poly.monomial(shift_g) if shift_g else g
+    cf = _content(f)
+    cg = _content(g)
+    shift_f = -sum(lo << (FW * k) for k, lo in cf.items())
+    shift_g = -sum(lo << (FW * k) for k, lo in cg.items())
+    fp = f * Poly({shift_f: Q1}) if shift_f else f
+    gp = g * Poly({shift_g: Q1}) if shift_g else g
     q = _poly_div_nonneg(fp, gp)
     if q is None:
         return None
-    adjust = mono_div(shift_g, shift_f)
-    if any(e < 0 and not is_unit_var(v) for v, e in adjust):
+    adjust = shift_g - shift_f
+    if any(e < 0 and not is_unit_var(VARS[k]) for k, e in unpacked(adjust)):
         # quotient would need a genuine denominator
         return None
-    return q * Poly.monomial(adjust) if adjust else q
+    return q * Poly({adjust: Q1}) if adjust else q
 
 
 def _divides_directly(f: Poly, g: Poly) -> bool:
@@ -528,20 +545,20 @@ def _divides_directly(f: Poly, g: Poly) -> bool:
     Then a quotient exists only with non-negative exponents, which plain
     division finds.  (Unit content in g, as in f = 1, g = v, can ask for
     a Laurent quotient; that takes the normalizing path.)"""
+    bias = mono.BIAS
+    # a field of m is negative exactly when its biased digit lacks the top bit
     for m in f.terms:
-        for _, e in m:
-            if e < 0:
-                return False
-    shared = None
+        if (m + bias) & bias != bias:
+            return False
     for m in g.terms:
-        units = set()
-        for v, e in m:
-            if e < 0:
+        if (m + bias) & bias != bias:
+            return False
+    for k in g._fields():
+        if VARS[k][0] in _UNIT_KINDS:
+            s = FW * k
+            if all((m + bias) >> s & MASK != HALF for m in g.terms):
                 return False
-            if v[0] in _UNIT_KINDS:
-                units.add(v)
-        shared = units if shared is None else shared & units
-    return not shared
+    return True
 
 
 def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
@@ -550,8 +567,15 @@ def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
     O(log n) instead of scanning the remainder.  Heap entries are
     (negated order key, monomial); an entry whose monomial has left the
     remainder is stale and skipped.  Exact quotients are unique, so the
-    verdict and q do not depend on the term order used."""
-    neg_key = grlex_key(f.variables() | g.variables(), sign=-1)
+    verdict and q do not depend on the term order used.
+
+    Every remainder term has total degree at most D, the largest total
+    degree in f (the leading term of g has the largest degree in g), and
+    no negative field, so no field exceeds D <= len(ks) * bound(f)."""
+    ks = by_precedence(set(f._fields()) | set(g._fields()))
+    _bounded(lambda b: len(ks) * b, f)
+    neg_key = grlex(ks, sign=-1)
+    bias = mono.BIAS
     gm = min(g.terms, key=neg_key)
     gc = g.terms[gm]
     rem = dict(f.terms)
@@ -563,13 +587,13 @@ def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
         fc = rem.get(fm)
         if fc is None:
             continue
-        if not mono_divides(gm, fm):
-            return None
-        t = mono_div(fm, gm)
+        t = fm - gm
+        if (t + bias) & bias != bias:
+            return None  # gm does not divide fm
         tc = _qdiv(fc, gc)
         q[t] = tc  # t strictly decreases, so each quotient term is new
         for m, c in g.terms.items():
-            key = mono_mul(m, t)
+            key = m + t
             old = rem.get(key)
             nc = _q(-c * tc if old is None else old - c * tc)
             if old is None:
@@ -579,7 +603,7 @@ def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
                 rem[key] = nc
             else:
                 del rem[key]
-    return Poly(q)
+    return Poly(q, f._eb)
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +642,12 @@ class Atom:
 
 
 def _atom_key(p: Poly):
-    key = grlex_key(p.variables())
-    return tuple(sorted(p.terms.items(), key=lambda kv: key(kv[0])))
+    """Terms of p in ascending canonical order, monomials decoded to
+    ((var, exp), ...) sorted by var: the same in every process."""
+    return tuple((tuple(sorted(m)), c) for m, c in reversed(p.ordered_terms()))
 
 
 _TRIG_ATOM_KINDS = frozenset({"z", "w", "wh", "x", "v"})
-_LINEAR_ATOM_KINDS = frozenset({"z", "w", "p", "x"})
 
 
 def _is_atom_shape(p: Poly) -> bool:
@@ -631,13 +655,11 @@ def _is_atom_shape(p: Poly) -> bool:
     z/w/wh/x/v (the two denominator shapes the formulas produce)."""
     if p.is_zero() or p.is_const():
         return False
-    if len(p.terms) <= 2 and all(
-        v[0] in _TRIG_ATOM_KINDS for m in p.terms for v, _ in m
-    ):
+    kinds = {VARS[k][0] for k in p._fields()}
+    if len(p.terms) <= 2 and kinds <= _TRIG_ATOM_KINDS:
         return True
-    return all(
-        mono_deg(m) <= 1 and all(v[0] in _LINEAR_ATOM_KINDS for v, _ in m)
-        for m in p.terms
+    return kinds <= LINEAR_ATOM_KINDS and all(
+        sum(e for _, e in unpacked(m)) <= 1 for m in p.terms
     )
 
 
@@ -664,20 +686,19 @@ def _peel_content(p: Poly) -> Tuple[Poly, Dict[Atom, int], Poly]:
     """Extract monomial content: unit factors to `unit`, non-unit single
     variables to monomial atoms, returning (unit, atoms, primitive)."""
     atoms: Dict[Atom, int] = {}
-    unit_mono: Monomial = _EMPTY_MONO
-    content: Monomial = _EMPTY_MONO
-    for v in p.variables():
-        lo = p.min_exp(v)
+    unit_mono = content = 0
+    for k, lo in _content(p).items():
+        v = VARS[k]
         if is_unit_var(v):
-            if lo:
-                unit_mono = mono_mul(unit_mono, ((v, lo),))
-                content = mono_mul(content, ((v, lo),))
+            unit_mono += lo << (FW * k)
         elif lo > 0:
             a = _monomial_atom(v)
             atoms[a] = atoms.get(a, 0) + lo
-            content = mono_mul(content, ((v, lo),))
-    residual = p * Poly.monomial(mono_pow(content, -1)) if content else p
-    return Poly.monomial(unit_mono), atoms, residual
+        else:
+            continue
+        content += lo << (FW * k)
+    residual = p * Poly({-content: Q1}) if content else p
+    return Poly({unit_mono: Q1}), atoms, residual
 
 
 def _monomial_atom(v: Var) -> Atom:
@@ -690,112 +711,13 @@ def _canonical_atom(p: Poly) -> Tuple[Atom, Poly]:
 
     Returns (atom, cofactor) with p = cofactor * atom.poly, the cofactor a
     scalar polynomial."""
-    _, lc = p.leading_term()
+    key = _atom_key(p)
+    lc = key[-1][1]  # of the leading term
     if lc != 1:
-        p = p * _qdiv(1, lc)
-    return Atom(p, _atom_key(p)), Poly.const(lc)
-
-
-# ---------------------------------------------------------------------------
-# exact modular rejection test for trial division by linear atoms
-
-_P61 = (1 << 61) - 1
-
-
-def _residue(u: Var) -> int:
-    """Fixed residue of u mod _P61, in [1, 2^32]: nonzero, so unit
-    variables are invertible there.  Taken from a CRC of repr(u), not
-    hash(), so it is the same in every process."""
-    return zlib.crc32(repr(u).encode()) + 1
-
-
-def _mod_p(c: Coeff) -> Optional[int]:
-    """c mod _P61, or None when its denominator is divisible by _P61."""
-    if c.__class__ is int:
-        return c % _P61
-    d = c.denominator % _P61
-    if not d:
-        return None
-    return c.numerator * pow(d, -1, _P61) % _P61
-
-
-def _linear_root(p: Poly):
-    """(v, r) for a linear form p = c*v + rest over z/w/p/x whose
-    coefficients are integral mod _P61, c a unit there: p vanishes mod
-    _P61 at v = r when every other variable u is set to _residue(u).
-    False when p is not of that shape."""
-    v = c = None
-    rest = 0
-    for m, cm in p.terms.items():
-        cm = _mod_p(cm)
-        if cm is None:
-            return False
-        if not m:
-            rest += cm
-            continue
-        if len(m) != 1:
-            return False
-        u, e = m[0]
-        if e != 1 or u[0] not in _LINEAR_ATOM_KINDS:
-            return False
-        if v is None and cm:
-            v, c = u, cm
-        else:
-            rest += cm * _residue(u)
-    if v is None:
-        return False
-    return v, -rest * pow(c, -1, _P61) % _P61
-
-
-def _cannot_divide(num: Poly, atom: Atom) -> bool:
-    """True only when the atom provably does not divide num.
-
-    The test applies to linear atoms a = c*v + rest (all rational-mode
-    atoms; _linear_root picks a variable v whose coefficient c is a unit
-    mod P = 2^61 - 1) and to numerators whose coefficients are integral
-    mod P.  Let R = Z_(P)[other variables, unit variables^-1].  Atoms have
-    leading coefficient 1, so a is primitive over the local ring Z_(P),
-    and it is monic in v up to the unit c.  By Gauss's lemma (here:
-    division by a polynomial monic in v), if num = q * a exactly then q
-    lies in R[v], i.e. q is P-integral.
-
-    Setting v = r (the zero of a mod P) and every other u to
-    _residue(u) (nonzero, so units map to units) is a ring map
-    R[v] -> F_P; it sends num to q(pt) * a(pt) = 0.  So a nonzero value
-    num(pt) is a certificate that a does not divide num.  When num has a
-    negative power of v, v must map to a unit too, so r = 0 (monomial
-    atoms such as z) decides nothing.  Neither does a zero value, a
-    non-linear (trig) atom or a coefficient whose denominator is
-    divisible by P; the caller then divides as before.  No verdict and
-    no reduced form can differ from plain trial division."""
-    root = atom._root
-    if root is None:
-        root = atom._root = _linear_root(atom.poly)
-    if not root:
-        return False
-    v, rv = root
-    res = {v: rv}  # residues of the variables seen in this call
-    total = 0
-    for m, c in num.terms.items():
-        if c.__class__ is not int:
-            c = _mod_p(c)
-            if c is None:
-                return False
-        # exact products of residues; one reduction mod P at the end
-        for u, e in m:
-            r = res.get(u)
-            if r is None:
-                r = res[u] = _residue(u)
-            if e == 1:
-                c *= r
-            elif e > 0:
-                c *= r ** e
-            elif r:
-                c *= pow(r, e, _P61)
-            else:
-                return False  # v^-k with v at 0: no ring map, no verdict
-        total += c
-    return total % _P61 != 0
+        inv = _qdiv(1, lc)
+        p = p * inv
+        key = tuple((m, _q(c * inv)) for m, c in key)
+    return Atom(p, key), Poly.const(lc)
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +746,7 @@ class RatFun:
             changed = False
             for a in list(den):
                 while den.get(a, 0) > 0:
-                    if _cannot_divide(num, a):
+                    if cannot_divide(num, a):
                         break
                     q = poly_div_exact(num, a.poly)
                     if q is None:
@@ -982,7 +904,7 @@ class RatFun:
     def shift_var(self, v: Var, c) -> "RatFun":
         return self._map(lambda p: p.shift_var(v, c))
 
-    def scale_var(self, v: Var, unit: Monomial, c=Q1) -> "RatFun":
+    def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]], c=Q1) -> "RatFun":
         return self._map(lambda p: p.scale_var(v, unit, c))
 
     def set_value(self, v: Var, value) -> "RatFun":
@@ -1113,9 +1035,9 @@ def _invert_unit(unit: Poly) -> Poly:
     if len(unit.terms) != 1:
         raise ValueError("not a unit")
     (m, c), = unit.terms.items()
-    if any(not is_unit_var(v) for v, _ in m):
+    if any(not is_unit_var(VARS[k]) for k, _ in unpacked(m)):
         raise ValueError("not a unit monomial")
-    return Poly.monomial(mono_pow(m, -1), _qdiv(1, c))
+    return Poly({-m: _qdiv(1, c)}, unit._eb)
 
 
 def _series_invert_ratfun(s, order):
@@ -1157,7 +1079,7 @@ def _eps_poly_series(p: Poly, hi: int, lm) -> "TruncSeries":
     coeffs: Dict[int, RatFun] = {}
     for m, c in p.terms.items():
         ell = _P_ZERO
-        for v, e in m:
+        for v, e in unpack_mono(m):
             ell = ell + lm(v) * e
         # c * exp(eps * ell) truncated
         term = Poly.const(c)
@@ -1294,10 +1216,15 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
 
 def _rational_roots(
     uni: Dict[int, Coeff],
-) -> Tuple[Optional[List[Fraction]], bool]:
+) -> Tuple[Optional[List[Coeff]], bool]:
     """(roots, complete): the rational roots (with repetition collapsed)
     of sum c_k v^k, None for the zero polynomial.  complete is False when
-    a coefficient is past DIVISOR_BOUND, so that roots may be missing."""
+    a coefficient is past DIVISOR_BOUND, so that roots may be missing.
+
+    A candidate a/b is tested by Horner's rule on the integer form
+    sum c_k a^k b^(deg-k).  Candidates with b = 1 are ints; they hash like
+    the equal Fractions, so the candidate set, and with it the order of
+    the roots, is the one a set of Fractions gives."""
     if not uni:
         return None, True
     lo = min(uni)
@@ -1314,21 +1241,33 @@ def _rational_roots(
     ad = ints[deg]
     if a0 == 0:
         roots, complete = _rational_roots({k - 1: c for k, c in ints.items() if k})
-        return [Fraction(0)] + roots, complete
+        return [0] + roots, complete
     num_divs, num_complete = _divisors(abs(a0))
     den_divs, den_complete = _divisors(abs(ad))
     cands = set()
     for pn in num_divs:
         for qd in den_divs:
-            cands.add(Fraction(pn, qd))
-            cands.add(Fraction(-pn, qd))
+            if qd == 1:
+                cands.add(pn)
+                cands.add(-pn)
+            else:
+                cands.add(Fraction(pn, qd))
+                cands.add(Fraction(-pn, qd))
+    dense = [ints.get(k, 0) for k in range(deg - 1, -1, -1)]
     out = []
     for rho in cands:
-        val = Q0
-        for k, c in ints.items():
-            val += c * rho ** k
+        a, b = (rho, 1) if rho.__class__ is int else (rho.numerator, rho.denominator)
+        val = ad
+        if b == 1:
+            for c in dense:
+                val = val * a + c
+        else:
+            bp = 1
+            for c in dense:
+                bp *= b
+                val = val * a + c * bp
         if val == 0:
-            out.append(rho)
+            out.append(_q(rho))
     return out, num_complete and den_complete
 
 

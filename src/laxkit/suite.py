@@ -781,7 +781,13 @@ def check_hamiltonians() -> CheckResult:
 # kernel property suites (criterion 14)
 
 
-def random_ratfun(rng: random.Random, mode: str = "rational") -> RatFun:
+def random_ratfun(
+    rng: random.Random, mode: str = "rational", sig: Optional[AlgebraSignature] = None
+) -> RatFun:
+    """A random rational function of the kernel property suites.  Given
+    a signature, slot variables outside it (and the atoms holding them)
+    are never drawn; when the signature holds every slot, the draws are
+    the ones made without it."""
     if mode == "rational":
         vars_ = [Z, p_var(1, 1), p_var(1, 2), p_var(2, 1), x_var("x1")]
         atoms = [
@@ -797,6 +803,12 @@ def random_ratfun(rng: random.Random, mode: str = "rational") -> RatFun:
             Poly.variable(Z) - Poly.variable(V, 3) * Poly.variable(wh_var(1, 1), 2),
             Poly.variable(Z) - Poly.variable(x_var("x1")),
         ]
+    if sig is not None:
+        def in_sig(v):
+            return v[0] not in ("p", "wh") or sig.has_slot(*v[1:])
+
+        vars_ = [v for v in vars_ if in_sig(v)]
+        atoms = [a for a in atoms if all(in_sig(v) for v in a.variables())]
     num = Poly.zero()
     for _ in range(rng.randint(1, 3)):
         mono = {}
@@ -817,7 +829,7 @@ def random_ratfun(rng: random.Random, mode: str = "rational") -> RatFun:
 def random_element(rng: random.Random, sig: AlgebraSignature) -> AlgebraElement:
     out = AlgebraElement.zero(sig)
     for _ in range(rng.randint(1, 2)):
-        coeff = random_ratfun(rng, sig.mode)
+        coeff = random_ratfun(rng, sig.mode, sig)
         m = rng.choice([-1, 0, 0, 1])
         i = rng.randint(1, sig.n - 1)
         r = rng.randint(1, max(sig.a(i), 1))

@@ -20,13 +20,11 @@ from typing import List, Tuple
 from .errors import ParseError
 from .ratfun import (
     EPS,
-    Monomial,
     Poly,
     RatFun,
     V,
     W,
     Z,
-    grlex_key,
     p_var,
     wh_var,
     x_var,
@@ -65,10 +63,8 @@ def render_var_power(v, e: int) -> str:
     return f"{base}^{e}"
 
 
-def _render_mono(m: Monomial) -> str:
-    from .ratfun import var_precedence
-
-    items = sorted(m, key=lambda ve: var_precedence(ve[0]))
+def _render_mono(items) -> str:
+    """items: ((var, exp), ...) in var_precedence order."""
     return "*".join(render_var_power(v, e) for v, e in items)
 
 
@@ -80,8 +76,7 @@ def render_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts: List[str] = []
-    for m in sorted(p.terms, key=grlex_key(p.variables()), reverse=True):
-        c = p.terms[m]
+    for m, c in p.ordered_terms():
         neg = c < 0
         c_abs = -c if neg else c
         if not m:
@@ -406,11 +401,7 @@ def _parse_shift_indices(tok: _Tok, signature):
 
 
 def _check_slot(signature, what: str, slot: int, i: int, r: int) -> None:
-    if not (
-        1 <= slot <= signature.tensor_factors
-        and 1 <= i < signature.n
-        and 1 <= r <= signature.a(i, slot)
-    ):
+    if not signature.has_slot(slot, i, r):
         raise ParseError(f"{what} [{slot};{i},{r}] is not in the signature")
 
 
@@ -567,19 +558,13 @@ def latex_var_power(v, e: int) -> str:
 
 
 def latex_poly(p: Poly) -> str:
-    from .ratfun import var_precedence
-
     if p.is_zero():
         return "0"
     parts = []
-    for m in sorted(p.terms, key=grlex_key(p.variables()), reverse=True):
-        c = p.terms[m]
+    for m, c in p.ordered_terms():
         neg = c < 0
         c_abs = -c if neg else c
-        mono = " ".join(
-            latex_var_power(v, e)
-            for v, e in sorted(m, key=lambda ve: var_precedence(ve[0]))
-        )
+        mono = " ".join(latex_var_power(v, e) for v, e in m)
         if not m:
             body = _latex_frac(c_abs)
         elif c_abs == 1:

@@ -15,15 +15,14 @@ from laxkit.ratfun import (
     W,
     Z,
     _atom_key,
-    grlex_key,
     is_unit_var,
     p_var,
     poly_div_exact,
     series_expand,
-    var_precedence,
     wh_var,
     x_var,
 )
+from laxkit.monomials import HALF, pack_mono, unpack_mono, var_precedence
 from laxkit.textio import latex_poly, render_poly
 
 z = RatFun.variable(Z)
@@ -233,7 +232,7 @@ def test_poly_coeffs_requires_clean_denominator():
 
 
 # ---------------------------------------------------------------------------
-# term order: the kernel's dense grlex key against a pairwise comparator
+# term order: the kernel's grlex key against a pairwise comparator
 
 
 def _oracle_cmp(a, b):
@@ -283,19 +282,26 @@ def _random_laurent_poly(rng, coeffs):
     terms = {}
     for _ in range(rng.randint(1, 6)):
         terms[_random_mono(rng)] = Fraction(rng.choice(coeffs))
-    return Poly(terms)
+    return Poly({pack_mono(m): c for m, c in terms.items()})
+
+
+def _decoded_terms(p):
+    """p's terms keyed by ((var, exp), ...) monomials."""
+    return {unpack_mono(m): c for m, c in p.terms.items()}
 
 
 def test_term_order_matches_pairwise_oracle():
     rng = random.Random(31)
     for _ in range(300):
         p = _random_laurent_poly(rng, [-3, -1, 1, 2, Fraction(1, 2)])
-        desc = sorted(p.terms, key=_ORACLE_KEY, reverse=True)
-        assert p.leading_term() == (desc[0], p.terms[desc[0]])
-        assert _atom_key(p) == tuple((m, p.terms[m]) for m in reversed(desc))
-        monos = [_random_mono(rng) for _ in range(8)]
-        key = grlex_key({v for m in monos for v, _ in m})
-        assert sorted(set(monos), key=key) == sorted(set(monos), key=_ORACLE_KEY)
+        terms = _decoded_terms(p)
+        desc = sorted(terms, key=_ORACLE_KEY, reverse=True)
+        lead, lc = p.ordered_terms()[0]
+        assert (tuple(sorted(lead)), lc) == (desc[0], terms[desc[0]])
+        assert _atom_key(p) == tuple((m, terms[m]) for m in reversed(desc))
+        monos = set(_random_mono(rng) for _ in range(8))
+        ranked = Poly({pack_mono(m): 1 for m in monos}).ordered_terms()
+        assert [tuple(sorted(m)) for m, _ in reversed(ranked)] == sorted(monos, key=_ORACLE_KEY)
 
 
 def test_rendered_term_order_matches_pairwise_oracle():
@@ -303,8 +309,9 @@ def test_rendered_term_order_matches_pairwise_oracle():
     rng = random.Random(32)
     for _ in range(200):
         p = _random_laurent_poly(rng, [1, 2, Fraction(3, 2)])
-        desc = sorted(p.terms, key=_ORACLE_KEY, reverse=True)
-        single = [Poly({m: p.terms[m]}) for m in desc]
+        terms = _decoded_terms(p)
+        desc = sorted(terms, key=_ORACLE_KEY, reverse=True)
+        single = [Poly.monomial(m, terms[m]) for m in desc]
         assert render_poly(p) == " + ".join(render_poly(s) for s in single)
         assert latex_poly(p) == " +".join(latex_poly(s) for s in single)
 
@@ -315,15 +322,28 @@ def test_rendered_term_order_matches_pairwise_oracle():
 _DIV_VARS = [Z, x_var("x1"), p_var(1, 1), V, wh_var(1, 1)]
 
 
-def _sympy_expr(sympy, p):
-    syms = {v: sympy.Symbol("_".join(map(str, v))) for v in _DIV_VARS}
-    return sympy.Add(
-        *(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(syms[v] ** e for v, e in m))
-            for m, c in p.terms.items()
+def _sympy_of(sympy, f):
+    """A Poly or RatFun as a sympy expression, one symbol per variable."""
+
+    def sym(v):
+        return sympy.Symbol("_".join(map(str, v)))
+
+    def poly(p):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(sym(v) ** e for v, e in unpack_mono(m)))
+                for m, c in p.terms.items()
+            )
         )
-    ), [syms[v] for v in _DIV_VARS]
+
+    if isinstance(f, Poly):
+        return poly(f)
+    return poly(f.num) / sympy.Mul(*(poly(a.poly) ** m for a, m in f.den.items()))
+
+
+def _sympy_expr(sympy, p):
+    return _sympy_of(sympy, p), [sympy.Symbol("_".join(map(str, v))) for v in _DIV_VARS]
 
 
 def _clear_units(p, drop_content):
@@ -356,7 +376,7 @@ def _random_div_poly(rng, terms):
             if e:
                 mono[v] = e
         c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
-        out[tuple(sorted(mono.items()))] = c
+        out[pack_mono(mono.items())] = c
     return Poly(out)
 
 
@@ -379,7 +399,9 @@ def test_exact_division_matches_sympy():
         if q is not None:
             hits += 1
             assert q * g == h
-            assert all(e >= 0 or is_unit_var(v) for m in q.terms for v, e in m)
+            assert all(
+                e >= 0 or is_unit_var(v) for m in q.terms for v, e in unpack_mono(m)
+            )
         else:
             misses += 1
     assert hits and misses > 50
@@ -499,7 +521,7 @@ def test_factoring_past_the_divisor_bound_raises():
     # two rational roots above 10^5: the constant term is past the bound
     zp = Poly.variable(Z)
     p = (zp - 100003) * (zp - 100019)
-    assert p.terms[()] > DIVISOR_BOUND
+    assert p.coeff_of(Z, 0).const_value() > DIVISOR_BOUND
     with pytest.raises(NotAtomFactorable, match="factoring bound"):
         factor_atoms(p)
     # below the bound the same shape factors
@@ -543,7 +565,7 @@ def _random_linear_atom(rng, coeffs):
 
 
 def test_rejection_never_fires_on_multiples():
-    from laxkit.ratfun import _cannot_divide
+    from laxkit.rejection import cannot_divide as _cannot_divide
 
     rng = random.Random(53)
     coeffs = [-2, -1, 1, 3, Fraction(1, 2), Fraction(-7, 3)]
@@ -561,7 +583,8 @@ def test_rejection_never_fires_on_multiples():
 
 
 def test_rejection_falls_through_on_denominators_divisible_by_p():
-    from laxkit.ratfun import _P61, _cannot_divide, _canonical_atom
+    from laxkit.ratfun import _canonical_atom
+    from laxkit.rejection import P61 as _P61, cannot_divide as _cannot_divide
 
     atom = _canonical_atom(Poly.variable(Z) - Poly.variable(x_var("x1")))[0]
     f = Poly.variable(p_var(1, 1)) + Poly.const(Fraction(1, _P61))
@@ -580,7 +603,7 @@ def test_rejection_falls_through_on_denominators_divisible_by_p():
 
 
 def test_rejection_is_not_applied_to_trig_atoms():
-    from laxkit.ratfun import _cannot_divide
+    from laxkit.rejection import cannot_divide as _cannot_divide
 
     w11 = RatFun.variable(wh_var(1, 1), 2)
     w12 = RatFun.variable(wh_var(1, 2), 2)
@@ -601,7 +624,7 @@ def test_rejection_is_not_applied_to_trig_atoms():
 def test_negative_power_of_a_monomial_atom_variable():
     # the atom z has its zero at z = 0, where z^-1 has no value: no
     # verdict, so the value stays as plain division leaves it
-    from laxkit.ratfun import _cannot_divide
+    from laxkit.rejection import cannot_divide as _cannot_divide
     from laxkit.textio import parse_poly, parse_ratfun, render_ratfun
 
     r = RatFun.from_poly(parse_poly("z^-1")) * RatFun.variable(Z, -1)
@@ -610,3 +633,223 @@ def test_negative_power_of_a_monomial_atom_variable():
     (atom,) = r.den
     assert not _cannot_divide(parse_poly("z^-1 + x[a]"), atom)
     assert _cannot_divide(parse_poly("z + x[a]"), atom)
+
+
+# ---------------------------------------------------------------------------
+# rational roots: int candidates and Horner evaluation
+
+
+def _fraction_roots(uni):
+    """The root search as it was with Fraction candidates and powers: the
+    reference for the values and the order of the roots."""
+    lo = min(uni)
+    uni = {k - lo: c for k, c in uni.items()}
+    deg = max(uni)
+    if deg == 0:
+        return []
+    lcm = 1
+    for c in uni.values():
+        d = Fraction(c).denominator
+        lcm = lcm * d // __import__("math").gcd(lcm, d)
+    ints = {k: int(c * lcm) for k, c in uni.items()}
+    if ints.get(0, 0) == 0:
+        return [Fraction(0)] + _fraction_roots({k - 1: c for k, c in ints.items() if k})
+    from laxkit.ratfun import _divisors
+
+    cands = set()
+    for pn in _divisors(abs(ints[0]))[0]:
+        for qd in _divisors(abs(ints[deg]))[0]:
+            cands.add(Fraction(pn, qd))
+            cands.add(Fraction(-pn, qd))
+    return [rho for rho in cands if sum(c * rho ** k for k, c in ints.items()) == 0]
+
+
+def test_rational_roots_match_fraction_candidates():
+    from laxkit.ratfun import _rational_roots
+
+    rng = random.Random(61)
+    for _ in range(300):
+        coeffs = {0: Fraction(rng.choice([1, -2, 3, Fraction(5, 2)]))}
+        for _ in range(rng.randint(1, 4)):
+            pn, qd = rng.randint(-9, 9), rng.randint(1, 4)
+            # times (qd*v - pn)
+            nxt = {}
+            for k, c in coeffs.items():
+                nxt[k + 1] = nxt.get(k + 1, 0) + c * qd
+                nxt[k] = nxt.get(k, 0) - c * pn
+            coeffs = nxt
+        if rng.random() < 0.3:
+            coeffs[0] = coeffs.get(0, 0) + rng.randint(1, 5)
+        uni = {k + rng.randint(0, 1): c for k, c in coeffs.items() if c}
+        if not uni:
+            continue
+        roots, complete = _rational_roots(uni)
+        assert complete
+        want = _fraction_roots(uni)
+        assert roots == want
+        assert all(type(r) is int or r.denominator != 1 for r in roots)
+
+
+def test_factor_atoms_root_order_is_pinned():
+    # atoms come out in the order of the candidate set of Fractions the
+    # roots were always drawn from
+    from laxkit.ratfun import factor_atoms
+
+    p = Poly.const(1)
+    for k in range(1, 8):
+        p = p * (Poly.variable(Z) - Poly.variable(x_var(f"x{k}")))
+    unit, atoms = factor_atoms(p)
+    assert unit == Poly.const(1)
+    assert [(render_poly(a.poly), m) for a, m in atoms.items()] == [
+        (f"z - x[x{k}]", 1) for k in (2, 7, 3, 6, 4, 1, 5)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: field overflow, Laurent round trips, index order
+
+
+def test_exponent_overflow_raises():
+    with pytest.raises(OverflowError):
+        Poly.variable(Z, HALF)
+    with pytest.raises(OverflowError):
+        Poly.monomial(((V, -HALF),))
+    big = Poly.variable(Z, HALF // 2 + 1)
+    with pytest.raises(OverflowError):
+        big * big
+    unit = Poly.variable(V, -(HALF - 1))
+    with pytest.raises(OverflowError):
+        unit * Poly.variable(V, -1)
+    # the largest exponents that fit
+    h = HALF // 2
+    assert (Poly.variable(Z, h) * Poly.variable(Z, h - 1)).degree(Z) == HALF - 1
+    assert (Poly.variable(V, -h) * Poly.variable(V, 1 - h)).min_exp(V) == 1 - HALF
+    with pytest.raises(OverflowError):
+        big.scale_var(Z, ((V, 1),))
+    # the quotient v^-(2h + 2) * z does not fit
+    with pytest.raises(OverflowError):
+        poly_div_exact(Poly.variable(V, -(h + 1)) * Poly.variable(Z), Poly.variable(V, h + 1))
+
+
+def test_loose_exponent_bound_is_tightened_not_raised():
+    one = Poly.variable(V, HALF // 4) * Poly.variable(V, -(HALF // 4))
+    assert one == Poly.const(1)
+    # the cached bound of `one` is loose; the product recomputes it
+    assert one * one * Poly.variable(V, HALF - 1) == Poly.variable(V, HALF - 1)
+
+
+def test_laurent_exponents_round_trip_through_text():
+    from laxkit.textio import latex_poly, parse_poly
+
+    w = wh_var(1, 2)
+    for text in (
+        "v^-3", "wh[1,2]^-5", "v^7*w[1,2]^-2", "-2*x[a]*wh[1,1]^3 + z*v^-1",
+        f"v^-{HALF - 1}", f"z^{HALF - 1}*w[2,1]^-4",
+    ):
+        p = parse_poly(text)
+        assert render_poly(p) == text
+        assert parse_poly(render_poly(p)) == p
+        assert latex_poly(p)
+    p = Poly.monomial(((V, -2), (w, -3)), 4) + Poly.monomial(((w, 6),), -1)
+    assert render_poly(p) == "-w[1,2]^3 + 4*v^-2*wh[1,2]^-3"
+    assert parse_poly(render_poly(p)) == p
+
+
+_FILL_INDEX_REVERSED = """
+import sys
+from laxkit import monomials
+from laxkit.cli import main
+order = sorted({variables!r}, key=monomials.var_precedence, reverse=True)
+for v in order:
+    monomials.pack_mono([(v, 1)])
+assert monomials.VARS[:len(order)] == order, monomials.VARS
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_build_output_independent_of_variable_index_order(tmp_path):
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import laxkit
+    from laxkit.suite import block_example_divisor, trig_n3_divisor
+    from laxkit.textio import matrix_from_json
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(laxkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for name, div in (("block", block_example_divisor()), ("trig3", trig_n3_divisor())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(div.to_json()))
+        outputs = []
+        for fill in (False, True):
+            out = tmp_path / f"{name}-{fill}.json"
+            argv = ["build", "--divisor", str(path), "--out", str(out), "--quiet"]
+            if fill:
+                # every variable of the matrix and of the checks, assigned
+                # fields in reverse canonical order before anything runs
+                variables = {Z, W, V, EPS}
+                mat = matrix_from_json(json.loads(outputs[0]))
+                for row in mat.entries:
+                    for elem in row:
+                        for c in elem.terms.values():
+                            variables |= c.num.variables()
+                            for a in c.den:
+                                variables |= a.poly.variables()
+                code = _FILL_INDEX_REVERSED.format(variables=sorted(variables))
+                cmd = [sys.executable, "-c", code] + argv
+            else:
+                cmd = [sys.executable, "-m", "laxkit.cli"] + argv
+            subprocess.run(cmd, env=env, check=True, timeout=120)
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+
+
+# ---------------------------------------------------------------------------
+# sympy oracles for factor_atoms and limit_leading
+
+
+def test_factor_atoms_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from laxkit.ratfun import factor_atoms
+
+    rng = random.Random(62)
+    lin_vars = [Z, W, x_var("x1"), x_var("x2"), p_var(1, 1), p_var(2, 1)]
+    for _ in range(40):
+        p = Poly.const(rng.choice([1, -3, Fraction(2, 5)]))
+        for _ in range(rng.randint(1, 4)):
+            form = Poly.const(rng.randint(-4, 4))
+            for v in rng.sample(lin_vars, rng.randint(1, 3)):
+                form = form + Poly.variable(v) * rng.choice([-2, -1, 1, 3])
+            p = p * form
+        unit, atoms = factor_atoms(p)
+        product = _sympy_of(sympy, unit) * sympy.Mul(
+            *(_sympy_of(sympy, a.poly) ** m for a, m in atoms.items())
+        )
+        assert sympy.expand(product - _sympy_of(sympy, p)) == 0
+        for a in atoms:
+            assert sympy.Poly(_sympy_of(sympy, a.poly)).total_degree() == 1
+
+
+def test_limit_leading_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from laxkit.suite import random_ratfun
+
+    rng = random.Random(63)
+    checked = 0
+    for idx in range(120):
+        f = random_ratfun(rng, "rational")
+        v = rng.choice([Z, p_var(1, 1), p_var(2, 1), x_var("x1")])
+        s = sympy.Symbol("_".join(map(str, v)))
+        num, den = sympy.fraction(sympy.cancel(sympy.together(_sympy_of(sympy, f))))
+        dn, dd = sympy.degree(num, s), sympy.degree(den, s)
+        if dn > dd:
+            with pytest.raises(DivergesAtInfinity):
+                f.limit_leading(v)
+            continue
+        want = 0 if dn < dd else sympy.LC(sympy.Poly(num, s)) / sympy.LC(sympy.Poly(den, s))
+        got = _sympy_of(sympy, f.limit_leading(v))
+        assert sympy.simplify(got - want) == 0, (f, v)
+        checked += 1
+    assert checked > 50
