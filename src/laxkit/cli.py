@@ -209,7 +209,7 @@ def cmd_degenerate(args, out) -> int:
     if div.mode != "trig":
         out.write("degeneration starts from a trig divisor\n")
         return EXIT_USAGE
-    mat = degenerate_to_rational(build_lax_trig(div), order=args.order)
+    mat = degenerate_to_rational(build_lax_trig(div))
     _emit_outputs(mat, args, out)
     return EXIT_OK
 
@@ -318,7 +318,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degenerate", help="trig-to-rational degeneration")
     p.add_argument("--divisor", required=True)
-    p.add_argument("--order", type=int, default=2)
     add_output_flags(p)
     p.set_defaults(fn=cmd_degenerate)
 

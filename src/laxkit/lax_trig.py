@@ -385,9 +385,14 @@ def split_finite_rtt(T: LaxMatrix):
 # degeneration to the rational case
 
 
-def degenerate_to_rational(T: LaxMatrix, order: int = 2) -> LaxMatrix:
+def degenerate_to_rational(T: LaxMatrix) -> LaxMatrix:
     """Expand in the deformation parameter and match the rational builder
-    on the merged divisor; returns the rational matrix."""
+    on the merged divisor; returns the rational matrix.
+
+    A term coeff * shift of entry (a, b) lands on eps^(k + extra - d_b),
+    so its coefficient is expanded exactly through eps^(d_b - extra): the
+    power that lands on eps^0.  Every negative power is inside that
+    window, and no power above eps^0 is computed."""
     div = T.divisor
     merged = div.merge_framings_at_infinity()
     rat = build_lax(merged)
@@ -405,7 +410,6 @@ def degenerate_to_rational(T: LaxMatrix, order: int = 2) -> LaxMatrix:
         for b in range(n):
             series = TruncSeries({}, None, AlgebraElement.zero(rat_sig))
             for shift, coeff in T.entries[a][b].terms.items():
-                cs = coeff.eps_series(order)
                 sign = 1
                 extra = 0
                 new_exps = {}
@@ -413,6 +417,7 @@ def degenerate_to_rational(T: LaxMatrix, order: int = 2) -> LaxMatrix:
                     sign *= (-1) ** (m % 2)
                     extra += m * s_exp(i)
                     new_exps[(f, i, r)] = -m
+                cs = coeff.eps_series(d_total.d[b] - extra)
                 new_shift = ShiftMonomial(new_exps)
                 term = TruncSeries(
                     {

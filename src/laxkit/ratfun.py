@@ -895,7 +895,11 @@ class RatFun:
         num = poly_fn(self.num)
         den: Dict[Atom, int] = {}
         for a, m in self.den.items():
-            unit, atoms = normalize_factor(poly_fn(a.poly))
+            p = poly_fn(a.poly)
+            if p is a.poly:  # the substitution left this atom alone
+                den[a] = den.get(a, 0) + m
+                continue
+            unit, atoms = normalize_factor(p)
             num = num * _invert_unit(unit) ** m
             for na, nm in atoms.items():
                 den[na] = den.get(na, 0) + nm * m
@@ -983,7 +987,7 @@ class RatFun:
         hi = val_total + order - 1
         out = num_s
         for s, m in factors:
-            inv = _series_invert_ratfun(s, hi + abs(s.val()) * m + order)
+            inv = s.inverse(hi + abs(s.val()) * m + order, RatFun.invert)
             for _ in range(m):
                 out = out * inv
         return out.truncate(hi)
@@ -992,23 +996,28 @@ class RatFun:
         """Exponential degeneration: substitute every trig variable u by
         exp(eps * l(u)) with l the default linear map (z -> z, x -> x,
         v -> 1/2, wh[t,i,r] -> (p[t,i,r] - i/2)/2, w -> w) and expand as a
-        Laurent series in eps with rational-mode RatFun coefficients."""
+        Laurent series in eps with rational-mode RatFun coefficients,
+        exact through eps^order."""
         from .series import TruncSeries
 
         if self.is_zero():
             return TruncSeries({}, None, _R_ZERO)
         lm = lmap or default_eps_linear_map
-        # atom series have valuation 0 or 1, so a fixed pad of 6 leaves
-        # every intermediate window at least `order`; coeff() would raise
-        # if a window ever fell short
-        hi = order
-        out = _eps_poly_series(self.num, hi + 4, lm)
+        # an atom whose coefficients sum to 0 vanishes at eps = 0; each
+        # such factor, of valuation 1, lowers the product's window by one,
+        # so every window is padded by their multiplicity (a polynomial
+        # pays nothing) and reaches eps^0 at least, whatever the order.
+        # A higher valuation leaves the tracked window short of `order`,
+        # and coeff() then raises rather than answer wrongly.
+        val1 = {a: not sum(a.poly.terms.values()) for a in self.den}
+        hi = max(order + sum(m for a, m in self.den.items() if val1[a]), 0)
+        out = _eps_poly_series(self.num, hi, lm)
         for a, m in self.den.items():
-            s = _eps_poly_series(a.poly, hi + 6, lm)
-            inv = _series_invert_ratfun(s, hi + 4)
+            s = _eps_poly_series(a.poly, hi + 2 * val1[a], lm)
+            inv = s.inverse(hi, RatFun.invert)
             for _ in range(m):
                 out = out * inv
-        return out.truncate(hi)
+        return out.truncate(order)
 
     def __repr__(self):
         from .textio import render_ratfun
@@ -1038,10 +1047,6 @@ def _invert_unit(unit: Poly) -> Poly:
     if any(not is_unit_var(VARS[k]) for k, _ in unpacked(m)):
         raise ValueError("not a unit monomial")
     return Poly({-m: _qdiv(1, c)}, unit._eb)
-
-
-def _series_invert_ratfun(s, order):
-    return s.inverse(order, lambda c: c.invert())
 
 
 def series_expand(f: RatFun, direction: str, order: int) -> "TruncSeries":
@@ -1074,28 +1079,21 @@ def default_eps_linear_map(v: Var) -> Poly:
 
 
 def _eps_poly_series(p: Poly, hi: int, lm) -> "TruncSeries":
+    """p with every variable u -> exp(eps * lm(u)), through eps^hi."""
     from .series import TruncSeries
 
-    coeffs: Dict[int, RatFun] = {}
+    coeffs = [_P_ZERO] * (hi + 1)
     for m, c in p.terms.items():
         ell = _P_ZERO
         for v, e in unpack_mono(m):
             ell = ell + lm(v) * e
-        # c * exp(eps * ell) truncated
+        # c * exp(eps * ell) = sum_k c * ell^k / k! * eps^k
         term = Poly.const(c)
-        fact = Q1
-        power = _P_ONE
-        for k in range(0, max(hi, 0) + 1):
+        for k in range(hi + 1):
             if k:
-                power = power * ell
-                fact = fact * k
-            add = term * power * _qdiv(1, fact)
-            cur = coeffs.get(k, _R_ZERO) + RatFun.from_poly(add)
-            if cur.is_zero():
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = cur
-    return TruncSeries(coeffs, hi, _R_ZERO)
+                term = term * ell * _qdiv(1, k)
+            coeffs[k] = coeffs[k] + term
+    return TruncSeries(dict(enumerate(map(RatFun.from_poly, coeffs))), hi, _R_ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -732,7 +732,7 @@ def check_coproduct() -> CheckResult:
 def check_degeneration() -> CheckResult:
     def run():
         for k in range(1, 7):
-            degenerate_to_rational(build_lax_trig(trig_case_divisor(k)), order=2)
+            degenerate_to_rational(build_lax_trig(trig_case_divisor(k)))
         return True, ""
 
     return _timed("trigonometric-to-rational degeneration", run)

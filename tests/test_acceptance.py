@@ -83,7 +83,7 @@ def test_criterion_10_coproduct():
 
 def test_criterion_11_degeneration():
     """All six trig matrices degenerate to the rational builder's output
-    on the merged divisor with no negative deformation powers (order 2)."""
+    on the merged divisor with no negative deformation powers."""
     _run(suite.check_degeneration)
 
 

@@ -8,8 +8,11 @@ import sys
 import pytest
 
 import laxkit
+from laxkit.algebra import mat_equal
 from laxkit.cli import main
-from laxkit.suite import block_example_divisor, trig_n3_divisor
+from laxkit.lax_rational import build_lax
+from laxkit.suite import block_example_divisor, trig_case_divisor, trig_n3_divisor
+from laxkit.textio import matrix_from_json
 
 TODA = {
     "n": 2,
@@ -118,6 +121,17 @@ def test_limit_and_degenerate(tmp_path, capsys):
     assert main(["degenerate", "--divisor", trig]) == 0
     out = capsys.readouterr().out
     assert "z - p[1,1]" in out
+
+
+def test_degenerate_writes_the_rational_matrix(tmp_path):
+    for k in range(1, 7):
+        div = trig_case_divisor(k)
+        path = _write(tmp_path, f"trig{k}.json", div.to_json())
+        out = tmp_path / f"rational{k}.json"
+        assert main(["degenerate", "--divisor", path, "--out", str(out), "--quiet"]) == 0
+        got = matrix_from_json(json.loads(out.read_text(encoding="utf-8")))
+        want = build_lax(div.merge_framings_at_infinity())
+        assert mat_equal(got.entries, want.entries), k
 
 
 def test_limit_without_finite_point_is_usage_error(tmp_path, capsys):
@@ -250,6 +264,9 @@ MALFORMED = {
     "coproduct-mixed-modes": ({"r": TODA, "t": TRIG1},
                               ["coproduct", "--divisor", "{r}", "--divisor", "{t}"]),
     "divisor-is-directory": ({}, ["build", "--divisor", "{tmp}"]),
+    # the eps window is exact, so degenerate takes no expansion order
+    "degenerate-order-flag": ({"t": TRIG1},
+                              ["degenerate", "--divisor", "{t}", "--order", "2"]),
 }
 
 

@@ -151,7 +151,7 @@ def test_split_rejects_nonlinear():
 def test_degeneration_all_six_cases():
     for k in range(1, 7):
         div = trig_case_divisor(k)
-        rat = degenerate_to_rational(build_lax_trig(div), order=2)
+        rat = degenerate_to_rational(build_lax_trig(div))
         want = build_lax(div.merge_framings_at_infinity())
         assert mat_equal(rat.entries, want.entries), k
 
@@ -166,7 +166,7 @@ def test_degeneration_detects_corruption():
     broken[0][0] = broken[0][0] + AlgebraElement.one(sig)
     bad = TrigLaxMatrix(sig, div, broken)
     with pytest.raises((MismatchWithRational, NegativeEpsPower)):
-        degenerate_to_rational(bad, order=2)
+        degenerate_to_rational(bad)
 
 
 def test_entry_expansions_agree_with_rational_forms():

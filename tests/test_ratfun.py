@@ -103,6 +103,20 @@ def test_shift_is_ring_automorphism():
         assert sh(sh(a, m), m2).equals(sh(a, m + m2))
 
 
+def test_substitution_keeps_atoms_it_leaves_alone():
+    # p[2,1] occurs only in the numerator: both atoms come back as the
+    # very same objects, and the result is the shifted function
+    p21 = RatFun.variable(p_var(2, 1))
+    f = (z + p21) * ((z - x1) * (p11 - p12)).invert()
+    g = f.shift_slot("rational", 1, 2, 1, 1)
+    assert {id(a) for a in g.den} == {id(a) for a in f.den}
+    assert g.equals((z + p21 + 1) * ((z - x1) * (p11 - p12)).invert())
+    w11 = RatFun.variable(wh_var(1, 1), 2)
+    t = (w11 - RatFun.variable(V) * z).invert()
+    u = t.shift_slot("trig", 1, 1, 2, 1)  # wh[1,2] does not occur in t
+    assert {id(a) for a in u.den} == {id(a) for a in t.den} and u.equals(t)
+
+
 def test_geometric_series():
     f = (1 - x1 / z).invert()
     s = f.series("z_inf", 3)
@@ -132,6 +146,18 @@ def test_eps_expansion_first_order():
     assert s.val() == -1
     expected = (p11 - p12 - Fraction(1, 2)).invert()
     assert s.coeff(-1).equals(expected)
+
+
+def test_eps_window_holds_for_high_pole_orders():
+    # v^2 - 1 -> e^eps - 1 has valuation 1, so 1/(v^2 - 1)^k has a pole of
+    # order k; the windows must be padded by k, not by a fixed amount
+    order = 2
+    atom = RatFun.variable(V) ** 2 - 1
+    for k in range(1, 8):
+        s = (atom.invert() ** k).eps_series(order)
+        assert s.val() == -k, k
+        assert s.hi >= order, k
+        assert s.coeff(-k).equals(1), k
 
 
 def test_series_recombination_is_faithful():
@@ -442,6 +468,54 @@ def _coeffs(f):
 def _assert_canonical(f):
     for c in _coeffs(f):
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (f, c)
+
+
+def test_eps_series_matches_sympy():
+    # every trig variable u -> exp(eps * l(u)) in sympy, each exponential
+    # cut after its eps^(n-1) term, which is all the recurrence reads
+    # (powers up to order + twice the pole order); the Laurent
+    # coefficients c_k of num/den then follow from
+    # num_j = sum_k c_k den_(j-k), solved power by power
+    sympy = pytest.importorskip("sympy")
+    from laxkit.ratfun import default_eps_linear_map
+    from laxkit.suite import random_ratfun
+
+    eps, t = sympy.symbols("eps t")
+    exps = {}
+
+    def substituted(p, n):
+        if n not in exps:
+            exps[n] = sympy.exp(t).series(t, 0, n).removeO()
+        out = sympy.Integer(0)
+        for m, c in p.terms.items():
+            ell = sum((_sympy_of(sympy, default_eps_linear_map(v)) * e
+                       for v, e in unpack_mono(m)), sympy.Integer(0))
+            out += sympy.Rational(c.numerator, c.denominator) * exps[n].subs(t, eps * ell)
+        return sympy.expand(out)
+
+    rng = random.Random(17)
+    poles = set()
+    for case in range(9):
+        f = random_ratfun(rng, "trig")
+        order = case % 3
+        got = f.eps_series(order)
+        n = order + 2 * sum(f.den.values()) + 1
+        den = sympy.Integer(1)
+        for a, m in f.den.items():
+            den *= substituted(a.poly, n) ** m
+        den = sympy.expand(den)
+        dc = [den.coeff(eps, i) for i in range(n)]
+        num = substituted(f.num, n)
+        nc = [num.coeff(eps, j) for j in range(n)]
+        v = next(i for i in range(n) if dc[i] != 0)
+        poles.add(v)
+        assert got.val() is None or got.val() >= -v
+        want = {}
+        for k in range(-v, order + 1):
+            rest = nc[k + v] - sum(want[i] * dc[k + v - i] for i in range(-v, k))
+            want[k] = sympy.cancel(rest / dc[v])
+            assert sympy.cancel(_sympy_of(sympy, got.coeff(k)) - want[k]) == 0, (case, k)
+    assert poles >= {0, 1, 2}  # polynomials and simple and double poles
 
 
 def test_coefficients_are_ints_when_integral():
