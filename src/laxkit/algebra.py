@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import NonIntegerShift, NotScalar, SignatureMismatch
-from .ratfun import Poly, RatFun, as_ratfun, p_var, wh_var
+from .ratfun import (Poly, RatFun, as_ratfun, den_product, p_var, slot_map, substitute,
+                     wh_var)
 
 
 @dataclass(frozen=True)
@@ -193,20 +194,10 @@ class AlgebraElement:
             return AlgebraElement(
                 self.signature, {s: cc * c for s, cc in self.terms.items()}
             )
-        other = self._coerce(other)
-        sig = self.signature
-        out: Dict[ShiftMonomial, RatFun] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                c2s = c2
-                for (factor, i, r), m in s1.exps.items():
-                    step = -m if sig.mode == "rational" else m
-                    c2s = c2s.shift_slot(sig.mode, factor, i, r, step)
-                s = s1 * s2
-                c = c1 * c2s
-                cur = out.get(s)
-                out[s] = c if cur is None else cur + c
-        return AlgebraElement(sig, out)
+        prod = unreduced_product(self, self._coerce(other))
+        zero = RatFun.zero()
+        terms = {s: sum((RatFun._make(*f) for f in fr), zero) for s, fr in prod.items()}
+        return AlgebraElement(self.signature, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RatFun)):
@@ -240,7 +231,9 @@ class AlgebraElement:
     # -- equality
 
     def equals(self, other) -> bool:
-        return (self - self._coerce(other)).is_zero()
+        other, zero = self._coerce(other), RatFun.zero()
+        return all(self.terms.get(s, zero).equals(other.terms.get(s, zero))
+                   for s in {**self.terms, **other.terms})
 
     __eq__ = equals
 
@@ -283,6 +276,22 @@ class AlgebraElement:
         from .textio import render_element
 
         return f"AlgebraElement({render_element(self)})"
+
+
+def unreduced_product(x: AlgebraElement, y: AlgebraElement) -> Dict[ShiftMonomial, list]:
+    """x * y, nothing cancelled: shift monomial -> fractions summing to its
+    coefficient (y's moved by ratfun.substitute, numerators multiplied)."""
+    mode = x.signature.mode
+    out: Dict[ShiftMonomial, list] = {}
+    for s1, c1 in x.terms.items():
+        maps = [slot_map(mode, f, i, r, -m if mode == "rational" else m)
+                for (f, i, r), m in s1.exps.items()]
+        for s2, c2 in y.terms.items():
+            num, den = c2.num, c2.den
+            for fn in maps:
+                num, den = substitute(num, den, fn)
+            out.setdefault(s1 * s2, []).append((c1.num * num, den_product(c1.den, den)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +468,4 @@ def mat_map(a, fn):
 
 
 def mat_equal(a, b) -> bool:
-    return all(
-        (x - y).is_zero() for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
+    return all(x.equals(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))

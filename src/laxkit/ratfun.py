@@ -70,7 +70,7 @@ import random
 import zlib
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import monomials as mono
 from .errors import DivergesAtInfinity, NotAtomFactorable
@@ -277,6 +277,8 @@ class Poly:
             c = _q(other)
             if not c:
                 return _P_ZERO
+            if c == 1:
+                return self
             return Poly({m: _q(cc * c) for m, cc in self.terms.items()}, self._eb)
         other = _as_poly(other)
         at = self.terms
@@ -306,9 +308,10 @@ class Poly:
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is _P_ONE else out * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- per-variable structure (each decodes only the field of v)
@@ -807,20 +810,7 @@ class RatFun:
             return other
         if other.is_zero():
             return self
-        common: Dict[Atom, int] = dict(self.den)
-        for a, m in other.den.items():
-            if common.get(a, 0) < m:
-                common[a] = m
-        na = self.num
-        for a, m in common.items():
-            extra = m - self.den.get(a, 0)
-            if extra:
-                na = na * a.poly ** extra
-        nb = other.num
-        for a, m in common.items():
-            extra = m - other.den.get(a, 0)
-            if extra:
-                nb = nb * a.poly ** extra
+        common, (na, nb) = _lift([(self.num, self.den), (other.num, other.den)])
         return RatFun._make(na + nb, common)
 
     __radd__ = __add__
@@ -843,10 +833,7 @@ class RatFun:
         other = as_ratfun(other)
         if self.is_zero() or other.is_zero():
             return _R_ZERO
-        den = dict(self.den)
-        for a, m in other.den.items():
-            den[a] = den.get(a, 0) + m
-        return RatFun._make(self.num * other.num, den)
+        return RatFun._make(self.num * other.num, den_product(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -870,7 +857,8 @@ class RatFun:
 
     def equals(self, other) -> bool:
         """Mathematical equality via exact cross multiplication."""
-        return (self - as_ratfun(other)).is_zero()
+        other = as_ratfun(other)
+        return sum_is_zero([(self.num, self.den), (-other.num, other.den)])
 
     __eq__ = equals
 
@@ -892,18 +880,7 @@ class RatFun:
     # -- substitutions (atoms are remapped and renormalized)
 
     def _map(self, poly_fn) -> "RatFun":
-        num = poly_fn(self.num)
-        den: Dict[Atom, int] = {}
-        for a, m in self.den.items():
-            p = poly_fn(a.poly)
-            if p is a.poly:  # the substitution left this atom alone
-                den[a] = den.get(a, 0) + m
-                continue
-            unit, atoms = normalize_factor(p)
-            num = num * _invert_unit(unit) ** m
-            for na, nm in atoms.items():
-                den[na] = den.get(na, 0) + nm * m
-        return RatFun._make(num, den)
+        return RatFun._make(*substitute(self.num, self.den, poly_fn))
 
     def shift_var(self, v: Var, c) -> "RatFun":
         return self._map(lambda p: p.shift_var(v, c))
@@ -918,13 +895,8 @@ class RatFun:
         return self._map(lambda p: p.rename_var(old, new))
 
     def shift_slot(self, mode: str, slot: int, i: int, r: int, m: int) -> "RatFun":
-        """The m-fold shift automorphism on slot (i, r) of tensor factor
-        `slot`: rational p -> p + m; trig wh -> v^m wh (so w -> v^{2m} w)."""
-        if m == 0:
-            return self
-        if mode == "rational":
-            return self.shift_var(p_var(i, r, slot), m)
-        return self.scale_var(wh_var(i, r, slot), ((V, m),))
+        """The m-fold shift automorphism on a slot (see slot_map)."""
+        return self._map(slot_map(mode, slot, i, r, m)) if m else self
 
     # -- structure in one variable
 
@@ -1027,6 +999,77 @@ class RatFun:
 
 _R_ZERO = RatFun(_P_ZERO, {})
 _R_ONE = RatFun(_P_ONE, {})
+
+
+# ---------------------------------------------------------------------------
+# unreduced fractions (num: Poly, den: {Atom: mult}), nothing cancelled
+
+
+def den_product(a: Dict[Atom, int], b: Dict[Atom, int]) -> Dict[Atom, int]:
+    """The atom multiset of a product: multiplicities add."""
+    out = dict(a)
+    for atom, m in b.items():
+        out[atom] = out.get(atom, 0) + m
+    return out
+
+
+def substitute(num: Poly, den: Dict[Atom, int], poly_fn) -> tuple:
+    """Ring map poly_fn applied to num / den, as (num, den) with nothing
+    cancelled: changed atoms are re-canonicalized (normalize_factor), their
+    units moved to num."""
+    num = poly_fn(num)
+    out: Dict[Atom, int] = {}
+    for a, m in den.items():
+        p = poly_fn(a.poly)
+        if p is a.poly:  # poly_fn left this atom alone
+            out[a] = out.get(a, 0) + m
+            continue
+        unit, atoms = normalize_factor(p)
+        num = num * _invert_unit(unit) ** m
+        for na, nm in atoms.items():
+            out[na] = out.get(na, 0) + nm * m
+    return num, out
+
+
+def slot_map(mode: str, slot: int, i: int, r: int, m: int):
+    """The Poly map of the m-fold shift on slot (i, r) of tensor factor
+    `slot`: rational p -> p + m; trig wh -> v^m wh (so w -> v^{2m} w)."""
+    if mode == "rational":
+        return lambda p: p.shift_var(p_var(i, r, slot), m)
+    return lambda p: p.scale_var(wh_var(i, r, slot), ((V, m),))
+
+
+def _lift(fracs: list) -> Tuple[Dict[Atom, int], Iterator[Poly]]:
+    """Common atom multiset (largest multiplicities), numerators lifted to it."""
+    common: Dict[Atom, int] = {}
+    for _, den in fracs:
+        for a, m in den.items():
+            if common.get(a, 0) < m:
+                common[a] = m
+    # one lifted numerator at a time: sum_is_zero never holds them all
+    def lifted():
+        for num, den in fracs:
+            for a, m in common.items():
+                extra = m - den.get(a, 0)
+                if extra:
+                    num = num * a.poly ** extra
+            yield num
+    return common, lifted()
+
+
+def sum_is_zero(fracs: list) -> bool:
+    """Exact test of sum num / den == 0 over fracs, (num, den) pairs with den
+    an atom multiset.  The common denominator is nonzero, so the lifted
+    numerators must sum to 0.  No _make, division or sampling."""
+    total: Dict[Monomial, Coeff] = {}
+    for num in _lift(fracs)[1]:
+        for mo, c in num.terms.items():
+            nc = total.get(mo, 0) + c
+            if nc:
+                total[mo] = nc
+            else:
+                del total[mo]
+    return not total
 
 
 def as_ratfun(x) -> RatFun:
@@ -1188,22 +1231,24 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
                 unit_box[0] = unit_box[0] * cofactor
                 _factor_residual(q, unit_box, atoms)
                 return
-        if not roots:
-            break
-    # repeated-factor fallback: factors of dp/dv are factors of p when all
-    # roots were multiple
-    dv = p.partial(v)
+        if not roots or not rest:
+            break  # with no other variable, another point finds the same roots
+    # repeated-factor fallback: factors of dp/dv (made monic, so constants
+    # do not grow) divide p when all roots were multiple; each is divided
+    # out to its full multiplicity before recursing
+    dv = p.partial(v) * _qdiv(1, d * lead.const_value())
     if not dv.is_zero() and dv.total_degree() >= 1:
         try:
             _, datoms = factor_atoms(dv)
         except NotAtomFactorable:
             datoms = {}
+        before = p
         for a in datoms:
-            q = poly_div_exact(p, a.poly)
-            if q is not None:
-                atoms[a] = atoms.get(a, 0) + 1
-                _factor_residual(q, unit_box, atoms)
-                return
+            while (q := poly_div_exact(p, a.poly)) is not None:
+                p, atoms[a] = q, atoms.get(a, 0) + 1
+        if p is not before:
+            _factor_residual(p, unit_box, atoms)
+            return
     if truncated:
         raise NotAtomFactorable(
             f"cannot factor {p!r}: a coefficient is past the factoring"

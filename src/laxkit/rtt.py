@@ -8,20 +8,26 @@ L = T(z) and M = T(w), component (ia, jb) reads
 
     sum_{k,c} R[ia,kc] L_kj M_cb  =  sum_{k,c} M_ac L_ik R[kc,jb].
 
-R's entries are rational in z, w and v only.  No shift acts on these
-variables, so R is central and scales the products from either side.
+R's entries are rational in z, w and v only, so no shift acts on them
+and R is central.  Nothing is divided: each product L_kj M_cb or
+M_ac L_ik is formed once with unreduced coefficients
+(algebra.unreduced_product), and the R-weighted fractions of each
+component and shift monomial go through one common-denominator zero
+test (ratfun.sum_is_zero).  A failure is reported as (i, a, j, b), the
+coefficient of E_ij (x) E_ab.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraElement, AlgebraSignature, embed, mat_map
+from .algebra import AlgebraElement, AlgebraSignature, embed, mat_map, unreduced_product
 from .coweight import Divisor
 from .errors import SignatureMismatch, SingularLeadingMode
 from .lax_rational import fuse
-from .ratfun import RatFun, V, W, Z, x_var
+from .ratfun import RatFun, V, W, Z, den_product, sum_is_zero, x_var
 from .series import TruncSeries
 
 Sparse = Dict[int, Dict[int, object]]
@@ -51,14 +57,6 @@ def sp_mul(a: Sparse, b: Sparse) -> Sparse:
             for c, bv in brow.items():
                 _sp_add(out, r, c, av * bv)
     return out
-
-
-def sp_sub(a: Sparse, b: Sparse) -> Sparse:
-    out: Sparse = {r: dict(row) for r, row in a.items()}
-    for r, row in b.items():
-        for c, v in row.items():
-            _sp_add(out, r, c, -v)
-    return {r: row for r, row in out.items() if row}
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,10 @@ def check_yang_baxter(variant: str, n: int) -> bool:
     c = _leg_lift(r23, n, (1, 2))
     lhs = sp_mul(sp_mul(a, b), c)
     rhs = sp_mul(sp_mul(c, b), a)
-    return not sp_sub(lhs, rhs)
+    zero = RatFun.zero()
+    cells = {(i, j) for m in (lhs, rhs) for i, row in m.items() for j in row}
+    return all(lhs.get(i, {}).get(j, zero).equals(rhs.get(i, {}).get(j, zero))
+               for i, j in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -168,48 +169,53 @@ def check_yang_baxter(variant: str, n: int) -> bool:
 @dataclass
 class RttReport:
     ok: bool
-    failures: List[Tuple[int, int]] = field(default_factory=list)
+    failures: List[Tuple[int, int, int, int]] = field(default_factory=list)
     n: int = 0
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "n": self.n, "failures": self.failures}
 
 
-def _exchange_failures(r: Sparse, left, right) -> List[Tuple[int, int]]:
-    """Components (i*n+a, j*n+b) where R L1 M2 - M2 L1 R is nonzero, in order.
+def _exchange_failures(r: Sparse, left, right) -> List[Tuple[int, int, int, int]]:
+    """Components (i, a, j, b) where R L1 M2 - M2 L1 R is nonzero, in order.
 
     Component (ia, jb) of the difference is
         sum_{k,c} R[ia,kc] L_kj M_cb - sum_{k,c} M_ac L_ik R[kc,jb];
     each product L_kj M_cb or M_ac L_ik is formed once and shared."""
     n = len(left)
-    zero = AlgebraElement.zero(left[0][0].signature)
-    minus_r_cols: Sparse = {}
+    r_cols: Sparse = {}
     for row, cols in r.items():
         for col, val in cols.items():
-            minus_r_cols.setdefault(col, {})[row] = -val
-    lm: Dict[Tuple[int, int, int, int], AlgebraElement] = {}
-    ml: Dict[Tuple[int, int, int, int], AlgebraElement] = {}
+            r_cols.setdefault(col, {})[row] = val
+    # R's diagonal is nonzero, so every product is used.  -M_ac L_ik is
+    # kept throughout; L_kj M_cb only serves column jb, so one column is.
+    quads = itertools.product(range(n), repeat=4)
+    ml = {q: unreduced_product(-right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}
     failures = []
-    for ia in range(n * n):
-        i, a = divmod(ia, n)
-        for jb in range(n * n):
-            j, b = divmod(jb, n)
-            total = zero
+    for jb in range(n * n):
+        j, b = divmod(jb, n)
+        lm = {kc: unreduced_product(left[kc // n][j], right[kc % n][b])
+              for kc in range(n * n)}
+        for ia in range(n * n):
+            i, a = divmod(ia, n)
+            terms: dict = {}  # shift monomial -> R-weighted fractions
             for kc, val in r.get(ia, {}).items():
+                _gather(terms, lm[kc], val)
+            for kc, val in r_cols.get(jb, {}).items():
                 k, c = divmod(kc, n)
-                prod = lm.get((k, j, c, b))
-                if prod is None:
-                    prod = lm[k, j, c, b] = left[k][j] * right[c][b]
-                total = total + prod * val
-            for kc, val in minus_r_cols.get(jb, {}).items():
-                k, c = divmod(kc, n)
-                prod = ml.get((a, c, i, k))
-                if prod is None:
-                    prod = ml[a, c, i, k] = right[a][c] * left[i][k]
-                total = total + prod * val
-            if not total.is_zero():
-                failures.append((ia, jb))
-    return failures
+                _gather(terms, ml[a, c, i, k], val)
+            if not all(map(sum_is_zero, terms.values())):
+                failures.append((i, a, j, b))
+    return sorted(failures)
+
+
+def _gather(terms: dict, prod: dict, val: RatFun) -> None:
+    """Append prod's fractions, scaled by the central val, per shift monomial."""
+    scale = val.num.const_value() if val.num.is_const() else val.num
+    for s, fracs in prod.items():
+        out = terms.setdefault(s, [])
+        for num, den in fracs:
+            out.append((num * scale, den_product(den, val.den)))
 
 
 def verify_rtt(T) -> RttReport:

@@ -81,13 +81,14 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.is_exact_zero() or other.is_exact_zero():
             return TruncSeries({}, None, self.zero)
+        # valuations; with no known coefficient, every power through hi is 0
+        sv = self.val() if self.coeffs else self.hi + 1
+        ov = other.val() if other.coeffs else other.hi + 1
         hi = None
         if self.hi is not None:
-            ov = other.val()
-            hi = self.hi + (ov if ov is not None else 0)
+            hi = self.hi + ov
         if other.hi is not None:
-            sv = self.val()
-            h2 = other.hi + (sv if sv is not None else 0)
+            h2 = other.hi + sv
             hi = h2 if hi is None else min(hi, h2)
         out: Dict[int, object] = {}
         for ka, ca in self.coeffs.items():

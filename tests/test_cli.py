@@ -94,6 +94,9 @@ def test_verify_rtt_flags_corruption(tmp_path, capsys):
     assert code == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["ok"] is False and report["failures"]
+    # each failure is [i, a, j, b]: the coefficient of E_ij (x) E_ab
+    n = report["n"]
+    assert all(len(f) == 4 and all(0 <= x < n for x in f) for f in report["failures"])
 
 
 def test_inadmissible_divisor_is_usage_error(tmp_path, capsys):

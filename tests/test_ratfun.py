@@ -927,3 +927,95 @@ def test_limit_leading_matches_sympy():
         assert sympy.simplify(got - want) == 0, (f, v)
         checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# repeated factors, series windows, and the common-denominator zero test
+
+
+def test_repeated_factors_take_linearly_many_root_searches(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    import laxkit.ratfun as rf
+
+    calls = []
+    search = rf._rational_roots
+    monkeypatch.setattr(rf, "_rational_roots", lambda uni: calls.append(1) or search(uni))
+    x = Poly.variable(x_var("x1"))
+    for base in (Poly.variable(V) ** 2 - 1, (x - 1) * (x + 2)):
+        for k in range(1, 9):
+            calls.clear()
+            p = base ** k
+            unit, atoms = rf.factor_atoms(p)
+            # each multiple factor is met once: searches grow linearly in k
+            assert len(calls) <= 2 * k, (base, k, len(calls))
+            want = dict(sympy.factor_list(_sympy_of(sympy, p))[1])
+            got = {}
+            for a, m in atoms.items():
+                for f, e in sympy.factor_list(_sympy_of(sympy, a.poly))[1]:
+                    got[f] = got.get(f, 0) + e * m
+            assert got == want, (base, k)
+            product = _sympy_of(sympy, unit) * sympy.Mul(
+                *(_sympy_of(sympy, a.poly) ** m for a, m in atoms.items())
+            )
+            assert sympy.expand(product - _sympy_of(sympy, p)) == 0
+
+
+def test_series_product_window_counts_unknown_operands_from_hi():
+    from laxkit.series import TruncSeries
+
+    # every power of a through t^-3 is zero, so a = O(t^-2) and a * a is
+    # known only through t^-5, not through t^-3
+    a = TruncSeries({-2: 1}, None, 0).truncate(-3)
+    square = a * a
+    assert square.hi == -5
+    with pytest.raises(ValueError):
+        square.is_zero_through(-4)
+    b = TruncSeries({0: 1, 1: 2}, None, 0)
+    assert (a * b).hi == (b * a).hi == -3
+
+
+def _frac_sympy(sympy, frac):
+    return _sympy_of(sympy, RatFun(*frac))
+
+
+def _unreduced(f, atom, k):
+    """f as an unreduced fraction with atom^k more in both parts."""
+    den = dict(f.den)
+    den[atom] = den.get(atom, 0) + k
+    return f.num * atom.poly ** k, den
+
+
+def test_sum_is_zero_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    from laxkit.ratfun import sum_is_zero
+    from laxkit.suite import random_ratfun
+
+    seen = {True: 0, False: 0}
+    for mode in ("rational", "trig"):
+        rng = random.Random(71 if mode == "rational" else 72)
+        pool = [a for _ in range(30) for a in random_ratfun(rng, mode).den]
+        assert pool, mode
+        for idx in range(16):
+            f, g = random_ratfun(rng, mode), random_ratfun(rng, mode)
+            # f and g lifted by atom powers of different multiplicities,
+            # then -(f + g) reduced: the sum cancels exactly
+            a, b = rng.choice(pool), rng.choice(pool)
+            fracs = [
+                _unreduced(f, a, rng.randint(1, 2)),
+                _unreduced(g, b, rng.randint(0, 2)),
+                (-(f + g).num, (f + g).den),
+            ]
+            if idx % 2:
+                # break it: perturb one numerator by a Laurent monomial
+                # term, or raise one atom's multiplicity in a denominator
+                num, den = fracs[idx % 3]
+                if idx % 4 == 1 and den:
+                    den = dict(den)
+                    den[next(iter(den))] += 1
+                else:
+                    num = num + Poly.monomial(((V, -1), (x_var("x1"), 1)), 3)
+                fracs[idx % 3] = (num, den)
+            want = sympy.cancel(sympy.Add(*(_frac_sympy(sympy, fr) for fr in fracs))) == 0
+            assert sum_is_zero(fracs) == want, (mode, idx)
+            seen[want] += 1
+    assert seen[True] >= 16 and seen[False] >= 12, seen

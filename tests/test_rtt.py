@@ -53,31 +53,40 @@ def _plus_one(entries, i, j):
     return out
 
 
-# Flattened failures (i*n+a, j*n+b) after adding 1 to entry (i, j): the
-# nonzero entries of the full n^2 x n^2 product R T1 T2 - T2 T1 R.
+# Failures (i, a, j, b) after adding 1 to entry (i, j): the components
+# E_ij (x) E_ab of R T1 T2 - T2 T1 R that are nonzero.
 CORRUPTION_FAILURES = {
     "toda": {
         (0, 0): [],
-        (0, 1): [(0, 1), (0, 2)],
-        (1, 0): [(1, 0), (2, 0)],
-        (1, 1): [(1, 2), (2, 1)],
+        (0, 1): [(0, 0, 0, 1), (0, 0, 1, 0)],
+        (1, 0): [(0, 1, 0, 0), (1, 0, 0, 0)],
+        (1, 1): [(0, 1, 1, 0), (1, 0, 0, 1)],
     },
     "trig4": {
-        (0, 0): [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)],
-        (0, 1): [(0, 1), (0, 2), (1, 1), (1, 3), (2, 2), (2, 3)],
-        (1, 0): [(1, 0), (2, 0), (3, 1), (3, 2)],
-        (1, 1): [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)],
+        (0, 0): [
+            (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+            (0, 1, 1, 0), (1, 0, 0, 0), (1, 0, 0, 1),
+        ],
+        (0, 1): [
+            (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1),
+            (0, 1, 1, 1), (1, 0, 1, 0), (1, 0, 1, 1),
+        ],
+        (1, 0): [(0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0)],
+        (1, 1): [
+            (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 1),
+            (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0),
+        ],
     },
     "first3": {
         (0, 0): [],
-        (0, 1): [(0, 1), (0, 3)],
-        (0, 2): [(0, 2), (0, 6)],
-        (1, 0): [(1, 0), (3, 0)],
-        (1, 1): [(1, 3), (3, 1)],
-        (1, 2): [(1, 6), (3, 2)],
-        (2, 0): [(2, 0), (6, 0)],
-        (2, 1): [(2, 3), (6, 1)],
-        (2, 2): [(2, 6), (6, 2)],
+        (0, 1): [(0, 0, 0, 1), (0, 0, 1, 0)],
+        (0, 2): [(0, 0, 0, 2), (0, 0, 2, 0)],
+        (1, 0): [(0, 1, 0, 0), (1, 0, 0, 0)],
+        (1, 1): [(0, 1, 1, 0), (1, 0, 0, 1)],
+        (1, 2): [(0, 1, 2, 0), (1, 0, 0, 2)],
+        (2, 0): [(0, 2, 0, 0), (2, 0, 0, 0)],
+        (2, 1): [(0, 2, 1, 0), (2, 0, 0, 1)],
+        (2, 2): [(0, 2, 2, 0), (2, 0, 0, 2)],
     },
 }
 
@@ -104,7 +113,10 @@ def test_finite_rtt_detects_corruption():
     rep = verify_finite_rtt(_plus_one(tp, 0, 1), tm, T.signature)
     assert not rep.ok
     # one list per relation: T+T+, then T-T+
-    assert rep.failures == [(0, 1), (0, 2), (1, 3), (2, 3), (0, 1)]
+    assert rep.failures == [
+        (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 1, 1),
+        (1, 0, 1, 1), (0, 0, 0, 1),
+    ]
 
 
 def test_coproduct_passes_rtt_and_contract():
