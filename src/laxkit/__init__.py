@@ -42,7 +42,6 @@ from .lax_rational import (
     qdet_image,
 )
 from .lax_trig import (
-    TrigLaxMatrix,
     build_lax_trig,
     build_linear_lax_trig,
     degenerate_to_rational,

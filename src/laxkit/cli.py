@@ -161,15 +161,11 @@ def cmd_qdet(args, out) -> int:
 
 
 def cmd_limit(args, out) -> int:
-    div = _load_divisor(args.divisor)
-    if div.mode == "rational":
-        if args.direction == "zero":
-            out.write("rational divisors only degenerate at infinity\n")
-            return EXIT_USAGE
-        mat = normalized_limit(_build(div, normalize=False))
+    mat = _build(_load_divisor(args.divisor), normalize=False)
+    if args.direction == "zero":
+        mat = limits_trig(mat, "to_zero")
     else:
-        direction = "to_zero" if args.direction == "zero" else "to_infinity"
-        mat = limits_trig(_build(div, normalize=False), direction)
+        mat = normalized_limit(mat)
     _emit_outputs(mat, args, out)
     return EXIT_OK
 
@@ -299,7 +295,9 @@ def make_parser() -> argparse.ArgumentParser:
     add_mode_flag(p)
     p.set_defaults(fn=cmd_qdet)
 
-    p = sub.add_parser("limit", help="send the last point to 0 or infinity")
+    p = sub.add_parser(
+        "limit", help="send the last point, with its whole coweight, to 0 or infinity"
+    )
     p.add_argument("--divisor", required=True)
     p.add_argument("--direction", choices=["zero", "infinity"], default="infinity")
     add_output_flags(p)

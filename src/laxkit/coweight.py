@@ -229,23 +229,34 @@ class Divisor:
         """(point, sign) of all summands carrying the given fundamental index."""
         return [(s.point, s.sign) for s in self.summands if s.index == index]
 
-    def last_point(self) -> Summand:
-        """The limit machinery consumes points in reverse construction order."""
+    def last_point(self) -> Point:
+        """The label of the last summand: the limit machinery consumes
+        whole points in reverse construction order."""
         if not self.summands:
             raise NotAdmissible("no finite points to remove")
-        return self.summands[-1]
+        return self.summands[-1].point
 
-    def move_last_point_to_infinity(self) -> "Divisor":
-        last = self.last_point()
-        mu = self.mu + last.sign * fundamental_coweight(self.n, last.index)
-        return Divisor(self.n, self.mode, self.summands[:-1], mu, self.mu_zero)
+    def point_coweight(self, label: Point) -> Coweight:
+        """The coweight at one point: the sum of the summands with its label."""
+        out = Coweight.zero(self.n)
+        for s in self.summands:
+            if s.point == label:
+                out = out + s.coweight(self.n)
+        return out
 
-    def move_last_point_to_zero(self) -> "Divisor":
-        if self.mode != "trig":
-            raise ValueError("only trig divisors have a coefficient at zero")
-        last = self.last_point()
-        mz = self.mu_zero + last.sign * fundamental_coweight(self.n, last.index)
-        return Divisor(self.n, self.mode, self.summands[:-1], self.mu, mz)
+    def move_last_point(self, to: str) -> "Divisor":
+        """Move the whole coweight of the last point onto the framing at
+        infinity (to='infinity') or at zero (to='zero', trig only)."""
+        if to not in ("infinity", "zero"):
+            raise ValueError(f"unknown target {to!r}")
+        if to == "zero" and self.mode != "trig":
+            raise NotAdmissible("rational divisors only degenerate at infinity")
+        label = self.last_point()
+        lam = self.point_coweight(label)
+        rest = tuple(s for s in self.summands if s.point != label)
+        if to == "infinity":
+            return Divisor(self.n, self.mode, rest, self.mu + lam, self.mu_zero)
+        return Divisor(self.n, self.mode, rest, self.mu, self.mu_zero + lam)
 
     def merge_framings_at_infinity(self) -> "Divisor":
         """Trig -> rational bookkeeping: same finite part, mu+ + mu- at

@@ -396,11 +396,11 @@ def qdet_image(T_or_div) -> RatFun:
 
 
 def _symbolic_last_point(div: Divisor):
-    """The last summand and its x variable; limits move symbolic points only."""
-    last = div.last_point()
-    if not isinstance(last.point, str):
+    """The x variable of the last point; limits move symbolic points only."""
+    label = div.last_point()
+    if not isinstance(label, str):
         raise NotAdmissible("limits need a symbolic last point")
-    return last, x_var(last.point)
+    return x_var(label)
 
 
 def _on_divisor(entries, div: Divisor) -> LaxMatrix:
@@ -410,40 +410,22 @@ def _on_divisor(entries, div: Divisor) -> LaxMatrix:
     return LaxMatrix(sig, div, entries)
 
 
-def _limit_to_infinity(T: LaxMatrix) -> LaxMatrix:
-    """Send the last point x to infinity, in either mode.  An index-0 point
-    is divided out of every entry by its factor (z - x)^sign, which leaves
-    x only where other summands sit at the same point; otherwise the
-    columns past its index are scaled by -1/x and the leading term in x
-    is kept."""
-    div = T.divisor
-    last, xv = _symbolic_last_point(div)
-    target = div.move_last_point_to_infinity()
-    n = T.n
-    if last.index == 0:
-        lin = RatFun.from_poly(_zvar() - Poly.variable(xv))
-        scale = lin.invert() if last.sign == 1 else lin
-        entries = mat_map(T.entries, lambda e: e * scale)
-    else:
-        minus_inv = RatFun.ratio(Poly.const(-1), Poly.variable(xv))
-        entries = [
-            [
-                T.entries[a][b] * (minus_inv if b + 1 > last.index else 1)
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        entries = mat_map(
-            entries, lambda e: e.map_coeffs(lambda c: c.limit_leading(xv))
-        )
-    return _on_divisor(entries, target)
-
-
 def normalized_limit(T: LaxMatrix) -> LaxMatrix:
-    """Send the last point of the divisor to infinity (after the diagonal
-    column scaling for index >= 1) and return the resulting matrix; the
-    divisor moves its coefficient onto the framing point."""
-    return _limit_to_infinity(T)
+    """Send the last point x of the divisor, with its whole coweight
+    lambda, to infinity, in either mode: column b is scaled by
+    (-x)^(eps_b(lambda)) and the leading term in x is kept.  The divisor
+    moves lambda onto the framing at infinity."""
+    div = T.divisor
+    xv = _symbolic_last_point(div)
+    lam = div.point_coweight(div.last_point())
+    target = div.move_last_point("infinity")
+    minus_x = RatFun.from_poly(-Poly.variable(xv))
+    scale = [minus_x ** e if e else None for e in lam.d]
+    entries = [
+        [e * s if s is not None else e for e, s in zip(row, scale)] for row in T.entries
+    ]
+    entries = mat_map(entries, lambda e: e.map_coeffs(lambda c: c.limit_leading(xv)))
+    return _on_divisor(entries, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Trigonometric Lax matrices over the multiplicative difference algebra.
 
 The matrix type, the F G E assembly, the normalize-and-check scan and the
-limit of the last point to infinity are shared with rational mode and
+limit of a whole point to infinity are shared with rational mode and
 live in lax_rational.  This module holds what is trig-specific: the
 Gauss-entry formulas, the normalizer, the closed-form linear matrix, the
-n = 2 quantum determinant, the limit of the last point to zero, the split
+n = 2 quantum determinant, the limit of a whole point to zero, the split
 of the finite exchange relations, and the degeneration to the rational
 case.
 
@@ -48,20 +48,16 @@ from .lax_rational import (
     LaxMatrix,
     _assemble,
     _gauss_factors,
-    _limit_to_infinity,
     _normalize,
     _on_divisor,
     _point_poly,
     _symbolic_last_point,
     _young_data,
     build_lax,
+    normalized_limit,
 )
 from .ratfun import Poly, RatFun, V, Z, wh_var
 from .series import TruncSeries
-
-
-# One matrix type for both modes; the trig name is kept for callers.
-TrigLaxMatrix = LaxMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +338,15 @@ def qdet2_trig(T: LaxMatrix) -> RatFun:
 
 
 def limits_trig(T: LaxMatrix, direction: str) -> LaxMatrix:
-    """Send the last point to zero (plain substitution) or to infinity
-    (column scaling then leading limit)."""
+    """Send the last point x, with its whole coweight, to zero (the plain
+    substitution x = 0) or to infinity (normalized_limit)."""
     if direction == "to_infinity":
-        return _limit_to_infinity(T)
+        return normalized_limit(T)
     if direction != "to_zero":
         raise ValueError(direction)
-    div = T.divisor
-    last, xv = _symbolic_last_point(div)
-    target = div.move_last_point_to_zero()
-    entries = T.entries
-    if last.index == 0:
-        f = RatFun.ratio(Poly.variable(Z) - Poly.variable(xv), Poly.variable(Z))
-        scale = f.invert() if last.sign == 1 else f
-        entries = mat_map(entries, lambda e: e * scale)
-    entries = mat_map(entries, lambda e: e.map_coeffs(lambda c: c.set_value(xv, 0)))
+    target = T.divisor.move_last_point("zero")
+    xv = _symbolic_last_point(T.divisor)
+    entries = mat_map(T.entries, lambda e: e.map_coeffs(lambda c: c.set_value(xv, 0)))
     return _on_divisor(entries, target)
 
 

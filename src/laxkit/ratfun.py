@@ -964,7 +964,7 @@ class RatFun:
                 out = out * inv
         return out.truncate(hi)
 
-    def eps_series(self, order: int, lmap=None) -> "TruncSeries":
+    def eps_series(self, order: int) -> "TruncSeries":
         """Exponential degeneration: substitute every trig variable u by
         exp(eps * l(u)) with l the default linear map (z -> z, x -> x,
         v -> 1/2, wh[t,i,r] -> (p[t,i,r] - i/2)/2, w -> w) and expand as a
@@ -974,7 +974,6 @@ class RatFun:
 
         if self.is_zero():
             return TruncSeries({}, None, _R_ZERO)
-        lm = lmap or default_eps_linear_map
         # an atom whose coefficients sum to 0 vanishes at eps = 0; each
         # such factor, of valuation 1, lowers the product's window by one,
         # so every window is padded by their multiplicity (a polynomial
@@ -983,9 +982,9 @@ class RatFun:
         # and coeff() then raises rather than answer wrongly.
         val1 = {a: not sum(a.poly.terms.values()) for a in self.den}
         hi = max(order + sum(m for a, m in self.den.items() if val1[a]), 0)
-        out = _eps_poly_series(self.num, hi, lm)
+        out = _eps_poly_series(self.num, hi)
         for a, m in self.den.items():
-            s = _eps_poly_series(a.poly, hi + 2 * val1[a], lm)
+            s = _eps_poly_series(a.poly, hi + 2 * val1[a])
             inv = s.inverse(hi, RatFun.invert)
             for _ in range(m):
                 out = out * inv
@@ -1121,15 +1120,16 @@ def default_eps_linear_map(v: Var) -> Poly:
     raise ValueError(f"variable {v} has no degeneration rule")
 
 
-def _eps_poly_series(p: Poly, hi: int, lm) -> "TruncSeries":
-    """p with every variable u -> exp(eps * lm(u)), through eps^hi."""
+def _eps_poly_series(p: Poly, hi: int) -> "TruncSeries":
+    """p with every variable u -> exp(eps * l(u)), through eps^hi, with l
+    the default linear map."""
     from .series import TruncSeries
 
     coeffs = [_P_ZERO] * (hi + 1)
     for m, c in p.terms.items():
         ell = _P_ZERO
         for v, e in unpack_mono(m):
-            ell = ell + lm(v) * e
+            ell = ell + default_eps_linear_map(v) * e
         # c * exp(eps * ell) = sum_k c * ell^k / k! * eps^k
         term = Poly.const(c)
         for k in range(hi + 1):

@@ -656,37 +656,26 @@ def _aux_rhs(a_prev: int, a_cur: int, r_prev: int = 1) -> RatFun:
 
 
 def check_limits() -> CheckResult:
+    """Peel the points one at a time off every divisor of rational and
+    trig (n, a_max) = (2, 2) and (3, 1) and off the two divisors with an
+    index-0 summand, towards infinity and, in trig mode, towards zero;
+    every intermediate matrix must equal the build of its divisor."""
+    to_zero = lambda T: limits_trig(T, "to_zero")
+
     def run():
-        rational_cases = [
-            dst_divisor(),
-            heisenberg_divisor(),
-            divisor_from_young(
-                PseudoYoungDiagram((1, 0, 0)), ["x1"], PseudoYoungDiagram((0, 0, -1))
-            ),
-            rational_pizero_divisor(),
-        ]
-        for div in rational_cases:
-            got = normalized_limit(build_lax(div))
-            want = build_lax(div.move_last_point_to_infinity())
-            if not mat_equal(got.entries, want.entries):
-                return False, f"rational limit differs for {div.to_json()}"
-        trig_cases = [
-            (trig_case_divisor(4), "to_zero"),
-            (trig_case_divisor(5), "to_infinity"),
-            (trig_case_divisor(6), "to_zero"),
-            (trig_case_divisor(6), "to_infinity"),
-            (trig_pizero_divisor(), "to_zero"),
-        ]
-        for div, direction in trig_cases:
-            got = limits_trig(build_lax_trig(div), direction)
-            target = (
-                div.move_last_point_to_zero()
-                if direction == "to_zero"
-                else div.move_last_point_to_infinity()
-            )
-            want = build_lax_trig(target)
-            if not mat_equal(got.entries, want.entries):
-                return False, f"trig limit {direction} differs for {div.to_json()}"
+        divisors = [rational_pizero_divisor(), trig_pizero_divisor()]
+        for mode in ("rational", "trig"):
+            for n, a_max in ((2, 2), (3, 1)):
+                divisors += enumerate_linear_divisors(n, a_max, mode)
+        for div in divisors:
+            build = build_lax if div.mode == "rational" else build_lax_trig
+            limits = [normalized_limit] + ([to_zero] if div.mode == "trig" else [])
+            for limit in limits:
+                T = build(div)
+                while T.divisor.summands:
+                    T = limit(T)
+                    if not mat_equal(T.entries, build(T.divisor).entries):
+                        return False, f"limit differs from the build of {T.divisor.to_json()}"
         return True, ""
 
     return _timed("normalized limits match rebuilt divisors", run)

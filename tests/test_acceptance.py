@@ -69,8 +69,9 @@ def test_criterion_08_identity_lemmas():
 
 
 def test_criterion_09_limits():
-    """Normalized limits reproduce the rebuilt divisor, four rational and
-    five trigonometric cases."""
+    """Peeling the points off every divisor of rational and trig (2,2) and
+    (3,1) and the two index-0 divisors, one whole point at a time (in trig
+    towards both ends), reproduces the build of each divisor on the way."""
     _run(suite.check_limits)
 
 

@@ -165,6 +165,35 @@ def test_trig_limit_without_finite_point_is_usage_error(tmp_path, capsys):
         assert "symbolic last point" in capsys.readouterr().err
 
 
+def test_rational_limit_to_zero_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "dst.json", DST)
+    assert main(["limit", "--divisor", path, "--direction", "zero"]) == 2
+    captured = capsys.readouterr()
+    assert "rational divisors only degenerate at infinity" in captured.err
+    assert captured.out == ""
+
+
+def test_limit_of_a_point_with_two_summands(tmp_path, capsys):
+    # one point x with fundamental [0, 2]: both summands leave together
+    for mode in ("rational", "trig"):
+        payload = {
+            "n": 2,
+            "mode": mode,
+            "points": [{"x": "x", "coweight": {"fundamental": [0, 2]}}],
+            "infinity": {"fundamental": [-1, 0]},
+            "zero": {"fundamental": [0, 0]} if mode == "trig" else None,
+        }
+        path = _write(tmp_path, f"{mode}02.json", payload)
+        directions = ["infinity"] + (["zero"] if mode == "trig" else [])
+        for direction in directions:
+            out = tmp_path / f"{mode}-{direction}.json"
+            argv = ["limit", "--divisor", path, "--direction", direction,
+                    "--out", str(out), "--quiet"]
+            assert main(argv) == 0, (mode, direction)
+            data = json.loads(out.read_text(encoding="utf-8"))
+            assert data["divisor"]["points"] == [], (mode, direction)
+
+
 def test_coproduct_command(tmp_path, capsys):
     toda = _write(tmp_path, "toda.json", TODA)
     code = main(

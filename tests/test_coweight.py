@@ -168,3 +168,22 @@ def test_trig_divisor_framings():
     assert d.mu_zero is not None
     assert d.a_vector() == (1,)
     assert d.merge_framings_at_infinity().mu == simple_coroot(2, 1)
+
+
+def test_move_last_point_moves_its_whole_coweight():
+    lam = Coweight.from_fundamental([1, 1])
+    y = fundamental_coweight(2, 1)
+    mu = simple_coroot(2, 1) - lam - y
+    rat = Divisor.make(2, "rational", [("y", y), ("x", lam)], mu)
+    assert rat.last_point() == "x"
+    assert rat.point_coweight("x") == lam and rat.point_coweight("y") == y
+    moved = rat.move_last_point("infinity")
+    assert moved == Divisor.make(2, "rational", [("y", y)], mu + lam)
+    assert moved.a_vector() == rat.a_vector()
+    with pytest.raises(NotAdmissible, match="only degenerate at infinity"):
+        rat.move_last_point("zero")
+    trig = Divisor.make(2, "trig", [("y", y), ("x", lam)], mu, Coweight.zero(2))
+    assert trig.move_last_point("zero") == Divisor.make(2, "trig", [("y", y)], mu, lam)
+    empty = Divisor.make(2, "trig", [], simple_coroot(2, 1))
+    with pytest.raises(NotAdmissible, match="no finite points"):
+        empty.move_last_point("infinity")

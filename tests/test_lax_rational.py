@@ -6,6 +6,7 @@ import pytest
 
 from laxkit.algebra import AlgebraElement, ShiftMonomial, mat_equal, mat_map
 from laxkit.coweight import (
+    Coweight,
     Divisor,
     PseudoYoungDiagram,
     divisor_from_young,
@@ -169,11 +170,17 @@ def test_qdet_examples():
 
 
 def test_normalized_limit_cases():
-    for div in (dst_divisor(), heisenberg_divisor(), rational_pizero_divisor()):
+    # x carries twice the index-1 fundamental coweight: moving only one
+    # summand left the other to diverge
+    two_at_x = Divisor.make(
+        2, "rational", [("x", Coweight.from_fundamental([0, 2]))],
+        Coweight.from_fundamental([-1, 0]),
+    )
+    for div in (dst_divisor(), heisenberg_divisor(), rational_pizero_divisor(), two_at_x):
         lim = normalized_limit(build_lax(div))
-        want = build_lax(div.move_last_point_to_infinity())
+        want = build_lax(div.move_last_point("infinity"))
         assert mat_equal(lim.entries, want.entries)
-        assert lim.divisor == div.move_last_point_to_infinity()
+        assert lim.divisor == div.move_last_point("infinity")
 
 
 def test_fuse_monodromy_entries():
@@ -296,8 +303,6 @@ def test_all_entries_polynomial_n3():
 def test_negative_index_zero_summand():
     # a point carrying the negative of the index-0 coweight: the
     # normalization multiplies by the point factor instead of dividing
-    from laxkit.coweight import Coweight
-
     w0 = fundamental_coweight(2, 0)
     w1 = fundamental_coweight(2, 1)
     lam = -w0 + w1
@@ -307,7 +312,7 @@ def test_negative_index_zero_summand():
     assert verify_rtt(T).ok
     normalize_and_check_polynomial(T)
     lim = normalized_limit(T)
-    want = build_lax(div.move_last_point_to_infinity())
+    want = build_lax(div.move_last_point("infinity"))
     assert mat_equal(lim.entries, want.entries)
     x1 = RatFun.variable(x_var("x1"))
     x2 = RatFun.variable(x_var("x2"))

@@ -8,7 +8,6 @@ from laxkit.coweight import Coweight, Divisor, PseudoYoungDiagram, divisor_from_
 from laxkit.errors import MismatchWithRational, NegativeEpsPower, NotLinearCase
 from laxkit.lax_rational import GaussFactors, LaxMatrix, build_lax, normalized_limit
 from laxkit.lax_trig import (
-    TrigLaxMatrix,
     build_lax_trig,
     build_linear_lax_trig,
     degenerate_to_rational,
@@ -64,6 +63,13 @@ def test_z_coefficient_gating():
     assert 1 in coeffs
 
 
+def _one_point(fundamental, mu):
+    return Divisor.make(
+        2, "trig", [("x", Coweight.from_fundamental(fundamental))],
+        Coweight.from_fundamental(mu), Coweight.zero(2),
+    )
+
+
 def test_limits_match_rebuilt_divisors():
     cases = [
         (trig_case_divisor(4), "to_zero"),
@@ -72,38 +78,42 @@ def test_limits_match_rebuilt_divisors():
         (trig_case_divisor(6), "to_infinity"),
         (trig_pizero_divisor(), "to_zero"),
         (trig_pizero_divisor(), "to_infinity"),
+        # several summands at x: moving only the last one diverged to
+        # infinity on [0, 2], and to zero it left the rest at x although
+        # x = 0 was set in every factor
+        (_one_point([0, 2], [-1, 0]), "to_infinity"),
+        (_one_point([0, 2], [-1, 0]), "to_zero"),
+        (_one_point([1, 1], [-2, 1]), "to_zero"),
     ]
     for div, direction in cases:
         got = limits_trig(build_lax_trig(div), direction)
-        target = (
-            div.move_last_point_to_zero()
-            if direction == "to_zero"
-            else div.move_last_point_to_infinity()
-        )
+        target = div.move_last_point("zero" if direction == "to_zero" else "infinity")
         assert mat_equal(got.entries, build_lax_trig(target).entries), (
             div.to_json(),
             direction,
         )
 
 
-def test_index0_limit_keeps_other_summands_at_the_same_point():
+def test_index0_limit_moves_the_whole_point():
     # the last summand is index 0 at x, and x also carries an index-1
-    # summand that stays finite: x must survive the limit to infinity
+    # summand: the limit to infinity moves both, so x leaves the divisor
     for mode in ("rational", "trig"):
         div = Divisor.make(
             2, mode, [("x", Coweight.from_fundamental([1, 1]))],
             Coweight.from_fundamental([-1, -1]),
             Coweight.zero(2) if mode == "trig" else None,
         )
-        assert div.last_point().index == 0
+        assert div.summands[-1].index == 0
         build = build_lax if mode == "rational" else build_lax_trig
         T = build(div)
         got = normalized_limit(T) if mode == "rational" else limits_trig(T, "to_infinity")
-        assert mat_equal(got.entries, build(div.move_last_point_to_infinity()).entries), mode
+        target = div.move_last_point("infinity")
+        assert target.summands == () and target.mu == Coweight.zero(2), mode
+        assert got.divisor == target and "x" not in got.signature.points, mode
+        assert mat_equal(got.entries, build(target).entries), mode
 
 
 def test_one_matrix_type_for_both_modes():
-    assert TrigLaxMatrix is LaxMatrix
     T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(1)))
     assert isinstance(T, LaxMatrix) and T.normalized
     assert isinstance(T.gauss, GaussFactors)
@@ -111,7 +121,7 @@ def test_one_matrix_type_for_both_modes():
 
 
 def test_case4_zero_limit_lands_on_case1():
-    assert trig_case_divisor(4).move_last_point_to_zero() == trig_case_divisor(1)
+    assert trig_case_divisor(4).move_last_point("zero") == trig_case_divisor(1)
 
 
 def test_split_finite_rtt():
@@ -164,7 +174,7 @@ def test_degeneration_detects_corruption():
         [e for e in row] for row in T.entries
     ]
     broken[0][0] = broken[0][0] + AlgebraElement.one(sig)
-    bad = TrigLaxMatrix(sig, div, broken)
+    bad = LaxMatrix(sig, div, broken)
     with pytest.raises((MismatchWithRational, NegativeEpsPower)):
         degenerate_to_rational(bad)
 
