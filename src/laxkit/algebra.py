@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import NonIntegerShift, NotScalar, SignatureMismatch
-from .ratfun import (Poly, RatFun, as_ratfun, den_product, p_var, slot_map, substitute,
-                     wh_var)
+from .ratfun import (Poly, RatFun, as_ratfun, den_product, p_var, reduced_product, slot_map,
+                     substitute, wh_var)
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,11 @@ class AlgebraElement:
             return AlgebraElement(
                 self.signature, {s: cc * c for s, cc in self.terms.items()}
             )
-        prod = unreduced_product(self, self._coerce(other))
-        zero = RatFun.zero()
-        terms = {s: sum((RatFun._make(*f) for f in fr), zero) for s, fr in prod.items()}
+        terms: Dict[ShiftMonomial, RatFun] = {}
+        for s, c1, num, den in _term_products(self, self._coerce(other)):
+            c = reduced_product(c1.num, c1.den, num, den)
+            cur = terms.get(s)
+            terms[s] = c if cur is None else cur + c
         return AlgebraElement(self.signature, terms)
 
     def __rmul__(self, other):
@@ -278,11 +280,11 @@ class AlgebraElement:
         return f"AlgebraElement({render_element(self)})"
 
 
-def unreduced_product(x: AlgebraElement, y: AlgebraElement) -> Dict[ShiftMonomial, list]:
-    """x * y, nothing cancelled: shift monomial -> fractions summing to its
-    coefficient (y's moved by ratfun.substitute, numerators multiplied)."""
+def _term_products(x: AlgebraElement, y: AlgebraElement):
+    """The term pairs of x * y: (s1 * s2, c1, num, den) with num / den
+    the coefficient c2 moved left past s1 by ratfun.substitute; a shift is
+    an automorphism, so num / den stays reduced."""
     mode = x.signature.mode
-    out: Dict[ShiftMonomial, list] = {}
     for s1, c1 in x.terms.items():
         maps = [slot_map(mode, f, i, r, -m if mode == "rational" else m)
                 for (f, i, r), m in s1.exps.items()]
@@ -290,7 +292,15 @@ def unreduced_product(x: AlgebraElement, y: AlgebraElement) -> Dict[ShiftMonomia
             num, den = c2.num, c2.den
             for fn in maps:
                 num, den = substitute(num, den, fn)
-            out.setdefault(s1 * s2, []).append((c1.num * num, den_product(c1.den, den)))
+            yield s1 * s2, c1, num, den
+
+
+def unreduced_product(x: AlgebraElement, y: AlgebraElement) -> Dict[ShiftMonomial, list]:
+    """x * y, nothing cancelled: shift monomial -> fractions summing to its
+    coefficient (numerators multiplied, atom multisets merged)."""
+    out: Dict[ShiftMonomial, list] = {}
+    for s, c1, num, den in _term_products(x, y):
+        out.setdefault(s, []).append((c1.num * num, den_product(c1.den, den)))
     return out
 
 

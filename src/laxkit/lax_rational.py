@@ -237,19 +237,23 @@ def _gauss_factors(div: Divisor, mode: str, diag: Callable, upper: Callable,
 
 
 def _assemble(div: Divisor, gauss: GaussFactors) -> LaxMatrix:
-    """T(z) = F G E."""
+    """T(z) = F G E.  Each G E entry is formed once, and the unit
+    diagonals of F and E are never multiplied by."""
     sig = div.signature()
     n = div.n
+    ge = [[None] * n for _ in range(n)]  # ge[i][beta] = g_i e_(i,beta), beta >= i
+    for i in range(n):
+        g = ge[i][i] = gauss.diag[i]
+        for beta in range(i + 1, n):
+            ge[i][beta] = g * gauss.upper[i][beta]
     entries = mat_zero(sig, n)
-    for alpha in range(1, n + 1):
-        for beta in range(1, n + 1):
+    for alpha in range(n):
+        for beta in range(n):
             acc = AlgebraElement.zero(sig)
-            for i in range(1, min(alpha, beta) + 1):
-                f = gauss.lower[alpha - 1][i - 1]
-                g = gauss.diag[i - 1]
-                e = gauss.upper[i - 1][beta - 1]
-                acc = acc + f * (g * e)
-            entries[alpha - 1][beta - 1] = acc
+            for i in range(min(alpha, beta) + 1):
+                t = ge[i][beta]
+                acc = acc + (t if i == alpha else gauss.lower[alpha][i] * t)
+            entries[alpha][beta] = acc
     return LaxMatrix(signature=sig, divisor=div, entries=entries, gauss=gauss)
 
 

@@ -47,6 +47,8 @@ BIAS = 0
 _INDEX_LOCK = threading.Lock()
 
 _KIND_RANK = {"z": 0, "w": 1, "v": 2, "eps": 3, "x": 4, "p": 5, "wh": 6}
+# kinds of the unit variables, whose exponents may be negative
+UNIT_KINDS = frozenset({"v", "wh"})
 
 
 def var_precedence(v: Var):

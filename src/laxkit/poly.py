@@ -1,0 +1,547 @@
+"""Sparse polynomials over exact rationals, and exact division.
+
+Monomials are packed ints over one process-wide variable index (see
+monomials.py): a product is an int sum, and every Poly shares one
+layout, so no operand is ever repacked.  The canonical term order is
+graded lexicographic in var_precedence rank, read from decoded fields
+(monomials.grlex), never from int comparison; it fixes leading terms,
+the division heap, rendering and Atom keys, which hold decoded
+monomials, so results are the same in every process.  Every product
+checks a per-Poly bound on |exponent| first, so a field that would
+overflow raises OverflowError instead of wrapping.  Exact division
+(poly_div_exact) pops the leading remainder term from a heap ordered by
+that key, so each step costs O(log n).
+
+Coefficients are exact rationals stored as plain ints whenever they are
+integral and as reduced Fractions only otherwise (_q enforces this, and
+every coefficient quotient goes through _qdiv); nothing here is ever
+floating point.  The formulas are products of linear forms with small
+integer coefficients, so nearly all arithmetic stays on Python ints.
+Since Fraction(2) == 2 and hash(Fraction(2)) == hash(2), the choice of
+representation is invisible to equality, Atom keys and rendering.
+
+Exponents of unit variables ('v' and 'wh', see ratfun) may be negative;
+all other exponents are non-negative.
+"""
+
+from __future__ import annotations
+
+import heapq
+from fractions import Fraction
+from math import comb
+from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+from . import monomials as mono
+from .monomials import (
+    FW,
+    HALF,
+    MASK,
+    UNIT_KINDS,
+    VARS,
+    Monomial,
+    Var,
+    by_precedence,
+    exact_bound,
+    field_of,
+    grlex,
+    pack_mono,
+    unpacked,
+)
+
+Coeff = Union[int, Fraction]
+
+Q0 = 0
+Q1 = 1
+
+
+def _q(c):
+    """c as a coefficient: an int when c is integral, otherwise a reduced
+    Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _qdiv(a, b):
+    """Exact quotient a / b of two coefficients (int / int never becomes
+    a float)."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _q(a / b)
+
+
+def is_unit_var(v: Var) -> bool:
+    return v[0] in UNIT_KINDS
+
+
+def _bounded(combine, *polys) -> int:
+    """combine(exponent bounds of polys) when it fits a field.  Cached
+    bounds that are too loose are first recomputed exactly; exact ones
+    that are too large raise OverflowError."""
+    b = combine(*(p._eb for p in polys))
+    if b >= HALF:
+        for p in polys:
+            p._eb = exact_bound(p.terms)
+        b = combine(*(p._eb for p in polys))
+        if b >= HALF:
+            raise OverflowError(f"exponents up to {b} do not fit a {FW}-bit field")
+    return b
+
+
+# ---------------------------------------------------------------------------
+
+
+class Poly:
+    """Immutable sparse polynomial: dict packed monomial -> coefficient
+    (int, or Fraction when not integral), no zeros.
+
+    _eb is an upper bound on |exponent| over all terms (exact when not
+    given); _ks caches the fields of the variables that occur, in
+    var_precedence order."""
+
+    __slots__ = ("terms", "_eb", "_ks")
+
+    def __init__(self, terms: Dict[Monomial, Coeff], eb: Optional[int] = None):
+        self.terms = terms
+        self._eb = exact_bound(terms) if eb is None else eb
+        self._ks = None
+
+    # -- constructors
+
+    @staticmethod
+    def zero() -> "Poly":
+        return _P_ZERO
+
+    @staticmethod
+    def const(c) -> "Poly":
+        c = _q(c)
+        return Poly({0: c}, 0) if c else _P_ZERO
+
+    @staticmethod
+    def variable(v: Var, exp: int = 1) -> "Poly":
+        if exp == 0:
+            return _P_ONE
+        return Poly({pack_mono(((v, exp),)): Q1}, abs(exp))
+
+    @staticmethod
+    def monomial(m: Iterable[Tuple[Var, int]], c=Q1) -> "Poly":
+        """c * m for m given as ((var, exp), ...)."""
+        c = _q(c)
+        return Poly({pack_mono(m): c}) if c else _P_ZERO
+
+    # -- predicates / views
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_const(self) -> bool:
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
+
+    def const_value(self) -> Coeff:
+        if not self.terms:
+            return Q0
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
+        raise ValueError("not a constant polynomial")
+
+    def _fields(self) -> tuple:
+        """Fields of the variables of self, in var_precedence order."""
+        ks = self._ks
+        if ks is None:
+            # (m + bias) ^ bias has a zero field exactly where m has one
+            bias = mono.BIAS
+            acc = 0
+            for m in self.terms:
+                acc |= (m + bias) ^ bias
+            found = []
+            k = 0
+            while acc:
+                if acc & MASK:
+                    found.append(k)
+                acc >>= FW
+                k += 1
+            ks = self._ks = by_precedence(found)
+        return ks
+
+    def variables(self) -> frozenset:
+        return frozenset(VARS[k] for k in self._fields())
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, Poly):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self == Poly.const(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    # -- ring operations
+
+    def __add__(self, other) -> "Poly":
+        other = _as_poly(other)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            nc = out.get(m, 0) + c
+            if nc:
+                out[m] = _q(nc)
+            else:
+                out.pop(m, None)
+        return Poly(out, max(self._eb, other._eb))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.terms.items()}, self._eb)
+
+    def __sub__(self, other) -> "Poly":
+        return self + (-_as_poly(other))
+
+    def __rsub__(self, other):
+        return _as_poly(other) - self
+
+    def __mul__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            c = _q(other)
+            if not c:
+                return _P_ZERO
+            if c == 1:
+                return self
+            return Poly({m: _q(cc * c) for m, cc in self.terms.items()}, self._eb)
+        other = _as_poly(other)
+        at = self.terms
+        bt = other.terms
+        if not at or not bt:
+            return _P_ZERO
+        eb = self._eb + other._eb
+        if eb >= HALF:
+            eb = _bounded(int.__add__, self, other)
+        out: Dict[Monomial, Coeff] = {}
+        for ma, ca in at.items():
+            for mb, cb in bt.items():
+                m = ma + mb
+                nc = out.get(m, 0) + ca * cb
+                if nc:
+                    out[m] = _q(nc)
+                else:
+                    out.pop(m, None)
+        return Poly(out, eb)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Poly":
+        if k < 0:
+            raise ValueError("negative power of a Poly")
+        out = _P_ONE
+        base = self
+        while k:
+            if k & 1:
+                out = base if out is _P_ONE else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    # -- per-variable structure (each decodes only the field of v)
+
+    def _shift_of(self, v: Var) -> Optional[int]:
+        """Bit offset of v's field, or None when v does not occur."""
+        k = mono.FIELD.get(v)
+        return None if k is None or k not in self._fields() else FW * k
+
+    def degree(self, v: Var) -> int:
+        """Largest exponent of v (0 when absent; min 0 even for Laurent)."""
+        s = self._shift_of(v)
+        if s is None:
+            return 0
+        bias = mono.BIAS
+        return max(0, max(((m + bias) >> s & MASK) for m in self.terms) - HALF)
+
+    def min_exp(self, v: Var) -> int:
+        """True minimum exponent of v over all terms (0 for the zero poly)."""
+        s = self._shift_of(v)
+        if s is None:
+            return 0
+        bias = mono.BIAS
+        return min(((m + bias) >> s & MASK) for m in self.terms) - HALF
+
+    def decompose(self, v: Var) -> Dict[int, "Poly"]:
+        """Write self = sum_k coeff_k * v^k; coefficients omit v."""
+        s = self._shift_of(v)
+        if s is None:
+            return {0: self} if self.terms else {}
+        bias = mono.BIAS
+        out: Dict[int, Dict[Monomial, Coeff]] = {}
+        for m, c in self.terms.items():
+            e = ((m + bias) >> s & MASK) - HALF
+            out.setdefault(e, {})[m - (e << s)] = c
+        return {k: Poly(t, self._eb) for k, t in out.items()}
+
+    def coeff_of(self, v: Var, k: int) -> "Poly":
+        return self.decompose(v).get(k, _P_ZERO)
+
+    def ordered_terms(self) -> List[Tuple[Tuple[Tuple[Var, int], ...], Coeff]]:
+        """Terms in descending canonical order, each monomial decoded to
+        ((var, exp), ...) in var_precedence order."""
+        ks = self._fields()
+        bias = mono.BIAS
+        shifts = [(VARS[k], FW * k) for k in ks]
+        out = []
+        for m in sorted(self.terms, key=grlex(ks), reverse=True):
+            y = m + bias
+            items = []
+            for v, s in shifts:
+                e = ((y >> s) & MASK) - HALF
+                if e:
+                    items.append((v, e))
+            out.append((tuple(items), self.terms[m]))
+        return out
+
+    def total_degree(self) -> int:
+        return max((sum(e for _, e in unpacked(m)) for m in self.terms), default=0)
+
+    # -- substitutions
+
+    def shift_var(self, v: Var, c: Coeff) -> "Poly":
+        """v -> v + c, term by term: c0 * v^k * rest becomes
+        sum_j C(k, j) c^(k-j) c0 * v^j * rest (v must be non-Laurent)."""
+        c = _q(c)
+        s = self._shift_of(v)
+        if not c or s is None:
+            return self
+        bias = mono.BIAS
+        powers = [Q1]
+        out: Dict[Monomial, Coeff] = {}
+        for m, coeff in self.terms.items():
+            k = ((m + bias) >> s & MASK) - HALF
+            if k < 0:
+                raise ValueError("additive shift of a Laurent exponent")
+            while len(powers) <= k:
+                powers.append(powers[-1] * c)
+            base = m - (k << s)
+            for j in range(k, -1, -1):
+                nm = base + (j << s)
+                nc = out.get(nm, 0) + coeff * comb(k, j) * powers[k - j]
+                if nc:
+                    out[nm] = _q(nc)
+                else:
+                    out.pop(nm, None)
+        return Poly(out, self._eb)
+
+    def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]], c=Q1) -> "Poly":
+        """v -> c * unit * v  (unit ((var, exp), ...), a Laurent monomial
+        in unit variables)."""
+        c = _q(c)
+        unit = tuple(unit)
+        s = self._shift_of(v)
+        if s is None:
+            return self
+        ub = max((abs(e) for _, e in unit), default=0)
+        eb = _bounded(lambda b: b * (1 + ub), self)
+        um = pack_mono(unit)
+        bias = mono.BIAS
+        out: Dict[Monomial, Coeff] = {}
+        for m, coeff in self.terms.items():
+            e = ((m + bias) >> s & MASK) - HALF
+            nm = m + e * um if e else m
+            nc = coeff * (c ** e if e >= 0 else _qdiv(1, c ** (-e)))
+            nc = out.get(nm, 0) + nc
+            if nc:
+                out[nm] = _q(nc)
+            else:
+                out.pop(nm, None)
+        return Poly(out, eb)
+
+    def set_value(self, v: Var, value: Coeff) -> "Poly":
+        value = _q(value)
+        out = _P_ZERO
+        for k, coeff in self.decompose(v).items():
+            if k >= 0:
+                out = out + coeff * (value ** k)
+            else:
+                if not value:
+                    raise ZeroDivisionError("substituting 0 into a Laurent exponent")
+                out = out + coeff * _qdiv(1, value ** (-k))
+        return out
+
+    def rename_var(self, old: Var, new: Var) -> "Poly":
+        s = self._shift_of(old)
+        if old == new or s is None:
+            return self
+        eb = _bounded(lambda b: 2 * b, self)
+        sn = FW * field_of(new)
+        bias = mono.BIAS
+        out: Dict[Monomial, Coeff] = {}
+        for m, c in self.terms.items():
+            e = ((m + bias) >> s & MASK) - HALF
+            nm = m - (e << s) + (e << sn)
+            nc = out.get(nm, 0) + c
+            if nc:
+                out[nm] = _q(nc)
+            else:
+                out.pop(nm, None)
+        return Poly(out, eb)
+
+    def partial(self, v: Var) -> "Poly":
+        s = self._shift_of(v)
+        if s is None:
+            return _P_ZERO
+        eb = _bounded(lambda b: b + 1, self)
+        bias = mono.BIAS
+        one = 1 << s
+        out: Dict[Monomial, Coeff] = {}
+        for m, c in self.terms.items():
+            e = ((m + bias) >> s & MASK) - HALF
+            if e:
+                out[m - one] = _q(c * e)  # distinct monomials stay distinct
+        return Poly(out, eb)
+
+    def evaluate(self, assignment: Dict[Var, Coeff]) -> Coeff:
+        ks = self._fields()
+        vals = [(FW * k, assignment[VARS[k]]) for k in ks]
+        bias = mono.BIAS
+        total = 0
+        for m, c in self.terms.items():
+            term = c
+            if m:
+                y = m + bias
+                for s, val in vals:
+                    e = ((y >> s) & MASK) - HALF
+                    if e > 0:
+                        term *= val ** e
+                    elif e:
+                        term = _qdiv(term, val ** (-e))
+            total += term
+        return _q(total)
+
+    def __repr__(self):
+        from .textio import render_poly
+
+        return f"Poly({render_poly(self)})"
+
+
+_P_ZERO = Poly({}, 0)
+_P_ONE = Poly({0: Q1}, 0)
+
+
+def _as_poly(x) -> Poly:
+    if isinstance(x, Poly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Poly.const(x)
+    raise TypeError(f"cannot coerce {type(x)!r} to Poly")
+
+
+def _content(p: Poly) -> Dict[int, int]:
+    """Field -> minimum exponent, for each variable of p where it is
+    nonzero."""
+    lows = {k: p.min_exp(VARS[k]) for k in p._fields()}
+    return {k: lo for k, lo in lows.items() if lo}
+
+
+# ---------------------------------------------------------------------------
+# exact division
+
+
+def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
+    """Return q with f = q*g, or None.  Handles Laurent exponents in unit
+    variables by clearing them first (units do not affect divisibility)."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if f.is_zero():
+        return _P_ZERO
+    if _divides_directly(f, g):
+        return _poly_div_nonneg(f, g)
+    # normalize every variable of both operands to zero minimum exponent;
+    # the quotient is corrected by the difference of the removed contents
+    cf = _content(f)
+    cg = _content(g)
+    shift_f = -sum(lo << (FW * k) for k, lo in cf.items())
+    shift_g = -sum(lo << (FW * k) for k, lo in cg.items())
+    fp = f * Poly({shift_f: Q1}) if shift_f else f
+    gp = g * Poly({shift_g: Q1}) if shift_g else g
+    q = _poly_div_nonneg(fp, gp)
+    if q is None:
+        return None
+    adjust = shift_g - shift_f
+    if any(e < 0 and not is_unit_var(VARS[k]) for k, e in unpacked(adjust)):
+        # quotient would need a genuine denominator
+        return None
+    return q * Poly({adjust: Q1}) if adjust else q
+
+
+def _divides_directly(f: Poly, g: Poly) -> bool:
+    """True when f / g needs no content normalization: neither operand
+    has a negative exponent and no unit variable divides every term of g.
+    Then a quotient exists only with non-negative exponents, which plain
+    division finds.  (Unit content in g, as in f = 1, g = v, can ask for
+    a Laurent quotient; that takes the normalizing path.)"""
+    bias = mono.BIAS
+    # a field of m is negative exactly when its biased digit lacks the top bit
+    for m in f.terms:
+        if (m + bias) & bias != bias:
+            return False
+    for m in g.terms:
+        if (m + bias) & bias != bias:
+            return False
+    for k in g._fields():
+        if VARS[k][0] in UNIT_KINDS:
+            s = FW * k
+            if all((m + bias) >> s & MASK != HALF for m in g.terms):
+                return False
+    return True
+
+
+def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
+    """Sparse division with a heap of remainder terms (Johnson 1974;
+    Monagan & Pearce 2011): each step pops the leading remainder term in
+    O(log n) instead of scanning the remainder.  Heap entries are
+    (negated order key, monomial); an entry whose monomial has left the
+    remainder is stale and skipped.  Exact quotients are unique, so the
+    verdict and q do not depend on the term order used.
+
+    Every remainder term has total degree at most D, the largest total
+    degree in f (the leading term of g has the largest degree in g), and
+    no negative field, so no field exceeds D <= len(ks) * bound(f)."""
+    ks = by_precedence(set(f._fields()) | set(g._fields()))
+    _bounded(lambda b: len(ks) * b, f)
+    neg_key = grlex(ks, sign=-1)
+    bias = mono.BIAS
+    gm = min(g.terms, key=neg_key)
+    gc = g.terms[gm]
+    rem = dict(f.terms)
+    heap = [(neg_key(m), m) for m in rem]
+    heapq.heapify(heap)
+    q: Dict[Monomial, Coeff] = {}
+    while rem:
+        fm = heapq.heappop(heap)[1]
+        fc = rem.get(fm)
+        if fc is None:
+            continue
+        t = fm - gm
+        if (t + bias) & bias != bias:
+            return None  # gm does not divide fm
+        tc = _qdiv(fc, gc)
+        q[t] = tc  # t strictly decreases, so each quotient term is new
+        for m, c in g.terms.items():
+            key = m + t
+            old = rem.get(key)
+            nc = _q(-c * tc if old is None else old - c * tc)
+            if old is None:
+                rem[key] = nc
+                heapq.heappush(heap, (neg_key(key), key))
+            elif nc:
+                rem[key] = nc
+            else:
+                del rem[key]
+    return Poly(q, f._eb)

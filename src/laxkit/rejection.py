@@ -1,11 +1,18 @@
-"""Exact modular rejection test for trial division by linear atoms.
+"""Prime atoms and the exact modular rejection test for trial division.
 
-RatFun._make calls cannot_divide(num, atom) before each trial division
-of a numerator by a denominator atom.  It evaluates num modulo the
-prime 2^61 - 1 at a zero of the atom; a nonzero value proves that the
-atom does not divide num, so the division is skipped.  The test never
-decides "divides": every verdict and every reduced form is the one
-division would give.
+An atom is *prime* when it has the shape A*u + B: u a non-unit variable
+(z, w, p, x, eps) at exponent 1, A a scalar times a Laurent monomial in
+the unit variables v and wh, B free of u.  Every rational-mode atom (a
+linear form), every single-variable atom and a trig atom such as
+v^k*w[i,r] - z have it; w[1,1] - v^2*w[1,2] does not (it is
+(wh11 - v*wh12)(wh11 + v*wh12)).  atom_root finds that shape, memoized
+per atom key; RatFun's cancellation rules lean on it (see ratfun).
+
+RatFun's trial divisions call cannot_divide(num, atom) first.  It
+evaluates num modulo the prime 2^61 - 1 at a zero of a prime atom; a
+nonzero value proves that the atom does not divide num, so the division
+is skipped.  The test never decides "divides": every verdict and every
+reduced form is the one division would give.
 """
 
 from __future__ import annotations
@@ -13,13 +20,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from . import monomials as mono
-from .monomials import FW, HALF, MASK, RESIDUES, VARS, Monomial, unpacked
+from .monomials import FW, HALF, MASK, RESIDUES, UNIT_KINDS, VARS, Monomial, unpacked
 
 if TYPE_CHECKING:
-    from .ratfun import Atom, Coeff, Poly
-
-# variable kinds of rational-mode (linear) atoms
-LINEAR_ATOM_KINDS = frozenset({"z", "w", "p", "x"})
+    from .poly import Coeff, Poly
+    from .ratfun import Atom
 
 P61 = (1 << 61) - 1
 
@@ -35,58 +40,73 @@ def _mod_p(c: Coeff) -> Optional[int]:
 
 
 def _linear_root(p: Poly):
-    """(field of v, r, r / residue(v) mod P61) for a linear form
-    p = c*v + rest over z/w/p/x whose coefficients are integral mod P61,
-    c a unit there: p vanishes mod P61 at v = r when every other
-    variable u is set to residue(u) (see monomials).  False when p is
-    not of that shape."""
-    k = c = None
-    rest = 0
-    for m, cm in p.terms.items():
-        cm = _mod_p(cm)
-        if cm is None:
+    """(field of u, r / residue(u) mod P61) for p = A*u + B of the prime
+    shape (see the module docstring) whose coefficients are integral mod
+    P61, A's scalar a unit there: p vanishes mod P61 at u = r when every
+    other variable is at its residue (see monomials).  False when p has
+    no such shape."""
+    terms = []
+    for m, c in p.terms.items():
+        c = _mod_p(c)
+        if c is None:
             return False
-        if not m:
-            rest += cm
+        terms.append((m, c, unpacked(m)))
+    for m, c, fields in terms:
+        if not c:
             continue
-        # a single variable to the first power is one set bit at a field start
-        ku, off = divmod(m.bit_length() - 1, FW)
-        if m < 0 or m & (m - 1) or off or VARS[ku][0] not in LINEAR_ATOM_KINDS:
-            return False
-        if k is None and cm:
-            k, c = ku, cm
-        else:
-            rest += cm * RESIDUES[ku]
-    if k is None:
-        return False
-    r = -rest * pow(c, -1, P61) % P61
-    return k, r, r * pow(RESIDUES[k], -1, P61) % P61
+        free = [(k, e) for k, e in fields if VARS[k][0] not in UNIT_KINDS]
+        if len(free) != 1 or free[0][1] != 1:
+            continue
+        k = free[0][0]
+        if any(mo != m and any(kk == k for kk, _ in fl) for mo, _, fl in terms):
+            continue
+        # A(pt) * r + B(pt) = 0 with A(pt) * r = c * residue(m) * (r / residue(u))
+        b = sum(co * _mono_residue(mo) for mo, co, _ in terms if mo != m)
+        return k, -b * pow(c * _mono_residue(m), -1, P61) % P61
+    return False
+
+
+def atom_root(atom: Atom):
+    """_linear_root of the atom's polynomial: cached on the atom, and
+    memoized per atom key because atoms are rebuilt all the time."""
+    root = atom._root
+    if root is None:
+        root = _ROOTS.get(atom.key)
+        if root is None:
+            root = _linear_root(atom.poly)
+            if len(_ROOTS) >= _ROOTS_CAP:
+                _ROOTS.clear()
+            _ROOTS[atom.key] = root
+        atom._root = root
+    return root
+
+
+# atom key -> _linear_root; a function of the key alone, cleared when full
+_ROOTS: Dict[tuple, object] = {}
+_ROOTS_CAP = 1 << 12
 
 
 def cannot_divide(num: Poly, atom: Atom) -> bool:
     """True only when the atom provably does not divide num.
 
-    The test applies to linear atoms a = c*v + rest (all rational-mode
-    atoms; _linear_root picks a variable v whose coefficient c is a unit
-    mod P = 2^61 - 1) and to numerators whose coefficients are integral
-    mod P.  Let R = Z_(P)[other variables, unit variables^-1].  Atoms have
-    leading coefficient 1, so a is primitive over the local ring Z_(P),
-    and it is monic in v up to the unit c.  By Gauss's lemma (here:
-    division by a polynomial monic in v), if num = q * a exactly then q
-    lies in R[v], i.e. q is P-integral.
+    The test applies to prime atoms a = A*u + B (atom_root picks u; A's
+    scalar must be a unit mod P = 2^61 - 1) and to numerators whose
+    coefficients are integral mod P.  Let R = Z_(P)[other variables and
+    their inverses].  A is a unit of R, so a is monic in u up to a unit
+    and, by Gauss's lemma (here: division by a polynomial whose leading
+    coefficient in u is a unit), if num = q * a exactly then q lies in
+    R[u, u^-1], i.e. q is P-integral.
 
-    Setting v = r (the zero of a mod P) and every other u to
-    residue(u) (nonzero, so units map to units) is a ring map
-    R[v] -> F_P; it sends num to q(pt) * a(pt) = 0.  So a nonzero value
-    num(pt) is a certificate that a does not divide num.  When num has a
-    negative power of v, v must map to a unit too, so r = 0 (monomial
-    atoms such as z) decides nothing.  Neither does a zero value, a
-    non-linear (trig) atom or a coefficient whose denominator is
-    divisible by P; the caller then divides as before.  No verdict and
-    no reduced form can differ from plain trial division."""
-    root = atom._root
-    if root is None:
-        root = atom._root = _linear_root(atom.poly)
+    Setting u = r (the zero of a mod P) and every other variable to
+    its residue (nonzero, so units map to units) is a ring map to F_P; it
+    sends num to q(pt) * a(pt) = 0.  So a nonzero value num(pt) is a
+    certificate that a does not divide num.  When num has a negative
+    power of u, u must map to a unit too, so r = 0 (monomial atoms such
+    as z) decides nothing.  Neither does a zero value, a non-prime atom
+    or a coefficient whose denominator is divisible by P; the caller then
+    divides as before.  No verdict and no reduced form can differ from
+    plain trial division."""
+    root = atom_root(atom)
     if not root:
         return False
     val = _value_mod_p(num, root)
@@ -97,8 +117,8 @@ def _value_mod_p(p: Poly, root) -> Optional[int]:
     """p mod P at the point of root (see cannot_divide), or None when
     that point gives no verdict for p.  A monomial's value there is its
     value with every variable at its residue (memoized per monomial),
-    times (r / residue of v)^(exponent of v)."""
-    kv, _, rho = root
+    times (r / residue of u)^(exponent of u)."""
+    kv, rho = root
     s = FW * kv if kv in p._fields() else None
     bias = mono.BIAS
     memo = _MONO_RESIDUES
@@ -117,7 +137,7 @@ def _value_mod_p(p: Poly, root) -> Optional[int]:
             f = powers.get(e)
             if f is None:
                 if e < 0 and not rho:
-                    return None  # v^-k with v at 0: no ring map, no verdict
+                    return None  # u^-k with u at 0: no ring map, no verdict
                 f = powers[e] = pow(rho, e, P61)
             r *= f
         total += c * r

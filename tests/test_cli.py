@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +316,38 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err and "identity failure" not in err
+
+
+# Rendered JSON of build, build --raw, linear, limit (both directions in
+# trig) and degenerate, pinned byte for byte on four n = 2 divisors: the
+# first of the rational and of the trig (2, 2) families, trig case 4 and a
+# trig divisor with two slots, whose slot atoms such as
+# v^2*w[1,2] - w[1,1] are not prime.  The outputs are the ones trial
+# division by every atom gives, so a cancellation shortcut must
+# reproduce them; a command missing for a divisor exits 2 there (no
+# linear form, no zero limit or degeneration in rational mode).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
+GOLDEN_COMMANDS = {
+    "build": ["build"],
+    "build --raw": ["build", "--raw"],
+    "linear": ["linear"],
+    "limit": ["limit"],
+    "limit --direction zero": ["limit", "--direction", "zero"],
+    "degenerate": ["degenerate"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_rendered_outputs_match_golden(name, tmp_path, capsys):
+    case = GOLDEN[name]
+    path = _write(tmp_path, "divisor.json", case["divisor"])
+    out = tmp_path / "out.json"
+    for command, argv in GOLDEN_COMMANDS.items():
+        code = main(argv + ["--divisor", path, "--out", str(out), "--quiet"])
+        expected = case["outputs"].get(command)
+        assert code == (2 if expected is None else 0), command
+        if expected is not None:
+            assert out.read_text(encoding="utf-8") == expected, command
+            out.unlink()

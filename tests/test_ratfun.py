@@ -61,6 +61,12 @@ def test_invert_linear_atoms():
 def test_invert_irreducible_raises():
     with pytest.raises(NotAtomFactorable):
         (p11 * p11 + 1).invert()
+    # the leading coefficient in x[x1] is the unit 2*wh[1,1]: dividing by
+    # it leaves the residual as it was, so the factorizer must give up
+    from laxkit.textio import parse_ratfun
+
+    with pytest.raises(NotAtomFactorable):
+        parse_ratfun("-2*v^2 + 2*x[x1] + 2*v*wh[1,1]^-1").invert()
 
 
 def test_invert_linear_products():
@@ -1019,3 +1025,130 @@ def test_sum_is_zero_matches_sympy_cancel():
             assert sum_is_zero(fracs) == want, (mode, idx)
             seen[want] += 1
     assert seen[True] >= 16 and seen[False] >= 12, seen
+
+
+# ---------------------------------------------------------------------------
+# cancellation rules: each result against full trial division (_make) of
+# the unreduced fraction
+
+
+def _reduced_form(f):
+    return f.num.terms, f.den
+
+
+def _check_against_make(got, num, den):
+    want = RatFun._make(num, den)
+    assert _reduced_form(got) == _reduced_form(want), (got, want)
+    return sum(den.values()) - sum(got.den.values())  # atoms cancelled
+
+
+def test_prime_atoms_are_the_shape_a_u_plus_b():
+    from laxkit.ratfun import normalize_factor
+    from laxkit.rejection import atom_root
+    from laxkit.textio import parse_poly, render_poly
+
+    def atom(text):
+        (a,) = normalize_factor(parse_poly(text))[1]
+        return a
+
+    # w[1,1] - v^2*w[1,2] = (wh11 - v*wh12)(wh11 + v*wh12): not prime
+    slot = atom("w[1,1] - v^2*w[1,2]")
+    assert render_poly(slot.poly) == "v^2*w[1,2] - w[1,1]"
+    assert atom_root(slot) is False
+    for text in ("z - v^3*w[1,1]", "z - x[x1]", "x[x1]*v^2 + z*wh[1,1]", "p[1,1] - 2*z + 1", "z"):
+        assert atom_root(atom(text)), text
+    for text in ("z^2 - w[1,1]*v", "z*x[x1] - 1", "w[1,1]*wh[1,2] + v"):
+        assert atom_root(atom(text)) is False, text
+    # the memo is per key: a rebuilt atom finds the root of the first
+    a, b = atom("z - v^3*w[1,1]"), atom("z - v^3*w[1,1]")
+    assert a is not b and atom_root(b) is atom_root(a)
+
+
+def test_cancellation_rules_match_full_trial_division():
+    from laxkit.ratfun import _invert_unit, _lift, den_product, factor_atoms, slot_map, substitute
+    from laxkit.suite import random_ratfun
+
+    cancelled = {"mul": 0, "add": 0, "invert": 0}
+    for mode in ("rational", "trig"):
+        rng = random.Random(91 if mode == "rational" else 92)
+        factors = [a.poly for _ in range(30) for a in random_ratfun(rng, mode).den]
+        if mode == "trig":
+            # the factors of the non-prime atom v^2*w[1,2] - w[1,1]
+            wh11, vwh12 = Poly.variable(wh_var(1, 1)), Poly.monomial(((V, 1), (wh_var(1, 2), 1)))
+            factors += [wh11 - vwh12, wh11 + vwh12] * 10
+
+        def operand():
+            f = random_ratfun(rng, mode)
+            if rng.random() < 0.6:  # a numerator factor some denominator may hold
+                f = f * RatFun.from_poly(rng.choice(factors))
+            return f
+
+        for idx in range(150):
+            f, g = operand(), operand()
+            if idx % 2:
+                g = g - f  # f + g = the old g: f's atoms cancel
+            if f.is_zero() or g.is_zero():
+                continue
+            cancelled["mul"] += _check_against_make(
+                f * g, f.num * g.num, den_product(f.den, g.den)
+            )
+            common, nums = _lift([(f.num, f.den), (g.num, g.den)])
+            total = sum(nums, Poly.zero())
+            if not total.is_zero():
+                cancelled["add"] += _check_against_make(f + g, total, common)
+            try:
+                unit, atoms = factor_atoms(f.num)
+            except NotAtomFactorable:
+                pass
+            else:
+                num = _invert_unit(unit)
+                for a, m in f.den.items():
+                    num = num * a.poly ** m
+                cancelled["invert"] += _check_against_make(f.invert(), num, atoms)
+            slot = rng.choice([(1, 1), (1, 2), (2, 1)])
+            m = rng.choice([-2, -1, 1, 3])
+            shifted = substitute(f.num, f.den, slot_map(mode, 1, *slot, m))
+            assert _check_against_make(f.shift_slot(mode, 1, *slot, m), *shifted) == 0
+    assert cancelled["mul"] > 20 and cancelled["add"] > 50 and cancelled["invert"] > 5, cancelled
+
+
+def test_non_prime_atom_takes_the_full_path():
+    from laxkit.textio import render_ratfun
+
+    wh11, wh12 = RatFun.variable(wh_var(1, 1)), RatFun.variable(wh_var(1, 2))
+    v = RatFun.variable(V)
+    lo, hi = v * wh12 - wh11, v * wh12 + wh11
+    slot = lo * hi  # v^2*w[1,2] - w[1,1], one non-prime atom
+    (atom,) = slot.invert().den
+    # neither factor is divisible by the atom, their product is
+    f = lo / RatFun(slot.num, {})
+    assert list(f.den) == [atom]
+    assert render_ratfun(f * hi) == "1"
+    assert render_ratfun(f.invert()) == render_ratfun(hi)
+
+
+def test_rejection_never_fires_on_divisible_trig_numerators():
+    sympy = pytest.importorskip("sympy")
+    from laxkit.ratfun import normalize_factor
+    from laxkit.rejection import cannot_divide
+    from laxkit.textio import parse_poly
+
+    texts = ["z - v^3*wh[1,1]^2", "x[x1]*v^2 + z*wh[1,1]", "z - x[x1]",
+             "p[1,1] - 2*z + 1", "v*x[x1] - wh[1,1]^-2"]
+    atoms = [a for t in texts for a in normalize_factor(parse_poly(t))[1]]
+    rng = random.Random(93)
+    rejected = 0
+    for idx in range(200):
+        atom = atoms[idx % len(atoms)]
+        f = _random_div_poly(rng, 4)
+        assert not cannot_divide(f * atom.poly, atom)
+        h = f * atom.poly + _random_div_poly(rng, 2)
+        if h.is_zero():
+            continue
+        if cannot_divide(h, atom):
+            rejected += 1
+            assert not _sympy_divides(sympy, h, atom.poly), (h, atom)
+        elif idx % 4 == 0:
+            # a zero value decides nothing: the division does
+            assert (poly_div_exact(h, atom.poly) is not None) == _sympy_divides(sympy, h, atom.poly)
+    assert rejected > 100
