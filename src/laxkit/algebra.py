@@ -23,7 +23,7 @@ built and compared in parallel with no synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -364,6 +364,10 @@ class GammaGauge:
     """
 
     factors: Tuple[Tuple[Poly, int], ...]
+    # shift monomial -> its conjugation factor; it depends on nothing else
+    _factors_of: Dict[ShiftMonomial, RatFun] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def conjugate(self, elem: AlgebraElement) -> AlgebraElement:
         sig = elem.signature
@@ -371,22 +375,30 @@ class GammaGauge:
             raise SignatureMismatch("Gamma gauges act on rational mode")
         out: Dict[ShiftMonomial, RatFun] = {}
         for s, c in elem.terms.items():
-            factor = RatFun.one()
-            for L, e in self.factors:
-                k_total = Fraction(0)
-                for (f, i, r), m in s.exps.items():
-                    lin = L.coeff_of(p_var(i, r, f), 1)
-                    k_total += m * (lin.const_value() if lin else 0)
-                if k_total.denominator != 1:
-                    raise NonIntegerShift(f"Gamma shift by {k_total}")
-                factor = factor * _gamma_quotient(L, int(k_total), e)
-            # the quotient sits to the right of the shift monomial; move it left
-            for (f, i, r), m in s.exps.items():
-                factor = factor.shift_slot("rational", f, i, r, -m)
+            factor = self._factors_of.get(s)
+            if factor is None:
+                factor = self._factors_of[s] = self._factor(s)
             new_c = c * factor
             cur = out.get(s)
             out[s] = new_c if cur is None else cur + new_c
         return AlgebraElement(sig, out)
+
+    def _factor(self, s: ShiftMonomial) -> RatFun:
+        """The coefficient that conjugating the shift monomial s leaves to
+        its left."""
+        factor = RatFun.one()
+        for L, e in self.factors:
+            k_total = Fraction(0)
+            for (f, i, r), m in s.exps.items():
+                lin = L.coeff_of(p_var(i, r, f), 1)
+                k_total += m * (lin.const_value() if lin else 0)
+            if k_total.denominator != 1:
+                raise NonIntegerShift(f"Gamma shift by {k_total}")
+            factor = factor * _gamma_quotient(L, int(k_total), e)
+        # the quotient sits to the right of the shift monomial; move it left
+        for (f, i, r), m in s.exps.items():
+            factor = factor.shift_slot("rational", f, i, r, -m)
+        return factor
 
 
 def _gamma_quotient(L: Poly, k: int, e: int) -> RatFun:

@@ -1,7 +1,9 @@
 """Batch front door: build, verify, transform, and export Lax matrices.
 
 Exit codes: 0 = all requested checks pass, 1 = a mathematical identity
-failed (a report is still written), 2 = bad input or usage.
+failed (a report is still written), 2 = bad input or usage, with the
+message on stderr.  main() may be called repeatedly in one process; the
+calls share one parser.
 """
 
 from __future__ import annotations
@@ -152,8 +154,7 @@ def cmd_qdet(args, out) -> int:
         value = qdet_image(div)
     else:
         if div.n != 2:
-            out.write("trig quantum determinant implemented for n = 2\n")
-            return EXIT_USAGE
+            raise NotAdmissible("trig quantum determinant implemented for n = 2")
         mat = _build(div)
         value = qdet2_trig(mat)
     out.write(render_ratfun(value) + "\n")
@@ -183,8 +184,7 @@ def cmd_fuse(args, out) -> int:
 def cmd_coproduct(args, out) -> int:
     divs = [_load_divisor(p) for p in args.divisor]
     if len(divs) != 2:
-        out.write("coproduct takes exactly two divisors\n")
-        return EXIT_USAGE
+        raise SizeMismatch("coproduct takes exactly two divisors")
     mats = [_build(d, normalize=False) for d in divs]
     delta = fuse(mats[0], mats[1])
     report = verify_rtt(delta)
@@ -203,8 +203,7 @@ def cmd_coproduct(args, out) -> int:
 def cmd_degenerate(args, out) -> int:
     div = _load_divisor(args.divisor)
     if div.mode != "trig":
-        out.write("degeneration starts from a trig divisor\n")
-        return EXIT_USAGE
+        raise NotAdmissible("degeneration starts from a trig divisor")
     mat = degenerate_to_rational(build_lax_trig(div))
     _emit_outputs(mat, args, out)
     return EXIT_OK
@@ -330,10 +329,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of make_parser(), built by the first main() call and shared by
+# every later one: parse_args leaves a parser as it found it (each call
+# gets a fresh Namespace and copies of the append defaults, and help is
+# formatted when it is printed).
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = make_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -25,11 +25,13 @@ class DivergesAtInfinity(LaxkitError):
 
 class NotAdmissible(LaxkitError):
     """Divisor data does not solve the coroot equation in non-negative
-    integers; the divisor is rejected at construction."""
+    integers; the divisor is rejected at construction.  Also raised for a
+    divisor that a command does not take (wrong mode, unsupported rank)."""
 
 
 class SizeMismatch(LaxkitError):
-    """Young-diagram data with inconsistent sizes."""
+    """Data with inconsistent sizes: Young diagrams, or the number of
+    operands a command was given."""
 
 
 class BadDiagram(LaxkitError):

@@ -48,7 +48,8 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
 
 The rules need two things: no prime atom divides a non-prime one, and
 no numerator holds a negative power of a non-unit variable (the
-formulas make none).  The first holds for a non-prime atom in unit
+formulas make none, and textio moves parsed ones into the
+denominator).  The first holds for a non-prime atom in unit
 variables only, such as the trig slot atom v^2*w[1,2] - w[1,1]; a sum or
 product holding any other non-prime atom (z^4 - 1, which only
 hand-written input makes) takes full trial division, RatFun._make.  Then

@@ -17,6 +17,7 @@ from laxkit.algebra import (
 from laxkit.errors import NotScalar, SignatureMismatch
 from laxkit.ratfun import Poly, RatFun, V, p_var, wh_var, x_var
 from laxkit.suite import random_element
+from laxkit.textio import render_element
 
 SIG = AlgebraSignature(2, "rational", ((2,),), ("x1",))
 TSIG = AlgebraSignature(2, "trig", ((2,),), ())
@@ -131,6 +132,27 @@ def test_gamma_gauge_is_automorphism():
         x, y = random_element(rng, SIG), random_element(rng, SIG)
         assert g.conjugate(x * y).equals(g.conjugate(x) * g.conjugate(y))
         assert g.conjugate(x + y).equals(g.conjugate(x) + g.conjugate(y))
+
+
+def test_gamma_gauge_memo_is_per_instance():
+    # the factor of each shift monomial is built once per gauge; a memo
+    # hit gives what a fresh gauge computes, and the memo is no part of
+    # the gauge's value
+    L1 = Poly.variable(p_var(1, 1)) - Poly.variable(x_var("x1")) + Poly.const(1)
+    L2 = Poly.variable(p_var(1, 1)) - Poly.variable(p_var(1, 2))
+    g = GammaGauge(((L1, 1), (L2, -1)))
+    rng = random.Random(14)
+    xs = [random_element(rng, SIG) for _ in range(12)]
+    first = [render_element(g.conjugate(x)) for x in xs]
+    memo = dict(g._factors_of)
+    assert memo
+    assert [render_element(g.conjugate(x)) for x in xs] == first
+    assert g._factors_of.keys() == memo.keys()
+    assert all(g._factors_of[s] is f for s, f in memo.items())
+    fresh = GammaGauge(g.factors)
+    assert not fresh._factors_of
+    assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
+    assert [render_element(fresh.conjugate(x)) for x in xs] == first
 
 
 def test_monomial_gauge():

@@ -10,6 +10,7 @@ import pytest
 
 import laxkit
 from laxkit.algebra import mat_equal
+from laxkit import cli
 from laxkit.cli import main
 from laxkit.lax_rational import build_lax
 from laxkit.suite import block_example_divisor, trig_case_divisor, trig_n3_divisor
@@ -103,6 +104,31 @@ def test_verify_rtt_flags_corruption(tmp_path, capsys):
 def test_inadmissible_divisor_is_usage_error(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", BAD)
     assert main(["build", "--divisor", path]) == 2
+
+
+# Usage errors a command finds after parsing: exit 2, nothing on stdout
+# and the message on stderr, like every other exit-2 path.
+COMMAND_USAGE_ERRORS = {
+    "qdet-trig-n3": ("trig quantum determinant implemented for n = 2",
+                     ["qdet", "--divisor", "{trig3}"]),
+    "degenerate-rational": ("degeneration starts from a trig divisor",
+                            ["degenerate", "--divisor", "{toda}"]),
+    "coproduct-one-divisor": ("coproduct takes exactly two divisors",
+                              ["coproduct", "--divisor", "{toda}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_USAGE_ERRORS))
+def test_command_usage_errors_go_to_stderr(case, tmp_path, capsys):
+    message, argv = COMMAND_USAGE_ERRORS[case]
+    paths = {
+        "toda": _write(tmp_path, "toda.json", TODA),
+        "trig3": _write(tmp_path, "trig3.json", trig_n3_divisor().to_json()),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_yang_baxter_command(capsys):
@@ -351,3 +377,69 @@ def test_rendered_outputs_match_golden(name, tmp_path, capsys):
         if expected is not None:
             assert out.read_text(encoding="utf-8") == expected, command
             out.unlink()
+
+
+# One parser per process: main() builds it on its first call and every
+# later call reuses it, so no call may leave state in it for the next.
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    make_parser = cli.make_parser
+
+    def counting():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "make_parser", counting)
+    toda = _write(tmp_path, "toda.json", TODA)
+    for _ in range(5):
+        assert main(["qdet", "--divisor", toda]) == 0
+        assert main(["linear", "--divisor", toda, "--quiet"]) == 0
+        assert main(["yang-baxter", "--n", "0"]) == 2
+    assert built == [1]
+
+
+def test_append_does_not_accumulate_across_calls(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", TODA)
+    b = _write(tmp_path, "b.json", DST)
+    outputs = []
+    for _ in range(2):
+        assert main(["fuse", "--divisor", a, "--divisor", b]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "p[2;1,1]" in outputs[0] and "p[3;1,1]" not in outputs[0]
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(laxkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "laxkit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+def test_call_after_usage_error_matches_fresh_process(tmp_path, capsys):
+    toda = _write(tmp_path, "toda.json", TODA)
+    argv = ["linear", "--divisor", toda]
+    # two sources of a mutually exclusive group, then a missing argument
+    assert main(["verify-rtt", "--divisor", toda, "--matrix", toda]) == 2
+    assert main(["build"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert _fresh_process(argv) == (0, capsys.readouterr().out)
+
+
+def test_help_does_not_disturb_the_next_call(tmp_path, capsys):
+    toda = _write(tmp_path, "toda.json", TODA)
+    argv = ["qdet", "--divisor", toda]
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    for help_argv in (["--help"], ["build", "--help"]):
+        assert main(help_argv) == 0
+        assert "usage: lax" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before

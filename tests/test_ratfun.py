@@ -524,6 +524,43 @@ def test_eps_series_matches_sympy():
     assert poles >= {0, 1, 2}  # polynomials and simple and double poles
 
 
+def test_z_series_matches_sympy():
+    # sympy's own Laurent expansion of f at z = 1/t ('z_inf') or z = t
+    # ('z_zero'), coefficient by coefficient through the window the series
+    # claims exact, which must reach t^(val + order - 1); every third case
+    # is divided by z, so a pole at z = 0 occurs
+    sympy = pytest.importorskip("sympy")
+    from laxkit.suite import random_ratfun
+
+    t = sympy.Symbol("t")
+    z = _sympy_of(sympy, Poly.variable(Z))
+    rng = random.Random(23)
+    vals = set()
+    for case in range(12):
+        f = random_ratfun(rng, "rational" if case % 2 == 0 else "trig")
+        if case % 3 == 0:
+            f = f * RatFun.variable(Z, -1)
+        if f.is_zero():
+            continue
+        order = 1 + case % 4
+        for direction in ("z_inf", "z_zero"):
+            got = f.series(direction, order)
+            v = got.val()
+            top = v + order - 1 if got.hi is None else got.hi
+            assert top >= v + order - 1, (case, direction)
+            at = 1 / t if direction == "z_inf" else t
+            expr = _sympy_of(sympy, f).subs(z, at)
+            want = sympy.series(expr, t, 0, n=top + 1).removeO()
+            mine = sum(
+                (_sympy_of(sympy, got.coeff(k)) * t ** k for k in range(v, top + 1)),
+                sympy.Integer(0),
+            )
+            # sympy keeps every power up to t^top: none is missing
+            assert sympy.cancel(want - mine) == 0, (case, direction)
+            vals.add(v)
+    assert vals >= {-1, 0, 1}  # poles, units and zeros at the expansion point
+
+
 def test_coefficients_are_ints_when_integral():
     rng = random.Random(51)
     from laxkit.suite import random_ratfun

@@ -101,3 +101,21 @@ def test_parse_errors():
     sig = AlgebraSignature(2, "rational", ((1,),), ())
     with pytest.raises(ParseError):
         parse_element("(1) * e^{q[1,1]} trailing", sig)
+
+
+def test_parsed_negative_powers_move_to_the_denominator():
+    # a negative power of a non-unit variable becomes a monomial atom, as
+    # RatFun.variable(z, -1) builds it, and then cancels like any atom
+    inv_z = RatFun.variable(Z, -1)
+    for text in ("(z^-1*x[a] - 1) / ((x[a] - z))", "z^-1"):
+        f = parse_ratfun(text)
+        assert f.num == inv_z.num and f.den == inv_z.den, text
+        assert render_ratfun(f) == "(1) / ((z))" == render_ratfun(inv_z)
+    f = parse_ratfun("(z^-2*x[a]) / ((x[a] - z))")
+    assert render_ratfun(f) == "(-x[a]) / ((z - x[a]) * (z)^2)"
+    # the units v and wh keep their negative exponents
+    assert render_ratfun(parse_ratfun("z*v^-1 + wh[1,1]^-1")) == "z*v^-1 + wh[1,1]^-1"
+    # the same path reads matrix entries
+    sig = AlgebraSignature(2, "rational", ((1,),), ())
+    e = parse_element("(p[1,1]^-1*z + z) * e^{q[1,1]}", sig)
+    assert render_element(e) == "((z*p[1,1] + z) / ((p[1,1]))) * e^{q[1,1]}"
