@@ -3,10 +3,11 @@
 The kernel (`ratfun`) does exact rational-function arithmetic with
 factored denominators; `algebra` holds the normal-ordered
 difference-operator algebras; `coweight` the divisor combinatorics;
-`lax_rational` / `lax_trig` build the matrices; `rtt` verifies the
-exchange relations, Yang-Baxter identities and coproducts;
-`gelfand_tsetlin` the pattern-formula comparison; `cli` the batch front
-door and `suite` the acceptance battery.
+`lax_rational` / `lax_trig` build the matrices (`lax_rational` holds
+the shared pipeline, the quantum determinant of both modes included);
+`rtt` verifies the exchange relations, Yang-Baxter identities and
+coproducts; `gelfand_tsetlin` the pattern-formula comparison; `cli` the
+batch front door and `suite` the acceptance battery.
 """
 
 from .algebra import (
@@ -47,7 +48,6 @@ from .lax_trig import (
     degenerate_to_rational,
     limits_trig,
     normalize_and_check_polynomial_trig,
-    qdet2_trig,
     split_finite_rtt,
 )
 from .ratfun import (

@@ -38,7 +38,6 @@ from .lax_trig import (
     degenerate_to_rational,
     limits_trig,
     normalize_and_check_polynomial_trig,
-    qdet2_trig,
 )
 from .rtt import check_yang_baxter, verify_coproduct_generators, verify_rtt
 from .suite import run_suite
@@ -149,14 +148,7 @@ def cmd_yang_baxter(args, out) -> int:
 
 
 def cmd_qdet(args, out) -> int:
-    div = _load_divisor(args.divisor, args.mode)
-    if div.mode == "rational":
-        value = qdet_image(div)
-    else:
-        if div.n != 2:
-            raise NotAdmissible("trig quantum determinant implemented for n = 2")
-        mat = _build(div)
-        value = qdet2_trig(mat)
+    value = qdet_image(_build(_load_divisor(args.divisor, args.mode)))
     out.write(render_ratfun(value) + "\n")
     return EXIT_OK
 

@@ -3,19 +3,20 @@
 The matrix is assembled from its Gauss factors: a diagonal of explicit
 rational functions and uni-triangular factors whose entries are
 multi-index sums over slot tuples, with the shift generators on the
-right.  Everything downstream (normalization, qdet, limits, fusion, the
+right.  Everything downstream (normalization, limits, fusion, the
 linear fast path) reuses the same closed forms; the general builder is
 the oracle for all of them.
 
 The pipeline is shared with trig mode: lax_trig passes its own entry
 formulas and normalizer to the assembly, normalization and limit helpers
-here, and uses the same LaxMatrix type.
+here, and uses the same LaxMatrix type.  The quantum determinant of
+either mode is read from T's entries here; only the row arguments, the
+inversion weight and the closed form it is checked against differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -38,7 +39,7 @@ from .errors import (
     NotScalar,
     SignatureMismatch,
 )
-from .ratfun import Poly, RatFun, Z, p_var, x_var
+from .ratfun import V, Poly, RatFun, Z, p_var, x_var
 
 
 class GaussFactors(NamedTuple):
@@ -373,25 +374,58 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
 # quantum determinant
 
 
-def qdet_image(T_or_div) -> RatFun:
-    """Product of the shifted diagonal Gauss entries; asserted scalar and
-    equal to the closed-form point product."""
-    if isinstance(T_or_div, LaxMatrix):
-        div = T_or_div.divisor
-    else:
-        div = T_or_div
+def _at_row(mode: str, n: int, k: int) -> Callable[[RatFun], RatFun]:
+    """f(z) -> f(z_k), the argument of row k: z + n - k (rational) or
+    v^(2 - 2k) z (trig)."""
+    if mode == "rational":
+        return lambda c: c.shift_var(Z, n - k)
+    return lambda c: c.scale_var(Z, ((V, 2 - 2 * k),))
+
+
+def qdet_image(T: LaxMatrix) -> RatFun:
+    """sum_sigma q^l(sigma) T_{1 sigma(1)}(z_1) ... T_{n sigma(n)}(z_n), l the
+    number of inversions, q = -1 (rational) or -v^-1 (trig); asserted
+    scalar and, when T carries its divisor, equal to the closed form.
+    Expanded along rows from the bottom, with the minors memoized by their
+    set of columns: n 2^(n-1) products."""
+    n, mode = T.n, T.signature.mode
+    q = RatFun.const(-1) if mode == "rational" else -RatFun.variable(V, -1)
+    minors = {0: AlgebraElement.one(T.signature)}  # column bitmask -> minor
+    for k in range(n, 0, -1):
+        row = [e.map_coeffs(_at_row(mode, n, k)) for e in T.entries[k - 1]]
+        above = {}
+        for cols, minor in minors.items():
+            for j in range(n):
+                if cols >> j & 1 or row[j].is_zero():
+                    continue
+                # sigma(k) = j inverts with every lower row's column left of j
+                m = bin(cols & ((1 << j) - 1)).count("1")
+                t = row[j] * minor * q ** m if m else row[j] * minor
+                key = cols | 1 << j
+                above[key] = above[key] + t if key in above else t
+        minors = above
+    out = minors[(1 << n) - 1].scalar_part()
+    if T.divisor is not None and not out.equals(_qdet_closed_form(T.divisor, T.normalized)):
+        raise NotScalar("qdet disagrees with its closed form")
+    return out
+
+
+def _qdet_closed_form(div: Divisor, normalized: bool) -> RatFun:
+    """prod_i c_i(z_{n+1-i}), c_i(z) the scalar part of the Gauss entry g_i
+    (whose slot factors telescope away): each point of index k < i gives
+    (z - x)^sign, in trig (1 - x/z)^sign times z^(mu_i); normalizing drops
+    the index-0 points and, in trig, multiplies by z^(eps_1(lambda + mu-))."""
+    trig = div.mode == "trig"
+    e1 = div.total_finite().d[0] + div.mu_zero.d[0] if trig and normalized else 0
+    z = _zvar()
     out = RatFun.one()
     for i in range(1, div.n + 1):
-        g = diag_entry(div, i).shift_var(Z, Fraction(i - 1))
-        out = out * g
-    closed = RatFun.one()
-    z = _zvar()
-    for s in div.summands:
-        for k in range(s.index, div.n):
-            lin = RatFun.from_poly(z - _point_poly(s.point) + Poly.const(k))
-            closed = closed * (lin if s.sign == 1 else lin.invert())
-    if not out.equals(closed):
-        raise NotScalar("qdet disagrees with its closed form")
+        c = RatFun.variable(Z, div.mu.d[i - 1] + e1) if trig else RatFun.one()
+        for s in div.summands:
+            if s.index < i and not (normalized and s.index == 0):
+                lin = RatFun.ratio(z - _point_poly(s.point), z if trig else Poly.const(1))
+                c = c * (lin if s.sign == 1 else lin.invert())
+        out = out * _at_row(div.mode, div.n, div.n + 1 - i)(c)
     return out
 
 
@@ -447,21 +481,15 @@ def fuse(T1: LaxMatrix, T2: LaxMatrix) -> LaxMatrix:
     b = mat_map(T2.entries, lambda e: embed(e, sig, 1 + s1.tensor_factors))
     entries = mat_mul(a, b)
     div = None
-    if T1.divisor is not None and T2.divisor is not None and s1.plain() and s2.plain():
+    if (T1.divisor is not None and T2.divisor is not None and s1.plain() and s2.plain()
+            and T1.normalized == T2.normalized):
         d1, d2 = T1.divisor, T2.divisor
         try:
-            div = Divisor(
-                d1.n,
-                d1.mode,
-                d1.summands + d2.summands,
-                d1.mu + d2.mu,
-                None
-                if d1.mode == "rational"
-                else d1.mu_zero + d2.mu_zero,
-            )
+            div = Divisor(d1.n, d1.mode, d1.summands + d2.summands, d1.mu + d2.mu,
+                          None if d1.mode == "rational" else d1.mu_zero + d2.mu_zero)
         except NotAdmissible:
             div = None
-    return LaxMatrix(sig, div, entries)
+    return LaxMatrix(sig, div, entries, normalized=T1.normalized and T2.normalized)
 
 
 def commuting_hamiltonians_n2(T: LaxMatrix, eps) -> List[AlgebraElement]:

@@ -4,9 +4,9 @@ The matrix type, the F G E assembly, the normalize-and-check scan and the
 limit of a whole point to infinity are shared with rational mode and
 live in lax_rational.  This module holds what is trig-specific: the
 Gauss-entry formulas, the normalizer, the closed-form linear matrix, the
-n = 2 quantum determinant, the limit of a whole point to zero, the split
-of the finite exchange relations, and the degeneration to the rational
-case.
+limit of a whole point to zero, the split of the finite exchange
+relations, and the degeneration to the rational case.  The quantum
+determinant of both modes is lax_rational.qdet_image.
 
 Entries are uniform rational functions of the spectral parameter (the
 plus/minus current expansions of the construction are expansions of these
@@ -315,22 +315,6 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
                 )
                 entries[j - 1][i - 1] = f * g0
     return LaxMatrix(sig, div, entries)
-
-
-# ---------------------------------------------------------------------------
-# quantum determinant (n = 2)
-
-
-def qdet2_trig(T: LaxMatrix) -> RatFun:
-    """T_11(z) T_22(v^-2 z) - v^-1 T_12(z) T_21(v^-2 z); asserted scalar."""
-    if T.n != 2:
-        raise ValueError("qdet2 is the n = 2 quantum determinant")
-    scale = lambda e: e.map_coeffs(lambda c: c.scale_var(Z, ((V, -2),)))
-    a = T.entries[0][0] * scale(T.entries[1][1])
-    b = T.entries[0][1] * scale(T.entries[1][0])
-    vm1 = RatFun.variable(V, -1)
-    out = a - b * vm1
-    return out.scalar_part()
 
 
 # ---------------------------------------------------------------------------

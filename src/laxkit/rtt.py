@@ -324,6 +324,14 @@ def series_gauss_decompose(entries, order: int):
     return F, G, E
 
 
+def _series_gauss(T, d, order: int):
+    """(F, G, E) of T's entries expanded in 1/z, exact through the given
+    order: the expansion runs 2 max |d_i| + 2 orders deeper."""
+    work = order + 2 * max(abs(x) for x in d) + 2
+    series = [[element_z_series(e, work) for e in row] for row in T.entries]
+    return series_gauss_decompose(series, order)
+
+
 def recompose_gauss(F, G, E, order: int):
     """FGE product for round-trip testing."""
     n = len(G)
@@ -398,9 +406,7 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
     b2 = [d2[i] - d2[i + 1] for i in range(n - 1)]
     if order is None:
         order = max(4, 2 + max(abs(x) for x in d))
-    work = order + 2 * max(abs(x) for x in d) + 2
-    series = [[element_z_series(e, work) for e in row] for row in delta.entries]
-    F, G, E = series_gauss_decompose(series, order)
+    F, G, E = _series_gauss(delta, d, order)
 
     def f_mode(T, j, i, r, factor):
         ser = element_z_series(T.gauss.lower[j - 1][i - 1], r)
@@ -485,9 +491,7 @@ def coproduct_mode_contract(delta, order: int = 4) -> bool:
         raise ValueError("fused matrix lost its divisor")
     d = div.mu.d
     n = delta.n
-    work = order + 2 * max(abs(x) for x in d) + 2
-    series = [[element_z_series(e, work) for e in row] for row in delta.entries]
-    F, G, E = series_gauss_decompose(series, order)
+    F, G, E = _series_gauss(delta, d, order)
     sig = delta.signature
     one = AlgebraElement.one(sig)
     for i in range(n):

@@ -47,10 +47,9 @@ from .lax_trig import (
     degenerate_to_rational,
     limits_trig,
     normalize_and_check_polynomial_trig,
-    qdet2_trig,
     split_finite_rtt,
 )
-from .ratfun import Poly, RatFun, V, Z, p_var, wh_var, x_var
+from .ratfun import Poly, RatFun, V, W, Z, p_var, wh_var, x_var
 from .rtt import (
     check_yang_baxter,
     coproduct,
@@ -398,7 +397,7 @@ def check_golden_trig() -> CheckResult:
             T = normalize_and_check_polynomial_trig(build_lax_trig(div))
             if not mat_equal(T.entries, _expected_trig_case(T.signature, k)):
                 return False, f"trig case {k} matrix differs"
-            if not qdet2_trig(T).equals(_expected_trig_qdet(k)):
+            if not qdet_image(T).equals(_expected_trig_qdet(k)):
                 return False, f"trig case {k} qdet differs"
         return True, ""
 
@@ -473,20 +472,31 @@ def check_polynomiality() -> CheckResult:
 
 
 def check_qdet() -> CheckResult:
+    """qdet of every suite divisor, raw and normalized, is a scalar equal
+    to its closed form (qdet_image raises otherwise) that commutes with
+    every entry T_ij(w); it is multiplicative under fuse in both modes."""
+
+    def central(T) -> bool:
+        q = AlgebraElement.from_ratfun(T.signature, qdet_image(T))
+        at_w = (e.rename_spectral(Z, W) for row in T.entries for e in row)
+        return all(q.commutator(e).is_zero() for e in at_w)
+
     def run():
-        for div in rtt_rational_divisors() + [rational_pizero_divisor()]:
-            qdet_image(div)  # raises or compares against the closed form
-        for k in range(1, 7):
-            T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(k)))
-            if not qdet2_trig(T).equals(_expected_trig_qdet(k)):
-                return False, f"trig case {k}"
-        # multiplicativity under fusion for an n = 2 trig pair
-        t1 = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(2)))
-        t3 = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(3)))
-        fused = fuse(t1, t3)
-        q = qdet2_trig(fused)
-        if not q.equals(_expected_trig_qdet(2) * _expected_trig_qdet(3)):
-            return False, "trig qdet not multiplicative under fusion"
+        divisors = rtt_rational_divisors() + [rational_pizero_divisor()]
+        divisors += rtt_trig_divisors() + [trig_pizero_divisor()]
+        for div in divisors + enumerate_linear_divisors(3, 1, "trig"):
+            if div.mode == "rational":
+                T, normalize = build_lax(div), normalize_and_check_polynomial
+            else:
+                T, normalize = build_lax_trig(div), normalize_and_check_polynomial_trig
+            if not (central(T) and central(normalize(T))):
+                return False, f"qdet of {div.to_json()} is not central"
+        toda = build_lax(toda_divisor())
+        t2, t3 = (normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(k)))
+                  for k in (2, 3))
+        for a, b in ((toda, toda), (t2, t3)):
+            if not qdet_image(fuse(a, b)).equals(qdet_image(a) * qdet_image(b)):
+                return False, f"{a.signature.mode} qdet not multiplicative under fusion"
         return True, ""
 
     return _timed("quantum determinants", run)
@@ -753,13 +763,11 @@ def check_hamiltonians() -> CheckResult:
         hams = commuting_hamiltonians_n2(monodromy, "eps")
         if len(hams) < 3:
             return False, "monodromy spectral combination too short"
-        hams2 = commuting_hamiltonians_n2(build_lax(double_coroot_divisor()), "eps")
-        if len(hams2) < 3:
+        double = build_lax(double_coroot_divisor())
+        if len(commuting_hamiltonians_n2(double, "eps")) < 3:
             return False, "double-coroot spectral combination too short"
         # the two realizations share their central image
-        if not qdet_image(double_coroot_divisor()).equals(
-            qdet_image(monodromy.divisor)
-        ):
+        if not qdet_image(double).equals(qdet_image(monodromy)):
             return False, "central images differ"
         return True, ""
 

@@ -151,9 +151,7 @@ class _Tok:
         self.pos = 0
 
     def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n":
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self._skip() : self.pos + 1]
 
     def take(self, s: str) -> bool:
         if self.text.startswith(s, self._skip()):
@@ -351,16 +349,15 @@ def parse_element(text: str, signature) -> "AlgebraElement":
                     if not tok.take("e^{"):
                         break
                     m = _parse_shift_exponent(tok)
-                    tok.expect("q[")
-                    slot, i, r = _parse_shift_indices(tok, signature)
-                    tok.expect("]")
+                    tok.expect("q")
+                    slot, i, r = _parse_indices(tok)
                     tok.expect("}")
                 else:
-                    if not tok.take("D["):
+                    if not tok.take("D"):
                         break
-                    slot, i, r = _parse_shift_indices(tok, signature)
-                    tok.expect("]")
+                    slot, i, r = _parse_indices(tok)
                     m = tok.integer() if tok.take("^") else 1
+                _check_slot(signature, "shift generator", slot, i, r)
                 exps[(slot, i, r)] = exps.get((slot, i, r), 0) + m
         shift = ShiftMonomial(exps)
         cur = terms.get(shift)
@@ -375,7 +372,6 @@ def parse_element(text: str, signature) -> "AlgebraElement":
 def _parse_shift_exponent(tok: _Tok) -> int:
     ch = tok.peek()
     if ch == "-":
-        save = tok.pos
         tok.take("-")
         if tok.peek().isdigit():
             return -tok.integer()
@@ -383,22 +379,6 @@ def _parse_shift_exponent(tok: _Tok) -> int:
     if ch.isdigit():
         return tok.integer()
     return 1
-
-
-def _parse_shift_indices(tok: _Tok, signature):
-    a = tok.integer()
-    if tok.take(";"):
-        slot = a
-        i = tok.integer()
-        tok.expect(",")
-        r = tok.integer()
-    else:
-        slot = 1
-        tok.expect(",")
-        i = a
-        r = tok.integer()
-    _check_slot(signature, "shift generator", slot, i, r)
-    return slot, i, r
 
 
 def _check_slot(signature, what: str, slot: int, i: int, r: int) -> None:

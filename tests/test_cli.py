@@ -69,6 +69,14 @@ def test_qdet_commands(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "z - x[x1] + 1"
 
 
+def test_qdet_of_trig_rank_three(tmp_path, capsys):
+    # the closed form v^-4 (z - x1): mu+ = (1, 0, 0) gives (v^-4 z)^1 at the
+    # first row argument, the index-2 point (1 - x1/z) at the last
+    path = _write(tmp_path, "trig3.json", trig_n3_divisor().to_json())
+    assert main(["qdet", "--divisor", path]) == 0
+    assert capsys.readouterr().out.strip() == "z*v^-4 - v^-4*x[x1]"
+
+
 def test_verify_rtt_roundtrip(tmp_path, capsys):
     dst = _write(tmp_path, "dst.json", DST)
     mat_path = str(tmp_path / "dst_mat.json")
@@ -109,8 +117,6 @@ def test_inadmissible_divisor_is_usage_error(tmp_path, capsys):
 # Usage errors a command finds after parsing: exit 2, nothing on stdout
 # and the message on stderr, like every other exit-2 path.
 COMMAND_USAGE_ERRORS = {
-    "qdet-trig-n3": ("trig quantum determinant implemented for n = 2",
-                     ["qdet", "--divisor", "{trig3}"]),
     "degenerate-rational": ("degeneration starts from a trig divisor",
                             ["degenerate", "--divisor", "{toda}"]),
     "coproduct-one-divisor": ("coproduct takes exactly two divisors",
@@ -123,7 +129,6 @@ def test_command_usage_errors_go_to_stderr(case, tmp_path, capsys):
     message, argv = COMMAND_USAGE_ERRORS[case]
     paths = {
         "toda": _write(tmp_path, "toda.json", TODA),
-        "trig3": _write(tmp_path, "trig3.json", trig_n3_divisor().to_json()),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()

@@ -13,7 +13,7 @@ from laxkit.coweight import (
     fundamental_coweight,
     simple_coroot,
 )
-from laxkit.errors import NotLinearCase, NotPolynomial
+from laxkit.errors import NotLinearCase, NotPolynomial, NotScalar
 from laxkit.lax_rational import (
     LaxMatrix,
     build_gauss_factors,
@@ -25,6 +25,7 @@ from laxkit.lax_rational import (
     normalized_limit,
     qdet_image,
 )
+from laxkit.lax_trig import build_lax_trig
 from laxkit.ratfun import Poly, RatFun, W, Z, p_var, x_var
 from laxkit.rtt import element_z_series, verify_rtt
 from laxkit.suite import (
@@ -33,6 +34,7 @@ from laxkit.suite import (
     heisenberg_divisor,
     rational_pizero_divisor,
     toda_divisor,
+    trig_n3_divisor,
 )
 
 z = RatFun.variable(Z)
@@ -158,15 +160,24 @@ def test_normalize_flags_nonpolynomial_input():
 
 
 def test_qdet_examples():
-    assert qdet_image(toda_divisor()).equals(1)
+    assert qdet_image(build_lax(toda_divisor())).equals(1)
     x1 = RatFun.variable(x_var("x1"))
-    assert qdet_image(dst_divisor()).equals(z - x1 + 1)
+    assert qdet_image(build_lax(dst_divisor())).equals(z - x1 + 1)
     x2 = RatFun.variable(x_var("x2"))
-    assert qdet_image(heisenberg_divisor()).equals((z - x1 + 1) * (z - x2 + 1))
+    assert qdet_image(build_lax(heisenberg_divisor())).equals((z - x1 + 1) * (z - x2 + 1))
     # index-1 point contributes one shifted factor, the index-0 point two
-    assert qdet_image(rational_pizero_divisor()).equals(
-        (z - x1 + 1) * (z - x2) * (z - x2 + 1)
-    )
+    pizero = build_lax(rational_pizero_divisor())
+    assert qdet_image(pizero).equals((z - x1 + 1) * (z - x2) * (z - x2 + 1))
+    # normalizing divides each row by the index-0 point factor at its argument
+    assert qdet_image(normalize_and_check_polynomial(pizero)).equals(z - x1 + 1)
+
+
+def test_qdet_reads_the_entries():
+    # one entry off by 1: the antisymmetrizer sum leaves the closed form
+    for T in (build_lax(dst_divisor()), build_lax_trig(trig_n3_divisor())):
+        T.entries[0][0] = T.entries[0][0] + 1
+        with pytest.raises(NotScalar):
+            qdet_image(T)
 
 
 def test_normalized_limit_cases():
@@ -224,7 +235,7 @@ def test_monodromy_and_double_coroot_share_structure():
     d2 = Divisor.make(2, "rational", [], 2 * simple_coroot(2, 1))
     assert verify_rtt(monodromy).ok
     assert verify_rtt(build_lax(d2)).ok
-    assert qdet_image(d2).equals(qdet_image(monodromy.divisor))
+    assert qdet_image(build_lax(d2)).equals(qdet_image(monodromy))
 
 
 def test_gauss_mode_contract():
@@ -317,4 +328,4 @@ def test_negative_index_zero_summand():
     x1 = RatFun.variable(x_var("x1"))
     x2 = RatFun.variable(x_var("x2"))
     want_q = (z - x1 + 1) * ((z - x2) * (z - x2 + 1)).invert()
-    assert qdet_image(div).equals(want_q)
+    assert qdet_image(T).equals(want_q)

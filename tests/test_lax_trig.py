@@ -6,14 +6,19 @@ import pytest
 from laxkit.algebra import AlgebraElement, mat_equal
 from laxkit.coweight import Coweight, Divisor, PseudoYoungDiagram, divisor_from_young
 from laxkit.errors import MismatchWithRational, NegativeEpsPower, NotLinearCase
-from laxkit.lax_rational import GaussFactors, LaxMatrix, build_lax, normalized_limit
+from laxkit.lax_rational import (
+    GaussFactors,
+    LaxMatrix,
+    build_lax,
+    normalized_limit,
+    qdet_image,
+)
 from laxkit.lax_trig import (
     build_lax_trig,
     build_linear_lax_trig,
     degenerate_to_rational,
     limits_trig,
     normalize_and_check_polynomial_trig,
-    qdet2_trig,
     split_finite_rtt,
 )
 from laxkit.ratfun import RatFun, V, Z, wh_var
@@ -32,7 +37,7 @@ def test_six_golden_matrices_and_qdets():
         div = trig_case_divisor(k)
         T = normalize_and_check_polynomial_trig(build_lax_trig(div))
         assert mat_equal(T.entries, _expected_trig_case(T.signature, k)), k
-        assert qdet2_trig(T).equals(_expected_trig_qdet(k)), k
+        assert qdet_image(T).equals(_expected_trig_qdet(k)), k
 
 
 def test_linear_fast_path_matches_general():
