@@ -209,10 +209,14 @@ class AlgebraElement:
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
             return self.invert_single_term() ** (-k)
-        out = AlgebraElement.one(self.signature)
-        for _ in range(k):
-            out = out * self
-        return out
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return AlgebraElement.one(self.signature) if out is None else out
 
     def commutator(self, other) -> "AlgebraElement":
         other = self._coerce(other)

@@ -30,6 +30,7 @@ from .algebra import (
     mat_map,
     mat_mul,
     mat_zero,
+    unreduced_product,
 )
 from .coweight import Divisor
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     NotScalar,
     SignatureMismatch,
 )
-from .ratfun import V, Poly, RatFun, Z, p_var, x_var
+from .ratfun import V, Poly, RatFun, Z, p_var, reduced_sum, x_var
 
 
 class GaussFactors(NamedTuple):
@@ -69,7 +70,12 @@ class LaxMatrix:
 
 
 # ---------------------------------------------------------------------------
-# polynomial building blocks
+# factor lists
+#
+# A Gauss coefficient is c * prod poly^exp over a list of (poly, exp)
+# factors, each poly a unit times atoms; RatFun.product multiplies it out
+# with nothing divided.  The memo of normalize_factor splits is made once
+# per build and shared by all of its entries.
 
 
 def _point_poly(pt) -> Poly:
@@ -78,41 +84,33 @@ def _point_poly(pt) -> Poly:
     return Poly.const(pt)
 
 
-def slot_product(sig: AlgebraSignature, j: int, arg: Poly, skip: Optional[int] = None,
-                 factor: int = 1) -> Poly:
-    """prod over slots r of row j of (arg - p[j,r]), optionally skipping one."""
-    out = Poly.const(1)
-    for r in range(1, sig.a(j, factor) + 1):
-        if r == skip:
-            continue
-        out = out * (arg - Poly.variable(p_var(j, r, factor)))
-    return out
+def _p(k: int, r: int, factor: int) -> Poly:
+    return Poly.variable(p_var(k, r, factor))
 
 
-def slot_ratio(sig: AlgebraSignature, j: int, arg: Poly, skip: Optional[int] = None,
-               factor: int = 1, invert: bool = False) -> RatFun:
-    """Same product as a RatFun, kept factor-by-factor when inverted."""
-    out = RatFun.one()
-    for r in range(1, sig.a(j, factor) + 1):
-        if r == skip:
-            continue
-        lin = arg - Poly.variable(p_var(j, r, factor))
-        out = out * (RatFun.ratio(Poly.const(1), lin) if invert else RatFun.from_poly(lin))
-    return out
-
-
-def point_product(div: Divisor, index: int, arg: Poly) -> RatFun:
-    """prod over summands with the given fundamental index of
-    (arg - x_s)^sign."""
-    out = RatFun.one()
-    for pt, sign in div.points_with(index):
-        lin = RatFun.from_poly(arg - _point_poly(pt))
-        out = out * (lin if sign == 1 else lin.invert())
-    return out
+def _row(sig: AlgebraSignature, k: int, arg: Poly, e: int, skip: Optional[int] = None,
+         factor: int = 1) -> list:
+    """(arg - p[k,t])^e over the slots t of row k, optionally skipping one."""
+    return [(arg - _p(k, t, factor), e) for t in range(1, sig.a(k, factor) + 1) if t != skip]
 
 
 def _zvar() -> Poly:
     return Poly.variable(Z)
+
+
+def slot_sum(sig: AlgebraSignature, i: int, j: int, factor: int, step: int,
+             coeff: Callable[[dict], tuple], memo: Optional[dict]) -> AlgebraElement:
+    """sum over slot tuples r = (r_i, ..., r_(j-1)) of rows i..j-1 of
+    RatFun.product(*coeff(r)) times the shift monomial with exponent step
+    on every slot (k, r_k); r is passed as {k: r_k}.  One term per element
+    of the product of the slot ranges, so the cost per entry is bounded by
+    prod a_k over that range."""
+    terms = {}
+    for tup in iproduct(*(range(1, sig.a(k, factor) + 1) for k in range(i, j))):
+        r = dict(zip(range(i, j), tup))
+        shift = ShiftMonomial({(factor, k, r[k]): step for k in range(i, j)})
+        terms[shift] = RatFun.product(*coeff(r), memo)
+    return AlgebraElement(sig, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -120,126 +118,90 @@ def _zvar() -> Poly:
 
 
 def diag_entry(div: Divisor, i: int, factor: int = 1,
-               sig: Optional[AlgebraSignature] = None) -> RatFun:
+               sig: Optional[AlgebraSignature] = None, memo: Optional[dict] = None) -> RatFun:
     """Diagonal Gauss entry: row-i slot product over the shifted row-(i-1)
     product, times the point factors of all lower indices."""
     sig = sig or div.signature()
     z = _zvar()
-    out = RatFun.from_poly(slot_product(sig, i, z, factor=factor))
-    out = out * slot_ratio(sig, i - 1, z - Poly.const(1), factor=factor, invert=True)
-    for k in range(0, i):
-        out = out * point_product(div, k, z)
-    return out
+    return RatFun.product(
+        1,
+        _row(sig, i, z, 1, factor=factor)
+        + _row(sig, i - 1, z - 1, -1, factor=factor)
+        + [(z - _point_poly(s.point), s.sign) for s in div.summands if s.index < i],
+        memo,
+    )
 
 
 def upper_entry(div: Divisor, i: int, j: int, factor: int = 1,
                 sig: Optional[AlgebraSignature] = None,
-                drop_pole: bool = False) -> AlgebraElement:
+                drop_pole: bool = False, memo: Optional[dict] = None) -> AlgebraElement:
     """Entry (i, j), i < j, of the upper unitriangular factor.
-
-    The sum over slot tuples is materialized eagerly: one term per element
-    of the product of the slot ranges of rows i..j-1, so the cost per
-    entry is bounded by prod a_k over that range.
 
     With drop_pole the spectral pole 1/(z - p[i, r_i]) is omitted; that is
     exactly the z-linear fast path residue."""
     sig = sig or div.signature()
-    out = AlgebraElement.zero(sig)
-    ranges = [range(1, sig.a(k, factor) + 1) for k in range(i, j)]
-    for tup in iproduct(*ranges):
-        slots = dict(zip(range(i, j), tup))
-        lead = p_var(i, slots[i], factor)
-        coeff = RatFun.from_poly(
-            slot_product(sig, i - 1, Poly.variable(lead) - Poly.const(1), factor=factor)
-        )
+
+    def coeff(r):
+        p = {k: _p(k, r[k], factor) for k in r}
+        fs = _row(sig, i - 1, p[i] - 1, 1, factor=factor)
         for k in range(i, j - 1):
-            coeff = coeff * RatFun.from_poly(
-                slot_product(
-                    sig,
-                    k,
-                    Poly.variable(p_var(k + 1, slots[k + 1], factor)) - Poly.const(1),
-                    skip=slots[k],
-                    factor=factor,
-                )
-            )
+            fs += _row(sig, k, p[k + 1] - 1, 1, r[k], factor)
         if not drop_pole:
-            coeff = coeff * RatFun.ratio(
-                Poly.const(1), _zvar() - Poly.variable(lead)
-            )
+            fs.append((_zvar() - p[i], -1))
         for k in range(i, j):
-            coeff = coeff * slot_ratio(
-                sig, k, Poly.variable(p_var(k, slots[k], factor)),
-                skip=slots[k], factor=factor, invert=True,
-            )
-            coeff = coeff * point_product(
-                div, k, Poly.variable(p_var(k, slots[k], factor))
-            )
-        shift = ShiftMonomial({(factor, k, slots[k]): 1 for k in range(i, j)})
-        out = out + AlgebraElement(sig, {shift: -coeff})
-    return out
+            fs += _row(sig, k, p[k], -1, r[k], factor)
+            fs += [(p[k] - _point_poly(pt), sign) for pt, sign in div.points_with(k)]
+        return -1, fs
+
+    return slot_sum(sig, i, j, factor, 1, coeff, memo)
 
 
 def lower_entry(div: Divisor, j: int, i: int, factor: int = 1,
                 sig: Optional[AlgebraSignature] = None,
-                drop_pole: bool = False) -> AlgebraElement:
+                drop_pole: bool = False, memo: Optional[dict] = None) -> AlgebraElement:
     """Entry (j, i), i < j, of the lower unitriangular factor."""
     sig = sig or div.signature()
-    out = AlgebraElement.zero(sig)
-    ranges = [range(1, sig.a(k, factor) + 1) for k in range(i, j)]
-    for tup in iproduct(*ranges):
-        slots = dict(zip(range(i, j), tup))
-        coeff = RatFun.from_poly(
-            slot_product(
-                sig, j,
-                Poly.variable(p_var(j - 1, slots[j - 1], factor)) + Poly.const(1),
-                factor=factor,
-            )
-        )
+
+    def coeff(r):
+        p = {k: _p(k, r[k], factor) for k in r}
+        fs = _row(sig, j, p[j - 1] + 1, 1, factor=factor)
         for k in range(i + 1, j):
-            coeff = coeff * RatFun.from_poly(
-                slot_product(
-                    sig, k,
-                    Poly.variable(p_var(k - 1, slots[k - 1], factor)) + Poly.const(1),
-                    skip=slots[k], factor=factor,
-                )
-            )
+            fs += _row(sig, k, p[k - 1] + 1, 1, r[k], factor)
         if not drop_pole:
-            coeff = coeff * RatFun.ratio(
-                Poly.const(1),
-                _zvar() - Poly.variable(p_var(i, slots[i], factor)) - Poly.const(1),
-            )
+            fs.append((_zvar() - p[i] - 1, -1))
         for k in range(i, j):
-            coeff = coeff * slot_ratio(
-                sig, k, Poly.variable(p_var(k, slots[k], factor)),
-                skip=slots[k], factor=factor, invert=True,
-            )
-        shift = ShiftMonomial({(factor, k, slots[k]): -1 for k in range(i, j)})
-        out = out + AlgebraElement(sig, {shift: coeff})
-    return out
+            fs += _row(sig, k, p[k], -1, r[k], factor)
+        return 1, fs
+
+    return slot_sum(sig, i, j, factor, -1, coeff, memo)
 
 
 def _gauss_factors(div: Divisor, mode: str, diag: Callable, upper: Callable,
                    lower: Callable) -> GaussFactors:
-    """Fill the unitriangular factors from a mode's three entry formulas."""
+    """Fill the unitriangular factors from a mode's three entry formulas,
+    which share one memo of factor splits."""
     if div.mode != mode:
         raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
     sig = div.signature()
     n = div.n
+    memo: dict = {}
     lower_f = mat_identity(sig, n)
     upper_f = mat_identity(sig, n)
     diag_f = [
-        AlgebraElement.from_ratfun(sig, diag(div, i, sig=sig)) for i in range(1, n + 1)
+        AlgebraElement.from_ratfun(sig, diag(div, i, sig=sig, memo=memo))
+        for i in range(1, n + 1)
     ]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            upper_f[i - 1][j - 1] = upper(div, i, j, sig=sig)
-            lower_f[j - 1][i - 1] = lower(div, j, i, sig=sig)
+            upper_f[i - 1][j - 1] = upper(div, i, j, sig=sig, memo=memo)
+            lower_f[j - 1][i - 1] = lower(div, j, i, sig=sig, memo=memo)
     return GaussFactors(lower=lower_f, diag=diag_f, upper=upper_f)
 
 
 def _assemble(div: Divisor, gauss: GaussFactors) -> LaxMatrix:
-    """T(z) = F G E.  Each G E entry is formed once, and the unit
-    diagonals of F and E are never multiplied by."""
+    """T(z) = F G E.  Each G E entry is formed once and reduced; each T
+    coefficient gathers its unreduced F (G E) products and is reduced once.
+    The unit diagonals of F and E are never multiplied by."""
     sig = div.signature()
     n = div.n
     ge = [[None] * n for _ in range(n)]  # ge[i][beta] = g_i e_(i,beta), beta >= i
@@ -248,13 +210,19 @@ def _assemble(div: Divisor, gauss: GaussFactors) -> LaxMatrix:
         for beta in range(i + 1, n):
             ge[i][beta] = g * gauss.upper[i][beta]
     entries = mat_zero(sig, n)
-    for alpha in range(n):
+    entries[0] = ge[0]
+    for alpha in range(1, n):
         for beta in range(n):
-            acc = AlgebraElement.zero(sig)
-            for i in range(min(alpha, beta) + 1):
-                t = ge[i][beta]
-                acc = acc + (t if i == alpha else gauss.lower[alpha][i] * t)
-            entries[alpha][beta] = acc
+            fracs = {}  # shift monomial -> fractions summing to its coefficient
+            if alpha <= beta:
+                for s, c in ge[alpha][beta].terms.items():
+                    fracs[s] = [(c.num, c.den)]
+            for i in range(min(alpha, beta + 1)):
+                for s, fl in unreduced_product(gauss.lower[alpha][i], ge[i][beta]).items():
+                    fracs.setdefault(s, []).extend(fl)
+            entries[alpha][beta] = AlgebraElement(
+                sig, {s: reduced_sum(fl) for s, fl in fracs.items()}
+            )
     return LaxMatrix(signature=sig, divisor=div, entries=entries, gauss=gauss)
 
 
@@ -361,12 +329,11 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
             entries[i - 1][i - 1] = AlgebraElement.from_ratfun(sig, val)
         elif i <= m_prime:
             entries[i - 1][i - 1] = AlgebraElement.one(sig)
-    for i in range(1, n + 1):
-        if i > m:
-            continue
+    memo: dict = {}
+    for i in range(1, m + 1):
         for j in range(i + 1, n + 1):
-            entries[i - 1][j - 1] = upper_entry(div, i, j, sig=sig, drop_pole=True)
-            entries[j - 1][i - 1] = lower_entry(div, j, i, sig=sig, drop_pole=True)
+            entries[i - 1][j - 1] = upper_entry(div, i, j, sig=sig, drop_pole=True, memo=memo)
+            entries[j - 1][i - 1] = lower_entry(div, j, i, sig=sig, drop_pole=True, memo=memo)
     return LaxMatrix(sig, div, entries)
 
 

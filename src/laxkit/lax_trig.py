@@ -27,7 +27,6 @@ divisor with both framings merged at infinity.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from typing import Optional
 
 from .algebra import (
@@ -55,62 +54,35 @@ from .lax_rational import (
     _young_data,
     build_lax,
     normalized_limit,
+    slot_sum,
 )
 from .ratfun import Poly, RatFun, V, Z, wh_var
 from .series import TruncSeries
 
 
 # ---------------------------------------------------------------------------
-# building blocks
+# factor lists (see lax_rational)
 
 
 def _w_full(i: int, r: int, factor: int = 1) -> Poly:
     return Poly.variable(wh_var(i, r, factor), 2)
 
 
-def _w_half_prod(sig: AlgebraSignature, i: int, exp: int, factor: int = 1) -> RatFun:
+def _w_half_prod(sig: AlgebraSignature, i: int, exp: int, factor: int = 1) -> Poly:
     """prod over slots of row i of wh[i,t]^exp (exp in half-units of w)."""
-    out = Poly.const(1)
-    for t in range(1, sig.a(i, factor) + 1):
-        out = out * Poly.variable(wh_var(i, t, factor), exp)
-    return RatFun.from_poly(out)
+    return Poly.monomial((wh_var(i, t, factor), exp) for t in range(1, sig.a(i, factor) + 1))
 
 
 def _v_pow(k: int) -> Poly:
     return Poly.variable(V, k) if k else Poly.const(1)
 
 
-def one_minus_ratio(num: Poly, den: Poly) -> RatFun:
-    """(1 - num/den) as a reduced RatFun; den a monomial in z/w/x/units."""
-    return RatFun.ratio(den - num, den)
-
-
-def sw_row(sig: AlgebraSignature, j: int, arg_num: Poly, arg_den: Poly,
-           skip: Optional[int] = None, factor: int = 1,
-           invert: bool = False) -> RatFun:
-    """prod over slots of row j of (1 - w[j,t]/y)^(+-1) at the evaluation
-    point y = arg_num / arg_den, i.e. factors
-    (arg_num - w[j,t] arg_den) / arg_num, kept factored either way."""
-    out = RatFun.one()
-    for t in range(1, sig.a(j, factor) + 1):
-        if t == skip:
-            continue
-        num = arg_num - _w_full(j, t, factor) * arg_den
-        if invert:
-            out = out * RatFun.ratio(arg_num, num)
-        else:
-            out = out * RatFun.ratio(num, arg_num)
-    return out
-
-
-def sz_row(div: Divisor, k: int, arg_num: Poly, arg_den: Poly) -> RatFun:
-    """prod over index-k summands of (1 - v^{-k} x_s / y)^sign at
-    y = arg_num/arg_den."""
-    out = RatFun.one()
-    for pt, sign in div.points_with(k):
-        f = RatFun.ratio(arg_num - _v_pow(-k) * _point_poly(pt) * arg_den, arg_num)
-        out = out * (f if sign == 1 else f.invert())
-    return out
+def _sw_row(sig: AlgebraSignature, j: int, y_num: Poly, y_den: Poly, e: int,
+            skip: Optional[int] = None, factor: int = 1) -> list:
+    """(1 - w[j,t]/y)^e over the slots t of row j, optionally skipping one,
+    at y = y_num / y_den: factors (y_num - w[j,t] y_den) / y_num."""
+    ts = [t for t in range(1, sig.a(j, factor) + 1) if t != skip]
+    return [(y_num - _w_full(j, t, factor) * y_den, e) for t in ts] + [(y_num, -e * len(ts))]
 
 
 # ---------------------------------------------------------------------------
@@ -118,108 +90,79 @@ def sz_row(div: Divisor, k: int, arg_num: Poly, arg_den: Poly) -> RatFun:
 
 
 def diag_entry_trig(div: Divisor, i: int, sig: Optional[AlgebraSignature] = None,
-                    factor: int = 1) -> RatFun:
+                    factor: int = 1, memo: Optional[dict] = None) -> RatFun:
     sig = sig or div.signature()
     z = Poly.variable(Z)
-    dplus_i = div.mu.d[i - 1]
-    out = _w_half_prod(sig, i, -1, factor) * _w_half_prod(sig, i - 1, 1, factor)
-    out = out * RatFun.variable(Z, dplus_i)
-    out = out * sw_row(sig, i, z, _v_pow(i), factor=factor)
-    out = out * sw_row(sig, i - 1, z, _v_pow(i + 1), factor=factor, invert=True)
+    fs = [
+        (_w_half_prod(sig, i, -1, factor) * _w_half_prod(sig, i - 1, 1, factor), 1),
+        (z, div.mu.d[i - 1]),
+    ]
+    fs += _sw_row(sig, i, z, _v_pow(i), 1, factor=factor)
+    fs += _sw_row(sig, i - 1, z, _v_pow(i + 1), -1, factor=factor)
     # point factors: prod (1 - x/z)^(-eps_i of the summand coweight)
     for s in div.summands:
         if i > s.index:  # eps_i(omega_k) = -1 exactly when i > k
-            f = RatFun.ratio(z - _point_poly(s.point), z)
-            out = out * (f if s.sign == 1 else f.invert())
-    return out
+            fs += [(z - _point_poly(s.point), s.sign), (z, -s.sign)]
+    return RatFun.product(1, fs, memo)
 
 
 def upper_entry_trig(div: Divisor, i: int, j: int,
                      sig: Optional[AlgebraSignature] = None, factor: int = 1,
-                     drop_pole: bool = False) -> AlgebraElement:
+                     drop_pole: bool = False, memo: Optional[dict] = None) -> AlgebraElement:
     sig = sig or div.signature()
     z = Poly.variable(Z)
+    v = _v_pow(1)
     bplus = [div.mu.d[k - 1] - div.mu.d[k] for k in range(1, div.n)]  # b+_k, 1-based
-    pref = RatFun.const((-1) ** ((i - j + 1) % 2))
-    pref = pref * _w_half_prod(sig, j - 1, 2, factor)
+    pref = _w_half_prod(sig, j - 1, 2, factor) * _w_half_prod(sig, i - 1, -1, factor)
     for k in range(i, j - 1):
         pref = pref * _w_half_prod(sig, k, 1, factor)
-    pref = pref * _w_half_prod(sig, i - 1, -1, factor)
-    out = AlgebraElement.zero(sig)
-    ranges = [range(1, sig.a(k, factor) + 1) for k in range(i, j)]
-    for tup in iproduct(*ranges):
-        slots = dict(zip(range(i, j), tup))
-        coeff = RatFun.one()
+
+    def coeff(r):
+        w = {k: _w_full(k, r[k], factor) for k in r}
+        fs = [(pref, 1), (w[i], 1), (w[j - 1], -1)]
         for k in range(i, j):
             bk = bplus[k - 1]
             if bk:
-                coeff = coeff * RatFun.from_poly(
-                    _v_pow(-k * bk) * Poly.variable(wh_var(k, slots[k], factor), -2 * bk)
-                )
+                fs.append((_v_pow(-k * bk) * Poly.variable(wh_var(k, r[k], factor), -2 * bk), 1))
         if not drop_pole:
-            wlead = _w_full(i, slots[i], factor)
-            coeff = coeff * one_minus_ratio(_v_pow(i) * wlead, z).invert()
-        coeff = coeff * sw_row(
-            sig, i - 1, _w_full(i, slots[i], factor), _v_pow(1), factor=factor
-        )
+            fs += [(z - _v_pow(i) * w[i], -1), (z, 1)]  # (1 - v^i w[i,r_i]/z)^-1
+        fs += _sw_row(sig, i - 1, w[i], v, 1, factor=factor)
         for k in range(i, j - 1):
-            coeff = coeff * sw_row(
-                sig, k, _w_full(k + 1, slots[k + 1], factor), _v_pow(1),
-                skip=slots[k], factor=factor,
-            )
+            fs += _sw_row(sig, k, w[k + 1], v, 1, r[k], factor)
         for k in range(i, j):
-            coeff = coeff * sw_row(
-                sig, k, _w_full(k, slots[k], factor), Poly.const(1),
-                skip=slots[k], factor=factor, invert=True,
-            )
-            coeff = coeff * sz_row(div, k, _w_full(k, slots[k], factor), Poly.const(1))
-        coeff = coeff * RatFun.from_poly(
-            Poly.variable(wh_var(i, slots[i], factor), 2)
-            * Poly.variable(wh_var(j - 1, slots[j - 1], factor), -2)
-        )
-        shift = ShiftMonomial({(factor, k, slots[k]): -1 for k in range(i, j)})
-        out = out + AlgebraElement(sig, {shift: pref * coeff})
-    return out
+            fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k], factor)
+            # (1 - v^-k x / w[k,r_k])^sign per index-k point
+            for pt, sign in div.points_with(k):
+                fs += [(w[k] - _v_pow(-k) * _point_poly(pt), sign), (w[k], -sign)]
+        return (-1) ** ((i - j + 1) % 2), fs
+
+    return slot_sum(sig, i, j, factor, -1, coeff, memo)
 
 
 def lower_entry_trig(div: Divisor, j: int, i: int,
                      sig: Optional[AlgebraSignature] = None, factor: int = 1,
-                     drop_pole: bool = False) -> AlgebraElement:
+                     drop_pole: bool = False, memo: Optional[dict] = None) -> AlgebraElement:
     sig = sig or div.signature()
     z = Poly.variable(Z)
-    pref = RatFun.const((-1) ** ((i - j + 1) % 2))
-    pref = pref * RatFun.variable(V, i - j)
+    v = _v_pow(1)
+    pref = _v_pow(i - j)
     for k in range(i + 1, j + 1):
         pref = pref * _w_half_prod(sig, k, -1, factor)
-    out = AlgebraElement.zero(sig)
-    ranges = [range(1, sig.a(k, factor) + 1) for k in range(i, j)]
-    for tup in iproduct(*ranges):
-        slots = dict(zip(range(i, j), tup))
-        coeff = RatFun.one()
+
+    def coeff(r):
+        w = {k: _w_full(k, r[k], factor) for k in r}
+        fs = [(pref, 1), (w[j - 1], 1), (w[i], -1)]
         if not drop_pole:
-            wlead = _w_full(i, slots[i], factor)
-            coeff = coeff * one_minus_ratio(z, _v_pow(i + 2) * wlead).invert()
-        coeff = coeff * sw_row(
-            sig, j, _v_pow(1) * _w_full(j - 1, slots[j - 1], factor), Poly.const(1),
-            factor=factor,
-        )
+            y = _v_pow(i + 2) * w[i]
+            fs += [(y - z, -1), (y, 1)]  # (1 - z/y)^-1
+        fs += _sw_row(sig, j, v * w[j - 1], Poly.const(1), 1, factor=factor)
         for k in range(i + 1, j):
-            coeff = coeff * sw_row(
-                sig, k, _v_pow(1) * _w_full(k - 1, slots[k - 1], factor), Poly.const(1),
-                skip=slots[k], factor=factor,
-            )
+            fs += _sw_row(sig, k, v * w[k - 1], Poly.const(1), 1, r[k], factor)
         for k in range(i, j):
-            coeff = coeff * sw_row(
-                sig, k, _w_full(k, slots[k], factor), Poly.const(1),
-                skip=slots[k], factor=factor, invert=True,
-            )
-        coeff = coeff * RatFun.from_poly(
-            Poly.variable(wh_var(j - 1, slots[j - 1], factor), 2)
-            * Poly.variable(wh_var(i, slots[i], factor), -2)
-        )
-        shift = ShiftMonomial({(factor, k, slots[k]): 1 for k in range(i, j)})
-        out = out + AlgebraElement(sig, {shift: pref * coeff})
-    return out
+            fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k], factor)
+        return (-1) ** ((i - j + 1) % 2), fs
+
+    return slot_sum(sig, i, j, factor, 1, coeff, memo)
 
 
 def build_lax_trig(div: Divisor) -> LaxMatrix:
@@ -291,27 +234,26 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
         if bmm[n - i] == 0:
             acc = acc + AlgebraElement.from_ratfun(
                 sig,
-                _w_half_prod(sig, i, 1) * _w_half_prod(sig, i - 1, -1) * scalar_factor(i),
+                scalar_factor(i) * _w_half_prod(sig, i, 1) * _w_half_prod(sig, i - 1, -1),
             )
         entries[i - 1][i - 1] = acc
+    memo: dict = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if bmp[n - i] == -1:
-                e = upper_entry_trig(div, i, j, sig, drop_pole=True)
+                e = upper_entry_trig(div, i, j, sig, drop_pole=True, memo=memo)
                 # z -> infinity limit of g_i/z is the half-power prefactor
                 g_inf = AlgebraElement.from_ratfun(
                     sig, _w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1)
                 )
                 entries[i - 1][j - 1] = g_inf * e * z
             if bmm[n - i] == 0:
-                f = lower_entry_trig(div, j, i, sig, drop_pole=True)
+                f = lower_entry_trig(div, j, i, sig, drop_pole=True, memo=memo)
                 # f(0) g_i(0): crossing the shift monomials past g_i(0)
                 # contributes one power of v; scalar_factor carries the rest
                 g0 = AlgebraElement.from_ratfun(
                     sig,
-                    _w_half_prod(sig, i, 1)
-                    * _w_half_prod(sig, i - 1, -1)
-                    * scalar_factor(i),
+                    scalar_factor(i) * _w_half_prod(sig, i, 1) * _w_half_prod(sig, i - 1, -1),
                 )
                 entries[j - 1][i - 1] = f * g0
     return LaxMatrix(sig, div, entries)

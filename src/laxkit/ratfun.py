@@ -44,12 +44,20 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
     and the non-prime atoms are tried;
   * reciprocal b/a: nothing is tried when every atom is prime;
   * a slot shift is a ring automorphism, so it keeps a fraction reduced
-    and nothing is tried.
+    and nothing is tried;
+  * product of factors c * prod f_k^e_k (RatFun.product), each f_k a
+    unit times atoms: exponents add per atom, the positive atoms are
+    multiplied out and the negative ones are the denominator.  Nothing
+    is tried: distinct prime atoms are coprime, and under the conditions
+    below no other atom shares a factor with another.  The Lax-matrix
+    formulas build their Gauss coefficients this way;
+  * sum of unreduced fractions (reduced_sum): lifted to the common atom
+    multiset, summed, and reduced once by _make, which tries every atom.
 
 The rules need two things: no prime atom divides a non-prime one, and
 no numerator holds a negative power of a non-unit variable (the
-formulas make none, and textio moves parsed ones into the
-denominator).  The first holds for a non-prime atom in unit
+formulas make none, and RatFun.ratio, which parsing calls, moves them
+into the denominator).  The first holds for a non-prime atom in unit
 variables only, such as the trig slot atom v^2*w[1,2] - w[1,1]; a sum or
 product holding any other non-prime atom (z^4 - 1, which only
 hand-written input makes) takes full trial division, RatFun._make.  Then
@@ -82,8 +90,9 @@ import zlib
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from . import monomials as mono
 from .errors import DivergesAtInfinity, NotAtomFactorable
-from .monomials import FW, UNIT_KINDS, VARS, Monomial, Var, unpack_mono, unpacked
+from .monomials import FW, HALF, UNIT_KINDS, VARS, Monomial, Var, unpack_mono, unpacked
 from .poly import (
     _P_ONE,
     _P_ZERO,
@@ -273,11 +282,67 @@ class RatFun:
 
     @staticmethod
     def ratio(num, den) -> "RatFun":
-        """num / den with den factored into atoms (raises if impossible)."""
+        """num / den, reduced, with den factored into atoms (raises if
+        impossible).  Negative powers of non-unit variables in either
+        polynomial are first cleared by one monomial multiplied into both,
+        so they end up as monomial atoms of the denominator; the units v
+        and wh keep their negative exponents."""
         num = _as_poly(num)
         den = _as_poly(den)
+        bias = mono.BIAS
+        # a field of m is negative exactly when its biased digit lacks the top bit
+        if any((m + bias) & bias != bias for p in (num, den) for m in p.terms):
+            lift = Poly.monomial(
+                (u, -lo)
+                for u in num.variables() | den.variables()
+                if not is_unit_var(u) and (lo := min(num.min_exp(u), den.min_exp(u))) < 0
+            )
+            num, den = num * lift, den * lift
+        if den.is_const():
+            return RatFun(num * _qdiv(1, den.const_value()), {})
         unit, atoms = factor_atoms(den)
         return RatFun._make(num * _invert_unit(unit), atoms)
+
+    @staticmethod
+    def product(c, factors: Iterable[Tuple[Poly, int]],
+                memo: Optional[Dict[Poly, tuple]] = None) -> "RatFun":
+        """c * prod poly^exp over the (poly, exp) factors, each poly a
+        nonzero unit times atoms (normalize_factor), by the product rule
+        of the module docstring: nothing is divided, unless a non-prime
+        atom holds a non-unit variable (then _make reduces).  memo maps a
+        poly to its normalize_factor split and may be shared by calls that
+        meet the same factors."""
+        if memo is None:
+            memo = {}
+        unit_mono, c, eb = 0, _q(c), 0  # the unit c * unit_mono, |exponent| <= eb
+        if not c:
+            return _R_ZERO
+        exps: Dict[Atom, int] = {}
+        for p, e in factors:
+            if not e:
+                continue
+            split = memo.get(p)
+            if split is None:
+                split = memo[p] = normalize_factor(p)
+            unit, atoms = split
+            (um, uc), = unit.terms.items()
+            unit_mono += um * e
+            eb += unit._eb * abs(e)
+            c = _q(c * uc ** e) if e > 0 else _qdiv(c, uc ** -e)
+            for a, m in atoms.items():
+                exps[a] = exps.get(a, 0) + m * e
+        if eb >= HALF:
+            raise OverflowError(f"exponents up to {eb} do not fit a {FW}-bit field")
+        num = Poly({unit_mono: c})
+        den: Dict[Atom, int] = {}
+        for a, m in exps.items():
+            if m > 0:
+                num = num * a.poly ** m
+            elif m < 0:
+                den[a] = -m
+        if all(_prime(a) or _unit_only(a) for a, m in exps.items() if m):
+            return RatFun(num, den)
+        return RatFun._make(num, den)
 
     zero = staticmethod(lambda: _R_ZERO)
     one = staticmethod(lambda: _R_ONE)
@@ -347,9 +412,10 @@ class RatFun:
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is _R_ONE else out * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __truediv__(self, other) -> "RatFun":
@@ -632,19 +698,33 @@ def _lift(fracs: list) -> Tuple[Dict[Atom, int], Iterator[Poly]]:
     return common, lifted()
 
 
-def sum_is_zero(fracs: list) -> bool:
-    """Exact test of sum num / den == 0 over fracs, (num, den) pairs with den
-    an atom multiset.  The common denominator is nonzero, so the lifted
-    numerators must sum to 0.  No _make, division or sampling."""
+def _lifted_sum(fracs: list) -> Tuple[Dict[Atom, int], Dict[Monomial, Coeff]]:
+    """Common atom multiset of fracs and the terms of their lifted
+    numerators' sum."""
+    common, nums = _lift(fracs)
     total: Dict[Monomial, Coeff] = {}
-    for num in _lift(fracs)[1]:
+    for num in nums:
         for mo, c in num.terms.items():
             nc = total.get(mo, 0) + c
             if nc:
                 total[mo] = nc
             else:
                 del total[mo]
-    return not total
+    return common, total
+
+
+def sum_is_zero(fracs: list) -> bool:
+    """Exact test of sum num / den == 0 over fracs, (num, den) pairs with den
+    an atom multiset.  The common denominator is nonzero, so the lifted
+    numerators must sum to 0.  No _make, division or sampling."""
+    return not _lifted_sum(fracs)[1]
+
+
+def reduced_sum(fracs: list) -> RatFun:
+    """sum num / den over fracs, (num, den) pairs with nothing cancelled,
+    reduced once: the lifted numerators are summed and _make divides."""
+    common, total = _lifted_sum(fracs)
+    return RatFun._make(Poly({mo: _q(c) for mo, c in total.items()}), common)
 
 
 def as_ratfun(x) -> RatFun:

@@ -25,7 +25,6 @@ from .ratfun import (
     V,
     W,
     Z,
-    is_unit_var,
     p_var,
     wh_var,
     x_var,
@@ -407,7 +406,7 @@ def _parse_ratfun_tok(tok: _Tok) -> RatFun:
         tok.expect(")")
         if tok.take("/"):
             tok.expect("(")
-            out = _numerator(num)
+            out = RatFun.ratio(num, 1)
             while True:
                 tok.expect("(")
                 atom_poly = parse_poly(tok)
@@ -434,22 +433,7 @@ def _parse_ratfun_tok(tok: _Tok) -> RatFun:
             depth -= 1
         tok.pos += 1
     segment = tok.text[start : tok.pos]
-    return _numerator(parse_poly(segment))
-
-
-def _numerator(num: Poly) -> RatFun:
-    """A parsed numerator as a reduced RatFun.  Its negative powers of
-    non-unit variables move into monomial atoms of the denominator (the
-    form RatFun.variable(v, -k) has), and the fraction is reduced once;
-    the units v and wh keep their negative exponents."""
-    lift = Poly.monomial(
-        (u, -num.min_exp(u))
-        for u in num.variables()
-        if not is_unit_var(u) and num.min_exp(u) < 0
-    )
-    if lift.is_const():
-        return RatFun.from_poly(num)
-    return RatFun.ratio(num * lift, lift)
+    return RatFun.ratio(parse_poly(segment), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,83 @@
+"""Gauss-factor builds of both modes: pinned output and reduced coefficients.
+
+The raw build and the linear closed form are pinned by a SHA-256 digest
+of their matrix JSON (the bytes `lax build --raw --out` and `lax linear
+--out` write) on families beyond the four n = 2 divisors of
+data/cli_golden.json: n = 3 and 4, slot counts a = (1, 2), and index-0
+points.  A divisor without a linear form adds the name of the error
+instead.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from laxkit import suite
+from laxkit.errors import LaxkitError
+from laxkit.lax_rational import build_linear_lax, build_lax
+from laxkit.lax_trig import build_lax_trig, build_linear_lax_trig
+from laxkit.ratfun import RatFun
+from laxkit.textio import matrix_to_json
+
+FAMILIES = {
+    "rtt_rational": suite.rtt_rational_divisors,
+    "rtt_trig": suite.rtt_trig_divisors,
+    "trig_3_1": lambda: suite.enumerate_linear_divisors(3, 1, "trig"),
+    "trig_4_1": lambda: suite.enumerate_linear_divisors(4, 1, "trig"),
+    "rational_4_1": lambda: suite.enumerate_linear_divisors(4, 1),
+    "pizero": lambda: [suite.rational_pizero_divisor(), suite.trig_pizero_divisor()],
+}
+
+DIGESTS = {
+    "rtt_rational": "661f70d64f28440f",
+    "rtt_trig": "3427861315b3fb84",
+    "trig_3_1": "80319526dfd960fb",
+    "trig_4_1": "f27abb52291acef8",
+    "rational_4_1": "46ac19d215be2fcf",
+    "pizero": "c253acf06df57fa1",
+}
+
+
+def _builders(div):
+    if div.mode == "rational":
+        return build_lax, build_linear_lax
+    return build_lax_trig, build_linear_lax_trig
+
+
+def _json_bytes(mat) -> bytes:
+    return json.dumps(matrix_to_json(mat), indent=1, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_raw_and_linear_builds_match_pinned_digest(family):
+    h = hashlib.sha256()
+    for div in FAMILIES[family]():
+        build, linear = _builders(div)
+        h.update(_json_bytes(build(div)))
+        try:
+            h.update(_json_bytes(linear(div)))
+        except LaxkitError as exc:
+            h.update(type(exc).__name__.encode())
+    assert h.hexdigest()[:16] == DIGESTS[family]
+
+
+def _assert_reduced(element, where):
+    for shift, c in element.terms.items():
+        again = RatFun._make(c.num, dict(c.den))
+        assert (again.num.terms, again.den) == (c.num.terms, c.den), (where, shift)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gauss_and_t_coefficients_are_reduced(family):
+    # full trial division by every atom must find nothing left to cancel
+    for div in FAMILIES[family]():
+        T = _builders(div)[0](div)
+        gauss = T.gauss
+        n = T.n
+        for i in range(n):
+            _assert_reduced(gauss.diag[i], ("g", i))
+            for j in range(n):
+                _assert_reduced(gauss.upper[i][j], ("e", i, j))
+                _assert_reduced(gauss.lower[i][j], ("f", i, j))
+                _assert_reduced(T.entries[i][j], ("T", i, j))

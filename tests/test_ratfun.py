@@ -1189,3 +1189,116 @@ def test_rejection_never_fires_on_divisible_trig_numerators():
             # a zero value decides nothing: the division does
             assert (poly_div_exact(h, atom.poly) is not None) == _sympy_divides(sympy, h, atom.poly)
     assert rejected > 100
+
+
+# ---------------------------------------------------------------------------
+# RatFun.product: factor lists multiplied out with nothing divided
+
+
+def _chained_product(c, factors):
+    out = RatFun.const(c)
+    for p, e in factors:
+        f = RatFun.from_poly(p)
+        out = out * (f ** e if e > 0 else f.invert() ** -e)
+    return out
+
+
+def test_product_matches_chained_products():
+    from laxkit.textio import parse_poly
+
+    pool = [parse_poly(t) for t in (
+        "z - p[1,1]", "p[2,1] - p[1,1] - 1", "z - x[a]", "z + 3", "2*z - 4*x[a]",
+        "z - v^2*w[1,1]", "w[2,1] - v*w[1,1]", "w[1,1] - v^2*w[1,2]", "w[1,1] - 3*v^-1",
+        "z", "z^2*x[a]", "v^-2*wh[1,1]^3", "-3/2*v", "7",
+    )]
+    rng = random.Random(41)
+    memo = {}
+    cancelled = 0
+    for _ in range(150):
+        factors = [(rng.choice(pool), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(1, 7))]
+        # a factor and its reciprocal: the atom must cancel
+        p = rng.choice(pool)
+        factors += [(p, 1), (p, -1)]
+        c = rng.choice([1, -1, Fraction(2, 3)])
+        got = RatFun.product(c, factors, memo)
+        want = _chained_product(c, factors)
+        assert (got.num.terms, got.den) == (want.num.terms, want.den), factors
+        cancelled += sum(-e for _, e in factors if e < 0) > sum(got.den.values())
+    assert cancelled > 50
+    # the unit part is summed in packed form, within the field bound
+    with pytest.raises(OverflowError):
+        RatFun.product(1, [(Poly.variable(V, 20000), 2)])
+
+
+def test_product_of_a_non_prime_atom_takes_the_full_path():
+    from laxkit.textio import parse_poly, render_ratfun
+
+    # z^4 - 1 is one atom, non-prime, in z: (z - 1) divides it
+    quartic, lin = parse_poly("z^4 - 1"), parse_poly("z - 1")
+    got = RatFun.product(1, [(quartic, 1), (lin, -1)])
+    assert render_ratfun(got) == "z^3 + z^2 + z + 1"
+    # an atom leaves a denominator only whole: z - 1 stays over z^4 - 1
+    factors = [(quartic, -1), (lin, 1), (parse_poly("z"), -2)]
+    got, want = RatFun.product(2, factors), _chained_product(2, factors)
+    assert (got.num.terms, got.den) == (want.num.terms, want.den)
+    assert render_ratfun(got) == "(2*z - 2) / ((z^4 - 1) * (z)^2)"
+
+
+# ---------------------------------------------------------------------------
+# powers: square-and-multiply with no product by one
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    orig = getattr(cls, name)
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def _products_needed(k):
+    return k.bit_length() - 1 + bin(k).count("1") - 1
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_ratfun_power_takes_no_wasted_products(monkeypatch, k):
+    f = RatFun.ratio(z.num + 1, (z - p11).num)
+    want = RatFun.one()
+    for _ in range(k):
+        want = want * f
+    calls = _count_calls(monkeypatch, RatFun, "__mul__")
+    got = f ** k
+    assert len(calls) == max(_products_needed(k), 0)
+    assert got.equals(want)
+
+
+@pytest.mark.parametrize("k", range(0, 6))
+def test_algebra_power_takes_no_wasted_products(monkeypatch, k):
+    from laxkit.algebra import AlgebraElement
+    from laxkit.lax_rational import build_lax
+    from laxkit.suite import toda_divisor
+
+    x = build_lax(toda_divisor()).entries[0][0]
+    want = AlgebraElement.one(x.signature)
+    for _ in range(k):
+        want = want * x
+    calls = _count_calls(monkeypatch, AlgebraElement, "__mul__")
+    got = x ** k
+    assert len(calls) == max(_products_needed(k), 0)
+    assert got.equals(want)
+
+
+def test_ratio_clears_negative_powers_and_reduces():
+    from laxkit.textio import parse_poly
+
+    got = RatFun.ratio(parse_poly("z^-1*x[a] - 1"), parse_poly("x[a] - z"))
+    want = RatFun.variable(Z, -1)
+    assert (got.num.terms, got.den) == (want.num.terms, want.den)
+    # a negative power in the denominator moves to the numerator
+    got = RatFun.ratio(parse_poly("x[a]"), parse_poly("z^-2*x[a] - z^-1"))
+    want = RatFun.ratio(parse_poly("z^2*x[a]"), parse_poly("x[a] - z"))
+    assert (got.num.terms, got.den) == (want.num.terms, want.den)
