@@ -346,6 +346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         SizeMismatch,
         SignatureMismatch,
         OSError,
+        OverflowError,  # input exponents that leave the 16-bit fields
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -444,9 +444,18 @@ def _as_poly(x) -> Poly:
 
 def _content(p: Poly) -> Dict[int, int]:
     """Field -> minimum exponent, for each variable of p where it is
-    nonzero."""
-    lows = {k: p.min_exp(VARS[k]) for k in p._fields()}
-    return {k: lo for k, lo in lows.items() if lo}
+    nonzero, read in one pass over the terms."""
+    ks = p._fields()
+    shifts = [(k, FW * k) for k in ks]
+    bias = mono.BIAS
+    lows = dict.fromkeys(ks, MASK)
+    for m in p.terms:
+        y = m + bias
+        for k, s in shifts:
+            d = (y >> s) & MASK
+            if d < lows[k]:
+                lows[k] = d
+    return {k: lo - HALF for k, lo in lows.items() if lo != HALF}
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +477,9 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
     cg = _content(g)
     shift_f = -sum(lo << (FW * k) for k, lo in cf.items())
     shift_g = -sum(lo << (FW * k) for k, lo in cg.items())
-    fp = f * Poly({shift_f: Q1}) if shift_f else f
-    gp = g * Poly({shift_g: Q1}) if shift_g else g
+    # a content exponent is an exponent of its operand, so within its bound
+    fp = f * Poly({shift_f: Q1}, f._eb) if shift_f else f
+    gp = g * Poly({shift_g: Q1}, g._eb) if shift_g else g
     q = _poly_div_nonneg(fp, gp)
     if q is None:
         return None
@@ -477,7 +487,7 @@ def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
     if any(e < 0 and not is_unit_var(VARS[k]) for k, e in unpacked(adjust)):
         # quotient would need a genuine denominator
         return None
-    return q * Poly({adjust: Q1}) if adjust else q
+    return q * Poly({adjust: Q1}, f._eb + g._eb) if adjust else q
 
 
 def _divides_directly(f: Poly, g: Poly) -> bool:

@@ -56,8 +56,8 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
 
 The rules need two things: no prime atom divides a non-prime one, and
 no numerator holds a negative power of a non-unit variable (the
-formulas make none, and RatFun.ratio, which parsing calls, moves them
-into the denominator).  The first holds for a non-prime atom in unit
+formulas make none, and RatFun.quotient, which parsing calls, moves
+them into the denominator).  The first holds for a non-prime atom in unit
 variables only, such as the trig slot atom v^2*w[1,2] - w[1,1]; a sum or
 product holding any other non-prime atom (z^4 - 1, which only
 hand-written input makes) takes full trial division, RatFun._make.  Then
@@ -65,6 +65,13 @@ every result is reduced, and it equals _make of the unreduced fraction
 unless two non-prime atoms share a factor (the slot atoms
 v^2k*w[i,r] - w[i,s] share none); there both are reduced forms of one
 value, and _make's depends on the order in which it divides.
+
+Most factors are linear forms with two or more terms over z/w/p/x.
+normalize_factor and factor_atoms split one in a single pass over its
+terms (_linear_split): it has no monomial content, since each variable
+sits in one term, so its Atom key is its terms in precedence order (the
+constant, then the variables from least to most significant) scaled by
+the coefficient of the most significant variable.
 
 Before each division by a prime atom an exact one-sided test modulo the
 prime 2^61 - 1 runs (rejection.cannot_divide): the numerator is
@@ -92,7 +99,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import monomials as mono
 from .errors import DivergesAtInfinity, NotAtomFactorable
-from .monomials import FW, HALF, UNIT_KINDS, VARS, Monomial, Var, unpack_mono, unpacked
+from .monomials import FW, HALF, PREC, UNIT_KINDS, VARS, Monomial, Var, unpack_mono, unpacked
 from .poly import (
     _P_ONE,
     _P_ZERO,
@@ -195,6 +202,9 @@ def normalize_factor(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
     """
     if p.is_zero():
         raise ZeroDivisionError("zero cannot be a denominator factor")
+    split = _linear_split(p)
+    if split is not None:
+        return split
     unit, atoms, residual = _peel_content(p)
     if residual.is_const():
         return unit * residual, atoms
@@ -203,6 +213,34 @@ def normalize_factor(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
     atom, cofactor = _canonical_atom(residual)
     atoms[atom] = atoms.get(atom, 0) + 1
     return unit * cofactor, atoms
+
+
+def _linear_split(p: Poly) -> Optional[Tuple[Poly, Dict[Atom, int]]]:
+    """normalize_factor of a linear form over z/w/p/x with two or more
+    terms, in one pass (see the module docstring); None for any other p."""
+    terms = p.terms
+    if len(terms) < 2:
+        return None
+    const = None
+    lin = []
+    for m, c in terms.items():
+        if not m:
+            const = c
+            continue
+        # a single variable to the first power is one set bit at a field start
+        k, off = divmod(m.bit_length() - 1, FW)
+        if m < 0 or m & (m - 1) or off or VARS[k][0] not in _LINEAR_ATOM_KINDS:
+            return None
+        lin.append((PREC[k], k, c))
+    lin.sort(reverse=True)  # precedence keys of distinct variables differ
+    lc = lin[-1][2]
+    inv = Q1 if lc == 1 else _qdiv(1, lc)
+    key = tuple((((VARS[k], 1),), _q(c * inv)) for _, k, c in lin)
+    if const is not None:
+        key = (((), _q(const * inv)),) + key
+    if lc != 1:
+        p = Poly({m: _q(c * inv) for m, c in terms.items()}, 1)
+    return Poly.const(lc), {Atom(p, key): 1}
 
 
 def _peel_content(p: Poly) -> Tuple[Poly, Dict[Atom, int], Poly]:
@@ -220,8 +258,21 @@ def _peel_content(p: Poly) -> Tuple[Poly, Dict[Atom, int], Poly]:
         else:
             continue
         content += lo << (FW * k)
-    residual = p * Poly({-content: Q1}) if content else p
-    return Poly({unit_mono: Q1}), atoms, residual
+    # each content exponent is an exponent of p, so within p's bound
+    residual = p * Poly({-content: Q1}, p._eb) if content else p
+    return Poly({unit_mono: Q1}, p._eb), atoms, residual
+
+
+def _negative_lift(p: Poly) -> Monomial:
+    """The packed monomial that clears every negative power of a non-unit
+    variable in p (0 when there is none)."""
+    ks = [k for k in p._fields() if VARS[k][0] not in UNIT_KINDS]
+    # a field of m is negative exactly when its biased digit lacks the top bit
+    top = sum(HALF << (FW * k) for k in ks)
+    bias = mono.BIAS
+    if all((m + bias) & top == top for m in p.terms):
+        return 0
+    return -sum(lo << (FW * k) for k, lo in _content(p).items() if k in ks and lo < 0)
 
 
 def _monomial_atom(v: Var) -> Atom:
@@ -282,26 +333,34 @@ class RatFun:
 
     @staticmethod
     def ratio(num, den) -> "RatFun":
-        """num / den, reduced, with den factored into atoms (raises if
-        impossible).  Negative powers of non-unit variables in either
-        polynomial are first cleared by one monomial multiplied into both,
-        so they end up as monomial atoms of the denominator; the units v
-        and wh keep their negative exponents."""
-        num = _as_poly(num)
-        den = _as_poly(den)
-        bias = mono.BIAS
-        # a field of m is negative exactly when its biased digit lacks the top bit
-        if any((m + bias) & bias != bias for p in (num, den) for m in p.terms):
-            lift = Poly.monomial(
-                (u, -lo)
-                for u in num.variables() | den.variables()
-                if not is_unit_var(u) and (lo := min(num.min_exp(u), den.min_exp(u))) < 0
-            )
-            num, den = num * lift, den * lift
-        if den.is_const():
-            return RatFun(num * _qdiv(1, den.const_value()), {})
-        unit, atoms = factor_atoms(den)
-        return RatFun._make(num * _invert_unit(unit), atoms)
+        """num / den, reduced, with den factored into atoms (see quotient)."""
+        return RatFun.quotient(_as_poly(num), [(_as_poly(den), 1)])
+
+    @staticmethod
+    def quotient(num: Poly, factors: Iterable[Tuple[Poly, int]]) -> "RatFun":
+        """num / prod f^k over the (f, k) factors, k >= 1: each f is split
+        once by factor_atoms (NotAtomFactorable when it does not split),
+        its unit moved to the numerator, and the fraction reduced once by
+        _make.  Negative powers of non-unit variables in num or an f are
+        cleared by a monomial, whose variables become monomial atoms of the
+        denominator; the units v and wh keep their negative exponents."""
+        den: Dict[Atom, int] = {}
+        lift = _negative_lift(num)
+        if lift:
+            num = num * Poly({lift: Q1}, num._eb)
+            for k, e in unpacked(lift):
+                den[_monomial_atom(VARS[k])] = e
+        for f, k in factors:
+            lift = _negative_lift(f)
+            if lift:
+                f = f * Poly({lift: Q1}, f._eb)
+                num = num * Poly({lift: Q1}, f._eb) ** k
+            unit, atoms = factor_atoms(f)
+            if unit != _P_ONE:
+                num = num * _invert_unit(unit) ** k
+            for a, m in atoms.items():
+                den[a] = den.get(a, 0) + m * k
+        return RatFun._make(num, den)
 
     @staticmethod
     def product(c, factors: Iterable[Tuple[Poly, int]],
@@ -333,7 +392,7 @@ class RatFun:
                 exps[a] = exps.get(a, 0) + m * e
         if eb >= HALF:
             raise OverflowError(f"exponents up to {eb} do not fit a {FW}-bit field")
-        num = Poly({unit_mono: c})
+        num = Poly({unit_mono: c}, eb)
         den: Dict[Atom, int] = {}
         for a, m in exps.items():
             if m > 0:
@@ -628,32 +687,10 @@ def reduced_product(a: Poly, b: Dict[Atom, int], c: Poly, d: Dict[Atom, int]) ->
     return RatFun(_cancel(a * c, den, others), den)
 
 
-def _only_constant_moved(old: Poly, new: Poly) -> bool:
-    """True when old is a linear form over z/w/p/x and new differs from it
-    only in the constant term (as under p -> p + m).  For an atom old, new
-    is then a canonical atom as it stands: its leading term and
-    coefficient 1 are old's, and a linear form has no content unless it
-    is a single variable, itself canonical."""
-    nt = new.terms
-    if len(nt) - (0 in nt) != len(old.terms) - (0 in old.terms):
-        return False
-    for m, c in old.terms.items():
-        if not m:
-            continue
-        if nt.get(m) != c:
-            return False
-        # a single variable to the first power is one set bit at a field start
-        k, off = divmod(m.bit_length() - 1, FW)
-        if m < 0 or m & (m - 1) or off or VARS[k][0] not in _LINEAR_ATOM_KINDS:
-            return False
-    return True
-
-
 def substitute(num: Poly, den: Dict[Atom, int], poly_fn) -> tuple:
     """Ring map poly_fn applied to num / den, as (num, den) with nothing
-    cancelled: changed atoms are re-canonicalized (normalize_factor), their
-    units moved to num; a linear atom whose constant term alone changed is
-    canonical already and only gets its new key."""
+    cancelled: changed atoms are re-canonicalized (normalize_factor, one
+    pass for a linear atom), their units moved to num."""
     num = poly_fn(num)
     out: Dict[Atom, int] = {}
     for a, m in den.items():
@@ -661,12 +698,9 @@ def substitute(num: Poly, den: Dict[Atom, int], poly_fn) -> tuple:
         if p is a.poly:  # poly_fn left this atom alone
             out[a] = out.get(a, 0) + m
             continue
-        if _only_constant_moved(a.poly, p):
-            na = Atom(p, _atom_key(p))
-            out[na] = out.get(na, 0) + m
-            continue
         unit, atoms = normalize_factor(p)
-        num = num * _invert_unit(unit) ** m
+        if unit != _P_ONE:
+            num = num * _invert_unit(unit) ** m
         for na, nm in atoms.items():
             out[na] = out.get(na, 0) + nm * m
     return num, out
@@ -698,19 +732,22 @@ def _lift(fracs: list) -> Tuple[Dict[Atom, int], Iterator[Poly]]:
     return common, lifted()
 
 
-def _lifted_sum(fracs: list) -> Tuple[Dict[Atom, int], Dict[Monomial, Coeff]]:
-    """Common atom multiset of fracs and the terms of their lifted
-    numerators' sum."""
+def _lifted_sum(fracs: list) -> Tuple[Dict[Atom, int], Dict[Monomial, Coeff], int]:
+    """Common atom multiset of fracs, the terms of their lifted
+    numerators' sum and a bound on its |exponent| (the largest of the
+    lifted numerators')."""
     common, nums = _lift(fracs)
     total: Dict[Monomial, Coeff] = {}
+    eb = 0
     for num in nums:
+        eb = max(eb, num._eb)
         for mo, c in num.terms.items():
             nc = total.get(mo, 0) + c
             if nc:
                 total[mo] = nc
             else:
                 del total[mo]
-    return common, total
+    return common, total, eb
 
 
 def sum_is_zero(fracs: list) -> bool:
@@ -723,8 +760,8 @@ def sum_is_zero(fracs: list) -> bool:
 def reduced_sum(fracs: list) -> RatFun:
     """sum num / den over fracs, (num, den) pairs with nothing cancelled,
     reduced once: the lifted numerators are summed and _make divides."""
-    common, total = _lifted_sum(fracs)
-    return RatFun._make(Poly({mo: _q(c) for mo, c in total.items()}), common)
+    common, total, eb = _lifted_sum(fracs)
+    return RatFun._make(Poly({mo: _q(c) for mo, c in total.items()}, eb), common)
 
 
 def as_ratfun(x) -> RatFun:
@@ -811,10 +848,11 @@ def factor_atoms(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
     """
     if p.is_zero():
         raise ZeroDivisionError("factoring zero")
-    unit, atoms, residual = _peel_content(p)
-    if residual.is_const():
-        return unit * residual, atoms
-    _factor_residual(residual, unit_box := [unit], atoms)
+    split = _linear_split(p)
+    if split is not None:
+        return split
+    atoms: Dict[Atom, int] = {}
+    _factor_residual(p, unit_box := [_P_ONE], atoms)
     return unit_box[0], atoms
 
 

@@ -14,10 +14,13 @@ elements print one term per shift monomial:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .errors import ParseError
+from .errors import NotAtomFactorable, ParseError
+from .monomials import FW, HALF, Var, pack_mono
+from .poly import _q
 from .ratfun import (
     EPS,
     Poly,
@@ -36,26 +39,15 @@ from .ratfun import (
 
 def render_var_power(v, e: int) -> str:
     kind = v[0]
-    if kind == "z":
-        base = "z"
-    elif kind == "w":
-        base = "w"
-    elif kind == "v":
-        base = "v"
-    elif kind == "eps":
-        base = "eps"
+    if kind in ("z", "w", "v", "eps"):
+        base = kind
     elif kind == "x":
         base = f"x[{v[1]}]"
-    elif kind == "p":
+    elif kind in ("p", "wh"):
         _, slot, i, r = v
-        base = f"p[{i},{r}]" if slot == 1 else f"p[{slot};{i},{r}]"
-    elif kind == "wh":
-        _, slot, i, r = v
-        if e % 2 == 0:
-            base = f"w[{i},{r}]" if slot == 1 else f"w[{slot};{i},{r}]"
-            e //= 2
-        else:
-            base = f"wh[{i},{r}]" if slot == 1 else f"wh[{slot};{i},{r}]"
+        if kind == "wh" and e % 2 == 0:
+            kind, e = "w", e // 2
+        base = f"{kind}[{i},{r}]" if slot == 1 else f"{kind}[{slot};{i},{r}]"
     else:
         raise ValueError(f"unknown variable {v!r}")
     if e == 1:
@@ -68,10 +60,6 @@ def _render_mono(items) -> str:
     return "*".join(render_var_power(v, e) for v, e in items)
 
 
-def _render_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def render_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -80,11 +68,11 @@ def render_poly(p: Poly) -> str:
         neg = c < 0
         c_abs = -c if neg else c
         if not m:
-            body = _render_coeff(c_abs)
+            body = str(c_abs)
         elif c_abs == 1:
             body = _render_mono(m)
         else:
-            body = f"{_render_coeff(c_abs)}*{_render_mono(m)}"
+            body = f"{c_abs}*{_render_mono(m)}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:
@@ -142,187 +130,196 @@ def render_element(elem) -> str:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# One compiled regex reads the token at a position: a coefficient
+# (with the "*" that may follow it), a variable, shift generator or ")"
+# (each with the power and the "*" that may follow it), or one other
+# character.  Whitespace (space, tab, newline) may stand before any
+# token.  Numerator terms are summed in one packed term dict, and a
+# fraction is assembled by RatFun.quotient: each denominator factor is
+# split once and the whole is reduced once.
+
+_S = r"[ \t\n]*"
+_INT = r"[-+]?[0-9]+"
+_TAIL = rf"(?:{_S}\^{_S}(?P<exp>{_INT}))?(?P<more>{_S}\*)?"
+_TOKEN = re.compile(
+    rf"{_S}(?:"
+    rf"(?P<num>[0-9]+)(?:{_S}/{_S}(?P<den>[0-9]+))?(?P<nmore>{_S}\*)?"
+    rf"|(?:(?P<var>wh|w|p|D|e\^\{{{_S}(?P<neg>-?){_S}(?P<mult>[0-9]*){_S}q)"
+    rf"{_S}\[{_S}(?P<a>{_INT}){_S}(?:;{_S}(?P<b>{_INT}){_S})?,{_S}(?P<c>{_INT}){_S}\]"
+    rf"(?P<close>{_S}\}})?"
+    rf"|(?P<name>[^\W\d]\w*)(?P<label>{_S}\[)?"
+    rf"|(?P<rp>\))){_TAIL}"
+    rf"|(?P<op>.)"
+    rf"|$)",
+    re.S,
+)
+_AFTER_LABEL = re.compile(_TAIL)
+
+# CPython's default limit on int/str conversions, so that every version
+# reads the same texts
+_MAX_DIGITS = 4300
+_NAMED = {"z": Z, "w": W, "v": V, "eps": EPS}
 
 
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self._skip() : self.pos + 1]
-
-    def take(self, s: str) -> bool:
-        if self.text.startswith(s, self._skip()):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s: str):
-        if not self.take(s):
-            raise ParseError(f"expected {s!r} at ...{self.text[self.pos:self.pos+24]!r}")
-
-    def _skip(self) -> int:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n":
-            self.pos += 1
-        return self.pos
-
-    def integer(self) -> int:
-        self._skip()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected integer at {self.text[start:start+16]!r}")
-        return int(self.text[start : self.pos])
-
-    def fraction(self) -> Fraction:
-        n = self.integer()
-        save = self.pos
-        if self.take("/"):
-            # only a plain denominator digit run counts as a fraction here
-            self._skip()
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                d = self.integer()
-                if not d:
-                    raise ParseError(f"zero denominator in {n}/{d}")
-                return Fraction(n, d)
-            self.pos = save
-        return Fraction(n)
-
-    def ident(self) -> str:
-        self._skip()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def at_end(self) -> bool:
-        self.peek()
-        return self.pos >= len(self.text)
+def _int(digits: str) -> int:
+    if len(digits) > _MAX_DIGITS:
+        raise ParseError(f"integer of {len(digits)} digits (at most {_MAX_DIGITS})")
+    return int(digits)
 
 
-def _parse_indices(tok: _Tok) -> Tuple[int, int, int]:
-    tok.expect("[")
-    a = tok.integer()
-    if tok.take(";"):
-        slot = a
-        i = tok.integer()
-        tok.expect(",")
-        r = tok.integer()
+def _expect(text: str, pos: int, ch: str) -> int:
+    t = _TOKEN.match(text, pos)
+    if t.group().lstrip(" \t\n") != ch:
+        raise ParseError(f"expected {ch!r} at {text[pos : pos + 24]!r}")
+    return t.end()
+
+
+def _at_end(text: str, pos: int) -> None:
+    if text[pos:].strip(" \t\n"):
+        raise ParseError(f"trailing input {text[pos:]!r}")
+
+
+def _slot(t) -> Tuple[int, int, int]:
+    """(slot, i, r) of an index [i,r] or [slot;i,r]."""
+    a, b = _int(t["a"]), t["b"]
+    return (a, _int(b), _int(t["c"])) if b is not None else (1, a, _int(t["c"]))
+
+
+def _variable(text: str, t) -> Tuple[Var, int, object]:
+    """(variable, exponent, tail match) of a variable token; wh-even
+    rendering w[i,r]^k is wh[i,r]^(2k)."""
+    kind, name, label = t.group("var", "name", "label")
+    if name is not None and label is None:
+        var, mult = _NAMED.get(name), 1
+        if var is None:
+            raise ParseError(f"unknown variable {name!r}")
+    elif name == "x":
+        start = end = t.end("label")
+        while True:
+            end = text.find("]", end)
+            if end < 0:
+                raise ParseError(f"unclosed label x[{text[start:]}")
+            if text.count("[", start, end) == text.count("]", start, end):
+                break
+            end += 1
+        var, mult = x_var(text[start:end]), 1
+        t = _AFTER_LABEL.match(text, end + 1)
+    elif kind in ("p", "wh", "w") and t["close"] is None:
+        slot, i, r = _slot(t)
+        var = p_var(i, r, slot) if kind == "p" else wh_var(i, r, slot)
+        mult = 2 if kind == "w" else 1
     else:
-        slot = 1
-        tok.expect(",")
-        i = a
-        r = tok.integer()
-    tok.expect("]")
-    return slot, i, r
+        raise ParseError(f"expected a variable at {text[t.start() : t.start() + 24]!r}")
+    exp = t["exp"]
+    return var, mult if exp is None else mult * _int(exp), t
 
 
-def _parse_var(tok: _Tok):
-    """Returns (var, exp_multiplier) where wh-even rendering gives 2."""
-    name = tok.ident()
-    if name == "z":
-        return Z, 1
-    if name == "w" and tok.peek() != "[":
-        return W, 1
-    if name == "v":
-        return V, 1
-    if name == "eps":
-        return EPS, 1
-    if name == "x":
-        tok.expect("[")
-        start = tok.pos
-        depth = 1
-        while depth:
-            if tok.pos == len(tok.text):
-                raise ParseError(f"unclosed label x[{tok.text[start:]}")
-            ch = tok.text[tok.pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            if depth:
-                tok.pos += 1
-        label = tok.text[start : tok.pos]
-        tok.expect("]")
-        return x_var(label), 1
-    if name == "p":
-        slot, i, r = _parse_indices(tok)
-        return p_var(i, r, slot), 1
-    if name == "w":
-        slot, i, r = _parse_indices(tok)
-        return wh_var(i, r, slot), 2
-    if name == "wh":
-        slot, i, r = _parse_indices(tok)
-        return wh_var(i, r, slot), 1
-    raise ParseError(f"unknown variable {name!r}")
-
-
-def _parse_power(tok: _Tok) -> int:
-    if tok.take("^"):
-        return tok.integer()
-    return 1
-
-
-def _parse_term(tok: _Tok, sign: int) -> Poly:
-    coeff = Fraction(sign)
-    mono = {}
-    saw_any = False
-    first = True
-    while True:
-        ch = tok.peek()
-        if first and (ch.isdigit() or ch == "-" or ch == "+"):
-            coeff *= tok.fraction()
-            saw_any = True
-            first = False
-            if not tok.take("*"):
-                break
-            continue
-        if ch.isalpha():
-            v, mult = _parse_var(tok)
-            e = _parse_power(tok) * mult
-            mono[v] = mono.get(v, 0) + e
-            saw_any = True
-            first = False
-            if not tok.take("*"):
-                break
-            continue
-        break
-    if not saw_any:
-        raise ParseError(f"empty term at {tok.text[tok.pos:tok.pos+16]!r}")
-    m = tuple(sorted((v, e) for v, e in mono.items() if e))
-    return Poly.monomial(m, coeff)
-
-
-def parse_poly(text_or_tok) -> Poly:
-    tok = text_or_tok if isinstance(text_or_tok, _Tok) else _Tok(text_or_tok)
-    total = Poly.zero()
+def _poly_at(text: str, pos: int, seen: set) -> Tuple[Poly, int]:
+    """The polynomial at pos and the position after it; its variables are
+    added to seen."""
+    match = _TOKEN.match
+    terms: Dict[int, object] = {}
+    eb = 0
     sign = 1
-    if tok.take("-"):
+    t = match(text, pos)
+    if t["op"] == "-":
         sign = -1
+        t = match(text, t.end())
     while True:
-        total = total + _parse_term(tok, sign)
-        if tok.take("+"):
+        c = sign
+        if t["op"] in ("+", "-") and text[t.end() : t.end() + 1].isdigit():
+            c = -sign if t["op"] == "-" else sign  # a signed leading integer
+            t = match(text, t.end())
+        exps: Dict[Var, int] = {}
+        num, den, more = t.group("num", "den", "nmore")
+        if num is not None:
+            c *= _int(num)
+            if den is not None:
+                d = _int(den)
+                if not d:
+                    raise ParseError(f"zero denominator in {num}/{den}")
+                c = Fraction(c, d)
+            pos = t.end()
+            if more is not None:
+                t = match(text, pos)
+        else:
+            more = True
+        while more is not None:
+            if t["var"] is None and t["name"] is None:
+                raise ParseError(f"expected a term at {text[t.start() : t.start() + 24]!r}")
+            v, e, t = _variable(text, t)
+            exps[v] = exps.get(v, 0) + e
+            pos = t.end()
+            more = t["more"]
+            if more is not None:
+                t = match(text, pos)
+        b = max(map(abs, exps.values()), default=0)
+        if b >= HALF:
+            raise ParseError(f"exponent {b} does not fit a {FW}-bit field")
+        if b > eb:
+            eb = b
+        seen.update(exps)
+        m = pack_mono(exps.items())
+        nc = terms.get(m, 0) + c
+        if nc:
+            terms[m] = nc
+        else:
+            terms.pop(m, None)  # a zero coefficient, or a cancelled term
+        t = match(text, pos)
+        op = t["op"]
+        if op == "+":
             sign = 1
-        elif tok.take("-"):
+        elif op == "-":
             sign = -1
         else:
-            break
-    if isinstance(text_or_tok, str) and not tok.at_end():
-        raise ParseError(f"trailing input {tok.text[tok.pos:]!r}")
-    return total
+            return Poly({m: _q(c) for m, c in terms.items()}, eb), pos
+        t = match(text, t.end())
+
+
+def _ratfun_at(text: str, pos: int, seen: set) -> Tuple[RatFun, int]:
+    """A bare polynomial or (NUM) / ((ATOM)^k * ...) at pos, and the
+    position after it; its variables are added to seen."""
+    factors = []
+    t = _TOKEN.match(text, pos)
+    if t["op"] == "(":
+        num, pos = _poly_at(text, t.end(), seen)
+        pos = _expect(text, pos, ")")
+        pos = _expect(text, pos, "/")
+        pos = _expect(text, pos, "(")
+        while True:
+            pos = _expect(text, pos, "(")
+            f, pos = _poly_at(text, pos, seen)
+            if not f:
+                raise ParseError("zero denominator factor")
+            t = _TOKEN.match(text, pos)
+            if t["rp"] is None:
+                raise ParseError(f"expected ')' at {text[pos : pos + 24]!r}")
+            k = 1 if t["exp"] is None else _int(t["exp"])
+            if not 1 <= k < HALF:
+                raise ParseError(f"atom multiplicity {k} is outside 1..{HALF - 1}")
+            factors.append((f, k))
+            pos = t.end()
+            if t["more"] is None:
+                break
+        pos = _expect(text, pos, ")")
+    else:
+        num, pos = _poly_at(text, pos, seen)
+    try:
+        return RatFun.quotient(num, factors), pos
+    except (NotAtomFactorable, OverflowError) as exc:
+        raise ParseError(f"bad fraction: {exc}") from None
+
+
+def parse_poly(text: str) -> Poly:
+    p, pos = _poly_at(text, 0, set())
+    _at_end(text, pos)
+    return p
 
 
 def parse_ratfun(text: str) -> RatFun:
-    tok = _Tok(text)
-    f = _parse_ratfun_tok(tok)
-    if not tok.at_end():
-        raise ParseError(f"trailing input {tok.text[tok.pos:]!r}")
+    f, pos = _ratfun_at(text, 0, set())
+    _at_end(text, pos)
     return f
 
 
@@ -330,54 +327,49 @@ def parse_element(text: str, signature) -> "AlgebraElement":
     """Inverse of render_element over the given signature."""
     from .algebra import AlgebraElement, ShiftMonomial
 
-    tok = _Tok(text)
-    if tok.take("0"):
-        if not tok.at_end():
-            raise ParseError("trailing input after zero element")
+    t = _TOKEN.match(text, 0)
+    if t["num"] == "0" and t["den"] is None and t["nmore"] is None:
+        _at_end(text, t.end())
         return AlgebraElement.zero(signature)
+    rational = signature.mode == "rational"
     terms = {}
+    seen = set()
+    pos = 0
     while True:
-        tok.expect("(")
-        coeff = _parse_ratfun_tok(tok)
-        tok.expect(")")
-        _check_slot_vars(coeff, signature)
+        pos = _expect(text, pos, "(")
+        coeff, pos = _ratfun_at(text, pos, seen)
+        t = _TOKEN.match(text, pos)
+        if t["rp"] is None or t["exp"] is not None:
+            raise ParseError(f"expected ')' at {text[pos : pos + 24]!r}")
+        pos = t.end()
         exps = {}
-        if tok.take("*"):
+        if t["more"] is not None:
             while True:
-                if signature.mode == "rational":
-                    if not tok.take("e^{"):
-                        break
-                    m = _parse_shift_exponent(tok)
-                    tok.expect("q")
-                    slot, i, r = _parse_indices(tok)
-                    tok.expect("}")
+                t = _TOKEN.match(text, pos)
+                kind = t["var"]
+                if kind is None or kind[0] != ("e" if rational else "D"):
+                    break
+                # e^{mq[i,r]} closes with "}" and takes no power; D[i,r]^m
+                if (t["close"] is None) == rational or t["more"] or (rational and t["exp"]):
+                    raise ParseError(f"malformed shift generator at {text[pos : pos + 24]!r}")
+                if rational:
+                    m = (-1 if t["neg"] else 1) * (_int(t["mult"]) if t["mult"] else 1)
                 else:
-                    if not tok.take("D"):
-                        break
-                    slot, i, r = _parse_indices(tok)
-                    m = tok.integer() if tok.take("^") else 1
+                    m = 1 if t["exp"] is None else _int(t["exp"])
+                slot, i, r = _slot(t)
                 _check_slot(signature, "shift generator", slot, i, r)
                 exps[(slot, i, r)] = exps.get((slot, i, r), 0) + m
+                pos = t.end()
         shift = ShiftMonomial(exps)
         cur = terms.get(shift)
         terms[shift] = coeff if cur is None else cur + coeff
-        if not tok.take("+"):
+        t = _TOKEN.match(text, pos)
+        if t["op"] != "+":
             break
-    if not tok.at_end():
-        raise ParseError(f"trailing input {tok.text[tok.pos:]!r}")
+        pos = t.end()
+    _at_end(text, pos)
+    _check_slot_vars(seen, signature)
     return AlgebraElement(signature, terms)
-
-
-def _parse_shift_exponent(tok: _Tok) -> int:
-    ch = tok.peek()
-    if ch == "-":
-        tok.take("-")
-        if tok.peek().isdigit():
-            return -tok.integer()
-        return -1
-    if ch.isdigit():
-        return tok.integer()
-    return 1
 
 
 def _check_slot(signature, what: str, slot: int, i: int, r: int) -> None:
@@ -385,55 +377,16 @@ def _check_slot(signature, what: str, slot: int, i: int, r: int) -> None:
         raise ParseError(f"{what} [{slot};{i},{r}] is not in the signature")
 
 
-def _check_slot_vars(coeff: RatFun, signature) -> None:
-    """Slot variables of a coefficient: p in rational mode, wh in trig mode,
+def _check_slot_vars(variables, signature) -> None:
+    """Slot variables of an element: p in rational mode, wh in trig mode,
     each at a slot of the signature."""
     kind = "p" if signature.mode == "rational" else "wh"
-    for poly in [coeff.num] + [atom.poly for atom in coeff.den]:
-        for v in poly.variables():
-            if v[0] not in ("p", "wh"):
-                continue
-            if v[0] != kind:
-                raise ParseError(f"{v[0]} variables do not occur in {signature.mode} mode")
-            _check_slot(signature, f"{v[0]}-variable", *v[1:])
-
-
-def _parse_ratfun_tok(tok: _Tok) -> RatFun:
-    if tok.peek() == "(":
-        save = tok.pos
-        tok.expect("(")
-        num = parse_poly(tok)
-        tok.expect(")")
-        if tok.take("/"):
-            tok.expect("(")
-            out = RatFun.ratio(num, 1)
-            while True:
-                tok.expect("(")
-                atom_poly = parse_poly(tok)
-                tok.expect(")")
-                if atom_poly.is_zero():
-                    raise ParseError("zero denominator factor")
-                k = _parse_power(tok)
-                out = out * RatFun.ratio(Poly.const(1), atom_poly) ** k
-                if not tok.take("*"):
-                    break
-            tok.expect(")")
-            return out
-        tok.pos = save
-    # bare polynomial
-    start = tok.pos
-    depth = 0
-    while tok.pos < len(tok.text):
-        ch = tok.text[tok.pos]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            if depth == 0:
-                break
-            depth -= 1
-        tok.pos += 1
-    segment = tok.text[start : tok.pos]
-    return RatFun.ratio(parse_poly(segment), 1)
+    for v in variables:
+        if v[0] not in ("p", "wh"):
+            continue
+        if v[0] != kind:
+            raise ParseError(f"{v[0]} variables do not occur in {signature.mode} mode")
+        _check_slot(signature, f"{v[0]}-variable", *v[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +460,8 @@ def matrix_from_json(data: dict):
 
 def latex_var_power(v, e: int) -> str:
     kind = v[0]
-    if kind == "z":
-        base = "z"
-    elif kind == "w":
-        base = "w"
-    elif kind == "v":
-        base = "v"
+    if kind in ("z", "w", "v"):
+        base = kind
     elif kind == "eps":
         base = r"\epsilon"
     elif kind == "x":

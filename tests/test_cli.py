@@ -317,6 +317,26 @@ MALFORMED = {
         _matrix("rational", "(p[5,7])"), ["verify-rtt", "--matrix", "{m}"]),
     "matrix-slot-variable-of-other-mode": (
         _matrix("rational", "(wh[1,1])"), ["verify-rtt", "--matrix", "{m}"]),
+    # exponents and multiplicities must fit a 16-bit field, integers are
+    # at most 4300 digits, and a denominator must split into atoms
+    "matrix-exponent-too-large": (_matrix("rational", "(z^40000)"),
+                                  ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-exponent-sum-too-large": (_matrix("rational", "(z^20000*z^20000)"),
+                                      ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-unit-exponent-too-large": (_matrix("trig", "(v^-40000)"),
+                                       ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-exponent-overflows-in-check": (_matrix("rational", "(z^20000)"),
+                                           ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-integer-too-long": (_matrix("rational", "(" + "7" * 5000 + ")"),
+                                ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-multiplicity-too-large": (
+        _matrix("rational", "((1) / ((z - p[1,1])^40000))"),
+        ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-multiplicity-zero": (_matrix("rational", "((1) / ((z - p[1,1])^0))"),
+                                 ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-denominator-not-atoms": (
+        _matrix("rational", "((1) / ((z^2*p[1,1] + z + 1)))"),
+        ["verify-rtt", "--matrix", "{m}"]),
     "verify-rtt-no-source": ({}, ["verify-rtt"]),
     "yang-baxter-rank-0": ({}, ["yang-baxter", "--n", "0"]),
     "yang-baxter-rank-negative": ({}, ["yang-baxter", "--n", "-1"]),
@@ -344,7 +364,8 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)
     assert main([arg.format(**paths) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert not out
     assert "error:" in err
     assert "Traceback" not in err and "identity failure" not in err
 

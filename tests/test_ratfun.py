@@ -1302,3 +1302,37 @@ def test_ratio_clears_negative_powers_and_reduces():
     got = RatFun.ratio(parse_poly("x[a]"), parse_poly("z^-2*x[a] - z^-1"))
     want = RatFun.ratio(parse_poly("z^2*x[a]"), parse_poly("x[a] - z"))
     assert (got.num.terms, got.den) == (want.num.terms, want.den)
+
+
+def test_linear_split_matches_peel_and_canonical_atom():
+    # the one-pass split of a linear form with two or more terms gives the
+    # atom (key and poly) and unit that content peeling followed by
+    # scaling to leading coefficient 1 gives
+    from laxkit.ratfun import _canonical_atom, _linear_split, _peel_content
+
+    rng = random.Random(53)
+    pool = [Z, W, p_var(1, 1), p_var(2, 1), p_var(1, 2, 2), x_var("x1"), x_var("a[b]")]
+    coeffs = [1, -1, 2, -3, Fraction(3, 4), Fraction(-5, 2)]
+    scaled = 0
+    for _ in range(300):
+        p = Poly.zero()
+        for v in rng.sample(pool, rng.randint(1, 4)):
+            p = p + Poly.variable(v) * rng.choice(coeffs)
+        if rng.random() < 0.6:
+            p = p + rng.choice(coeffs)
+        if len(p.terms) < 2:
+            assert _linear_split(p) is None
+            continue
+        unit, atoms = _linear_split(p)
+        peel_unit, peel_atoms, residual = _peel_content(p)
+        assert peel_unit == 1 and not peel_atoms and residual is p
+        atom, cofactor = _canonical_atom(p)
+        ((got, mult),) = atoms.items()
+        assert mult == 1 and got.key == atom.key and got.poly == atom.poly, p
+        assert unit == cofactor, p
+        scaled += cofactor != 1
+    assert scaled > 100
+    # any other shape takes the general path
+    for q in (Poly.variable(Z), Poly.variable(Z, 2) - 1, Poly.variable(Z) - Poly.variable(V),
+              Poly.variable(Z) * Poly.variable(W) + 1):
+        assert _linear_split(q) is None

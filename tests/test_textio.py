@@ -7,11 +7,14 @@ import random
 
 import pytest
 
-from laxkit.algebra import AlgebraSignature, mat_equal
+from fractions import Fraction
+
+from laxkit.algebra import AlgebraElement, AlgebraSignature, ShiftMonomial, mat_equal
 from laxkit.errors import ParseError
 from laxkit.lax_rational import build_lax, fuse
 from laxkit.lax_trig import build_lax_trig
-from laxkit.ratfun import RatFun, Z, p_var, x_var
+from laxkit.poly import Poly
+from laxkit.ratfun import V, W, RatFun, Z, p_var, wh_var, x_var
 from laxkit.suite import (
     dst_divisor,
     random_element,
@@ -68,6 +71,45 @@ def test_random_element_roundtrip():
             e2 = parse_element(text, sig)
             assert e2.equals(e), text
             assert render_element(e2) == text, text
+
+
+def _special_elements():
+    """Elements whose text holds tensor slots p[t;i,r], even powers
+    w[i,r]^k of wh, nested x[a[b]] labels and fractional coefficients."""
+    z, nested = Poly.variable(Z), Poly.variable(x_var("a[b]"))
+    p11, p21 = Poly.variable(p_var(1, 1, 1)), Poly.variable(p_var(1, 1, 2))
+    tensor = AlgebraSignature(2, "rational", ((1,), (1,)), ())
+    num = z * Fraction(3, 4) - p21 * nested + Fraction(-5, 2)
+    coeff = RatFun.quotient(num, [(z - p11, 1), (z - nested * 2, 2)])
+    shift = ShiftMonomial({(1, 1, 1): 1, (2, 1, 1): -2})
+    yield AlgebraElement(tensor, {shift: coeff, ShiftMonomial({}): RatFun.from_poly(p11)})
+    trig = AlgebraSignature(2, "trig", ((2,),), ())
+    w11, wh12 = Poly.variable(wh_var(1, 1), 2), Poly.variable(wh_var(1, 2))
+    v = Poly.variable(V)
+    num = z * w11 * w11 * Fraction(3, 4) + wh12 * Poly.variable(V, -1) - Poly.variable(W)
+    den = v * v * wh12 * wh12 - w11
+    coeff = RatFun.quotient(num, [(den, 1), (z - nested, 3)])
+    yield AlgebraElement(trig, {ShiftMonomial({(1, 1, 1): 2, (1, 1, 2): -1}): coeff})
+
+
+def test_reader_roundtrip():
+    # render(parse(text)) == text on seeded elements of both modes and on
+    # the special forms, and the value read is the value written
+    rng = random.Random(41)
+    cases = []
+    for mode in ("rational", "trig"):
+        sig = AlgebraSignature(3, mode, ((2, 1),), ("x1",))
+        cases += [random_element(rng, sig) for _ in range(60)]
+    special = list(_special_elements())
+    texts = [render_element(e) for e in special]
+    for part in ("p[2;1,1]", "e^{-2q[2;1,1]}", "w[1,1]^2", "wh[1,2]", "x[a[b]]",
+                 "3/4*", "D[1,1]^2 D[1,2]^-1", ")^3"):
+        assert any(part in text for text in texts), part
+    for e in cases + special:
+        text = render_element(e)
+        back = parse_element(text, e.signature)
+        assert back.equals(e), text
+        assert render_element(back) == text, text
 
 
 def test_gauge_battery_elements_are_pinned():
