@@ -23,7 +23,10 @@ Packed monomials mean nothing outside the process that made them.
 BIAS holds HALF in every assigned field, so the digits of m + BIAS are
 the exponents of m plus HALF, all in 1..MASK, and can be read without
 borrows.  Read BIAS as monomials.BIAS at the time of use: it grows with
-the index.
+the index.  FREE_TOP holds HALF in every assigned field of a non-unit
+variable, so m has a negative exponent of a non-unit variable exactly
+when (m + BIAS) & FREE_TOP != FREE_TOP; read it before BIAS, which gains
+each field first.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ VARS: List[Var] = []  # field number -> variable
 PREC: List[tuple] = []  # field number -> var_precedence(variable)
 RESIDUES: List[int] = []  # field number -> residue(variable)
 BIAS = 0
+FREE_TOP = 0
 _INDEX_LOCK = threading.Lock()
 
 _KIND_RANK = {"z": 0, "w": 1, "v": 2, "eps": 3, "x": 4, "p": 5, "wh": 6}
@@ -66,7 +70,7 @@ def residue(u: Var) -> int:
 
 def field_of(v: Var) -> int:
     """Field number of v, assigned on first sight."""
-    global BIAS
+    global BIAS, FREE_TOP
     k = FIELD.get(v)
     if k is None:
         prec = var_precedence(v)  # rejects unknown kinds before assigning
@@ -78,6 +82,8 @@ def field_of(v: Var) -> int:
                 PREC.append(prec)
                 RESIDUES.append(residue(v))
                 BIAS |= HALF << (FW * k)
+                if v[0] not in UNIT_KINDS:
+                    FREE_TOP |= HALF << (FW * k)
                 FIELD[v] = k  # published last: readers see a complete entry
     return k
 

@@ -8,9 +8,11 @@ graded lexicographic in var_precedence rank, read from decoded fields
 the division heap, rendering and Atom keys, which hold decoded
 monomials, so results are the same in every process.  Every product
 checks a per-Poly bound on |exponent| first, so a field that would
-overflow raises OverflowError instead of wrapping.  Exact division
-(poly_div_exact) pops the leading remainder term from a heap ordered by
-that key, so each step costs O(log n).
+overflow raises OverflowError instead of wrapping.  Exact division by
+a general divisor (poly_div_exact) pops the leading remainder term from
+a heap ordered by that key, so each step costs O(log n); by a prime atom
+A*u + B (see rejection) it is synthetic division in u (synthetic_div).
+Both give the same quotient, or both None.
 
 Coefficients are exact rationals stored as plain ints whenever they are
 integral and as reduced Fractions only otherwise (_q enforces this, and
@@ -555,3 +557,57 @@ def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
             else:
                 del rem[key]
     return Poly(q, f._eb)
+
+
+def synthetic_div(f: Poly, g: Poly, parts) -> Optional[Poly]:
+    """poly_div_exact(f, g) for g = A*u + B given as parts = (bit offset
+    s of u, A's monomial am, A's coefficient ac, B's terms), A = ac * am a
+    unit and B free of u (rejection.prime_parts).
+
+    With f = sum_k f_k u^k (f_k free of u, k <= K, split in one decode of
+    u's field), q_(K-1) = f_K / A and q_(k-1) = (f_k - B*q_k) / A, each a
+    shift by am and one coefficient quotient; g divides f when
+    f_0 - B*q_0 is 0.  Like poly_div_exact it refuses a negative power of
+    a non-unit variable in f.  The q_k of a non-divisor may grow by
+    2 * bound(g) per step; where that could overflow, heap division
+    decides."""
+    if not f.terms:
+        return _P_ZERO
+    s, am, ac, b = parts
+    top = mono.FREE_TOP  # before BIAS (see monomials)
+    bias = mono.BIAS
+    rows: Dict[int, Dict[Monomial, Coeff]] = {}
+    for m, c in f.terms.items():
+        y = m + bias
+        if y & top != top:
+            return None
+        e = (y >> s & MASK) - HALF
+        row = rows.get(e)
+        if row is None:
+            rows[e] = {m - (e << s): c}
+        else:
+            row[m - (e << s)] = c
+    top_k = max(rows)
+    if f._eb + (2 * top_k + 1) * g._eb >= HALF:
+        return poly_div_exact(f, g)
+    q: Dict[Monomial, Coeff] = {}
+    cur: list = []  # the terms of q_k
+    for k in range(top_k, -1, -1):
+        r = rows.get(k, {})
+        for mb, cb in b:
+            for mq, cq in cur:
+                key = mb + mq
+                nc = r.get(key, 0) - cb * cq
+                if nc:
+                    r[key] = nc
+                else:
+                    r.pop(key, None)
+        if not k:
+            return None if r else Poly(q, f._eb)
+        up = (k - 1) << s
+        cur = []
+        for m, c in r.items():
+            m -= am
+            c = _q(c) if ac == 1 else _qdiv(c, ac)
+            cur.append((m, c))
+            q[m + up] = c

@@ -51,8 +51,11 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
     is tried: distinct prime atoms are coprime, and under the conditions
     below no other atom shares a factor with another.  The Lax-matrix
     formulas build their Gauss coefficients this way;
-  * sum of unreduced fractions (reduced_sum): lifted to the common atom
-    multiset, summed, and reduced once by _make, which tries every atom.
+  * sum of unreduced fractions (reduced_sum): numerators over equal
+    atom multisets are summed first, groups that cancel dropped
+    (_grouped), the rest lifted to the common atom multiset, summed and
+    reduced once by _make, which tries every atom.  sum_is_zero groups
+    alike, and a proven pole (_has_pole) answers before any lifting.
 
 The rules need two things: no prime atom divides a non-prime one, and
 no numerator holds a negative power of a non-unit variable (the
@@ -76,14 +79,17 @@ the coefficient of the most significant variable.
 Before each division by a prime atom an exact one-sided test modulo the
 prime 2^61 - 1 runs (rejection.cannot_divide): the numerator is
 evaluated at a zero of the atom and a nonzero value proves that the atom
-does not divide it, so the long division is skipped.  The test only ever
+does not divide it, so the division is skipped.  The test only ever
 rejects with that certificate; every verdict and every reduced form is
-the one division would give.
+the one division would give.  The division itself is synthetic division
+in u for a prime atom (poly.synthetic_div, with the atom's split cached
+on it) and heap division (poly_div_exact) for any other divisor.
 
 Values are immutable after construction and every operation is pure, so
 they may be shared and sent across threads freely; callers can
 parallelize over independent computations without locks.  (A Poly
-caches its variable fields, an Atom its zero mod 2^61 - 1, and
+caches its variable fields, an Atom its zero mod 2^61 - 1 and its
+split A*u + B, and
 module-level memos the zero of an atom key and the value of a monomial
 at the fixed residues, all on first use; each is a function of its key
 alone, so concurrent fills agree.)  To move a value to another process,
@@ -112,8 +118,9 @@ from .poly import (
     _qdiv,
     is_unit_var,
     poly_div_exact,
+    synthetic_div,
 )
-from .rejection import atom_root, cannot_divide
+from .rejection import atom_root, cannot_divide, prime_parts
 
 Z = ("z",)
 W = ("w",)
@@ -148,13 +155,14 @@ class Atom:
     minimum, leading coefficient 1 under the term order.
     """
 
-    __slots__ = ("poly", "key", "_hash", "_root")
+    __slots__ = ("poly", "key", "_hash", "_root", "_parts")
 
     def __init__(self, poly: Poly, key):
         self.poly = poly
         self.key = key
         self._hash = hash(key)
         self._root = None  # rejection.atom_root, computed on first use
+        self._parts = None  # rejection.prime_parts, computed on first use
 
     def __eq__(self, other):
         return isinstance(other, Atom) and self.key == other.key
@@ -662,7 +670,7 @@ def _cancel(num: Poly, den: Dict[Atom, int], atoms: list) -> Poly:
     for a in atoms:
         m = k = den.get(a, 0)
         while k and not cannot_divide(num, a):
-            q = poly_div_exact(num, a.poly)
+            q = _divide(num, a)
             if q is None:
                 break
             num = q
@@ -673,6 +681,15 @@ def _cancel(num: Poly, den: Dict[Atom, int], atoms: list) -> Poly:
             else:
                 del den[a]
     return num
+
+
+def _divide(num: Poly, a: Atom) -> Optional[Poly]:
+    """num / a exactly, or None: synthetic division by a prime atom, heap
+    division by any other."""
+    parts = prime_parts(a)
+    if parts is None:
+        return poly_div_exact(num, a.poly)
+    return synthetic_div(num, a.poly, parts)
 
 
 def reduced_product(a: Poly, b: Dict[Atom, int], c: Poly, d: Dict[Atom, int]) -> RatFun:
@@ -732,35 +749,89 @@ def _lift(fracs: list) -> Tuple[Dict[Atom, int], Iterator[Poly]]:
     return common, lifted()
 
 
-def _lifted_sum(fracs: list) -> Tuple[Dict[Atom, int], Dict[Monomial, Coeff], int]:
-    """Common atom multiset of fracs, the terms of their lifted
-    numerators' sum and a bound on its |exponent| (the largest of the
-    lifted numerators')."""
-    common, nums = _lift(fracs)
+def _grouped(fracs: list) -> List[Tuple[Poly, Dict[Atom, int]]]:
+    """fracs with the numerators of equal atom multisets (zero
+    multiplicities ignored) summed, groups that sum to 0 dropped.  Summed
+    coefficients are made canonical (_q) only in the final sum."""
+    groups: Dict[frozenset, tuple] = {}
+    for num, den in fracs:
+        if 0 in den.values():
+            den = {a: m for a, m in den.items() if m}
+        g = groups.get(key := frozenset(den.items()))
+        if g is None:
+            groups[key] = (den, [num])
+        else:
+            g[1].append(num)
+    out = []
+    for den, nums in groups.values():
+        if len(nums) == 1:
+            out.append((nums[0], den))
+            continue
+        total = dict(nums[0].terms)
+        get = total.get
+        for num in nums[1:]:
+            for mo, c in num.terms.items():
+                total[mo] = get(mo, 0) + c
+        if any(total.values()):
+            total = {mo: c for mo, c in total.items() if c}
+            out.append((Poly(total, max(num._eb for num in nums)), den))
+    return out
+
+
+def _lifted_sum(groups: list) -> Tuple[Dict[Atom, int], Dict[Monomial, Coeff], int]:
+    """Common atom multiset of _grouped fractions, the terms of their
+    lifted numerators' sum and a bound on its |exponent| (the largest of
+    the lifted numerators')."""
+    common, nums = _lift(groups)
     total: Dict[Monomial, Coeff] = {}
+    get = total.get
     eb = 0
     for num in nums:
         eb = max(eb, num._eb)
         for mo, c in num.terms.items():
-            nc = total.get(mo, 0) + c
-            if nc:
-                total[mo] = nc
-            else:
-                del total[mo]
-    return common, total, eb
+            total[mo] = get(mo, 0) + c
+    return common, {mo: c for mo, c in total.items() if c}, eb
+
+
+def _has_pole(groups: list) -> bool:
+    """True when the sum of _grouped fractions has a pole, so is not 0.
+
+    If one group alone holds a prime atom a at the highest multiplicity
+    m, and cannot_divide proves that a does not divide its numerator,
+    the sum has valuation -m at a: other groups hold a to lower powers,
+    and their other atoms are coprime to a (other prime atoms and atoms
+    in unit variables are; a non-prime atom such as z^4 - 1 needs the
+    same proof).  Monomial atoms are skipped: a numerator may hold a
+    negative power of their variable ((z^-1) / ((z)) is 1/z^2)."""
+    top: Dict[Atom, list] = {}  # atom -> [highest multiplicity, sole holder]
+    for g in groups:
+        for a, m in g[1].items():
+            t = top.get(a)
+            if t is None or t[0] < m:
+                top[a] = [m, g]
+            elif t[0] == m:
+                t[1] = None
+    others = [b for b in top if not (_prime(b) or _unit_only(b))]
+    return any(g is not None and len(a.poly.terms) > 1 and _prime(a)
+               and cannot_divide(g[0], a)
+               and all(cannot_divide(b.poly, a) for b in others)
+               for a, (_, g) in top.items())
 
 
 def sum_is_zero(fracs: list) -> bool:
     """Exact test of sum num / den == 0 over fracs, (num, den) pairs with den
     an atom multiset.  The common denominator is nonzero, so the lifted
-    numerators must sum to 0.  No _make, division or sampling."""
-    return not _lifted_sum(fracs)[1]
+    numerators must sum to 0; a proven pole (_has_pole) answers first.  No
+    _make, division or sampling."""
+    groups = _grouped(fracs)
+    return not _has_pole(groups) and not _lifted_sum(groups)[1]
 
 
 def reduced_sum(fracs: list) -> RatFun:
     """sum num / den over fracs, (num, den) pairs with nothing cancelled,
-    reduced once: the lifted numerators are summed and _make divides."""
-    common, total, eb = _lifted_sum(fracs)
+    reduced once: equal denominators are summed first, the lifted
+    numerators are summed and _make divides."""
+    common, total, eb = _lifted_sum(_grouped(fracs))
     return RatFun._make(Poly({mo: _q(c) for mo, c in total.items()}, eb), common)
 
 
@@ -940,7 +1011,7 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
             datoms = {}
         before = p
         for a in datoms:
-            while (q := poly_div_exact(p, a.poly)) is not None:
+            while (q := _divide(p, a)) is not None:
                 p, atoms[a] = q, atoms.get(a, 0) + 1
         if p is not before:
             _factor_residual(p, unit_box, atoms)

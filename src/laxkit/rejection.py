@@ -6,7 +6,8 @@ the unit variables v and wh, B free of u.  Every rational-mode atom (a
 linear form), every single-variable atom and a trig atom such as
 v^k*w[i,r] - z have it; w[1,1] - v^2*w[1,2] does not (it is
 (wh11 - v*wh12)(wh11 + v*wh12)).  atom_root finds that shape, memoized
-per atom key; RatFun's cancellation rules lean on it (see ratfun).
+per atom key; RatFun's cancellation rules lean on it (see ratfun), and
+prime_parts gives the split that poly.synthetic_div divides by.
 
 RatFun's trial divisions call cannot_divide(num, atom) first.  It
 evaluates num modulo the prime 2^61 - 1 at a zero of a prime atom; a
@@ -84,6 +85,28 @@ def atom_root(atom: Atom):
 # atom key -> _linear_root; a function of the key alone, cleared when full
 _ROOTS: Dict[tuple, object] = {}
 _ROOTS_CAP = 1 << 12
+
+
+def prime_parts(atom: Atom):
+    """(bit offset of u, A's monomial, A's coefficient, B's terms) of a
+    prime atom A*u + B, u the variable atom_root picks: the operands of
+    poly.synthetic_div.  Cached on the atom; None when it is not prime."""
+    parts = atom._parts
+    if parts is None:
+        root = atom_root(atom)
+        parts = False
+        if root:
+            s = FW * root[0]
+            bias = mono.BIAS
+            b = []
+            for m, c in atom.poly.terms.items():
+                if ((m + bias) >> s & MASK) - HALF:  # the one term holding u
+                    am, ac = m - (1 << s), c
+                else:
+                    b.append((m, c))
+            parts = (s, am, ac, tuple(b))
+        atom._parts = parts
+    return parts or None
 
 
 def cannot_divide(num: Poly, atom: Atom) -> bool:

@@ -7,6 +7,7 @@ a CheckResult whose detail string names the first failing sub-case.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -778,13 +779,10 @@ def check_hamiltonians() -> CheckResult:
 # kernel property suites (criterion 14)
 
 
-def random_ratfun(
-    rng: random.Random, mode: str = "rational", sig: Optional[AlgebraSignature] = None
-) -> RatFun:
-    """A random rational function of the kernel property suites.  Given
-    a signature, slot variables outside it (and the atoms holding them)
-    are never drawn; when the signature holds every slot, the draws are
-    the ones made without it."""
+@functools.lru_cache(maxsize=64)
+def _random_pools(mode: str, sig: Optional[AlgebraSignature]) -> tuple:
+    """The variables and the atom reciprocals 1/atom that random_ratfun
+    draws from, built once per (mode, signature)."""
     if mode == "rational":
         vars_ = [Z, p_var(1, 1), p_var(1, 2), p_var(2, 1), x_var("x1")]
         atoms = [
@@ -806,6 +804,17 @@ def random_ratfun(
 
         vars_ = [v for v in vars_ if in_sig(v)]
         atoms = [a for a in atoms if all(in_sig(v) for v in a.variables())]
+    return tuple(vars_), tuple(RatFun.ratio(Poly.const(1), a) for a in atoms)
+
+
+def random_ratfun(
+    rng: random.Random, mode: str = "rational", sig: Optional[AlgebraSignature] = None
+) -> RatFun:
+    """A random rational function of the kernel property suites.  Given
+    a signature, slot variables outside it (and the atoms holding them)
+    are never drawn; when the signature holds every slot, the draws are
+    the ones made without it."""
+    vars_, recips = _random_pools(mode, sig)
     num = Poly.zero()
     for _ in range(rng.randint(1, 3)):
         mono = {}
@@ -819,7 +828,7 @@ def random_ratfun(
         num = num + Poly.monomial(mono, Fraction(rng.randint(-4, 4)))
     f = RatFun.from_poly(num)
     for _ in range(rng.randint(0, 2)):
-        f = f * RatFun.ratio(Poly.const(1), rng.choice(atoms))
+        f = f * rng.choice(recips)
     return f
 
 

@@ -184,3 +184,62 @@ def test_invert_single_term():
     assert (e.invert_single_term() * e).equals(1)
     D = AlgebraElement.shift(TSIG, 1, 1, 1, coeff=RatFun.variable(wh_var(1, 1)))
     assert (D * D.invert_single_term()).equals(1)
+
+
+def _old_random_ratfun(rng, mode, sig=None):
+    """suite.random_ratfun as it was, rebuilding its pools on every call."""
+    from laxkit.ratfun import Z
+
+    if mode == "rational":
+        vars_ = [Z, p_var(1, 1), p_var(1, 2), p_var(2, 1), x_var("x1")]
+        atoms = [
+            Poly.variable(p_var(1, 1)) - Poly.variable(p_var(1, 2)),
+            Poly.variable(Z) - Poly.variable(p_var(1, 1)) - Poly.const(1),
+            Poly.variable(p_var(2, 1)) - Poly.variable(x_var("x1")) + Poly.const(2),
+        ]
+    else:
+        vars_ = [Z, wh_var(1, 1), wh_var(1, 2), V, x_var("x1")]
+        atoms = [
+            Poly.variable(wh_var(1, 1), 2)
+            - Poly.variable(V, 2) * Poly.variable(wh_var(1, 2), 2),
+            Poly.variable(Z) - Poly.variable(V, 3) * Poly.variable(wh_var(1, 1), 2),
+            Poly.variable(Z) - Poly.variable(x_var("x1")),
+        ]
+    if sig is not None:
+        def in_sig(v):
+            return v[0] not in ("p", "wh") or sig.has_slot(*v[1:])
+
+        vars_ = [v for v in vars_ if in_sig(v)]
+        atoms = [a for a in atoms if all(in_sig(v) for v in a.variables())]
+    num = Poly.zero()
+    for _ in range(rng.randint(1, 3)):
+        mono = {}
+        for _ in range(rng.randint(0, 2)):
+            v = rng.choice(vars_)
+            lo = -2 if v[0] in ("wh", "v") else 0
+            e = rng.randint(lo, 2)
+            if e:
+                mono[v] = mono.get(v, 0) + e
+        mono = tuple(sorted((v, e) for v, e in mono.items() if e))
+        num = num + Poly.monomial(mono, Fraction(rng.randint(-4, 4)))
+    f = RatFun.from_poly(num)
+    for _ in range(rng.randint(0, 2)):
+        f = f * RatFun.ratio(Poly.const(1), rng.choice(atoms))
+    return f
+
+
+@pytest.mark.parametrize("mode", ["rational", "trig"])
+def test_random_ratfun_draws_as_before(mode):
+    # the pools are built once per (mode, signature); every draw, and the
+    # generator state after it, is the one the old generator gives
+    from laxkit.suite import random_ratfun
+    from laxkit.textio import render_ratfun
+
+    sig = SIG if mode == "rational" else TSIG
+    for s in (None, sig):
+        new, old = random.Random(151), random.Random(151)
+        for _ in range(200):
+            got, want = random_ratfun(new, mode, s), _old_random_ratfun(old, mode, s)
+            assert render_ratfun(got) == render_ratfun(want)
+            assert (got.num.terms, got.den) == (want.num.terms, want.den)
+        assert new.getstate() == old.getstate()

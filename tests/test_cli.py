@@ -370,6 +370,16 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     assert "Traceback" not in err and "identity failure" not in err
 
 
+def test_high_multiplicity_matrix_fails_without_lifting(tmp_path, capsys):
+    # (z - p[1,1])^2000 alone at its highest power in an exchange sum: the
+    # sum has a pole there, so no numerator is lifted to the common
+    # denominator (which took seconds); the verdict is the lifted one
+    path = _write(tmp_path, "m.json", _matrix("rational", "((1) / ((z - p[1,1])^2000))")["m"])
+    assert main(["verify-rtt", "--matrix", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == [[0, 1, 1, 0], [1, 0, 0, 1]] and not report["ok"]
+
+
 # Rendered JSON of build, build --raw, linear, limit (both directions in
 # trig) and degenerate, pinned byte for byte on four n = 2 divisors: the
 # first of the rational and of the trig (2, 2) families, trig case 4 and a

@@ -1336,3 +1336,207 @@ def test_linear_split_matches_peel_and_canonical_atom():
     for q in (Poly.variable(Z), Poly.variable(Z, 2) - 1, Poly.variable(Z) - Poly.variable(V),
               Poly.variable(Z) * Poly.variable(W) + 1):
         assert _linear_split(q) is None
+
+
+# ---------------------------------------------------------------------------
+# synthetic division by prime atoms: against the heap division and sympy
+
+
+_PRIME_TEXTS = [
+    "z - p[1,1]", "p[2,1] - p[1,1] - 1", "3/2*z - x[x1] + 1/3", "z", "x[x1]",
+    "v^3*w[1,1] - z", "x[x1]*v^2 + z*wh[1,1]", "v*x[x1] - wh[1,1]^-2",
+    "v^-1*wh[1,1]*x[x1] + 2*v*z", "z - v^-1*x[x1]",
+]
+
+
+def _prime_atoms(rng):
+    """The fixed prime atoms plus seeded random ones of both modes: linear
+    forms over z, x, p and two-term Laurent combinations A*u + B."""
+    from laxkit.ratfun import normalize_factor
+    from laxkit.textio import parse_poly
+
+    polys = [parse_poly(t) for t in _PRIME_TEXTS]
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+    for _ in range(12):
+        lin = Poly.zero()
+        for v in rng.sample([Z, x_var("x1"), p_var(1, 1)], rng.randint(2, 3)):
+            lin = lin + Poly.variable(v) * rng.choice(coeffs)
+        polys.append(lin + rng.choice([0, 1, -2, Fraction(3, 4)]))
+        u, other = rng.sample([Z, x_var("x1")], 2)
+        unit = ((V, rng.randint(-2, 2)), (wh_var(1, 1), rng.randint(-2, 2)))
+        b_unit = ((V, rng.randint(-2, 2)), (wh_var(1, 1), rng.randint(-2, 2)))
+        b = Poly.monomial(b_unit + ((other, rng.randint(0, 1)),), rng.choice(coeffs))
+        polys.append(Poly.monomial(unit + ((u, 1),), rng.choice(coeffs)) + b)
+    out = []
+    for p in polys:
+        (atom,) = normalize_factor(p)[1]
+        out.append(atom)
+    return out
+
+
+def test_synthetic_division_matches_heap_division_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    from laxkit.monomials import FW, VARS
+    from laxkit.poly import synthetic_div
+    from laxkit.rejection import prime_parts
+
+    rng = random.Random(131)
+    atoms = _prime_atoms(rng)
+    seen = {"exact": 0, "divides": 0, "not": 0, "unit A": 0, "fraction": 0, "negative": 0}
+    for idx in range(240):
+        atom = atoms[idx % len(atoms)]
+        parts = prime_parts(atom)
+        assert parts is not None, atom
+        s, am, ac, _ = parts
+        seen["unit A"] += bool(am)
+        f = _random_div_poly(rng, 4)
+        g = atom.poly
+        seen["fraction"] += any(c.__class__ is Fraction for c in (f * g).terms.values())
+        assert synthetic_div(f * g, g, parts) == poly_div_exact(f * g, g) == f
+        seen["exact"] += 1
+        noise = _random_div_poly(rng, 2)
+        h = f * g + (noise * g if idx % 4 == 0 else noise)
+        if h.is_zero():
+            continue
+        q = synthetic_div(h, g, parts)
+        assert q == poly_div_exact(h, g), (h, atom)
+        assert (q is not None) == _sympy_divides(sympy, h, g), (h, atom)
+        seen["divides" if q is not None else "not"] += 1
+        if idx % 3 == 0:
+            # a negative power of u (or of another non-unit variable) is
+            # refused by both divisions, even where q * u^-1 would do
+            u = VARS[s // FW]
+            for v in (u, rng.choice([Z, x_var("x1"), p_var(1, 1)])):
+                lowered = (f * Poly.variable(v, -1 - f.degree(v))) * g
+                if lowered.min_exp(v) >= 0:
+                    continue  # g = v made up for it
+                assert synthetic_div(lowered, g, parts) is None
+                assert poly_div_exact(lowered, g) is None
+                seen["negative"] += 1
+    assert seen["not"] > 100 and seen["divides"] > 50 and seen["unit A"] > 40, seen
+    assert seen["fraction"] > 100 and seen["negative"] > 100, seen
+
+
+def test_cancellation_divides_prime_atoms_synthetically(monkeypatch):
+    # _cancel leaves the heap for prime atoms and keeps it for the others
+    import laxkit.ratfun as ratfun_mod
+    from laxkit.textio import parse_poly
+
+    heap = []
+    real = ratfun_mod.poly_div_exact
+    monkeypatch.setattr(ratfun_mod, "poly_div_exact", lambda f, g: heap.append(g) or real(f, g))
+    prime = RatFun.ratio(1, parse_poly("z - p[1,1]"))
+    assert (prime * (z - p11)).equals(1) and not heap
+    quartic = RatFun.ratio(1, parse_poly("z^4 - 1"))
+    heap.clear()
+    assert render_poly((quartic * RatFun.from_poly(parse_poly("z^4 - 1"))).num) == "1"
+    assert heap == [parse_poly("z^4 - 1")]
+
+
+# ---------------------------------------------------------------------------
+# sums: equal denominators summed before lifting, and the pole test
+
+
+def _naive_reduced_sum(fracs):
+    """reduced_sum as it was: every fraction lifted to the common atom
+    multiset of all of them, the lifted numerators summed, _make once."""
+    common = {}
+    for _, den in fracs:
+        for a, m in den.items():
+            if m and common.get(a, 0) < m:
+                common[a] = m
+    total = Poly.zero()
+    for num, den in fracs:
+        for a, m in common.items():
+            num = num * a.poly ** (m - den.get(a, 0))
+        total = total + num
+    return RatFun._make(total, common)
+
+
+def _repeated_den_fracs(rng, mode, pool):
+    """Fractions whose denominators repeat: split pieces of one value,
+    groups that cancel to zero, {atom: 0} entries and unequal dens."""
+    from laxkit.suite import random_ratfun
+
+    fracs = []
+    for _ in range(rng.randint(1, 2)):
+        f = random_ratfun(rng, mode)
+        num, den = _unreduced(f, rng.choice(pool), rng.randint(0, 2))
+        part = Poly.monomial(((x_var("x1"), rng.randint(0, 2)),), rng.randint(-3, 3))
+        fracs += [(num - part, den), (part, dict(den))]  # one den, two pieces
+        if rng.random() < 0.6:  # a group that cancels to zero
+            other = dict(den)
+            a = rng.choice(pool)
+            other[a] = other.get(a, 0) + 1
+            fracs += [(num, other), (-num, dict(other))]
+        absent = [a for a in pool if a not in den]
+        if absent:  # the same den with an {atom: 0} entry
+            zero_entry = dict(den)
+            zero_entry[rng.choice(absent)] = 0
+            fracs.append((Poly.const(rng.randint(1, 2)), zero_entry))
+    rng.shuffle(fracs)
+    return fracs
+
+
+def test_grouped_sums_match_make_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    from laxkit.ratfun import _grouped, reduced_sum, sum_is_zero
+    from laxkit.suite import random_ratfun
+
+    seen = {"zero": 0, "nonzero": 0, "merged": 0, "dropped": 0}
+    for mode in ("rational", "trig"):
+        rng = random.Random(141 if mode == "rational" else 142)
+        pool = [a for _ in range(30) for a in random_ratfun(rng, mode).den]
+        for idx in range(40):
+            fracs = _repeated_den_fracs(rng, mode, pool)
+            if idx % 2:
+                total = _naive_reduced_sum(fracs)
+                fracs.append((-total.num, dict(total.den)))  # the sum is 0
+            groups = _grouped(fracs)
+            dens = {frozenset((a, m) for a, m in den.items() if m) for _, den in fracs}
+            seen["merged"] += len(dens) < len(fracs)
+            seen["dropped"] += len(groups) < len(dens)
+            got, want = reduced_sum(fracs), _naive_reduced_sum(fracs)
+            assert (got.num.terms, got.den) == (want.num.terms, want.den), (mode, idx)
+            zero = want.is_zero()
+            assert sum_is_zero(fracs) == zero, (mode, idx)
+            seen["zero" if zero else "nonzero"] += 1
+            if idx % 8 < 2:  # sympy is slow: a sample of both kinds
+                expr = sympy.Add(*(_frac_sympy(sympy, fr) for fr in fracs))
+                assert sympy.cancel(expr - _sympy_of(sympy, got)) == 0, (mode, idx)
+    assert seen["zero"] >= 30 and seen["nonzero"] >= 30, seen
+    assert seen["merged"] >= 60 and seen["dropped"] >= 20, seen
+
+
+def test_sum_with_a_sole_highest_power_is_a_pole():
+    from laxkit.ratfun import _grouped, _has_pole, normalize_factor, sum_is_zero
+    from laxkit.textio import parse_poly
+
+    def atom(text):
+        (a,) = normalize_factor(parse_poly(text))[1]
+        return a
+
+    a, b = atom("z - p[1,1]"), atom("z - x[x1]")
+    one = Poly.const(1)
+    # a^2 alone: a pole whatever the other fractions hold
+    fracs = [(one, {a: 2}), (a.poly, {a: 1, b: 1}), (one, {b: 3})]
+    assert _has_pole(_grouped(fracs)) and not sum_is_zero(fracs)
+    # the sole holder's numerator is divisible by a: no verdict, the lifted
+    # sum decides (and finds 0)
+    fracs = [(a.poly, {a: 2}), (-one, {a: 1})]
+    assert not _has_pole(_grouped(fracs)) and sum_is_zero(fracs)
+    # a monomial atom is skipped: z^-1 / z - 1 / z^2 is 0
+    zat = atom("z")
+    fracs = [(Poly.variable(Z, -1), {zat: 1}), (-one, {zat: 2})]
+    assert not _has_pole(_grouped(fracs)) and sum_is_zero(fracs)
+    # a non-prime atom in z may share a factor with a prime one:
+    # 1/(z - 1) - (z + 1)(z^2 + 1)/(z^4 - 1) is 0
+    lin, quartic = atom("z - 1"), atom("z^4 - 1")
+    fracs = [(one, {lin: 1}), (-parse_poly("z^3 + z^2 + z + 1"), {quartic: 1})]
+    assert not _has_pole(_grouped(fracs)) and sum_is_zero(fracs)
+    # ... but z - p[1,1] provably does not divide z^4 - 1
+    fracs = [(one, {a: 2, quartic: 1}), (one, {a: 1, lin: 1})]
+    assert _has_pole(_grouped(fracs)) and not sum_is_zero(fracs)
+    # a zero multiplicity holds nothing: b is no pole of 1/a - 1/a
+    fracs = [(one, {a: 1, b: 0}), (-one, {a: 1})]
+    assert not _grouped(fracs) and sum_is_zero(fracs)
