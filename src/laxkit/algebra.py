@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import NonIntegerShift, NotScalar, SignatureMismatch
-from .ratfun import (Poly, RatFun, as_ratfun, den_product, p_var, reduced_product, slot_map,
-                     substitute, wh_var)
+from .ratfun import (Poly, RatFun, as_ratfun, den_product, p_var, reduced_product, reduced_sum,
+                     slot_map, substitute, wh_var)
 
 
 @dataclass(frozen=True)
@@ -465,27 +465,21 @@ def mat_identity(sig: AlgebraSignature, n: int) -> List[List[AlgebraElement]]:
 
 
 def mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    sig = None
+    """The matrix product.  Each coefficient of an entry gathers the
+    unreduced fractions of its term products and is reduced once
+    (reduced_sum)."""
+    sig = b[0][0].signature
+    out = []
     for row in a:
-        for e in row:
-            sig = e.signature
-            break
-        if sig:
-            break
-    out = [[None] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = None
-            for k in range(inner):
-                x, y = a[i][k], b[k][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                t = x * y
-                acc = t if acc is None else acc + t
-            out[i][j] = acc if acc is not None else AlgebraElement.zero(sig)
+        out_row = []
+        for j in range(len(b[0])):
+            fracs: Dict[ShiftMonomial, list] = {}
+            for x, b_row in zip(row, b):
+                if x.terms and b_row[j].terms:
+                    for s, fl in unreduced_product(x, b_row[j]).items():
+                        fracs.setdefault(s, []).extend(fl)
+            out_row.append(AlgebraElement(sig, {s: reduced_sum(fl) for s, fl in fracs.items()}))
+        out.append(out_row)
     return out
 
 

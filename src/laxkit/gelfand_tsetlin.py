@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import AlgebraElement, GammaGauge, MonomialGauge, ShiftMonomial
 from .coweight import Divisor, PseudoYoungDiagram, fundamental_coweight
@@ -56,16 +56,13 @@ class GTLayout:
         )
 
 
-def layout(blambda: PseudoYoungDiagram, n: int,
-           point_labels: Optional[List[str]] = None) -> GTLayout:
+def layout(blambda: PseudoYoungDiagram, n: int) -> GTLayout:
     """Frozen-coordinate combinatorics; cross-checks |J_i| against the
     divisor's slot counts."""
     if blambda.n != n or blambda.size() != n or not blambda.is_young():
         raise BadDiagram("need a Young diagram of total size n")
     heights = blambda.transpose()
-    labels = tuple(point_labels or [f"x{c+1}" for c in range(len(heights))])
-    if len(labels) != len(heights):
-        raise BadDiagram("one point label per column required")
+    labels = tuple(f"x{c+1}" for c in range(len(heights)))
     partial = [0]
     for h in heights:
         partial.append(partial[-1] + h)
@@ -231,12 +228,11 @@ class GTComparison:
     expected: Dict[Tuple[int, int], AlgebraElement]
 
 
-def gauge_and_compare(blambda: PseudoYoungDiagram, n: int,
-                      point_labels: Optional[List[str]] = None) -> GTComparison:
+def gauge_and_compare(blambda: PseudoYoungDiagram, n: int) -> GTComparison:
     """Conjugate the built Lax matrix by both gauges and compare its
     tridiagonal entries with the pattern-formula images under the
     evaluation map (diagonal: z - generator - 1)."""
-    lay = layout(blambda, n, point_labels)
+    lay = layout(blambda, n)
     div = lay.divisor()
     T = build_lax(div)
     gamma, mono = gauge_factors(lay)

@@ -30,7 +30,6 @@ from .algebra import (
     mat_map,
     mat_mul,
     mat_zero,
-    unreduced_product,
 )
 from .coweight import Divisor
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     NotScalar,
     SignatureMismatch,
 )
-from .ratfun import V, Poly, RatFun, Z, p_var, reduced_sum, x_var
+from .ratfun import V, Poly, RatFun, Z, p_var, x_var
 
 
 class GaussFactors(NamedTuple):
@@ -74,8 +73,8 @@ class LaxMatrix:
 #
 # A Gauss coefficient is c * prod poly^exp over a list of (poly, exp)
 # factors, each poly a unit times atoms; RatFun.product multiplies it out
-# with nothing divided.  The memo of normalize_factor splits is made once
-# per build and shared by all of its entries.
+# with nothing divided.  The memo of factor_atoms splits is made once per
+# build and shared by all of its entries.
 
 
 def _point_poly(pt) -> Poly:
@@ -84,96 +83,92 @@ def _point_poly(pt) -> Poly:
     return Poly.const(pt)
 
 
-def _p(k: int, r: int, factor: int) -> Poly:
-    return Poly.variable(p_var(k, r, factor))
+def _p(k: int, r: int) -> Poly:
+    return Poly.variable(p_var(k, r))
 
 
-def _row(sig: AlgebraSignature, k: int, arg: Poly, e: int, skip: Optional[int] = None,
-         factor: int = 1) -> list:
+def _row(sig: AlgebraSignature, k: int, arg: Poly, e: int, skip: Optional[int] = None) -> list:
     """(arg - p[k,t])^e over the slots t of row k, optionally skipping one."""
-    return [(arg - _p(k, t, factor), e) for t in range(1, sig.a(k, factor) + 1) if t != skip]
+    return [(arg - _p(k, t), e) for t in range(1, sig.a(k) + 1) if t != skip]
 
 
 def _zvar() -> Poly:
     return Poly.variable(Z)
 
 
-def slot_sum(sig: AlgebraSignature, i: int, j: int, factor: int, step: int,
-             coeff: Callable[[dict], tuple], memo: Optional[dict]) -> AlgebraElement:
+def slot_sum(sig: AlgebraSignature, memo: dict, i: int, j: int, step: int,
+             coeff: Callable[[dict], tuple]) -> AlgebraElement:
     """sum over slot tuples r = (r_i, ..., r_(j-1)) of rows i..j-1 of
     RatFun.product(*coeff(r)) times the shift monomial with exponent step
     on every slot (k, r_k); r is passed as {k: r_k}.  One term per element
     of the product of the slot ranges, so the cost per entry is bounded by
     prod a_k over that range."""
     terms = {}
-    for tup in iproduct(*(range(1, sig.a(k, factor) + 1) for k in range(i, j))):
+    for tup in iproduct(*(range(1, sig.a(k) + 1) for k in range(i, j))):
         r = dict(zip(range(i, j), tup))
-        shift = ShiftMonomial({(factor, k, r[k]): step for k in range(i, j)})
+        shift = ShiftMonomial({(1, k, r[k]): step for k in range(i, j)})
         terms[shift] = RatFun.product(*coeff(r), memo)
     return AlgebraElement(sig, terms)
 
 
 # ---------------------------------------------------------------------------
 # Gauss factors
+#
+# The entry formulas of both modes take (div, sig, memo, i[, j]), sig the
+# divisor's signature and memo the build's factor_atoms splits.
 
 
-def diag_entry(div: Divisor, i: int, factor: int = 1,
-               sig: Optional[AlgebraSignature] = None, memo: Optional[dict] = None) -> RatFun:
+def diag_entry(div: Divisor, sig: AlgebraSignature, memo: dict, i: int) -> RatFun:
     """Diagonal Gauss entry: row-i slot product over the shifted row-(i-1)
     product, times the point factors of all lower indices."""
-    sig = sig or div.signature()
     z = _zvar()
     return RatFun.product(
         1,
-        _row(sig, i, z, 1, factor=factor)
-        + _row(sig, i - 1, z - 1, -1, factor=factor)
+        _row(sig, i, z, 1)
+        + _row(sig, i - 1, z - 1, -1)
         + [(z - _point_poly(s.point), s.sign) for s in div.summands if s.index < i],
         memo,
     )
 
 
-def upper_entry(div: Divisor, i: int, j: int, factor: int = 1,
-                sig: Optional[AlgebraSignature] = None,
-                drop_pole: bool = False, memo: Optional[dict] = None) -> AlgebraElement:
+def upper_entry(div: Divisor, sig: AlgebraSignature, memo: dict, i: int, j: int,
+                drop_pole: bool = False) -> AlgebraElement:
     """Entry (i, j), i < j, of the upper unitriangular factor.
 
     With drop_pole the spectral pole 1/(z - p[i, r_i]) is omitted; that is
     exactly the z-linear fast path residue."""
-    sig = sig or div.signature()
 
     def coeff(r):
-        p = {k: _p(k, r[k], factor) for k in r}
-        fs = _row(sig, i - 1, p[i] - 1, 1, factor=factor)
+        p = {k: _p(k, r[k]) for k in r}
+        fs = _row(sig, i - 1, p[i] - 1, 1)
         for k in range(i, j - 1):
-            fs += _row(sig, k, p[k + 1] - 1, 1, r[k], factor)
+            fs += _row(sig, k, p[k + 1] - 1, 1, r[k])
         if not drop_pole:
             fs.append((_zvar() - p[i], -1))
         for k in range(i, j):
-            fs += _row(sig, k, p[k], -1, r[k], factor)
+            fs += _row(sig, k, p[k], -1, r[k])
             fs += [(p[k] - _point_poly(pt), sign) for pt, sign in div.points_with(k)]
         return -1, fs
 
-    return slot_sum(sig, i, j, factor, 1, coeff, memo)
+    return slot_sum(sig, memo, i, j, 1, coeff)
 
 
-def lower_entry(div: Divisor, j: int, i: int, factor: int = 1,
-                sig: Optional[AlgebraSignature] = None,
-                drop_pole: bool = False, memo: Optional[dict] = None) -> AlgebraElement:
+def lower_entry(div: Divisor, sig: AlgebraSignature, memo: dict, j: int, i: int,
+                drop_pole: bool = False) -> AlgebraElement:
     """Entry (j, i), i < j, of the lower unitriangular factor."""
-    sig = sig or div.signature()
 
     def coeff(r):
-        p = {k: _p(k, r[k], factor) for k in r}
-        fs = _row(sig, j, p[j - 1] + 1, 1, factor=factor)
+        p = {k: _p(k, r[k]) for k in r}
+        fs = _row(sig, j, p[j - 1] + 1, 1)
         for k in range(i + 1, j):
-            fs += _row(sig, k, p[k - 1] + 1, 1, r[k], factor)
+            fs += _row(sig, k, p[k - 1] + 1, 1, r[k])
         if not drop_pole:
             fs.append((_zvar() - p[i] - 1, -1))
         for k in range(i, j):
-            fs += _row(sig, k, p[k], -1, r[k], factor)
+            fs += _row(sig, k, p[k], -1, r[k])
         return 1, fs
 
-    return slot_sum(sig, i, j, factor, -1, coeff, memo)
+    return slot_sum(sig, memo, i, j, -1, coeff)
 
 
 def _gauss_factors(div: Divisor, mode: str, diag: Callable, upper: Callable,
@@ -187,42 +182,22 @@ def _gauss_factors(div: Divisor, mode: str, diag: Callable, upper: Callable,
     memo: dict = {}
     lower_f = mat_identity(sig, n)
     upper_f = mat_identity(sig, n)
-    diag_f = [
-        AlgebraElement.from_ratfun(sig, diag(div, i, sig=sig, memo=memo))
-        for i in range(1, n + 1)
-    ]
+    diag_f = [AlgebraElement.from_ratfun(sig, diag(div, sig, memo, i)) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            upper_f[i - 1][j - 1] = upper(div, i, j, sig=sig, memo=memo)
-            lower_f[j - 1][i - 1] = lower(div, j, i, sig=sig, memo=memo)
+            upper_f[i - 1][j - 1] = upper(div, sig, memo, i, j)
+            lower_f[j - 1][i - 1] = lower(div, sig, memo, j, i)
     return GaussFactors(lower=lower_f, diag=diag_f, upper=upper_f)
 
 
 def _assemble(div: Divisor, gauss: GaussFactors) -> LaxMatrix:
-    """T(z) = F G E.  Each G E entry is formed once and reduced; each T
-    coefficient gathers its unreduced F (G E) products and is reduced once.
-    The unit diagonals of F and E are never multiplied by."""
+    """T(z) = F (G E), G E formed row by row.  F's first row is e_1, so T's
+    first row is G E's, already reduced; mat_mul forms the others."""
     sig = div.signature()
-    n = div.n
-    ge = [[None] * n for _ in range(n)]  # ge[i][beta] = g_i e_(i,beta), beta >= i
-    for i in range(n):
-        g = ge[i][i] = gauss.diag[i]
-        for beta in range(i + 1, n):
-            ge[i][beta] = g * gauss.upper[i][beta]
-    entries = mat_zero(sig, n)
-    entries[0] = ge[0]
-    for alpha in range(1, n):
-        for beta in range(n):
-            fracs = {}  # shift monomial -> fractions summing to its coefficient
-            if alpha <= beta:
-                for s, c in ge[alpha][beta].terms.items():
-                    fracs[s] = [(c.num, c.den)]
-            for i in range(min(alpha, beta + 1)):
-                for s, fl in unreduced_product(gauss.lower[alpha][i], ge[i][beta]).items():
-                    fracs.setdefault(s, []).extend(fl)
-            entries[alpha][beta] = AlgebraElement(
-                sig, {s: reduced_sum(fl) for s, fl in fracs.items()}
-            )
+    zero = AlgebraElement.zero(sig)
+    ge = [[zero] * i + [g] + [g * e for e in gauss.upper[i][i + 1:]]
+          for i, g in enumerate(gauss.diag)]
+    entries = ge[:1] + mat_mul(gauss.lower[1:], ge)
     return LaxMatrix(signature=sig, divisor=div, entries=entries, gauss=gauss)
 
 
@@ -332,8 +307,8 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
     memo: dict = {}
     for i in range(1, m + 1):
         for j in range(i + 1, n + 1):
-            entries[i - 1][j - 1] = upper_entry(div, i, j, sig=sig, drop_pole=True, memo=memo)
-            entries[j - 1][i - 1] = lower_entry(div, j, i, sig=sig, drop_pole=True, memo=memo)
+            entries[i - 1][j - 1] = upper_entry(div, sig, memo, i, j, drop_pole=True)
+            entries[j - 1][i - 1] = lower_entry(div, sig, memo, j, i, drop_pole=True)
     return LaxMatrix(sig, div, entries)
 
 

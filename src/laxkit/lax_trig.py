@@ -64,13 +64,13 @@ from .series import TruncSeries
 # factor lists (see lax_rational)
 
 
-def _w_full(i: int, r: int, factor: int = 1) -> Poly:
-    return Poly.variable(wh_var(i, r, factor), 2)
+def _w_full(i: int, r: int) -> Poly:
+    return Poly.variable(wh_var(i, r), 2)
 
 
-def _w_half_prod(sig: AlgebraSignature, i: int, exp: int, factor: int = 1) -> Poly:
+def _w_half_prod(sig: AlgebraSignature, i: int, exp: int) -> Poly:
     """prod over slots of row i of wh[i,t]^exp (exp in half-units of w)."""
-    return Poly.monomial((wh_var(i, t, factor), exp) for t in range(1, sig.a(i, factor) + 1))
+    return Poly.monomial((wh_var(i, t), exp) for t in range(1, sig.a(i) + 1))
 
 
 def _v_pow(k: int) -> Poly:
@@ -78,27 +78,25 @@ def _v_pow(k: int) -> Poly:
 
 
 def _sw_row(sig: AlgebraSignature, j: int, y_num: Poly, y_den: Poly, e: int,
-            skip: Optional[int] = None, factor: int = 1) -> list:
+            skip: Optional[int] = None) -> list:
     """(1 - w[j,t]/y)^e over the slots t of row j, optionally skipping one,
     at y = y_num / y_den: factors (y_num - w[j,t] y_den) / y_num."""
-    ts = [t for t in range(1, sig.a(j, factor) + 1) if t != skip]
-    return [(y_num - _w_full(j, t, factor) * y_den, e) for t in ts] + [(y_num, -e * len(ts))]
+    ts = [t for t in range(1, sig.a(j) + 1) if t != skip]
+    return [(y_num - _w_full(j, t) * y_den, e) for t in ts] + [(y_num, -e * len(ts))]
 
 
 # ---------------------------------------------------------------------------
-# Gauss factors
+# Gauss factors (same arguments as the rational formulas)
 
 
-def diag_entry_trig(div: Divisor, i: int, sig: Optional[AlgebraSignature] = None,
-                    factor: int = 1, memo: Optional[dict] = None) -> RatFun:
-    sig = sig or div.signature()
+def diag_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, i: int) -> RatFun:
     z = Poly.variable(Z)
     fs = [
-        (_w_half_prod(sig, i, -1, factor) * _w_half_prod(sig, i - 1, 1, factor), 1),
+        (_w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1), 1),
         (z, div.mu.d[i - 1]),
     ]
-    fs += _sw_row(sig, i, z, _v_pow(i), 1, factor=factor)
-    fs += _sw_row(sig, i - 1, z, _v_pow(i + 1), -1, factor=factor)
+    fs += _sw_row(sig, i, z, _v_pow(i), 1)
+    fs += _sw_row(sig, i - 1, z, _v_pow(i + 1), -1)
     # point factors: prod (1 - x/z)^(-eps_i of the summand coweight)
     for s in div.summands:
         if i > s.index:  # eps_i(omega_k) = -1 exactly when i > k
@@ -106,63 +104,59 @@ def diag_entry_trig(div: Divisor, i: int, sig: Optional[AlgebraSignature] = None
     return RatFun.product(1, fs, memo)
 
 
-def upper_entry_trig(div: Divisor, i: int, j: int,
-                     sig: Optional[AlgebraSignature] = None, factor: int = 1,
-                     drop_pole: bool = False, memo: Optional[dict] = None) -> AlgebraElement:
-    sig = sig or div.signature()
+def upper_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, i: int, j: int,
+                     drop_pole: bool = False) -> AlgebraElement:
     z = Poly.variable(Z)
     v = _v_pow(1)
     bplus = [div.mu.d[k - 1] - div.mu.d[k] for k in range(1, div.n)]  # b+_k, 1-based
-    pref = _w_half_prod(sig, j - 1, 2, factor) * _w_half_prod(sig, i - 1, -1, factor)
+    pref = _w_half_prod(sig, j - 1, 2) * _w_half_prod(sig, i - 1, -1)
     for k in range(i, j - 1):
-        pref = pref * _w_half_prod(sig, k, 1, factor)
+        pref = pref * _w_half_prod(sig, k, 1)
 
     def coeff(r):
-        w = {k: _w_full(k, r[k], factor) for k in r}
+        w = {k: _w_full(k, r[k]) for k in r}
         fs = [(pref, 1), (w[i], 1), (w[j - 1], -1)]
         for k in range(i, j):
             bk = bplus[k - 1]
             if bk:
-                fs.append((_v_pow(-k * bk) * Poly.variable(wh_var(k, r[k], factor), -2 * bk), 1))
+                fs.append((_v_pow(-k * bk) * Poly.variable(wh_var(k, r[k]), -2 * bk), 1))
         if not drop_pole:
             fs += [(z - _v_pow(i) * w[i], -1), (z, 1)]  # (1 - v^i w[i,r_i]/z)^-1
-        fs += _sw_row(sig, i - 1, w[i], v, 1, factor=factor)
+        fs += _sw_row(sig, i - 1, w[i], v, 1)
         for k in range(i, j - 1):
-            fs += _sw_row(sig, k, w[k + 1], v, 1, r[k], factor)
+            fs += _sw_row(sig, k, w[k + 1], v, 1, r[k])
         for k in range(i, j):
-            fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k], factor)
+            fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k])
             # (1 - v^-k x / w[k,r_k])^sign per index-k point
             for pt, sign in div.points_with(k):
                 fs += [(w[k] - _v_pow(-k) * _point_poly(pt), sign), (w[k], -sign)]
         return (-1) ** ((i - j + 1) % 2), fs
 
-    return slot_sum(sig, i, j, factor, -1, coeff, memo)
+    return slot_sum(sig, memo, i, j, -1, coeff)
 
 
-def lower_entry_trig(div: Divisor, j: int, i: int,
-                     sig: Optional[AlgebraSignature] = None, factor: int = 1,
-                     drop_pole: bool = False, memo: Optional[dict] = None) -> AlgebraElement:
-    sig = sig or div.signature()
+def lower_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, j: int, i: int,
+                     drop_pole: bool = False) -> AlgebraElement:
     z = Poly.variable(Z)
     v = _v_pow(1)
     pref = _v_pow(i - j)
     for k in range(i + 1, j + 1):
-        pref = pref * _w_half_prod(sig, k, -1, factor)
+        pref = pref * _w_half_prod(sig, k, -1)
 
     def coeff(r):
-        w = {k: _w_full(k, r[k], factor) for k in r}
+        w = {k: _w_full(k, r[k]) for k in r}
         fs = [(pref, 1), (w[j - 1], 1), (w[i], -1)]
         if not drop_pole:
             y = _v_pow(i + 2) * w[i]
             fs += [(y - z, -1), (y, 1)]  # (1 - z/y)^-1
-        fs += _sw_row(sig, j, v * w[j - 1], Poly.const(1), 1, factor=factor)
+        fs += _sw_row(sig, j, v * w[j - 1], Poly.const(1), 1)
         for k in range(i + 1, j):
-            fs += _sw_row(sig, k, v * w[k - 1], Poly.const(1), 1, r[k], factor)
+            fs += _sw_row(sig, k, v * w[k - 1], Poly.const(1), 1, r[k])
         for k in range(i, j):
-            fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k], factor)
+            fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k])
         return (-1) ** ((i - j + 1) % 2), fs
 
-    return slot_sum(sig, i, j, factor, 1, coeff, memo)
+    return slot_sum(sig, memo, i, j, 1, coeff)
 
 
 def build_lax_trig(div: Divisor) -> LaxMatrix:
@@ -241,14 +235,14 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if bmp[n - i] == -1:
-                e = upper_entry_trig(div, i, j, sig, drop_pole=True, memo=memo)
+                e = upper_entry_trig(div, sig, memo, i, j, drop_pole=True)
                 # z -> infinity limit of g_i/z is the half-power prefactor
                 g_inf = AlgebraElement.from_ratfun(
                     sig, _w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1)
                 )
                 entries[i - 1][j - 1] = g_inf * e * z
             if bmm[n - i] == 0:
-                f = lower_entry_trig(div, j, i, sig, drop_pole=True, memo=memo)
+                f = lower_entry_trig(div, sig, memo, j, i, drop_pole=True)
                 # f(0) g_i(0): crossing the shift monomials past g_i(0)
                 # contributes one power of v; scalar_factor carries the rest
                 g0 = AlgebraElement.from_ratfun(

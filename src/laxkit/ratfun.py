@@ -39,9 +39,9 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
 
   * product a/b * c/d: b's atoms are tried against c and d's against a
     (never an atom both hold), then only non-prime atoms against a*c;
-  * sum a/b + c/d over the common denominator: a prime atom can cancel
-    only when b and d hold it with the same multiplicity, so only those
-    and the non-prime atoms are tried;
+  * sum a/b + c/d over the common denominator (_lifted_sum): a prime
+    atom can cancel only when b and d hold it with the same
+    multiplicity, so only those and the non-prime atoms are tried;
   * reciprocal b/a: nothing is tried when every atom is prime;
   * a slot shift is a ring automorphism, so it keeps a fraction reduced
     and nothing is tried;
@@ -53,9 +53,10 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
     formulas build their Gauss coefficients this way;
   * sum of unreduced fractions (reduced_sum): numerators over equal
     atom multisets are summed first, groups that cancel dropped
-    (_grouped), the rest lifted to the common atom multiset, summed and
-    reduced once by _make, which tries every atom.  sum_is_zero groups
-    alike, and a proven pole (_has_pole) answers before any lifting.
+    (_grouped), the rest lifted to the common atom multiset and summed
+    (_lifted_sum), then reduced once by _make, which tries every atom.
+    sum_is_zero groups alike, and a proven pole (_has_pole) answers
+    before any lifting.
 
 The rules need two things: no prime atom divides a non-prime one, and
 no numerator holds a negative power of a non-unit variable (the
@@ -70,8 +71,8 @@ v^2k*w[i,r] - w[i,s] share none); there both are reduced forms of one
 value, and _make's depends on the order in which it divides.
 
 Most factors are linear forms with two or more terms over z/w/p/x.
-normalize_factor and factor_atoms split one in a single pass over its
-terms (_linear_split): it has no monomial content, since each variable
+factor_atoms splits one in a single pass over its terms
+(_linear_split): it has no monomial content, since each variable
 sits in one term, so its Atom key is its terms in precedence order (the
 constant, then the variables from least to most significant) scaled by
 the coefficient of the most significant variable.
@@ -101,7 +102,7 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import monomials as mono
 from .errors import DivergesAtInfinity, NotAtomFactorable
@@ -201,31 +202,9 @@ def _is_atom_shape(p: Poly) -> bool:
     )
 
 
-def normalize_factor(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
-    """Split p into unit * product of atoms.
-
-    Returns (unit, atoms) with p = unit * prod atom^mult and unit a
-    scalar times a Laurent monomial in unit variables.  Raises
-    NotAtomFactorable when the primitive part is not atom shaped.
-    """
-    if p.is_zero():
-        raise ZeroDivisionError("zero cannot be a denominator factor")
-    split = _linear_split(p)
-    if split is not None:
-        return split
-    unit, atoms, residual = _peel_content(p)
-    if residual.is_const():
-        return unit * residual, atoms
-    if not _is_atom_shape(residual):
-        raise NotAtomFactorable(f"not an atom: {residual!r}")
-    atom, cofactor = _canonical_atom(residual)
-    atoms[atom] = atoms.get(atom, 0) + 1
-    return unit * cofactor, atoms
-
-
 def _linear_split(p: Poly) -> Optional[Tuple[Poly, Dict[Atom, int]]]:
-    """normalize_factor of a linear form over z/w/p/x with two or more
-    terms, in one pass (see the module docstring); None for any other p."""
+    """factor_atoms of a linear form over z/w/p/x with two or more terms,
+    in one pass (see the module docstring); None for any other p."""
     terms = p.terms
     if len(terms) < 2:
         return None
@@ -374,11 +353,11 @@ class RatFun:
     def product(c, factors: Iterable[Tuple[Poly, int]],
                 memo: Optional[Dict[Poly, tuple]] = None) -> "RatFun":
         """c * prod poly^exp over the (poly, exp) factors, each poly a
-        nonzero unit times atoms (normalize_factor), by the product rule
-        of the module docstring: nothing is divided, unless a non-prime
-        atom holds a non-unit variable (then _make reduces).  memo maps a
-        poly to its normalize_factor split and may be shared by calls that
-        meet the same factors."""
+        nonzero unit times atoms (factor_atoms), by the product rule of
+        the module docstring: nothing is divided, unless a non-prime atom
+        holds a non-unit variable (then _make reduces).  memo maps a poly
+        to its factor_atoms split and may be shared by calls that meet the
+        same factors."""
         if memo is None:
             memo = {}
         unit_mono, c, eb = 0, _q(c), 0  # the unit c * unit_mono, |exponent| <= eb
@@ -390,7 +369,7 @@ class RatFun:
                 continue
             split = memo.get(p)
             if split is None:
-                split = memo[p] = normalize_factor(p)
+                split = memo[p] = factor_atoms(p)
             unit, atoms = split
             (um, uc), = unit.terms.items()
             unit_mono += um * e
@@ -439,8 +418,7 @@ class RatFun:
         if other.is_zero():
             return self
         b, d = self.den, other.den
-        common, (na, nb) = _lift([(self.num, b), (other.num, d)])
-        num = na + nb
+        common, num = _lifted_sum([(self.num, b), (other.num, d)])
         if num.is_zero():
             return _R_ZERO
         tries = [t for t in common if b.get(t) == d.get(t) or not _prime(t)]
@@ -706,8 +684,8 @@ def reduced_product(a: Poly, b: Dict[Atom, int], c: Poly, d: Dict[Atom, int]) ->
 
 def substitute(num: Poly, den: Dict[Atom, int], poly_fn) -> tuple:
     """Ring map poly_fn applied to num / den, as (num, den) with nothing
-    cancelled: changed atoms are re-canonicalized (normalize_factor, one
-    pass for a linear atom), their units moved to num."""
+    cancelled: changed atoms are re-canonicalized (factor_atoms, one pass
+    for a linear atom), their units moved to num."""
     num = poly_fn(num)
     out: Dict[Atom, int] = {}
     for a, m in den.items():
@@ -715,7 +693,7 @@ def substitute(num: Poly, den: Dict[Atom, int], poly_fn) -> tuple:
         if p is a.poly:  # poly_fn left this atom alone
             out[a] = out.get(a, 0) + m
             continue
-        unit, atoms = normalize_factor(p)
+        unit, atoms = factor_atoms(p)
         if unit != _P_ONE:
             num = num * _invert_unit(unit) ** m
         for na, nm in atoms.items():
@@ -729,24 +707,6 @@ def slot_map(mode: str, slot: int, i: int, r: int, m: int):
     if mode == "rational":
         return lambda p: p.shift_var(p_var(i, r, slot), m)
     return lambda p: p.scale_var(wh_var(i, r, slot), ((V, m),))
-
-
-def _lift(fracs: list) -> Tuple[Dict[Atom, int], Iterator[Poly]]:
-    """Common atom multiset (largest multiplicities), numerators lifted to it."""
-    common: Dict[Atom, int] = {}
-    for _, den in fracs:
-        for a, m in den.items():
-            if common.get(a, 0) < m:
-                common[a] = m
-    # one lifted numerator at a time: sum_is_zero never holds them all
-    def lifted():
-        for num, den in fracs:
-            for a, m in common.items():
-                extra = m - den.get(a, 0)
-                if extra:
-                    num = num * a.poly ** extra
-            yield num
-    return common, lifted()
 
 
 def _grouped(fracs: list) -> List[Tuple[Poly, Dict[Atom, int]]]:
@@ -778,19 +738,27 @@ def _grouped(fracs: list) -> List[Tuple[Poly, Dict[Atom, int]]]:
     return out
 
 
-def _lifted_sum(groups: list) -> Tuple[Dict[Atom, int], Dict[Monomial, Coeff], int]:
-    """Common atom multiset of _grouped fractions, the terms of their
-    lifted numerators' sum and a bound on its |exponent| (the largest of
-    the lifted numerators')."""
-    common, nums = _lift(groups)
+def _lifted_sum(fracs: list) -> Tuple[Dict[Atom, int], Poly]:
+    """Common atom multiset of fracs (largest multiplicities) and the sum
+    of their numerators lifted to it, one lifted numerator at a time; its
+    exponent bound is the largest of the lifted numerators'."""
+    common: Dict[Atom, int] = {}
+    for _, den in fracs:
+        for a, m in den.items():
+            if common.get(a, 0) < m:
+                common[a] = m
     total: Dict[Monomial, Coeff] = {}
     get = total.get
     eb = 0
-    for num in nums:
+    for num, den in fracs:
+        for a, m in common.items():
+            extra = m - den.get(a, 0)
+            if extra:
+                num = num * a.poly ** extra
         eb = max(eb, num._eb)
         for mo, c in num.terms.items():
             total[mo] = get(mo, 0) + c
-    return common, {mo: c for mo, c in total.items() if c}, eb
+    return common, Poly({mo: _q(c) for mo, c in total.items() if c}, eb)
 
 
 def _has_pole(groups: list) -> bool:
@@ -824,15 +792,15 @@ def sum_is_zero(fracs: list) -> bool:
     numerators must sum to 0; a proven pole (_has_pole) answers first.  No
     _make, division or sampling."""
     groups = _grouped(fracs)
-    return not _has_pole(groups) and not _lifted_sum(groups)[1]
+    return not _has_pole(groups) and _lifted_sum(groups)[1].is_zero()
 
 
 def reduced_sum(fracs: list) -> RatFun:
     """sum num / den over fracs, (num, den) pairs with nothing cancelled,
     reduced once: equal denominators are summed first, the lifted
     numerators are summed and _make divides."""
-    common, total, eb = _lifted_sum(_grouped(fracs))
-    return RatFun._make(Poly({mo: _q(c) for mo, c in total.items()}, eb), common)
+    common, num = _lifted_sum(_grouped(fracs))
+    return RatFun._make(num, common)
 
 
 def as_ratfun(x) -> RatFun:

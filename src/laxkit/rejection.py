@@ -140,9 +140,10 @@ def _value_mod_p(p: Poly, root) -> Optional[int]:
     """p mod P at the point of root (see cannot_divide), or None when
     that point gives no verdict for p.  A monomial's value there is its
     value with every variable at its residue (memoized per monomial),
-    times (r / residue of u)^(exponent of u)."""
+    times (r / residue of u)^(exponent of u).  u's field is assigned (the
+    atom holds u), so it decodes to 0 in a monomial without u."""
     kv, rho = root
-    s = FW * kv if kv in p._fields() else None
+    s = FW * kv
     bias = mono.BIAS
     memo = _MONO_RESIDUES
     powers = {0: 1}  # exponent of v -> rho^exponent
@@ -155,14 +156,13 @@ def _value_mod_p(p: Poly, root) -> Optional[int]:
         r = memo.get(m)
         if r is None:
             r = _mono_residue(m)
-        if s is not None:
-            e = ((m + bias) >> s & MASK) - HALF
-            f = powers.get(e)
-            if f is None:
-                if e < 0 and not rho:
-                    return None  # u^-k with u at 0: no ring map, no verdict
-                f = powers[e] = pow(rho, e, P61)
-            r *= f
+        e = ((m + bias) >> s & MASK) - HALF
+        f = powers.get(e)
+        if f is None:
+            if e < 0 and not rho:
+                return None  # u^-k with u at 0: no ring map, no verdict
+            f = powers[e] = pow(rho, e, P61)
+        r *= f
         total += c * r
     return total % P61
 

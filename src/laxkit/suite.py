@@ -203,39 +203,25 @@ def enumerate_linear_divisors(n: int, a_max: int, mode: str = "rational"):
     out = []
     max_row = a_max + 1
     rows_bl = _weakly_decreasing(n, 0, max_row, last=0)
+    trig = mode == "trig"
     for bl in rows_bl:
-        width = bl[0]
-        if mode == "rational":
-            for bm in _weakly_decreasing(n, -1, max_row, last=-1):
-                if sum(bl) + sum(bm) != 0:
+        names = [f"x{i+1}" for i in range(bl[0])]
+        for bm in _weakly_decreasing(n, -1, max_row, last=-1):
+            for bz in _weakly_decreasing(n, 0, max_row, last=0) if trig else [None]:
+                if sum(bl) + sum(bm) + sum(bz or ()) != 0:
                     continue
                 try:
                     div = divisor_from_young(
                         PseudoYoungDiagram(bl),
-                        [f"x{i+1}" for i in range(width)],
+                        names,
                         PseudoYoungDiagram(bm),
+                        PseudoYoungDiagram(bz) if trig else None,
+                        mode=mode,
                     )
                 except LaxkitError:
                     continue
                 if all(a <= a_max for a in div.a_vector()):
                     out.append(div)
-        else:
-            for bm in _weakly_decreasing(n, -1, max_row, last=-1):
-                for bz in _weakly_decreasing(n, 0, max_row, last=0):
-                    if sum(bl) + sum(bm) + sum(bz) != 0:
-                        continue
-                    try:
-                        div = divisor_from_young(
-                            PseudoYoungDiagram(bl),
-                            [f"x{i+1}" for i in range(width)],
-                            PseudoYoungDiagram(bm),
-                            PseudoYoungDiagram(bz),
-                            mode="trig",
-                        )
-                    except LaxkitError:
-                        continue
-                    if all(a <= a_max for a in div.a_vector()):
-                        out.append(div)
     return out
 
 

@@ -5,7 +5,9 @@ of their matrix JSON (the bytes `lax build --raw --out` and `lax linear
 --out` write) on families beyond the four n = 2 divisors of
 data/cli_golden.json: n = 3 and 4, slot counts a = (1, 2), and index-0
 points.  A divisor without a linear form adds the name of the error
-instead.
+instead.  Fused pairs (the coproduct T (x) T as a matrix product, as
+`lax fuse` forms it from raw builds) are pinned the same way, rank 1
+included.
 """
 
 import hashlib
@@ -14,8 +16,9 @@ import json
 import pytest
 
 from laxkit import suite
+from laxkit.coweight import Coweight, Divisor, fundamental_coweight
 from laxkit.errors import LaxkitError
-from laxkit.lax_rational import build_linear_lax, build_lax
+from laxkit.lax_rational import build_linear_lax, build_lax, fuse
 from laxkit.lax_trig import build_lax_trig, build_linear_lax_trig
 from laxkit.ratfun import RatFun
 from laxkit.textio import matrix_to_json
@@ -81,3 +84,40 @@ def test_gauss_and_t_coefficients_are_reduced(family):
                 _assert_reduced(gauss.upper[i][j], ("e", i, j))
                 _assert_reduced(gauss.lower[i][j], ("f", i, j))
                 _assert_reduced(T.entries[i][j], ("T", i, j))
+
+
+def _rank_one():
+    return Divisor.make(1, "rational", [("x1", fundamental_coweight(1, 0))], Coweight((1,)))
+
+
+def _rational_3_1_pairs():
+    r = suite.enumerate_linear_divisors(3, 1)
+    return [(r[0], r[1]), (r[2], r[3])]
+
+
+FUSED = {
+    "toda_toda": lambda: [(suite.toda_divisor(), suite.toda_divisor())],
+    "rational_3_1": _rational_3_1_pairs,
+    "trig_2_3": lambda: [(suite.trig_case_divisor(2), suite.trig_case_divisor(3))],
+    "rank_1": lambda: [(_rank_one(), _rank_one())],
+}
+
+FUSED_DIGESTS = {
+    "toda_toda": "ed10507b1c53a089",
+    "rational_3_1": "bf0fcff4f668c3ae",
+    "trig_2_3": "05d6e1bc1ba28be9",
+    "rank_1": "2c58ebe3196c8dd1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_builds_match_pinned_digest(name):
+    h = hashlib.sha256()
+    for d1, d2 in FUSED[name]():
+        build = _builders(d1)[0]
+        fused = fuse(build(d1), build(d2))
+        for i, row in enumerate(fused.entries):
+            for j, e in enumerate(row):
+                _assert_reduced(e, ("fused", i, j))
+        h.update(_json_bytes(fused))
+    assert h.hexdigest()[:16] == FUSED_DIGESTS[name]

@@ -1080,12 +1080,12 @@ def _check_against_make(got, num, den):
 
 
 def test_prime_atoms_are_the_shape_a_u_plus_b():
-    from laxkit.ratfun import normalize_factor
+    from laxkit.ratfun import factor_atoms
     from laxkit.rejection import atom_root
     from laxkit.textio import parse_poly, render_poly
 
     def atom(text):
-        (a,) = normalize_factor(parse_poly(text))[1]
+        (a,) = factor_atoms(parse_poly(text))[1]
         return a
 
     # w[1,1] - v^2*w[1,2] = (wh11 - v*wh12)(wh11 + v*wh12): not prime
@@ -1102,7 +1102,8 @@ def test_prime_atoms_are_the_shape_a_u_plus_b():
 
 
 def test_cancellation_rules_match_full_trial_division():
-    from laxkit.ratfun import _invert_unit, _lift, den_product, factor_atoms, slot_map, substitute
+    from laxkit.ratfun import (_invert_unit, _lifted_sum, den_product, factor_atoms, slot_map,
+                               substitute)
     from laxkit.suite import random_ratfun
 
     cancelled = {"mul": 0, "add": 0, "invert": 0}
@@ -1129,8 +1130,7 @@ def test_cancellation_rules_match_full_trial_division():
             cancelled["mul"] += _check_against_make(
                 f * g, f.num * g.num, den_product(f.den, g.den)
             )
-            common, nums = _lift([(f.num, f.den), (g.num, g.den)])
-            total = sum(nums, Poly.zero())
+            common, total = _lifted_sum([(f.num, f.den), (g.num, g.den)])
             if not total.is_zero():
                 cancelled["add"] += _check_against_make(f + g, total, common)
             try:
@@ -1166,13 +1166,13 @@ def test_non_prime_atom_takes_the_full_path():
 
 def test_rejection_never_fires_on_divisible_trig_numerators():
     sympy = pytest.importorskip("sympy")
-    from laxkit.ratfun import normalize_factor
+    from laxkit.ratfun import factor_atoms
     from laxkit.rejection import cannot_divide
     from laxkit.textio import parse_poly
 
     texts = ["z - v^3*wh[1,1]^2", "x[x1]*v^2 + z*wh[1,1]", "z - x[x1]",
              "p[1,1] - 2*z + 1", "v*x[x1] - wh[1,1]^-2"]
-    atoms = [a for t in texts for a in normalize_factor(parse_poly(t))[1]]
+    atoms = [a for t in texts for a in factor_atoms(parse_poly(t))[1]]
     rng = random.Random(93)
     rejected = 0
     for idx in range(200):
@@ -1352,7 +1352,7 @@ _PRIME_TEXTS = [
 def _prime_atoms(rng):
     """The fixed prime atoms plus seeded random ones of both modes: linear
     forms over z, x, p and two-term Laurent combinations A*u + B."""
-    from laxkit.ratfun import normalize_factor
+    from laxkit.ratfun import factor_atoms
     from laxkit.textio import parse_poly
 
     polys = [parse_poly(t) for t in _PRIME_TEXTS]
@@ -1369,7 +1369,7 @@ def _prime_atoms(rng):
         polys.append(Poly.monomial(unit + ((u, 1),), rng.choice(coeffs)) + b)
     out = []
     for p in polys:
-        (atom,) = normalize_factor(p)[1]
+        (atom,) = factor_atoms(p)[1]
         out.append(atom)
     return out
 
@@ -1509,11 +1509,11 @@ def test_grouped_sums_match_make_and_sympy():
 
 
 def test_sum_with_a_sole_highest_power_is_a_pole():
-    from laxkit.ratfun import _grouped, _has_pole, normalize_factor, sum_is_zero
+    from laxkit.ratfun import _grouped, _has_pole, factor_atoms, sum_is_zero
     from laxkit.textio import parse_poly
 
     def atom(text):
-        (a,) = normalize_factor(parse_poly(text))[1]
+        (a,) = factor_atoms(parse_poly(text))[1]
         return a
 
     a, b = atom("z - p[1,1]"), atom("z - x[x1]")
