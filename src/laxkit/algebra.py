@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import NonIntegerShift, NotScalar, SignatureMismatch
+from .poly import _P_ONE
 from .ratfun import (Poly, RatFun, as_ratfun, den_product, p_var, reduced_product, reduced_sum,
                      slot_map, substitute, wh_var)
 
@@ -301,10 +302,13 @@ def _term_products(x: AlgebraElement, y: AlgebraElement):
 
 def unreduced_product(x: AlgebraElement, y: AlgebraElement) -> Dict[ShiftMonomial, list]:
     """x * y, nothing cancelled: shift monomial -> fractions summing to its
-    coefficient (numerators multiplied, atom multisets merged)."""
+    coefficient (numerators multiplied, atom multisets merged).  A
+    coefficient 1, as on F's unit diagonal, multiplies nothing."""
     out: Dict[ShiftMonomial, list] = {}
     for s, c1, num, den in _term_products(x, y):
-        out.setdefault(s, []).append((c1.num * num, den_product(c1.den, den)))
+        if c1.den or c1.num != _P_ONE:
+            num, den = c1.num * num, den_product(c1.den, den)
+        out.setdefault(s, []).append((num, den))
     return out
 
 

@@ -394,6 +394,20 @@ class Poly:
                 out.pop(nm, None)
         return Poly(out, eb)
 
+    def swap_vars(self, a: Var, b: Var) -> "Poly":
+        """Exchange a and b.  It permutes the monomials, so no two terms
+        collide and the exponent bound is kept; self when neither occurs."""
+        if self._shift_of(a) is None and self._shift_of(b) is None:
+            return self
+        sa, sb = FW * field_of(a), FW * field_of(b)
+        bias = mono.BIAS
+        out: Dict[Monomial, Coeff] = {}
+        for m, c in self.terms.items():
+            y = m + bias
+            d = (y >> sb & MASK) - (y >> sa & MASK)  # e_b - e_a
+            out[m + (d << sa) - (d << sb)] = c
+        return Poly(out, self._eb)
+
     def partial(self, v: Var) -> "Poly":
         s = self._shift_of(v)
         if s is None:

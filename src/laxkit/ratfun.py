@@ -891,8 +891,7 @@ def factor_atoms(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
     if split is not None:
         return split
     atoms: Dict[Atom, int] = {}
-    _factor_residual(p, unit_box := [_P_ONE], atoms)
-    return unit_box[0], atoms
+    return _factor_residual(p, atoms), atoms
 
 
 def _factor_seed(p: Poly) -> int:
@@ -904,22 +903,19 @@ def _factor_seed(p: Poly) -> int:
     return zlib.crc32(repr(key).encode())
 
 
-def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> None:
+def _factor_residual(p: Poly, atoms: Dict[Atom, int]) -> Poly:
+    """Add the atoms of p to atoms and return its unit (factor_atoms)."""
     if p.is_const():
-        unit_box[0] = unit_box[0] * p
-        return
+        return p
     unit, catoms, p = _peel_content(p)
-    unit_box[0] = unit_box[0] * unit
     for a, m in catoms.items():
         atoms[a] = atoms.get(a, 0) + m
     if p.is_const():
-        unit_box[0] = unit_box[0] * p
-        return
+        return unit * p
     if _is_atom_shape(p):
         atom, cofactor = _canonical_atom(p)
         atoms[atom] = atoms.get(atom, 0) + 1
-        unit_box[0] = unit_box[0] * cofactor
-        return
+        return unit * cofactor
     variables = sorted(p.variables())
     v = variables[-1]
     d = p.degree(v)
@@ -933,9 +929,7 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
         q = None if len(lead.terms) == 1 else poly_div_exact(p, lead)
         if q is None:
             raise NotAtomFactorable(f"cannot factor {p!r}")
-        _factor_residual(lead, unit_box, atoms)
-        _factor_residual(q, unit_box, atoms)
-        return
+        return unit * _factor_residual(lead, atoms) * _factor_residual(q, atoms)
     # all factors involve v, with scalar v-leading coefficients
     rest = [u for u in variables if u != v]
     rng = random.Random(_FACTOR_RNG_SEED ^ _factor_seed(p))
@@ -963,9 +957,7 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
             if q is not None:
                 atom, cofactor = _canonical_atom(cand)
                 atoms[atom] = atoms.get(atom, 0) + 1
-                unit_box[0] = unit_box[0] * cofactor
-                _factor_residual(q, unit_box, atoms)
-                return
+                return unit * cofactor * _factor_residual(q, atoms)
         if not roots or not rest:
             break  # with no other variable, another point finds the same roots
     # repeated-factor fallback: factors of dp/dv (made monic, so constants
@@ -982,8 +974,7 @@ def _factor_residual(p: Poly, unit_box: List[Poly], atoms: Dict[Atom, int]) -> N
             while (q := _divide(p, a)) is not None:
                 p, atoms[a] = q, atoms.get(a, 0) + 1
         if p is not before:
-            _factor_residual(p, unit_box, atoms)
-            return
+            return unit * _factor_residual(p, atoms)
     if truncated:
         raise NotAtomFactorable(
             f"cannot factor {p!r}: a coefficient is past the factoring"

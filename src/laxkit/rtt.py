@@ -9,12 +9,20 @@ L = T(z) and M = T(w), component (ia, jb) reads
     sum_{k,c} R[ia,kc] L_kj M_cb  =  sum_{k,c} M_ac L_ik R[kc,jb].
 
 R's entries are rational in z, w and v only, so no shift acts on them
-and R is central.  Nothing is divided: each product L_kj M_cb or
-M_ac L_ik is formed once with unreduced coefficients
-(algebra.unreduced_product), and the R-weighted fractions of each
-component and shift monomial go through one common-denominator zero
-test (ratfun.sum_is_zero).  A failure is reported as (i, a, j, b), the
-coefficient of E_ij (x) E_ab.
+and R is central.  Nothing is divided: each product L_kj M_cb is formed
+once with unreduced coefficients (algebra.unreduced_product), and the
+R-weighted fractions of each component and shift monomial go through one
+common-denominator zero test (ratfun.sum_is_zero).  A failure is reported
+as (i, a, j, b), the coefficient of E_ij (x) E_ab.
+
+The products M_ac L_ik are not formed again.  The swap sigma of z and w
+is a ring automorphism of the coefficients, and it commutes with every
+shift, which acts on p (rational) or wh (trig) only.  When T holds no w,
+M = sigma(L) and L = sigma(M), so M_ac L_ik = sigma(L_ac M_ik) exactly:
+verify_rtt takes each one as the mirror of an L M product, fraction by
+fraction (ratfun.substitute), and refuses a T that holds w.  In the
+finite relations R T1 T2 = T2 T1 R with both factors the same matrix,
+M_ac L_ik is the product L_ac M_ik itself.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .algebra import AlgebraElement, AlgebraSignature, embed, mat_map, unreduced
 from .coweight import Divisor
 from .errors import SignatureMismatch, SingularLeadingMode
 from .lax_rational import fuse
-from .ratfun import RatFun, V, W, Z, den_product, sum_is_zero, x_var
+from .ratfun import RatFun, V, W, Z, den_product, substitute, sum_is_zero, x_var
 from .series import TruncSeries
 
 Sparse = Dict[int, Dict[int, object]]
@@ -176,37 +184,40 @@ class RttReport:
         return {"ok": self.ok, "n": self.n, "failures": self.failures}
 
 
-def _exchange_failures(r: Sparse, left, right) -> List[Tuple[int, int, int, int]]:
+def _exchange_failures(r: Sparse, left, right, mirror=None) -> List[Tuple[int, int, int, int]]:
     """Components (i, a, j, b) where R L1 M2 - M2 L1 R is nonzero, in order.
 
     Component (ia, jb) of the difference is
-        sum_{k,c} R[ia,kc] L_kj M_cb - sum_{k,c} M_ac L_ik R[kc,jb];
-    each product L_kj M_cb or M_ac L_ik is formed once and shared."""
+        sum_{k,c} R[ia,kc] L_kj M_cb - sum_{k,c} M_ac L_ik R[kc,jb].
+    The n^4 products L_kj M_cb are formed once.  M_ac L_ik is the product
+    L_ac M_ik when right is left, and its image under mirror when that is
+    given: a Poly map sigma, a ring automorphism commuting with every
+    shift, with right = sigma(left) and left = sigma(right).  Only
+    otherwise are the products M_ac L_ik formed too."""
     n = len(left)
-    r_cols: Sparse = {}
+    quads = list(itertools.product(range(n), repeat=4))
+    lm = {q: unreduced_product(left[q[0]][q[1]], right[q[2]][q[3]]) for q in quads}
+    if right is left:
+        ml = lm
+    elif mirror is not None:
+        ml = {q: {s: [substitute(num, den, mirror) for num, den in fracs]
+                  for s, fracs in prod.items()} for q, prod in lm.items()}
+    else:
+        ml = {q: unreduced_product(right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}
+    neg_cols: Sparse = {}  # -R, by column
     for row, cols in r.items():
         for col, val in cols.items():
-            r_cols.setdefault(col, {})[row] = val
-    # R's diagonal is nonzero, so every product is used.  -M_ac L_ik is
-    # kept throughout; L_kj M_cb only serves column jb, so one column is.
-    quads = itertools.product(range(n), repeat=4)
-    ml = {q: unreduced_product(-right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}
+            neg_cols.setdefault(col, {})[row] = -val
     failures = []
-    for jb in range(n * n):
-        j, b = divmod(jb, n)
-        lm = {kc: unreduced_product(left[kc // n][j], right[kc % n][b])
-              for kc in range(n * n)}
-        for ia in range(n * n):
-            i, a = divmod(ia, n)
-            terms: dict = {}  # shift monomial -> R-weighted fractions
-            for kc, val in r.get(ia, {}).items():
-                _gather(terms, lm[kc], val)
-            for kc, val in r_cols.get(jb, {}).items():
-                k, c = divmod(kc, n)
-                _gather(terms, ml[a, c, i, k], val)
-            if not all(map(sum_is_zero, terms.values())):
-                failures.append((i, a, j, b))
-    return sorted(failures)
+    for i, a, j, b in quads:  # in sorted order
+        terms: dict = {}  # shift monomial -> R-weighted fractions
+        for kc, val in r.get(i * n + a, {}).items():
+            _gather(terms, lm[kc // n, j, kc % n, b], val)
+        for kc, val in neg_cols.get(j * n + b, {}).items():
+            _gather(terms, ml[a, kc % n, i, kc // n], val)
+        if not all(map(sum_is_zero, terms.values())):
+            failures.append((i, a, j, b))
+    return failures
 
 
 def _gather(terms: dict, prod: dict, val: RatFun) -> None:
@@ -218,9 +229,24 @@ def _gather(terms: dict, prod: dict, val: RatFun) -> None:
             out.append((num * scale, den_product(den, val.den)))
 
 
+def _swap_zw(p):
+    return p.swap_vars(Z, W)
+
+
 def verify_rtt(T) -> RttReport:
-    """Exact check of R(z, w) T1(z) T2(w) = T2(w) T1(z) R(z, w)."""
+    """Exact check of R(z, w) T1(z) T2(w) = T2(w) T1(z) R(z, w).
+
+    T2(w) is T with z renamed to w, and the products of T2(w) T1(z) are
+    the z <-> w mirrors of those of T1(z) T2(w), so T must not hold w:
+    SignatureMismatch names the first entry that does."""
     n = T.n
+    for i, row in enumerate(T.entries):
+        for j, e in enumerate(row):
+            if any(W in c.num.variables() or any(W in a.poly.variables() for a in c.den)
+                   for c in e.terms.values()):
+                raise SignatureMismatch(
+                    f"entry ({i + 1},{j + 1}) holds w, the second spectral parameter"
+                    " of the exchange relation")
     z = RatFun.variable(Z)
     w = RatFun.variable(W)
     if T.signature.mode == "rational":
@@ -228,7 +254,7 @@ def verify_rtt(T) -> RttReport:
     else:
         r = r_trig(n, z, w)
     t_w = mat_map(T.entries, lambda e: e.rename_spectral(Z, W))
-    failures = _exchange_failures(r, T.entries, t_w)
+    failures = _exchange_failures(r, T.entries, t_w, mirror=_swap_zw)
     return RttReport(ok=not failures, failures=failures, n=n)
 
 

@@ -337,6 +337,10 @@ MALFORMED = {
     "matrix-denominator-not-atoms": (
         _matrix("rational", "((1) / ((z^2*p[1,1] + z + 1)))"),
         ["verify-rtt", "--matrix", "{m}"]),
+    # w is the second spectral parameter of the exchange relation
+    "matrix-holds-w": (_matrix("rational", "(w)"), ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-holds-w-in-an-atom": (_matrix("rational", "((1) / ((w - z)))"),
+                                  ["verify-rtt", "--matrix", "{m}"]),
     "verify-rtt-no-source": ({}, ["verify-rtt"]),
     "yang-baxter-rank-0": ({}, ["yang-baxter", "--n", "0"]),
     "yang-baxter-rank-negative": ({}, ["yang-baxter", "--n", "-1"]),

@@ -19,6 +19,7 @@ from laxkit.ratfun import (
     p_var,
     poly_div_exact,
     series_expand,
+    substitute,
     wh_var,
     x_var,
 )
@@ -437,6 +438,49 @@ def test_exact_division_matches_sympy():
         else:
             misses += 1
     assert hits and misses > 50
+
+
+# ---------------------------------------------------------------------------
+# the z <-> w swap of the exchange check
+
+_SWAP_VARS = [Z, W, x_var("x1"), p_var(1, 1), V, wh_var(1, 1)]
+
+
+def _random_swap_poly(rng):
+    out = {}
+    for _ in range(rng.randint(1, 6)):
+        mono = {}
+        for v in rng.sample(_SWAP_VARS, rng.randint(0, 4)):
+            e = rng.randint(-2 if is_unit_var(v) else 0, 3)
+            if e:
+                mono[v] = e
+        out[pack_mono(sorted(mono.items()))] = rng.choice(_MIXED_COEFFS)
+    return Poly(out)
+
+
+def test_swap_vars_matches_sympy_and_is_an_involution():
+    sympy = pytest.importorskip("sympy")
+    zs, ws = (sympy.Symbol("_".join(v)) for v in (Z, W))
+    rng = random.Random(17)
+    for _ in range(60):
+        p = _random_swap_poly(rng)
+        s = p.swap_vars(Z, W)
+        assert len(s.terms) == len(p.terms) and s._eb == p._eb
+        assert s.swap_vars(Z, W) == p and p.swap_vars(W, Z) == s
+        want = _sympy_of(sympy, p).subs({zs: ws, ws: zs}, simultaneous=True)
+        assert sympy.expand(_sympy_of(sympy, s) - want) == 0, p
+
+
+def test_swap_vars_keeps_what_holds_neither_variable():
+    p = Poly.variable(p_var(1, 1)) * Poly.variable(V, -2) + Poly.const(3)
+    assert p.swap_vars(Z, W) is p
+    f = (z - p11).invert()
+    num, den = substitute(f.num, f.den, lambda q: q.swap_vars(W, EPS))
+    assert num is f.num and den == f.den
+    # z - w comes back as the same atom, its sign moved to the numerator
+    g = (z - RatFun.variable(W)).invert()
+    num, den = substitute(g.num, g.den, lambda q: q.swap_vars(Z, W))
+    assert den == g.den and num == -g.num
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,23 @@
 """Yang-Baxter, exchange relations, coproducts, series factorization."""
 
+import hashlib
+import json
+
 import pytest
 
-from laxkit.algebra import AlgebraElement, mat_equal
+from laxkit.algebra import AlgebraElement, mat_equal, mat_map
 from laxkit.coweight import PseudoYoungDiagram, divisor_from_young
-from laxkit.lax_rational import build_lax, fuse
+from laxkit.errors import SignatureMismatch
+from laxkit.lax_rational import LaxMatrix, build_lax, fuse
 from laxkit.lax_trig import (
     build_lax_trig,
     normalize_and_check_polynomial_trig,
     split_finite_rtt,
 )
+from laxkit.ratfun import W, Z, RatFun
 from laxkit.rtt import (
+    _exchange_failures,
+    _swap_zw,
     check_yang_baxter,
     coproduct,
     coproduct_mode_contract,
@@ -19,14 +26,21 @@ from laxkit.rtt import (
     series_gauss_decompose,
     verify_coproduct_generators,
     verify_finite_rtt,
+    r_finite,
+    r_rational,
+    r_trig,
     verify_rtt,
 )
 from laxkit.suite import (
     block_example_divisor,
+    enumerate_linear_divisors,
     first_example_divisor,
+    rtt_rational_divisors,
+    rtt_trig_divisors,
     toda_divisor,
     trig_case_divisor,
 )
+from laxkit.textio import matrix_from_json
 
 
 def test_yang_baxter_all_variants():
@@ -117,6 +131,82 @@ def test_finite_rtt_detects_corruption():
         (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 1, 1),
         (1, 0, 1, 1), (0, 0, 0, 1),
     ]
+
+
+def _exchange_reports():
+    """128 reports: every rtt_rational_divisors, rtt_trig_divisors and trig
+    (3, 1) divisor, clean and with 1 added at (1,2), (n,1) and (n,n), then
+    the finite relations of the six trig cases, clean and with T- plus 1
+    at (2,1)."""
+    out = []
+    divisors = (rtt_rational_divisors() + rtt_trig_divisors()
+                + enumerate_linear_divisors(3, 1, "trig"))
+    for div in divisors:
+        T = (build_lax if div.mode == "rational" else build_lax_trig)(div)
+        n = T.n
+        for pos in (None, (0, 1), (n - 1, 0), (n - 1, n - 1)):
+            entries = T.entries if pos is None else _plus_one(T.entries, *pos)
+            out.append(verify_rtt(LaxMatrix(T.signature, T.divisor, entries)).to_json())
+    for k in range(1, 7):
+        T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(k)))
+        tp, tm = split_finite_rtt(T)
+        for bad in (tm, _plus_one(tm, 1, 0)):
+            out.append(verify_finite_rtt(tp, bad, T.signature).to_json())
+    return out
+
+
+# sha256 of the JSON list of the 128 reports, computed when every M L
+# product was still formed directly
+EXCHANGE_REPORTS_SHA256 = "28f436dc1b0b86452faebc07990a782435f717872c770b538d77684d657994cf"
+
+
+def test_exchange_reports_match_pinned_digest():
+    reports = _exchange_reports()
+    assert len(reports) == 128 and sum(not r["ok"] for r in reports) == 93
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == EXCHANGE_REPORTS_SHA256
+
+
+def test_mirrored_products_match_direct_products():
+    # M L products taken as the z <-> w mirror of L M products give the
+    # same failures as M L products formed directly, clean and corrupted
+    z, w = RatFun.variable(Z), RatFun.variable(W)
+    cases = (build_lax(toda_divisor()), build_lax(first_example_divisor(3)),
+             build_lax_trig(trig_case_divisor(4)),
+             build_lax_trig(enumerate_linear_divisors(3, 1, "trig")[3]))
+    seen_failures = 0
+    for T in cases:
+        n = T.n
+        r = r_rational(n, z - w) if T.signature.mode == "rational" else r_trig(n, z, w)
+        for pos in (None, (0, 0), (0, 1), (n - 1, 0)):
+            left = T.entries if pos is None else _plus_one(T.entries, *pos)
+            right = mat_map(left, lambda e: e.rename_spectral(Z, W))
+            want = _exchange_failures(r, left, right)
+            assert _exchange_failures(r, left, right, mirror=_swap_zw) == want
+            seen_failures += bool(want)
+    assert seen_failures >= 8
+    # with both factors the same matrix the L M products are reused
+    T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(4)))
+    tp, _ = split_finite_rtt(T)
+    r = r_finite(2)
+    for left in (tp, _plus_one(tp, 0, 1)):
+        copy = [list(row) for row in left]
+        assert _exchange_failures(r, left, left) == _exchange_failures(r, left, copy)
+    assert _exchange_failures(r, copy, copy)
+
+
+@pytest.mark.parametrize("mode,entry", [
+    ("rational", "(w)"),
+    ("rational", "((1) / ((w - z)))"),
+    ("trig", "((z) / ((z - v^2*w)))"),
+])
+def test_verify_rtt_refuses_a_matrix_holding_w(mode, entry):
+    # w is the second spectral parameter of the relation: T(w) renames z
+    # to w, so a T holding w would be checked against the wrong matrix
+    sig = {"n": 2, "mode": mode, "slot_counts": [[1]]}
+    T = matrix_from_json({"signature": sig, "entries": [["(1)", "0"], ["0", entry]]})
+    with pytest.raises(SignatureMismatch, match=r"entry \(2,2\) holds w"):
+        verify_rtt(T)
 
 
 def test_coproduct_passes_rtt_and_contract():
