@@ -58,7 +58,6 @@ from .ratfun import (
     W,
     Z,
     p_var,
-    series_expand,
     wh_var,
     x_var,
 )

@@ -99,6 +99,7 @@ send its rendered text.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from fractions import Fraction
@@ -823,14 +824,6 @@ def _invert_unit(unit: Poly) -> Poly:
     return Poly({-m: _qdiv(1, c)}, unit._eb)
 
 
-def series_expand(f: RatFun, direction: str, order: int) -> "TruncSeries":
-    """Documented expansion surface: direction is 'z_inf' (powers of 1/z),
-    'z_zero' (powers of z), or 'eps' (exponential degeneration)."""
-    if direction == "eps":
-        return f.eps_series(order)
-    return f.series(direction, order)
-
-
 # ---------------------------------------------------------------------------
 # eps degeneration support
 
@@ -1002,9 +995,7 @@ def _rational_roots(
     deg = max(uni)
     if deg == 0:
         return [], True
-    denom_lcm = 1
-    for c in uni.values():
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in uni.values()))
     ints = {k: int(c * denom_lcm) for k, c in uni.items()}
     a0 = ints.get(0, 0)
     ad = ints[deg]
@@ -1038,12 +1029,6 @@ def _rational_roots(
         if val == 0:
             out.append(_q(rho))
     return out, num_complete and den_complete
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # trial division up to 10^5 lists every divisor of n <= 10^10

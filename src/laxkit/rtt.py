@@ -1,5 +1,5 @@
-"""R-matrices, Yang-Baxter checks, the exchange-relation verifier,
-coproducts, and truncated-series Gauss decomposition.
+"""R-matrices, the exchange-relation verifier (which also checks
+Yang-Baxter), coproducts, and truncated-series Gauss decomposition.
 
 Scalar n^2 x n^2 matrices are kept sparse as {row: {col: RatFun}}, the
 pair (i, a) of tensor indices flattened to i*n + a.  The exchange check
@@ -49,7 +49,7 @@ def _sp_add(m: Sparse, r: int, c: int, val) -> None:
     row = m.setdefault(r, {})
     cur = row.get(c)
     new = val if cur is None else cur + val
-    if new.is_zero() if hasattr(new, "is_zero") else not new:
+    if new.is_zero():
         row.pop(c, None)
     else:
         row[c] = new
@@ -121,53 +121,48 @@ def r_finite(n: int) -> Sparse:
     return out
 
 
-def _leg_lift(r: Sparse, n: int, legs: Tuple[int, int]) -> Sparse:
-    """Promote a two-leg R-matrix to three tensor legs."""
-    out: Sparse = {}
-    la, lb = legs
-    free = next(k for k in range(3) if k not in legs)
-    for rr, row in r.items():
-        i, a = divmod(rr, n)
-        for cc, val in row.items():
-            j, b = divmod(cc, n)
-            for f in range(n):
-                idx_r = [0, 0, 0]
-                idx_c = [0, 0, 0]
-                idx_r[la], idx_r[lb], idx_r[free] = i, a, f
-                idx_c[la], idx_c[lb], idx_c[free] = j, b, f
-                r3 = (idx_r[0] * n + idx_r[1]) * n + idx_r[2]
-                c3 = (idx_c[0] * n + idx_c[1]) * n + idx_c[2]
-                _sp_add(out, r3, c3, val)
+def _blocks(r: Sparse, n: int) -> list:
+    """R as an n x n matrix of scalar matrices on its second leg: entry
+    (k, j) is the sparse matrix {f: {g: R[kf, jg]}}."""
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for row, cols in r.items():
+        k, f = divmod(row, n)
+        for col, val in cols.items():
+            j, g = divmod(col, n)
+            out[k][j].setdefault(f, {})[g] = val
     return out
 
 
+def _block_product(a: Sparse, b: Sparse) -> dict:
+    """sp_mul(a, b) in the form _exchange_failures sums: cell -> fractions."""
+    return {(r, c): [(val.num, val.den)] for r, row in sp_mul(a, b).items()
+            for c, val in row.items()}
+
+
 def check_yang_baxter(variant: str, n: int) -> bool:
-    """Exact triple-product identity on the tensor cube."""
-    u1 = RatFun.variable(x_var("u1"))
-    u2 = RatFun.variable(x_var("u2"))
+    """R12 R13 R23 = R23 R13 R12 on the tensor cube, exactly.
+
+    This is the exchange relation R(z, w) T1(z) T2(w) = T2(w) T1(z) R(z, w)
+    of T(z) = R13, the R-matrix in z and u3 read as an n x n matrix whose
+    entries are scalar matrices on leg 3, checked by _exchange_failures.
+    T(w) is T(z) with z renamed to w, and T holds no w, so the z <-> w
+    swap mirrors the products."""
+    z = RatFun.variable(Z)
+    w = RatFun.variable(W)
     u3 = RatFun.variable(x_var("u3"))
     if variant == "rational":
-        # additive arguments u, u + v, v
-        r12 = r_rational(n, u1)
-        r13 = r_rational(n, u1 + u2)
-        r23 = r_rational(n, u2)
+        r, left, right = (r_rational(n, z - w), r_rational(n, z - u3),
+                          r_rational(n, w - u3))
     elif variant == "trig":
-        r12 = r_trig(n, u1, u2)
-        r13 = r_trig(n, u1, u3)
-        r23 = r_trig(n, u2, u3)
+        r, left, right = r_trig(n, z, w), r_trig(n, z, u3), r_trig(n, w, u3)
     elif variant == "finite":
-        r12 = r23 = r13 = r_finite(n)
+        r = left = right = r_finite(n)
     else:
         raise ValueError(variant)
-    a = _leg_lift(r12, n, (0, 1))
-    b = _leg_lift(r13, n, (0, 2))
-    c = _leg_lift(r23, n, (1, 2))
-    lhs = sp_mul(sp_mul(a, b), c)
-    rhs = sp_mul(sp_mul(c, b), a)
-    zero = RatFun.zero()
-    cells = {(i, j) for m in (lhs, rhs) for i, row in m.items() for j in row}
-    return all(lhs.get(i, {}).get(j, zero).equals(rhs.get(i, {}).get(j, zero))
-               for i, j in cells)
+    left = _blocks(left, n)
+    right = left if variant == "finite" else _blocks(right, n)
+    return not _exchange_failures(r, left, right, mirror=_swap_zw,
+                                  product=_block_product)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,8 @@ class RttReport:
         return {"ok": self.ok, "n": self.n, "failures": self.failures}
 
 
-def _exchange_failures(r: Sparse, left, right, mirror=None) -> List[Tuple[int, int, int, int]]:
+def _exchange_failures(r: Sparse, left, right, mirror=None,
+                       product=unreduced_product) -> List[Tuple[int, int, int, int]]:
     """Components (i, a, j, b) where R L1 M2 - M2 L1 R is nonzero, in order.
 
     Component (ia, jb) of the difference is
@@ -193,17 +189,20 @@ def _exchange_failures(r: Sparse, left, right, mirror=None) -> List[Tuple[int, i
     L_ac M_ik when right is left, and its image under mirror when that is
     given: a Poly map sigma, a ring automorphism commuting with every
     shift, with right = sigma(left) and left = sigma(right).  Only
-    otherwise are the products M_ac L_ik formed too."""
+    otherwise are the products M_ac L_ik formed too.  product(x, y) gives
+    x * y as {key: fractions}, the fractions of each key summing to its
+    coefficient: unreduced_product for algebra elements, keyed by shift
+    monomial, _block_product for scalar matrices, keyed by cell."""
     n = len(left)
     quads = list(itertools.product(range(n), repeat=4))
-    lm = {q: unreduced_product(left[q[0]][q[1]], right[q[2]][q[3]]) for q in quads}
+    lm = {q: product(left[q[0]][q[1]], right[q[2]][q[3]]) for q in quads}
     if right is left:
         ml = lm
     elif mirror is not None:
         ml = {q: {s: [substitute(num, den, mirror) for num, den in fracs]
                   for s, fracs in prod.items()} for q, prod in lm.items()}
     else:
-        ml = {q: unreduced_product(right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}
+        ml = {q: product(right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}
     neg_cols: Sparse = {}  # -R, by column
     for row, cols in r.items():
         for col, val in cols.items():
@@ -358,20 +357,6 @@ def _series_gauss(T, d, order: int):
     return series_gauss_decompose(series, order)
 
 
-def recompose_gauss(F, G, E, order: int):
-    """FGE product for round-trip testing."""
-    n = len(G)
-    zero = G[0].zero
-    out = [[TruncSeries({}, order, zero) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = TruncSeries({}, order, zero)
-            for k in range(min(a, b) + 1):
-                acc = acc + (F[a][k] * G[k] * E[k][b]).truncate(order)
-            out[a][b] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coproduct on current-algebra generators
 
@@ -434,17 +419,9 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
         order = max(4, 2 + max(abs(x) for x in d))
     F, G, E = _series_gauss(delta, d, order)
 
-    def f_mode(T, j, i, r, factor):
-        ser = element_z_series(T.gauss.lower[j - 1][i - 1], r)
-        return embed(ser.coeff(r), sig, factor)
-
-    def e_mode(T, i, j, r, factor):
-        ser = element_z_series(T.gauss.upper[i - 1][j - 1], r)
-        return embed(ser.coeff(r), sig, factor)
-
-    def g_mode(T, i, r, factor):
-        ser = element_z_series(T.gauss.diag[i - 1], r)
-        return embed(ser.coeff(r), sig, factor)
+    def mode(elem, r, factor):
+        """Mode r of a Gauss entry, embedded as the given tensor factor."""
+        return embed(element_z_series(elem, r).coeff(r), sig, factor)
 
     checks: List[GeneratorCheck] = []
 
@@ -453,32 +430,18 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
 
     zero = AlgebraElement.zero(sig)
     for i in range(1, n):
+        f1, f2 = T1.gauss.lower[i][i - 1], T2.gauss.lower[i][i - 1]
+        e1, e2 = T1.gauss.upper[i - 1][i], T2.gauss.upper[i - 1][i]
         # F-side, slot 1 shift
         for r in range(1, b1[i - 1] + 1):
-            add(
-                f"F_{i}^({r}) passthrough",
-                F[i][i - 1].coeff(r),
-                f_mode(T1, i + 1, i, r, 1),
-            )
+            add(f"F_{i}^({r}) passthrough", F[i][i - 1].coeff(r), mode(f1, r, 1))
         r = b1[i - 1] + 1
-        add(
-            f"F_{i}^({r}) mixing",
-            F[i][i - 1].coeff(r),
-            f_mode(T1, i + 1, i, r, 1) + f_mode(T2, i + 1, i, 1, 2),
-        )
+        add(f"F_{i}^({r}) mixing", F[i][i - 1].coeff(r), mode(f1, r, 1) + mode(f2, 1, 2))
         # E-side, slot 2 shift
         for r in range(1, b2[i - 1] + 1):
-            add(
-                f"E_{i}^({r}) passthrough",
-                E[i - 1][i].coeff(r),
-                e_mode(T2, i, i + 1, r, 2),
-            )
+            add(f"E_{i}^({r}) passthrough", E[i - 1][i].coeff(r), mode(e2, r, 2))
         r = b2[i - 1] + 1
-        add(
-            f"E_{i}^({r}) mixing",
-            E[i - 1][i].coeff(r),
-            e_mode(T2, i, i + 1, r, 2) + e_mode(T1, i, i + 1, 1, 1),
-        )
+        add(f"E_{i}^({r}) mixing", E[i - 1][i].coeff(r), mode(e2, r, 2) + mode(e1, 1, 1))
     # D-side
     e1_first = [
         element_z_series(T1.gauss.upper[i - 1][i], 1).coeff(1) for i in range(1, n)
@@ -487,14 +450,11 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
         element_z_series(T2.gauss.lower[i][i - 1], 1).coeff(1) for i in range(1, n)
     ]
     for i in range(1, n + 1):
-        r1 = 1 - d[i - 1]
-        lhs = G[i - 1].coeff(r1)
-        rhs = g_mode(T1, i, 1 - d1[i - 1], 1) + g_mode(T2, i, 1 - d2[i - 1], 2)
-        add(f"D_{i} first mode", lhs, rhs)
-        r2 = 2 - d[i - 1]
-        lhs = G[i - 1].coeff(r2)
-        rhs = g_mode(T1, i, 2 - d1[i - 1], 1) + g_mode(T2, i, 2 - d2[i - 1], 2)
-        rhs = rhs + g_mode(T1, i, 1 - d1[i - 1], 1) * g_mode(T2, i, 1 - d2[i - 1], 2)
+        g1, g2 = T1.gauss.diag[i - 1], T2.gauss.diag[i - 1]
+        k1, k2 = 1 - d1[i - 1], 1 - d2[i - 1]
+        add(f"D_{i} first mode", G[i - 1].coeff(1 - d[i - 1]), mode(g1, k1, 1) + mode(g2, k2, 2))
+        lhs = G[i - 1].coeff(2 - d[i - 1])
+        rhs = mode(g1, k1 + 1, 1) + mode(g2, k2 + 1, 2) + mode(g1, k1, 1) * mode(g2, k2, 2)
         cross = zero
         for a in range(1, n):
             for b in range(a + 1, n + 1):

@@ -136,9 +136,6 @@ class TruncSeries:
             {k - v: c * c0_inv for k, c in total.coeffs.items()}, target, self.zero
         )
 
-    def agrees_through(self, other: "TruncSeries", k: int) -> bool:
-        return (self - other).is_zero_through(k)
-
     def __repr__(self):
         ks = sorted(self.coeffs)
         inner = ", ".join(f"{k}: {self.coeffs[k]!r}" for k in ks)

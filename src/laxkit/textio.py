@@ -403,21 +403,33 @@ def signature_to_json(sig) -> dict:
 
 
 def signature_from_json(data: dict):
-    """Inverse of signature_to_json; malformed data raises ParseError."""
+    """Inverse of signature_to_json; malformed data raises ParseError.  n
+    and the slot counts are integers as Divisor.from_json reads them (ints
+    or integer strings, never bools or floats), n >= 1 and every count
+    >= 0; there is at least one slot vector, and the points are strings."""
     from .algebra import AlgebraSignature
+    from .coweight import _json_int
 
     if not isinstance(data, dict) or any(
         k not in data for k in ("n", "mode", "slot_counts")
     ):
         raise ParseError("a signature needs 'n', 'mode' and 'slot_counts'")
+    n = _json_int(data["n"], "n")
+    if n < 1:
+        raise ParseError(f"n must be positive, got {n}")
+    vectors = data["slot_counts"]
+    if not (isinstance(vectors, list) and vectors
+            and all(isinstance(a, list) for a in vectors)):
+        raise ParseError("slot_counts must be a nonempty list of slot vectors")
+    counts = tuple(tuple(_json_int(x, "a slot count") for x in a) for a in vectors)
+    if any(x < 0 for a in counts for x in a):
+        raise ParseError(f"slot counts must be nonnegative, got {vectors!r}")
+    points = data.get("points", [])
+    if not (isinstance(points, list) and all(isinstance(p, str) for p in points)):
+        raise ParseError(f"points must be a list of strings, got {points!r}")
     try:
-        return AlgebraSignature(
-            int(data["n"]),
-            data["mode"],
-            tuple(tuple(int(x) for x in a) for a in data["slot_counts"]),
-            tuple(data.get("points", [])),
-        )
-    except (TypeError, ValueError) as exc:
+        return AlgebraSignature(n, data["mode"], counts, tuple(points))
+    except ValueError as exc:
         raise ParseError(f"bad signature: {exc}") from None
 
 
@@ -455,6 +467,11 @@ def matrix_from_json(data: dict):
         raise ParseError(f"a matrix needs {sig.n} rows of {sig.n} entry strings")
     entries = [[parse_element(text, sig) for text in row] for row in rows]
     div = Divisor.from_json(data["divisor"]) if data.get("divisor") else None
+    # only n and mode must match: a fused matrix carries its merged
+    # one-factor divisor on a two-factor signature
+    if div is not None and (div.n, div.mode) != (sig.n, sig.mode):
+        raise ParseError(f"the divisor (n = {div.n}, {div.mode}) does not match the"
+                         f" signature (n = {sig.n}, {sig.mode})")
     return LaxMatrix(sig, div, entries)
 
 

@@ -284,6 +284,13 @@ def _matrix(mode, entry):
     return {"m": {"signature": sig, "entries": [[entry, "0"], ["0", "(1)"]]}}
 
 
+def _signed(**fields):
+    """The 2x2 identity matrix file over slot counts [[1]], with the given
+    signature fields replaced."""
+    sig = {"n": 2, "mode": "rational", "slot_counts": [[1]], **fields}
+    return {"m": {"signature": sig, "entries": [["(1)", "0"], ["0", "(1)"]]}}
+
+
 MALFORMED = {
     "truncated-json": ({"d": '{"n": 2, "mode": "rational", "points": ['},
                        ["build", "--divisor", "{d}"]),
@@ -341,6 +348,24 @@ MALFORMED = {
     "matrix-holds-w": (_matrix("rational", "(w)"), ["verify-rtt", "--matrix", "{m}"]),
     "matrix-holds-w-in-an-atom": (_matrix("rational", "((1) / ((w - z)))"),
                                   ["verify-rtt", "--matrix", "{m}"]),
+    # a signature reads its integers as a divisor does: no floats, no bools
+    "matrix-rank-float": (_signed(n=2.7), ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-rank-bool": (
+        {"m": {"signature": {"n": True, "mode": "rational", "slot_counts": [[]]},
+               "entries": [["(1)"]]}},
+        ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-rank-0": (
+        {"m": {"signature": {"n": 0, "mode": "rational", "slot_counts": []},
+               "entries": []}},
+        ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-slot-count-float": (_signed(slot_counts=[[1.9]]),
+                                ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-slot-count-negative": (_signed(slot_counts=[[-1]]),
+                                   ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-no-slot-vector": (_signed(slot_counts=[]), ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-points-not-a-list": (_signed(points="ab"), ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-divisor-of-other-mode": (
+        {"m": dict(_signed()["m"], divisor=TRIG1)}, ["verify-rtt", "--matrix", "{m}"]),
     "verify-rtt-no-source": ({}, ["verify-rtt"]),
     "yang-baxter-rank-0": ({}, ["yang-baxter", "--n", "0"]),
     "yang-baxter-rank-negative": ({}, ["yang-baxter", "--n", "-1"]),

@@ -18,7 +18,6 @@ from laxkit.ratfun import (
     is_unit_var,
     p_var,
     poly_div_exact,
-    series_expand,
     substitute,
     wh_var,
     x_var,
@@ -149,7 +148,7 @@ def test_eps_expansion_first_order():
     w11 = RatFun.variable(wh_var(1, 1), 2)
     w12 = RatFun.variable(wh_var(1, 2), 2)
     v = RatFun.variable(V)
-    s = series_expand((w11 - v * w12).invert(), "eps", 1)
+    s = (w11 - v * w12).invert().eps_series(1)
     assert s.val() == -1
     expected = (p11 - p12 - Fraction(1, 2)).invert()
     assert s.coeff(-1).equals(expected)
@@ -634,7 +633,7 @@ def test_coefficients_are_ints_when_integral():
         value = f.evaluate({v: Fraction(k + 2, 2) for k, v in enumerate(_DIV_VARS)})
         assert type(value) is int or value.denominator != 1
     w11 = RatFun.variable(wh_var(1, 1), 2)
-    _assert_canonical(series_expand((w11 - RatFun.variable(V) * 3).invert(), "eps", 2))
+    _assert_canonical((w11 - RatFun.variable(V) * 3).invert().eps_series(2))
 
 
 def test_mixed_coefficient_arithmetic_matches_sympy():
