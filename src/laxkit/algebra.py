@@ -410,18 +410,12 @@ class GammaGauge:
 
 
 def _gamma_quotient(L: Poly, k: int, e: int) -> RatFun:
-    """(Gamma(L + k) / Gamma(L))^e as a rational function."""
-    if k == 0:
-        return RatFun.one()
-    if k > 0:
-        prod = RatFun.one()
-        for j in range(k):
-            prod = prod * RatFun.from_poly(L + Poly.const(j))
-    else:
-        prod = RatFun.one()
-        for j in range(1, -k + 1):
-            prod = prod * RatFun.ratio(Poly.const(1), L - Poly.const(j))
-    return prod if e == 1 else prod.invert()
+    """(Gamma(L + k) / Gamma(L))^e as a rational function: the product of
+    L + j over 0 <= j < k, or of 1 / (L - j) over 1 <= j <= -k, each
+    factor to the power e."""
+    if k >= 0:
+        return RatFun.product(1, [(L + j, e) for j in range(k)])
+    return RatFun.product(1, [(L - j, -e) for j in range(1, -k + 1)])
 
 
 @dataclass(frozen=True)

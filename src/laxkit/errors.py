@@ -6,10 +6,12 @@ class LaxkitError(Exception):
 
 
 class NotAtomFactorable(LaxkitError):
-    """A numerator could not be written as scalar * monomial * product of atoms.
+    """A factor is not a unit times monomial content times at most one atom.
 
-    Signals a construction bug in the caller, not a mathematical failure:
-    the closed formulas only ever require inverting such products.
+    factor_atoms splits nothing else: a product of two or more atoms,
+    such as (z - 1)*(z - p[1,1]), raises it.  The closed formulas hand
+    every factor over on its own (RatFun.product), so from them it
+    signals a construction bug; from a matrix file it is malformed input.
     """
 
 

@@ -309,9 +309,6 @@ class Poly:
             out.append((tuple(items), self.terms[m]))
         return out
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in unpacked(m)) for m in self.terms), default=0)
-
     # -- substitutions
 
     def shift_var(self, v: Var, c: Coeff) -> "Poly":
@@ -407,38 +404,6 @@ class Poly:
             d = (y >> sb & MASK) - (y >> sa & MASK)  # e_b - e_a
             out[m + (d << sa) - (d << sb)] = c
         return Poly(out, self._eb)
-
-    def partial(self, v: Var) -> "Poly":
-        s = self._shift_of(v)
-        if s is None:
-            return _P_ZERO
-        eb = _bounded(lambda b: b + 1, self)
-        bias = mono.BIAS
-        one = 1 << s
-        out: Dict[Monomial, Coeff] = {}
-        for m, c in self.terms.items():
-            e = ((m + bias) >> s & MASK) - HALF
-            if e:
-                out[m - one] = _q(c * e)  # distinct monomials stay distinct
-        return Poly(out, eb)
-
-    def evaluate(self, assignment: Dict[Var, Coeff]) -> Coeff:
-        ks = self._fields()
-        vals = [(FW * k, assignment[VARS[k]]) for k in ks]
-        bias = mono.BIAS
-        total = 0
-        for m, c in self.terms.items():
-            term = c
-            if m:
-                y = m + bias
-                for s, val in vals:
-                    e = ((y >> s) & MASK) - HALF
-                    if e > 0:
-                        term *= val ** e
-                    elif e:
-                        term = _qdiv(term, val ** (-e))
-            total += term
-        return _q(total)
 
     def __repr__(self):
         from .textio import render_poly

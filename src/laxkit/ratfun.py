@@ -70,12 +70,15 @@ unless two non-prime atoms share a factor (the slot atoms
 v^2k*w[i,r] - w[i,s] share none); there both are reduced forms of one
 value, and _make's depends on the order in which it divides.
 
-Most factors are linear forms with two or more terms over z/w/p/x.
-factor_atoms splits one in a single pass over its terms
-(_linear_split): it has no monomial content, since each variable
-sits in one term, so its Atom key is its terms in precedence order (the
-constant, then the variables from least to most significant) scaled by
-the coefficient of the most significant variable.
+Every factor the library splits (factor_atoms: a denominator factor,
+a factor of RatFun.product, the numerator RatFun.invert turns over) is a
+unit times monomial content times at most one atom; a product of two
+atoms is not split and raises NotAtomFactorable.  Most factors are
+linear forms with two or more terms over z/w/p/x, split in a single pass
+over their terms (_linear_split): such a form has no monomial content,
+since each variable sits in one term, so its Atom key is its terms in
+precedence order (the constant, then the variables from least to most
+significant) scaled by the coefficient of the most significant variable.
 
 Before each division by a prime atom an exact one-sided test modulo the
 prime 2^61 - 1 runs (rejection.cannot_divide): the numerator is
@@ -99,9 +102,6 @@ send its rendered text.
 
 from __future__ import annotations
 
-import math
-import random
-import zlib
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -326,12 +326,14 @@ class RatFun:
 
     @staticmethod
     def quotient(num: Poly, factors: Iterable[Tuple[Poly, int]]) -> "RatFun":
-        """num / prod f^k over the (f, k) factors, k >= 1: each f is split
-        once by factor_atoms (NotAtomFactorable when it does not split),
-        its unit moved to the numerator, and the fraction reduced once by
-        _make.  Negative powers of non-unit variables in num or an f are
-        cleared by a monomial, whose variables become monomial atoms of the
-        denominator; the units v and wh keep their negative exponents."""
+        """num / prod f^k over the (f, k) factors, k >= 1: each f, a unit
+        times monomial content times at most one atom, is split once by
+        factor_atoms (NotAtomFactorable for any other f, such as a product
+        of two atoms), its unit moved to the numerator, and the fraction
+        reduced once by _make.  Negative powers of non-unit variables in
+        num or an f are cleared by a monomial, whose variables become
+        monomial atoms of the denominator; the units v and wh keep their
+        negative exponents."""
         den: Dict[Atom, int] = {}
         lift = _negative_lift(num)
         if lift:
@@ -483,7 +485,10 @@ class RatFun:
     # -- inversion
 
     def invert(self) -> "RatFun":
-        """Reciprocal; numerator must factor into atoms (see factor_atoms)."""
+        """Reciprocal.  The numerator must be a unit times monomial content
+        times at most one atom (factor_atoms); NotAtomFactorable otherwise,
+        so invert a product factor by factor or build it with
+        RatFun.product."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
         unit, atoms = factor_atoms(self.num)
@@ -865,187 +870,30 @@ def _eps_poly_series(p: Poly, hi: int) -> "TruncSeries":
 
 
 # ---------------------------------------------------------------------------
-# numerator factorization (for invert)
-
-_FACTOR_RNG_SEED = 0x5EED
+# splitting a factor into its unit and atoms
 
 
 def factor_atoms(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
-    """Write p = unit * prod atoms^mult or raise NotAtomFactorable.
+    """Write p = unit * monomial content * at most one atom, or raise
+    NotAtomFactorable.
 
-    Complete for rational-mode numerators that are products of linear
-    forms (rational root extraction plus gradient reconstruction); for
-    trig numerators it covers monomials, single atoms and products
-    separable by leading-coefficient peeling.
-    """
+    A linear form over z/w/p/x with two or more terms is split in one
+    pass (_linear_split).  Otherwise the monomial content is peeled
+    (_peel_content): unit variables go to the unit, the others become
+    monomial atoms, and the primitive part left must be a scalar or one
+    atom shape (_is_atom_shape), scaled to leading coefficient 1.  A
+    product of two or more atoms is not split: the formulas hand every
+    factor over on its own (RatFun.product)."""
     if p.is_zero():
         raise ZeroDivisionError("factoring zero")
     split = _linear_split(p)
     if split is not None:
         return split
-    atoms: Dict[Atom, int] = {}
-    return _factor_residual(p, atoms), atoms
-
-
-def _factor_seed(p: Poly) -> int:
-    """Stable RNG seed for factoring p: a CRC of its canonical key, with
-    every coefficient written as a Fraction (the text the seed has always
-    been taken from), so sample points do not depend on how a
-    coefficient is stored or on the hash seed."""
-    key = tuple((m, Fraction(c)) for m, c in _atom_key(p))
-    return zlib.crc32(repr(key).encode())
-
-
-def _factor_residual(p: Poly, atoms: Dict[Atom, int]) -> Poly:
-    """Add the atoms of p to atoms and return its unit (factor_atoms)."""
+    unit, atoms, p = _peel_content(p)
     if p.is_const():
-        return p
-    unit, catoms, p = _peel_content(p)
-    for a, m in catoms.items():
-        atoms[a] = atoms.get(a, 0) + m
-    if p.is_const():
-        return unit * p
-    if _is_atom_shape(p):
-        atom, cofactor = _canonical_atom(p)
-        atoms[atom] = atoms.get(atom, 0) + 1
-        return unit * cofactor
-    variables = sorted(p.variables())
-    v = variables[-1]
-    d = p.degree(v)
-    if d == 0:
-        # Laurent-only variable or degenerate; cannot continue generically
-        raise NotAtomFactorable(f"cannot factor {p!r}")
-    lead = p.coeff_of(v, d)
-    if not lead.is_const():
-        # a monomial lead divides the content-free p only as a unit, and
-        # p / lead would be p again
-        q = None if len(lead.terms) == 1 else poly_div_exact(p, lead)
-        if q is None:
-            raise NotAtomFactorable(f"cannot factor {p!r}")
-        return unit * _factor_residual(lead, atoms) * _factor_residual(q, atoms)
-    # all factors involve v, with scalar v-leading coefficients
-    rest = [u for u in variables if u != v]
-    rng = random.Random(_FACTOR_RNG_SEED ^ _factor_seed(p))
-    truncated = False  # some root list came from a partial divisor list
-    for _attempt in range(8):
-        point = {u: rng.randint(2, 97) for u in rest}
-        uni = {k: c.evaluate(point) for k, c in p.decompose(v).items()}
-        roots, complete = _rational_roots(uni)
-        if roots is None:
-            continue
-        truncated = truncated or not complete
-        dv = p.partial(v)
-        for rho in roots:
-            point_v = dict(point)
-            point_v[v] = rho
-            dvv = dv.evaluate(point_v)
-            if not dvv:
-                continue  # multiple root; another attempt or derivative path
-            cand = Poly.variable(v) - Poly.const(rho)
-            for u in rest:
-                cu = _qdiv(p.partial(u).evaluate(point_v), dvv)
-                if cu:
-                    cand = cand + Poly.variable(u) * cu - Poly.const(cu * point[u])
-            q = poly_div_exact(p, cand)
-            if q is not None:
-                atom, cofactor = _canonical_atom(cand)
-                atoms[atom] = atoms.get(atom, 0) + 1
-                return unit * cofactor * _factor_residual(q, atoms)
-        if not roots or not rest:
-            break  # with no other variable, another point finds the same roots
-    # repeated-factor fallback: factors of dp/dv (made monic, so constants
-    # do not grow) divide p when all roots were multiple; each is divided
-    # out to its full multiplicity before recursing
-    dv = p.partial(v) * _qdiv(1, d * lead.const_value())
-    if not dv.is_zero() and dv.total_degree() >= 1:
-        try:
-            _, datoms = factor_atoms(dv)
-        except NotAtomFactorable:
-            datoms = {}
-        before = p
-        for a in datoms:
-            while (q := _divide(p, a)) is not None:
-                p, atoms[a] = q, atoms.get(a, 0) + 1
-        if p is not before:
-            return unit * _factor_residual(p, atoms)
-    if truncated:
-        raise NotAtomFactorable(
-            f"cannot factor {p!r}: a coefficient is past the factoring"
-            f" bound {DIVISOR_BOUND}, so rational roots may be missed"
-        )
-    raise NotAtomFactorable(f"cannot factor {p!r}")
-
-
-def _rational_roots(
-    uni: Dict[int, Coeff],
-) -> Tuple[Optional[List[Coeff]], bool]:
-    """(roots, complete): the rational roots (with repetition collapsed)
-    of sum c_k v^k, None for the zero polynomial.  complete is False when
-    a coefficient is past DIVISOR_BOUND, so that roots may be missing.
-
-    A candidate a/b is tested by Horner's rule on the integer form
-    sum c_k a^k b^(deg-k).  Candidates with b = 1 are ints; they hash like
-    the equal Fractions, so the candidate set, and with it the order of
-    the roots, is the one a set of Fractions gives."""
-    if not uni:
-        return None, True
-    lo = min(uni)
-    if lo:
-        uni = {k - lo: c for k, c in uni.items()}
-    deg = max(uni)
-    if deg == 0:
-        return [], True
-    denom_lcm = math.lcm(*(c.denominator for c in uni.values()))
-    ints = {k: int(c * denom_lcm) for k, c in uni.items()}
-    a0 = ints.get(0, 0)
-    ad = ints[deg]
-    if a0 == 0:
-        roots, complete = _rational_roots({k - 1: c for k, c in ints.items() if k})
-        return [0] + roots, complete
-    num_divs, num_complete = _divisors(abs(a0))
-    den_divs, den_complete = _divisors(abs(ad))
-    cands = set()
-    for pn in num_divs:
-        for qd in den_divs:
-            if qd == 1:
-                cands.add(pn)
-                cands.add(-pn)
-            else:
-                cands.add(Fraction(pn, qd))
-                cands.add(Fraction(-pn, qd))
-    dense = [ints.get(k, 0) for k in range(deg - 1, -1, -1)]
-    out = []
-    for rho in cands:
-        a, b = (rho, 1) if rho.__class__ is int else (rho.numerator, rho.denominator)
-        val = ad
-        if b == 1:
-            for c in dense:
-                val = val * a + c
-        else:
-            bp = 1
-            for c in dense:
-                bp *= b
-                val = val * a + c * bp
-        if val == 0:
-            out.append(_q(rho))
-    return out, num_complete and den_complete
-
-
-# trial division up to 10^5 lists every divisor of n <= 10^10
-DIVISOR_BOUND = 10 ** 10
-
-
-def _divisors(n: int) -> Tuple[List[int], bool]:
-    """(divisors, complete) for n >= 0; ([1], True) for 0.  Past
-    DIVISOR_BOUND the list holds only the divisors up to 10^5 and their
-    cofactors, and complete is False."""
-    if n == 0:
-        return [1], True
-    out = []
-    i = 1
-    while i * i <= n and i <= 100000:
-        if n % i == 0:
-            out.append(i)
-            out.append(n // i)
-        i += 1
-    return sorted(set(out)), n <= DIVISOR_BOUND
+        return unit * p, atoms
+    if not _is_atom_shape(p):
+        raise NotAtomFactorable(f"cannot factor {p!r}: not a monomial times one atom")
+    atom, cofactor = _canonical_atom(p)
+    atoms[atom] = 1
+    return unit * cofactor, atoms

@@ -471,7 +471,10 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
 def coproduct_mode_contract(delta, order: int = 4) -> bool:
     """Gauss-mode contract of the fused matrix: strictly negative z-modes
     for the unitriangular factors, leading diagonal mode z^{d_i} with
-    coefficient one."""
+    coefficient one.  The contract is the rational one: a trig matrix
+    raises SignatureMismatch."""
+    if delta.signature.mode != "rational":
+        raise SignatureMismatch("the Gauss-mode contract is checked in rational mode")
     div = delta.divisor
     if div is None:
         raise ValueError("fused matrix lost its divisor")

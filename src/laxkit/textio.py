@@ -466,7 +466,9 @@ def matrix_from_json(data: dict):
     ):
         raise ParseError(f"a matrix needs {sig.n} rows of {sig.n} entry strings")
     entries = [[parse_element(text, sig) for text in row] for row in rows]
-    div = Divisor.from_json(data["divisor"]) if data.get("divisor") else None
+    div = data.get("divisor")
+    if div is not None:
+        div = Divisor.from_json(div)
     # only n and mode must match: a fused matrix carries its merged
     # one-factor divisor on a two-factor signature
     if div is not None and (div.n, div.mode) != (sig.n, sig.mode):

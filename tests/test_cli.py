@@ -344,6 +344,10 @@ MALFORMED = {
     "matrix-denominator-not-atoms": (
         _matrix("rational", "((1) / ((z^2*p[1,1] + z + 1)))"),
         ["verify-rtt", "--matrix", "{m}"]),
+    # (z - 1)*(z - p[1,1]): a denominator factor is one atom, not a product
+    "matrix-denominator-product-of-atoms": (
+        _matrix("rational", "((1) / ((z^2 - z*p[1,1] - z + p[1,1])))"),
+        ["verify-rtt", "--matrix", "{m}"]),
     # w is the second spectral parameter of the exchange relation
     "matrix-holds-w": (_matrix("rational", "(w)"), ["verify-rtt", "--matrix", "{m}"]),
     "matrix-holds-w-in-an-atom": (_matrix("rational", "((1) / ((w - z)))"),
@@ -366,6 +370,11 @@ MALFORMED = {
     "matrix-points-not-a-list": (_signed(points="ab"), ["verify-rtt", "--matrix", "{m}"]),
     "matrix-divisor-of-other-mode": (
         {"m": dict(_signed()["m"], divisor=TRIG1)}, ["verify-rtt", "--matrix", "{m}"]),
+    # an embedded divisor that is there is read, whatever its value
+    "matrix-divisor-empty-list": (
+        {"m": dict(_signed()["m"], divisor=[])}, ["verify-rtt", "--matrix", "{m}"]),
+    "matrix-divisor-false": (
+        {"m": dict(_signed()["m"], divisor=False)}, ["verify-rtt", "--matrix", "{m}"]),
     "verify-rtt-no-source": ({}, ["verify-rtt"]),
     "yang-baxter-rank-0": ({}, ["yang-baxter", "--n", "0"]),
     "yang-baxter-rank-negative": ({}, ["yang-baxter", "--n", "-1"]),

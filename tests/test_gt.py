@@ -97,3 +97,21 @@ def test_gauge_and_compare_cases():
     for bl, n in (((1, 1), 2), ((2, 0), 2), ((2, 1, 0), 3)):
         cmp = gauge_and_compare(PseudoYoungDiagram(bl), n)
         assert cmp.ok, (bl, cmp.mismatches)
+
+
+def test_gauge_and_compare_output_is_pinned():
+    # sha256 of the gauged and expected entries of the three battery
+    # cases, as rendered text; the Gamma gauge quotients are products of
+    # linear forms, so this pins how they are built and reduced
+    import hashlib
+
+    from laxkit.textio import render_element
+
+    h = hashlib.sha256()
+    for bl, n in (((1, 1), 2), ((2, 0), 2), ((2, 1, 0), 3)):
+        cmp = gauge_and_compare(PseudoYoungDiagram(bl), n)
+        h.update(f"{bl} {n} {cmp.ok} {cmp.mismatches}\n".encode())
+        for pos in sorted(cmp.gauged):
+            gauged, expected = render_element(cmp.gauged[pos]), render_element(cmp.expected[pos])
+            h.update(f"{pos} {gauged} | {expected}\n".encode())
+    assert h.hexdigest() == "4a032d0c6b9b2cf0ea554e7d2855c9164810e97d0fe45e5d7b89424eea311057"

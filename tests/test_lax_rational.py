@@ -263,6 +263,21 @@ def _rename_w(elem):
     return elem.rename_spectral(Z, W)
 
 
+def _diag_factors(div, i):
+    """The (poly, exp) factors of diagonal Gauss entry i: (z - p[i,t]) over
+    (z - 1 - p[i-1,t]), times (z - point)^sign for each summand of lower
+    index."""
+    sig = div.signature()
+    zp = Poly.variable(Z)
+    fs = [(zp - Poly.variable(p_var(i, t)), 1) for t in range(1, sig.a(i) + 1)]
+    fs += [(zp - 1 - Poly.variable(p_var(i - 1, t)), -1) for t in range(1, sig.a(i - 1) + 1)]
+    for s in div.summands:
+        if s.index < i:
+            pt = Poly.variable(x_var(s.point)) if isinstance(s.point, str) else Poly.const(s.point)
+            fs.append((zp - pt, s.sign))
+    return fs
+
+
 def test_exchange_lemma_spot_checks():
     # three of the series identities the exchange relation encodes,
     # checked directly on the closed-form factors
@@ -286,9 +301,11 @@ def test_exchange_lemma_spot_checks():
         for i in range(1, n):
             e_z = gf.upper[i - 1][i]
             f_w = _rename_w(gf.lower[i][i - 1])
-            gi = gf.diag[i - 1].scalar_part()
-            gi1 = gf.diag[i].scalar_part()
-            ratio_z = gi.invert() * gi1
+            # g_i^-1 * g_(i+1), from the factors of both entries
+            fi, fi1 = _diag_factors(div, i), _diag_factors(div, i + 1)
+            assert gf.diag[i - 1].scalar_part().equals(RatFun.product(1, fi))
+            assert gf.diag[i].scalar_part().equals(RatFun.product(1, fi1))
+            ratio_z = RatFun.product(1, [(f, -e) for f, e in fi] + fi1)
             ratio_w = ratio_z.rename_var(Z, W)
             sig = e_z.signature
             lhs = zw * e_z.commutator(f_w)
@@ -327,5 +344,5 @@ def test_negative_index_zero_summand():
     assert mat_equal(lim.entries, want.entries)
     x1 = RatFun.variable(x_var("x1"))
     x2 = RatFun.variable(x_var("x2"))
-    want_q = (z - x1 + 1) * ((z - x2) * (z - x2 + 1)).invert()
+    want_q = (z - x1 + 1) * (z - x2).invert() * (z - x2 + 1).invert()
     assert qdet_image(T).equals(want_q)

@@ -61,8 +61,8 @@ def test_invert_linear_atoms():
 def test_invert_irreducible_raises():
     with pytest.raises(NotAtomFactorable):
         (p11 * p11 + 1).invert()
-    # the leading coefficient in x[x1] is the unit 2*wh[1,1]: dividing by
-    # it leaves the residual as it was, so the factorizer must give up
+    # past its unit content wh[1,1]^-1 the numerator has three terms in
+    # v, wh[1,1] and x[x1]: neither a linear form nor a two-term atom
     from laxkit.textio import parse_ratfun
 
     with pytest.raises(NotAtomFactorable):
@@ -70,8 +70,15 @@ def test_invert_irreducible_raises():
 
 
 def test_invert_linear_products():
+    # a product of linear forms inverts factor by factor; its expanded
+    # numerator is not one atom, and invert does not split it
     f = (z - p11) * (z - p12) * (p11 - p12 + 3) * 7
-    assert (f.invert() * f).equals(1)
+    inv = (z - p11).invert() * (z - p12).invert() * (p11 - p12 + 3).invert() * Fraction(1, 7)
+    assert (inv * f).equals(1)
+    factors = [(g.num, -1) for g in (z - p11, z - p12, p11 - p12 + 3)]
+    assert inv.equals(RatFun.product(Fraction(1, 7), factors))
+    with pytest.raises(NotAtomFactorable):
+        f.invert()
 
 
 def test_shift_rational():
@@ -113,10 +120,10 @@ def test_substitution_keeps_atoms_it_leaves_alone():
     # p[2,1] occurs only in the numerator: both atoms come back as the
     # very same objects, and the result is the shifted function
     p21 = RatFun.variable(p_var(2, 1))
-    f = (z + p21) * ((z - x1) * (p11 - p12)).invert()
+    f = (z + p21) * (z - x1).invert() * (p11 - p12).invert()
     g = f.shift_slot("rational", 1, 2, 1, 1)
     assert {id(a) for a in g.den} == {id(a) for a in f.den}
-    assert g.equals((z + p21 + 1) * ((z - x1) * (p11 - p12)).invert())
+    assert g.equals((z + p21 + 1) * (z - x1).invert() * (p11 - p12).invert())
     w11 = RatFun.variable(wh_var(1, 1), 2)
     t = (w11 - RatFun.variable(V) * z).invert()
     u = t.shift_slot("trig", 1, 1, 2, 1)  # wh[1,2] does not occur in t
@@ -625,13 +632,11 @@ def test_coefficients_are_ints_when_integral():
         g = _random_mixed_poly(rng, 3)
         _assert_canonical(f)
         for h in (f + g, f * g, f * half, f * 2, -f, poly_div_exact(f * g, g),
-                  f.rename_var(Z, W), f.partial(Z), f.scale_var(x_var("x1"), ((V, 1),), half)):
+                  f.rename_var(Z, W), f.scale_var(x_var("x1"), ((V, 1),), half)):
             _assert_canonical(h)
         nonlaurent = _random_mixed_poly(rng, 4, laurent=False)
         _assert_canonical(nonlaurent.shift_var(Z, half))
         _assert_canonical(nonlaurent.set_value(Z, Fraction(3, 2)))
-        value = f.evaluate({v: Fraction(k + 2, 2) for k, v in enumerate(_DIV_VARS)})
-        assert type(value) is int or value.denominator != 1
     w11 = RatFun.variable(wh_var(1, 1), 2)
     _assert_canonical((w11 - RatFun.variable(V) * 3).invert().eps_series(2))
 
@@ -657,57 +662,6 @@ def test_mixed_coefficient_arithmetic_matches_sympy():
         h = f * g + _random_mixed_poly(rng, 2)
         if not h.is_zero():
             assert (poly_div_exact(h, g) is not None) == _sympy_divides(sympy, h, g)
-
-
-def test_factor_seed_is_pinned():
-    # the value the seed had while every coefficient was a Fraction, so
-    # factorization sample points are unchanged
-    from laxkit.ratfun import _factor_seed
-    from laxkit.textio import parse_poly
-
-    p = parse_poly("z^2 + 1/2*z*x[a] - 3*x[a] - 2*p[1,1]")
-    assert _factor_seed(p) == 1637923143
-
-
-def test_factoring_past_the_divisor_bound_raises():
-    from laxkit.ratfun import DIVISOR_BOUND, _divisors, factor_atoms
-
-    assert _divisors(DIVISOR_BOUND) == (_divisors(DIVISOR_BOUND)[0], True)
-    assert _divisors(DIVISOR_BOUND)[0][-2:] == [DIVISOR_BOUND // 2, DIVISOR_BOUND]
-    # past the bound the list keeps the divisors up to 10^5 and their cofactors
-    n = 2 * 100003 * 100019
-    assert n > DIVISOR_BOUND
-    assert _divisors(n) == ([1, 2, n // 2, n], False)
-    # two rational roots above 10^5: the constant term is past the bound
-    zp = Poly.variable(Z)
-    p = (zp - 100003) * (zp - 100019)
-    assert p.coeff_of(Z, 0).const_value() > DIVISOR_BOUND
-    with pytest.raises(NotAtomFactorable, match="factoring bound"):
-        factor_atoms(p)
-    # below the bound the same shape factors
-    _, atoms = factor_atoms((zp - 99991) * (zp - 99989))
-    assert sorted(render_poly(a.poly) for a in atoms) == ["z - 99989", "z - 99991"]
-
-
-def test_factoring_with_sampled_constant_terms_past_the_bound(monkeypatch):
-    # prod_k (z - x[k]) evaluated at sample points in 2..97 has a constant
-    # term past the bound, but every root is a divisor below 10^5
-    from laxkit import ratfun
-
-    seen = []
-    divisors = ratfun._divisors
-    monkeypatch.setattr(ratfun, "_divisors", lambda n: seen.append(n) or divisors(n))
-    xs = [x_var(f"x{k}") for k in range(1, 8)]
-    p = Poly.const(1)
-    for x in xs:
-        p = p * (Poly.variable(Z) - Poly.variable(x))
-    unit, atoms = ratfun.factor_atoms(p)
-    assert max(seen) > ratfun.DIVISOR_BOUND
-    assert unit == Poly.const(1) and set(atoms.values()) == {1}
-    assert sorted(render_poly(a.poly) for a in atoms) == sorted(
-        render_poly(Poly.variable(Z) - Poly.variable(x)) for x in xs
-    )
-    assert RatFun.from_poly(p).invert() * RatFun.from_poly(p) == RatFun.one()
 
 
 # ---------------------------------------------------------------------------
@@ -793,76 +747,6 @@ def test_negative_power_of_a_monomial_atom_variable():
     (atom,) = r.den
     assert not _cannot_divide(parse_poly("z^-1 + x[a]"), atom)
     assert _cannot_divide(parse_poly("z + x[a]"), atom)
-
-
-# ---------------------------------------------------------------------------
-# rational roots: int candidates and Horner evaluation
-
-
-def _fraction_roots(uni):
-    """The root search as it was with Fraction candidates and powers: the
-    reference for the values and the order of the roots."""
-    lo = min(uni)
-    uni = {k - lo: c for k, c in uni.items()}
-    deg = max(uni)
-    if deg == 0:
-        return []
-    lcm = 1
-    for c in uni.values():
-        d = Fraction(c).denominator
-        lcm = lcm * d // __import__("math").gcd(lcm, d)
-    ints = {k: int(c * lcm) for k, c in uni.items()}
-    if ints.get(0, 0) == 0:
-        return [Fraction(0)] + _fraction_roots({k - 1: c for k, c in ints.items() if k})
-    from laxkit.ratfun import _divisors
-
-    cands = set()
-    for pn in _divisors(abs(ints[0]))[0]:
-        for qd in _divisors(abs(ints[deg]))[0]:
-            cands.add(Fraction(pn, qd))
-            cands.add(Fraction(-pn, qd))
-    return [rho for rho in cands if sum(c * rho ** k for k, c in ints.items()) == 0]
-
-
-def test_rational_roots_match_fraction_candidates():
-    from laxkit.ratfun import _rational_roots
-
-    rng = random.Random(61)
-    for _ in range(300):
-        coeffs = {0: Fraction(rng.choice([1, -2, 3, Fraction(5, 2)]))}
-        for _ in range(rng.randint(1, 4)):
-            pn, qd = rng.randint(-9, 9), rng.randint(1, 4)
-            # times (qd*v - pn)
-            nxt = {}
-            for k, c in coeffs.items():
-                nxt[k + 1] = nxt.get(k + 1, 0) + c * qd
-                nxt[k] = nxt.get(k, 0) - c * pn
-            coeffs = nxt
-        if rng.random() < 0.3:
-            coeffs[0] = coeffs.get(0, 0) + rng.randint(1, 5)
-        uni = {k + rng.randint(0, 1): c for k, c in coeffs.items() if c}
-        if not uni:
-            continue
-        roots, complete = _rational_roots(uni)
-        assert complete
-        want = _fraction_roots(uni)
-        assert roots == want
-        assert all(type(r) is int or r.denominator != 1 for r in roots)
-
-
-def test_factor_atoms_root_order_is_pinned():
-    # atoms come out in the order of the candidate set of Fractions the
-    # roots were always drawn from
-    from laxkit.ratfun import factor_atoms
-
-    p = Poly.const(1)
-    for k in range(1, 8):
-        p = p * (Poly.variable(Z) - Poly.variable(x_var(f"x{k}")))
-    unit, atoms = factor_atoms(p)
-    assert unit == Poly.const(1)
-    assert [(render_poly(a.poly), m) for a, m in atoms.items()] == [
-        (f"z - x[x{k}]", 1) for k in (2, 7, 3, 6, 4, 1, 5)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -976,13 +860,23 @@ def test_factor_atoms_matches_sympy():
 
     rng = random.Random(62)
     lin_vars = [Z, W, x_var("x1"), x_var("x2"), p_var(1, 1), p_var(2, 1)]
+    split = products = 0
     for _ in range(40):
         p = Poly.const(rng.choice([1, -3, Fraction(2, 5)]))
+        atoms_in = 0  # forms of two or more terms; the others are monomials
         for _ in range(rng.randint(1, 4)):
             form = Poly.const(rng.randint(-4, 4))
             for v in rng.sample(lin_vars, rng.randint(1, 3)):
                 form = form + Poly.variable(v) * rng.choice([-2, -1, 1, 3])
             p = p * form
+            atoms_in += len(form.terms) > 1
+        if atoms_in > 1:
+            # a product of two atoms is not split
+            with pytest.raises(NotAtomFactorable):
+                factor_atoms(p)
+            products += 1
+            continue
+        split += 1
         unit, atoms = factor_atoms(p)
         product = _sympy_of(sympy, unit) * sympy.Mul(
             *(_sympy_of(sympy, a.poly) ** m for a, m in atoms.items())
@@ -990,6 +884,7 @@ def test_factor_atoms_matches_sympy():
         assert sympy.expand(product - _sympy_of(sympy, p)) == 0
         for a in atoms:
             assert sympy.Poly(_sympy_of(sympy, a.poly)).total_degree() == 1
+    assert split > 5 and products > 5
 
 
 def test_limit_leading_matches_sympy():
@@ -1016,34 +911,7 @@ def test_limit_leading_matches_sympy():
 
 
 # ---------------------------------------------------------------------------
-# repeated factors, series windows, and the common-denominator zero test
-
-
-def test_repeated_factors_take_linearly_many_root_searches(monkeypatch):
-    sympy = pytest.importorskip("sympy")
-    import laxkit.ratfun as rf
-
-    calls = []
-    search = rf._rational_roots
-    monkeypatch.setattr(rf, "_rational_roots", lambda uni: calls.append(1) or search(uni))
-    x = Poly.variable(x_var("x1"))
-    for base in (Poly.variable(V) ** 2 - 1, (x - 1) * (x + 2)):
-        for k in range(1, 9):
-            calls.clear()
-            p = base ** k
-            unit, atoms = rf.factor_atoms(p)
-            # each multiple factor is met once: searches grow linearly in k
-            assert len(calls) <= 2 * k, (base, k, len(calls))
-            want = dict(sympy.factor_list(_sympy_of(sympy, p))[1])
-            got = {}
-            for a, m in atoms.items():
-                for f, e in sympy.factor_list(_sympy_of(sympy, a.poly))[1]:
-                    got[f] = got.get(f, 0) + e * m
-            assert got == want, (base, k)
-            product = _sympy_of(sympy, unit) * sympy.Mul(
-                *(_sympy_of(sympy, a.poly) ** m for a, m in atoms.items())
-            )
-            assert sympy.expand(product - _sympy_of(sympy, p)) == 0
+# series windows, and the common-denominator zero test
 
 
 def test_series_product_window_counts_unknown_operands_from_hi():
@@ -1164,6 +1032,21 @@ def test_cancellation_rules_match_full_trial_division():
                 f = f * RatFun.from_poly(rng.choice(factors))
             return f
 
+        inv_rng = random.Random(93 if mode == "rational" else 94)
+
+        def splitting_operand():
+            # the leading term of a random numerator over its denominator,
+            # inverted atom by atom, times one factor: a numerator that
+            # factor_atoms splits, which may share a factor with a
+            # non-prime denominator atom
+            g = RatFun.zero()
+            while g.is_zero():
+                g = random_ratfun(inv_rng, mode)
+            f = RatFun.from_poly(Poly.monomial(*g.num.ordered_terms()[0]))
+            for a, m in g.den.items():
+                f = f * RatFun.from_poly(a.poly).invert() ** m
+            return f * RatFun.from_poly(inv_rng.choice(factors))
+
         for idx in range(150):
             f, g = operand(), operand()
             if idx % 2:
@@ -1176,15 +1059,12 @@ def test_cancellation_rules_match_full_trial_division():
             common, total = _lifted_sum([(f.num, f.den), (g.num, g.den)])
             if not total.is_zero():
                 cancelled["add"] += _check_against_make(f + g, total, common)
-            try:
-                unit, atoms = factor_atoms(f.num)
-            except NotAtomFactorable:
-                pass
-            else:
-                num = _invert_unit(unit)
-                for a, m in f.den.items():
-                    num = num * a.poly ** m
-                cancelled["invert"] += _check_against_make(f.invert(), num, atoms)
+            h = splitting_operand()
+            unit, atoms = factor_atoms(h.num)
+            num = _invert_unit(unit)
+            for a, m in h.den.items():
+                num = num * a.poly ** m
+            cancelled["invert"] += _check_against_make(h.invert(), num, atoms)
             slot = rng.choice([(1, 1), (1, 2), (2, 1)])
             m = rng.choice([-2, -1, 1, 3])
             shifted = substitute(f.num, f.den, slot_map(mode, 1, *slot, m))

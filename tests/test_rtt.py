@@ -236,6 +236,16 @@ def test_coproduct_passes_rtt_and_contract():
     assert verify_rtt(delta_t).ok
 
 
+def test_coproduct_mode_contract_refuses_trig():
+    # the contract is the rational one: a trig fused pair is refused
+    # rather than reported as breaking it
+    delta_t = coproduct(
+        build_lax_trig(trig_case_divisor(2)), build_lax_trig(trig_case_divisor(3))
+    )
+    with pytest.raises(SignatureMismatch, match="rational mode"):
+        coproduct_mode_contract(delta_t)
+
+
 def _agrees(a, b, k):
     """The two series agree through order k."""
     return (a - b).is_zero_through(k)

@@ -38,8 +38,9 @@ def test_documented_form():
         - RatFun.variable(p_var(1, 1))
         + 1
     ) / (
-        (RatFun.variable(p_var(1, 1)) - RatFun.variable(p_var(1, 2)))
-        * (RatFun.variable(Z) - RatFun.variable(x_var("1")))
+        RatFun.variable(p_var(1, 1)) - RatFun.variable(p_var(1, 2))
+    ) / (
+        RatFun.variable(Z) - RatFun.variable(x_var("1"))
     )
     text = render_ratfun(f)
     assert text == "(z - p[1,1] + 1) / ((p[1,1] - p[1,2]) * (z - x[1]))"
