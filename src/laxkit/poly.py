@@ -415,6 +415,24 @@ _P_ZERO = Poly({}, 0)
 _P_ONE = Poly({0: Q1}, 0)
 
 
+def mul_add(out: Dict[Monomial, Coeff], a: Poly, b: Poly) -> int:
+    """Add the terms of a * b into out, monomial -> coefficient sum, and
+    return the exponent bound of a * b.  The sums are left as they come:
+    neither made canonical (_q) nor dropped at 0.  The bound is checked
+    first, as in Poly.__mul__, so a field that would overflow raises
+    OverflowError.  Put the operand with fewer terms first."""
+    eb = a._eb + b._eb
+    if eb >= HALF:
+        eb = _bounded(int.__add__, a, b)
+    get = out.get
+    bt = b.terms.items()
+    for ma, ca in a.terms.items():
+        for mb, cb in bt:
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    return eb
+
+
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x

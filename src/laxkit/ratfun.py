@@ -56,7 +56,8 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
     (_grouped), the rest lifted to the common atom multiset and summed
     (_lifted_sum), then reduced once by _make, which tries every atom.
     sum_is_zero groups alike, and a proven pole (_has_pole) answers
-    before any lifting.
+    before any lifting; that tail, grouped_sum_is_zero, is also the
+    exchange check's zero test for the groups it sums itself.
 
 The rules need two things: no prime atom divides a non-prime one, and
 no numerator holds a negative power of a non-unit variable (the
@@ -792,13 +793,20 @@ def _has_pole(groups: list) -> bool:
                for a, (_, g) in top.items())
 
 
+def grouped_sum_is_zero(groups: list) -> bool:
+    """Exact test of sum num / den == 0 over groups, (num, den) pairs with
+    den an atom multiset without zero multiplicities, as _grouped leaves
+    them.  The common denominator is nonzero, so the lifted numerators
+    must sum to 0; a proven pole (_has_pole) answers first.  No _make,
+    division or sampling."""
+    return not _has_pole(groups) and _lifted_sum(groups)[1].is_zero()
+
+
 def sum_is_zero(fracs: list) -> bool:
     """Exact test of sum num / den == 0 over fracs, (num, den) pairs with den
-    an atom multiset.  The common denominator is nonzero, so the lifted
-    numerators must sum to 0; a proven pole (_has_pole) answers first.  No
-    _make, division or sampling."""
-    groups = _grouped(fracs)
-    return not _has_pole(groups) and _lifted_sum(groups)[1].is_zero()
+    an atom multiset: equal denominators are summed first (_grouped), then
+    grouped_sum_is_zero decides."""
+    return grouped_sum_is_zero(_grouped(fracs))
 
 
 def reduced_sum(fracs: list) -> RatFun:

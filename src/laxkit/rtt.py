@@ -10,10 +10,13 @@ L = T(z) and M = T(w), component (ia, jb) reads
 
 R's entries are rational in z, w and v only, so no shift acts on them
 and R is central.  Nothing is divided: each product L_kj M_cb is formed
-once with unreduced coefficients (algebra.unreduced_product), and the
-R-weighted fractions of each component and shift monomial go through one
-common-denominator zero test (ratfun.sum_is_zero).  A failure is reported
-as (i, a, j, b), the coefficient of E_ij (x) E_ab.
+once with unreduced coefficients (algebra.unreduced_product).  For each
+component, every fraction of those products is weighted by its entry of
+R and added term by term (poly.mul_add) into one sum per shift monomial
+and atom multiset; no weighted fraction is formed.  Most of these sums
+cancel.  Only the ones left go through the exact zero test
+(ratfun.grouped_sum_is_zero), shift monomial by shift monomial.  A
+failure is reported as (i, a, j, b), the coefficient of E_ij (x) E_ab.
 
 The products M_ac L_ik are not formed again.  The swap sigma of z and w
 is a ring automorphism of the coefficients, and it commutes with every
@@ -35,7 +38,8 @@ from .algebra import AlgebraElement, AlgebraSignature, embed, mat_map, unreduced
 from .coweight import Divisor
 from .errors import SignatureMismatch, SingularLeadingMode
 from .lax_rational import fuse
-from .ratfun import RatFun, V, W, Z, den_product, substitute, sum_is_zero, x_var
+from .poly import Poly, mul_add
+from .ratfun import RatFun, V, W, Z, den_product, grouped_sum_is_zero, substitute, x_var
 from .series import TruncSeries
 
 Sparse = Dict[int, Dict[int, object]]
@@ -192,7 +196,15 @@ def _exchange_failures(r: Sparse, left, right, mirror=None,
     otherwise are the products M_ac L_ik formed too.  product(x, y) gives
     x * y as {key: fractions}, the fractions of each key summing to its
     coefficient: unreduced_product for algebra elements, keyed by shift
-    monomial, _block_product for scalar matrices, keyed by cell."""
+    monomial, _block_product for scalar matrices, keyed by cell.  Their
+    atom multisets hold no zero multiplicity.
+
+    Each component takes R by row and -R by column.  Every weight times
+    every fraction of its product is added, term by term, into the
+    numerator of the fraction's key and atom multiset (mul_add, which
+    raises OverflowError where a field would overflow).  A component
+    fails when, at some key, the numerators that do not cancel give a
+    nonzero sum (grouped_sum_is_zero)."""
     n = len(left)
     quads = list(itertools.product(range(n), repeat=4))
     lm = {q: product(left[q[0]][q[1]], right[q[2]][q[3]]) for q in quads}
@@ -203,29 +215,43 @@ def _exchange_failures(r: Sparse, left, right, mirror=None,
                   for s, fracs in prod.items()} for q, prod in lm.items()}
     else:
         ml = {q: product(right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}
-    neg_cols: Sparse = {}  # -R, by column
+    rows: dict = {}  # R by row, -R by column: index -> [(index, num, den)]
+    neg_cols: dict = {}
     for row, cols in r.items():
         for col, val in cols.items():
-            neg_cols.setdefault(col, {})[row] = -val
+            rows.setdefault(row, []).append((col, val.num, val.den))
+            neg_cols.setdefault(col, []).append((row, -val.num, val.den))
     failures = []
     for i, a, j, b in quads:  # in sorted order
-        terms: dict = {}  # shift monomial -> R-weighted fractions
-        for kc, val in r.get(i * n + a, {}).items():
-            _gather(terms, lm[kc // n, j, kc % n, b], val)
-        for kc, val in neg_cols.get(j * n + b, {}).items():
-            _gather(terms, ml[a, kc % n, i, kc // n], val)
-        if not all(map(sum_is_zero, terms.values())):
-            failures.append((i, a, j, b))
+        weighted = [(lm[kc // n, j, kc % n, b], num, den)
+                    for kc, num, den in rows.get(i * n + a, ())]
+        weighted += [(ml[a, kc % n, i, kc // n], num, den)
+                     for kc, num, den in neg_cols.get(j * n + b, ())]
+        sums: dict = {}  # product key -> {atom multiset: [den, terms, bound]}
+        for prod, weight, wden in weighted:
+            for s, fracs in prod.items():
+                groups = sums.get(s)
+                if groups is None:
+                    groups = sums[s] = {}
+                for num, den in fracs:
+                    if wden:
+                        den = den_product(den, wden)
+                    key = frozenset(den.items())
+                    g = groups.get(key)
+                    if g is None:
+                        g = groups[key] = [den, {}, 0]
+                    eb = mul_add(g[1], weight, num)
+                    if eb > g[2]:
+                        g[2] = eb
+        for groups in sums.values():
+            live = []
+            for den, terms, eb in groups.values():
+                if any(terms.values()):
+                    live.append((Poly({m: c for m, c in terms.items() if c}, eb), den))
+            if live and not grouped_sum_is_zero(live):
+                failures.append((i, a, j, b))
+                break
     return failures
-
-
-def _gather(terms: dict, prod: dict, val: RatFun) -> None:
-    """Append prod's fractions, scaled by the central val, per shift monomial."""
-    scale = val.num.const_value() if val.num.is_const() else val.num
-    for s, fracs in prod.items():
-        out = terms.setdefault(s, [])
-        for num, den in fracs:
-            out.append((num * scale, den_product(den, val.den)))
 
 
 def _swap_zw(p):

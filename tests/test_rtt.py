@@ -1,11 +1,12 @@
 """Yang-Baxter, exchange relations, coproducts, series factorization."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from laxkit.algebra import AlgebraElement, mat_equal, mat_map
+from laxkit.algebra import AlgebraElement, AlgebraSignature, mat_equal, mat_map, unreduced_product
 from laxkit.coweight import PseudoYoungDiagram, divisor_from_young
 from laxkit.errors import SignatureMismatch
 from laxkit.lax_rational import LaxMatrix, build_lax, fuse
@@ -15,7 +16,7 @@ from laxkit.lax_trig import (
     split_finite_rtt,
 )
 from laxkit import rtt
-from laxkit.ratfun import W, Z, RatFun
+from laxkit.ratfun import W, Z, RatFun, den_product, substitute, sum_is_zero
 from laxkit.series import TruncSeries
 from laxkit.rtt import (
     _exchange_failures,
@@ -210,6 +211,74 @@ def test_mirrored_products_match_direct_products():
         copy = [list(row) for row in left]
         assert _exchange_failures(r, left, left) == _exchange_failures(r, left, copy)
     assert _exchange_failures(r, copy, copy)
+
+
+def _reference_failures(r, left, right, mirror=None):
+    """_exchange_failures computed the plain way: every fraction of every
+    product weighted by its entry of R as its own Poly product, then
+    ratfun.sum_is_zero on the weighted fractions of each shift monomial."""
+    n = len(left)
+    quads = list(itertools.product(range(n), repeat=4))
+    lm = {q: unreduced_product(left[q[0]][q[1]], right[q[2]][q[3]]) for q in quads}
+    if mirror is None:
+        ml = {q: unreduced_product(right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}
+    else:
+        ml = {q: {s: [substitute(num, den, mirror) for num, den in fracs]
+                  for s, fracs in prod.items()} for q, prod in lm.items()}
+    failures = []
+    for i, a, j, b in quads:
+        terms = {}
+        weighted = [(lm[kc // n, j, kc % n, b], val)
+                    for kc, val in r.get(i * n + a, {}).items()]
+        weighted += [(ml[a, row % n, i, row // n], -cols[j * n + b])
+                     for row, cols in r.items() if j * n + b in cols]
+        for prod, val in weighted:
+            for s, fracs in prod.items():
+                terms.setdefault(s, []).extend(
+                    (num * val.num, den_product(den, val.den)) for num, den in fracs)
+        if not all(sum_is_zero(fracs) for fracs in terms.values()):
+            failures.append((i, a, j, b))
+    return failures
+
+
+@pytest.mark.parametrize("name", ["toda", "first3", "trig4", "trig31"])
+def test_exchange_failures_match_per_fraction_reference(name):
+    # clean and with 1 added to each single entry in turn, with the M L
+    # products mirrored and formed directly
+    T = {
+        "toda": lambda: build_lax(toda_divisor()),
+        "first3": lambda: build_lax(first_example_divisor(3)),
+        "trig4": lambda: build_lax_trig(trig_case_divisor(4)),
+        "trig31": lambda: build_lax_trig(enumerate_linear_divisors(3, 1, "trig")[3]),
+    }[name]()
+    n = T.n
+    z, w = RatFun.variable(Z), RatFun.variable(W)
+    r = r_rational(n, z - w) if T.signature.mode == "rational" else r_trig(n, z, w)
+    failing = 0
+    for pos in [None] + list(itertools.product(range(n), repeat=2)):
+        left = T.entries if pos is None else _plus_one(T.entries, *pos)
+        right = mat_map(left, lambda e: e.rename_spectral(Z, W))
+        for mirror in (_swap_zw, None):
+            want = _reference_failures(r, left, right, mirror)
+            assert _exchange_failures(r, left, right, mirror=mirror) == want, (pos, mirror)
+            failing += bool(want)
+    assert failing >= 2
+
+
+def test_exchange_weighting_checks_the_exponent_bound():
+    # every L M product fits the 16-bit exponent fields; only the sum
+    # weighted by z - w, which holds z^32768, does not, and it must raise
+    # rather than wrap
+    sig = AlgebraSignature(2, "rational", ((1,),))
+    z, w = RatFun.variable(Z), RatFun.variable(W)
+
+    def elem(f):
+        return AlgebraElement.from_ratfun(sig, f)
+
+    left = [[elem(RatFun.variable(Z, 32767)), elem(0)], [elem(0), elem(1)]]
+    identity = [[elem(1), elem(0)], [elem(0), elem(1)]]
+    with pytest.raises(OverflowError):
+        _exchange_failures(r_rational(2, z - w), left, identity)
 
 
 @pytest.mark.parametrize("mode,entry", [
