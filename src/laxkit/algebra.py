@@ -291,12 +291,13 @@ def _term_products(x: AlgebraElement, y: AlgebraElement):
     an automorphism, so num / den stays reduced."""
     mode = x.signature.mode
     for s1, c1 in x.terms.items():
-        maps = [slot_map(mode, f, i, r, -m if mode == "rational" else m)
+        keys = [(mode, f, i, r, -m if mode == "rational" else m)
                 for (f, i, r), m in s1.exps.items()]
+        maps = [(slot_map(*key), key) for key in keys]
         for s2, c2 in y.terms.items():
             num, den = c2.num, c2.den
-            for fn in maps:
-                num, den = substitute(num, den, fn)
+            for fn, key in maps:
+                num, den = substitute(num, den, fn, key)
             yield s1 * s2, c1, num, den
 
 
@@ -331,23 +332,18 @@ def embed(elem: AlgebraElement, target: AlgebraSignature, factor: int) -> Algebr
     if off == 0 and src.tensor_factors == target.tensor_factors:
         return AlgebraElement(target, dict(elem.terms))
 
-    def remap_coeff(c: RatFun) -> RatFun:
-        # highest source factor first so targets never collide with sources
-        for f in range(src.tensor_factors, 0, -1):
-            for i in range(1, src.n):
-                for r in range(1, src.a(i, f) + 1):
-                    if src.mode == "rational":
-                        c = c.rename_var(p_var(i, r, f), p_var(i, r, f + off))
-                    else:
-                        c = c.rename_var(wh_var(i, r, f), wh_var(i, r, f + off))
-        return c
-
+    slot_var = p_var if src.mode == "rational" else wh_var
+    # highest source factor first so targets never collide with sources
+    renames = tuple((slot_var(i, r, f), slot_var(i, r, f + off))
+                    for f in range(src.tensor_factors, 0, -1)
+                    for i in range(1, src.n)
+                    for r in range(1, src.a(i, f) + 1))
     out: Dict[ShiftMonomial, RatFun] = {}
     for s, c in elem.terms.items():
         new_s = ShiftMonomial(
             {(f + off, i, r): m for (f, i, r), m in s.exps.items()}
         )
-        out[new_s] = remap_coeff(c)
+        out[new_s] = c.rename_vars(renames)
     return AlgebraElement(target, out)
 
 
@@ -430,13 +426,11 @@ class MonomialGauge:
         sig = elem.signature
         if sig.mode != "rational":
             raise SignatureMismatch("monomial gauges act on rational mode")
-        shift_map = dict(self.shifts)
+        moves = tuple((p_var(i, r, 1), t) for (i, r), t in dict(self.shifts).items())
         sign_map = dict(self.signs)
         out: Dict[ShiftMonomial, RatFun] = {}
         for s, c in elem.terms.items():
-            nc = c
-            for (i, r), t in shift_map.items():
-                nc = nc.shift_var(p_var(i, r, 1), t)
+            nc = c.shift_vars(moves)
             sgn = 1
             for (f, i, r), m in s.exps.items():
                 if sign_map.get((i, r), 0) % 2 and m % 2:

@@ -43,8 +43,12 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
     atom can cancel only when b and d hold it with the same
     multiplicity, so only those and the non-prime atoms are tried;
   * reciprocal b/a: nothing is tried when every atom is prime;
-  * a slot shift is a ring automorphism, so it keeps a fraction reduced
-    and nothing is tried;
+  * a ring automorphism keeps a fraction reduced, so nothing is tried:
+    a slot shift (shift_slot), a translation p -> p + c of non-unit
+    variables (shift_var, shift_vars), a unit scaling v -> unit * v
+    (scale_var) and a renaming onto variables the fraction does not
+    hold (rename_var, rename_vars).  A rename onto a variable it holds
+    and set_value are not automorphisms, and _make reduces their image;
   * product of factors c * prod f_k^e_k (RatFun.product), each f_k a
     unit times atoms: exponents add per atom, the positive atoms are
     multiplied out and the negative ones are the denominator.  Nothing
@@ -95,8 +99,9 @@ they may be shared and sent across threads freely; callers can
 parallelize over independent computations without locks.  (A Poly
 caches its variable fields, an Atom its zero mod 2^61 - 1 and its
 split A*u + B, and
-module-level memos the zero of an atom key and the value of a monomial
-at the fixed residues, all on first use; each is a function of its key
+module-level memos the zero of an atom key, the value of a monomial
+at the fixed residues and the image of an atom under a keyed ring map
+(substitute), all on first use; each is a function of its key
 alone, so concurrent fills agree.)  To move a value to another process,
 send its rendered text.
 """
@@ -196,10 +201,15 @@ def _is_atom_shape(p: Poly) -> bool:
     z/w/wh/x/v (the two denominator shapes the formulas produce)."""
     if p.is_zero() or p.is_const():
         return False
-    kinds = {VARS[k][0] for k in p._fields()}
-    if len(p.terms) <= 2 and kinds <= _TRIG_ATOM_KINDS:
+    if len(p.terms) <= 2 and {VARS[k][0] for k in p._fields()} <= _TRIG_ATOM_KINDS:
         return True
-    return kinds <= _LINEAR_ATOM_KINDS and all(
+    return is_linear_form(p)
+
+
+def is_linear_form(p: Poly) -> bool:
+    """True when p has degree at most 1 in z/w/p/x and holds no other
+    variable: the shape of every rational-mode atom."""
+    return {VARS[k][0] for k in p._fields()} <= _LINEAR_ATOM_KINDS and all(
         sum(e for _, e in unpacked(m)) <= 1 for m in p.terms
     )
 
@@ -503,26 +513,81 @@ class RatFun:
     # -- substitutions (atoms are remapped and renormalized)
 
     def _map(self, poly_fn) -> "RatFun":
+        """Image under a ring map that need not keep the fraction reduced,
+        so _make divides."""
         return RatFun._make(*substitute(self.num, self.den, poly_fn))
 
-    def shift_var(self, v: Var, c) -> "RatFun":
-        return self._map(lambda p: p.shift_var(v, c))
+    def _automorphism(self, poly_fn, key) -> "RatFun":
+        """Image under a ring automorphism, which keeps the fraction
+        reduced, so nothing is divided; key describes poly_fn (see
+        substitute)."""
+        return RatFun(*substitute(self.num, self.den, poly_fn, key))
 
-    def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]], c=Q1) -> "RatFun":
-        return self._map(lambda p: p.scale_var(v, unit, c))
+    def shift_var(self, v: Var, c) -> "RatFun":
+        return self.shift_vars(((v, c),))
+
+    def shift_vars(self, moves: Iterable[Tuple[Var, Coeff]]) -> "RatFun":
+        """The translation v -> v + c over the (v, c) moves, in one pass;
+        each v a non-unit variable."""
+        moves = tuple((v, _q(c)) for v, c in moves if c)
+        if not moves:
+            return self
+        if any(is_unit_var(v) for v, _ in moves):
+            raise ValueError("additive shift of a unit variable")
+
+        def translate(p: Poly) -> Poly:
+            for v, c in moves:
+                p = p.shift_var(v, c)
+            return p
+
+        return self._automorphism(translate, ("shift", moves))
+
+    def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]]) -> "RatFun":
+        """v -> unit * v, unit ((var, exp), ...) a Laurent monomial in unit
+        variables other than v."""
+        unit = tuple(unit)
+        if any(u == v or not is_unit_var(u) for u, _ in unit):
+            raise ValueError(f"{unit!r} is not a unit free of {v!r}")
+        return self._automorphism(lambda p: p.scale_var(v, unit), ("scale", v, unit))
 
     def set_value(self, v: Var, value) -> "RatFun":
         return self._map(lambda p: p.set_value(v, value))
 
     def rename_var(self, old: Var, new: Var) -> "RatFun":
-        return self._map(lambda p: p.rename_var(old, new))
+        return self.rename_vars(((old, new),))
+
+    def rename_vars(self, pairs: Iterable[Tuple[Var, Var]]) -> "RatFun":
+        """old -> new for each (old, new) of pairs in turn, in one pass.
+        When each new variable is absent from the fraction at its turn and
+        of the same kind (unit or not) as old, the renaming is injective,
+        an automorphism onto its image, and nothing is divided; a rename
+        onto a variable the fraction holds reduces with _make."""
+        pairs = tuple((old, new) for old, new in pairs if old != new)
+        if not pairs:
+            return self
+
+        def rename(p: Poly) -> Poly:
+            for old, new in pairs:
+                p = p.rename_var(old, new)
+            return p
+
+        held = set(self.num.variables())
+        for a in self.den:
+            held |= a.poly.variables()
+        for old, new in pairs:
+            if old in held:
+                if new in held or is_unit_var(old) != is_unit_var(new):
+                    return self._map(rename)
+                held.remove(old)
+                held.add(new)
+        return self._automorphism(rename, ("rename", pairs))
 
     def shift_slot(self, mode: str, slot: int, i: int, r: int, m: int) -> "RatFun":
-        """The m-fold shift automorphism on a slot (see slot_map); it keeps
-        the fraction reduced, so nothing is divided."""
+        """The m-fold shift automorphism on a slot (see slot_map)."""
         if not m:
             return self
-        return RatFun(*substitute(self.num, self.den, slot_map(mode, slot, i, r, m)))
+        key = (mode, slot, i, r, m)
+        return self._automorphism(slot_map(*key), key)
 
     # -- structure in one variable
 
@@ -689,23 +754,53 @@ def reduced_product(a: Poly, b: Dict[Atom, int], c: Poly, d: Dict[Atom, int]) ->
     return RatFun(_cancel(a * c, den, others), den)
 
 
-def substitute(num: Poly, den: Dict[Atom, int], poly_fn) -> tuple:
+def substitute(num: Poly, den: Dict[Atom, int], poly_fn, key=None) -> tuple:
     """Ring map poly_fn applied to num / den, as (num, den) with nothing
     cancelled: changed atoms are re-canonicalized (factor_atoms, one pass
-    for a linear atom), their units moved to num."""
+    for a linear atom), their units moved to num.
+
+    key, when given, is a hashable description of poly_fn, the same for
+    every call with the same map (slot_map's arguments, a tuple of
+    moves); each atom's image is then memoized under (atom, key), so an
+    atom met again under the same map is not mapped again."""
     num = poly_fn(num)
     out: Dict[Atom, int] = {}
     for a, m in den.items():
-        p = poly_fn(a.poly)
-        if p is a.poly:  # poly_fn left this atom alone
+        if key is None:
+            image = _atom_image(a, poly_fn)
+        else:
+            image = _IMAGES.get(mk := (a, key), _UNSEEN)
+            if image is _UNSEEN:
+                image = _atom_image(a, poly_fn)
+                if len(_IMAGES) >= _IMAGES_CAP:
+                    _IMAGES.clear()
+                _IMAGES[mk] = image
+        if image is None:  # poly_fn leaves this atom alone
             out[a] = out.get(a, 0) + m
             continue
-        unit, atoms = factor_atoms(p)
-        if unit != _P_ONE:
-            num = num * _invert_unit(unit) ** m
+        inv, atoms = image
+        if inv is not None:
+            num = num * inv ** m
         for na, nm in atoms.items():
             out[na] = out.get(na, 0) + nm * m
     return num, out
+
+
+def _atom_image(a: Atom, poly_fn):
+    """None when poly_fn leaves a's Poly alone, otherwise (the inverse of
+    the unit of its image, None for 1; the image's atoms)."""
+    p = poly_fn(a.poly)
+    if p is a.poly:
+        return None
+    unit, atoms = factor_atoms(p)
+    return (None if unit == _P_ONE else _invert_unit(unit)), atoms
+
+
+# (atom, map key) -> _atom_image; a function of the key alone (an Atom
+# hashes and compares as its key), cleared when full
+_IMAGES: Dict[tuple, object] = {}
+_IMAGES_CAP = 1 << 12
+_UNSEEN = object()
 
 
 def slot_map(mode: str, slot: int, i: int, r: int, m: int):

@@ -28,6 +28,7 @@ from .ratfun import (
     V,
     W,
     Z,
+    is_linear_form,
     p_var,
     wh_var,
     x_var,
@@ -338,6 +339,12 @@ def parse_element(text: str, signature) -> "AlgebraElement":
     while True:
         pos = _expect(text, pos, "(")
         coeff, pos = _ratfun_at(text, pos, seen)
+        if rational:
+            # every rational atom is a linear form, so prime (see ratfun)
+            for a in coeff.den:
+                if not is_linear_form(a.poly):
+                    raise ParseError(f"denominator atom ({render_poly(a.poly)}) is not"
+                                     " a linear form, as rational atoms are")
         t = _TOKEN.match(text, pos)
         if t["rp"] is None or t["exp"] is not None:
             raise ParseError(f"expected ')' at {text[pos : pos + 24]!r}")

@@ -170,6 +170,86 @@ def test_monomial_gauge():
         assert U.conjugate(x * y).equals(U.conjugate(x) * U.conjugate(y))
 
 
+def _conjugate_by_steps(gauge, elem):
+    """MonomialGauge.conjugate as one substitution per shifted variable,
+    then _make."""
+    from laxkit.ratfun import substitute
+
+    out = {}
+    for s, c in elem.terms.items():
+        num, den = c.num, c.den
+        for (i, r), t in dict(gauge.shifts).items():
+            num, den = substitute(num, den, lambda p: p.shift_var(p_var(i, r, 1), t))
+        sgn = 1
+        for (f, i, r), m in s.exps.items():
+            if dict(gauge.signs).get((i, r), 0) % 2 and m % 2:
+                sgn = -sgn
+        nc = RatFun._make(num, den) * sgn
+        out[s] = nc if s not in out else out[s] + nc
+    return out
+
+
+def _same_terms(got, want):
+    assert got.terms.keys() == want.keys()
+    for s, c in want.items():
+        assert (got.terms[s].num.terms, got.terms[s].den) == (c.num.terms, c.den), s
+
+
+def test_monomial_gauge_matches_per_variable_shifts():
+    # the composed translation in one pass gives exactly the per-variable
+    # shifts followed by full trial division
+    sig = AlgebraSignature(3, "rational", ((2, 1),), ("x1",))
+    gauge = MonomialGauge(
+        shifts=(((1, 1), Fraction(1)), ((1, 2), Fraction(-1, 2)), ((2, 1), Fraction(2))),
+        signs=(((1, 1), 1), ((2, 1), 1)),
+    )
+    rng = random.Random(17)
+    for _ in range(30):
+        x, y = random_element(rng, sig), random_element(rng, sig)
+        for e in (x, x * y):
+            _same_terms(gauge.conjugate(e), _conjugate_by_steps(gauge, e))
+
+
+def _embed_by_steps(elem, target, factor):
+    """embed as one rename per slot variable, highest factor first, each
+    followed by _make."""
+    from laxkit.ratfun import substitute
+
+    src, off = elem.signature, factor - 1
+    slot_var = p_var if src.mode == "rational" else wh_var
+    out = {}
+    for s, c in elem.terms.items():
+        for f in range(src.tensor_factors, 0, -1):
+            for i in range(1, src.n):
+                for r in range(1, src.a(i, f) + 1):
+                    old, new = slot_var(i, r, f), slot_var(i, r, f + off)
+                    c = RatFun._make(*substitute(c.num, c.den, lambda p: p.rename_var(old, new)))
+        out[ShiftMonomial({(f + off, i, r): m for (f, i, r), m in s.exps.items()})] = c
+    return out
+
+
+def test_embed_matches_per_variable_renames():
+    from laxkit.lax_rational import build_lax, fuse
+    from laxkit.lax_trig import build_lax_trig
+    from laxkit.suite import toda_divisor, trig_case_divisor
+
+    toda = build_lax(toda_divisor())
+    fused = fuse(toda, toda)
+    triple = fused.signature.tensor(toda.signature)
+    case2, case3 = build_lax_trig(trig_case_divisor(2)), build_lax_trig(trig_case_divisor(3))
+    pair = case2.signature.tensor(case3.signature)
+    moved = 0
+    for T, target, factor in ((toda, fused.signature, 1), (toda, fused.signature, 2),
+                              (fused, triple, 2), (case2, pair, 1), (case3, pair, 2)):
+        for row in T.entries:
+            for e in row:
+                got = embed(e, target, factor)
+                _same_terms(got, _embed_by_steps(e, target, factor))
+                moved += any((c.num.terms, c.den) != (d.num.terms, d.den)
+                             for c, d in zip(got.terms.values(), e.terms.values()))
+    assert moved > 5, moved
+
+
 def test_scalar_part():
     one = AlgebraElement.one(SIG)
     assert one.scalar_part().equals(1)

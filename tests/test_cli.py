@@ -348,6 +348,9 @@ MALFORMED = {
     "matrix-denominator-product-of-atoms": (
         _matrix("rational", "((1) / ((z^2 - z*p[1,1] - z + p[1,1])))"),
         ["verify-rtt", "--matrix", "{m}"]),
+    # (z - 1)*(z + 1): a rational atom is a linear form
+    "matrix-denominator-atom-not-linear": (_matrix("rational", "((1) / ((z^2 - 1)))"),
+                                           ["verify-rtt", "--matrix", "{m}"]),
     # w is the second spectral parameter of the exchange relation
     "matrix-holds-w": (_matrix("rational", "(w)"), ["verify-rtt", "--matrix", "{m}"]),
     "matrix-holds-w-in-an-atom": (_matrix("rational", "((1) / ((w - z)))"),

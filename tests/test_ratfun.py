@@ -1072,6 +1072,70 @@ def test_cancellation_rules_match_full_trial_division():
     assert cancelled["mul"] > 20 and cancelled["add"] > 50 and cancelled["invert"] > 5, cancelled
 
 
+def _automorphism_cases(mode, rng):
+    """(method, arguments, Poly map) triples of the ring automorphisms
+    RatFun applies without _make, plus a rename onto a variable the
+    fraction may hold, which reduces with _make."""
+    from laxkit.ratfun import slot_map
+
+    i, r = rng.choice([(1, 1), (1, 2), (2, 1)] if mode == "rational" else [(1, 1), (1, 2)])
+    m, k = rng.choice([-2, -1, 1, 3]), rng.choice([-2, -1, 1, 2])
+    c = rng.choice([-3, Fraction(1, 2), 2])
+    x1, slot_var = x_var("x1"), (p_var if mode == "rational" else wh_var)
+    old, new = slot_var(i, r), slot_var(i, r, 2)
+    # z - x1 is a trig atom, so z -> x1 would map it to 0 there
+    a, b = (Z, x1) if mode == "rational" else (wh_var(1, 1), wh_var(1, 2))
+    cases = [
+        ("shift_var", (x1, c), lambda p: p.shift_var(x1, c)),
+        ("rename_var", (Z, W), lambda p: p.rename_var(Z, W)),
+        ("rename_var", (old, new), lambda p: p.rename_var(old, new)),
+        ("rename_var", (a, b), lambda p: p.rename_var(a, b)),
+        ("shift_slot", (mode, 1, i, r, m), slot_map(mode, 1, i, r, m)),
+    ]
+    if mode == "rational":
+        moves = ((Z, c), (old, m))
+        cases.append(("shift_vars", (moves,), lambda p: p.shift_var(Z, c).shift_var(old, m)))
+    else:
+        for v in (Z, x1):
+            cases.append(("scale_var", (v, ((V, k),)),
+                          lambda p, v=v: p.scale_var(v, ((V, k),))))
+    return cases
+
+
+def test_automorphisms_match_make_with_the_memo_cold_warm_and_overflowing(monkeypatch):
+    # each automorphism skips _make and memoizes atom images; on seeded
+    # fractions of both modes it gives exactly what _make gives after the
+    # keyless substitution, whether the memo is cold, warm or cleared at
+    # a cap of 2
+    from laxkit import ratfun
+    from laxkit.suite import random_ratfun
+
+    cases = []
+    for mode in ("rational", "trig"):
+        rng = random.Random(95 if mode == "rational" else 96)
+        for _ in range(40):
+            f = random_ratfun(rng, mode)
+            cases += [(f, name, args, fn) for name, args, fn in _automorphism_cases(mode, rng)]
+    want = [_reduced_form(RatFun._make(*substitute(f.num, f.den, fn))) for f, _, _, fn in cases]
+    moved = sum(f.den != den for (f, *_), (_, den) in zip(cases, want))
+    assert moved > 100, moved
+
+    def images():
+        return [_reduced_form(getattr(f, name)(*args)) for f, name, args, _ in cases]
+
+    ratfun._IMAGES.clear()
+    assert images() == want
+    assert len(ratfun._IMAGES) > 20
+    assert images() == want
+    monkeypatch.setattr(ratfun, "_IMAGES_CAP", 2)
+    ratfun._IMAGES.clear()
+    assert images() == want
+    assert len(ratfun._IMAGES) <= 2
+    # z -> x1 on a fraction that holds x1 is no automorphism: it cancels
+    f = RatFun.ratio(x1.num - p11.num - 1, z.num - p11.num - 1)
+    assert _reduced_form(f.rename_var(Z, x_var("x1"))) == ({0: 1}, {})
+
+
 def test_non_prime_atom_takes_the_full_path():
     from laxkit.textio import render_ratfun
 
