@@ -85,14 +85,18 @@ since each variable sits in one term, so its Atom key is its terms in
 precedence order (the constant, then the variables from least to most
 significant) scaled by the coefficient of the most significant variable.
 
-Before each division by a prime atom an exact one-sided test modulo the
-prime 2^61 - 1 runs (rejection.cannot_divide): the numerator is
-evaluated at a zero of the atom and a nonzero value proves that the atom
-does not divide it, so the division is skipped.  The test only ever
-rejects with that certificate; every verdict and every reduced form is
-the one division would give.  The division itself is synthetic division
-in u for a prime atom (poly.synthetic_div, with the atom's split cached
-on it) and heap division (poly_div_exact) for any other divisor.
+Before each trial division an exact one-sided test modulo the prime
+2^61 - 1 runs (rejection.cannot_divide): the numerator is evaluated at a
+zero of the atom and a nonzero value proves that the atom does not
+divide it, so the division is skipped.  Every prime atom has such a
+zero, and so does a two-term atom such as the trig slot atom
+v^2k*w[i,r] - w[i,s] when a root of it in one variable exists mod
+2^61 - 1 (rejection.atom_zero).  The test only ever rejects with that
+certificate; every verdict and every reduced form is the one division
+would give.  The division itself is synthetic division in u for a prime
+atom (poly.synthetic_div, with the atom's split cached on it) and heap
+division (poly_div_exact) for any other divisor, run only when the test
+gives no verdict.
 
 Values are immutable after construction and every operation is pure, so
 they may be shared and sent across threads freely; callers can
@@ -163,7 +167,7 @@ class Atom:
     minimum, leading coefficient 1 under the term order.
     """
 
-    __slots__ = ("poly", "key", "_hash", "_root", "_parts")
+    __slots__ = ("poly", "key", "_hash", "_root", "_parts", "_zero")
 
     def __init__(self, poly: Poly, key):
         self.poly = poly
@@ -171,6 +175,7 @@ class Atom:
         self._hash = hash(key)
         self._root = None  # rejection.atom_root, computed on first use
         self._parts = None  # rejection.prime_parts, computed on first use
+        self._zero = None  # rejection.atom_zero, computed on first use
 
     def __eq__(self, other):
         return isinstance(other, Atom) and self.key == other.key

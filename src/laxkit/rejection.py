@@ -10,18 +10,23 @@ per atom key; RatFun's cancellation rules lean on it (see ratfun), and
 prime_parts gives the split that poly.synthetic_div divides by.
 
 RatFun's trial divisions call cannot_divide(num, atom) first.  It
-evaluates num modulo the prime 2^61 - 1 at a zero of a prime atom; a
+evaluates num modulo the prime 2^61 - 1 at a zero of the atom; a
 nonzero value proves that the atom does not divide num, so the division
-is skipped.  The test never decides "divides": every verdict and every
+is skipped.  The zero is atom_root's for a prime atom and, for a
+two-term atom c1*m1 + c2*m2 such as the trig slot atom
+v^2*w[1,2] - w[1,1], a root of it in one variable (_binomial_root),
+where one exists mod 2^61 - 1; such an atom stays non-prime everywhere
+else.  The test never decides "divides": every verdict and every
 reduced form is the one division would give.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import TYPE_CHECKING, Dict, Optional
 
 from . import monomials as mono
-from .monomials import FW, HALF, MASK, RESIDUES, UNIT_KINDS, VARS, Monomial, unpacked
+from .monomials import FW, HALF, MASK, PREC, RESIDUES, UNIT_KINDS, VARS, Monomial, unpacked
 
 if TYPE_CHECKING:
     from .poly import Coeff, Poly
@@ -72,19 +77,70 @@ def atom_root(atom: Atom):
     memoized per atom key because atoms are rebuilt all the time."""
     root = atom._root
     if root is None:
-        root = _ROOTS.get(atom.key)
-        if root is None:
-            root = _linear_root(atom.poly)
-            if len(_ROOTS) >= _ROOTS_CAP:
-                _ROOTS.clear()
-            _ROOTS[atom.key] = root
-        atom._root = root
+        root = atom._root = _memo(_ROOTS, atom.key, _linear_root, atom.poly)
     return root
 
 
-# atom key -> _linear_root; a function of the key alone, cleared when full
+def _memo(table: dict, key, fn, arg):
+    """fn(arg) memoized in table under key, fn(arg) being a function of
+    the key alone; the table is cleared when it holds _MEMO_CAP entries."""
+    out = table.get(key)
+    if out is None:
+        out = fn(arg)
+        if len(table) >= _MEMO_CAP:
+            table.clear()
+        table[key] = out
+    return out
+
+
+# atom key -> _linear_root (_ROOTS), _binomial_root (_ZEROS, non-prime
+# atoms only)
 _ROOTS: Dict[tuple, object] = {}
-_ROOTS_CAP = 1 << 12
+_ZEROS: Dict[tuple, object] = {}
+_MEMO_CAP = 1 << 12
+
+
+def _binomial_root(p: Poly):
+    """(field of u, r / residue(u) mod P61) for a two-term p = c1*m1 +
+    c2*m2 whose coefficients are units mod P61: p vanishes mod P61 at
+    u = r when every other variable is at its residue.  u is the variable
+    whose exponents in m1 and m2 differ by the least d != 0 (ties to the
+    most significant variable), taken as m1's minus m2's with d > 0, and
+    t = r / residue(u) solves t^d = -c2*R(m2) / (c1*R(m1)), R a monomial's
+    value at the residues.  That root is rhs^(1/d mod P61 - 1) when d is
+    prime to P61 - 1, and for d = 2 it is rhs^((P61 + 1) / 4) (P61 is
+    3 mod 4) when rhs is a square.  False in every other case."""
+    if len(p.terms) != 2:
+        return False
+    (m1, c1), (m2, c2) = p.terms.items()
+    c1, c2 = _mod_p(c1), _mod_p(c2)
+    if not (c1 and c2):
+        return False
+    e1, e2 = dict(unpacked(m1)), dict(unpacked(m2))
+    diffs = {k: e1.get(k, 0) - e2.get(k, 0) for k in e1.keys() | e2.keys()}
+    k = min((k for k, d in diffs.items() if d), key=lambda k: (abs(diffs[k]), PREC[k]))
+    d = diffs[k]
+    if d < 0:
+        d, m1, c1, m2, c2 = -d, m2, c2, m1, c1
+    rhs = -c2 * _mono_residue(m2) * pow(c1 * _mono_residue(m1), -1, P61) % P61
+    if gcd(d, P61 - 1) == 1:
+        return k, pow(rhs, pow(d, -1, P61 - 1), P61)
+    if d == 2:
+        t = pow(rhs, (P61 + 1) // 4, P61)
+        if t * t % P61 == rhs:
+            return k, t
+    return False
+
+
+def atom_zero(atom: Atom):
+    """The point cannot_divide evaluates at: atom_root for a prime atom,
+    else _binomial_root of its polynomial (False when neither has one).
+    Cached on the atom and memoized per atom key, like atom_root."""
+    zero = atom._zero
+    if zero is None:
+        zero = atom._zero = atom_root(atom) or _memo(_ZEROS, atom.key, _binomial_root,
+                                                      atom.poly)
+    return zero
 
 
 def prime_parts(atom: Atom):
@@ -112,35 +168,43 @@ def prime_parts(atom: Atom):
 def cannot_divide(num: Poly, atom: Atom) -> bool:
     """True only when the atom provably does not divide num.
 
-    The test applies to prime atoms a = A*u + B (atom_root picks u; A's
-    scalar must be a unit mod P = 2^61 - 1) and to numerators whose
-    coefficients are integral mod P.  Let R = Z_(P)[other variables and
-    their inverses].  A is a unit of R, so a is monic in u up to a unit
-    and, by Gauss's lemma (here: division by a polynomial whose leading
-    coefficient in u is a unit), if num = q * a exactly then q lies in
-    R[u, u^-1], i.e. q is P-integral.
+    The test applies to atoms with a zero mod P = 2^61 - 1 (atom_zero)
+    and to numerators whose coefficients are integral mod P.  Let R =
+    Z_(P)[every variable and its inverse], a UFD.  The atom a has a
+    coefficient that is a unit of Z_(P), so it is primitive:
 
-    Setting u = r (the zero of a mod P) and every other variable to
-    its residue (nonzero, so units map to units) is a ring map to F_P; it
+      * a prime atom A*u + B (atom_root picks u) is used only when A's
+        scalar is a unit mod P;
+      * a two-term atom c1*m1 + c2*m2 (_binomial_root) only when both c1
+        and c2 are.
+
+    By Gauss's lemma, if num = q * a exactly, with q's coefficients
+    rational, then q lies in R, i.e. q is P-integral.
+
+    Setting u to the atom's zero mod P and every other variable to its
+    residue (nonzero, so units map to units) is a ring map to F_P; it
     sends num to q(pt) * a(pt) = 0.  So a nonzero value num(pt) is a
     certificate that a does not divide num.  When num has a negative
-    power of u, u must map to a unit too, so r = 0 (monomial atoms such
-    as z) decides nothing.  Neither does a zero value, a non-prime atom
-    or a coefficient whose denominator is divisible by P; the caller then
-    divides as before.  No verdict and no reduced form can differ from
-    plain trial division."""
-    root = atom_root(atom)
-    if not root:
+    power of u, u must map to a unit too, so a zero at u = 0 (monomial
+    atoms such as z) decides nothing (a two-term atom's zero is never 0:
+    both its terms are units at the residues).  Neither does a zero
+    value, an atom without a zero (a non-prime atom of three or more
+    terms, a two-term one whose root does not exist or is not computed,
+    see _binomial_root) or a coefficient whose denominator is divisible
+    by P; the caller then divides as before.  No verdict and no reduced
+    form can differ from plain trial division."""
+    zero = atom_zero(atom)
+    if not zero:
         return False
-    val = _value_mod_p(num, root)
+    val = _value_mod_p(num, zero)
     return val is not None and val != 0
 
 
 def _value_mod_p(p: Poly, root) -> Optional[int]:
-    """p mod P at the point of root (see cannot_divide), or None when
-    that point gives no verdict for p.  A monomial's value there is its
-    value with every variable at its residue (memoized per monomial),
-    times (r / residue of u)^(exponent of u).  u's field is assigned (the
+    """p mod P at the point of root, an atom_zero (see cannot_divide), or
+    None when that point gives no verdict for p.  A monomial's value
+    there is its value with every variable at its residue (memoized per
+    monomial), times (r / residue of u)^(exponent of u).  u's field is assigned (the
     atom holds u), so it decodes to 0 in a monomial without u."""
     kv, rho = root
     s = FW * kv

@@ -7,7 +7,8 @@ data/cli_golden.json: n = 3 and 4, slot counts a = (1, 2), and index-0
 points.  A divisor without a linear form adds the name of the error
 instead.  Fused pairs (the coproduct T (x) T as a matrix product, as
 `lax fuse` forms it from raw builds) are pinned the same way, rank 1
-included.
+included.  The raw builds of the trig n = 3, a <= 2 family are pinned on
+their own.
 """
 
 import hashlib
@@ -69,6 +70,20 @@ def _assert_reduced(element, where):
     for shift, c in element.terms.items():
         again = RatFun._make(c.num, dict(c.den))
         assert (again.num.terms, again.den) == (c.num.terms, c.den), (where, shift)
+
+
+# the raw builds of the 19 trig divisors with n = 3 and a <= 2, whose
+# slot atoms v^2k*w[i,r] - w[i,s] are two-term, non-prime atoms
+TRIG_3_2_RAW_DIGEST = "ff987a49eedb5566"
+
+
+def test_trig_3_2_raw_builds_match_pinned_digest():
+    divs = suite.enumerate_linear_divisors(3, 2, "trig")
+    assert len(divs) == 19
+    h = hashlib.sha256()
+    for div in divs:
+        h.update(_json_bytes(build_lax_trig(div)))
+    assert h.hexdigest()[:16] == TRIG_3_2_RAW_DIGEST
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

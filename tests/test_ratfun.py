@@ -359,6 +359,9 @@ def test_rendered_term_order_matches_pairwise_oracle():
 # exact division against sympy (test-only oracle)
 
 _DIV_VARS = [Z, x_var("x1"), p_var(1, 1), V, wh_var(1, 1)]
+# the generators of the sympy oracle: _DIV_VARS and the second slot of
+# the trig slot atoms v^2k*w[1,2] - w[1,1]
+_ORACLE_VARS = _DIV_VARS + [wh_var(1, 2)]
 
 
 def _sympy_of(sympy, f):
@@ -382,7 +385,7 @@ def _sympy_of(sympy, f):
 
 
 def _sympy_expr(sympy, p):
-    return _sympy_of(sympy, p), [sympy.Symbol("_".join(map(str, v))) for v in _DIV_VARS]
+    return _sympy_of(sympy, p), [sympy.Symbol("_".join(map(str, v))) for v in _ORACLE_VARS]
 
 
 def _clear_units(p, drop_content):
@@ -390,7 +393,7 @@ def _clear_units(p, drop_content):
     drop_content, every unit variable has minimum exponent 0.  Unit
     monomials are invertible, so this does not change divisibility."""
     shift = []
-    for v in _DIV_VARS:
+    for v in _ORACLE_VARS:
         if is_unit_var(v):
             lo = p.min_exp(v)
             if lo < 0 or (drop_content and lo > 0):
@@ -405,11 +408,11 @@ def _sympy_divides(sympy, f, g):
     return rem == 0
 
 
-def _random_div_poly(rng, terms):
+def _random_div_poly(rng, terms, vars_=_DIV_VARS):
     out = {}
     for _ in range(rng.randint(1, terms)):
         mono = {}
-        for v in rng.sample(_DIV_VARS, rng.randint(0, 3)):
+        for v in rng.sample(vars_, rng.randint(0, 3)):
             lo = -2 if is_unit_var(v) else 0
             e = rng.randint(lo, 2)
             if e:
@@ -716,14 +719,19 @@ def test_rejection_falls_through_on_denominators_divisible_by_p():
     assert list(ratio.den.values()) == [1]
 
 
-def test_rejection_is_not_applied_to_trig_atoms():
+def test_rejection_applies_to_trig_slot_binomials():
     from laxkit.rejection import cannot_divide as _cannot_divide
 
     w11 = RatFun.variable(wh_var(1, 1), 2)
     w12 = RatFun.variable(wh_var(1, 2), 2)
     v = RatFun.variable(V)
     (atom,) = (w11 - v * w12).invert().den
-    assert not _cannot_divide(Poly.variable(Z), atom)
+    # the non-prime slot atom has a zero mod P in v: z is rejected, its
+    # multiples (with a Laurent unit too) are not
+    zp = Poly.variable(Z)
+    assert _cannot_divide(zp, atom)
+    assert not _cannot_divide(atom.poly * zp, atom)
+    assert not _cannot_divide(atom.poly * Poly.monomial(((V, -3),)) * zp, atom)
     # Laurent units in a dividend of a linear atom
     lin = (z - x1).invert()
     (latom,) = lin.den
@@ -1176,6 +1184,115 @@ def test_rejection_never_fires_on_divisible_trig_numerators():
             # a zero value decides nothing: the division does
             assert (poly_div_exact(h, atom.poly) is not None) == _sympy_divides(sympy, h, atom.poly)
     assert rejected > 100
+
+
+# two-term atoms that are not prime: the rejection test evaluates at a
+# root of the atom in one variable (rejection._binomial_root)
+_BINOMIALS = ["w[1,2] - w[1,1]", "v^2*w[1,2] - w[1,1]", "v^4*w[1,2] - w[1,1]",
+              "v^6*w[1,2] - w[1,1]", "v^2*w[1,1] - w[1,2]", "v*w[1,2] - w[1,1]",
+              "v^3*w[1,1] - 2*w[1,2]", "z^2 - 1"]
+
+
+def _one_atom(p):
+    from laxkit.ratfun import factor_atoms
+
+    (atom,) = factor_atoms(p)[1]
+    return atom
+
+
+def test_binomial_rejection_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from laxkit.rejection import _value_mod_p, atom_root, atom_zero, cannot_divide
+    from laxkit.textio import parse_poly
+
+    vars_ = [Z, x_var("x1"), V, wh_var(1, 1), wh_var(1, 2)]
+    rng = random.Random(67)
+    for text in _BINOMIALS:
+        atom = _one_atom(parse_poly(text))
+        zero = atom_zero(atom)
+        # not prime, yet it has a zero mod P, and the atom vanishes there
+        assert atom_root(atom) is False and zero, text
+        assert _value_mod_p(atom.poly, zero) == 0, text
+        rejected = 0
+        for _ in range(25):
+            f = _random_div_poly(rng, 4, vars_)
+            assert not cannot_divide(f * atom.poly, atom)
+            assert not cannot_divide(f * atom.poly * atom.poly, atom)
+            h = f * atom.poly + _random_div_poly(rng, 2, vars_)
+            if not h.is_zero() and cannot_divide(h, atom):
+                rejected += 1
+                assert not _sympy_divides(sympy, h, atom.poly), (h, atom)
+                assert poly_div_exact(h, atom.poly) is None
+        assert rejected >= 20, text
+
+
+def test_binomial_rejection_gives_no_verdict_without_a_root():
+    from laxkit.rejection import P61, atom_zero, cannot_divide
+    from laxkit.textio import parse_poly
+
+    zp = Poly.variable(Z)
+    texts = [
+        "z^3 - 2", "z^3 - 2*v^3",  # d = 3 divides P - 1: no cube root is taken
+        "z^2 + 1", "v^2*w[1,2] + w[1,1]",  # -1 times a square: no square root mod P
+    ]
+    polys = [parse_poly(t) for t in texts]
+    # coefficients whose denominator is divisible by P, or that are 0 mod P
+    polys += [zp * zp - Poly.const(Fraction(1, P61)), zp * zp - Poly.const(P61)]
+    x = Poly.variable(x_var("x1"))
+    for p in polys:
+        atom = _one_atom(p)
+        assert atom_zero(atom) is False, p
+        assert not cannot_divide(x, atom)
+        # RatFun still reduces exactly, by division
+        assert RatFun.ratio(x * atom.poly, atom.poly).num == x
+        assert list(RatFun.ratio(x, atom.poly).den.values()) == [1]
+    # a numerator coefficient whose denominator is divisible by P
+    atom = _one_atom(parse_poly("v^2*w[1,2] - w[1,1]"))
+    assert cannot_divide(x, atom)
+    assert not cannot_divide(x + Poly.const(Fraction(1, P61)), atom)
+
+
+def test_binomial_rejection_keeps_every_result(monkeypatch):
+    # products, sums and _make of trig values give the same numerator
+    # terms and atoms as with rejection by prime atoms only
+    from laxkit import ratfun, rejection
+    from laxkit.suite import random_ratfun
+    from laxkit.textio import parse_poly
+
+    def prime_only(num, atom):
+        root = rejection.atom_root(atom)
+        if not root:
+            return False
+        val = rejection._value_mod_p(num, root)
+        return val is not None and val != 0
+
+    binomial_verdicts = []
+
+    def counting(num, atom):
+        out = rejection.cannot_divide(num, atom)
+        if out and rejection.atom_root(atom) is False:
+            binomial_verdicts.append(1)
+        return out
+
+    slot = RatFun.from_poly(parse_poly("v^2*w[1,2] - w[1,1]"))
+    rng = random.Random(71)
+    pairs = []
+    for k in range(150):
+        f, g = random_ratfun(rng, "trig"), random_ratfun(rng, "trig")
+        pairs.append((f, g * slot if k % 3 == 0 else g))  # some divisions succeed
+
+    def results():
+        out = []
+        for f, g in pairs:
+            made = RatFun._make(f.num * g.num, ratfun.den_product(f.den, g.den))
+            out += [(r.num.terms, r.den) for r in (f * g, f + g, f - g, made)]
+        return out
+
+    monkeypatch.setattr(ratfun, "cannot_divide", counting)
+    got = results()
+    monkeypatch.setattr(ratfun, "cannot_divide", prime_only)
+    assert got == results()
+    assert len(binomial_verdicts) > 100
 
 
 # ---------------------------------------------------------------------------
