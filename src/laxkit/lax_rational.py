@@ -73,8 +73,8 @@ class LaxMatrix:
 #
 # A Gauss coefficient is c * prod poly^exp over a list of (poly, exp)
 # factors, each poly a unit times atoms; RatFun.product multiplies it out
-# with nothing divided.  The memo of factor_atoms splits is made once per
-# build and shared by all of its entries.
+# with nothing divided.  factor_atoms splits each distinct factor once per
+# process, so all builds share their splits.
 
 
 def _point_poly(pt) -> Poly:
@@ -96,7 +96,7 @@ def _zvar() -> Poly:
     return Poly.variable(Z)
 
 
-def slot_sum(sig: AlgebraSignature, memo: dict, i: int, j: int, step: int,
+def slot_sum(sig: AlgebraSignature, i: int, j: int, step: int,
              coeff: Callable[[dict], tuple]) -> AlgebraElement:
     """sum over slot tuples r = (r_i, ..., r_(j-1)) of rows i..j-1 of
     RatFun.product(*coeff(r)) times the shift monomial with exponent step
@@ -107,31 +107,27 @@ def slot_sum(sig: AlgebraSignature, memo: dict, i: int, j: int, step: int,
     for tup in iproduct(*(range(1, sig.a(k) + 1) for k in range(i, j))):
         r = dict(zip(range(i, j), tup))
         shift = ShiftMonomial({(1, k, r[k]): step for k in range(i, j)})
-        terms[shift] = RatFun.product(*coeff(r), memo)
+        terms[shift] = RatFun.product(*coeff(r))
     return AlgebraElement(sig, terms)
 
 
 # ---------------------------------------------------------------------------
 # Gauss factors
 #
-# The entry formulas of both modes take (div, sig, memo, i[, j]), sig the
-# divisor's signature and memo the build's factor_atoms splits.
+# The entry formulas of both modes take (div, sig, i[, j]), sig the
+# divisor's signature.
 
 
-def diag_entry(div: Divisor, sig: AlgebraSignature, memo: dict, i: int) -> RatFun:
+def diag_entry(div: Divisor, sig: AlgebraSignature, i: int) -> RatFun:
     """Diagonal Gauss entry: row-i slot product over the shifted row-(i-1)
     product, times the point factors of all lower indices."""
     z = _zvar()
-    return RatFun.product(
-        1,
-        _row(sig, i, z, 1)
-        + _row(sig, i - 1, z - 1, -1)
-        + [(z - _point_poly(s.point), s.sign) for s in div.summands if s.index < i],
-        memo,
-    )
+    fs = _row(sig, i, z, 1) + _row(sig, i - 1, z - 1, -1)
+    fs += [(z - _point_poly(s.point), s.sign) for s in div.summands if s.index < i]
+    return RatFun.product(1, fs)
 
 
-def upper_entry(div: Divisor, sig: AlgebraSignature, memo: dict, i: int, j: int,
+def upper_entry(div: Divisor, sig: AlgebraSignature, i: int, j: int,
                 drop_pole: bool = False) -> AlgebraElement:
     """Entry (i, j), i < j, of the upper unitriangular factor.
 
@@ -150,10 +146,10 @@ def upper_entry(div: Divisor, sig: AlgebraSignature, memo: dict, i: int, j: int,
             fs += [(p[k] - _point_poly(pt), sign) for pt, sign in div.points_with(k)]
         return -1, fs
 
-    return slot_sum(sig, memo, i, j, 1, coeff)
+    return slot_sum(sig, i, j, 1, coeff)
 
 
-def lower_entry(div: Divisor, sig: AlgebraSignature, memo: dict, j: int, i: int,
+def lower_entry(div: Divisor, sig: AlgebraSignature, j: int, i: int,
                 drop_pole: bool = False) -> AlgebraElement:
     """Entry (j, i), i < j, of the lower unitriangular factor."""
 
@@ -168,25 +164,21 @@ def lower_entry(div: Divisor, sig: AlgebraSignature, memo: dict, j: int, i: int,
             fs += _row(sig, k, p[k], -1, r[k])
         return 1, fs
 
-    return slot_sum(sig, memo, i, j, -1, coeff)
+    return slot_sum(sig, i, j, -1, coeff)
 
 
 def _gauss_factors(div: Divisor, mode: str, diag: Callable, upper: Callable,
                    lower: Callable) -> GaussFactors:
-    """Fill the unitriangular factors from a mode's three entry formulas,
-    which share one memo of factor splits."""
+    """Fill the unitriangular factors from a mode's three entry formulas."""
     if div.mode != mode:
         raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
-    sig = div.signature()
-    n = div.n
-    memo: dict = {}
-    lower_f = mat_identity(sig, n)
-    upper_f = mat_identity(sig, n)
-    diag_f = [AlgebraElement.from_ratfun(sig, diag(div, sig, memo, i)) for i in range(1, n + 1)]
+    sig, n = div.signature(), div.n
+    lower_f, upper_f = mat_identity(sig, n), mat_identity(sig, n)
+    diag_f = [AlgebraElement.from_ratfun(sig, diag(div, sig, i)) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            upper_f[i - 1][j - 1] = upper(div, sig, memo, i, j)
-            lower_f[j - 1][i - 1] = lower(div, sig, memo, j, i)
+            upper_f[i - 1][j - 1] = upper(div, sig, i, j)
+            lower_f[j - 1][i - 1] = lower(div, sig, j, i)
     return GaussFactors(lower=lower_f, diag=diag_f, upper=upper_f)
 
 
@@ -304,11 +296,10 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
             entries[i - 1][i - 1] = AlgebraElement.from_ratfun(sig, val)
         elif i <= m_prime:
             entries[i - 1][i - 1] = AlgebraElement.one(sig)
-    memo: dict = {}
     for i in range(1, m + 1):
         for j in range(i + 1, n + 1):
-            entries[i - 1][j - 1] = upper_entry(div, sig, memo, i, j, drop_pole=True)
-            entries[j - 1][i - 1] = lower_entry(div, sig, memo, j, i, drop_pole=True)
+            entries[i - 1][j - 1] = upper_entry(div, sig, i, j, drop_pole=True)
+            entries[j - 1][i - 1] = lower_entry(div, sig, j, i, drop_pole=True)
     return LaxMatrix(sig, div, entries)
 
 

@@ -89,7 +89,7 @@ def _sw_row(sig: AlgebraSignature, j: int, y_num: Poly, y_den: Poly, e: int,
 # Gauss factors (same arguments as the rational formulas)
 
 
-def diag_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, i: int) -> RatFun:
+def diag_entry_trig(div: Divisor, sig: AlgebraSignature, i: int) -> RatFun:
     z = Poly.variable(Z)
     fs = [
         (_w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1), 1),
@@ -101,10 +101,10 @@ def diag_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, i: int) -> 
     for s in div.summands:
         if i > s.index:  # eps_i(omega_k) = -1 exactly when i > k
             fs += [(z - _point_poly(s.point), s.sign), (z, -s.sign)]
-    return RatFun.product(1, fs, memo)
+    return RatFun.product(1, fs)
 
 
-def upper_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, i: int, j: int,
+def upper_entry_trig(div: Divisor, sig: AlgebraSignature, i: int, j: int,
                      drop_pole: bool = False) -> AlgebraElement:
     z = Poly.variable(Z)
     v = _v_pow(1)
@@ -132,10 +132,10 @@ def upper_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, i: int, j:
                 fs += [(w[k] - _v_pow(-k) * _point_poly(pt), sign), (w[k], -sign)]
         return (-1) ** ((i - j + 1) % 2), fs
 
-    return slot_sum(sig, memo, i, j, -1, coeff)
+    return slot_sum(sig, i, j, -1, coeff)
 
 
-def lower_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, j: int, i: int,
+def lower_entry_trig(div: Divisor, sig: AlgebraSignature, j: int, i: int,
                      drop_pole: bool = False) -> AlgebraElement:
     z = Poly.variable(Z)
     v = _v_pow(1)
@@ -156,7 +156,7 @@ def lower_entry_trig(div: Divisor, sig: AlgebraSignature, memo: dict, j: int, i:
             fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k])
         return (-1) ** ((i - j + 1) % 2), fs
 
-    return slot_sum(sig, memo, i, j, 1, coeff)
+    return slot_sum(sig, i, j, 1, coeff)
 
 
 def build_lax_trig(div: Divisor) -> LaxMatrix:
@@ -231,18 +231,17 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
                 scalar_factor(i) * _w_half_prod(sig, i, 1) * _w_half_prod(sig, i - 1, -1),
             )
         entries[i - 1][i - 1] = acc
-    memo: dict = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if bmp[n - i] == -1:
-                e = upper_entry_trig(div, sig, memo, i, j, drop_pole=True)
+                e = upper_entry_trig(div, sig, i, j, drop_pole=True)
                 # z -> infinity limit of g_i/z is the half-power prefactor
                 g_inf = AlgebraElement.from_ratfun(
                     sig, _w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1)
                 )
                 entries[i - 1][j - 1] = g_inf * e * z
             if bmm[n - i] == 0:
-                f = lower_entry_trig(div, sig, memo, j, i, drop_pole=True)
+                f = lower_entry_trig(div, sig, j, i, drop_pole=True)
                 # f(0) g_i(0): crossing the shift monomials past g_i(0)
                 # contributes one power of v; scalar_factor carries the rest
                 g0 = AlgebraElement.from_ratfun(

@@ -312,25 +312,40 @@ class Poly:
     # -- substitutions
 
     def shift_var(self, v: Var, c: Coeff) -> "Poly":
-        """v -> v + c, term by term: c0 * v^k * rest becomes
-        sum_j C(k, j) c^(k-j) c0 * v^j * rest (v must be non-Laurent)."""
-        c = _q(c)
-        s = self._shift_of(v)
-        if not c or s is None:
+        """v -> v + c (the one-move case of shift_vars)."""
+        return self.shift_vars(((v, c),))
+
+    def shift_vars(self, moves: Iterable[Tuple[Var, Coeff]]) -> "Poly":
+        """v -> v + c over the (v, c) moves (v non-Laurent, a repeated v adds
+        its shifts), in one pass: each v^k of a term is expanded binomially."""
+        shifts: Dict[int, Coeff] = {}  # bit offset of v -> c
+        for v, c in moves:
+            s = self._shift_of(v)
+            if s is not None:
+                shifts[s] = _q(shifts.get(s, 0) + c)
+        # per move, k -> the pairs (offset of v^(k-j), C(k, j) c^(k-j)) of v^k
+        steps = [(s, c, {}) for s, c in shifts.items() if c]
+        if not steps:
             return self
         bias = mono.BIAS
-        powers = [Q1]
         out: Dict[Monomial, Coeff] = {}
         for m, coeff in self.terms.items():
-            k = ((m + bias) >> s & MASK) - HALF
-            if k < 0:
-                raise ValueError("additive shift of a Laurent exponent")
-            while len(powers) <= k:
-                powers.append(powers[-1] * c)
-            base = m - (k << s)
-            for j in range(k, -1, -1):
-                nm = base + (j << s)
-                nc = out.get(nm, 0) + coeff * comb(k, j) * powers[k - j]
+            y = m + bias
+            pairs = None  # the expansion of the term's moved variables
+            for s, c, rows in steps:
+                k = (y >> s & MASK) - HALF
+                if not k:
+                    continue
+                row = rows.get(k)
+                if row is None:
+                    if k < 0:
+                        raise ValueError("additive shift of a Laurent exponent")
+                    row = rows[k] = [(i << s, comb(k, i) * c ** i) for i in range(k + 1)]
+                pairs = row if pairs is None else [
+                    (d + e, f * g) for d, f in pairs for e, g in row]
+            for d, f in pairs or ((0, 1),):
+                nm = m - d
+                nc = out.get(nm, 0) + coeff * f
                 if nc:
                     out[nm] = _q(nc)
                 else:

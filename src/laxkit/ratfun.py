@@ -77,13 +77,14 @@ value, and _make's depends on the order in which it divides.
 
 Every factor the library splits (factor_atoms: a denominator factor,
 a factor of RatFun.product, the numerator RatFun.invert turns over) is a
-unit times monomial content times at most one atom; a product of two
-atoms is not split and raises NotAtomFactorable.  Most factors are
-linear forms with two or more terms over z/w/p/x, split in a single pass
-over their terms (_linear_split): such a form has no monomial content,
-since each variable sits in one term, so its Atom key is its terms in
-precedence order (the constant, then the variables from least to most
-significant) scaled by the coefficient of the most significant variable.
+unit times monomial content times at most one atom, split once per
+process; a product of two atoms is not split and raises
+NotAtomFactorable.  Most factors are linear forms with two or more
+terms over z/w/p/x, split in a single pass over their terms
+(_linear_split): such a form has no monomial content, since each
+variable sits in one term, so its Atom key is its terms in precedence
+order (the constant, then the variables from least to most significant)
+scaled by the coefficient of the most significant variable.
 
 Before each trial division an exact one-sided test modulo the prime
 2^61 - 1 runs (rejection.cannot_divide): the numerator is evaluated at a
@@ -102,11 +103,11 @@ Values are immutable after construction and every operation is pure, so
 they may be shared and sent across threads freely; callers can
 parallelize over independent computations without locks.  (A Poly
 caches its variable fields, an Atom its zero mod 2^61 - 1 and its
-split A*u + B, and
-module-level memos the zero of an atom key, the value of a monomial
-at the fixed residues and the image of an atom under a keyed ring map
-(substitute), all on first use; each is a function of its key
-alone, so concurrent fills agree.)  To move a value to another process,
+split A*u + B, and module-level memos the split of a factor
+(factor_atoms), the zero of an atom key, the value of a monomial at the
+fixed residues and the image of an atom under a keyed ring map
+(substitute), all on first use; each is a function of its key alone,
+so concurrent fills agree.)  To move a value to another process,
 send its rendered text.
 """
 
@@ -132,7 +133,7 @@ from .poly import (
     poly_div_exact,
     synthetic_div,
 )
-from .rejection import atom_root, cannot_divide, prime_parts
+from .rejection import _memo, atom_root, cannot_divide, prime_parts
 
 Z = ("z",)
 W = ("w",)
@@ -369,16 +370,12 @@ class RatFun:
         return RatFun._make(num, den)
 
     @staticmethod
-    def product(c, factors: Iterable[Tuple[Poly, int]],
-                memo: Optional[Dict[Poly, tuple]] = None) -> "RatFun":
+    def product(c, factors: Iterable[Tuple[Poly, int]]) -> "RatFun":
         """c * prod poly^exp over the (poly, exp) factors, each poly a
-        nonzero unit times atoms (factor_atoms), by the product rule of
-        the module docstring: nothing is divided, unless a non-prime atom
-        holds a non-unit variable (then _make reduces).  memo maps a poly
-        to its factor_atoms split and may be shared by calls that meet the
-        same factors."""
-        if memo is None:
-            memo = {}
+        nonzero unit times atoms (factor_atoms, which splits each distinct
+        poly once per process), by the product rule of the module
+        docstring: nothing is divided, unless a non-prime atom holds a
+        non-unit variable (then _make reduces)."""
         unit_mono, c, eb = 0, _q(c), 0  # the unit c * unit_mono, |exponent| <= eb
         if not c:
             return _R_ZERO
@@ -386,10 +383,7 @@ class RatFun:
         for p, e in factors:
             if not e:
                 continue
-            split = memo.get(p)
-            if split is None:
-                split = memo[p] = factor_atoms(p)
-            unit, atoms = split
+            unit, atoms = factor_atoms(p)
             (um, uc), = unit.terms.items()
             unit_mono += um * e
             eb += unit._eb * abs(e)
@@ -539,13 +533,7 @@ class RatFun:
             return self
         if any(is_unit_var(v) for v, _ in moves):
             raise ValueError("additive shift of a unit variable")
-
-        def translate(p: Poly) -> Poly:
-            for v, c in moves:
-                p = p.shift_var(v, c)
-            return p
-
-        return self._automorphism(translate, ("shift", moves))
+        return self._automorphism(lambda p: p.shift_vars(moves), ("shift", moves))
 
     def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]]) -> "RatFun":
         """v -> unit * v, unit ((var, exp), ...) a Laurent monomial in unit
@@ -774,12 +762,7 @@ def substitute(num: Poly, den: Dict[Atom, int], poly_fn, key=None) -> tuple:
         if key is None:
             image = _atom_image(a, poly_fn)
         else:
-            image = _IMAGES.get(mk := (a, key), _UNSEEN)
-            if image is _UNSEEN:
-                image = _atom_image(a, poly_fn)
-                if len(_IMAGES) >= _IMAGES_CAP:
-                    _IMAGES.clear()
-                _IMAGES[mk] = image
+            image = _memo(_IMAGES, (a, key), _atom_image, a, poly_fn)
         if image is None:  # poly_fn leaves this atom alone
             out[a] = out.get(a, 0) + m
             continue
@@ -802,10 +785,8 @@ def _atom_image(a: Atom, poly_fn):
 
 
 # (atom, map key) -> _atom_image; a function of the key alone (an Atom
-# hashes and compares as its key), cleared when full
+# hashes and compares as its key), capped by rejection._memo
 _IMAGES: Dict[tuple, object] = {}
-_IMAGES_CAP = 1 << 12
-_UNSEEN = object()
 
 
 def slot_map(mode: str, slot: int, i: int, r: int, m: int):
@@ -983,7 +964,7 @@ def _eps_poly_series(p: Poly, hi: int) -> "TruncSeries":
 
 def factor_atoms(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
     """Write p = unit * monomial content * at most one atom, or raise
-    NotAtomFactorable.
+    NotAtomFactorable; the atom dict returned is the caller's own.
 
     A linear form over z/w/p/x with two or more terms is split in one
     pass (_linear_split).  Otherwise the monomial content is peeled
@@ -991,17 +972,28 @@ def factor_atoms(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
     monomial atoms, and the primitive part left must be a scalar or one
     atom shape (_is_atom_shape), scaled to leading coefficient 1.  A
     product of two or more atoms is not split: the formulas hand every
-    factor over on its own (RatFun.product)."""
+    factor over on its own (RatFun.product).  Each distinct p is split
+    once per process (_SPLITS), so all callers share one Atom per factor."""
     if p.is_zero():
         raise ZeroDivisionError("factoring zero")
-    split = _linear_split(p)
-    if split is not None:
-        return split
-    unit, atoms, p = _peel_content(p)
-    if p.is_const():
-        return unit * p, atoms
-    if not _is_atom_shape(p):
-        raise NotAtomFactorable(f"cannot factor {p!r}: not a monomial times one atom")
-    atom, cofactor = _canonical_atom(p)
-    atoms[atom] = 1
-    return unit * cofactor, atoms
+    unit, atoms = _memo(_SPLITS, frozenset(p.terms.items()), _split, p.terms)
+    return unit, dict(atoms)
+
+
+# frozenset of a Poly's terms -> (unit, ((atom, multiplicity), ...)) of
+# _split, a function of the terms alone; capped by rejection._memo
+_SPLITS: Dict[frozenset, tuple] = {}
+
+
+def _split(terms: Dict[Monomial, Coeff]) -> tuple:
+    """factor_atoms of the Poly with these terms and their exact bound."""
+    split = _linear_split(p := Poly(terms))
+    if split is None:
+        unit, atoms, p = _peel_content(p)
+        if not p.is_const():
+            if not _is_atom_shape(p):
+                raise NotAtomFactorable(f"cannot factor {p!r}: not a monomial times one atom")
+            atom, p = _canonical_atom(p)
+            atoms[atom] = 1
+        split = unit * p, atoms
+    return split[0], tuple(split[1].items())

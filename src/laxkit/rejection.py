@@ -81,12 +81,14 @@ def atom_root(atom: Atom):
     return root
 
 
-def _memo(table: dict, key, fn, arg):
-    """fn(arg) memoized in table under key, fn(arg) being a function of
-    the key alone; the table is cleared when it holds _MEMO_CAP entries."""
-    out = table.get(key)
-    if out is None:
-        out = fn(arg)
+def _memo(table: dict, key, fn, *args):
+    """fn(*args) memoized in table under key (a cached None is a hit),
+    fn(*args) being a function of the key alone; the table is cleared
+    when it holds _MEMO_CAP entries.  _ROOTS, _ZEROS and ratfun's
+    _IMAGES and _SPLITS all go through here."""
+    out = table.get(key, _UNSEEN)
+    if out is _UNSEEN:
+        out = fn(*args)
         if len(table) >= _MEMO_CAP:
             table.clear()
         table[key] = out
@@ -98,6 +100,7 @@ def _memo(table: dict, key, fn, arg):
 _ROOTS: Dict[tuple, object] = {}
 _ZEROS: Dict[tuple, object] = {}
 _MEMO_CAP = 1 << 12
+_UNSEEN = object()
 
 
 def _binomial_root(p: Poly):

@@ -53,8 +53,7 @@ def _json_bytes(mat) -> bytes:
     return json.dumps(matrix_to_json(mat), indent=1, sort_keys=True).encode()
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_raw_and_linear_builds_match_pinned_digest(family):
+def _family_digest(family) -> str:
     h = hashlib.sha256()
     for div in FAMILIES[family]():
         build, linear = _builders(div)
@@ -63,7 +62,34 @@ def test_raw_and_linear_builds_match_pinned_digest(family):
             h.update(_json_bytes(linear(div)))
         except LaxkitError as exc:
             h.update(type(exc).__name__.encode())
-    assert h.hexdigest()[:16] == DIGESTS[family]
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_raw_and_linear_builds_match_pinned_digest(family):
+    assert _family_digest(family) == DIGESTS[family]
+
+
+@pytest.mark.parametrize("state", ["cold", "warm", "capped"])
+def test_builds_do_not_depend_on_the_split_memo(monkeypatch, state):
+    # factor_atoms splits each distinct factor once per process; every
+    # pinned build is byte-identical whether the split memo starts empty,
+    # holds every factor of the families already, or is cleared at a cap
+    # of 2 (the cap every module-level memo shares)
+    from laxkit import ratfun, rejection
+
+    if state == "warm":
+        for family in FAMILIES:
+            _family_digest(family)
+        assert len(ratfun._SPLITS) > 50
+    else:
+        ratfun._SPLITS.clear()
+    if state == "capped":
+        monkeypatch.setattr(rejection, "_MEMO_CAP", 2)
+    for family in sorted(FAMILIES):
+        assert _family_digest(family) == DIGESTS[family], family
+    if state == "capped":
+        assert len(ratfun._SPLITS) <= 2
 
 
 def _assert_reduced(element, where):

@@ -480,6 +480,52 @@ def test_swap_vars_matches_sympy_and_is_an_involution():
         assert sympy.expand(_sympy_of(sympy, s) - want) == 0, p
 
 
+def _shift_by_substitution(p, moves):
+    """p with v -> v + c for each (v, c) of moves in turn, by Poly
+    arithmetic on each term: an oracle that does not use shift_var."""
+    shifts = {}
+    for v, c in moves:
+        shifts[v] = shifts.get(v, 0) + c
+    out = Poly.zero()
+    for m, c in p.terms.items():
+        term = Poly.const(c)
+        for v, e in unpack_mono(m):
+            base = Poly.variable(v) + shifts[v] if v in shifts else Poly.variable(v)
+            term = term * base ** e if e > 0 else term * Poly.variable(v, e)
+        out = out + term
+    return out
+
+
+def test_shift_vars_matches_chained_shifts_and_substitution():
+    # Poly.shift_vars expands every moved variable of a term in one pass;
+    # on seeded polynomials (three moves, Fraction shifts, sometimes a
+    # repeated variable) it equals the one-move shifts chained and term by
+    # term substitution, also when the shift cancels terms
+    rng = random.Random(71)
+    pool = [Z, x_var("x1"), p_var(1, 1)]
+    shifts = [-2, 1, 3, Fraction(1, 2), Fraction(-5, 3)]
+    cancelled = 0
+    for k in range(150):
+        moves = [(v, rng.choice(shifts)) for v in rng.sample(pool, 3)]
+        if k % 5 == 0:
+            moves.append((moves[0][0], rng.choice(shifts)))
+        q = _random_div_poly(rng, 5) * Poly.const(1)  # coefficients made canonical
+        # p is q moved back, so shifting p gives q: most terms cancel
+        p = q.shift_vars([(v, -c) for v, c in moves]) if k % 2 else q
+        got = p.shift_vars(moves)
+        chained = p
+        for v, c in moves:
+            chained = chained.shift_var(v, c)
+        assert got.terms == chained.terms == _shift_by_substitution(p, moves).terms, (p, moves)
+        _assert_canonical(got)
+        if k % 2:
+            assert got.terms == q.terms
+            cancelled += len(got.terms) < len(p.terms)
+    assert cancelled > 30
+    with pytest.raises(ValueError):
+        Poly.variable(Z, -1).shift_vars([(Z, 1)])
+
+
 def test_swap_vars_keeps_what_holds_neither_variable():
     p = Poly.variable(p_var(1, 1)) * Poly.variable(V, -2) + Poly.const(3)
     assert p.swap_vars(Z, W) is p
@@ -999,7 +1045,7 @@ def _check_against_make(got, num, den):
 
 
 def test_prime_atoms_are_the_shape_a_u_plus_b():
-    from laxkit.ratfun import factor_atoms
+    from laxkit.ratfun import Atom, _atom_key, factor_atoms
     from laxkit.rejection import atom_root
     from laxkit.textio import parse_poly, render_poly
 
@@ -1015,9 +1061,96 @@ def test_prime_atoms_are_the_shape_a_u_plus_b():
         assert atom_root(atom(text)), text
     for text in ("z^2 - w[1,1]*v", "z*x[x1] - 1", "w[1,1]*wh[1,2] + v"):
         assert atom_root(atom(text)) is False, text
-    # the memo is per key: a rebuilt atom finds the root of the first
-    a, b = atom("z - v^3*w[1,1]"), atom("z - v^3*w[1,1]")
+    # the memo is per key: an atom rebuilt past the split memo finds the
+    # root of the first
+    a = atom("z - v^3*w[1,1]")
+    b = Atom(a.poly, _atom_key(a.poly))
     assert a is not b and atom_root(b) is atom_root(a)
+
+
+def _splits(polys):
+    from laxkit.ratfun import factor_atoms
+
+    out = []
+    for p in polys:
+        unit, atoms = factor_atoms(p)
+        out.append((unit.terms, [(a.key, a.poly.terms, m) for a, m in atoms.items()]))
+    return out
+
+
+_SPLIT_TEXTS = (
+    "z - p[1,1]", "p[2,1] - p[1,1] - 1", "2*z - 4*x[a]", "3/2*z - x[x1] + 1/3", "z",
+    "z^2*x[a]", "z - v^2*w[1,1]", "w[1,1] - v^2*w[1,2]", "v^3*w[1,1] - 2*w[1,2]",
+    "x[x1]*v^2 + z*wh[1,1]", "v^-2*wh[1,1]^3", "-3/2*v", "7", "z*w[1,1] - z*v*x[a]",
+)
+
+
+def test_factor_atoms_memo_cold_warm_and_capped(monkeypatch):
+    # factor_atoms splits each distinct polynomial once per process: the
+    # split is the one computed past the memo (_split) whether the memo is
+    # cold, warm or cleared at a cap of 2, and a hit hands back the same
+    # Atom objects
+    from laxkit import ratfun, rejection
+    from laxkit.textio import parse_poly
+
+    polys = [parse_poly(t) for t in _SPLIT_TEXTS]
+    direct = []
+    for p in polys:
+        unit, atoms = ratfun._split(p.terms)
+        direct.append((unit.terms, [(a.key, a.poly.terms, m) for a, m in atoms]))
+    ratfun._SPLITS.clear()
+    assert _splits(polys) == direct
+    assert len(ratfun._SPLITS) == len(polys)
+    first = [ratfun.factor_atoms(p)[1] for p in polys]
+    assert _splits([parse_poly(t) for t in _SPLIT_TEXTS]) == direct
+    for p, atoms in zip(polys, first):
+        again = ratfun.factor_atoms(parse_poly(render_poly(p)))[1]
+        assert all(a is b for a, b in zip(again, atoms)), p
+    # a factor that does not split is not memoized and raises every time
+    for _ in range(2):
+        with pytest.raises(NotAtomFactorable):
+            ratfun.factor_atoms(parse_poly("z - 1") * parse_poly("z - x[a]"))
+    monkeypatch.setattr(rejection, "_MEMO_CAP", 2)
+    ratfun._SPLITS.clear()
+    assert _splits(polys) == direct
+    assert _splits(polys[::-1]) == direct[::-1]
+    assert len(ratfun._SPLITS) <= 2
+
+
+def test_memo_counts_a_cached_none_as_a_hit(monkeypatch):
+    # None is a value (an atom a ring map leaves alone), not a miss; the
+    # table is cleared when it reaches the shared cap
+    from laxkit import rejection
+
+    calls, table = [], {}
+    for key in ("a", "a", "b", "a", "c", "c"):
+        assert rejection._memo(table, key, calls.append, key) is None
+    assert calls == ["a", "b", "c"]
+    monkeypatch.setattr(rejection, "_MEMO_CAP", 2)
+    rejection._memo(table, "d", calls.append, "d")
+    assert list(table) == ["d"] and calls[-1] == "d"
+
+
+def test_split_memo_hands_out_no_shared_dict():
+    # every caller gets its own atom dict: mutating what factor_atoms or
+    # RatFun.invert returned cannot change a later split
+    from laxkit.ratfun import factor_atoms
+    from laxkit.textio import parse_poly
+
+    p = parse_poly("2*z - 4*x[a]")
+    unit, atoms = factor_atoms(p)
+    (a,) = atoms
+    want = (unit.terms, {a: 1})
+    atoms[a] = 5
+    f = RatFun.from_poly(p).invert()
+    assert f.den == {a: 1}
+    f.den[a] = 7
+    for q in (p, parse_poly("2*z - 4*x[a]")):
+        unit, atoms = factor_atoms(q)
+        assert (unit.terms, atoms) == want
+    assert RatFun.from_poly(p).invert().den == {a: 1}
+    assert RatFun.ratio(1, p).den == {a: 1}
+    assert RatFun.product(1, [(p, -2)]).den == {a: 2}
 
 
 def test_cancellation_rules_match_full_trial_division():
@@ -1115,7 +1248,7 @@ def test_automorphisms_match_make_with_the_memo_cold_warm_and_overflowing(monkey
     # fractions of both modes it gives exactly what _make gives after the
     # keyless substitution, whether the memo is cold, warm or cleared at
     # a cap of 2
-    from laxkit import ratfun
+    from laxkit import ratfun, rejection
     from laxkit.suite import random_ratfun
 
     cases = []
@@ -1135,7 +1268,7 @@ def test_automorphisms_match_make_with_the_memo_cold_warm_and_overflowing(monkey
     assert images() == want
     assert len(ratfun._IMAGES) > 20
     assert images() == want
-    monkeypatch.setattr(ratfun, "_IMAGES_CAP", 2)
+    monkeypatch.setattr(rejection, "_MEMO_CAP", 2)
     ratfun._IMAGES.clear()
     assert images() == want
     assert len(ratfun._IMAGES) <= 2
@@ -1316,7 +1449,6 @@ def test_product_matches_chained_products():
         "z", "z^2*x[a]", "v^-2*wh[1,1]^3", "-3/2*v", "7",
     )]
     rng = random.Random(41)
-    memo = {}
     cancelled = 0
     for _ in range(150):
         factors = [(rng.choice(pool), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(1, 7))]
@@ -1324,7 +1456,7 @@ def test_product_matches_chained_products():
         p = rng.choice(pool)
         factors += [(p, 1), (p, -1)]
         c = rng.choice([1, -1, Fraction(2, 3)])
-        got = RatFun.product(c, factors, memo)
+        got = RatFun.product(c, factors)
         want = _chained_product(c, factors)
         assert (got.num.terms, got.den) == (want.num.terms, want.den), factors
         cancelled += sum(-e for _, e in factors if e < 0) > sum(got.den.values())
