@@ -219,6 +219,11 @@ class AlgebraElement:
                 base = base * base
         return AlgebraElement.one(self.signature) if out is None else out
 
+    def sum_of_products(self, pairs) -> "AlgebraElement":
+        """algebra.sum_of_products over this element's signature: the rule
+        a TruncSeries whose zero is this element sums products by."""
+        return sum_of_products(self.signature, pairs)
+
     def commutator(self, other) -> "AlgebraElement":
         other = self._coerce(other)
         return self * other - other * self
@@ -456,23 +461,23 @@ def mat_identity(sig: AlgebraSignature, n: int) -> List[List[AlgebraElement]]:
     return out
 
 
+def sum_of_products(sig: AlgebraSignature, pairs) -> AlgebraElement:
+    """The sum of x * y over the (x, y) pairs, elements over sig.  Each
+    shift coefficient gathers the unreduced fractions of its term
+    products and is reduced once (reduced_sum)."""
+    fracs: Dict[ShiftMonomial, list] = {}
+    for x, y in pairs:
+        if x.terms and y.terms:
+            for s, fl in unreduced_product(x, y).items():
+                fracs.setdefault(s, []).extend(fl)
+    return AlgebraElement(sig, {s: reduced_sum(fl) for s, fl in fracs.items()})
+
+
 def mat_mul(a, b):
-    """The matrix product.  Each coefficient of an entry gathers the
-    unreduced fractions of its term products and is reduced once
-    (reduced_sum)."""
+    """The matrix product, each entry one sum_of_products."""
     sig = b[0][0].signature
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            fracs: Dict[ShiftMonomial, list] = {}
-            for x, b_row in zip(row, b):
-                if x.terms and b_row[j].terms:
-                    for s, fl in unreduced_product(x, b_row[j]).items():
-                        fracs.setdefault(s, []).extend(fl)
-            out_row.append(AlgebraElement(sig, {s: reduced_sum(fl) for s, fl in fracs.items()}))
-        out.append(out_row)
-    return out
+    cols = list(zip(*b))
+    return [[sum_of_products(sig, zip(row, col)) for col in cols] for row in a]
 
 
 def mat_map(a, fn):

@@ -311,26 +311,22 @@ def coproduct(T1, T2):
 
 
 def element_z_series(elem: AlgebraElement, hi: int) -> TruncSeries:
-    """Expand in t = 1/z with AlgebraElement coefficients, exact to t^hi."""
+    """Expand in t = 1/z with AlgebraElement coefficients, exact to t^hi.
+
+    Each coefficient is expanded once, to the order that reaches t^hi:
+    its valuation in t is sum m deg_z(atom) - deg_z(num), since the
+    leading z-coefficient of a product of nonzero factors is nonzero."""
     sig = elem.signature
-    zero = AlgebraElement.zero(sig)
-    total = TruncSeries({}, hi, zero)
+    by_power: Dict[int, dict] = {}
+    top = hi
     for shift, coeff in elem.terms.items():
-        probe = coeff.series("z_inf", 1)
-        v = probe.val()
-        if v is None:
-            continue
+        v = sum(a.degree(Z) * m for a, m in coeff.den.items()) - coeff.num.degree(Z)
         s = coeff.series("z_inf", hi - v + 1)
-        term = TruncSeries(
-            {
-                k: AlgebraElement(sig, {shift: c})
-                for k, c in s.coeffs.items()
-            },
-            s.hi,
-            zero,
-        )
-        total = total + term
-    return total
+        top = min(top, s.hi)
+        for k, c in s.coeffs.items():
+            by_power.setdefault(k, {})[shift] = c
+    return TruncSeries({k: AlgebraElement(sig, terms) for k, terms in by_power.items()},
+                       top, AlgebraElement.zero(sig))
 
 
 def series_gauss_decompose(entries, order: int):
@@ -366,12 +362,13 @@ def series_gauss_decompose(entries, order: int):
             raise SingularLeadingMode(str(exc)) from exc
         cap = order + span
         for b in range(k + 1, n):
-            E[k][b] = (g_inv * S[k][b]).truncate(cap)
+            E[k][b] = g_inv.mul(S[k][b], cap)
         for a in range(k + 1, n):
-            F[a][k] = (S[a][k] * g_inv).truncate(cap)
+            F[a][k] = S[a][k].mul(g_inv, cap)
         for a in range(k + 1, n):
             for b in range(k + 1, n):
-                S[a][b] = (S[a][b] - F[a][k] * g * E[k][b]).truncate(cap)
+                # F[a][k] g = S[a][k] g^{-1} g = S[a][k]
+                S[a][b] = (S[a][b] - S[a][k].mul(E[k][b], cap)).truncate(cap)
     return F, G, E
 
 
@@ -444,20 +441,28 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
     if order is None:
         order = max(4, 2 + max(abs(x) for x in d))
     F, G, E = _series_gauss(delta, d, order)
+    # each Gauss entry of T1 and T2 is expanded once, to the deepest mode
+    # read from it
+    lower1 = [element_z_series(T1.gauss.lower[i][i - 1], b1[i - 1] + 1) for i in range(1, n)]
+    lower2 = [element_z_series(T2.gauss.lower[i][i - 1], 1) for i in range(1, n)]
+    upper1 = [element_z_series(T1.gauss.upper[i - 1][i], 1) for i in range(1, n)]
+    upper2 = [element_z_series(T2.gauss.upper[i - 1][i], b2[i - 1] + 1) for i in range(1, n)]
+    diag1 = [element_z_series(g, 2 - k) for g, k in zip(T1.gauss.diag, d1)]
+    diag2 = [element_z_series(g, 2 - k) for g, k in zip(T2.gauss.diag, d2)]
 
-    def mode(elem, r, factor):
-        """Mode r of a Gauss entry, embedded as the given tensor factor."""
-        return embed(element_z_series(elem, r).coeff(r), sig, factor)
+    def mode(series, r, factor):
+        """Mode r of an expanded Gauss entry, embedded as the given tensor
+        factor."""
+        return embed(series.coeff(r), sig, factor)
 
     checks: List[GeneratorCheck] = []
 
     def add(name, lhs, rhs):
         checks.append(GeneratorCheck(name, lhs.equals(rhs)))
 
-    zero = AlgebraElement.zero(sig)
     for i in range(1, n):
-        f1, f2 = T1.gauss.lower[i][i - 1], T2.gauss.lower[i][i - 1]
-        e1, e2 = T1.gauss.upper[i - 1][i], T2.gauss.upper[i - 1][i]
+        f1, f2 = lower1[i - 1], lower2[i - 1]
+        e1, e2 = upper1[i - 1], upper2[i - 1]
         # F-side, slot 1 shift
         for r in range(1, b1[i - 1] + 1):
             add(f"F_{i}^({r}) passthrough", F[i][i - 1].coeff(r), mode(f1, r, 1))
@@ -468,28 +473,25 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
             add(f"E_{i}^({r}) passthrough", E[i - 1][i].coeff(r), mode(e2, r, 2))
         r = b2[i - 1] + 1
         add(f"E_{i}^({r}) mixing", E[i - 1][i].coeff(r), mode(e2, r, 2) + mode(e1, 1, 1))
-    # D-side
-    e1_first = [
-        element_z_series(T1.gauss.upper[i - 1][i], 1).coeff(1) for i in range(1, n)
-    ]
-    f2_first = [
-        element_z_series(T2.gauss.lower[i][i - 1], 1).coeff(1) for i in range(1, n)
-    ]
+    # D-side: the cross term of root (a, b) is the same for every row
+    e1_first = [s.coeff(1) for s in upper1]
+    f2_first = [s.coeff(1) for s in lower2]
+    roots = [(a, b, embed(_nested_e_bracket(e1_first, a, b), sig, 1)
+              * embed(_nested_f_bracket(f2_first, a, b), sig, 2))
+             for a in range(1, n) for b in range(a + 1, n + 1)]
+    zero = AlgebraElement.zero(sig)
     for i in range(1, n + 1):
-        g1, g2 = T1.gauss.diag[i - 1], T2.gauss.diag[i - 1]
+        g1, g2 = diag1[i - 1], diag2[i - 1]
         k1, k2 = 1 - d1[i - 1], 1 - d2[i - 1]
-        add(f"D_{i} first mode", G[i - 1].coeff(1 - d[i - 1]), mode(g1, k1, 1) + mode(g2, k2, 2))
+        first1, first2 = mode(g1, k1, 1), mode(g2, k2, 2)
+        add(f"D_{i} first mode", G[i - 1].coeff(1 - d[i - 1]), first1 + first2)
         lhs = G[i - 1].coeff(2 - d[i - 1])
-        rhs = mode(g1, k1 + 1, 1) + mode(g2, k2 + 1, 2) + mode(g1, k1, 1) * mode(g2, k2, 2)
+        rhs = mode(g1, k1 + 1, 1) + mode(g2, k2 + 1, 2) + first1 * first2
         cross = zero
-        for a in range(1, n):
-            for b in range(a + 1, n + 1):
-                eps = (1 if i == a else 0) - (1 if i == b else 0)
-                if not eps:
-                    continue
-                e_br = embed(_nested_e_bracket(e1_first, a, b), sig, 1)
-                f_br = embed(_nested_f_bracket(f2_first, a, b), sig, 2)
-                cross = cross + e_br * f_br * eps
+        for a, b, term in roots:
+            eps = (1 if i == a else 0) - (1 if i == b else 0)
+            if eps:
+                cross = cross + term * eps
         add(f"D_{i} second mode", lhs, rhs + cross)
     return CoproductReport(checks)
 
