@@ -32,8 +32,9 @@ class NotAdmissible(LaxkitError):
 
 
 class SizeMismatch(LaxkitError):
-    """Data with inconsistent sizes: Young diagrams, or the number of
-    operands a command was given."""
+    """Data with inconsistent sizes: Young diagrams, the number of
+    operands a command was given, or a series order below the deepest
+    mode a check reads."""
 
 
 class BadDiagram(LaxkitError):

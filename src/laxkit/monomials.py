@@ -128,11 +128,11 @@ def by_precedence(ks) -> tuple:
     return tuple(sorted(ks, key=PREC.__getitem__))
 
 
-def grlex(ks, sign: int = 1):
+def grlex(ks):
     """Key of the canonical term order over the fields ks, listed in
     var_precedence order: one int that compares as (total degree,
     exponent of ks[0], exponent of ks[1], ...), every field read with
-    HALF added.  sign=-1 reverses the order."""
+    HALF added."""
     shifts = [FW * k for k in ks]
     top = FW * len(ks)
     bias = BIAS
@@ -144,6 +144,6 @@ def grlex(ks, sign: int = 1):
             d = (y >> s) & MASK
             deg += d
             out = (out << FW) | d
-        return sign * ((deg << top) | out)
+        return (deg << top) | out
 
     return key

@@ -5,14 +5,17 @@ monomials.py): a product is an int sum, and every Poly shares one
 layout, so no operand is ever repacked.  The canonical term order is
 graded lexicographic in var_precedence rank, read from decoded fields
 (monomials.grlex), never from int comparison; it fixes leading terms,
-the division heap, rendering and Atom keys, which hold decoded
-monomials, so results are the same in every process.  Every product
-checks a per-Poly bound on |exponent| first, so a field that would
-overflow raises OverflowError instead of wrapping.  Exact division by
-a general divisor (poly_div_exact) pops the leading remainder term from
-a heap ordered by that key, so each step costs O(log n); by a prime atom
-A*u + B (see rejection) it is synthetic division in u (synthetic_div).
-Both give the same quotient, or both None.
+rendering and Atom keys, which hold decoded monomials, so results are
+the same in every process.  Every product checks a per-Poly bound on
+|exponent| first, so a field that would overflow raises OverflowError
+instead of wrapping.
+
+Exact division is only ever by an atom (see ratfun), which has one of
+two shapes, and each has its synthetic division: by a prime atom
+A*u + B (see rejection) in u (synthetic_div), by a two-term atom
+c1*m1 + c2*m2 along the chains m0 + j*(m1 - m2) of the dividend
+(binomial_div).  Either returns the quotient, or None when the atom
+does not divide.
 
 Coefficients are exact rationals stored as plain ints whenever they are
 integral and as reduced Fractions only otherwise (_q enforces this, and
@@ -28,7 +31,6 @@ all other exponents are non-negative.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -47,7 +49,6 @@ from .monomials import (
     field_of,
     grlex,
     pack_mono,
-    unpacked,
 )
 
 Coeff = Union[int, Fraction]
@@ -473,116 +474,26 @@ def _content(p: Poly) -> Dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# exact division
-
-
-def poly_div_exact(f: Poly, g: Poly) -> Optional[Poly]:
-    """Return q with f = q*g, or None.  Handles Laurent exponents in unit
-    variables by clearing them first (units do not affect divisibility)."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if f.is_zero():
-        return _P_ZERO
-    if _divides_directly(f, g):
-        return _poly_div_nonneg(f, g)
-    # normalize every variable of both operands to zero minimum exponent;
-    # the quotient is corrected by the difference of the removed contents
-    cf = _content(f)
-    cg = _content(g)
-    shift_f = -sum(lo << (FW * k) for k, lo in cf.items())
-    shift_g = -sum(lo << (FW * k) for k, lo in cg.items())
-    # a content exponent is an exponent of its operand, so within its bound
-    fp = f * Poly({shift_f: Q1}, f._eb) if shift_f else f
-    gp = g * Poly({shift_g: Q1}, g._eb) if shift_g else g
-    q = _poly_div_nonneg(fp, gp)
-    if q is None:
-        return None
-    adjust = shift_g - shift_f
-    if any(e < 0 and not is_unit_var(VARS[k]) for k, e in unpacked(adjust)):
-        # quotient would need a genuine denominator
-        return None
-    return q * Poly({adjust: Q1}, f._eb + g._eb) if adjust else q
-
-
-def _divides_directly(f: Poly, g: Poly) -> bool:
-    """True when f / g needs no content normalization: neither operand
-    has a negative exponent and no unit variable divides every term of g.
-    Then a quotient exists only with non-negative exponents, which plain
-    division finds.  (Unit content in g, as in f = 1, g = v, can ask for
-    a Laurent quotient; that takes the normalizing path.)"""
-    bias = mono.BIAS
-    # a field of m is negative exactly when its biased digit lacks the top bit
-    for m in f.terms:
-        if (m + bias) & bias != bias:
-            return False
-    for m in g.terms:
-        if (m + bias) & bias != bias:
-            return False
-    for k in g._fields():
-        if VARS[k][0] in UNIT_KINDS:
-            s = FW * k
-            if all((m + bias) >> s & MASK != HALF for m in g.terms):
-                return False
-    return True
-
-
-def _poly_div_nonneg(f: Poly, g: Poly) -> Optional[Poly]:
-    """Sparse division with a heap of remainder terms (Johnson 1974;
-    Monagan & Pearce 2011): each step pops the leading remainder term in
-    O(log n) instead of scanning the remainder.  Heap entries are
-    (negated order key, monomial); an entry whose monomial has left the
-    remainder is stale and skipped.  Exact quotients are unique, so the
-    verdict and q do not depend on the term order used.
-
-    Every remainder term has total degree at most D, the largest total
-    degree in f (the leading term of g has the largest degree in g), and
-    no negative field, so no field exceeds D <= len(ks) * bound(f)."""
-    ks = by_precedence(set(f._fields()) | set(g._fields()))
-    _bounded(lambda b: len(ks) * b, f)
-    neg_key = grlex(ks, sign=-1)
-    bias = mono.BIAS
-    gm = min(g.terms, key=neg_key)
-    gc = g.terms[gm]
-    rem = dict(f.terms)
-    heap = [(neg_key(m), m) for m in rem]
-    heapq.heapify(heap)
-    q: Dict[Monomial, Coeff] = {}
-    while rem:
-        fm = heapq.heappop(heap)[1]
-        fc = rem.get(fm)
-        if fc is None:
-            continue
-        t = fm - gm
-        if (t + bias) & bias != bias:
-            return None  # gm does not divide fm
-        tc = _qdiv(fc, gc)
-        q[t] = tc  # t strictly decreases, so each quotient term is new
-        for m, c in g.terms.items():
-            key = m + t
-            old = rem.get(key)
-            nc = _q(-c * tc if old is None else old - c * tc)
-            if old is None:
-                rem[key] = nc
-                heapq.heappush(heap, (neg_key(key), key))
-            elif nc:
-                rem[key] = nc
-            else:
-                del rem[key]
-    return Poly(q, f._eb)
+# exact division by an atom (see ratfun): the quotient or None
 
 
 def synthetic_div(f: Poly, g: Poly, parts) -> Optional[Poly]:
-    """poly_div_exact(f, g) for g = A*u + B given as parts = (bit offset
-    s of u, A's monomial am, A's coefficient ac, B's terms), A = ac * am a
+    """f / g for a prime atom g = A*u + B given as parts = (bit offset s
+    of u, A's monomial am, A's coefficient ac, B's terms), A = ac * am a
     unit and B free of u (rejection.prime_parts).
 
     With f = sum_k f_k u^k (f_k free of u, k <= K, split in one decode of
     u's field), q_(K-1) = f_K / A and q_(k-1) = (f_k - B*q_k) / A, each a
     shift by am and one coefficient quotient; g divides f when
-    f_0 - B*q_0 is 0.  Like poly_div_exact it refuses a negative power of
-    a non-unit variable in f.  The q_k of a non-divisor may grow by
-    2 * bound(g) per step; where that could overflow, heap division
-    decides."""
+    f_0 - B*q_0 is 0.  A negative power of a non-unit variable in f is
+    refused.
+
+    The q_k of a non-divisor may grow by 2 * bound(g) per step.  Where
+    that could overflow a field, the bound of a divisor decides: if g
+    divides f, no exponent of q exceeds bound(f) + bound(g) in size (the
+    Newton polytope of f is the sum of q's and g's), so a q_k term past it
+    proves that g does not divide f.  Only a B*q_k that cannot fit a
+    field raises OverflowError."""
     if not f.terms:
         return _P_ZERO
     s, am, ac, b = parts
@@ -600,8 +511,12 @@ def synthetic_div(f: Poly, g: Poly, parts) -> Optional[Poly]:
         else:
             row[m - (e << s)] = c
     top_k = max(rows)
+    shifts = ()  # the fields a q_k term is checked in, where it might overflow
     if f._eb + (2 * top_k + 1) * g._eb >= HALF:
-        return poly_div_exact(f, g)
+        _bounded(lambda bf, bg: bf + 2 * bg, f, g)
+        lim = f._eb + g._eb
+        shifts = [FW * k for k in set(f._fields()) | set(g._fields())]
+        ya = am + bias
     q: Dict[Monomial, Coeff] = {}
     cur: list = []  # the terms of q_k
     for k in range(top_k, -1, -1):
@@ -619,7 +534,66 @@ def synthetic_div(f: Poly, g: Poly, parts) -> Optional[Poly]:
         up = (k - 1) << s
         cur = []
         for m, c in r.items():
+            if shifts:
+                y = m + bias
+                if any(abs((y >> t & MASK) - (ya >> t & MASK)) > lim for t in shifts):
+                    return None
             m -= am
             c = _q(c) if ac == 1 else _qdiv(c, ac)
             cur.append((m, c))
             q[m + up] = c
+
+
+def binomial_div(f: Poly, g: Poly) -> Optional[Poly]:
+    """f / g for a two-term atom g = c1*m1 + c2*m2.
+
+    Let d = m1 - m2, oriented so that it is positive in its field u of
+    largest size.  The terms of f fall into chains base + j*d, j the floor
+    of e_u / d_u (one decode of u's field per term), and g divides f when
+    c1*t + c2 divides each chain sum_j p_j t^j, which synthetic division
+    from the top decides: q_(j-1) = (p_j - c2*q_j) / c1, the last
+    remainder 0.  q_(j-1) sits at base + j*d - m1, where a negative
+    exponent of a non-unit variable means that g does not divide f.
+
+    Quotient terms lie in the span of their chain, so within bound(f) +
+    bound(g).  The packed keys of two chains differ by less than 2 * HALF
+    in every field when 2*bound(f) + bound(g) fits a field (bound(f) +
+    bound(g) when d has one field), so no two chains share a key; that is
+    the one overflow check."""
+    if not f.terms:
+        return _P_ZERO
+    (m1, c1), (m2, c2) = g.terms.items()
+    top = mono.FREE_TOP  # before BIAS (see monomials)
+    bias = mono.BIAS
+    ds = [(((m1 + bias) >> FW * k & MASK) - ((m2 + bias) >> FW * k & MASK), k)
+          for k in g._fields()]
+    ds = [dk for dk in ds if dk[0]]
+    du, k = max(ds, key=lambda dk: abs(dk[0]))
+    if du < 0:
+        du, m1, c1, m2, c2 = -du, m2, c2, m1, c1
+    _bounded(lambda bf, bg: min(len(ds), 2) * bf + bg, f, g)
+    d = m1 - m2
+    s = FW * k
+    chains: Dict[Monomial, Dict[int, Coeff]] = {}
+    for m, c in f.terms.items():
+        j = (((m + bias) >> s & MASK) - HALF) // du
+        chain = chains.get(base := m - j * d)
+        if chain is None:
+            chains[base] = {j: c}
+        else:
+            chain[j] = c
+    q: Dict[Monomial, Coeff] = {}
+    for base, chain in chains.items():
+        lo = min(chain)
+        cq = 0  # q_j
+        for j in range(max(chain), lo, -1):
+            r = chain.get(j, 0) - c2 * cq
+            cq = _q(r) if c1 == 1 else _qdiv(r, c1)
+            if cq:
+                m = base + j * d - m1
+                if (m + bias) & top != top:
+                    return None
+                q[m] = cq
+        if chain[lo] != c2 * cq:
+            return None
+    return Poly(q, f._eb)

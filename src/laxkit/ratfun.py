@@ -27,7 +27,7 @@ Exponents of 'v' and 'wh' variables may be negative (they are units);
 all other exponents are non-negative.
 
 Numerators are poly.Poly values: packed monomials, exact coefficients
-(ints where integral) and heap-driven exact division (see poly.py).
+(ints where integral) and exact division by an atom (see poly.py).
 
 A RatFun is reduced: no atom of its denominator divides its numerator.
 Cancellation is trial division by atoms, and it tries only atoms that
@@ -94,10 +94,11 @@ zero, and so does a two-term atom such as the trig slot atom
 v^2k*w[i,r] - w[i,s] when a root of it in one variable exists mod
 2^61 - 1 (rejection.atom_zero).  The test only ever rejects with that
 certificate; every verdict and every reduced form is the one division
-would give.  The division itself is synthetic division in u for a prime
-atom (poly.synthetic_div, with the atom's split cached on it) and heap
-division (poly_div_exact) for any other divisor, run only when the test
-gives no verdict.
+would give.  The division, run only when the test gives no verdict, is
+one of two synthetic divisions: in u for a prime atom (poly.synthetic_div,
+with the atom's split cached on it), and along the chains
+m0 + j*(m1 - m2) of the numerator for any other atom, which has two
+terms c1*m1 + c2*m2 (poly.binomial_div).
 
 Values are immutable after construction and every operation is pure, so
 they may be shared and sent across threads freely; callers can
@@ -129,8 +130,8 @@ from .poly import (
     _content,
     _q,
     _qdiv,
+    binomial_div,
     is_unit_var,
-    poly_div_exact,
     synthetic_div,
 )
 from .rejection import _memo, atom_root, cannot_divide, prime_parts
@@ -633,17 +634,14 @@ class RatFun:
                 coeffs[t] = RatFun.from_poly(c)
             return TruncSeries(coeffs, None, _R_ZERO)
 
-        num_s = poly_series(self.num)
-        factors = []
-        val_total = num_s.val() if num_s.coeffs else 0
+        out = poly_series(self.num)
+        hi = out.val() + order - 1
         for a, m in self.den.items():
             s = poly_series(a.poly)
-            factors.append((s, m))
-            val_total -= s.val() * m
-        hi = val_total + order - 1
-        out = num_s
-        for s, m in factors:
-            inv = s.inverse(hi + abs(s.val()) * m + order, RatFun.invert)
+            hi -= s.val() * m
+            # the first `order` powers of every factor make the first
+            # `order` powers of the product, whatever the others' valuations
+            inv = s.inverse(order - 1 - s.val(), RatFun.invert)
             for _ in range(m):
                 out = out * inv
         return out.truncate(hi)
@@ -713,7 +711,7 @@ def _cancel(num: Poly, den: Dict[Atom, int], atoms: list) -> Poly:
     for a in atoms:
         m = k = den.get(a, 0)
         while k and not cannot_divide(num, a):
-            q = _divide(num, a)
+            q = poly_div_exact(num, a)
             if q is None:
                 break
             num = q
@@ -726,13 +724,17 @@ def _cancel(num: Poly, den: Dict[Atom, int], atoms: list) -> Poly:
     return num
 
 
-def _divide(num: Poly, a: Atom) -> Optional[Poly]:
-    """num / a exactly, or None: synthetic division by a prime atom, heap
-    division by any other."""
+def poly_div_exact(num: Poly, a: Atom) -> Optional[Poly]:
+    """num / a exactly, or None: synthetic division in u by a prime atom
+    A*u + B, along the chains of its two terms by any other atom (a
+    linear form is always prime, so every other atom has two terms).
+    Every trial division runs through here, and perfbench/tracer.py
+    traces the division layer under this name."""
     parts = prime_parts(a)
-    if parts is None:
-        return poly_div_exact(num, a.poly)
-    return synthetic_div(num, a.poly, parts)
+    if parts is not None:
+        return synthetic_div(num, a.poly, parts)
+    assert len(a.poly.terms) == 2, a
+    return binomial_div(num, a.poly)
 
 
 def reduced_product(a: Poly, b: Dict[Atom, int], c: Poly, d: Dict[Atom, int]) -> RatFun:

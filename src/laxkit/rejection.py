@@ -7,7 +7,9 @@ linear form), every single-variable atom and a trig atom such as
 v^k*w[i,r] - z have it; w[1,1] - v^2*w[1,2] does not (it is
 (wh11 - v*wh12)(wh11 + v*wh12)).  atom_root finds that shape, memoized
 per atom key; RatFun's cancellation rules lean on it (see ratfun), and
-prime_parts gives the split that poly.synthetic_div divides by.
+prime_parts gives the split that poly.synthetic_div divides by.  Every
+atom without that shape has two terms, and poly.binomial_div divides by
+it.
 
 RatFun's trial divisions call cannot_divide(num, atom) first.  It
 evaluates num modulo the prime 2^61 - 1 at a zero of the atom; a
@@ -45,30 +47,35 @@ def _mod_p(c: Coeff) -> Optional[int]:
     return c.numerator * pow(d, -1, P61) % P61
 
 
+def _prime_terms(p: Poly):
+    """(field of u, the term A*u) for each u that writes p as A*u + B of
+    the prime shape (see the module docstring), in the order of p's terms."""
+    terms = [(m, unpacked(m)) for m in p.terms]
+    for m, fields in terms:
+        free = [(k, e) for k, e in fields if VARS[k][0] not in UNIT_KINDS]
+        if len(free) == 1 and free[0][1] == 1:
+            k = free[0][0]
+            if not any(mo != m and any(kk == k for kk, _ in fl) for mo, fl in terms):
+                yield k, m
+
+
 def _linear_root(p: Poly):
     """(field of u, r / residue(u) mod P61) for p = A*u + B of the prime
-    shape (see the module docstring) whose coefficients are integral mod
-    P61, A's scalar a unit there: p vanishes mod P61 at u = r when every
-    other variable is at its residue (see monomials).  False when p has
-    no such shape."""
-    terms = []
+    shape whose coefficients are integral mod P61, A's scalar a unit
+    there: p vanishes mod P61 at u = r when every other variable is at
+    its residue (see monomials).  False when p has no such shape."""
+    coeffs = {}
     for m, c in p.terms.items():
         c = _mod_p(c)
         if c is None:
             return False
-        terms.append((m, c, unpacked(m)))
-    for m, c, fields in terms:
-        if not c:
-            continue
-        free = [(k, e) for k, e in fields if VARS[k][0] not in UNIT_KINDS]
-        if len(free) != 1 or free[0][1] != 1:
-            continue
-        k = free[0][0]
-        if any(mo != m and any(kk == k for kk, _ in fl) for mo, _, fl in terms):
-            continue
-        # A(pt) * r + B(pt) = 0 with A(pt) * r = c * residue(m) * (r / residue(u))
-        b = sum(co * _mono_residue(mo) for mo, co, _ in terms if mo != m)
-        return k, -b * pow(c * _mono_residue(m), -1, P61) % P61
+        coeffs[m] = c
+    for k, m in _prime_terms(p):
+        c = coeffs[m]
+        if c:
+            # A(pt) * r + B(pt) = 0 with A(pt) * r = c * residue(m) * (r / residue(u))
+            b = sum(co * _mono_residue(mo) for mo, co in coeffs.items() if mo != m)
+            return k, -b * pow(c * _mono_residue(m), -1, P61) % P61
     return False
 
 
@@ -147,15 +154,17 @@ def atom_zero(atom: Atom):
 
 
 def prime_parts(atom: Atom):
-    """(bit offset of u, A's monomial, A's coefficient, B's terms) of a
-    prime atom A*u + B, u the variable atom_root picks: the operands of
-    poly.synthetic_div.  Cached on the atom; None when it is not prime."""
+    """(bit offset of u, A's monomial, A's coefficient, B's terms) of an
+    atom of the prime shape A*u + B: the operands of poly.synthetic_div.
+    u is the variable atom_root picks, or the first _prime_terms gives
+    where a coefficient leaves no root mod P61.  Cached on the atom; None
+    when it has no such shape."""
     parts = atom._parts
     if parts is None:
-        root = atom_root(atom)
+        shape = atom_root(atom) or next(_prime_terms(atom.poly), False)
         parts = False
-        if root:
-            s = FW * root[0]
+        if shape:
+            s = FW * shape[0]
             bias = mono.BIAS
             b = []
             for m, c in atom.poly.terms.items():
@@ -194,8 +203,9 @@ def cannot_divide(num: Poly, atom: Atom) -> bool:
     value, an atom without a zero (a non-prime atom of three or more
     terms, a two-term one whose root does not exist or is not computed,
     see _binomial_root) or a coefficient whose denominator is divisible
-    by P; the caller then divides as before.  No verdict and no reduced
-    form can differ from plain trial division."""
+    by P; the numerator is then divided by the atom
+    (ratfun.poly_div_exact).  No verdict and no reduced form can differ
+    from plain trial division."""
     zero = atom_zero(atom)
     if not zero:
         return False

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraElement, AlgebraSignature, embed, mat_map, unreduced_product
 from .coweight import Divisor
-from .errors import SignatureMismatch, SingularLeadingMode
+from .errors import SignatureMismatch, SingularLeadingMode, SizeMismatch
 from .lax_rational import fuse
 from .poly import Poly, mul_add
 from .ratfun import RatFun, V, W, Z, den_product, grouped_sum_is_zero, substitute, x_var
@@ -423,23 +423,29 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
                                 order: Optional[int] = None) -> CoproductReport:
     """Check the finite list of coproduct formulas on the images of the
     low current-algebra modes, through the series Gauss decomposition of
-    the fused matrix."""
+    the fused matrix, exact through `order`.  An order below the deepest
+    mode the checks read raises SizeMismatch."""
     from .lax_rational import build_lax
 
     if div1.mode != "rational" or div2.mode != "rational":
         raise SignatureMismatch("generator-level checks run in rational mode")
     n = div1.n
-    T1 = build_lax(div1)
-    T2 = build_lax(div2)
-    delta = fuse(T1, T2)
-    sig = delta.signature
     d1 = div1.mu.d
     d2 = div2.mu.d
     d = [a + b for a, b in zip(d1, d2)]
     b1 = [d1[i] - d1[i + 1] for i in range(n - 1)]
     b2 = [d2[i] - d2[i + 1] for i in range(n - 1)]
+    # F and E are read through mode b + 1, G_i through mode 2 - d_i
+    deepest = max([2 - x for x in d] + [b + 1 for b in b1 + b2])
     if order is None:
-        order = max(4, 2 + max(abs(x) for x in d))
+        order = max(4, 2 + max(abs(x) for x in d), deepest)
+    elif order < deepest:
+        raise SizeMismatch(f"order {order} is below {deepest}, the deepest mode "
+                           "the generator checks read")
+    T1 = build_lax(div1)
+    T2 = T1 if div2 == div1 else build_lax(div2)
+    delta = fuse(T1, T2)
+    sig = delta.signature
     F, G, E = _series_gauss(delta, d, order)
     # each Gauss entry of T1 and T2 is expanded once, to the deepest mode
     # read from it

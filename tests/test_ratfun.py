@@ -422,31 +422,57 @@ def _random_div_poly(rng, terms, vars_=_DIV_VARS):
     return Poly(out)
 
 
+def _division_atoms(rng):
+    """_prime_atoms, which are divided in u, then the two-term atoms of
+    _BINOMIALS, z^4 - 1 and one with Fraction coefficients, which are
+    divided along chains."""
+    from laxkit.textio import parse_poly
+
+    texts = _BINOMIALS + ["z^4 - 1", "3*z^3*x[x1] + 2/3*v^2"]
+    return _prime_atoms(rng) + [_one_atom(parse_poly(t)) for t in texts]
+
+
 def test_exact_division_matches_sympy():
+    # RatFun's division by an atom: synthetic division in u by the prime
+    # atoms, along chains by the two-term ones
     sympy = pytest.importorskip("sympy")
+    from laxkit.rejection import prime_parts
+
     rng = random.Random(41)
-    hits = misses = 0
-    for idx in range(150):
-        f = _random_div_poly(rng, 4)
-        g = _random_div_poly(rng, 3)
+    vars_ = _DIV_VARS + [wh_var(1, 2)]
+    atoms = _division_atoms(rng)
+    seen = dict.fromkeys(("hit", "miss", "binomial hit", "binomial miss", "unit", "fraction"), 0)
+    for idx in range(330):
+        atom = atoms[idx % len(atoms)]
+        g = atom.poly
+        kernel = "binomial " if prime_parts(atom) is None else ""
+        f = _random_div_poly(rng, 4, vars_)
         if idx % 5 == 0:
-            g = g * Poly.variable(V)  # unit content the dividend may lack
-        assert poly_div_exact(f * g, g) == f
-        h = f * g + _random_div_poly(rng, 2)
-        if h.is_zero():
-            continue
-        q = poly_div_exact(h, g)
-        want = _sympy_divides(sympy, h, g)
-        assert (q is not None) == want, (h, g)
-        if q is not None:
-            hits += 1
-            assert q * g == h
-            assert all(
-                e >= 0 or is_unit_var(v) for m in q.terms for v, e in unpack_mono(m)
-            )
-        else:
-            misses += 1
-    assert hits and misses > 50
+            # Laurent unit content, negative powers included
+            f = f * Poly.monomial(((V, -3), (wh_var(1, 1), 2)), Fraction(2, 3))
+            seen["unit"] += 1
+        seen["fraction"] += any(c.__class__ is Fraction for c in (f * g).terms.values())
+        assert poly_div_exact(f * g, atom) == f
+        assert poly_div_exact(f * g * g, atom) == f * g
+        noise = _random_div_poly(rng, 2, vars_)
+        h = f * g + (noise * g if idx % 3 == 0 else noise)
+        if not h.is_zero():
+            q = poly_div_exact(h, atom)
+            assert (q is not None) == _sympy_divides(sympy, h, g), (h, atom)
+            if q is not None:
+                assert q * g == h
+                assert all(
+                    e >= 0 or is_unit_var(v) for m in q.terms for v, e in unpack_mono(m)
+                )
+            seen[kernel + ("hit" if q is not None else "miss")] += 1
+        # the quotient f * v^-(1 + deg_v f) holds a negative power of a
+        # non-unit variable, so no division may succeed, even where g
+        # makes up for it in the dividend
+        v = rng.choice([Z, x_var("x1"), p_var(1, 1)])
+        assert poly_div_exact(f * Poly.variable(v, -1 - f.degree(v)) * g, atom) is None
+    assert seen["hit"] > 60 and seen["miss"] > 120, seen
+    assert seen["binomial hit"] > 15 and seen["binomial miss"] > 30, seen
+    assert seen["unit"] == 66 and seen["fraction"] > 200, seen
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +702,13 @@ def test_coefficients_are_ints_when_integral():
         except (NotAtomFactorable, ZeroDivisionError):
             pass
         _assert_canonical(a.series("z_inf", 2))
+    atoms = _division_atoms(random.Random(50))
     for idx in range(60):
         f = _random_mixed_poly(rng, 4)
         g = _random_mixed_poly(rng, 3)
+        atom = atoms[idx % len(atoms)]
         _assert_canonical(f)
-        for h in (f + g, f * g, f * half, f * 2, -f, poly_div_exact(f * g, g),
+        for h in (f + g, f * g, f * half, f * 2, -f, poly_div_exact(f * atom.poly, atom),
                   f.rename_var(Z, W), f.scale_var(x_var("x1"), ((V, 1),), half)):
             _assert_canonical(h)
         nonlaurent = _random_mixed_poly(rng, 4, laurent=False)
@@ -695,22 +723,24 @@ def test_mixed_coefficient_arithmetic_matches_sympy():
     from laxkit.textio import parse_poly
 
     rng = random.Random(52)
-    for _ in range(120):
+    atoms = _division_atoms(random.Random(53))
+    for idx in range(120):
         f = _random_mixed_poly(rng, 4)
         g = _random_mixed_poly(rng, 3)
+        atom = atoms[idx % len(atoms)]
         fs, gs = _sympy_expr(sympy, f)[0], _sympy_expr(sympy, g)[0]
         assert sympy.expand(_sympy_expr(sympy, f + g)[0] - (fs + gs)) == 0
         assert sympy.expand(_sympy_expr(sympy, f * g)[0] - fs * gs) == 0
-        assert poly_div_exact(f * g, g) == f
+        assert poly_div_exact(f * atom.poly, atom) == f
         for p in (f, g, f * g):
             back = parse_poly(render_poly(p))
             assert back == p
             assert {m: type(c) for m, c in back.terms.items()} == {
                 m: type(c) for m, c in p.terms.items()
             }
-        h = f * g + _random_mixed_poly(rng, 2)
+        h = f * atom.poly + _random_mixed_poly(rng, 2)
         if not h.is_zero():
-            assert (poly_div_exact(h, g) is not None) == _sympy_divides(sympy, h, g)
+            assert (poly_div_exact(h, atom) is not None) == _sympy_divides(sympy, h, atom.poly)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +771,7 @@ def test_rejection_never_fires_on_multiples():
         h = f * atom.poly + _random_mixed_poly(rng, 2)
         if _cannot_divide(h, atom):
             rejected += 1
-            assert poly_div_exact(h, atom.poly) is None
+            assert poly_div_exact(h, atom) is None
     assert rejected > 200  # the test is not vacuous
 
 
@@ -763,6 +793,15 @@ def test_rejection_falls_through_on_denominators_divisible_by_p():
     assert ratio.num == f and not ratio.den
     ratio = RatFun.ratio(f * atom.poly + 1, atom.poly)
     assert list(ratio.den.values()) == [1]
+    # a linear atom has the prime shape whatever its coefficients, so it
+    # is divided synthetically even without a root mod P
+    from laxkit.rejection import atom_root, prime_parts
+
+    lin = Poly.variable(Z) + Poly.variable(p_var(1, 1)) + Poly.const(Fraction(1, _P61))
+    (odd,) = RatFun.ratio(1, lin).den
+    assert atom_root(odd) is False and prime_parts(odd) is not None
+    ratio = RatFun.ratio(f * lin, lin)
+    assert ratio.num == f and not ratio.den
 
 
 def test_rejection_applies_to_trig_slot_binomials():
@@ -824,9 +863,28 @@ def test_exponent_overflow_raises():
     assert (Poly.variable(V, -h) * Poly.variable(V, 1 - h)).min_exp(V) == 1 - HALF
     with pytest.raises(OverflowError):
         big.scale_var(Z, ((V, 1),))
-    # the quotient v^-(2h + 2) * z does not fit
+    # each division kernel: synthetic_div past its precheck, where a B * q_k
+    # (|exponent| up to 2 + 2 (h - 1)) would not fit
+    from laxkit.monomials import FW, VARS
+    from laxkit.poly import binomial_div, synthetic_div
+    from laxkit.rejection import prime_parts
+    from laxkit.textio import parse_poly
+
+    atom = _one_atom(parse_poly(f"z + v^{h - 1}*x[x1]"))
+    parts = prime_parts(atom)
+    u = Poly.variable(VARS[parts[0] // FW])
     with pytest.raises(OverflowError):
-        poly_div_exact(Poly.variable(V, -(h + 1)) * Poly.variable(Z), Poly.variable(V, h + 1))
+        synthetic_div(u * Poly.variable(V, 2), atom.poly, parts)
+    # binomial_div, where a chain key or a quotient term might not fit
+    slot = _one_atom(parse_poly("v^2*w[1,2] - w[1,1]")).poly
+    with pytest.raises(OverflowError):
+        binomial_div(Poly.variable(V, h), slot)
+    quartic = _one_atom(parse_poly("z^4 - 1")).poly
+    with pytest.raises(OverflowError):
+        binomial_div(Poly.variable(Z, HALF - 4), quartic)
+    # the largest exponent that does: the dividend z^(HALF - 5) - z^(HALF - 9)
+    top = Poly.variable(Z, HALF - 9)
+    assert binomial_div(top * quartic, quartic) == top
 
 
 def test_loose_exponent_bound_is_tightened_not_raised():
@@ -1315,7 +1373,7 @@ def test_rejection_never_fires_on_divisible_trig_numerators():
             assert not _sympy_divides(sympy, h, atom.poly), (h, atom)
         elif idx % 4 == 0:
             # a zero value decides nothing: the division does
-            assert (poly_div_exact(h, atom.poly) is not None) == _sympy_divides(sympy, h, atom.poly)
+            assert (poly_div_exact(h, atom) is not None) == _sympy_divides(sympy, h, atom.poly)
     assert rejected > 100
 
 
@@ -1355,7 +1413,7 @@ def test_binomial_rejection_matches_sympy():
             if not h.is_zero() and cannot_divide(h, atom):
                 rejected += 1
                 assert not _sympy_divides(sympy, h, atom.poly), (h, atom)
-                assert poly_div_exact(h, atom.poly) is None
+                assert poly_div_exact(h, atom) is None
         assert rejected >= 20, text
 
 
@@ -1575,7 +1633,7 @@ def test_linear_split_matches_peel_and_canonical_atom():
 
 
 # ---------------------------------------------------------------------------
-# synthetic division by prime atoms: against the heap division and sympy
+# synthetic division by prime atoms, against sympy
 
 
 _PRIME_TEXTS = [
@@ -1610,7 +1668,7 @@ def _prime_atoms(rng):
     return out
 
 
-def test_synthetic_division_matches_heap_division_and_sympy():
+def test_synthetic_division_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from laxkit.monomials import FW, VARS
     from laxkit.poly import synthetic_div
@@ -1628,45 +1686,93 @@ def test_synthetic_division_matches_heap_division_and_sympy():
         f = _random_div_poly(rng, 4)
         g = atom.poly
         seen["fraction"] += any(c.__class__ is Fraction for c in (f * g).terms.values())
-        assert synthetic_div(f * g, g, parts) == poly_div_exact(f * g, g) == f
+        assert synthetic_div(f * g, g, parts) == f
         seen["exact"] += 1
         noise = _random_div_poly(rng, 2)
         h = f * g + (noise * g if idx % 4 == 0 else noise)
         if h.is_zero():
             continue
         q = synthetic_div(h, g, parts)
-        assert q == poly_div_exact(h, g), (h, atom)
         assert (q is not None) == _sympy_divides(sympy, h, g), (h, atom)
+        assert q is None or q * g == h
         seen["divides" if q is not None else "not"] += 1
         if idx % 3 == 0:
             # a negative power of u (or of another non-unit variable) is
-            # refused by both divisions, even where q * u^-1 would do
+            # refused, even where q * u^-1 would do
             u = VARS[s // FW]
             for v in (u, rng.choice([Z, x_var("x1"), p_var(1, 1)])):
                 lowered = (f * Poly.variable(v, -1 - f.degree(v))) * g
                 if lowered.min_exp(v) >= 0:
                     continue  # g = v made up for it
                 assert synthetic_div(lowered, g, parts) is None
-                assert poly_div_exact(lowered, g) is None
                 seen["negative"] += 1
     assert seen["not"] > 100 and seen["divides"] > 50 and seen["unit A"] > 40, seen
     assert seen["fraction"] > 100 and seen["negative"] > 100, seen
 
 
+def test_synthetic_division_past_the_precheck_matches_sympy():
+    # exponents near HALF // 4 fail synthetic_div's precheck
+    # bound(f) + (2K + 1) bound(g) < HALF, so each q_k term is held to
+    # bound(f) + bound(g), the bound of a divisor's quotient; nothing wraps
+    sympy = pytest.importorskip("sympy")
+    from laxkit.monomials import FW, VARS
+    from laxkit.poly import synthetic_div
+    from laxkit.rejection import prime_parts
+    from laxkit.textio import parse_poly
+
+    h = HALF // 4
+    # x[x1]^2 is no candidate for u, so u is z in every atom
+    atoms = [_one_atom(parse_poly(t)) for t in (
+        f"z - v^{h}*x[x1]^2", f"v^{h}*z + 2*wh[1,1]^{h}*x[x1]^2", f"z*wh[1,1]^{h} - 3*v^{h}")]
+    quotients = [parse_poly(t) for t in (
+        "z^2*v^-3 + 3*x[x1]*wh[1,1]^2 - 1/2*p[1,1]", "z*x[x1]^2 - v^5", "z^3 - p[1,1]")]
+    noise = [parse_poly(t) for t in ("z*x[x1]", f"2*v^{h}*z^2", "z^4 + 1")]
+    for atom in atoms:
+        g = atom.poly
+        parts = prime_parts(atom)
+        assert VARS[parts[0] // FW] == Z, atom
+        for q, r in zip(quotients, noise):
+            f = q * g
+            assert f._eb + (2 * f.degree(Z) + 1) * g._eb >= HALF  # past the precheck
+            assert synthetic_div(f, g, parts) == q
+            got = synthetic_div(f + r, g, parts)
+            assert got is None and not _sympy_divides(sympy, f + r, g), (atom, r)
+        # z^4 + 1 alone: q_0 would be a multiple of v^3h, and B * q_0 does
+        # not fit a field, but q_1 is already past the bound
+        z4 = parse_poly("z^4 + 1")
+        assert synthetic_div(z4, g, parts) is None and not _sympy_divides(sympy, z4, g)
+    # z^7 is v^(7h) mod z - v^h, for v a unit variable.  Past HALF the
+    # packed v^(7h) would wrap into v^(7h - 2 HALF) times the variable y of
+    # the next field, so a division that let B * q_k wrap would take
+    # z^7 - v^(7h - 2 HALF) * y for a multiple; the bound stops it at q_3
+    from laxkit.monomials import FIELD
+
+    v, y = wh_var(7, 7, 7), x_var("y7")  # fresh: adjacent fields
+    Poly.variable(v), Poly.variable(y)
+    assert FIELD[y] == FIELD[v] + 1
+    atom = _one_atom(Poly.variable(Z) - Poly.variable(v, h))
+    f = Poly.variable(Z, 7) - Poly.monomial(((v, 7 * h - 2 * HALF), (y, 1)))
+    assert synthetic_div(f, atom.poly, prime_parts(atom)) is None
+
+
 def test_cancellation_divides_prime_atoms_synthetically(monkeypatch):
-    # _cancel leaves the heap for prime atoms and keeps it for the others
+    # _cancel divides a prime atom by synthetic division in u and a
+    # two-term one by division along chains
     import laxkit.ratfun as ratfun_mod
     from laxkit.textio import parse_poly
 
-    heap = []
-    real = ratfun_mod.poly_div_exact
-    monkeypatch.setattr(ratfun_mod, "poly_div_exact", lambda f, g: heap.append(g) or real(f, g))
+    calls = []
+    for name in ("synthetic_div", "binomial_div"):
+        real = getattr(ratfun_mod, name)
+        monkeypatch.setattr(ratfun_mod, name, lambda f, g, *parts, name=name, real=real: (
+            calls.append((name, g)) or real(f, g, *parts)))
     prime = RatFun.ratio(1, parse_poly("z - p[1,1]"))
-    assert (prime * (z - p11)).equals(1) and not heap
+    assert (prime * (z - p11)).equals(1)
+    assert calls == [("synthetic_div", parse_poly("z - p[1,1]"))]
     quartic = RatFun.ratio(1, parse_poly("z^4 - 1"))
-    heap.clear()
+    calls.clear()
     assert render_poly((quartic * RatFun.from_poly(parse_poly("z^4 - 1"))).num) == "1"
-    assert heap == [parse_poly("z^4 - 1")]
+    assert calls == [("binomial_div", parse_poly("z^4 - 1"))]
 
 
 # ---------------------------------------------------------------------------

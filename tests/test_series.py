@@ -204,13 +204,20 @@ def _ratfun_series_cases():
                 continue
             f = RatFun.quotient(num, factors)
             for order in (1, 3, 6):
-                s = f.series("z_inf", order)
-                # a short order can leave the window below the leading
-                # power (the inverse of a z-free atom is not padded by
-                # the numerator's z-degree): nothing to invert then
-                if s.coeffs:
-                    out.append(s)
+                out.append(f.series("z_inf", order))
     return out
+
+
+def test_series_window_reaches_the_leading_power():
+    # the numerator's z-degree exceeds the denominator's by 3: the first
+    # power is t^-3, also at order 1 and over an atom free of z
+    z, p11, p21 = (Poly.variable(v) for v in (Z, p_var(1, 1), p_var(2, 1)))
+    atom = p11 - p21 + 1
+    f = RatFun.quotient(z * z * z * 2 + p11, [(atom, 1)])
+    for order in (1, 2, 4):
+        s = f.series("z_inf", order)
+        assert s.hi == order - 4 and s.val() == -3
+        assert s.coeff(-3).equals(RatFun.ratio(2, atom))
 
 
 def _int_series_cases():
