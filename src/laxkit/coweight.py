@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraSignature
 from .errors import BadDiagram, NotAdmissible, ParseError, SizeMismatch
+from .monomials import HALF
 
 Point = Union[str, Fraction]
 
@@ -139,6 +140,16 @@ class PseudoYoungDiagram:
         )
 
 
+# The diagonal Gauss entry of row i holds z - x once for each finite
+# summand of lower index and z - p[i,t] once for each slot of row i, so
+# the z-degree of the last one's numerator reaches the number of summands
+# of sign +1 (the bound counts both signs) and each slot count.  No
+# exponent reaches HALF = 2^15 (see monomials), so a divisor past
+# MAX_SUMMANDS could only end in OverflowError, after expanding a
+# polynomial of that degree; it is refused before anything is expanded.
+MAX_SUMMANDS = HALF - 1
+
+
 @dataclass(frozen=True)
 class Summand:
     point: Point
@@ -178,13 +189,15 @@ class Divisor:
     @staticmethod
     def make(n: int, mode: str, points: Sequence[Tuple[Point, Coweight]],
              mu: Coweight, mu_zero: Optional[Coweight] = None) -> "Divisor":
-        """Build from per-point dominant coweights, decomposed into
-        fundamental summands."""
+        """Build from per-point dominant coweights, decomposed into at
+        most MAX_SUMMANDS fundamental summands."""
         summands: List[Summand] = []
-        for pt, cw in points:
+        coeffs = [cw.to_fundamental() for _, cw in points]
+        if sum(abs(ci) for c in coeffs for ci in c) > MAX_SUMMANDS:
+            raise NotAdmissible(f"finite points hold more than {MAX_SUMMANDS} summands")
+        for (pt, _), c in zip(points, coeffs):
             if isinstance(pt, (int,)):
                 pt = Fraction(pt)
-            c = cw.to_fundamental()
             if any(ci < 0 for ci in c[1:]):
                 raise NotAdmissible(f"non-dominant coefficient at {pt}: {c}")
             for i in range(1, n):
@@ -215,6 +228,8 @@ class Divisor:
         a = tuple(out[:-1])
         if any(x < 0 for x in a):
             raise NotAdmissible(f"negative slot count in {a}")
+        if any(x > MAX_SUMMANDS for x in a):
+            raise NotAdmissible(f"a slot count in {a} is above {MAX_SUMMANDS}")
         return a
 
     def signature(self) -> AlgebraSignature:

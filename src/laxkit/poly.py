@@ -480,7 +480,7 @@ def _content(p: Poly) -> Dict[int, int]:
 def synthetic_div(f: Poly, g: Poly, parts) -> Optional[Poly]:
     """f / g for a prime atom g = A*u + B given as parts = (bit offset s
     of u, A's monomial am, A's coefficient ac, B's terms), A = ac * am a
-    unit and B free of u (rejection.prime_parts).
+    unit and B free of u (ratfun.Atom.parts, from rejection.prime_parts).
 
     With f = sum_k f_k u^k (f_k free of u, k <= K, split in one decode of
     u's field), q_(K-1) = f_K / A and q_(k-1) = (f_k - B*q_k) / A, each a

@@ -31,7 +31,7 @@ Numerators are poly.Poly values: packed monomials, exact coefficients
 
 A RatFun is reduced: no atom of its denominator divides its numerator.
 Cancellation is trial division by atoms, and it tries only atoms that
-can cancel.  An atom is *prime* (rejection.atom_root) when it is A*u + B
+can cancel.  An atom is *prime* (Atom.root) when it is A*u + B
 with u a non-unit variable at exponent 1, A a unit and B free of u; such
 an atom is irreducible, so it divides a product only by dividing a
 factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
@@ -92,24 +92,30 @@ zero of the atom and a nonzero value proves that the atom does not
 divide it, so the division is skipped.  Every prime atom has such a
 zero, and so does a two-term atom such as the trig slot atom
 v^2k*w[i,r] - w[i,s] when a root of it in one variable exists mod
-2^61 - 1 (rejection.atom_zero).  The test only ever rejects with that
+2^61 - 1 (Atom.zero).  The test only ever rejects with that
 certificate; every verdict and every reduced form is the one division
 would give.  The division, run only when the test gives no verdict, is
-one of two synthetic divisions: in u for a prime atom (poly.synthetic_div,
-with the atom's split cached on it), and along the chains
+one of two synthetic divisions: in u for a prime atom (poly.synthetic_div
+by the atom's split A*u + B, Atom.parts), and along the chains
 m0 + j*(m1 - m2) of the numerator for any other atom, which has two
 terms c1*m1 + c2*m2 (poly.binomial_div).
+
+Every Atom is made by _atom, once per key (hash-consing, after
+Filliatre and Conchon, ML Workshop 2006).  The kernel does not know the
+mode: _is_atom_shape accepts a two-term atom such as z^2 - 1 in either
+mode, and only matrix files (textio) hold rational atoms to linear forms.
 
 Values are immutable after construction and every operation is pure, so
 they may be shared and sent across threads freely; callers can
 parallelize over independent computations without locks.  (A Poly
-caches its variable fields, an Atom its zero mod 2^61 - 1 and its
-split A*u + B, and module-level memos the split of a factor
-(factor_atoms), the zero of an atom key, the value of a monomial at the
-fixed residues and the image of an atom under a keyed ring map
+caches its variable fields, and module-level memos the Atom of a key
+(_atom), the split of a factor (factor_atoms), the value of a monomial
+at the fixed residues and the image of an atom under a keyed ring map
 (substitute), all on first use; each is a function of its key alone,
-so concurrent fills agree.)  To move a value to another process,
-send its rendered text.
+so concurrent fills agree.  Atoms compare and hash by key, not by
+identity, so an atom made twice for one key, in a race or after a
+memo is cleared at its cap, costs only the second construction.)  To
+move a value to another process, send its rendered text.
 """
 
 from __future__ import annotations
@@ -134,7 +140,7 @@ from .poly import (
     is_unit_var,
     synthetic_div,
 )
-from .rejection import _memo, atom_root, cannot_divide, prime_parts
+from .rejection import _binomial_root, _linear_root, cannot_divide, prime_parts
 
 Z = ("z",)
 W = ("w",)
@@ -162,22 +168,28 @@ def x_var(label) -> Var:
 
 
 class Atom:
-    """Canonical denominator factor.
+    """Canonical denominator factor, made only by _atom, once per key.
 
     Stored as a normalized Poly: content-free, non-negative z/w/x/p
     exponents, unit-variable exponents shifted to be >= 0 with a zero
-    minimum, leading coefficient 1 under the term order.
+    minimum, leading coefficient 1 under the term order.  Set when it is
+    made: root (rejection._linear_root, False when not prime), zero (the
+    point cannot_divide evaluates at), parts (rejection.prime_parts, False
+    for a two-term atom) and unit_only (no prime atom divides it).
     """
 
-    __slots__ = ("poly", "key", "_hash", "_root", "_parts", "_zero")
+    __slots__ = ("poly", "key", "_hash", "root", "zero", "parts", "unit_only")
 
     def __init__(self, poly: Poly, key):
         self.poly = poly
         self.key = key
         self._hash = hash(key)
-        self._root = None  # rejection.atom_root, computed on first use
-        self._parts = None  # rejection.prime_parts, computed on first use
-        self._zero = None  # rejection.atom_zero, computed on first use
+        self.root = _linear_root(poly)
+        self.zero = self.root or _binomial_root(poly)
+        self.parts = prime_parts(poly)
+        # a linear form is always prime, so every other atom has two terms
+        assert self.parts or len(poly.terms) == 2, poly
+        self.unit_only = all(VARS[k][0] in UNIT_KINDS for k in poly._fields())
 
     def __eq__(self, other):
         return isinstance(other, Atom) and self.key == other.key
@@ -192,6 +204,31 @@ class Atom:
         from .textio import render_poly
 
         return f"Atom({render_poly(self.poly)})"
+
+
+def _atom(poly: Poly, key) -> Atom:
+    """The one Atom of key (poly its polynomial), kept in _ATOMS."""
+    return _memo(_ATOMS, key, Atom, poly, key)
+
+
+def _memo(table: dict, key, fn, *args):
+    """fn(*args) memoized in table under key (a cached None is a hit),
+    fn(*args) being a function of the key alone; the table is cleared
+    when it holds _MEMO_CAP entries.  _ATOMS, _SPLITS and _IMAGES all go
+    through here."""
+    out = table.get(key, _UNSEEN)
+    if out is _UNSEEN:
+        out = fn(*args)
+        if len(table) >= _MEMO_CAP:
+            table.clear()
+        table[key] = out
+    return out
+
+
+# atom key -> its Atom (_atom)
+_ATOMS: Dict[tuple, Atom] = {}
+_MEMO_CAP = 1 << 12
+_UNSEEN = object()
 
 
 def _atom_key(p: Poly):
@@ -246,7 +283,7 @@ def _linear_split(p: Poly) -> Optional[Tuple[Poly, Dict[Atom, int]]]:
         key = (((), _q(const * inv)),) + key
     if lc != 1:
         p = Poly({m: _q(c * inv) for m, c in terms.items()}, 1)
-    return Poly.const(lc), {Atom(p, key): 1}
+    return Poly.const(lc), {_atom(p, key): 1}
 
 
 def _peel_content(p: Poly) -> Tuple[Poly, Dict[Atom, int], Poly]:
@@ -283,7 +320,7 @@ def _negative_lift(p: Poly) -> Monomial:
 
 def _monomial_atom(v: Var) -> Atom:
     p = Poly.variable(v)
-    return Atom(p, _atom_key(p))
+    return _atom(p, _atom_key(p))
 
 
 def _canonical_atom(p: Poly) -> Tuple[Atom, Poly]:
@@ -297,7 +334,7 @@ def _canonical_atom(p: Poly) -> Tuple[Atom, Poly]:
         inv = _qdiv(1, lc)
         p = p * inv
         key = tuple((m, _q(c * inv)) for m, c in key)
-    return Atom(p, key), Poly.const(lc)
+    return _atom(p, key), Poly.const(lc)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +437,7 @@ class RatFun:
                 num = num * a.poly ** m
             elif m < 0:
                 den[a] = -m
-        if all(_prime(a) or _unit_only(a) for a, m in exps.items() if m):
+        if all(a.root or a.unit_only for a, m in exps.items() if m):
             return RatFun(num, den)
         return RatFun._make(num, den)
 
@@ -435,8 +472,8 @@ class RatFun:
         common, num = _lifted_sum([(self.num, b), (other.num, d)])
         if num.is_zero():
             return _R_ZERO
-        tries = [t for t in common if b.get(t) == d.get(t) or not _prime(t)]
-        if not all(_prime(t) or _unit_only(t) for t in tries):
+        tries = [t for t in common if b.get(t) == d.get(t) or not t.root]
+        if not all(t.root or t.unit_only for t in tries):
             return RatFun._make(num, common)
         return RatFun(_cancel(num, common, tries), common)
 
@@ -506,7 +543,7 @@ class RatFun:
         num = _invert_unit(unit)
         for a, m in self.den.items():
             num = num * a.poly ** m
-        if all(map(_prime, atoms)) and all(map(_prime, self.den)):
+        if all(a.root for a in atoms) and all(a.root for a in self.den):
             return RatFun(num, atoms)
         return RatFun._make(num, atoms)
 
@@ -694,16 +731,6 @@ def den_product(a: Dict[Atom, int], b: Dict[Atom, int]) -> Dict[Atom, int]:
     return out
 
 
-def _prime(a: Atom) -> bool:
-    return atom_root(a) is not False
-
-
-def _unit_only(a: Atom) -> bool:
-    """True when a holds unit variables only, so no prime atom (which
-    holds a non-unit variable) divides it."""
-    return all(VARS[k][0] in UNIT_KINDS for k in a.poly._fields())
-
-
 def _cancel(num: Poly, den: Dict[Atom, int], atoms: list) -> Poly:
     """num divided by each of atoms as often as it divides and den holds
     it; den loses what was divided (in place).  One pass is exhaustive:
@@ -730,10 +757,8 @@ def poly_div_exact(num: Poly, a: Atom) -> Optional[Poly]:
     linear form is always prime, so every other atom has two terms).
     Every trial division runs through here, and perfbench/tracer.py
     traces the division layer under this name."""
-    parts = prime_parts(a)
-    if parts is not None:
-        return synthetic_div(num, a.poly, parts)
-    assert len(a.poly.terms) == 2, a
+    if a.parts:
+        return synthetic_div(num, a.poly, a.parts)
     return binomial_div(num, a.poly)
 
 
@@ -741,8 +766,8 @@ def reduced_product(a: Poly, b: Dict[Atom, int], c: Poly, d: Dict[Atom, int]) ->
     """(a / b) * (c / d) for nonzero reduced fractions, by the product rule
     of the module docstring."""
     den = den_product(b, d)
-    others = [t for t in den if not _prime(t)]
-    if not all(map(_unit_only, others)):
+    others = [t for t in den if not t.root]
+    if not all(t.unit_only for t in others):
         return RatFun._make(a * c, den)
     c = _cancel(c, den, [t for t in b if t not in d])
     a = _cancel(a, den, [t for t in d if t not in b])
@@ -787,7 +812,7 @@ def _atom_image(a: Atom, poly_fn):
 
 
 # (atom, map key) -> _atom_image; a function of the key alone (an Atom
-# hashes and compares as its key), capped by rejection._memo
+# hashes and compares as its key), capped by _memo
 _IMAGES: Dict[tuple, object] = {}
 
 
@@ -869,8 +894,8 @@ def _has_pole(groups: list) -> bool:
                 top[a] = [m, g]
             elif t[0] == m:
                 t[1] = None
-    others = [b for b in top if not (_prime(b) or _unit_only(b))]
-    return any(g is not None and len(a.poly.terms) > 1 and _prime(a)
+    others = [b for b in top if not (b.root or b.unit_only)]
+    return any(g is not None and len(a.poly.terms) > 1 and a.root
                and cannot_divide(g[0], a)
                and all(cannot_divide(b.poly, a) for b in others)
                for a, (_, g) in top.items())
@@ -983,7 +1008,7 @@ def factor_atoms(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
 
 
 # frozenset of a Poly's terms -> (unit, ((atom, multiplicity), ...)) of
-# _split, a function of the terms alone; capped by rejection._memo
+# _split, a function of the terms alone; capped by _memo
 _SPLITS: Dict[frozenset, tuple] = {}
 
 

@@ -5,16 +5,17 @@ An atom is *prime* when it has the shape A*u + B: u a non-unit variable
 the unit variables v and wh, B free of u.  Every rational-mode atom (a
 linear form), every single-variable atom and a trig atom such as
 v^k*w[i,r] - z have it; w[1,1] - v^2*w[1,2] does not (it is
-(wh11 - v*wh12)(wh11 + v*wh12)).  atom_root finds that shape, memoized
-per atom key; RatFun's cancellation rules lean on it (see ratfun), and
+(wh11 - v*wh12)(wh11 + v*wh12)).  _linear_root finds that shape and
+its zero; RatFun's cancellation rules lean on it (see ratfun), and
 prime_parts gives the split that poly.synthetic_div divides by.  Every
 atom without that shape has two terms, and poly.binomial_div divides by
-it.
+it.  Each ratfun.Atom runs these once, when it is made, and keeps the
+results as its root, zero and parts.
 
 RatFun's trial divisions call cannot_divide(num, atom) first.  It
 evaluates num modulo the prime 2^61 - 1 at a zero of the atom; a
 nonzero value proves that the atom does not divide num, so the division
-is skipped.  The zero is atom_root's for a prime atom and, for a
+is skipped.  The zero (Atom.zero) is the root for a prime atom and, for a
 two-term atom c1*m1 + c2*m2 such as the trig slot atom
 v^2*w[1,2] - w[1,1], a root of it in one variable (_binomial_root),
 where one exists mod 2^61 - 1; such an atom stays non-prime everywhere
@@ -79,37 +80,6 @@ def _linear_root(p: Poly):
     return False
 
 
-def atom_root(atom: Atom):
-    """_linear_root of the atom's polynomial: cached on the atom, and
-    memoized per atom key because atoms are rebuilt all the time."""
-    root = atom._root
-    if root is None:
-        root = atom._root = _memo(_ROOTS, atom.key, _linear_root, atom.poly)
-    return root
-
-
-def _memo(table: dict, key, fn, *args):
-    """fn(*args) memoized in table under key (a cached None is a hit),
-    fn(*args) being a function of the key alone; the table is cleared
-    when it holds _MEMO_CAP entries.  _ROOTS, _ZEROS and ratfun's
-    _IMAGES and _SPLITS all go through here."""
-    out = table.get(key, _UNSEEN)
-    if out is _UNSEEN:
-        out = fn(*args)
-        if len(table) >= _MEMO_CAP:
-            table.clear()
-        table[key] = out
-    return out
-
-
-# atom key -> _linear_root (_ROOTS), _binomial_root (_ZEROS, non-prime
-# atoms only)
-_ROOTS: Dict[tuple, object] = {}
-_ZEROS: Dict[tuple, object] = {}
-_MEMO_CAP = 1 << 12
-_UNSEEN = object()
-
-
 def _binomial_root(p: Poly):
     """(field of u, r / residue(u) mod P61) for a two-term p = c1*m1 +
     c2*m2 whose coefficients are units mod P61: p vanishes mod P61 at
@@ -142,50 +112,34 @@ def _binomial_root(p: Poly):
     return False
 
 
-def atom_zero(atom: Atom):
-    """The point cannot_divide evaluates at: atom_root for a prime atom,
-    else _binomial_root of its polynomial (False when neither has one).
-    Cached on the atom and memoized per atom key, like atom_root."""
-    zero = atom._zero
-    if zero is None:
-        zero = atom._zero = atom_root(atom) or _memo(_ZEROS, atom.key, _binomial_root,
-                                                      atom.poly)
-    return zero
-
-
-def prime_parts(atom: Atom):
-    """(bit offset of u, A's monomial, A's coefficient, B's terms) of an
-    atom of the prime shape A*u + B: the operands of poly.synthetic_div.
-    u is the variable atom_root picks, or the first _prime_terms gives
-    where a coefficient leaves no root mod P61.  Cached on the atom; None
-    when it has no such shape."""
-    parts = atom._parts
-    if parts is None:
-        shape = atom_root(atom) or next(_prime_terms(atom.poly), False)
-        parts = False
-        if shape:
-            s = FW * shape[0]
-            bias = mono.BIAS
-            b = []
-            for m, c in atom.poly.terms.items():
-                if ((m + bias) >> s & MASK) - HALF:  # the one term holding u
-                    am, ac = m - (1 << s), c
-                else:
-                    b.append((m, c))
-            parts = (s, am, ac, tuple(b))
-        atom._parts = parts
-    return parts or None
+def prime_parts(p: Poly):
+    """(bit offset of u, A's monomial, A's coefficient, B's terms) of p of
+    the prime shape A*u + B: the operands of poly.synthetic_div.  u is the
+    variable _linear_root picks, or the first _prime_terms gives where a
+    coefficient leaves no root mod P61.  False when p has no such shape."""
+    shape = _linear_root(p) or next(_prime_terms(p), False)
+    if not shape:
+        return False
+    s = FW * shape[0]
+    bias = mono.BIAS
+    b = []
+    for m, c in p.terms.items():
+        if ((m + bias) >> s & MASK) - HALF:  # the one term holding u
+            am, ac = m - (1 << s), c
+        else:
+            b.append((m, c))
+    return s, am, ac, tuple(b)
 
 
 def cannot_divide(num: Poly, atom: Atom) -> bool:
     """True only when the atom provably does not divide num.
 
-    The test applies to atoms with a zero mod P = 2^61 - 1 (atom_zero)
+    The test applies to atoms with a zero mod P = 2^61 - 1 (Atom.zero)
     and to numerators whose coefficients are integral mod P.  Let R =
     Z_(P)[every variable and its inverse], a UFD.  The atom a has a
     coefficient that is a unit of Z_(P), so it is primitive:
 
-      * a prime atom A*u + B (atom_root picks u) is used only when A's
+      * a prime atom A*u + B (_linear_root picks u) is used only when A's
         scalar is a unit mod P;
       * a two-term atom c1*m1 + c2*m2 (_binomial_root) only when both c1
         and c2 are.
@@ -200,13 +154,12 @@ def cannot_divide(num: Poly, atom: Atom) -> bool:
     power of u, u must map to a unit too, so a zero at u = 0 (monomial
     atoms such as z) decides nothing (a two-term atom's zero is never 0:
     both its terms are units at the residues).  Neither does a zero
-    value, an atom without a zero (a non-prime atom of three or more
-    terms, a two-term one whose root does not exist or is not computed,
-    see _binomial_root) or a coefficient whose denominator is divisible
-    by P; the numerator is then divided by the atom
-    (ratfun.poly_div_exact).  No verdict and no reduced form can differ
+    value, an atom without a zero (a two-term one whose root does not
+    exist or is not computed, see _binomial_root) or a coefficient whose
+    denominator is divisible by P; the numerator is then divided by the
+    atom (ratfun.poly_div_exact).  No verdict and no reduced form can differ
     from plain trial division."""
-    zero = atom_zero(atom)
+    zero = atom.zero
     if not zero:
         return False
     val = _value_mod_p(num, zero)
@@ -214,7 +167,7 @@ def cannot_divide(num: Poly, atom: Atom) -> bool:
 
 
 def _value_mod_p(p: Poly, root) -> Optional[int]:
-    """p mod P at the point of root, an atom_zero (see cannot_divide), or
+    """p mod P at the point of root, an Atom.zero (see cannot_divide), or
     None when that point gives no verdict for p.  A monomial's value
     there is its value with every variable at its residue (memoized per
     monomial), times (r / residue of u)^(exponent of u).  u's field is assigned (the

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,17 @@ def test_verify_rtt_flags_corruption(tmp_path, capsys):
 def test_inadmissible_divisor_is_usage_error(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", BAD)
     assert main(["build", "--divisor", path]) == 2
+
+
+def test_divisor_past_the_summand_bound_is_usage_error(tmp_path, capsys):
+    # 2^40 summands at one point are refused before they are expanded
+    big = _write(tmp_path, "big.json", dict(
+        DST, points=[{"x": "x1", "coweight": {"fundamental": [2 ** 40, 1]}}]))
+    start = time.perf_counter()
+    assert main(["build", "--divisor", big]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error:") and "Traceback" not in err
 
 
 # Usage errors a command finds after parsing: exit 2, nothing on stdout

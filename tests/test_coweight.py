@@ -116,6 +116,26 @@ def test_divisor_errors():
         PseudoYoungDiagram((0, 1))
 
 
+def test_divisor_size_is_bounded():
+    # fewer than HALF = 2^15 finite summands and slots in a row: past that
+    # a diagonal Gauss entry's z-degree could not be stored, so the
+    # divisor is refused before its summands are expanded
+    from laxkit.coweight import MAX_SUMMANDS
+
+    def divisor(point, infinity):
+        points = [{"x": "x1", "coweight": {"fundamental": point}}] if point else []
+        return Divisor.from_json({"n": 2, "mode": "rational", "points": points,
+                                  "infinity": {"fundamental": infinity}})
+
+    k = MAX_SUMMANDS
+    assert len(divisor([k, 0], [-k, 0]).summands) == k
+    assert divisor(None, [-k, 2 * k]).a_vector() == (k,)
+    for point, infinity in (([k + 1, 0], [-k - 1, 0]), ([k, 1], [-k, -1]),
+                            ([2 ** 40, 1], [-1, 0]), (None, [-k - 1, 2 * k + 2])):
+        with pytest.raises(NotAdmissible, match=str(k)):
+            divisor(point, infinity)
+
+
 def test_integrality_condition_matches_admissibility():
     rng = random.Random(14)
     for _ in range(150):

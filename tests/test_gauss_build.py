@@ -72,24 +72,26 @@ def test_raw_and_linear_builds_match_pinned_digest(family):
 
 @pytest.mark.parametrize("state", ["cold", "warm", "capped"])
 def test_builds_do_not_depend_on_the_split_memo(monkeypatch, state):
-    # factor_atoms splits each distinct factor once per process; every
-    # pinned build is byte-identical whether the split memo starts empty,
-    # holds every factor of the families already, or is cleared at a cap
-    # of 2 (the cap every module-level memo shares)
-    from laxkit import ratfun, rejection
+    # factor_atoms splits each distinct factor once per process, and
+    # _atom makes one Atom per key; every pinned build is byte-identical
+    # whether the split and atom memos start empty, hold every factor and
+    # atom of the families already, or are cleared at a cap of 2 (the cap
+    # every module-level memo shares)
+    from laxkit import ratfun
 
     if state == "warm":
         for family in FAMILIES:
             _family_digest(family)
-        assert len(ratfun._SPLITS) > 50
+        assert len(ratfun._SPLITS) > 50 and len(ratfun._ATOMS) > 40
     else:
         ratfun._SPLITS.clear()
+        ratfun._ATOMS.clear()
     if state == "capped":
-        monkeypatch.setattr(rejection, "_MEMO_CAP", 2)
+        monkeypatch.setattr(ratfun, "_MEMO_CAP", 2)
     for family in sorted(FAMILIES):
         assert _family_digest(family) == DIGESTS[family], family
     if state == "capped":
-        assert len(ratfun._SPLITS) <= 2
+        assert len(ratfun._SPLITS) <= 2 and len(ratfun._ATOMS) <= 2
 
 
 def _assert_reduced(element, where):

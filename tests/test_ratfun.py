@@ -436,7 +436,6 @@ def test_exact_division_matches_sympy():
     # RatFun's division by an atom: synthetic division in u by the prime
     # atoms, along chains by the two-term ones
     sympy = pytest.importorskip("sympy")
-    from laxkit.rejection import prime_parts
 
     rng = random.Random(41)
     vars_ = _DIV_VARS + [wh_var(1, 2)]
@@ -445,7 +444,7 @@ def test_exact_division_matches_sympy():
     for idx in range(330):
         atom = atoms[idx % len(atoms)]
         g = atom.poly
-        kernel = "binomial " if prime_parts(atom) is None else ""
+        kernel = "" if atom.parts else "binomial "
         f = _random_div_poly(rng, 4, vars_)
         if idx % 5 == 0:
             # Laurent unit content, negative powers included
@@ -795,11 +794,9 @@ def test_rejection_falls_through_on_denominators_divisible_by_p():
     assert list(ratio.den.values()) == [1]
     # a linear atom has the prime shape whatever its coefficients, so it
     # is divided synthetically even without a root mod P
-    from laxkit.rejection import atom_root, prime_parts
-
     lin = Poly.variable(Z) + Poly.variable(p_var(1, 1)) + Poly.const(Fraction(1, _P61))
     (odd,) = RatFun.ratio(1, lin).den
-    assert atom_root(odd) is False and prime_parts(odd) is not None
+    assert odd.root is False and odd.parts
     ratio = RatFun.ratio(f * lin, lin)
     assert ratio.num == f and not ratio.den
 
@@ -867,11 +864,10 @@ def test_exponent_overflow_raises():
     # (|exponent| up to 2 + 2 (h - 1)) would not fit
     from laxkit.monomials import FW, VARS
     from laxkit.poly import binomial_div, synthetic_div
-    from laxkit.rejection import prime_parts
     from laxkit.textio import parse_poly
 
     atom = _one_atom(parse_poly(f"z + v^{h - 1}*x[x1]"))
-    parts = prime_parts(atom)
+    parts = atom.parts
     u = Poly.variable(VARS[parts[0] // FW])
     with pytest.raises(OverflowError):
         synthetic_div(u * Poly.variable(V, 2), atom.poly, parts)
@@ -1103,8 +1099,11 @@ def _check_against_make(got, num, den):
 
 
 def test_prime_atoms_are_the_shape_a_u_plus_b():
-    from laxkit.ratfun import Atom, _atom_key, factor_atoms
-    from laxkit.rejection import atom_root
+    from laxkit import ratfun, suite
+    from laxkit.lax_rational import build_lax
+    from laxkit.lax_trig import build_lax_trig
+    from laxkit.ratfun import factor_atoms
+    from laxkit.rejection import _binomial_root, _linear_root, prime_parts
     from laxkit.textio import parse_poly, render_poly
 
     def atom(text):
@@ -1114,16 +1113,30 @@ def test_prime_atoms_are_the_shape_a_u_plus_b():
     # w[1,1] - v^2*w[1,2] = (wh11 - v*wh12)(wh11 + v*wh12): not prime
     slot = atom("w[1,1] - v^2*w[1,2]")
     assert render_poly(slot.poly) == "v^2*w[1,2] - w[1,1]"
-    assert atom_root(slot) is False
+    assert slot.root is False
     for text in ("z - v^3*w[1,1]", "z - x[x1]", "x[x1]*v^2 + z*wh[1,1]", "p[1,1] - 2*z + 1", "z"):
-        assert atom_root(atom(text)), text
+        assert atom(text).root, text
     for text in ("z^2 - w[1,1]*v", "z*x[x1] - 1", "w[1,1]*wh[1,2] + v"):
-        assert atom_root(atom(text)) is False, text
-    # the memo is per key: an atom rebuilt past the split memo finds the
-    # root of the first
-    a = atom("z - v^3*w[1,1]")
-    b = Atom(a.poly, _atom_key(a.poly))
-    assert a is not b and atom_root(b) is atom_root(a)
+        assert atom(text).root is False, text
+    # one Atom per key: two factors of one atom hand out the same object
+    ratfun._SPLITS.clear()
+    ratfun._ATOMS.clear()
+    assert atom("2*z - 2") is atom("z - 1")
+    # and every atom the pinned families make carries, from when it was
+    # made, what the rejection helpers compute from its polynomial
+    divs = (suite.rtt_rational_divisors() + suite.rtt_trig_divisors()
+            + suite.enumerate_linear_divisors(3, 1, "trig")
+            + suite.enumerate_linear_divisors(4, 1, "trig")
+            + suite.enumerate_linear_divisors(4, 1)
+            + [suite.rational_pizero_divisor(), suite.trig_pizero_divisor()])
+    for div in divs:
+        (build_lax if div.mode == "rational" else build_lax_trig)(div)
+    assert len(ratfun._ATOMS) > 40
+    for a in ratfun._ATOMS.values():
+        assert a.root == _linear_root(a.poly), a
+        assert a.zero == (a.root or _binomial_root(a.poly)), a
+        assert a.parts == prime_parts(a.poly), a
+        assert a.parts or len(a.poly.terms) == 2, a
 
 
 def _splits(polys):
@@ -1148,7 +1161,7 @@ def test_factor_atoms_memo_cold_warm_and_capped(monkeypatch):
     # split is the one computed past the memo (_split) whether the memo is
     # cold, warm or cleared at a cap of 2, and a hit hands back the same
     # Atom objects
-    from laxkit import ratfun, rejection
+    from laxkit import ratfun
     from laxkit.textio import parse_poly
 
     polys = [parse_poly(t) for t in _SPLIT_TEXTS]
@@ -1168,7 +1181,7 @@ def test_factor_atoms_memo_cold_warm_and_capped(monkeypatch):
     for _ in range(2):
         with pytest.raises(NotAtomFactorable):
             ratfun.factor_atoms(parse_poly("z - 1") * parse_poly("z - x[a]"))
-    monkeypatch.setattr(rejection, "_MEMO_CAP", 2)
+    monkeypatch.setattr(ratfun, "_MEMO_CAP", 2)
     ratfun._SPLITS.clear()
     assert _splits(polys) == direct
     assert _splits(polys[::-1]) == direct[::-1]
@@ -1178,14 +1191,14 @@ def test_factor_atoms_memo_cold_warm_and_capped(monkeypatch):
 def test_memo_counts_a_cached_none_as_a_hit(monkeypatch):
     # None is a value (an atom a ring map leaves alone), not a miss; the
     # table is cleared when it reaches the shared cap
-    from laxkit import rejection
+    from laxkit import ratfun
 
     calls, table = [], {}
     for key in ("a", "a", "b", "a", "c", "c"):
-        assert rejection._memo(table, key, calls.append, key) is None
+        assert ratfun._memo(table, key, calls.append, key) is None
     assert calls == ["a", "b", "c"]
-    monkeypatch.setattr(rejection, "_MEMO_CAP", 2)
-    rejection._memo(table, "d", calls.append, "d")
+    monkeypatch.setattr(ratfun, "_MEMO_CAP", 2)
+    ratfun._memo(table, "d", calls.append, "d")
     assert list(table) == ["d"] and calls[-1] == "d"
 
 
@@ -1306,7 +1319,7 @@ def test_automorphisms_match_make_with_the_memo_cold_warm_and_overflowing(monkey
     # fractions of both modes it gives exactly what _make gives after the
     # keyless substitution, whether the memo is cold, warm or cleared at
     # a cap of 2
-    from laxkit import ratfun, rejection
+    from laxkit import ratfun
     from laxkit.suite import random_ratfun
 
     cases = []
@@ -1326,7 +1339,7 @@ def test_automorphisms_match_make_with_the_memo_cold_warm_and_overflowing(monkey
     assert images() == want
     assert len(ratfun._IMAGES) > 20
     assert images() == want
-    monkeypatch.setattr(rejection, "_MEMO_CAP", 2)
+    monkeypatch.setattr(ratfun, "_MEMO_CAP", 2)
     ratfun._IMAGES.clear()
     assert images() == want
     assert len(ratfun._IMAGES) <= 2
@@ -1393,16 +1406,16 @@ def _one_atom(p):
 
 def test_binomial_rejection_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    from laxkit.rejection import _value_mod_p, atom_root, atom_zero, cannot_divide
+    from laxkit.rejection import _value_mod_p, cannot_divide
     from laxkit.textio import parse_poly
 
     vars_ = [Z, x_var("x1"), V, wh_var(1, 1), wh_var(1, 2)]
     rng = random.Random(67)
     for text in _BINOMIALS:
         atom = _one_atom(parse_poly(text))
-        zero = atom_zero(atom)
+        zero = atom.zero
         # not prime, yet it has a zero mod P, and the atom vanishes there
-        assert atom_root(atom) is False and zero, text
+        assert atom.root is False and zero, text
         assert _value_mod_p(atom.poly, zero) == 0, text
         rejected = 0
         for _ in range(25):
@@ -1418,7 +1431,7 @@ def test_binomial_rejection_matches_sympy():
 
 
 def test_binomial_rejection_gives_no_verdict_without_a_root():
-    from laxkit.rejection import P61, atom_zero, cannot_divide
+    from laxkit.rejection import P61, cannot_divide
     from laxkit.textio import parse_poly
 
     zp = Poly.variable(Z)
@@ -1432,7 +1445,7 @@ def test_binomial_rejection_gives_no_verdict_without_a_root():
     x = Poly.variable(x_var("x1"))
     for p in polys:
         atom = _one_atom(p)
-        assert atom_zero(atom) is False, p
+        assert atom.zero is False, p
         assert not cannot_divide(x, atom)
         # RatFun still reduces exactly, by division
         assert RatFun.ratio(x * atom.poly, atom.poly).num == x
@@ -1451,7 +1464,7 @@ def test_binomial_rejection_keeps_every_result(monkeypatch):
     from laxkit.textio import parse_poly
 
     def prime_only(num, atom):
-        root = rejection.atom_root(atom)
+        root = atom.root
         if not root:
             return False
         val = rejection._value_mod_p(num, root)
@@ -1461,7 +1474,7 @@ def test_binomial_rejection_keeps_every_result(monkeypatch):
 
     def counting(num, atom):
         out = rejection.cannot_divide(num, atom)
-        if out and rejection.atom_root(atom) is False:
+        if out and atom.root is False:
             binomial_verdicts.append(1)
         return out
 
@@ -1672,15 +1685,14 @@ def test_synthetic_division_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from laxkit.monomials import FW, VARS
     from laxkit.poly import synthetic_div
-    from laxkit.rejection import prime_parts
 
     rng = random.Random(131)
     atoms = _prime_atoms(rng)
     seen = {"exact": 0, "divides": 0, "not": 0, "unit A": 0, "fraction": 0, "negative": 0}
     for idx in range(240):
         atom = atoms[idx % len(atoms)]
-        parts = prime_parts(atom)
-        assert parts is not None, atom
+        parts = atom.parts
+        assert parts, atom
         s, am, ac, _ = parts
         seen["unit A"] += bool(am)
         f = _random_div_poly(rng, 4)
@@ -1717,7 +1729,6 @@ def test_synthetic_division_past_the_precheck_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from laxkit.monomials import FW, VARS
     from laxkit.poly import synthetic_div
-    from laxkit.rejection import prime_parts
     from laxkit.textio import parse_poly
 
     h = HALF // 4
@@ -1729,7 +1740,7 @@ def test_synthetic_division_past_the_precheck_matches_sympy():
     noise = [parse_poly(t) for t in ("z*x[x1]", f"2*v^{h}*z^2", "z^4 + 1")]
     for atom in atoms:
         g = atom.poly
-        parts = prime_parts(atom)
+        parts = atom.parts
         assert VARS[parts[0] // FW] == Z, atom
         for q, r in zip(quotients, noise):
             f = q * g
@@ -1752,7 +1763,7 @@ def test_synthetic_division_past_the_precheck_matches_sympy():
     assert FIELD[y] == FIELD[v] + 1
     atom = _one_atom(Poly.variable(Z) - Poly.variable(v, h))
     f = Poly.variable(Z, 7) - Poly.monomial(((v, 7 * h - 2 * HALF), (y, 1)))
-    assert synthetic_div(f, atom.poly, prime_parts(atom)) is None
+    assert synthetic_div(f, atom.poly, atom.parts) is None
 
 
 def test_cancellation_divides_prime_atoms_synthetically(monkeypatch):
