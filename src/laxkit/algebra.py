@@ -382,14 +382,12 @@ class GammaGauge:
         sig = elem.signature
         if sig.mode != "rational":
             raise SignatureMismatch("Gamma gauges act on rational mode")
-        out: Dict[ShiftMonomial, RatFun] = {}
+        out: Dict[ShiftMonomial, RatFun] = {}  # conjugation keeps each shift monomial
         for s, c in elem.terms.items():
             factor = self._factors_of.get(s)
             if factor is None:
                 factor = self._factors_of[s] = self._factor(s)
-            new_c = c * factor
-            cur = out.get(s)
-            out[s] = new_c if cur is None else cur + new_c
+            out[s] = c * factor
         return AlgebraElement(sig, out)
 
     def _factor(self, s: ShiftMonomial) -> RatFun:
@@ -433,16 +431,13 @@ class MonomialGauge:
             raise SignatureMismatch("monomial gauges act on rational mode")
         moves = tuple((p_var(i, r, 1), t) for (i, r), t in dict(self.shifts).items())
         sign_map = dict(self.signs)
-        out: Dict[ShiftMonomial, RatFun] = {}
+        out: Dict[ShiftMonomial, RatFun] = {}  # conjugation keeps each shift monomial
         for s, c in elem.terms.items():
-            nc = c.shift_vars(moves)
             sgn = 1
             for (f, i, r), m in s.exps.items():
                 if sign_map.get((i, r), 0) % 2 and m % 2:
                     sgn = -sgn
-            nc = nc * sgn
-            cur = out.get(s)
-            out[s] = nc if cur is None else cur + nc
+            out[s] = c.shift_vars(moves) * sgn
         return AlgebraElement(sig, out)
 
 

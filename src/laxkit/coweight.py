@@ -5,10 +5,10 @@ fundamental basis (indexed 0..n-1) relates by d_j = -(c_0 + ... +
 c_{j-1}); dominance means d_1 >= ... >= d_n, i.e. c_i >= 0 for i >= 1
 with c_0 unconstrained.
 
-A divisor is a formal sum of fundamental coweights at finite points plus
-framing coefficients at infinity (and at zero in trig mode).  Finite
-summands are (point, index, sign) with sign -1 allowed only for index 0.
-Admissibility solves  total = sum a_i alpha_i  in non-negative integers;
+A divisor is sum_x lambda_x [x] + mu [infinity] (+ mu_zero [0] in trig
+mode): one nonzero dominant coweight lambda_x at each finite point, kept
+as (point, coweight) pairs in order of first appearance.  Admissibility
+solves  total = sum a_i alpha_i  in non-negative integers;
 the a-vector sizes the slot rows of the difference-operator algebra.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraSignature
 from .errors import BadDiagram, NotAdmissible, ParseError, SizeMismatch
@@ -140,33 +140,28 @@ class PseudoYoungDiagram:
         )
 
 
-# The diagonal Gauss entry of row i holds z - x once for each finite
-# summand of lower index and z - p[i,t] once for each slot of row i, so
-# the z-degree of the last one's numerator reaches the number of summands
-# of sign +1 (the bound counts both signs) and each slot count.  No
-# exponent reaches HALF = 2^15 (see monomials), so a divisor past
-# MAX_SUMMANDS could only end in OverflowError, after expanding a
-# polynomial of that degree; it is refused before anything is expanded.
+# The diagonal Gauss entry of row i holds z - x to the power
+# -eps_i(lambda_x) = c_0 + ... + c_{i-1} of x's fundamental coefficients,
+# and z - p[i,t] once for each slot of row i, so the z-degree of the last
+# one's numerator reaches the sum of the positive coefficients (the bound
+# counts their absolute values) and each slot count.  No exponent reaches
+# HALF = 2^15 (see monomials), so a divisor past MAX_SUMMANDS could only
+# end in OverflowError, after expanding a polynomial of that degree; it is
+# refused when it is made.
 MAX_SUMMANDS = HALF - 1
 
 
-@dataclass(frozen=True)
-class Summand:
-    point: Point
-    index: int  # 0 <= index < n
-    sign: int  # +1, or -1 only when index == 0
-
-    def coweight(self, n: int) -> Coweight:
-        return self.sign * fundamental_coweight(n, self.index)
+def _label(pt: Point) -> str:
+    return pt if isinstance(pt, str) else str(pt)
 
 
 @dataclass(frozen=True)
 class Divisor:
-    """Admissible divisor: finite summands + framing coweights."""
+    """Admissible divisor: (point, lambda_x) pairs + framing coweights."""
 
     n: int
     mode: str
-    summands: Tuple[Summand, ...]
+    summands: Tuple[Tuple[Point, Coweight], ...]  # one per distinct point
     mu: Coweight  # coefficient at infinity
     mu_zero: Optional[Coweight] = None  # trig only
 
@@ -177,39 +172,44 @@ class Divisor:
             object.__setattr__(self, "mu_zero", Coweight.zero(self.n))
         if self.mode == "rational" and self.mu_zero is not None:
             raise ValueError("rational divisors have no coefficient at zero")
-        for s in self.summands:
-            if not 0 <= s.index < self.n:
-                raise NotAdmissible(f"fundamental index {s.index} out of range")
-            if s.sign not in (1, -1) or (s.sign == -1 and s.index != 0):
-                raise NotAdmissible("sign -1 is only allowed on index-0 summands")
-            if self.mode == "trig" and isinstance(s.point, Fraction) and s.point == 0:
+        if len({pt for pt, _ in self.summands}) != len(self.summands):
+            raise ValueError("a point is listed twice")
+        for pt, lam in self.summands:
+            if lam.n != self.n or not any(lam.d) or not lam.is_dominant():
+                raise NotAdmissible(
+                    f"the coweight at {pt} is not nonzero and dominant: {lam.to_fundamental()}"
+                )
+            if self.mode == "trig" and isinstance(pt, Fraction) and pt == 0:
                 raise NotAdmissible("trig points must be nonzero")
+        if sum(abs(c) for _, lam in self.summands for c in lam.to_fundamental()) > MAX_SUMMANDS:
+            raise NotAdmissible(
+                f"finite points hold more than {MAX_SUMMANDS} fundamental coweights"
+            )
         self.a_vector()  # reject inadmissible data at construction
 
     @staticmethod
     def make(n: int, mode: str, points: Sequence[Tuple[Point, Coweight]],
              mu: Coweight, mu_zero: Optional[Coweight] = None) -> "Divisor":
-        """Build from per-point dominant coweights, decomposed into at
-        most MAX_SUMMANDS fundamental summands."""
-        summands: List[Summand] = []
-        coeffs = [cw.to_fundamental() for _, cw in points]
-        if sum(abs(ci) for c in coeffs for ci in c) > MAX_SUMMANDS:
-            raise NotAdmissible(f"finite points hold more than {MAX_SUMMANDS} summands")
-        for (pt, _), c in zip(points, coeffs):
-            if isinstance(pt, (int,)):
+        """Build from (point, dominant coweight) pairs: int points become
+        Fractions, a point listed twice holds the sum of its coweights, and
+        a zero coweight holds nothing, so a point whose sum is zero is left
+        out."""
+        merged: Dict[Point, Coweight] = {}
+        for pt, lam in points:
+            if not lam.is_dominant():
+                raise NotAdmissible(f"non-dominant coefficient at {pt}: {lam.to_fundamental()}")
+            if not any(lam.d):
+                continue
+            if isinstance(pt, int):
                 pt = Fraction(pt)
-            if any(ci < 0 for ci in c[1:]):
-                raise NotAdmissible(f"non-dominant coefficient at {pt}: {c}")
-            for i in range(1, n):
-                summands.extend([Summand(pt, i, 1)] * c[i])
-            sgn = 1 if c[0] >= 0 else -1
-            summands.extend([Summand(pt, 0, sgn)] * abs(c[0]))
-        return Divisor(n, mode, tuple(summands), mu, mu_zero)
+            merged[pt] = merged[pt] + lam if pt in merged else lam
+        pairs = tuple((pt, lam) for pt, lam in merged.items() if any(lam.d))
+        return Divisor(n, mode, pairs, mu, mu_zero)
 
     def total_finite(self) -> Coweight:
         out = Coweight.zero(self.n)
-        for s in self.summands:
-            out = out + s.coweight(self.n)
+        for _, lam in self.summands:
+            out = out + lam
         return out
 
     def a_vector(self) -> Tuple[int, ...]:
@@ -233,31 +233,24 @@ class Divisor:
         return a
 
     def signature(self) -> AlgebraSignature:
-        labels = []
-        for s in self.summands:
-            lbl = s.point if isinstance(s.point, str) else str(s.point)
-            if lbl not in labels:
-                labels.append(lbl)
-        return AlgebraSignature(self.n, self.mode, (self.a_vector(),), tuple(labels))
+        labels = tuple(_label(pt) for pt, _ in self.summands)
+        return AlgebraSignature(self.n, self.mode, (self.a_vector(),), labels)
 
     def points_with(self, index: int) -> List[Tuple[Point, int]]:
-        """(point, sign) of all summands carrying the given fundamental index."""
-        return [(s.point, s.sign) for s in self.summands if s.index == index]
+        """(point, c_index) for the points whose coweight has a nonzero
+        fundamental coefficient c_index."""
+        return [(pt, c) for pt, lam in self.summands if (c := lam.to_fundamental()[index])]
 
     def last_point(self) -> Point:
-        """The label of the last summand: the limit machinery consumes
-        whole points in reverse construction order."""
+        """The last point in order of first appearance: the limit
+        machinery consumes whole points in reverse construction order."""
         if not self.summands:
             raise NotAdmissible("no finite points to remove")
-        return self.summands[-1].point
+        return self.summands[-1][0]
 
     def point_coweight(self, label: Point) -> Coweight:
-        """The coweight at one point: the sum of the summands with its label."""
-        out = Coweight.zero(self.n)
-        for s in self.summands:
-            if s.point == label:
-                out = out + s.coweight(self.n)
-        return out
+        """The coweight at one point (zero at a point not in the divisor)."""
+        return dict(self.summands).get(label, Coweight.zero(self.n))
 
     def move_last_point(self, to: str) -> "Divisor":
         """Move the whole coweight of the last point onto the framing at
@@ -266,9 +259,8 @@ class Divisor:
             raise ValueError(f"unknown target {to!r}")
         if to == "zero" and self.mode != "trig":
             raise NotAdmissible("rational divisors only degenerate at infinity")
-        label = self.last_point()
-        lam = self.point_coweight(label)
-        rest = tuple(s for s in self.summands if s.point != label)
+        self.last_point()  # refuses a divisor without finite points
+        rest, (_, lam) = self.summands[:-1], self.summands[-1]
         if to == "infinity":
             return Divisor(self.n, self.mode, rest, self.mu + lam, self.mu_zero)
         return Divisor(self.n, self.mode, rest, self.mu, self.mu_zero + lam)
@@ -283,19 +275,12 @@ class Divisor:
     # -- JSON wire format
 
     def to_json(self) -> dict:
-        pts = {}
-        order = []
-        for s in self.summands:
-            key = s.point if isinstance(s.point, str) else str(s.point)
-            if key not in pts:
-                pts[key] = [0] * self.n
-                order.append(key)
-            pts[key][s.index] += s.sign
         return {
             "n": self.n,
             "mode": self.mode,
             "points": [
-                {"x": key, "coweight": {"fundamental": pts[key]}} for key in order
+                {"x": _label(pt), "coweight": {"fundamental": list(lam.to_fundamental())}}
+                for pt, lam in self.summands
             ],
             "infinity": {"fundamental": list(self.mu.to_fundamental())},
             "zero": (
@@ -396,11 +381,7 @@ def divisor_from_young(
         raise SizeMismatch(
             f"{len(heights)} columns but {len(points)} points"
         )
-    pt_pairs = []
-    for pt, h in zip(points, heights):
-        if isinstance(pt, int):
-            pt = Fraction(pt)
-        pt_pairs.append((pt, fundamental_coweight(n, n - h)))
+    pt_pairs = [(pt, fundamental_coweight(n, n - h)) for pt, h in zip(points, heights)]
     mu_zero = bmu_minus.coweight() if bmu_minus is not None else None
     if mode == "trig" and mu_zero is None:
         mu_zero = Coweight.zero(n)

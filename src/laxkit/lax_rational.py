@@ -120,10 +120,10 @@ def slot_sum(sig: AlgebraSignature, i: int, j: int, step: int,
 
 def diag_entry(div: Divisor, sig: AlgebraSignature, i: int) -> RatFun:
     """Diagonal Gauss entry: row-i slot product over the shifted row-(i-1)
-    product, times the point factors of all lower indices."""
+    product, times (z - x)^(-eps_i(lambda_x)) at each point x."""
     z = _zvar()
     fs = _row(sig, i, z, 1) + _row(sig, i - 1, z - 1, -1)
-    fs += [(z - _point_poly(s.point), s.sign) for s in div.summands if s.index < i]
+    fs += [(z - _point_poly(pt), -lam.d[i - 1]) for pt, lam in div.summands]
     return RatFun.product(1, fs)
 
 
@@ -143,7 +143,7 @@ def upper_entry(div: Divisor, sig: AlgebraSignature, i: int, j: int,
             fs.append((_zvar() - p[i], -1))
         for k in range(i, j):
             fs += _row(sig, k, p[k], -1, r[k])
-            fs += [(p[k] - _point_poly(pt), sign) for pt, sign in div.points_with(k)]
+            fs += [(p[k] - _point_poly(pt), c) for pt, c in div.points_with(k)]
         return -1, fs
 
     return slot_sum(sig, i, j, 1, coeff)
@@ -209,9 +209,8 @@ def build_lax(div: Divisor) -> LaxMatrix:
 def normalizer(div: Divisor) -> RatFun:
     """1 / Z_0(z): strips the index-0 point factors."""
     out = RatFun.one()
-    for pt, sign in div.points_with(0):
-        lin = RatFun.from_poly(_zvar() - _point_poly(pt))
-        out = out * (lin.invert() if sign == 1 else lin)
+    for pt, c in div.points_with(0):
+        out = out * RatFun.from_poly(_zvar() - _point_poly(pt)) ** -c
     return out
 
 
@@ -254,8 +253,8 @@ def _young_data(div: Divisor, mode: str) -> List[Tuple[int, ...]]:
     linear fast path of the given mode may take; anything else raises."""
     if div.mode != mode:
         raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
-    if any(s.index == 0 for s in div.summands):
-        raise NotLinearCase("index-0 summands need the general builder")
+    if div.points_with(0):
+        raise NotLinearCase("index-0 coefficients need the general builder")
     n = div.n
     coweights = [div.total_finite(), div.mu] + ([div.mu_zero] if mode == "trig" else [])
     rows = [tuple(-cw.d[n - i] for i in range(1, n + 1)) for cw in coweights]
@@ -289,10 +288,9 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
                 val = val + RatFun.variable(p_var(i - 1, r)) + 1
             for r in range(1, sig.a(i) + 1):
                 val = val - RatFun.variable(p_var(i, r))
-            for s in div.summands:
-                # epsilon_i of an index-k fundamental coweight is -1 for i > k
-                if i > s.index:
-                    val = val - s.sign * RatFun.from_poly(_point_poly(s.point))
+            for pt, lam in div.summands:
+                if lam.d[i - 1]:
+                    val = val + lam.d[i - 1] * RatFun.from_poly(_point_poly(pt))
             entries[i - 1][i - 1] = AlgebraElement.from_ratfun(sig, val)
         elif i <= m_prime:
             entries[i - 1][i - 1] = AlgebraElement.one(sig)
@@ -345,19 +343,20 @@ def qdet_image(T: LaxMatrix) -> RatFun:
 
 def _qdet_closed_form(div: Divisor, normalized: bool) -> RatFun:
     """prod_i c_i(z_{n+1-i}), c_i(z) the scalar part of the Gauss entry g_i
-    (whose slot factors telescope away): each point of index k < i gives
-    (z - x)^sign, in trig (1 - x/z)^sign times z^(mu_i); normalizing drops
-    the index-0 points and, in trig, multiplies by z^(eps_1(lambda + mu-))."""
+    (whose slot factors telescope away): each point x gives (z - x)^e, in
+    trig (1 - x/z)^e times z^(mu_i), with e = -eps_i(lambda_x); normalizing
+    adds eps_1(lambda_x) to e (dropping the index-0 part) and, in trig,
+    multiplies by z^(eps_1(lambda + mu-))."""
     trig = div.mode == "trig"
     e1 = div.total_finite().d[0] + div.mu_zero.d[0] if trig and normalized else 0
     z = _zvar()
     out = RatFun.one()
     for i in range(1, div.n + 1):
         c = RatFun.variable(Z, div.mu.d[i - 1] + e1) if trig else RatFun.one()
-        for s in div.summands:
-            if s.index < i and not (normalized and s.index == 0):
-                lin = RatFun.ratio(z - _point_poly(s.point), z if trig else Poly.const(1))
-                c = c * (lin if s.sign == 1 else lin.invert())
+        for pt, lam in div.summands:
+            e = -lam.d[i - 1] + (lam.d[0] if normalized else 0)
+            if e:
+                c = c * RatFun.ratio(z - _point_poly(pt), z if trig else Poly.const(1)) ** e
         out = out * _at_row(div.mode, div.n, div.n + 1 - i)(c)
     return out
 
@@ -418,8 +417,8 @@ def fuse(T1: LaxMatrix, T2: LaxMatrix) -> LaxMatrix:
             and T1.normalized == T2.normalized):
         d1, d2 = T1.divisor, T2.divisor
         try:
-            div = Divisor(d1.n, d1.mode, d1.summands + d2.summands, d1.mu + d2.mu,
-                          None if d1.mode == "rational" else d1.mu_zero + d2.mu_zero)
+            div = Divisor.make(d1.n, d1.mode, d1.summands + d2.summands, d1.mu + d2.mu,
+                               None if d1.mode == "rational" else d1.mu_zero + d2.mu_zero)
         except NotAdmissible:
             div = None
     return LaxMatrix(sig, div, entries, normalized=T1.normalized and T2.normalized)

@@ -97,10 +97,9 @@ def diag_entry_trig(div: Divisor, sig: AlgebraSignature, i: int) -> RatFun:
     ]
     fs += _sw_row(sig, i, z, _v_pow(i), 1)
     fs += _sw_row(sig, i - 1, z, _v_pow(i + 1), -1)
-    # point factors: prod (1 - x/z)^(-eps_i of the summand coweight)
-    for s in div.summands:
-        if i > s.index:  # eps_i(omega_k) = -1 exactly when i > k
-            fs += [(z - _point_poly(s.point), s.sign), (z, -s.sign)]
+    # point factors: prod over points x of (1 - x/z)^(-eps_i(lambda_x))
+    for pt, lam in div.summands:
+        fs += [(z - _point_poly(pt), -lam.d[i - 1]), (z, lam.d[i - 1])]
     return RatFun.product(1, fs)
 
 
@@ -127,9 +126,9 @@ def upper_entry_trig(div: Divisor, sig: AlgebraSignature, i: int, j: int,
             fs += _sw_row(sig, k, w[k + 1], v, 1, r[k])
         for k in range(i, j):
             fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k])
-            # (1 - v^-k x / w[k,r_k])^sign per index-k point
-            for pt, sign in div.points_with(k):
-                fs += [(w[k] - _v_pow(-k) * _point_poly(pt), sign), (w[k], -sign)]
+            # (1 - v^-k x / w[k,r_k])^c_k at each point x
+            for pt, c in div.points_with(k):
+                fs += [(w[k] - _v_pow(-k) * _point_poly(pt), c), (w[k], -c)]
         return (-1) ** ((i - j + 1) % 2), fs
 
     return slot_sum(sig, i, j, -1, coeff)
@@ -175,9 +174,8 @@ def normalizer_trig(div: Divisor) -> RatFun:
     z = Poly.variable(Z)
     e1 = div.total_finite().d[0] + div.mu_zero.d[0]
     out = RatFun.variable(Z, e1)
-    for pt, sign in div.points_with(0):
-        f = RatFun.ratio(z - _point_poly(pt), z)
-        out = out * (f.invert() if sign == 1 else f)
+    for pt, c in div.points_with(0):
+        out = out * RatFun.ratio(z - _point_poly(pt), z) ** -c
     return out
 
 
@@ -204,17 +202,13 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
         raise NotLinearCase(f"bmu+_n = {bmp[n-1]} not in {{0, -1}}")
 
     def scalar_factor(i: int) -> RatFun:
-        # (-v^i)^{a_i} / (-v^{i+1})^{a_{i-1}} * prod over low-index points (-x_s)
+        # (-v^i)^{a_i} / (-v^{i+1})^{a_{i-1}} * prod over points (-x)^(-eps_i(lambda_x))
         ai, aim = sig.a(i), sig.a(i - 1)
         sign = (-1) ** ((ai + aim) % 2)
         out = RatFun.from_poly(_v_pow(i * ai - (i + 1) * aim)) * sign
-        for s in div.summands:
-            if s.index <= i - 1:
-                out = out * (
-                    RatFun.from_poly(-_point_poly(s.point))
-                    if s.sign == 1
-                    else RatFun.from_poly(-_point_poly(s.point)).invert()
-                )
+        for pt, lam in div.summands:
+            if lam.d[i - 1]:
+                out = out * RatFun.from_poly(-_point_poly(pt)) ** -lam.d[i - 1]
         return out
 
     z = RatFun.variable(Z)

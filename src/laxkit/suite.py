@@ -174,7 +174,7 @@ def trig_n3_divisor() -> Divisor:
 
 
 def rational_pizero_divisor() -> Divisor:
-    """A rational divisor with an index-0 summand, exercising the
+    """A rational divisor with an index-0 point, exercising the
     normalization factor."""
     lam = fundamental_coweight(2, 0) + fundamental_coweight(2, 1)
     return Divisor.make(
@@ -186,7 +186,7 @@ def rational_pizero_divisor() -> Divisor:
 
 
 def trig_pizero_divisor() -> Divisor:
-    """A trig divisor with an index-0 summand."""
+    """A trig divisor with an index-0 point."""
     lam = fundamental_coweight(2, 0) + fundamental_coweight(2, 1)
     return Divisor.make(
         2,
@@ -655,7 +655,7 @@ def _aux_rhs(a_prev: int, a_cur: int, r_prev: int = 1) -> RatFun:
 def check_limits() -> CheckResult:
     """Peel the points one at a time off every divisor of rational and
     trig (n, a_max) = (2, 2) and (3, 1) and off the two divisors with an
-    index-0 summand, towards infinity and, in trig mode, towards zero;
+    index-0 point, towards infinity and, in trig mode, towards zero;
     every intermediate matrix must equal the build of its divisor."""
     to_zero = lambda T: limits_trig(T, "to_zero")
 

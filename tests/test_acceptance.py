@@ -46,7 +46,7 @@ def test_criterion_04_yang_baxter():
 
 def test_criterion_05_polynomiality():
     """Normalization yields z-polynomial entries on every acceptance
-    divisor, including index-0 point summands in both modes."""
+    divisor, including index-0 points in both modes."""
     _run(suite.check_polynomiality)
 
 

@@ -116,7 +116,8 @@ def test_inadmissible_divisor_is_usage_error(tmp_path, capsys):
 
 
 def test_divisor_past_the_summand_bound_is_usage_error(tmp_path, capsys):
-    # 2^40 summands at one point are refused before they are expanded
+    # a fundamental coefficient of 2^40 at one point is refused when the
+    # divisor is made
     big = _write(tmp_path, "big.json", dict(
         DST, points=[{"x": "x1", "coweight": {"fundamental": [2 ** 40, 1]}}]))
     start = time.perf_counter()
@@ -218,7 +219,7 @@ def test_rational_limit_to_zero_is_usage_error(tmp_path, capsys):
 
 
 def test_limit_of_a_point_with_two_summands(tmp_path, capsys):
-    # one point x with fundamental [0, 2]: both summands leave together
+    # one point x with fundamental [0, 2]: its whole coweight leaves
     for mode in ("rational", "trig"):
         payload = {
             "n": 2,
@@ -532,3 +533,21 @@ def test_help_does_not_disturb_the_next_call(tmp_path, capsys):
         assert "usage: lax" in capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == before
+
+
+def test_a_point_listed_twice_holds_the_sum(tmp_path, capsys):
+    # x listed twice with [0, 1] is the one point x with [0, 2]: the
+    # divisor round-trips to that one point and lax build writes the
+    # same bytes for both files
+    once = dict(DST, points=[{"x": "x", "coweight": {"fundamental": [0, 2]}}],
+                infinity={"fundamental": [-1, 0]})
+    twice = dict(once, points=[{"x": "x", "coweight": {"fundamental": [0, 1]}}] * 2)
+    assert laxkit.Divisor.from_json(twice).to_json() == once
+    outs = []
+    for name, payload in (("once", once), ("twice", twice)):
+        out = tmp_path / f"{name}.out.json"
+        argv = ["build", "--divisor", _write(tmp_path, f"{name}.json", payload),
+                "--out", str(out), "--quiet"]
+        assert main(argv) == 0, name
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -86,7 +86,7 @@ def test_divisor_from_young_examples():
         PseudoYoungDiagram((1, 0)), ["x1"], PseudoYoungDiagram((0, -1))
     )
     assert d.mu.to_fundamental() == (-1, 1)
-    assert [s.index for s in d.summands] == [1]
+    assert d.summands == (("x1", fundamental_coweight(2, 1)),)
 
     d2 = divisor_from_young(
         PseudoYoungDiagram((0, 0)), [], PseudoYoungDiagram((1, -1))
@@ -97,7 +97,7 @@ def test_divisor_from_young_examples():
     d4 = divisor_from_young(
         PseudoYoungDiagram((1, 0, 0, 0)), ["x1"], PseudoYoungDiagram((0, 0, 0, -1))
     )
-    assert [s.index for s in d4.summands] == [3]  # column of height 1
+    assert d4.summands == (("x1", fundamental_coweight(4, 3)),)  # column of height 1
     assert d4.mu.to_fundamental() == (-1, 1, 0, 0)
 
 
@@ -117,9 +117,10 @@ def test_divisor_errors():
 
 
 def test_divisor_size_is_bounded():
-    # fewer than HALF = 2^15 finite summands and slots in a row: past that
-    # a diagonal Gauss entry's z-degree could not be stored, so the
-    # divisor is refused before its summands are expanded
+    # the fundamental coefficients at the finite points sum (in absolute
+    # value) to less than HALF = 2^15, and so does each slot count: past
+    # that a diagonal Gauss entry's z-degree could not be stored, so the
+    # divisor is refused when it is made
     from laxkit.coweight import MAX_SUMMANDS
 
     def divisor(point, infinity):
@@ -128,7 +129,7 @@ def test_divisor_size_is_bounded():
                                   "infinity": {"fundamental": infinity}})
 
     k = MAX_SUMMANDS
-    assert len(divisor([k, 0], [-k, 0]).summands) == k
+    assert divisor([k, 0], [-k, 0]).summands == (("x1", Coweight.from_fundamental([k, 0])),)
     assert divisor(None, [-k, 2 * k]).a_vector() == (k,)
     for point, infinity in (([k + 1, 0], [-k - 1, 0]), ([k, 1], [-k, -1]),
                             ([2 ** 40, 1], [-1, 0]), (None, [-k - 1, 2 * k + 2])):
@@ -174,7 +175,7 @@ def test_json_roundtrip():
     d3 = Divisor.from_json(json.loads(blob2))
     from fractions import Fraction
 
-    assert d3.summands[0].point == Fraction(3, 2)
+    assert d3.summands == ((Fraction(3, 2), fundamental_coweight(2, 1)),)
 
 
 def test_trig_divisor_framings():
@@ -207,3 +208,20 @@ def test_move_last_point_moves_its_whole_coweight():
     empty = Divisor.make(2, "trig", [], simple_coroot(2, 1))
     with pytest.raises(NotAdmissible, match="no finite points"):
         empty.move_last_point("infinity")
+
+
+def test_each_point_carries_one_nonzero_dominant_coweight():
+    w0, w1 = fundamental_coweight(2, 0), fundamental_coweight(2, 1)
+    mu = simple_coroot(2, 1) - 2 * w1 - w0
+    # a point listed twice holds the sum, at its first place; a zero
+    # coweight leaves its point out
+    d = Divisor.make(2, "rational", [("x", w1), ("y", w0), ("t", Coweight.zero(2)), ("x", w1)], mu)
+    assert d.summands == (("x", 2 * w1), ("y", w0))
+    assert d.last_point() == "y" and d.signature().points == ("x", "y")
+    with pytest.raises(NotAdmissible, match="non-dominant"):
+        Divisor.make(2, "rational", [("x", -w1)], simple_coroot(2, 1) + w1)
+    for lam in (Coweight.zero(2), -w1):
+        with pytest.raises(NotAdmissible, match="nonzero and dominant"):
+            Divisor(2, "rational", (("x", lam),), simple_coroot(2, 1) - lam)
+    with pytest.raises(ValueError, match="twice"):
+        Divisor(2, "rational", (("x", w1), ("x", w1)), mu + w0)

@@ -8,7 +8,8 @@ points.  A divisor without a linear form adds the name of the error
 instead.  Fused pairs (the coproduct T (x) T as a matrix product, as
 `lax fuse` forms it from raw builds) are pinned the same way, rank 1
 included.  The raw builds of the trig n = 3, a <= 2 family are pinned on
-their own.
+their own.  The multi_coweight family pins points that each carry more
+than one fundamental coweight.
 """
 
 import hashlib
@@ -24,6 +25,21 @@ from laxkit.lax_trig import build_lax_trig, build_linear_lax_trig
 from laxkit.ratfun import RatFun
 from laxkit.textio import matrix_to_json
 
+
+def _multi_coweight():
+    """n = 2 divisors whose one point x carries fundamental [0, 2] or
+    [1, 1], in both modes."""
+    out = []
+    for mode in ("rational", "trig"):
+        for point, infinity in (([0, 2], [-1, 0]), ([1, 1], [-2, 1])):
+            out.append(Divisor.make(
+                2, mode, [("x", Coweight.from_fundamental(point))],
+                Coweight.from_fundamental(infinity),
+                Coweight.zero(2) if mode == "trig" else None,
+            ))
+    return out
+
+
 FAMILIES = {
     "rtt_rational": suite.rtt_rational_divisors,
     "rtt_trig": suite.rtt_trig_divisors,
@@ -31,6 +47,7 @@ FAMILIES = {
     "trig_4_1": lambda: suite.enumerate_linear_divisors(4, 1, "trig"),
     "rational_4_1": lambda: suite.enumerate_linear_divisors(4, 1),
     "pizero": lambda: [suite.rational_pizero_divisor(), suite.trig_pizero_divisor()],
+    "multi_coweight": _multi_coweight,
 }
 
 DIGESTS = {
@@ -40,6 +57,7 @@ DIGESTS = {
     "trig_4_1": "f27abb52291acef8",
     "rational_4_1": "46ac19d215be2fcf",
     "pizero": "c253acf06df57fa1",
+    "multi_coweight": "d33e6dd65c159a65",
 }
 
 

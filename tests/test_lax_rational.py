@@ -182,7 +182,7 @@ def test_qdet_reads_the_entries():
 
 def test_normalized_limit_cases():
     # x carries twice the index-1 fundamental coweight: moving only one
-    # summand left the other to diverge
+    # of them left the other to diverge
     two_at_x = Divisor.make(
         2, "rational", [("x", Coweight.from_fundamental([0, 2]))],
         Coweight.from_fundamental([-1, 0]),
@@ -265,16 +265,14 @@ def _rename_w(elem):
 
 def _diag_factors(div, i):
     """The (poly, exp) factors of diagonal Gauss entry i: (z - p[i,t]) over
-    (z - 1 - p[i-1,t]), times (z - point)^sign for each summand of lower
-    index."""
+    (z - 1 - p[i-1,t]), times (z - x)^(-eps_i(lambda_x)) for each point x."""
     sig = div.signature()
     zp = Poly.variable(Z)
     fs = [(zp - Poly.variable(p_var(i, t)), 1) for t in range(1, sig.a(i) + 1)]
     fs += [(zp - 1 - Poly.variable(p_var(i - 1, t)), -1) for t in range(1, sig.a(i - 1) + 1)]
-    for s in div.summands:
-        if s.index < i:
-            pt = Poly.variable(x_var(s.point)) if isinstance(s.point, str) else Poly.const(s.point)
-            fs.append((zp - pt, s.sign))
+    for x, lam in div.summands:
+        pt = Poly.variable(x_var(x)) if isinstance(x, str) else Poly.const(x)
+        fs.append((zp - pt, -lam.d[i - 1]))
     return fs
 
 
@@ -346,3 +344,23 @@ def test_negative_index_zero_summand():
     x2 = RatFun.variable(x_var("x2"))
     want_q = (z - x1 + 1) * (z - x2).invert() * (z - x2 + 1).invert()
     assert qdet_image(T).equals(want_q)
+
+
+@pytest.mark.parametrize("mode", ["rational", "trig"])
+@pytest.mark.parametrize("lam1, lam2", [([0, 1], [0, 1]), ([1, 0], [0, 1]), ([0, 1], [1, 0])])
+def test_merging_two_points_is_specialization(mode, lam1, lam2):
+    # lam1[x] + lam2[y] + mu at y = x is (lam1 + lam2)[x] + mu: renaming
+    # y to x in every coefficient of the two-point build gives the build
+    # of the merged divisor
+    lam1, lam2 = Coweight.from_fundamental(lam1), Coweight.from_fundamental(lam2)
+    mu = simple_coroot(2, 1) - lam1 - lam2
+    mu_zero = Coweight.zero(2) if mode == "trig" else None
+    build = build_lax if mode == "rational" else build_lax_trig
+    two = build(Divisor.make(2, mode, [("x", lam1), ("y", lam2)], mu, mu_zero))
+    merged = build(Divisor.make(2, mode, [("x", lam1 + lam2)], mu, mu_zero))
+    assert two.signature.points == ("x", "y") and merged.signature.points == ("x",)
+    renamed = mat_map(two.entries, lambda e: AlgebraElement(
+        merged.signature,
+        {s: c.rename_var(x_var("y"), x_var("x")) for s, c in e.terms.items()},
+    ))
+    assert mat_equal(renamed, merged.entries)

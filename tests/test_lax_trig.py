@@ -83,9 +83,9 @@ def test_limits_match_rebuilt_divisors():
         (trig_case_divisor(6), "to_infinity"),
         (trig_pizero_divisor(), "to_zero"),
         (trig_pizero_divisor(), "to_infinity"),
-        # several summands at x: moving only the last one diverged to
-        # infinity on [0, 2], and to zero it left the rest at x although
-        # x = 0 was set in every factor
+        # x carries several fundamental coweights: moving only one of
+        # them diverged to infinity on [0, 2], and to zero it left the
+        # rest at x although x = 0 was set in every factor
         (_one_point([0, 2], [-1, 0]), "to_infinity"),
         (_one_point([0, 2], [-1, 0]), "to_zero"),
         (_one_point([1, 1], [-2, 1]), "to_zero"),
@@ -100,15 +100,16 @@ def test_limits_match_rebuilt_divisors():
 
 
 def test_index0_limit_moves_the_whole_point():
-    # the last summand is index 0 at x, and x also carries an index-1
-    # summand: the limit to infinity moves both, so x leaves the divisor
+    # x carries fundamental [1, 1], an index-0 and an index-1 part: the
+    # limit to infinity moves both, so x leaves the divisor
     for mode in ("rational", "trig"):
         div = Divisor.make(
             2, mode, [("x", Coweight.from_fundamental([1, 1]))],
             Coweight.from_fundamental([-1, -1]),
             Coweight.zero(2) if mode == "trig" else None,
         )
-        assert div.summands[-1].index == 0
+        assert div.summands == (("x", Coweight.from_fundamental([1, 1])),)
+        assert div.points_with(0) == [("x", 1)] and div.points_with(1) == [("x", 1)]
         build = build_lax if mode == "rational" else build_lax_trig
         T = build(div)
         got = normalized_limit(T) if mode == "rational" else limits_trig(T, "to_infinity")
