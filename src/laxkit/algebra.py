@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .errors import NonIntegerShift, NotScalar, SignatureMismatch
 from .poly import _P_ONE
 from .ratfun import (Poly, RatFun, as_ratfun, den_product, p_var, reduced_product, reduced_sum,
-                     slot_map, substitute, wh_var)
+                     shift_map, substitute, wh_var)
 
 
 @dataclass(frozen=True)
@@ -292,16 +292,17 @@ class AlgebraElement:
 
 def _term_products(x: AlgebraElement, y: AlgebraElement):
     """The term pairs of x * y: (s1 * s2, c1, num, den) with num / den
-    the coefficient c2 moved left past s1 by ratfun.substitute; a shift is
-    an automorphism, so num / den stays reduced."""
+    the coefficient c2 moved left past s1 by one ratfun.substitute of the
+    whole shift monomial (shift_map); a shift is an automorphism, so
+    num / den stays reduced."""
     mode = x.signature.mode
     for s1, c1 in x.terms.items():
-        keys = [(mode, f, i, r, -m if mode == "rational" else m)
-                for (f, i, r), m in s1.exps.items()]
-        maps = [(slot_map(*key), key) for key in keys]
+        key = (mode, tuple((f, i, r, -m if mode == "rational" else m)
+                           for (f, i, r), m in s1._key))
+        fn = shift_map(*key) if s1.exps else None
         for s2, c2 in y.terms.items():
             num, den = c2.num, c2.den
-            for fn, key in maps:
+            if fn is not None:
                 num, den = substitute(num, den, fn, key)
             yield s1 * s2, c1, num, den
 

@@ -190,17 +190,18 @@ class Divisor:
     @staticmethod
     def make(n: int, mode: str, points: Sequence[Tuple[Point, Coweight]],
              mu: Coweight, mu_zero: Optional[Coweight] = None) -> "Divisor":
-        """Build from (point, dominant coweight) pairs: int points become
-        Fractions, a point listed twice holds the sum of its coweights, and
-        a zero coweight holds nothing, so a point whose sum is zero is left
-        out."""
+        """Build from (point, dominant coweight) pairs: int points and
+        strings that read as numbers ("3/2", as from_json reads them)
+        become Fractions, a point listed twice holds the sum of its
+        coweights, and a zero coweight holds nothing, so a point whose sum
+        is zero is left out."""
         merged: Dict[Point, Coweight] = {}
         for pt, lam in points:
             if not lam.is_dominant():
                 raise NotAdmissible(f"non-dominant coefficient at {pt}: {lam.to_fundamental()}")
             if not any(lam.d):
                 continue
-            if isinstance(pt, int):
+            if isinstance(pt, int) or isinstance(pt, str) and _looks_numeric(pt):
                 pt = Fraction(pt)
             merged[pt] = merged[pt] + lam if pt in merged else lam
         pairs = tuple((pt, lam) for pt, lam in merged.items() if any(lam.d))
@@ -309,11 +310,9 @@ class Divisor:
             if not isinstance(p, dict):
                 raise ParseError(f"a point must be a JSON object, got {p!r}")
             x = _json_field(p, "x", "point")
-            if isinstance(x, str):
-                x = Fraction(x) if _looks_numeric(x) else x
-            elif isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
+            if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
                 x = Fraction(x)
-            else:
+            elif not isinstance(x, str):
                 raise ParseError(f"point label must be a string or a number, got {x!r}")
             parsed.append((x, _json_coweight(_json_field(p, "coweight", "point"), n)))
         mu = _json_coweight(_json_field(data, "infinity", "divisor"), n)

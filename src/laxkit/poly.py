@@ -8,7 +8,11 @@ graded lexicographic in var_precedence rank, read from decoded fields
 rendering and Atom keys, which hold decoded monomials, so results are
 the same in every process.  Every product checks a per-Poly bound on
 |exponent| first, so a field that would overflow raises OverflowError
-instead of wrapping.
+instead of wrapping.  A product with a one-term operand skips the
+accumulation loop: exponents add, so no two products collide.  When
+both operands have only int coefficients, a product by 1 is the other
+operand itself; a Fraction coefficient still goes through _q, so
+p * Poly.const(1) is p made canonical.
 
 Exact division is only ever by an atom (see ratfun), which has one of
 two shapes, and each has its synthetic division: by a prime atom
@@ -229,6 +233,22 @@ class Poly:
         eb = self._eb + other._eb
         if eb >= HALF:
             eb = _bounded(int.__add__, self, other)
+        if len(at) == 1 or len(bt) == 1:
+            # at: the one-term operand, other's when both are and it is 1
+            if len(bt) == 1 and (len(at) > 1 or bt.get(0) == 1):
+                at, bt, other = bt, at, self
+            (ma, ca), = at.items()
+            if ca == 1 and not ma:
+                for c in bt.values():
+                    if c.__class__ is not int:
+                        break
+                else:
+                    return other
+            out = {}
+            for m, c in bt.items():
+                c *= ca
+                out[m + ma] = c if c.__class__ is int else _q(c)
+            return Poly(out, eb)
         out: Dict[Monomial, Coeff] = {}
         for ma, ca in at.items():
             for mb, cb in bt.items():
@@ -353,28 +373,37 @@ class Poly:
                     out.pop(nm, None)
         return Poly(out, self._eb)
 
-    def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]], c=Q1) -> "Poly":
-        """v -> c * unit * v  (unit ((var, exp), ...), a Laurent monomial
-        in unit variables)."""
-        c = _q(c)
-        unit = tuple(unit)
-        s = self._shift_of(v)
-        if s is None:
+    def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]]) -> "Poly":
+        """v -> unit * v (the one-move case of scale_vars)."""
+        return self.scale_vars(((v, unit),))
+
+    def scale_vars(self, moves: Iterable[Tuple[Var, Iterable[Tuple[Var, int]]]]) -> "Poly":
+        """v -> unit * v over the (v, unit) moves in one pass, the v
+        distinct and each unit ((var, exp), ...) a Laurent monomial in unit
+        variables other than every moved v.  It only renames monomials, so
+        no two terms collide and the coefficients are copied; self when no
+        v occurs."""
+        steps = []  # (bit offset of v, packed unit)
+        ub = 0  # bound on the exponents the units add, per unit of |exponent|
+        for v, unit in moves:
+            s = self._shift_of(v)
+            if s is not None:
+                unit = tuple(unit)
+                steps.append((s, pack_mono(unit)))
+                ub += max((abs(e) for _, e in unit), default=0)
+        if not steps:
             return self
-        ub = max((abs(e) for _, e in unit), default=0)
         eb = _bounded(lambda b: b * (1 + ub), self)
-        um = pack_mono(unit)
         bias = mono.BIAS
         out: Dict[Monomial, Coeff] = {}
-        for m, coeff in self.terms.items():
-            e = ((m + bias) >> s & MASK) - HALF
-            nm = m + e * um if e else m
-            nc = coeff * (c ** e if e >= 0 else _qdiv(1, c ** (-e)))
-            nc = out.get(nm, 0) + nc
-            if nc:
-                out[nm] = _q(nc)
-            else:
-                out.pop(nm, None)
+        for m, c in self.terms.items():
+            y = m + bias
+            nm = m
+            for s, um in steps:
+                e = (y >> s & MASK) - HALF
+                if e:
+                    nm += e * um
+            out[nm] = c
         return Poly(out, eb)
 
     def set_value(self, v: Var, value: Coeff) -> "Poly":

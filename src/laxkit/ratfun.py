@@ -44,7 +44,8 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
     multiplicity, so only those and the non-prime atoms are tried;
   * reciprocal b/a: nothing is tried when every atom is prime;
   * a ring automorphism keeps a fraction reduced, so nothing is tried:
-    a slot shift (shift_slot), a translation p -> p + c of non-unit
+    a slot shift (shift_slot, or every slot of a shift monomial at once
+    through shift_map), a translation p -> p + c of non-unit
     variables (shift_var, shift_vars), a unit scaling v -> unit * v
     (scale_var) and a renaming onto variables the fraction does not
     hold (rename_var, rename_vars).  A rename onto a variable it holds
@@ -61,7 +62,10 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
     (_lifted_sum), then reduced once by _make, which tries every atom.
     sum_is_zero groups alike, and a proven pole (_has_pole) answers
     before any lifting; that tail, grouped_sum_is_zero, is also the
-    exchange check's zero test for the groups it sums itself.
+    exchange check's zero test for the groups it sums itself;
+  * equality (RatFun.equals): two fractions with the same numerator
+    terms and the same atom multiset are equal with no arithmetic; any
+    other pair takes the exact test sum_is_zero of their difference.
 
 The rules need two things: no prime atom divides a non-prime one, and
 no numerator holds a negative power of a non-unit variable (the
@@ -521,8 +525,12 @@ class RatFun:
         return as_ratfun(other) / self
 
     def equals(self, other) -> bool:
-        """Mathematical equality via exact cross multiplication."""
+        """Mathematical equality: True at once for two fractions with the
+        same numerator terms and the same atom multiset, otherwise the
+        exact test sum_is_zero of their difference."""
         other = as_ratfun(other)
+        if self.num.terms == other.num.terms and self.den == other.den:
+            return True
         return sum_is_zero([(self.num, self.den), (-other.num, other.den)])
 
     __eq__ = equals
@@ -614,11 +622,11 @@ class RatFun:
         return self._automorphism(rename, ("rename", pairs))
 
     def shift_slot(self, mode: str, slot: int, i: int, r: int, m: int) -> "RatFun":
-        """The m-fold shift automorphism on a slot (see slot_map)."""
+        """The m-fold shift automorphism on a slot (see shift_map)."""
         if not m:
             return self
-        key = (mode, slot, i, r, m)
-        return self._automorphism(slot_map(*key), key)
+        key = (mode, ((slot, i, r, m),))
+        return self._automorphism(shift_map(*key), key)
 
     # -- structure in one variable
 
@@ -780,9 +788,10 @@ def substitute(num: Poly, den: Dict[Atom, int], poly_fn, key=None) -> tuple:
     for a linear atom), their units moved to num.
 
     key, when given, is a hashable description of poly_fn, the same for
-    every call with the same map (slot_map's arguments, a tuple of
-    moves); each atom's image is then memoized under (atom, key), so an
-    atom met again under the same map is not mapped again."""
+    every call with the same map (shift_map's arguments, a tuple of
+    moves, the map itself); each atom's image is then memoized under
+    (atom, key), so an atom met again under the same map is not mapped
+    again."""
     num = poly_fn(num)
     out: Dict[Atom, int] = {}
     for a, m in den.items():
@@ -816,12 +825,22 @@ def _atom_image(a: Atom, poly_fn):
 _IMAGES: Dict[tuple, object] = {}
 
 
-def slot_map(mode: str, slot: int, i: int, r: int, m: int):
-    """The Poly map of the m-fold shift on slot (i, r) of tensor factor
-    `slot`: rational p -> p + m; trig wh -> v^m wh (so w -> v^{2m} w)."""
+def shift_map(mode: str, moves: tuple):
+    """The Poly map of a shift monomial, given as its (slot, i, r, m)
+    moves on distinct slots: the m-fold shift on slot (i, r) of tensor
+    factor `slot` for every move at once, in one pass.  Rational
+    p -> p + m (Poly.shift_vars); trig wh -> v^m wh, so w -> v^{2m} w
+    (Poly.scale_vars, which only renames monomials)."""
     if mode == "rational":
-        return lambda p: p.shift_var(p_var(i, r, slot), m)
-    return lambda p: p.scale_var(wh_var(i, r, slot), ((V, m),))
+        shifts = tuple((p_var(i, r, slot), m) for slot, i, r, m in moves)
+        return lambda p: p.shift_vars(shifts)
+    scales = tuple((wh_var(i, r, slot), ((V, m),)) for slot, i, r, m in moves)
+    return lambda p: p.scale_vars(scales)
+
+
+def slot_map(mode: str, slot: int, i: int, r: int, m: int):
+    """The m-fold shift on one slot: the one-move case of shift_map."""
+    return shift_map(mode, ((slot, i, r, m),))
 
 
 def _grouped(fracs: list) -> List[Tuple[Poly, Dict[Atom, int]]]:

@@ -211,7 +211,8 @@ def _exchange_failures(r: Sparse, left, right, mirror=None,
     if right is left:
         ml = lm
     elif mirror is not None:
-        ml = {q: {s: [substitute(num, den, mirror) for num, den in fracs]
+        # the map is its own key, so its atom images are memoized
+        ml = {q: {s: [substitute(num, den, mirror, mirror) for num, den in fracs]
                   for s, fracs in prod.items()} for q, prod in lm.items()}
     else:
         ml = {q: product(right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}

@@ -837,13 +837,16 @@ def kernel_ring_axioms(cases: int = 200, seed: int = 11) -> Tuple[bool, str]:
     for idx in range(cases):
         mode = "rational" if idx % 2 == 0 else "trig"
         a, b, c = (random_ratfun(rng, mode) for _ in range(3))
-        if not ((a + b) + c).equals(a + (b + c)):
+        a_b = a + b
+        if not (a_b + c).equals(a + (b + c)):
             return False, f"additive associativity case {idx}"
-        if not (a + b).equals(b + a) or not (a * b).equals(b * a):
+        ab = a * b
+        if not a_b.equals(b + a) or not ab.equals(b * a):
             return False, f"commutativity case {idx}"
-        if not ((a * b) * c).equals(a * (b * c)):
+        bc = b * c
+        if not (ab * c).equals(a * bc):
             return False, f"multiplicative associativity case {idx}"
-        if not ((a + b) * c).equals(a * c + b * c):
+        if not (a_b * c).equals(a * c + bc):
             return False, f"distributivity case {idx}"
     return True, ""
 
@@ -857,11 +860,12 @@ def kernel_shift_automorphism(cases: int = 200, seed: int = 12) -> Tuple[bool, s
         m = rng.randint(-2, 2)
         m2 = rng.randint(-2, 2)
         sh = lambda f, k: f.shift_slot(mode, 1, 1, 1, k)
-        if not sh(a * b, m).equals(sh(a, m) * sh(b, m)):
+        sa, sb = sh(a, m), sh(b, m)
+        if not sh(a * b, m).equals(sa * sb):
             return False, f"multiplicative case {idx}"
-        if not sh(a + b, m).equals(sh(a, m) + sh(b, m)):
+        if not sh(a + b, m).equals(sa + sb):
             return False, f"additive case {idx}"
-        if not sh(sh(a, m), m2).equals(sh(a, m + m2)):
+        if not sh(sa, m2).equals(sh(a, m + m2)):
             return False, f"composition case {idx}"
     return True, ""
 
@@ -880,10 +884,12 @@ def kernel_gauge_automorphism(cases: int = 200, seed: int = 13) -> Tuple[bool, s
     for idx in range(cases):
         x = random_element(rng, sig)
         y = random_element(rng, sig)
+        xy, x_y = x * y, x + y
         for g in (gamma, mono):
-            if not g.conjugate(x * y).equals(g.conjugate(x) * g.conjugate(y)):
+            gx, gy = g.conjugate(x), g.conjugate(y)
+            if not g.conjugate(xy).equals(gx * gy):
                 return False, f"product case {idx}"
-            if not g.conjugate(x + y).equals(g.conjugate(x) + g.conjugate(y)):
+            if not g.conjugate(x_y).equals(gx + gy):
                 return False, f"sum case {idx}"
     return True, ""
 

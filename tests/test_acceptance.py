@@ -7,7 +7,9 @@ the criteria are enforced where given.
 
 import pytest
 
-from laxkit import suite
+from laxkit import algebra, ratfun, suite
+from laxkit.algebra import AlgebraElement, MonomialGauge
+from laxkit.ratfun import RatFun
 
 
 def _run(check, budget=None):
@@ -105,3 +107,56 @@ def test_criterion_14_kernel_properties():
     """Ring-axiom, shift-automorphism and gauge-automorphism suites, 200
     randomized cases each, exact arithmetic."""
     _run(suite.check_kernel_properties)
+
+
+
+# ---------------------------------------------------------------------------
+# negative controls of criterion 14: one kernel operation broken per family
+
+_SHIFT_SLOT = RatFun.shift_slot
+_GAMMA_QUOTIENT = algebra._gamma_quotient
+_MONOMIAL_CONJUGATE = MonomialGauge.conjugate
+
+
+def _den_product_by_max(a, b):
+    # an atom both factors hold keeps the larger multiplicity, not the sum
+    out = dict(a)
+    for atom, m in b.items():
+        out[atom] = max(out.get(atom, 0), m)
+    return out
+
+
+def _sign_on_forward_shifts_only(gauge, elem):
+    # the sign twist lands on e^{q} but not on e^{-q}.  Dropping the sign
+    # altogether would be no control: the translation alone is still an
+    # automorphism, and the family passes
+    out = _MONOMIAL_CONJUGATE(MonomialGauge(gauge.shifts), elem)
+    signed = {slot for slot, k in gauge.signs if k % 2}
+
+    def flips(s):
+        return sum(m > 0 for (_, i, r), m in s.exps.items() if (i, r) in signed) % 2
+
+    return AlgebraElement(elem.signature,
+                          {s: -c if flips(s) else c for s, c in out.terms.items()})
+
+
+@pytest.mark.parametrize("family, owner, name, broken, detail", [
+    (suite.kernel_ring_axioms, ratfun, "den_product", _den_product_by_max,
+     "distributivity case 3"),
+    (suite.kernel_shift_automorphism, RatFun, "shift_slot",
+     lambda f, mode, slot, i, r, m: _SHIFT_SLOT(f, mode, slot, i, r, m + 1),
+     "composition case 2"),
+    (suite.kernel_gauge_automorphism, MonomialGauge, "conjugate",
+     _sign_on_forward_shifts_only, "product case 2"),
+    (suite.kernel_gauge_automorphism, algebra, "_gamma_quotient",
+     lambda L, k, e: _GAMMA_QUOTIENT(L, k + 1, e), "product case 0"),
+], ids=["ring-den-max", "shift-off-by-one", "gauge-sign-forward", "gamma-off-by-one"])
+def test_kernel_families_catch_a_sabotaged_operation(monkeypatch, family, owner, name,
+                                                     broken, detail):
+    """With one kernel operation broken (atom multiplicities of a product
+    by max, an off-by-one slot shift, the monomial gauge's sign on
+    forward shifts only, an off-by-one Gamma functional equation), each
+    family fails, at the case index it failed at before its repeated
+    subexpressions were shared."""
+    monkeypatch.setattr(owner, name, broken)
+    assert family() == (False, detail)

@@ -176,6 +176,8 @@ def test_json_roundtrip():
     from fractions import Fraction
 
     assert d3.summands == ((Fraction(3, 2), fundamental_coweight(2, 1)),)
+    # make reads the label "3/2" as from_json does, so the round trip holds
+    assert Divisor.from_json(d2.to_json()) == d2
 
 
 def test_trig_divisor_framings():

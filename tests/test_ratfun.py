@@ -708,7 +708,7 @@ def test_coefficients_are_ints_when_integral():
         atom = atoms[idx % len(atoms)]
         _assert_canonical(f)
         for h in (f + g, f * g, f * half, f * 2, -f, poly_div_exact(f * atom.poly, atom),
-                  f.rename_var(Z, W), f.scale_var(x_var("x1"), ((V, 1),), half)):
+                  f.rename_var(Z, W), f.scale_var(x_var("x1"), ((V, 1),))):
             _assert_canonical(h)
         nonlaurent = _random_mixed_poly(rng, 4, laurent=False)
         _assert_canonical(nonlaurent.shift_var(Z, half))
@@ -1893,3 +1893,117 @@ def test_sum_with_a_sole_highest_power_is_a_pole():
     # a zero multiplicity holds nothing: b is no pole of 1/a - 1/a
     fracs = [(one, {a: 1, b: 0}), (-one, {a: 1})]
     assert not _grouped(fracs) and sum_is_zero(fracs)
+
+
+# ---------------------------------------------------------------------------
+# fast paths: identical-fraction equality, one-term products, one
+# substitution per shift monomial
+
+
+def test_equals_gives_the_verdict_of_sum_is_zero(monkeypatch):
+    # on seeded pairs, equals gives sum_is_zero's verdict for identical
+    # fractions (answered with no sum_is_zero), for equal ones written
+    # differently (a numerator and denominator times the same atom) and
+    # for unequal ones
+    from laxkit import ratfun
+    from laxkit.ratfun import den_product, factor_atoms, sum_is_zero
+    from laxkit.suite import random_ratfun
+
+    calls = []
+    monkeypatch.setattr(ratfun, "sum_is_zero", lambda fracs: calls.append(1) or sum_is_zero(fracs))
+    (z_minus_1,) = factor_atoms(Poly.variable(Z) - Poly.const(1))[1]
+    rng = random.Random(131)
+    seen = {True: 0, False: 0}
+    for idx in range(120):
+        mode = "rational" if idx % 2 == 0 else "trig"
+        a, b = random_ratfun(rng, mode), random_ratfun(rng, mode)
+        if a.is_zero() or b.is_zero():
+            continue
+        same = RatFun(Poly(dict(a.num.terms)), dict(reversed(a.den.items())))
+        del calls[:]
+        assert a.equals(same) and not calls
+        atom = next(iter(b.den), z_minus_1)
+        rewritten = RatFun(a.num * atom.poly, den_product(a.den, {atom: 1}))
+        for f, g, want in ((a, rewritten, True), (rewritten, a, True), (a, a + b, False),
+                           (a, a * 2, False), (a, b, None)):
+            verdict = sum_is_zero([(f.num, f.den), (-g.num, g.den)])
+            assert f.equals(g) == verdict, (f, g)
+            assert want is None or verdict == want, (f, g)
+            seen[verdict] += 1
+    assert seen[True] > 150 and seen[False] > 200, seen
+
+
+def test_one_term_products_match_the_general_loop_and_sympy():
+    # a product with a one-term operand skips the accumulation loop; it
+    # gives the loop's terms (mul_add, then _q) and sympy's product, on
+    # Fraction and Laurent coefficients, in canonical form even when an
+    # operand is not; a product by 1 of int coefficients is the operand
+    sympy = pytest.importorskip("sympy")
+    from laxkit.poly import _q, mul_add
+
+    def loop(a, b):
+        out = {}
+        mul_add(out, a, b)
+        return {m: _q(c) for m, c in out.items() if c}
+
+    rng = random.Random(132)
+    one = Poly.const(1)
+    noncanonical = 0
+    for idx in range(150):
+        # _random_div_poly may hold Fractions such as 2/1
+        f = _random_div_poly(rng, 4) if idx % 2 else _random_mixed_poly(rng, 4)
+        t = _random_div_poly(rng, 1) if idx % 3 else _random_mixed_poly(rng, 1)
+        ints = _random_mixed_poly(rng, 4) * Poly.const(6)
+        assert len(t.terms) == 1 and all(type(c) is int for c in ints.terms.values())
+        noncanonical += any(type(c) is Fraction and c.denominator == 1 for c in f.terms.values())
+        for a, b in ((t, f), (f, t), (one, f), (f, one), (t, ints), (ints, one)):
+            got = a * b
+            assert got.terms == loop(a, b), (a, b)
+            _assert_canonical(got)
+            want = _sympy_of(sympy, a) * _sympy_of(sympy, b)
+            assert sympy.expand(_sympy_of(sympy, got) - want) == 0, (a, b)
+        assert one * ints is ints and ints * one is ints
+        assert (f * one).terms == f.terms
+    assert noncanonical > 10, noncanonical
+    # the exponent bound is checked first on the one-term path too
+    h = HALF // 2
+    lin = Poly.variable(Z, h) + Poly.const(1)
+    assert (lin * Poly.variable(Z, h - 1)).degree(Z) == HALF - 1
+    with pytest.raises(OverflowError):
+        lin * Poly.variable(Z, h)
+    with pytest.raises(OverflowError):
+        (Poly.variable(V, 1 - HALF) + Poly.const(1)) * Poly.variable(V, -1)
+
+
+def test_shift_map_matches_chained_slot_maps():
+    # one substitution of a whole shift monomial (2-4 slots) gives,
+    # fraction for fraction, what the per-slot slot_map substitutions
+    # chained give, on the fractions of seeded unreduced products, with
+    # the image memo cold and warm
+    from laxkit import ratfun
+    from laxkit.algebra import AlgebraSignature, unreduced_product
+    from laxkit.ratfun import shift_map, slot_map
+    from laxkit.suite import random_element
+
+    checked = moved = 0
+    for mode in ("rational", "trig"):
+        rng = random.Random(133 if mode == "rational" else 134)
+        sig = AlgebraSignature(3, mode, ((2, 2),), ("x1",))
+        slots = [(1, i, r) for i in (1, 2) for r in (1, 2)]
+        ratfun._IMAGES.clear()
+        for _ in range(25):
+            x, y = random_element(rng, sig), random_element(rng, sig)
+            for fracs in unreduced_product(x, y).values():
+                for num, den in fracs:
+                    moves = tuple(sorted((*slot, rng.choice([-2, -1, 1, 2]))
+                                         for slot in rng.sample(slots, rng.randint(2, 4))))
+                    key = (mode, moves)
+                    chained = num, den
+                    for move in moves:
+                        chained = substitute(*chained, slot_map(mode, *move))
+                    for _ in range(2):  # cold, then warm
+                        got = substitute(num, den, shift_map(*key), key)
+                        assert got[0].terms == chained[0].terms and got[1] == chained[1], moves
+                    checked += 1
+                    moved += got[0].terms != num.terms or got[1] != den
+    assert checked > 60 and moved > 40, (checked, moved)
