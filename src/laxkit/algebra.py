@@ -290,6 +290,13 @@ class AlgebraElement:
         return f"AlgebraElement({render_element(self)})"
 
 
+def shift_moves(mode: str, s: ShiftMonomial) -> tuple:
+    """The (slot, i, r, m) moves of ratfun.shift_map that carry a
+    coefficient left past s: p -> p - m in rational mode, wh -> v^m wh
+    in trig mode."""
+    return tuple((f, i, r, -m if mode == "rational" else m) for (f, i, r), m in s._key)
+
+
 def _term_products(x: AlgebraElement, y: AlgebraElement):
     """The term pairs of x * y: (s1 * s2, c1, num, den) with num / den
     the coefficient c2 moved left past s1 by one ratfun.substitute of the
@@ -297,8 +304,7 @@ def _term_products(x: AlgebraElement, y: AlgebraElement):
     num / den stays reduced."""
     mode = x.signature.mode
     for s1, c1 in x.terms.items():
-        key = (mode, tuple((f, i, r, -m if mode == "rational" else m)
-                           for (f, i, r), m in s1._key))
+        key = (mode, shift_moves(mode, s1))
         fn = shift_map(*key) if s1.exps else None
         for s2, c2 in y.terms.items():
             num, den = c2.num, c2.den

@@ -10,7 +10,7 @@ class NotAtomFactorable(LaxkitError):
 
     factor_atoms splits nothing else: a product of two or more atoms,
     such as (z - 1)*(z - p[1,1]), raises it.  The closed formulas hand
-    every factor over on its own (RatFun.product), so from them it
+    every factor over on its own (factored.Factored.of), so from them it
     signals a construction bug; from a matrix file it is malformed input.
     """
 

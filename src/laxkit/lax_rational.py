@@ -3,9 +3,13 @@
 The matrix is assembled from its Gauss factors: a diagonal of explicit
 rational functions and uni-triangular factors whose entries are
 multi-index sums over slot tuples, with the shift generators on the
-right.  Everything downstream (normalization, limits, fusion, the
-linear fast path) reuses the same closed forms; the general builder is
-the oracle for all of them.
+right.  Every Gauss coefficient is an explicit product of linear
+factors, kept factored (factored.Factored) until T = F G E sums it:
+products add exponents, a shift past F's monomial maps atoms, and each
+T coefficient is multiplied out and reduced once (factored_sum).
+Everything downstream (normalization, limits, fusion, the linear fast
+path) reuses the same closed forms; the general builder is the oracle
+for all of them.
 
 The pipeline is shared with trig mode: lax_trig passes its own entry
 formulas and normalizer to the assembly, normalization and limit helpers
@@ -18,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
+    _SHIFT_ONE,
     AlgebraElement,
     AlgebraSignature,
     ShiftMonomial,
@@ -30,6 +35,7 @@ from .algebra import (
     mat_map,
     mat_mul,
     mat_zero,
+    shift_moves,
 )
 from .coweight import Divisor
 from .errors import (
@@ -39,6 +45,7 @@ from .errors import (
     NotScalar,
     SignatureMismatch,
 )
+from .factored import Factored, factored_sum
 from .ratfun import V, Poly, RatFun, Z, p_var, x_var
 
 
@@ -69,137 +76,190 @@ class LaxMatrix:
 
 
 # ---------------------------------------------------------------------------
-# factor lists
+# factored Gauss coefficients
 #
-# A Gauss coefficient is c * prod poly^exp over a list of (poly, exp)
-# factors, each poly a unit times atoms; RatFun.product multiplies it out
-# with nothing divided.  factor_atoms splits each distinct factor once per
-# process, so all builds share their splits.
+# A Gauss coefficient is a factored.Factored product.  Its factors come from
+# one table per build (a dict): _split makes each distinct factor's Poly
+# and splits it once, and the row and point products are kept there
+# too.  T = F G E is summed from these products (_assemble), and
+# LaxMatrix.gauss holds them multiplied out.
+
+
+def _kept(tab: dict, key, make: Callable[[], Factored]) -> Factored:
+    """make() kept in the build's table under key."""
+    f = tab.get(key)
+    if f is None:
+        f = tab[key] = make()
+    return f
+
+
+def _split(tab: dict, *terms) -> Factored:
+    """The factor sum of c * m over the (m, c) terms, m a monomial
+    ((var, exp), ...), split once per build."""
+    f = tab.get(terms)
+    if f is None:
+        f = tab[terms] = Factored.of(Poly.sum_of_monomials(terms))
+    return f
+
+
+def _var(v, c=1) -> tuple:
+    return ((v, 1),), c
+
+
+def _point(pt, c=1, unit=()) -> tuple:
+    """c * unit * pt as a term: x[pt] for a label, a number otherwise."""
+    if isinstance(pt, str):
+        return unit + ((x_var(pt), 1),), c
+    return unit, c * pt
 
 
 def _point_poly(pt) -> Poly:
-    if isinstance(pt, str):
-        return Poly.variable(x_var(pt))
-    return Poly.const(pt)
+    return Poly.sum_of_monomials((_point(pt),))
 
 
-def _p(k: int, r: int) -> Poly:
-    return Poly.variable(p_var(k, r))
+def _lin(tab: dict, a, c, b) -> Factored:
+    """a + c - b for variables a and b."""
+    return _split(tab, _var(a), ((), c), _var(b, -1))
 
 
-def _row(sig: AlgebraSignature, k: int, arg: Poly, e: int, skip: Optional[int] = None) -> list:
-    """(arg - p[k,t])^e over the slots t of row k, optionally skipping one."""
-    return [(arg - _p(k, t), e) for t in range(1, sig.a(k) + 1) if t != skip]
-
-
-def _zvar() -> Poly:
-    return Poly.variable(Z)
+def _row(tab: dict, sig: AlgebraSignature, k: int, a, c, skip: Optional[int] = None) -> Factored:
+    """prod of (a + c - p[k,t]) over the slots t of row k, optionally
+    skipping one."""
+    return _kept(tab, ("row", k, a, c, skip), lambda: Factored.product(1, [
+        (_lin(tab, a, c, p_var(k, t)), 1) for t in range(1, sig.a(k) + 1) if t != skip]))
 
 
 def slot_sum(sig: AlgebraSignature, i: int, j: int, step: int,
-             coeff: Callable[[dict], tuple]) -> AlgebraElement:
-    """sum over slot tuples r = (r_i, ..., r_(j-1)) of rows i..j-1 of
-    RatFun.product(*coeff(r)) times the shift monomial with exponent step
-    on every slot (k, r_k); r is passed as {k: r_k}.  One term per element
-    of the product of the slot ranges, so the cost per entry is bounded by
-    prod a_k over that range."""
+             coeff: Callable[[dict], Factored]) -> Dict[ShiftMonomial, Factored]:
+    """{shift monomial with exponent step on every slot (k, r_k): coeff(r)}
+    over the slot tuples r = (r_i, ..., r_(j-1)) of rows i..j-1, r passed
+    as {k: r_k}.  One term per element of the product of the slot ranges,
+    so the cost per entry is bounded by prod a_k over that range."""
     terms = {}
     for tup in iproduct(*(range(1, sig.a(k) + 1) for k in range(i, j))):
         r = dict(zip(range(i, j), tup))
-        shift = ShiftMonomial({(1, k, r[k]): step for k in range(i, j)})
-        terms[shift] = RatFun.product(*coeff(r))
-    return AlgebraElement(sig, terms)
+        terms[ShiftMonomial({(1, k, r[k]): step for k in range(i, j)})] = coeff(r)
+    return terms
+
+
+def _expanded(sig: AlgebraSignature, terms: Dict[ShiftMonomial, Factored]) -> AlgebraElement:
+    return AlgebraElement(sig, {s: c.expand() for s, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
 # Gauss factors
 #
-# The entry formulas of both modes take (div, sig, i[, j]), sig the
-# divisor's signature.
+# The entry formulas of both modes take (tab, div, sig, i[, j]), tab the
+# build's factor table and sig the divisor's signature; the diagonal
+# returns a Factored, the others {shift monomial: Factored}.
 
 
-def diag_entry(div: Divisor, sig: AlgebraSignature, i: int) -> RatFun:
+def diag_entry(tab: dict, div: Divisor, sig: AlgebraSignature, i: int) -> Factored:
     """Diagonal Gauss entry: row-i slot product over the shifted row-(i-1)
     product, times (z - x)^(-eps_i(lambda_x)) at each point x."""
-    z = _zvar()
-    fs = _row(sig, i, z, 1) + _row(sig, i - 1, z - 1, -1)
-    fs += [(z - _point_poly(pt), -lam.d[i - 1]) for pt, lam in div.summands]
-    return RatFun.product(1, fs)
+    fs = [(_row(tab, sig, i, Z, 0), 1), (_row(tab, sig, i - 1, Z, -1), -1)]
+    fs += [(_split(tab, _var(Z), _point(pt, -1)), -lam.d[i - 1]) for pt, lam in div.summands]
+    return Factored.product(1, fs)
 
 
-def upper_entry(div: Divisor, sig: AlgebraSignature, i: int, j: int,
-                drop_pole: bool = False) -> AlgebraElement:
+def _points(tab: dict, div: Divisor, k: int, a) -> Factored:
+    """prod of (a - x)^(c_k) over the points x, c_k the index-k
+    fundamental coefficient of x's coweight."""
+    return _kept(tab, ("points", k, a), lambda: Factored.product(1, [
+        (_split(tab, _var(a), _point(pt, -1)), c) for pt, c in div.points_with(k)]))
+
+
+def upper_entry(tab: dict, div: Divisor, sig: AlgebraSignature, i: int, j: int,
+                drop_pole: bool = False) -> Dict[ShiftMonomial, Factored]:
     """Entry (i, j), i < j, of the upper unitriangular factor.
 
     With drop_pole the spectral pole 1/(z - p[i, r_i]) is omitted; that is
     exactly the z-linear fast path residue."""
 
     def coeff(r):
-        p = {k: _p(k, r[k]) for k in r}
-        fs = _row(sig, i - 1, p[i] - 1, 1)
-        for k in range(i, j - 1):
-            fs += _row(sig, k, p[k + 1] - 1, 1, r[k])
+        p = {k: p_var(k, r[k]) for k in r}
+        fs = [(_row(tab, sig, i - 1, p[i], -1), 1)]
+        fs += [(_row(tab, sig, k, p[k + 1], -1, r[k]), 1) for k in range(i, j - 1)]
         if not drop_pole:
-            fs.append((_zvar() - p[i], -1))
+            fs.append((_lin(tab, Z, 0, p[i]), -1))
         for k in range(i, j):
-            fs += _row(sig, k, p[k], -1, r[k])
-            fs += [(p[k] - _point_poly(pt), c) for pt, c in div.points_with(k)]
-        return -1, fs
+            fs += [(_row(tab, sig, k, p[k], 0, r[k]), -1), (_points(tab, div, k, p[k]), 1)]
+        return Factored.product(-1, fs)
 
     return slot_sum(sig, i, j, 1, coeff)
 
 
-def lower_entry(div: Divisor, sig: AlgebraSignature, j: int, i: int,
-                drop_pole: bool = False) -> AlgebraElement:
+def lower_entry(tab: dict, div: Divisor, sig: AlgebraSignature, j: int, i: int,
+                drop_pole: bool = False) -> Dict[ShiftMonomial, Factored]:
     """Entry (j, i), i < j, of the lower unitriangular factor."""
 
     def coeff(r):
-        p = {k: _p(k, r[k]) for k in r}
-        fs = _row(sig, j, p[j - 1] + 1, 1)
-        for k in range(i + 1, j):
-            fs += _row(sig, k, p[k - 1] + 1, 1, r[k])
+        p = {k: p_var(k, r[k]) for k in r}
+        fs = [(_row(tab, sig, j, p[j - 1], 1), 1)]
+        fs += [(_row(tab, sig, k, p[k - 1], 1, r[k]), 1) for k in range(i + 1, j)]
         if not drop_pole:
-            fs.append((_zvar() - p[i] - 1, -1))
-        for k in range(i, j):
-            fs += _row(sig, k, p[k], -1, r[k])
-        return 1, fs
+            fs.append((_lin(tab, Z, -1, p[i]), -1))
+        fs += [(_row(tab, sig, k, p[k], 0, r[k]), -1) for k in range(i, j)]
+        return Factored.product(1, fs)
 
     return slot_sum(sig, i, j, -1, coeff)
 
 
-def _gauss_factors(div: Divisor, mode: str, diag: Callable, upper: Callable,
-                   lower: Callable) -> GaussFactors:
-    """Fill the unitriangular factors from a mode's three entry formulas."""
+def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
+              lower: Callable) -> LaxMatrix:
+    """T(z) = F G E from a mode's three entry formulas, with the Gauss
+    factors multiplied out alongside.
+
+    Every coefficient stays a Factored product until it is summed:
+    G_k E_kj adds exponents, and F_ik (G E)_kj shifts (G E)_kj's product
+    past F's monomial (Factored.shift) and adds exponents.  Each T
+    coefficient is then one factored_sum of its products."""
     if div.mode != mode:
         raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
-    sig, n = div.signature(), div.n
-    lower_f, upper_f = mat_identity(sig, n), mat_identity(sig, n)
-    diag_f = [AlgebraElement.from_ratfun(sig, diag(div, sig, i)) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            upper_f[i - 1][j - 1] = upper(div, sig, i, j)
-            lower_f[j - 1][i - 1] = lower(div, sig, j, i)
-    return GaussFactors(lower=lower_f, diag=diag_f, upper=upper_f)
-
-
-def _assemble(div: Divisor, gauss: GaussFactors) -> LaxMatrix:
-    """T(z) = F (G E), G E formed row by row.  F's first row is e_1, so T's
-    first row is G E's, already reduced; mat_mul forms the others."""
-    sig = div.signature()
-    zero = AlgebraElement.zero(sig)
-    ge = [[zero] * i + [g] + [g * e for e in gauss.upper[i][i + 1:]]
-          for i, g in enumerate(gauss.diag)]
-    entries = ge[:1] + mat_mul(gauss.lower[1:], ge)
-    return LaxMatrix(signature=sig, divisor=div, entries=entries, gauss=gauss)
+    sig, n, tab = div.signature(), div.n, {}
+    # 0-based: g[k] the diagonal, e[k, j] and f[j, k] (k < j) E's and F's entries
+    g = [diag(tab, div, sig, i) for i in range(1, n + 1)]
+    e = {(i, j): upper(tab, div, sig, i + 1, j + 1) for i in range(n) for j in range(i + 1, n)}
+    f = {(j, i): lower(tab, div, sig, j + 1, i + 1) for i in range(n) for j in range(i + 1, n)}
+    # (G E)_kj for j >= k, each term G_k times a coefficient of E_kj
+    ge = {(k, k): {_SHIFT_ONE: gk} for k, gk in enumerate(g)}
+    for (k, j), terms in e.items():
+        ge[k, j] = {s: g[k] * c for s, c in terms.items()}
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            sums: Dict[ShiftMonomial, list] = {}
+            for k in range(min(i, j) + 1):
+                right = ge[k, j]
+                if k == i:
+                    for s, c in right.items():
+                        sums.setdefault(s, []).append(c)
+                    continue
+                for s1, c1 in f[i, k].items():
+                    moves = shift_moves(mode, s1)
+                    for s2, c2 in right.items():
+                        sums.setdefault(s1 * s2, []).append(c1 * c2.shift(mode, moves))
+            row.append(AlgebraElement(sig, {s: factored_sum(ts) for s, ts in sums.items()}))
+        entries.append(row)
+    one, zero = AlgebraElement.one(sig), AlgebraElement.zero(sig)
+    unit = [[one if a == b else zero for b in range(n)] for a in range(n)]
+    lower_f, upper_f = [row[:] for row in unit], unit
+    for (i, j), terms in e.items():
+        upper_f[i][j] = _expanded(sig, terms)
+        lower_f[j][i] = _expanded(sig, f[j, i])
+    diag_f = [AlgebraElement.from_ratfun(sig, gk.expand()) for gk in g]
+    return LaxMatrix(signature=sig, divisor=div, entries=entries,
+                     gauss=GaussFactors(lower=lower_f, diag=diag_f, upper=upper_f))
 
 
 def build_gauss_factors(div: Divisor) -> GaussFactors:
-    return _gauss_factors(div, "rational", diag_entry, upper_entry, lower_entry)
+    return build_lax(div).gauss
 
 
 def build_lax(div: Divisor) -> LaxMatrix:
     """T(z) = F G E with the closed-form factors."""
-    return _assemble(div, build_gauss_factors(div))
+    return _assemble(div, "rational", diag_entry, upper_entry, lower_entry)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +270,7 @@ def normalizer(div: Divisor) -> RatFun:
     """1 / Z_0(z): strips the index-0 point factors."""
     out = RatFun.one()
     for pt, c in div.points_with(0):
-        out = out * RatFun.from_poly(_zvar() - _point_poly(pt)) ** -c
+        out = out * RatFun.from_poly(Poly.variable(Z) - _point_poly(pt)) ** -c
     return out
 
 
@@ -280,7 +340,7 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
     m = max(i for i in range(1, n + 1) if bm[n - i] == -1)
     m_prime = max(i for i in range(1, n + 1) if bm[n - i] <= 0)
     entries = mat_zero(sig, n)
-    z = _zvar()
+    z = Poly.variable(Z)
     for i in range(1, n + 1):
         if i <= m:
             val = RatFun.from_poly(z)
@@ -294,10 +354,11 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
             entries[i - 1][i - 1] = AlgebraElement.from_ratfun(sig, val)
         elif i <= m_prime:
             entries[i - 1][i - 1] = AlgebraElement.one(sig)
+    tab = {}
     for i in range(1, m + 1):
         for j in range(i + 1, n + 1):
-            entries[i - 1][j - 1] = upper_entry(div, sig, i, j, drop_pole=True)
-            entries[j - 1][i - 1] = lower_entry(div, sig, j, i, drop_pole=True)
+            entries[i - 1][j - 1] = _expanded(sig, upper_entry(tab, div, sig, i, j, True))
+            entries[j - 1][i - 1] = _expanded(sig, lower_entry(tab, div, sig, j, i, True))
     return LaxMatrix(sig, div, entries)
 
 
@@ -349,7 +410,7 @@ def _qdet_closed_form(div: Divisor, normalized: bool) -> RatFun:
     multiplies by z^(eps_1(lambda + mu-))."""
     trig = div.mode == "trig"
     e1 = div.total_finite().d[0] + div.mu_zero.d[0] if trig and normalized else 0
-    z = _zvar()
+    z = Poly.variable(Z)
     out = RatFun.one()
     for i in range(1, div.n + 1):
         c = RatFun.variable(Z, div.mu.d[i - 1] + e1) if trig else RatFun.one()

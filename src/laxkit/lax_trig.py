@@ -27,7 +27,7 @@ divisor with both framings merged at infinity.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from .algebra import (
     AlgebraElement,
@@ -46,123 +46,149 @@ from .errors import (
 from .lax_rational import (
     LaxMatrix,
     _assemble,
-    _gauss_factors,
+    _expanded,
+    _kept,
     _normalize,
     _on_divisor,
+    _point,
     _point_poly,
+    _split,
     _symbolic_last_point,
     _young_data,
     build_lax,
     normalized_limit,
     slot_sum,
 )
+from .factored import Factored
 from .ratfun import Poly, RatFun, V, Z, wh_var
 from .series import TruncSeries
 
 
 # ---------------------------------------------------------------------------
-# factor lists (see lax_rational)
-
-
-def _w_full(i: int, r: int) -> Poly:
-    return Poly.variable(wh_var(i, r), 2)
+# factors (see lax_rational)
 
 
 def _w_half_prod(sig: AlgebraSignature, i: int, exp: int) -> Poly:
     """prod over slots of row i of wh[i,t]^exp (exp in half-units of w)."""
-    return Poly.monomial((wh_var(i, t), exp) for t in range(1, sig.a(i) + 1))
+    return Poly.monomial(_half(sig, i, exp))
+
+
+def _half(sig: AlgebraSignature, i: int, exp: int) -> tuple:
+    """The monomial of _w_half_prod, as ((var, exp), ...)."""
+    return tuple((wh_var(i, t), exp) for t in range(1, sig.a(i) + 1))
 
 
 def _v_pow(k: int) -> Poly:
     return Poly.variable(V, k) if k else Poly.const(1)
 
 
-def _sw_row(sig: AlgebraSignature, j: int, y_num: Poly, y_den: Poly, e: int,
-            skip: Optional[int] = None) -> list:
-    """(1 - w[j,t]/y)^e over the slots t of row j, optionally skipping one,
-    at y = y_num / y_den: factors (y_num - w[j,t] y_den) / y_num."""
-    ts = [t for t in range(1, sig.a(j) + 1) if t != skip]
-    return [(y_num - _w_full(j, t) * y_den, e) for t in ts] + [(y_num, -e * len(ts))]
+def _w(k: int, r: int) -> tuple:
+    """The monomial w[k,r] = wh[k,r]^2."""
+    return ((wh_var(k, r), 2),)
+
+
+_Z = ((Z, 1),)
+
+
+def _mono(tab: dict, m: tuple) -> Factored:
+    """The monomial m ((var, exp), ...) as a factor."""
+    return _split(tab, (m, 1))
+
+
+def _sw_row(tab: dict, sig: AlgebraSignature, j: int, y: tuple, d: int,
+            skip: Optional[int] = None) -> Factored:
+    """prod of (1 - v^d w[j,t] / y) over the slots t of row j, optionally
+    skipping one, y a monomial: factors (y - v^d w[j,t]) / y."""
+
+    def make():
+        ts = [t for t in range(1, sig.a(j) + 1) if t != skip]
+        fs = [(_split(tab, (y, 1), (((V, d),) + _w(j, t), -1)), 1) for t in ts]
+        return Factored.product(1, fs + [(_mono(tab, y), -len(ts))])
+
+    return _kept(tab, ("sw", j, y, d, skip), make)
 
 
 # ---------------------------------------------------------------------------
 # Gauss factors (same arguments as the rational formulas)
 
 
-def diag_entry_trig(div: Divisor, sig: AlgebraSignature, i: int) -> RatFun:
-    z = Poly.variable(Z)
+def diag_entry_trig(tab: dict, div: Divisor, sig: AlgebraSignature, i: int) -> Factored:
     fs = [
-        (_w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1), 1),
-        (z, div.mu.d[i - 1]),
+        (_mono(tab, _half(sig, i, -1) + _half(sig, i - 1, 1)), 1),
+        (_mono(tab, _Z), div.mu.d[i - 1]),
+        (_sw_row(tab, sig, i, _Z, i), 1),
+        (_sw_row(tab, sig, i - 1, _Z, i + 1), -1),
     ]
-    fs += _sw_row(sig, i, z, _v_pow(i), 1)
-    fs += _sw_row(sig, i - 1, z, _v_pow(i + 1), -1)
     # point factors: prod over points x of (1 - x/z)^(-eps_i(lambda_x))
     for pt, lam in div.summands:
-        fs += [(z - _point_poly(pt), -lam.d[i - 1]), (z, lam.d[i - 1])]
-    return RatFun.product(1, fs)
+        fs += [(_split(tab, (_Z, 1), _point(pt, -1)), -lam.d[i - 1]),
+               (_mono(tab, _Z), lam.d[i - 1])]
+    return Factored.product(1, fs)
 
 
-def upper_entry_trig(div: Divisor, sig: AlgebraSignature, i: int, j: int,
-                     drop_pole: bool = False) -> AlgebraElement:
-    z = Poly.variable(Z)
-    v = _v_pow(1)
+def _points_trig(tab: dict, div: Divisor, k: int, w: tuple) -> Factored:
+    """prod of (1 - v^-k x / w)^(c_k) over the points x, c_k the index-k
+    fundamental coefficient of x's coweight."""
+
+    def make():
+        fs = []
+        for pt, c in div.points_with(k):
+            fs += [(_split(tab, (w, 1), _point(pt, -1, ((V, -k),))), c), (_mono(tab, w), -c)]
+        return Factored.product(1, fs)
+
+    return _kept(tab, ("points", k, w), make)
+
+
+def upper_entry_trig(tab: dict, div: Divisor, sig: AlgebraSignature, i: int, j: int,
+                     drop_pole: bool = False) -> Dict[ShiftMonomial, Factored]:
     bplus = [div.mu.d[k - 1] - div.mu.d[k] for k in range(1, div.n)]  # b+_k, 1-based
-    pref = _w_half_prod(sig, j - 1, 2) * _w_half_prod(sig, i - 1, -1)
+    pref = _half(sig, j - 1, 2) + _half(sig, i - 1, -1)
     for k in range(i, j - 1):
-        pref = pref * _w_half_prod(sig, k, 1)
+        pref += _half(sig, k, 1)
+    pref = _mono(tab, pref)
 
     def coeff(r):
-        w = {k: _w_full(k, r[k]) for k in r}
-        fs = [(pref, 1), (w[i], 1), (w[j - 1], -1)]
+        w = {k: _w(k, r[k]) for k in r}
+        fs = [(pref, 1), (_mono(tab, w[i]), 1), (_mono(tab, w[j - 1]), -1)]
         for k in range(i, j):
             bk = bplus[k - 1]
             if bk:
-                fs.append((_v_pow(-k * bk) * Poly.variable(wh_var(k, r[k]), -2 * bk), 1))
+                fs.append((_mono(tab, ((V, -k * bk), (wh_var(k, r[k]), -2 * bk))), 1))
         if not drop_pole:
-            fs += [(z - _v_pow(i) * w[i], -1), (z, 1)]  # (1 - v^i w[i,r_i]/z)^-1
-        fs += _sw_row(sig, i - 1, w[i], v, 1)
-        for k in range(i, j - 1):
-            fs += _sw_row(sig, k, w[k + 1], v, 1, r[k])
+            # (1 - v^i w[i,r_i]/z)^-1
+            fs += [(_split(tab, (_Z, 1), (((V, i),) + w[i], -1)), -1), (_mono(tab, _Z), 1)]
+        fs.append((_sw_row(tab, sig, i - 1, w[i], 1), 1))
+        fs += [(_sw_row(tab, sig, k, w[k + 1], 1, r[k]), 1) for k in range(i, j - 1)]
         for k in range(i, j):
-            fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k])
-            # (1 - v^-k x / w[k,r_k])^c_k at each point x
-            for pt, c in div.points_with(k):
-                fs += [(w[k] - _v_pow(-k) * _point_poly(pt), c), (w[k], -c)]
-        return (-1) ** ((i - j + 1) % 2), fs
+            fs += [(_sw_row(tab, sig, k, w[k], 0, r[k]), -1), (_points_trig(tab, div, k, w[k]), 1)]
+        return Factored.product((-1) ** ((i - j + 1) % 2), fs)
 
     return slot_sum(sig, i, j, -1, coeff)
 
 
-def lower_entry_trig(div: Divisor, sig: AlgebraSignature, j: int, i: int,
-                     drop_pole: bool = False) -> AlgebraElement:
-    z = Poly.variable(Z)
-    v = _v_pow(1)
-    pref = _v_pow(i - j)
+def lower_entry_trig(tab: dict, div: Divisor, sig: AlgebraSignature, j: int, i: int,
+                     drop_pole: bool = False) -> Dict[ShiftMonomial, Factored]:
+    pref = ((V, i - j),)
     for k in range(i + 1, j + 1):
-        pref = pref * _w_half_prod(sig, k, -1)
+        pref += _half(sig, k, -1)
+    pref = _mono(tab, pref)
 
     def coeff(r):
-        w = {k: _w_full(k, r[k]) for k in r}
-        fs = [(pref, 1), (w[j - 1], 1), (w[i], -1)]
+        w = {k: _w(k, r[k]) for k in r}
+        fs = [(pref, 1), (_mono(tab, w[j - 1]), 1), (_mono(tab, w[i]), -1)]
         if not drop_pole:
-            y = _v_pow(i + 2) * w[i]
-            fs += [(y - z, -1), (y, 1)]  # (1 - z/y)^-1
-        fs += _sw_row(sig, j, v * w[j - 1], Poly.const(1), 1)
-        for k in range(i + 1, j):
-            fs += _sw_row(sig, k, v * w[k - 1], Poly.const(1), 1, r[k])
-        for k in range(i, j):
-            fs += _sw_row(sig, k, w[k], Poly.const(1), -1, r[k])
-        return (-1) ** ((i - j + 1) % 2), fs
+            y = ((V, i + 2),) + w[i]
+            fs += [(_split(tab, (y, 1), (_Z, -1)), -1), (_mono(tab, y), 1)]  # (1 - z/y)^-1
+        fs.append((_sw_row(tab, sig, j, ((V, 1),) + w[j - 1], 0), 1))
+        fs += [(_sw_row(tab, sig, k, ((V, 1),) + w[k - 1], 0, r[k]), 1) for k in range(i + 1, j)]
+        fs += [(_sw_row(tab, sig, k, w[k], 0, r[k]), -1) for k in range(i, j)]
+        return Factored.product((-1) ** ((i - j + 1) % 2), fs)
 
     return slot_sum(sig, i, j, 1, coeff)
 
 
 def build_lax_trig(div: Divisor) -> LaxMatrix:
-    return _assemble(
-        div,
-        _gauss_factors(div, "trig", diag_entry_trig, upper_entry_trig, lower_entry_trig),
-    )
+    return _assemble(div, "trig", diag_entry_trig, upper_entry_trig, lower_entry_trig)
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +251,18 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
                 scalar_factor(i) * _w_half_prod(sig, i, 1) * _w_half_prod(sig, i - 1, -1),
             )
         entries[i - 1][i - 1] = acc
+    tab = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if bmp[n - i] == -1:
-                e = upper_entry_trig(div, sig, i, j, drop_pole=True)
+                e = _expanded(sig, upper_entry_trig(tab, div, sig, i, j, True))
                 # z -> infinity limit of g_i/z is the half-power prefactor
                 g_inf = AlgebraElement.from_ratfun(
                     sig, _w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1)
                 )
                 entries[i - 1][j - 1] = g_inf * e * z
             if bmm[n - i] == 0:
-                f = lower_entry_trig(div, sig, j, i, drop_pole=True)
+                f = _expanded(sig, lower_entry_trig(tab, div, sig, j, i, True))
                 # f(0) g_i(0): crossing the shift monomials past g_i(0)
                 # contributes one power of v; scalar_factor carries the rest
                 g0 = AlgebraElement.from_ratfun(

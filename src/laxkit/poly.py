@@ -139,6 +139,23 @@ class Poly:
         c = _q(c)
         return Poly({pack_mono(m): c}) if c else _P_ZERO
 
+    @staticmethod
+    def sum_of_monomials(terms: Iterable[Tuple[Tuple[Tuple[Var, int], ...], Coeff]]) -> "Poly":
+        """The sum of c * m over the (m, c) terms, m given as ((var, exp),
+        ...), with the bound max over m of sum |exp| (no decoding)."""
+        out: Dict[Monomial, Coeff] = {}
+        eb = 0
+        for m, c in terms:
+            if c:
+                k = pack_mono(m)
+                out[k] = out.get(k, 0) + c
+                b = 0
+                for _, e in m:
+                    b += e if e > 0 else -e
+                if b > eb:
+                    eb = b
+        return Poly({k: _q(c) for k, c in out.items() if c}, eb)
+
     # -- predicates / views
 
     def is_zero(self) -> bool:

@@ -51,11 +51,19 @@ factor.  For reduced a/b and c/d (Henrici's rules, Knuth, TAOCP vol. 2,
     hold (rename_var, rename_vars).  A rename onto a variable it holds
     and set_value are not automorphisms, and _make reduces their image;
   * product of factors c * prod f_k^e_k (RatFun.product), each f_k a
-    unit times atoms: exponents add per atom, the positive atoms are
-    multiplied out and the negative ones are the denominator.  Nothing
-    is tried: distinct prime atoms are coprime, and under the conditions
-    below no other atom shares a factor with another.  The Lax-matrix
-    formulas build their Gauss coefficients this way;
+    unit times atoms: exponents add per atom (factored.Factored), the
+    positive atoms are multiplied out and the negative ones are the
+    denominator.  Nothing is tried: distinct prime atoms are coprime,
+    and under the conditions below no other atom shares a factor with
+    another.  The Lax-matrix formulas keep their Gauss coefficients
+    this way, and a slot shift maps such a product atom by atom;
+  * sum of factored products (factored.factored_sum): each atom is
+    shed at its lowest exponent over the terms, the polynomial
+    remainders are multiplied out into one sum (_lifted_total), and only
+    the shared denominator atoms are tried against it (a prime one only
+    when two or more terms hold it at that exponent); the shared
+    numerator atoms multiply the result.  T = F G E of the Lax-matrix
+    builders is summed this way;
   * sum of unreduced fractions (reduced_sum): numerators over equal
     atom multisets are summed first, groups that cancel dropped
     (_grouped), the rest lifted to the common atom multiset and summed
@@ -80,7 +88,7 @@ v^2k*w[i,r] - w[i,s] share none); there both are reduced forms of one
 value, and _make's depends on the order in which it divides.
 
 Every factor the library splits (factor_atoms: a denominator factor,
-a factor of RatFun.product, the numerator RatFun.invert turns over) is a
+a factor of a Factored product, the numerator RatFun.invert turns over) is a
 unit times monomial content times at most one atom, split once per
 process; a product of two atoms is not split and raises
 NotAtomFactorable.  Most factors are linear forms with two or more
@@ -142,6 +150,7 @@ from .poly import (
     _qdiv,
     binomial_div,
     is_unit_var,
+    mul_add,
     synthetic_div,
 )
 from .rejection import _binomial_root, _linear_root, cannot_divide, prime_parts
@@ -418,32 +427,12 @@ class RatFun:
         poly once per process), by the product rule of the module
         docstring: nothing is divided, unless a non-prime atom holds a
         non-unit variable (then _make reduces)."""
-        unit_mono, c, eb = 0, _q(c), 0  # the unit c * unit_mono, |exponent| <= eb
+        c = _q(c)
         if not c:
             return _R_ZERO
-        exps: Dict[Atom, int] = {}
-        for p, e in factors:
-            if not e:
-                continue
-            unit, atoms = factor_atoms(p)
-            (um, uc), = unit.terms.items()
-            unit_mono += um * e
-            eb += unit._eb * abs(e)
-            c = _q(c * uc ** e) if e > 0 else _qdiv(c, uc ** -e)
-            for a, m in atoms.items():
-                exps[a] = exps.get(a, 0) + m * e
-        if eb >= HALF:
-            raise OverflowError(f"exponents up to {eb} do not fit a {FW}-bit field")
-        num = Poly({unit_mono: c}, eb)
-        den: Dict[Atom, int] = {}
-        for a, m in exps.items():
-            if m > 0:
-                num = num * a.poly ** m
-            elif m < 0:
-                den[a] = -m
-        if all(a.root or a.unit_only for a, m in exps.items() if m):
-            return RatFun(num, den)
-        return RatFun._make(num, den)
+        from .factored import Factored
+
+        return Factored.product(c, ((Factored.of(p), e) for p, e in factors if e)).expand()
 
     zero = staticmethod(lambda: _R_ZERO)
     one = staticmethod(lambda: _R_ONE)
@@ -881,18 +870,29 @@ def _lifted_sum(fracs: list) -> Tuple[Dict[Atom, int], Poly]:
         for a, m in den.items():
             if common.get(a, 0) < m:
                 common[a] = m
+    return common, _lifted_total((num, [(a, k) for a, m in common.items()
+                                        if (k := m - den.get(a, 0))]) for num, den in fracs)
+
+
+def _lifted_total(lifted) -> Poly:
+    """The sum of num * prod a^k over the (num, [(atom, k), ...]) pairs.
+    Each lift but the last is a Poly product; the last adds straight
+    into one running sum (poly.mul_add, the atom first), and _q runs once,
+    on the total.  Its exponent bound is the largest of the lifted
+    numerators'."""
     total: Dict[Monomial, Coeff] = {}
-    get = total.get
     eb = 0
-    for num, den in fracs:
-        for a, m in common.items():
-            extra = m - den.get(a, 0)
-            if extra:
-                num = num * a.poly ** extra
+    for num, lifts in lifted:
+        for a, k in lifts[:-1]:
+            num = num * a.poly ** k
+        if lifts:
+            a, k = lifts[-1]
+            eb = max(eb, mul_add(total, a.poly ** k, num))
+            continue
         eb = max(eb, num._eb)
         for mo, c in num.terms.items():
-            total[mo] = get(mo, 0) + c
-    return common, Poly({mo: _q(c) for mo, c in total.items() if c}, eb)
+            total[mo] = total.get(mo, 0) + c
+    return Poly({mo: _q(c) for mo, c in total.items() if c}, eb)
 
 
 def _has_pole(groups: list) -> bool:
@@ -1018,7 +1018,7 @@ def factor_atoms(p: Poly) -> Tuple[Poly, Dict[Atom, int]]:
     monomial atoms, and the primitive part left must be a scalar or one
     atom shape (_is_atom_shape), scaled to leading coefficient 1.  A
     product of two or more atoms is not split: the formulas hand every
-    factor over on its own (RatFun.product).  Each distinct p is split
+    factor over on its own (factored.Factored.of).  Each distinct p is split
     once per process (_SPLITS), so all callers share one Atom per factor."""
     if p.is_zero():
         raise ZeroDivisionError("factoring zero")

@@ -50,7 +50,7 @@ from .lax_trig import (
     normalize_and_check_polynomial_trig,
     split_finite_rtt,
 )
-from .ratfun import Poly, RatFun, V, W, Z, p_var, wh_var, x_var
+from .ratfun import Poly, RatFun, V, W, Z, den_product, p_var, wh_var, x_var
 from .rtt import (
     check_yang_baxter,
     coproduct,
@@ -832,7 +832,20 @@ def random_element(rng: random.Random, sig: AlgebraSignature) -> AlgebraElement:
     return out
 
 
+def _unreduced_rewrite_is_equal() -> bool:
+    """a + b against the same sum written over one more atom t, num * t /
+    (den * t): equal values with different fields, so equals must run
+    its exact test (sum_is_zero) to see them equal."""
+    a, b, t = _random_pools("rational", None)[1]
+    s = a + b
+    (atom, _), = t.den.items()
+    wide = RatFun(s.num * atom.poly, den_product(s.den, t.den))
+    return wide.equals(s) and s.equals(wide)
+
+
 def kernel_ring_axioms(cases: int = 200, seed: int = 11) -> Tuple[bool, str]:
+    if not _unreduced_rewrite_is_equal():
+        return False, "unreduced rewrite"
     rng = random.Random(seed)
     for idx in range(cases):
         mode = "rational" if idx % 2 == 0 else "trig"
@@ -881,6 +894,10 @@ def kernel_gauge_automorphism(cases: int = 200, seed: int = 13) -> Tuple[bool, s
         shifts=(((1, 1), Fraction(1)), ((1, 2), Fraction(1)), ((2, 1), Fraction(2))),
         signs=(((1, 1), 1), ((2, 1), 1)),
     )
+    # golden: the sign twist on slot (1, 1) sends e^{q[1,1]} to -e^{q[1,1]}
+    gen = AlgebraElement.shift(sig, 1, 1)
+    if not mono.conjugate(gen).equals(-gen):
+        return False, "golden sign case"
     for idx in range(cases):
         x = random_element(rng, sig)
         y = random_element(rng, sig)

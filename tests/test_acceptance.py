@@ -126,10 +126,20 @@ def _den_product_by_max(a, b):
     return out
 
 
+def _sign_dropped(gauge, elem):
+    # the translation alone: still an automorphism, so only the golden
+    # conjugation of e^{q[1,1]} sees it
+    return _MONOMIAL_CONJUGATE(MonomialGauge(gauge.shifts), elem)
+
+
+def _field_equality(self, other):
+    # equal only when the numerator terms and atom multisets agree
+    other = ratfun.as_ratfun(other)
+    return self.num.terms == other.num.terms and self.den == other.den
+
+
 def _sign_on_forward_shifts_only(gauge, elem):
-    # the sign twist lands on e^{q} but not on e^{-q}.  Dropping the sign
-    # altogether would be no control: the translation alone is still an
-    # automorphism, and the family passes
+    # the sign twist lands on e^{q} but not on e^{-q}
     out = _MONOMIAL_CONJUGATE(MonomialGauge(gauge.shifts), elem)
     signed = {slot for slot, k in gauge.signs if k % 2}
 
@@ -150,13 +160,18 @@ def _sign_on_forward_shifts_only(gauge, elem):
      _sign_on_forward_shifts_only, "product case 2"),
     (suite.kernel_gauge_automorphism, algebra, "_gamma_quotient",
      lambda L, k, e: _GAMMA_QUOTIENT(L, k + 1, e), "product case 0"),
-], ids=["ring-den-max", "shift-off-by-one", "gauge-sign-forward", "gamma-off-by-one"])
+    (suite.kernel_gauge_automorphism, MonomialGauge, "conjugate", _sign_dropped,
+     "golden sign case"),
+    (suite.kernel_ring_axioms, RatFun, "equals", _field_equality, "unreduced rewrite"),
+], ids=["ring-den-max", "shift-off-by-one", "gauge-sign-forward", "gamma-off-by-one",
+        "gauge-sign-dropped", "ring-field-equality"])
 def test_kernel_families_catch_a_sabotaged_operation(monkeypatch, family, owner, name,
                                                      broken, detail):
     """With one kernel operation broken (atom multiplicities of a product
     by max, an off-by-one slot shift, the monomial gauge's sign on
-    forward shifts only, an off-by-one Gamma functional equation), each
-    family fails, at the case index it failed at before its repeated
-    subexpressions were shared."""
+    forward shifts only or dropped, an off-by-one Gamma functional
+    equation, equality by fields alone), each family fails: a random
+    case at the index it failed at before its repeated subexpressions
+    were shared, or one of the fixed cases."""
     monkeypatch.setattr(owner, name, broken)
     assert family() == (False, detail)

@@ -1552,6 +1552,115 @@ def test_product_of_a_non_prime_atom_takes_the_full_path():
 
 
 # ---------------------------------------------------------------------------
+# Factored: products, shifts and sums of factored coefficients, as the
+# Lax-matrix builders form T = F G E
+
+
+_FACTORED_POOLS = {
+    "rational": ("z - p[1,1]", "z - p[1,1] - 1", "p[1,1] - p[1,2]", "p[1,2] - p[2,1] + 1",
+                 "p[1,1] - x[a]", "2*z - 4*x[a]", "z - 3", "p[1,1]", "-3/2"),
+    # w[1,1] - v^2*w[1,2] is a trig slot binomial, a non-prime atom
+    "trig": ("z - v^2*w[1,1]", "v*w[1,1] - w[2,1]", "w[1,1] - v^2*w[1,2]",
+             "w[1,2] - v^-1*x[a]", "z - x[a]", "z", "v^-2*wh[1,1]^3", "-3/2*v"),
+}
+# shift monomials (slot, i, r, m) moves: one slot, and two at once
+_FACTORED_MOVES = (((1, 1, 1, 1),), ((1, 1, 2, -1), (1, 2, 1, 2)))
+
+
+def _factored(c, factors):
+    from laxkit.factored import Factored
+
+    return Factored.product(c, [(Factored.of(p), e) for p, e in factors])
+
+
+def _factored_sums(mode, rng, exps=(-2, -1, 1, 2)):
+    """(terms, kind) sums of factored products sharing a random factor X:
+    random terms, an identity that sums to 0, and two terms whose shared
+    denominator atom divides their inner sum.  Random factors take their
+    exponents from exps."""
+    from laxkit.textio import parse_poly
+
+    pool = [parse_poly(t) for t in _FACTORED_POOLS[mode]]
+    if mode == "rational":
+        a, b, u = (parse_poly(t) for t in ("z - p[1,1]", "z - p[1,1] - 1", "p[1,1]"))
+        # 1/a - 1/b + 1/(a b) = 0 and z/a - p[1,1]/a = 1
+        zero = [(1, [(a, -1)]), (-1, [(b, -1)]), (1, [(a, -1), (b, -1)])]
+        cancel = [(1, [(parse_poly("z"), 1), (a, -1)]), (-1, [(u, 1), (a, -1)])]
+    else:
+        a, u = parse_poly("z"), parse_poly("v^2*w[1,1]")
+        b = parse_poly("z - v^2*w[1,1]")
+        s, w, t = (parse_poly(x) for x in ("w[1,1] - v^2*w[1,2]", "w[1,1]", "v^2*w[1,2]"))
+        # 1/b - 1/a - v^2 w[1,1] / (a b) = 0 and (w[1,1] - v^2 w[1,2]) / s = 1
+        zero = [(1, [(b, -1)]), (-1, [(a, -1)]), (-1, [(u, 1), (a, -1), (b, -1)])]
+        cancel = [(1, [(w, 1), (s, -1)]), (-1, [(t, 1), (s, -1)])]
+    shared = [(rng.choice(pool), rng.choice(exps)) for _ in range(rng.randint(0, 3))]
+    randoms = [(rng.choice([1, -1, Fraction(2, 3)]),
+                [(rng.choice(pool), rng.choice(exps)) for _ in range(rng.randint(1, 4))])
+               for _ in range(rng.randint(2, 4))]
+    for terms, kind in ((randoms, "random"), (zero, "zero"), (cancel, "cancel")):
+        yield [(c, fs + shared) for c, fs in terms], kind
+
+
+@pytest.mark.parametrize("mode", ["rational", "trig"])
+def test_factored_path_matches_the_expanded_kernel(mode):
+    from laxkit.factored import factored_sum
+    from laxkit.ratfun import reduced_sum, shift_map
+
+    rng = random.Random(43 if mode == "rational" else 44)
+    kinds = {"random": 0, "zero": 0, "cancel": 0, "cancelled": 0}
+    for _ in range(60):
+        for terms, kind in _factored_sums(mode, rng):
+            fs = [_factored(c, f) for c, f in terms]
+            # expansion is RatFun.product of the same factor list
+            for f, (c, factors) in zip(fs, terms):
+                want = RatFun.product(c, factors)
+                assert (f.expand().num.terms, f.expand().den) == (want.num.terms, want.den)
+            # a product adds exponents
+            got = (fs[0] * fs[1]).expand()
+            want = RatFun.product(terms[0][0] * terms[1][0], terms[0][1] + terms[1][1])
+            assert (got.num.terms, got.den) == (want.num.terms, want.den)
+            # a shift maps atom by atom and moves the unit monomial
+            for moves in _FACTORED_MOVES:
+                e = fs[0].expand()
+                got = fs[0].shift(mode, moves).expand()
+                want = RatFun(*substitute(e.num, e.den, shift_map(mode, moves), (mode, moves)))
+                assert (got.num.terms, got.den) == (want.num.terms, want.den), moves
+            # one expansion per sum, reduced as the sum of the expansions is
+            got = factored_sum(fs)
+            want = reduced_sum([(f.expand().num, f.expand().den) for f in fs])
+            assert (got.num.terms, got.den) == (want.num.terms, want.den), terms
+            kinds[kind] += 1
+            if kind == "zero":
+                assert got.is_zero()
+            common = {}
+            for f in fs:
+                for a, m in f.expand().den.items():
+                    common[a] = max(common.get(a, 0), m)
+            kinds["cancelled"] += sum(got.den.values()) < sum(common.values())
+    assert kinds["zero"] == kinds["cancel"] == 60
+    # the shared denominator atom divided the inner sum
+    assert kinds["cancelled"] > 60
+
+
+@pytest.mark.parametrize("mode", ["rational", "trig"])
+def test_factored_sums_match_sympy(mode):
+    sympy = pytest.importorskip("sympy")
+    from laxkit.factored import factored_sum
+
+    def expr(c, factors):
+        return sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * sympy.Mul(
+            *(_sympy_of(sympy, p) ** e for p, e in factors))
+
+    rng = random.Random(45 if mode == "rational" else 46)
+    for _ in range(8):
+        for terms, kind in _factored_sums(mode, rng, (-1, 1)):
+            got = factored_sum([_factored(c, f) for c, f in terms])
+            want = sympy.Add(*(expr(c, f) for c, f in terms))
+            diff = sympy.together(_sympy_of(sympy, got) - want)
+            assert sympy.expand(sympy.numer(diff)) == 0, (kind, terms)
+
+
+# ---------------------------------------------------------------------------
 # powers: square-and-multiply with no product by one
 
 
