@@ -177,6 +177,8 @@ def cmd_coproduct(args, out) -> int:
     divs = [_load_divisor(p) for p in args.divisor]
     if len(divs) != 2:
         raise SizeMismatch("coproduct takes exactly two divisors")
+    if args.verify_generators and any(d.mode != "rational" for d in divs):
+        raise SignatureMismatch("generator-level checks run in rational mode")
     mats = [_build(d, normalize=False) for d in divs]
     delta = fuse(mats[0], mats[1])
     report = verify_rtt(delta)

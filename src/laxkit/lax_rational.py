@@ -4,9 +4,11 @@ The matrix is assembled from its Gauss factors: a diagonal of explicit
 rational functions and uni-triangular factors whose entries are
 multi-index sums over slot tuples, with the shift generators on the
 right.  Every Gauss coefficient is an explicit product of linear
-factors, kept factored (factored.Factored) until T = F G E sums it:
-products add exponents, a shift past F's monomial maps atoms, and each
-T coefficient is multiplied out and reduced once (factored_sum).
+factors, each made once per process (_FACTORS) and kept factored
+(factored.Factored) until T = F G E sums it: products add exponents, a
+shift past F's monomial maps atoms, and each T coefficient is
+multiplied out and reduced once (factored_sum).  The Gauss factors
+themselves are multiplied out only when asked for (build_gauss_factors).
 Everything downstream (normalization, limits, fusion, the linear fast
 path) reuses the same closed forms; the general builder is the oracle
 for all of them.
@@ -46,7 +48,7 @@ from .errors import (
     SignatureMismatch,
 )
 from .factored import Factored, factored_sum
-from .ratfun import V, Poly, RatFun, Z, p_var, x_var
+from .ratfun import V, Poly, RatFun, Z, _memo, p_var, x_var
 
 
 class GaussFactors(NamedTuple):
@@ -60,7 +62,6 @@ class LaxMatrix:
     signature: AlgebraSignature
     divisor: Optional[Divisor]
     entries: List[List[AlgebraElement]]
-    gauss: Optional[GaussFactors] = None
     normalized: bool = False
 
     @property
@@ -78,28 +79,28 @@ class LaxMatrix:
 # ---------------------------------------------------------------------------
 # factored Gauss coefficients
 #
-# A Gauss coefficient is a factored.Factored product.  Its factors come from
-# one table per build (a dict): _split makes each distinct factor's Poly
-# and splits it once, and the row and point products are kept there
-# too.  T = F G E is summed from these products (_assemble), and
-# LaxMatrix.gauss holds them multiplied out.
+# A Gauss coefficient is a factored.Factored product of linear factors.
+# Each factor, and each row and point product of them, is made once per
+# process and kept in _FACTORS (capped by ratfun._memo, like _SPLITS and
+# _ATOMS) under a key that holds everything its value depends on: a
+# factor's terms, a row product's slot count a_k, a point product's
+# (point, coefficient) pairs.  Builds of different divisors thus share
+# their factors, and a cap flush only costs making some of them again.
 
 
-def _kept(tab: dict, key, make: Callable[[], Factored]) -> Factored:
-    """make() kept in the build's table under key."""
-    f = tab.get(key)
-    if f is None:
-        f = tab[key] = make()
-    return f
+def _kept(key, make: Callable[[], Factored]) -> Factored:
+    """make() kept in _FACTORS under key, which holds all that make reads."""
+    return _memo(_FACTORS, key, make)
 
 
-def _split(tab: dict, *terms) -> Factored:
+def _split(*terms) -> Factored:
     """The factor sum of c * m over the (m, c) terms, m a monomial
-    ((var, exp), ...), split once per build."""
-    f = tab.get(terms)
-    if f is None:
-        f = tab[terms] = Factored.of(Poly.sum_of_monomials(terms))
-    return f
+    ((var, exp), ...), made and split once per process."""
+    return _kept(terms, lambda: Factored.of(Poly.sum_of_monomials(terms)))
+
+
+# key -> Factored (_kept and _split), capped by _memo
+_FACTORS: Dict[tuple, Factored] = {}
 
 
 def _var(v, c=1) -> tuple:
@@ -117,16 +118,17 @@ def _point_poly(pt) -> Poly:
     return Poly.sum_of_monomials((_point(pt),))
 
 
-def _lin(tab: dict, a, c, b) -> Factored:
+def _lin(a, c, b) -> Factored:
     """a + c - b for variables a and b."""
-    return _split(tab, _var(a), ((), c), _var(b, -1))
+    return _split(_var(a), ((), c), _var(b, -1))
 
 
-def _row(tab: dict, sig: AlgebraSignature, k: int, a, c, skip: Optional[int] = None) -> Factored:
+def _row(sig: AlgebraSignature, k: int, a, c, skip: Optional[int] = None) -> Factored:
     """prod of (a + c - p[k,t]) over the slots t of row k, optionally
     skipping one."""
-    return _kept(tab, ("row", k, a, c, skip), lambda: Factored.product(1, [
-        (_lin(tab, a, c, p_var(k, t)), 1) for t in range(1, sig.a(k) + 1) if t != skip]))
+    ak = sig.a(k)
+    return _kept(("row", k, ak, a, c, skip), lambda: Factored.product(1, [
+        (_lin(a, c, p_var(k, t)), 1) for t in range(1, ak + 1) if t != skip]))
 
 
 def slot_sum(sig: AlgebraSignature, i: int, j: int, step: int,
@@ -149,57 +151,58 @@ def _expanded(sig: AlgebraSignature, terms: Dict[ShiftMonomial, Factored]) -> Al
 # ---------------------------------------------------------------------------
 # Gauss factors
 #
-# The entry formulas of both modes take (tab, div, sig, i[, j]), tab the
-# build's factor table and sig the divisor's signature; the diagonal
-# returns a Factored, the others {shift monomial: Factored}.
+# The entry formulas of both modes take (div, sig, i[, j]), sig the
+# divisor's signature; the diagonal returns a Factored, the others
+# {shift monomial: Factored}.
 
 
-def diag_entry(tab: dict, div: Divisor, sig: AlgebraSignature, i: int) -> Factored:
+def diag_entry(div: Divisor, sig: AlgebraSignature, i: int) -> Factored:
     """Diagonal Gauss entry: row-i slot product over the shifted row-(i-1)
     product, times (z - x)^(-eps_i(lambda_x)) at each point x."""
-    fs = [(_row(tab, sig, i, Z, 0), 1), (_row(tab, sig, i - 1, Z, -1), -1)]
-    fs += [(_split(tab, _var(Z), _point(pt, -1)), -lam.d[i - 1]) for pt, lam in div.summands]
+    fs = [(_row(sig, i, Z, 0), 1), (_row(sig, i - 1, Z, -1), -1)]
+    fs += [(_split(_var(Z), _point(pt, -1)), -lam.d[i - 1]) for pt, lam in div.summands]
     return Factored.product(1, fs)
 
 
-def _points(tab: dict, div: Divisor, k: int, a) -> Factored:
-    """prod of (a - x)^(c_k) over the points x, c_k the index-k
-    fundamental coefficient of x's coweight."""
-    return _kept(tab, ("points", k, a), lambda: Factored.product(1, [
-        (_split(tab, _var(a), _point(pt, -1)), c) for pt, c in div.points_with(k)]))
+def _points(pts: tuple, a) -> Factored:
+    """prod of (a - x)^c over the (point x, coefficient c) pairs pts, c
+    the index-k fundamental coefficient of x's coweight (points_with)."""
+    return _kept(("points", a, pts), lambda: Factored.product(1, [
+        (_split(_var(a), _point(pt, -1)), c) for pt, c in pts]))
 
 
-def upper_entry(tab: dict, div: Divisor, sig: AlgebraSignature, i: int, j: int,
+def upper_entry(div: Divisor, sig: AlgebraSignature, i: int, j: int,
                 drop_pole: bool = False) -> Dict[ShiftMonomial, Factored]:
     """Entry (i, j), i < j, of the upper unitriangular factor.
 
     With drop_pole the spectral pole 1/(z - p[i, r_i]) is omitted; that is
     exactly the z-linear fast path residue."""
+    pts = {k: tuple(div.points_with(k)) for k in range(i, j)}
 
     def coeff(r):
         p = {k: p_var(k, r[k]) for k in r}
-        fs = [(_row(tab, sig, i - 1, p[i], -1), 1)]
-        fs += [(_row(tab, sig, k, p[k + 1], -1, r[k]), 1) for k in range(i, j - 1)]
+        fs = [(_row(sig, i - 1, p[i], -1), 1)]
+        fs += [(_row(sig, k, p[k + 1], -1, r[k]), 1) for k in range(i, j - 1)]
         if not drop_pole:
-            fs.append((_lin(tab, Z, 0, p[i]), -1))
+            fs.append((_lin(Z, 0, p[i]), -1))
         for k in range(i, j):
-            fs += [(_row(tab, sig, k, p[k], 0, r[k]), -1), (_points(tab, div, k, p[k]), 1)]
+            fs += [(_row(sig, k, p[k], 0, r[k]), -1), (_points(pts[k], p[k]), 1)]
         return Factored.product(-1, fs)
 
     return slot_sum(sig, i, j, 1, coeff)
 
 
-def lower_entry(tab: dict, div: Divisor, sig: AlgebraSignature, j: int, i: int,
+def lower_entry(div: Divisor, sig: AlgebraSignature, j: int, i: int,
                 drop_pole: bool = False) -> Dict[ShiftMonomial, Factored]:
     """Entry (j, i), i < j, of the lower unitriangular factor."""
 
     def coeff(r):
         p = {k: p_var(k, r[k]) for k in r}
-        fs = [(_row(tab, sig, j, p[j - 1], 1), 1)]
-        fs += [(_row(tab, sig, k, p[k - 1], 1, r[k]), 1) for k in range(i + 1, j)]
+        fs = [(_row(sig, j, p[j - 1], 1), 1)]
+        fs += [(_row(sig, k, p[k - 1], 1, r[k]), 1) for k in range(i + 1, j)]
         if not drop_pole:
-            fs.append((_lin(tab, Z, -1, p[i]), -1))
-        fs += [(_row(tab, sig, k, p[k], 0, r[k]), -1) for k in range(i, j)]
+            fs.append((_lin(Z, -1, p[i]), -1))
+        fs += [(_row(sig, k, p[k], 0, r[k]), -1) for k in range(i, j)]
         return Factored.product(1, fs)
 
     return slot_sum(sig, i, j, -1, coeff)
@@ -207,8 +210,7 @@ def lower_entry(tab: dict, div: Divisor, sig: AlgebraSignature, j: int, i: int,
 
 def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
               lower: Callable) -> LaxMatrix:
-    """T(z) = F G E from a mode's three entry formulas, with the Gauss
-    factors multiplied out alongside.
+    """T(z) = F G E from a mode's three entry formulas.
 
     Every coefficient stays a Factored product until it is summed:
     G_k E_kj adds exponents, and F_ik (G E)_kj shifts (G E)_kj's product
@@ -216,11 +218,11 @@ def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
     coefficient is then one factored_sum of its products."""
     if div.mode != mode:
         raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
-    sig, n, tab = div.signature(), div.n, {}
+    sig, n = div.signature(), div.n
     # 0-based: g[k] the diagonal, e[k, j] and f[j, k] (k < j) E's and F's entries
-    g = [diag(tab, div, sig, i) for i in range(1, n + 1)]
-    e = {(i, j): upper(tab, div, sig, i + 1, j + 1) for i in range(n) for j in range(i + 1, n)}
-    f = {(j, i): lower(tab, div, sig, j + 1, i + 1) for i in range(n) for j in range(i + 1, n)}
+    g = [diag(div, sig, i) for i in range(1, n + 1)]
+    e = {(i, j): upper(div, sig, i + 1, j + 1) for i in range(n) for j in range(i + 1, n)}
+    f = {(j, i): lower(div, sig, j + 1, i + 1) for i in range(n) for j in range(i + 1, n)}
     # (G E)_kj for j >= k, each term G_k times a coefficient of E_kj
     ge = {(k, k): {_SHIFT_ONE: gk} for k, gk in enumerate(g)}
     for (k, j), terms in e.items():
@@ -242,19 +244,25 @@ def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
                         sums.setdefault(s1 * s2, []).append(c1 * c2.shift(mode, moves))
             row.append(AlgebraElement(sig, {s: factored_sum(ts) for s, ts in sums.items()}))
         entries.append(row)
-    one, zero = AlgebraElement.one(sig), AlgebraElement.zero(sig)
-    unit = [[one if a == b else zero for b in range(n)] for a in range(n)]
-    lower_f, upper_f = [row[:] for row in unit], unit
-    for (i, j), terms in e.items():
-        upper_f[i][j] = _expanded(sig, terms)
-        lower_f[j][i] = _expanded(sig, f[j, i])
-    diag_f = [AlgebraElement.from_ratfun(sig, gk.expand()) for gk in g]
-    return LaxMatrix(signature=sig, divisor=div, entries=entries,
-                     gauss=GaussFactors(lower=lower_f, diag=diag_f, upper=upper_f))
+    return LaxMatrix(signature=sig, divisor=div, entries=entries)
 
 
 def build_gauss_factors(div: Divisor) -> GaussFactors:
-    return build_lax(div).gauss
+    """The Gauss factors F, G and E of T = F G E, multiplied out from the
+    entry formulas of div's mode (T itself is not built)."""
+    if div.mode == "rational":
+        diag, upper, lower = diag_entry, upper_entry, lower_entry
+    else:
+        from . import lax_trig as t
+        diag, upper, lower = t.diag_entry_trig, t.upper_entry_trig, t.lower_entry_trig
+    sig, n = div.signature(), div.n
+    lower_f, upper_f = mat_identity(sig, n), mat_identity(sig, n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            upper_f[i - 1][j - 1] = _expanded(sig, upper(div, sig, i, j))
+            lower_f[j - 1][i - 1] = _expanded(sig, lower(div, sig, j, i))
+    diag_f = [AlgebraElement.from_ratfun(sig, diag(div, sig, i).expand()) for i in range(1, n + 1)]
+    return GaussFactors(lower=lower_f, diag=diag_f, upper=upper_f)
 
 
 def build_lax(div: Divisor) -> LaxMatrix:
@@ -296,7 +304,7 @@ def _normalize(T: LaxMatrix, normalizer_fn: Callable[[Divisor], RatFun]) -> LaxM
                         f"entry ({a + 1},{b + 1}) has a pole at z = 0",
                         entry=(a + 1, b + 1),
                     )
-    return LaxMatrix(T.signature, T.divisor, entries, T.gauss, normalized=True)
+    return LaxMatrix(T.signature, T.divisor, entries, normalized=True)
 
 
 def normalize_and_check_polynomial(T: LaxMatrix) -> LaxMatrix:
@@ -354,11 +362,10 @@ def build_linear_lax(div: Divisor) -> LaxMatrix:
             entries[i - 1][i - 1] = AlgebraElement.from_ratfun(sig, val)
         elif i <= m_prime:
             entries[i - 1][i - 1] = AlgebraElement.one(sig)
-    tab = {}
     for i in range(1, m + 1):
         for j in range(i + 1, n + 1):
-            entries[i - 1][j - 1] = _expanded(sig, upper_entry(tab, div, sig, i, j, True))
-            entries[j - 1][i - 1] = _expanded(sig, lower_entry(tab, div, sig, j, i, True))
+            entries[i - 1][j - 1] = _expanded(sig, upper_entry(div, sig, i, j, True))
+            entries[j - 1][i - 1] = _expanded(sig, lower_entry(div, sig, j, i, True))
     return LaxMatrix(sig, div, entries)
 
 

@@ -90,98 +90,100 @@ def _w(k: int, r: int) -> tuple:
 _Z = ((Z, 1),)
 
 
-def _mono(tab: dict, m: tuple) -> Factored:
+def _mono(m: tuple) -> Factored:
     """The monomial m ((var, exp), ...) as a factor."""
-    return _split(tab, (m, 1))
+    return _split((m, 1))
 
 
-def _sw_row(tab: dict, sig: AlgebraSignature, j: int, y: tuple, d: int,
+def _sw_row(sig: AlgebraSignature, j: int, y: tuple, d: int,
             skip: Optional[int] = None) -> Factored:
     """prod of (1 - v^d w[j,t] / y) over the slots t of row j, optionally
     skipping one, y a monomial: factors (y - v^d w[j,t]) / y."""
+    aj = sig.a(j)
 
     def make():
-        ts = [t for t in range(1, sig.a(j) + 1) if t != skip]
-        fs = [(_split(tab, (y, 1), (((V, d),) + _w(j, t), -1)), 1) for t in ts]
-        return Factored.product(1, fs + [(_mono(tab, y), -len(ts))])
+        ts = [t for t in range(1, aj + 1) if t != skip]
+        fs = [(_split((y, 1), (((V, d),) + _w(j, t), -1)), 1) for t in ts]
+        return Factored.product(1, fs + [(_mono(y), -len(ts))])
 
-    return _kept(tab, ("sw", j, y, d, skip), make)
+    return _kept(("sw", j, aj, y, d, skip), make)
 
 
 # ---------------------------------------------------------------------------
 # Gauss factors (same arguments as the rational formulas)
 
 
-def diag_entry_trig(tab: dict, div: Divisor, sig: AlgebraSignature, i: int) -> Factored:
+def diag_entry_trig(div: Divisor, sig: AlgebraSignature, i: int) -> Factored:
     fs = [
-        (_mono(tab, _half(sig, i, -1) + _half(sig, i - 1, 1)), 1),
-        (_mono(tab, _Z), div.mu.d[i - 1]),
-        (_sw_row(tab, sig, i, _Z, i), 1),
-        (_sw_row(tab, sig, i - 1, _Z, i + 1), -1),
+        (_mono(_half(sig, i, -1) + _half(sig, i - 1, 1)), 1),
+        (_mono(_Z), div.mu.d[i - 1]),
+        (_sw_row(sig, i, _Z, i), 1),
+        (_sw_row(sig, i - 1, _Z, i + 1), -1),
     ]
     # point factors: prod over points x of (1 - x/z)^(-eps_i(lambda_x))
     for pt, lam in div.summands:
-        fs += [(_split(tab, (_Z, 1), _point(pt, -1)), -lam.d[i - 1]),
-               (_mono(tab, _Z), lam.d[i - 1])]
+        fs += [(_split((_Z, 1), _point(pt, -1)), -lam.d[i - 1]),
+               (_mono(_Z), lam.d[i - 1])]
     return Factored.product(1, fs)
 
 
-def _points_trig(tab: dict, div: Divisor, k: int, w: tuple) -> Factored:
-    """prod of (1 - v^-k x / w)^(c_k) over the points x, c_k the index-k
-    fundamental coefficient of x's coweight."""
+def _points_trig(pts: tuple, k: int, w: tuple) -> Factored:
+    """prod of (1 - v^-k x / w)^c over the (point x, coefficient c) pairs
+    pts, c the index-k fundamental coefficient of x's coweight."""
 
     def make():
         fs = []
-        for pt, c in div.points_with(k):
-            fs += [(_split(tab, (w, 1), _point(pt, -1, ((V, -k),))), c), (_mono(tab, w), -c)]
+        for pt, c in pts:
+            fs += [(_split((w, 1), _point(pt, -1, ((V, -k),))), c), (_mono(w), -c)]
         return Factored.product(1, fs)
 
-    return _kept(tab, ("points", k, w), make)
+    return _kept(("points_trig", k, w, pts), make)
 
 
-def upper_entry_trig(tab: dict, div: Divisor, sig: AlgebraSignature, i: int, j: int,
+def upper_entry_trig(div: Divisor, sig: AlgebraSignature, i: int, j: int,
                      drop_pole: bool = False) -> Dict[ShiftMonomial, Factored]:
     bplus = [div.mu.d[k - 1] - div.mu.d[k] for k in range(1, div.n)]  # b+_k, 1-based
+    pts = {k: tuple(div.points_with(k)) for k in range(i, j)}
     pref = _half(sig, j - 1, 2) + _half(sig, i - 1, -1)
     for k in range(i, j - 1):
         pref += _half(sig, k, 1)
-    pref = _mono(tab, pref)
+    pref = _mono(pref)
 
     def coeff(r):
         w = {k: _w(k, r[k]) for k in r}
-        fs = [(pref, 1), (_mono(tab, w[i]), 1), (_mono(tab, w[j - 1]), -1)]
+        fs = [(pref, 1), (_mono(w[i]), 1), (_mono(w[j - 1]), -1)]
         for k in range(i, j):
             bk = bplus[k - 1]
             if bk:
-                fs.append((_mono(tab, ((V, -k * bk), (wh_var(k, r[k]), -2 * bk))), 1))
+                fs.append((_mono(((V, -k * bk), (wh_var(k, r[k]), -2 * bk))), 1))
         if not drop_pole:
             # (1 - v^i w[i,r_i]/z)^-1
-            fs += [(_split(tab, (_Z, 1), (((V, i),) + w[i], -1)), -1), (_mono(tab, _Z), 1)]
-        fs.append((_sw_row(tab, sig, i - 1, w[i], 1), 1))
-        fs += [(_sw_row(tab, sig, k, w[k + 1], 1, r[k]), 1) for k in range(i, j - 1)]
+            fs += [(_split((_Z, 1), (((V, i),) + w[i], -1)), -1), (_mono(_Z), 1)]
+        fs.append((_sw_row(sig, i - 1, w[i], 1), 1))
+        fs += [(_sw_row(sig, k, w[k + 1], 1, r[k]), 1) for k in range(i, j - 1)]
         for k in range(i, j):
-            fs += [(_sw_row(tab, sig, k, w[k], 0, r[k]), -1), (_points_trig(tab, div, k, w[k]), 1)]
+            fs += [(_sw_row(sig, k, w[k], 0, r[k]), -1), (_points_trig(pts[k], k, w[k]), 1)]
         return Factored.product((-1) ** ((i - j + 1) % 2), fs)
 
     return slot_sum(sig, i, j, -1, coeff)
 
 
-def lower_entry_trig(tab: dict, div: Divisor, sig: AlgebraSignature, j: int, i: int,
+def lower_entry_trig(div: Divisor, sig: AlgebraSignature, j: int, i: int,
                      drop_pole: bool = False) -> Dict[ShiftMonomial, Factored]:
     pref = ((V, i - j),)
     for k in range(i + 1, j + 1):
         pref += _half(sig, k, -1)
-    pref = _mono(tab, pref)
+    pref = _mono(pref)
 
     def coeff(r):
         w = {k: _w(k, r[k]) for k in r}
-        fs = [(pref, 1), (_mono(tab, w[j - 1]), 1), (_mono(tab, w[i]), -1)]
+        fs = [(pref, 1), (_mono(w[j - 1]), 1), (_mono(w[i]), -1)]
         if not drop_pole:
             y = ((V, i + 2),) + w[i]
-            fs += [(_split(tab, (y, 1), (_Z, -1)), -1), (_mono(tab, y), 1)]  # (1 - z/y)^-1
-        fs.append((_sw_row(tab, sig, j, ((V, 1),) + w[j - 1], 0), 1))
-        fs += [(_sw_row(tab, sig, k, ((V, 1),) + w[k - 1], 0, r[k]), 1) for k in range(i + 1, j)]
-        fs += [(_sw_row(tab, sig, k, w[k], 0, r[k]), -1) for k in range(i, j)]
+            fs += [(_split((y, 1), (_Z, -1)), -1), (_mono(y), 1)]  # (1 - z/y)^-1
+        fs.append((_sw_row(sig, j, ((V, 1),) + w[j - 1], 0), 1))
+        fs += [(_sw_row(sig, k, ((V, 1),) + w[k - 1], 0, r[k]), 1) for k in range(i + 1, j)]
+        fs += [(_sw_row(sig, k, w[k], 0, r[k]), -1) for k in range(i, j)]
         return Factored.product((-1) ** ((i - j + 1) % 2), fs)
 
     return slot_sum(sig, i, j, 1, coeff)
@@ -251,18 +253,17 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
                 scalar_factor(i) * _w_half_prod(sig, i, 1) * _w_half_prod(sig, i - 1, -1),
             )
         entries[i - 1][i - 1] = acc
-    tab = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if bmp[n - i] == -1:
-                e = _expanded(sig, upper_entry_trig(tab, div, sig, i, j, True))
+                e = _expanded(sig, upper_entry_trig(div, sig, i, j, True))
                 # z -> infinity limit of g_i/z is the half-power prefactor
                 g_inf = AlgebraElement.from_ratfun(
                     sig, _w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1)
                 )
                 entries[i - 1][j - 1] = g_inf * e * z
             if bmm[n - i] == 0:
-                f = _expanded(sig, lower_entry_trig(tab, div, sig, j, i, True))
+                f = _expanded(sig, lower_entry_trig(div, sig, j, i, True))
                 # f(0) g_i(0): crossing the shift monomials past g_i(0)
                 # contributes one power of v; scalar_factor carries the rest
                 g0 = AlgebraElement.from_ratfun(

@@ -426,7 +426,7 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
     low current-algebra modes, through the series Gauss decomposition of
     the fused matrix, exact through `order`.  An order below the deepest
     mode the checks read raises SizeMismatch."""
-    from .lax_rational import build_lax
+    from .lax_rational import build_gauss_factors, build_lax
 
     if div1.mode != "rational" or div2.mode != "rational":
         raise SignatureMismatch("generator-level checks run in rational mode")
@@ -448,14 +448,16 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
     delta = fuse(T1, T2)
     sig = delta.signature
     F, G, E = _series_gauss(delta, d, order)
+    gf1 = build_gauss_factors(div1)
+    gf2 = gf1 if div2 == div1 else build_gauss_factors(div2)
     # each Gauss entry of T1 and T2 is expanded once, to the deepest mode
     # read from it
-    lower1 = [element_z_series(T1.gauss.lower[i][i - 1], b1[i - 1] + 1) for i in range(1, n)]
-    lower2 = [element_z_series(T2.gauss.lower[i][i - 1], 1) for i in range(1, n)]
-    upper1 = [element_z_series(T1.gauss.upper[i - 1][i], 1) for i in range(1, n)]
-    upper2 = [element_z_series(T2.gauss.upper[i - 1][i], b2[i - 1] + 1) for i in range(1, n)]
-    diag1 = [element_z_series(g, 2 - k) for g, k in zip(T1.gauss.diag, d1)]
-    diag2 = [element_z_series(g, 2 - k) for g, k in zip(T2.gauss.diag, d2)]
+    lower1 = [element_z_series(gf1.lower[i][i - 1], b1[i - 1] + 1) for i in range(1, n)]
+    lower2 = [element_z_series(gf2.lower[i][i - 1], 1) for i in range(1, n)]
+    upper1 = [element_z_series(gf1.upper[i - 1][i], 1) for i in range(1, n)]
+    upper2 = [element_z_series(gf2.upper[i - 1][i], b2[i - 1] + 1) for i in range(1, n)]
+    diag1 = [element_z_series(g, 2 - k) for g, k in zip(gf1.diag, d1)]
+    diag2 = [element_z_series(g, 2 - k) for g, k in zip(gf2.diag, d2)]
 
     def mode(series, r, factor):
         """Mode r of an expanded Gauss entry, embedded as the given tensor

@@ -134,6 +134,10 @@ COMMAND_USAGE_ERRORS = {
                             ["degenerate", "--divisor", "{toda}"]),
     "coproduct-one-divisor": ("coproduct takes exactly two divisors",
                               ["coproduct", "--divisor", "{toda}"]),
+    # refused before either matrix is built or the exchange check runs
+    "coproduct-trig-generators": ("generator-level checks run in rational mode",
+                                  ["coproduct", "--divisor", "{trig}", "--divisor", "{trig}",
+                                   "--verify-generators"]),
 }
 
 
@@ -142,6 +146,7 @@ def test_command_usage_errors_go_to_stderr(case, tmp_path, capsys):
     message, argv = COMMAND_USAGE_ERRORS[case]
     paths = {
         "toda": _write(tmp_path, "toda.json", TODA),
+        "trig": _write(tmp_path, "trig1.json", TRIG1),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()

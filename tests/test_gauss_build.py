@@ -20,7 +20,7 @@ import pytest
 from laxkit import suite
 from laxkit.coweight import Coweight, Divisor, fundamental_coweight
 from laxkit.errors import LaxkitError
-from laxkit.lax_rational import build_linear_lax, build_lax, fuse
+from laxkit.lax_rational import build_gauss_factors, build_linear_lax, build_lax, fuse
 from laxkit.lax_trig import build_lax_trig, build_linear_lax_trig
 from laxkit.ratfun import RatFun
 from laxkit.textio import matrix_to_json
@@ -90,26 +90,62 @@ def test_raw_and_linear_builds_match_pinned_digest(family):
 
 @pytest.mark.parametrize("state", ["cold", "warm", "capped"])
 def test_builds_do_not_depend_on_the_split_memo(monkeypatch, state):
-    # factor_atoms splits each distinct factor once per process, and
+    # builds make each distinct Gauss factor once per process
+    # (lax_rational._FACTORS), factor_atoms splits it once per process and
     # _atom makes one Atom per key; every pinned build is byte-identical
-    # whether the split and atom memos start empty, hold every factor and
-    # atom of the families already, or are cleared at a cap of 2 (the cap
-    # every module-level memo shares)
-    from laxkit import ratfun
+    # whether the factor, split and atom memos start empty, hold every
+    # factor and atom of the families already, or are cleared at a cap of
+    # 2 (the cap every module-level memo shares)
+    from laxkit import lax_rational, ratfun
 
+    tables = (lax_rational._FACTORS, ratfun._SPLITS, ratfun._ATOMS)
+    for table in tables:
+        table.clear()
     if state == "warm":
         for family in FAMILIES:
             _family_digest(family)
+        assert len(lax_rational._FACTORS) > 100
         assert len(ratfun._SPLITS) > 50 and len(ratfun._ATOMS) > 40
-    else:
-        ratfun._SPLITS.clear()
-        ratfun._ATOMS.clear()
     if state == "capped":
         monkeypatch.setattr(ratfun, "_MEMO_CAP", 2)
     for family in sorted(FAMILIES):
         assert _family_digest(family) == DIGESTS[family], family
     if state == "capped":
-        assert len(ratfun._SPLITS) <= 2 and len(ratfun._ATOMS) <= 2
+        assert all(len(table) <= 2 for table in tables)
+
+
+def _several_coweights():
+    """Divisors of both modes whose points carry several fundamental
+    coweights, under the labels the pinned families give points carrying
+    one."""
+    out = []
+    for mode in ("rational", "trig"):
+        for n, points, infinity in ((2, [("x1", [0, 2])], [-1, 0]),
+                                    (2, [("x1", [0, 2]), ("x2", [0, 1])], [-2, 1]),
+                                    (3, [("x1", [0, 1, 1])], [-1, 0, 0])):
+            out.append(Divisor.make(
+                n, mode, [(x, Coweight.from_fundamental(c)) for x, c in points],
+                Coweight.from_fundamental(infinity),
+                Coweight.zero(n) if mode == "trig" else None,
+            ))
+    return out
+
+
+def test_builds_do_not_depend_on_what_the_factor_table_holds():
+    # the factor table is shared by every build of the process, so its
+    # keys must hold all a factor depends on: filled first by the (3, 1)
+    # families (rows of slot count 1 where the pinned families have 2) and
+    # by points carrying several coweights (the labels of the pinned
+    # points with other coefficients), it must give every pinned build
+    # byte for byte
+    from laxkit import lax_rational
+
+    lax_rational._FACTORS.clear()
+    for div in (suite.enumerate_linear_divisors(3, 1) + suite.enumerate_linear_divisors(3, 1, "trig")
+                + _several_coweights()):
+        _builders(div)[0](div)
+    for family in sorted(FAMILIES):
+        assert _family_digest(family) == DIGESTS[family], family
 
 
 def _assert_reduced(element, where):
@@ -137,7 +173,7 @@ def test_gauss_and_t_coefficients_are_reduced(family):
     # full trial division by every atom must find nothing left to cancel
     for div in FAMILIES[family]():
         T = _builders(div)[0](div)
-        gauss = T.gauss
+        gauss = build_gauss_factors(div)
         n = T.n
         for i in range(n):
             _assert_reduced(gauss.diag[i], ("g", i))

@@ -9,6 +9,7 @@ from laxkit.errors import MismatchWithRational, NegativeEpsPower, NotLinearCase
 from laxkit.lax_rational import (
     GaussFactors,
     LaxMatrix,
+    build_gauss_factors,
     build_lax,
     normalized_limit,
     qdet_image,
@@ -122,8 +123,9 @@ def test_index0_limit_moves_the_whole_point():
 def test_one_matrix_type_for_both_modes():
     T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(1)))
     assert isinstance(T, LaxMatrix) and T.normalized
-    assert isinstance(T.gauss, GaussFactors)
-    assert T.gauss.diag is T.gauss[1]
+    gauss = build_gauss_factors(trig_case_divisor(1))
+    assert isinstance(gauss, GaussFactors)
+    assert gauss.diag is gauss[1]
 
 
 def test_case4_zero_limit_lands_on_case1():
@@ -210,7 +212,7 @@ def test_trig_gauss_mode_contract():
     # leading diagonal modes are unit monomials at the framing power;
     # the triangular factors expand in non-positive spectral powers
     for div in (trig_case_divisor(1), trig_n3_divisor()):
-        lower, diag, upper = build_lax_trig(div).gauss
+        lower, diag, upper = build_gauss_factors(div)
         d = div.mu.d
         n = div.n
         for i in range(n):

@@ -1099,7 +1099,7 @@ def _check_against_make(got, num, den):
 
 
 def test_prime_atoms_are_the_shape_a_u_plus_b():
-    from laxkit import ratfun, suite
+    from laxkit import lax_rational, ratfun, suite
     from laxkit.lax_rational import build_lax
     from laxkit.lax_trig import build_lax_trig
     from laxkit.ratfun import factor_atoms
@@ -1123,7 +1123,9 @@ def test_prime_atoms_are_the_shape_a_u_plus_b():
     ratfun._ATOMS.clear()
     assert atom("2*z - 2") is atom("z - 1")
     # and every atom the pinned families make carries, from when it was
-    # made, what the rejection helpers compute from its polynomial
+    # made, what the rejection helpers compute from its polynomial (the
+    # builds' factor table is cleared too, or they would split nothing)
+    lax_rational._FACTORS.clear()
     divs = (suite.rtt_rational_divisors() + suite.rtt_trig_divisors()
             + suite.enumerate_linear_divisors(3, 1, "trig")
             + suite.enumerate_linear_divisors(4, 1, "trig")
