@@ -155,6 +155,17 @@ def _label(pt: Point) -> str:
     return pt if isinstance(pt, str) else str(pt)
 
 
+def _balanced(label: str) -> bool:
+    """Whether every ] of label closes an earlier [ and every [ is closed:
+    exactly the labels that a matrix file's x[label] reads back as."""
+    depth = 0
+    for ch in label:
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            return False
+    return depth == 0
+
+
 @dataclass(frozen=True)
 class Divisor:
     """Admissible divisor: (point, lambda_x) pairs + framing coweights."""
@@ -181,6 +192,8 @@ class Divisor:
                 )
             if self.mode == "trig" and isinstance(pt, Fraction) and pt == 0:
                 raise NotAdmissible("trig points must be nonzero")
+            if isinstance(pt, str) and not _balanced(pt):
+                raise NotAdmissible(f"point label {pt!r} has unbalanced brackets")
         if sum(abs(c) for _, lam in self.summands for c in lam.to_fundamental()) > MAX_SUMMANDS:
             raise NotAdmissible(
                 f"finite points hold more than {MAX_SUMMANDS} fundamental coweights"

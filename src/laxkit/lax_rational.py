@@ -9,6 +9,9 @@ factors, each made once per process (_FACTORS) and kept factored
 shift past F's monomial maps atoms, and each T coefficient is
 multiplied out and reduced once (factored_sum).  The Gauss factors
 themselves are multiplied out only when asked for (build_gauss_factors).
+T depends on the divisor alone, so the last 64 matrices built, of
+either mode, are kept (_assembled) and a divisor built again within a
+flow costs one lookup; each caller gets its own rows.
 Everything downstream (normalization, limits, fusion, the linear fast
 path) reuses the same closed forms; the general builder is the oracle
 for all of them.
@@ -22,6 +25,7 @@ inversion weight and the closed form it is checked against differ.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -210,15 +214,32 @@ def lower_entry(div: Divisor, sig: AlgebraSignature, j: int, i: int,
 
 def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
               lower: Callable) -> LaxMatrix:
-    """T(z) = F G E from a mode's three entry formulas.
+    """T(z) = F G E from a mode's three entry formulas, made once per
+    divisor while it stays among the last 64 built (_assembled).  Every
+    call gets its own LaxMatrix: its divisor is div and its rows are new
+    lists, so a caller may assign into them; the entries are shared."""
+    if div.mode != mode:
+        raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
+    sig, rows = _assembled(div, diag, upper, lower)
+    return LaxMatrix(signature=sig, divisor=div, entries=[list(row) for row in rows])
+
+
+# One lax suite run builds 34 distinct divisors (190 builds) and one pass
+# of the benchmark's construct_cli workload 44 (197 builds); a matrix of
+# rank 4 holds 10-80 KiB (tracemalloc, the (4, 2) families), so 64
+# matrices cover a whole flow in at most a few MB.  Equal divisors (a
+# point 2 and a point Fraction(2) compare and hash alike) share an entry;
+# the formulas are part of the key, so a changed formula builds anew.
+@functools.lru_cache(maxsize=64)
+def _assembled(div: Divisor, diag: Callable, upper: Callable,
+               lower: Callable) -> Tuple[AlgebraSignature, tuple]:
+    """(signature, rows of T) with T = F G E.
 
     Every coefficient stays a Factored product until it is summed:
     G_k E_kj adds exponents, and F_ik (G E)_kj shifts (G E)_kj's product
     past F's monomial (Factored.shift) and adds exponents.  Each T
     coefficient is then one factored_sum of its products."""
-    if div.mode != mode:
-        raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
-    sig, n = div.signature(), div.n
+    mode, sig, n = div.mode, div.signature(), div.n
     # 0-based: g[k] the diagonal, e[k, j] and f[j, k] (k < j) E's and F's entries
     g = [diag(div, sig, i) for i in range(1, n + 1)]
     e = {(i, j): upper(div, sig, i + 1, j + 1) for i in range(n) for j in range(i + 1, n)}
@@ -227,7 +248,7 @@ def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
     ge = {(k, k): {_SHIFT_ONE: gk} for k, gk in enumerate(g)}
     for (k, j), terms in e.items():
         ge[k, j] = {s: g[k] * c for s, c in terms.items()}
-    entries = []
+    rows = []
     for i in range(n):
         row = []
         for j in range(n):
@@ -243,8 +264,8 @@ def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
                     for s2, c2 in right.items():
                         sums.setdefault(s1 * s2, []).append(c1 * c2.shift(mode, moves))
             row.append(AlgebraElement(sig, {s: factored_sum(ts) for s, ts in sums.items()}))
-        entries.append(row)
-    return LaxMatrix(signature=sig, divisor=div, entries=entries)
+        rows.append(tuple(row))
+    return sig, tuple(rows)
 
 
 def build_gauss_factors(div: Divisor) -> GaussFactors:

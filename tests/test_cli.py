@@ -127,6 +127,18 @@ def test_divisor_past_the_summand_bound_is_usage_error(tmp_path, capsys):
     assert not out and err.startswith("error:") and "Traceback" not in err
 
 
+def test_a_label_with_unbalanced_brackets_is_usage_error(tmp_path, capsys):
+    # a matrix file writes a label as x[label] and reads it back up to
+    # the ] that balances the brackets, so a label without that balance
+    # is refused when the divisor is made, before any file is written
+    for label in ("x[", "x]", "]x["):
+        bad = _write(tmp_path, "bad.json", dict(DST, points=[dict(DST["points"][0], x=label)]))
+        assert main(["build", "--divisor", bad, "--out", str(tmp_path / "m.json")]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: point label {label!r} has unbalanced brackets\n"
+        assert not (tmp_path / "m.json").exists()
+
+
 # Usage errors a command finds after parsing: exit 2, nothing on stdout
 # and the message on stderr, like every other exit-2 path.
 COMMAND_USAGE_ERRORS = {

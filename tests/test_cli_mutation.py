@@ -7,7 +7,9 @@ string (the polynomial strings of a matrix file; the labels and the mode
 of a divisor file).  Every case must end in exit 0, 1 or 2, with no
 exception escaping cli.main, within a wall-time bound.  Each case draws
 its mutation from its own seeded generator, so the case list is the same
-in every run and under every hash seed.
+in every run and under every hash seed.  Fixed bracket edits of a point
+label check that a label `lax build` accepts reads back from the matrix
+file it writes.
 """
 
 import json
@@ -110,6 +112,32 @@ def originals(tmp_path_factory):
             assert cli.main(["build", "--divisor", str(path), "--out", str(mat), "--quiet"]) == 0
             out[f"matrix:{name}"] = mat.read_text(encoding="utf-8")
     return out
+
+
+# bracket edits of the label of a divisor's first point: a matrix file
+# writes the label as x[label], so a label `lax build` accepts must be
+# read back from the file it writes, and one whose brackets do not
+# balance is refused (exit 2) when the divisor is made
+LABEL_EDITS = {"[": False, "]": False, "][": False, "[[]": False, "[]": True, "[a]": True}
+LABELLED = ("dst", "trig-pizero")
+
+
+@pytest.mark.parametrize("name", LABELLED)
+@pytest.mark.parametrize("edit", sorted(LABEL_EDITS))
+def test_a_label_that_builds_reads_back(name, edit, originals, tmp_path, capsys):
+    doc = json.loads(originals[f"divisor:{name}"])
+    label = doc["points"][0]["x"] + edit
+    doc["points"][0]["x"] = label
+    path, matrix = tmp_path / "input.json", tmp_path / "matrix.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["build", "--divisor", str(path), "--raw", "--out", str(matrix), "--quiet"])
+    if not LABEL_EDITS[edit]:
+        assert code == 2 and "unbalanced brackets" in capsys.readouterr().err
+        return
+    assert code == 0
+    assert cli.main(["verify-rtt", "--matrix", str(matrix)]) == 0
+    assert f"x[{label}]" in matrix.read_text(encoding="utf-8")
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("base,kind,k", CASES, ids=[f"{b}-{t}-{k}" for b, t, k in CASES])

@@ -227,3 +227,17 @@ def test_each_point_carries_one_nonzero_dominant_coweight():
             Divisor(2, "rational", (("x", lam),), simple_coroot(2, 1) - lam)
     with pytest.raises(ValueError, match="twice"):
         Divisor(2, "rational", (("x", w1), ("x", w1)), mu + w0)
+
+
+def test_a_point_label_balances_its_brackets():
+    # a label is read back from x[label] up to the ] that balances its
+    # brackets, so the constructor and make refuse any other label
+    w1 = fundamental_coweight(2, 1)
+    mu = simple_coroot(2, 1) - w1
+    for label in ("x[", "x]", "]x[", "[[a]", "a]["):
+        with pytest.raises(NotAdmissible, match="unbalanced brackets"):
+            Divisor(2, "rational", ((label, w1),), mu)
+        with pytest.raises(NotAdmissible, match="unbalanced brackets"):
+            Divisor.make(2, "trig", [(label, w1)], mu)
+    for label in ("x[]", "[x]", "a[b[c]]d", "x"):
+        assert Divisor.make(2, "rational", [(label, w1)], mu).signature().points == (label,)

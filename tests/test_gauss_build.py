@@ -95,17 +95,21 @@ def test_builds_do_not_depend_on_the_split_memo(monkeypatch, state):
     # _atom makes one Atom per key; every pinned build is byte-identical
     # whether the factor, split and atom memos start empty, hold every
     # factor and atom of the families already, or are cleared at a cap of
-    # 2 (the cap every module-level memo shares)
+    # 2 (the cap every module-level memo shares).  The matrix cache is
+    # cleared with them and again before the pinned builds, or they would
+    # reach none of the memos
     from laxkit import lax_rational, ratfun
 
     tables = (lax_rational._FACTORS, ratfun._SPLITS, ratfun._ATOMS)
     for table in tables:
         table.clear()
+    lax_rational._assembled.cache_clear()
     if state == "warm":
         for family in FAMILIES:
             _family_digest(family)
         assert len(lax_rational._FACTORS) > 100
         assert len(ratfun._SPLITS) > 50 and len(ratfun._ATOMS) > 40
+        lax_rational._assembled.cache_clear()
     if state == "capped":
         monkeypatch.setattr(ratfun, "_MEMO_CAP", 2)
     for family in sorted(FAMILIES):
@@ -137,15 +141,124 @@ def test_builds_do_not_depend_on_what_the_factor_table_holds():
     # families (rows of slot count 1 where the pinned families have 2) and
     # by points carrying several coweights (the labels of the pinned
     # points with other coefficients), it must give every pinned build
-    # byte for byte
+    # byte for byte.  The matrix cache is cleared with the table and
+    # again before the pinned builds, so each of them reaches the table
     from laxkit import lax_rational
 
     lax_rational._FACTORS.clear()
+    lax_rational._assembled.cache_clear()
     for div in (suite.enumerate_linear_divisors(3, 1) + suite.enumerate_linear_divisors(3, 1, "trig")
                 + _several_coweights()):
         _builders(div)[0](div)
+    lax_rational._assembled.cache_clear()
     for family in sorted(FAMILIES):
         assert _family_digest(family) == DIGESTS[family], family
+
+
+# ---------------------------------------------------------------------------
+# the matrix cache: the last 64 matrices built (lax_rational._assembled)
+
+
+def _filler(k: int) -> Divisor:
+    """Rational n = 2 divisors with one point fill<k> each, cheap to build."""
+    return Divisor.make(2, "rational", [(f"fill{k}", Coweight.from_fundamental([0, 1]))],
+                        Coweight.from_fundamental([-1, 1]))
+
+
+@pytest.mark.parametrize("state", ["cleared", "warm", "evicted"])
+def test_builds_do_not_depend_on_the_matrix_cache(monkeypatch, state):
+    # every pinned build is byte-identical whether the cache is cleared
+    # before each build, already holds every divisor of the families, or
+    # held them and has evicted them all by building 64 other divisors
+    from laxkit import lax_rational
+
+    cache = lax_rational._assembled
+    cache.cache_clear()
+    if state == "cleared":
+        monkeypatch.setattr(lax_rational, "_assembled",
+                            lambda *args: cache.cache_clear() or cache(*args))
+    else:
+        for family in FAMILIES:
+            for div in FAMILIES[family]():
+                _builders(div)[0](div)
+    if state == "evicted":
+        for k in range(64):
+            build_lax(_filler(k))
+        assert cache.cache_info().currsize == 64
+    hits = cache.cache_info().hits
+    for family in sorted(FAMILIES):
+        assert _family_digest(family) == DIGESTS[family], family
+    # every build hits when warm; once evicted, only a divisor two
+    # families share hits, on its second build
+    divs = [div for family in sorted(FAMILIES) for div in FAMILIES[family]()]
+    want = {"cleared": 0, "warm": len(divs), "evicted": len(divs) - len(set(divs))}
+    assert cache.cache_info().hits - hits == want[state]
+
+
+def test_each_build_gets_its_own_rows():
+    # assigning into a returned matrix, or changing its row lists, leaves
+    # the next build of the same divisor as it was
+    for div in (suite.toda_divisor(), suite.trig_case_divisor(4)):
+        build = _builders(div)[0]
+        T = build(div)
+        want = _json_bytes(T)
+        T.entries[0][1] = T.entries[0][1] + 1
+        T.entries[1].reverse()
+        T.entries[0].append(T.entries[0][0])
+        T.entries.pop()
+        again = build(div)
+        assert again.entries is not T.entries and again.entries[0] is not T.entries[0]
+        assert _json_bytes(again) == want
+
+
+def test_a_build_carries_the_callers_divisor():
+    # an equal divisor read back from its JSON hits the cache but gets
+    # back itself, not the divisor the matrix was first built for
+    for div in (suite.toda_divisor(), suite.trig_case_divisor(2)):
+        build = _builders(div)[0]
+        build(div)
+        same = Divisor.from_json(json.loads(json.dumps(div.to_json())))
+        assert same == div and same is not div
+        assert build(same).divisor is same
+
+
+def test_a_cached_divisor_of_the_other_mode_is_refused():
+    from laxkit.errors import SignatureMismatch
+
+    trig, rational = suite.trig_case_divisor(4), suite.toda_divisor()
+    build_lax_trig(trig)
+    build_lax(rational)
+    with pytest.raises(SignatureMismatch):
+        build_lax(trig)
+    with pytest.raises(SignatureMismatch):
+        build_lax_trig(rational)
+
+
+@pytest.mark.parametrize("mode", ["rational", "trig"])
+def test_an_int_point_and_its_fraction_share_one_matrix(mode):
+    # Divisor's own constructor keeps an int point 2 as it is; it equals
+    # and hashes as the Fraction(2) that Divisor.make would make, and
+    # both render the same bytes, built apart or one from the other's
+    # cache entry
+    from fractions import Fraction
+
+    from laxkit import lax_rational
+
+    lam, mu = Coweight.from_fundamental([0, 1]), Coweight.from_fundamental([-1, 1])
+    zero = Coweight.zero(2) if mode == "trig" else None
+    int_pt = Divisor(2, mode, ((2, lam),), mu, zero)
+    frac_pt = Divisor(2, mode, ((Fraction(2), lam),), mu, zero)
+    assert int_pt == frac_pt and hash(int_pt) == hash(frac_pt)
+    build = _builders(int_pt)[0]
+    apart = []
+    for div in (int_pt, frac_pt):
+        lax_rational._assembled.cache_clear()
+        apart.append(_json_bytes(build(div)))
+    assert apart[0] == apart[1]
+    lax_rational._assembled.cache_clear()
+    build(frac_pt)
+    T = build(int_pt)
+    assert T.divisor is int_pt and _json_bytes(T) == apart[0]
 
 
 def _assert_reduced(element, where):

@@ -1124,8 +1124,10 @@ def test_prime_atoms_are_the_shape_a_u_plus_b():
     assert atom("2*z - 2") is atom("z - 1")
     # and every atom the pinned families make carries, from when it was
     # made, what the rejection helpers compute from its polynomial (the
-    # builds' factor table is cleared too, or they would split nothing)
+    # builds' factor table and matrix cache are cleared too, or they
+    # would split nothing)
     lax_rational._FACTORS.clear()
+    lax_rational._assembled.cache_clear()
     divs = (suite.rtt_rational_divisors() + suite.rtt_trig_divisors()
             + suite.enumerate_linear_divisors(3, 1, "trig")
             + suite.enumerate_linear_divisors(4, 1, "trig")
