@@ -1,4 +1,4 @@
-"""Factored products: the form Gauss coefficients are built and summed in.
+"""Factored products: the form Gauss coefficients are built in.
 
 A Factored value is c * u * prod a^e over atoms a (ratfun.Atom): a
 nonzero coefficient c, a monomial u in the unit variables v and wh, and
@@ -6,20 +6,19 @@ a signed exponent per atom, with nothing multiplied out.  A product
 adds exponents, and a slot shift, a ring automorphism, maps each atom
 through ratfun's memoized images and moves u, so no numerator is
 rescaled.  expand multiplies a product out by the product rule of
-ratfun's docstring (RatFun.product is Factored.product expanded), and
-factored_sum reduces a sum of products with one expansion.  The
+ratfun's docstring (RatFun.product is Factored.product expanded).  The
 Lax-matrix builders (lax_rational) keep every Gauss coefficient in this
-form until T = F G E sums it.
+form until T = F G E expands its products and sums them
+(ratfun.merged_sum).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .monomials import FW, HALF, Monomial
 from .poly import Poly, _q, _qdiv
-from .ratfun import (_IMAGES, _R_ZERO, _UNSEEN, Atom, RatFun, _atom_image, _cancel,
-                     _lifted_total, _memo, factor_atoms, shift_map)
+from .ratfun import _IMAGES, _UNSEEN, Atom, RatFun, _atom_image, _memo, factor_atoms, shift_map
 
 
 class Factored:
@@ -116,34 +115,3 @@ class Factored:
             return RatFun(num, den)
         return RatFun._make(num, den)
 
-
-def factored_sum(terms: List[Factored]) -> RatFun:
-    """The sum of Factored terms, reduced.  A lone term is expanded.
-    Otherwise each atom is shed at its lowest exponent over the terms (0
-    for a term without it), so every remainder is a polynomial; the
-    remainders are multiplied out into one running sum (poly.mul_add, the
-    last atom first), the sum is divided by the shared denominator atoms
-    (_cancel) and multiplied by the shared numerator atoms.  A prime atom
-    whose lowest exponent only one term holds divides every remainder
-    but that one, so not the sum, and is not tried; a non-prime atom
-    holding a non-unit variable sends the result to _make."""
-    if len(terms) == 1:
-        return terms[0].expand()
-    held: Dict[Atom, list] = {}  # atom -> the exponents of the terms holding it
-    for t in terms:
-        for a, m in t.exps.items():
-            held.setdefault(a, []).append(m)
-    # a term without the atom holds it at 0
-    low = {a: min(ms) if len(ms) == len(terms) else min(0, *ms) for a, ms in held.items()}
-    num = _lifted_total((t._unit(), [(a, k) for a, lo in low.items()
-                                     if (k := t.exps.get(a, 0) - lo)]) for t in terms)
-    if num.is_zero():
-        return _R_ZERO
-    den = {a: -lo for a, lo in low.items() if lo < 0}
-    exact = all(a.root or a.unit_only for a in low)
-    if exact:
-        num = _cancel(num, den, [a for a in den if not a.root or held[a].count(low[a]) > 1])
-    for a, lo in low.items():
-        if lo > 0:
-            num = num * a.poly ** lo
-    return RatFun(num, den) if exact else RatFun._make(num, den)

@@ -6,9 +6,10 @@ multi-index sums over slot tuples, with the shift generators on the
 right.  Every Gauss coefficient is an explicit product of linear
 factors, each made once per process (_FACTORS) and kept factored
 (factored.Factored) until T = F G E sums it: products add exponents, a
-shift past F's monomial maps atoms, and each T coefficient is
-multiplied out and reduced once (factored_sum).  The Gauss factors
-themselves are multiplied out only when asked for (build_gauss_factors).
+shift past F's monomial maps atoms, and the products of each T
+coefficient are multiplied out and summed pairwise (ratfun.merged_sum).
+The Gauss factors themselves are multiplied out only when asked for
+(build_gauss_factors).
 T depends on the divisor alone, so the last 64 matrices built, of
 either mode, are kept (_assembled) and a divisor built again within a
 flow costs one lookup; each caller gets its own rows.
@@ -51,8 +52,8 @@ from .errors import (
     NotScalar,
     SignatureMismatch,
 )
-from .factored import Factored, factored_sum
-from .ratfun import V, Poly, RatFun, Z, _memo, p_var, x_var
+from .factored import Factored
+from .ratfun import V, Poly, RatFun, Z, _memo, merged_sum, p_var, x_var
 
 
 class GaussFactors(NamedTuple):
@@ -238,7 +239,7 @@ def _assembled(div: Divisor, diag: Callable, upper: Callable,
     Every coefficient stays a Factored product until it is summed:
     G_k E_kj adds exponents, and F_ik (G E)_kj shifts (G E)_kj's product
     past F's monomial (Factored.shift) and adds exponents.  Each T
-    coefficient is then one factored_sum of its products."""
+    coefficient is then the merged_sum of its expanded products."""
     mode, sig, n = div.mode, div.signature(), div.n
     # 0-based: g[k] the diagonal, e[k, j] and f[j, k] (k < j) E's and F's entries
     g = [diag(div, sig, i) for i in range(1, n + 1)]
@@ -263,7 +264,8 @@ def _assembled(div: Divisor, diag: Callable, upper: Callable,
                     moves = shift_moves(mode, s1)
                     for s2, c2 in right.items():
                         sums.setdefault(s1 * s2, []).append(c1 * c2.shift(mode, moves))
-            row.append(AlgebraElement(sig, {s: factored_sum(ts) for s, ts in sums.items()}))
+            row.append(AlgebraElement(sig, {s: merged_sum(t.expand() for t in ts)
+                                                 for s, ts in sums.items()}))
         rows.append(tuple(row))
     return sig, tuple(rows)
 

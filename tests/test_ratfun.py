@@ -1229,7 +1229,7 @@ def test_split_memo_hands_out_no_shared_dict():
 
 
 def test_cancellation_rules_match_full_trial_division():
-    from laxkit.ratfun import (_invert_unit, _lifted_sum, den_product, factor_atoms, slot_map,
+    from laxkit.ratfun import (_invert_unit, _lifted_sum, den_product, factor_atoms, shift_map,
                                substitute)
     from laxkit.suite import random_ratfun
 
@@ -1283,7 +1283,7 @@ def test_cancellation_rules_match_full_trial_division():
             cancelled["invert"] += _check_against_make(h.invert(), num, atoms)
             slot = rng.choice([(1, 1), (1, 2), (2, 1)])
             m = rng.choice([-2, -1, 1, 3])
-            shifted = substitute(f.num, f.den, slot_map(mode, 1, *slot, m))
+            shifted = substitute(f.num, f.den, shift_map(mode, ((1, *slot, m),)))
             assert _check_against_make(f.shift_slot(mode, 1, *slot, m), *shifted) == 0
     assert cancelled["mul"] > 20 and cancelled["add"] > 50 and cancelled["invert"] > 5, cancelled
 
@@ -1292,7 +1292,7 @@ def _automorphism_cases(mode, rng):
     """(method, arguments, Poly map) triples of the ring automorphisms
     RatFun applies without _make, plus a rename onto a variable the
     fraction may hold, which reduces with _make."""
-    from laxkit.ratfun import slot_map
+    from laxkit.ratfun import shift_map
 
     i, r = rng.choice([(1, 1), (1, 2), (2, 1)] if mode == "rational" else [(1, 1), (1, 2)])
     m, k = rng.choice([-2, -1, 1, 3]), rng.choice([-2, -1, 1, 2])
@@ -1306,7 +1306,7 @@ def _automorphism_cases(mode, rng):
         ("rename_var", (Z, W), lambda p: p.rename_var(Z, W)),
         ("rename_var", (old, new), lambda p: p.rename_var(old, new)),
         ("rename_var", (a, b), lambda p: p.rename_var(a, b)),
-        ("shift_slot", (mode, 1, i, r, m), slot_map(mode, 1, i, r, m)),
+        ("shift_slot", (mode, 1, i, r, m), shift_map(mode, ((1, i, r, m),))),
     ]
     if mode == "rational":
         moves = ((Z, c), (old, m))
@@ -1607,8 +1607,7 @@ def _factored_sums(mode, rng, exps=(-2, -1, 1, 2)):
 
 @pytest.mark.parametrize("mode", ["rational", "trig"])
 def test_factored_path_matches_the_expanded_kernel(mode):
-    from laxkit.factored import factored_sum
-    from laxkit.ratfun import reduced_sum, shift_map
+    from laxkit.ratfun import merged_sum, reduced_sum, shift_map
 
     rng = random.Random(43 if mode == "rational" else 44)
     kinds = {"random": 0, "zero": 0, "cancel": 0, "cancelled": 0}
@@ -1629,8 +1628,8 @@ def test_factored_path_matches_the_expanded_kernel(mode):
                 got = fs[0].shift(mode, moves).expand()
                 want = RatFun(*substitute(e.num, e.den, shift_map(mode, moves), (mode, moves)))
                 assert (got.num.terms, got.den) == (want.num.terms, want.den), moves
-            # one expansion per sum, reduced as the sum of the expansions is
-            got = factored_sum(fs)
+            # the pairwise sum of the expansions, reduced as their one-pass sum is
+            got = merged_sum(f.expand() for f in fs)
             want = reduced_sum([(f.expand().num, f.expand().den) for f in fs])
             assert (got.num.terms, got.den) == (want.num.terms, want.den), terms
             kinds[kind] += 1
@@ -1649,7 +1648,7 @@ def test_factored_path_matches_the_expanded_kernel(mode):
 @pytest.mark.parametrize("mode", ["rational", "trig"])
 def test_factored_sums_match_sympy(mode):
     sympy = pytest.importorskip("sympy")
-    from laxkit.factored import factored_sum
+    from laxkit.ratfun import merged_sum
 
     def expr(c, factors):
         return sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * sympy.Mul(
@@ -1658,10 +1657,44 @@ def test_factored_sums_match_sympy(mode):
     rng = random.Random(45 if mode == "rational" else 46)
     for _ in range(8):
         for terms, kind in _factored_sums(mode, rng, (-1, 1)):
-            got = factored_sum([_factored(c, f) for c, f in terms])
+            got = merged_sum(_factored(c, f).expand() for c, f in terms)
             want = sympy.Add(*(expr(c, f) for c, f in terms))
             diff = sympy.together(_sympy_of(sympy, got) - want)
             assert sympy.expand(sympy.numer(diff)) == 0, (kind, terms)
+
+
+def test_merged_sum_does_not_depend_on_term_order(monkeypatch):
+    # every rotation and the reversal of seeded factored sums, and of the
+    # expanded products of the largest T coefficient of a rational (4, 2)
+    # divisor, sum to one reduced fraction: reduced_sum of the same terms
+    from laxkit import lax_rational
+    from laxkit.ratfun import merged_sum, reduced_sum
+    from laxkit.suite import enumerate_linear_divisors
+
+    rng = random.Random(47)
+    sums = [[_factored(c, f).expand() for c, f in terms]
+            for mode in ("rational", "trig") for _ in range(10)
+            for terms, _ in _factored_sums(mode, rng)]
+    seen = []
+
+    def recording(fracs):
+        seen.append(list(fracs))
+        return merged_sum(seen[-1])
+
+    monkeypatch.setattr(lax_rational, "merged_sum", recording)
+    lax_rational._assembled.cache_clear()
+    try:
+        lax_rational.build_lax(enumerate_linear_divisors(4, 2)[0])
+    finally:
+        lax_rational._assembled.cache_clear()
+    sums.append(max(seen, key=len))
+    assert len(sums[-1]) == 11
+    for terms in sums:
+        want = reduced_sum([(t.num, t.den) for t in terms])
+        orders = [terms[k:] + terms[:k] for k in range(len(terms))] + [terms[::-1]]
+        for order in orders:
+            got = merged_sum(order)
+            assert (got.num.terms, got.den) == (want.num.terms, want.den), terms
 
 
 # ---------------------------------------------------------------------------
@@ -1871,7 +1904,10 @@ def test_synthetic_division_past_the_precheck_matches_sympy():
     # z^7 - v^(7h - 2 HALF) * y for a multiple; the bound stops it at q_3
     from laxkit.monomials import FIELD
 
-    v, y = wh_var(7, 7, 7), x_var("y7")  # fresh: adjacent fields
+    k = 7  # count up to a fresh pair, whatever variables earlier tests made
+    while wh_var(7, 7, k) in FIELD or x_var(f"y7_{k}") in FIELD:
+        k += 1
+    v, y = wh_var(7, 7, k), x_var(f"y7_{k}")  # fresh: adjacent fields
     Poly.variable(v), Poly.variable(y)
     assert FIELD[y] == FIELD[v] + 1
     atom = _one_atom(Poly.variable(Z) - Poly.variable(v, h))
@@ -2090,12 +2126,12 @@ def test_one_term_products_match_the_general_loop_and_sympy():
 
 def test_shift_map_matches_chained_slot_maps():
     # one substitution of a whole shift monomial (2-4 slots) gives,
-    # fraction for fraction, what the per-slot slot_map substitutions
+    # fraction for fraction, what the one-move shift_map substitutions
     # chained give, on the fractions of seeded unreduced products, with
     # the image memo cold and warm
     from laxkit import ratfun
     from laxkit.algebra import AlgebraSignature, unreduced_product
-    from laxkit.ratfun import shift_map, slot_map
+    from laxkit.ratfun import shift_map
     from laxkit.suite import random_element
 
     checked = moved = 0
@@ -2113,7 +2149,7 @@ def test_shift_map_matches_chained_slot_maps():
                     key = (mode, moves)
                     chained = num, den
                     for move in moves:
-                        chained = substitute(*chained, slot_map(mode, *move))
+                        chained = substitute(*chained, shift_map(mode, (move,)))
                     for _ in range(2):  # cold, then warm
                         got = substitute(num, den, shift_map(*key), key)
                         assert got[0].terms == chained[0].terms and got[1] == chained[1], moves
