@@ -150,6 +150,17 @@ class PseudoYoungDiagram:
 # refused when it is made.
 MAX_SUMMANDS = HALF - 1
 
+# A build multiplies z - x out to the power of the coefficients summed at
+# x, at a cost that grows faster than the square of that degree: on a
+# shared 2-vCPU host, one rank-2 point carrying [d, 0] took lax build
+# 0.5 s and lax verify-rtt 39 s at d = 1024, verify-rtt 1.5 s at d = 256,
+# and lax build had not ended after 100 s at d = 32767, inside
+# MAX_SUMMANDS.  So the builders refuse a divisor whose finite points hold
+# more than MAX_BUILD_DEGREE fundamental coweights
+# (Divisor.check_build_degree); no pinned family, suite check or
+# benchmark divisor holds more than 3.
+MAX_BUILD_DEGREE = 256
+
 
 def _label(pt: Point) -> str:
     return pt if isinstance(pt, str) else str(pt)
@@ -194,11 +205,26 @@ class Divisor:
                 raise NotAdmissible("trig points must be nonzero")
             if isinstance(pt, str) and not _balanced(pt):
                 raise NotAdmissible(f"point label {pt!r} has unbalanced brackets")
-        if sum(abs(c) for _, lam in self.summands for c in lam.to_fundamental()) > MAX_SUMMANDS:
+        if self.degree() > MAX_SUMMANDS:
             raise NotAdmissible(
                 f"finite points hold more than {MAX_SUMMANDS} fundamental coweights"
             )
         self.a_vector()  # reject inadmissible data at construction
+
+    def degree(self) -> int:
+        """The fundamental coweights the finite points hold, counted with
+        their absolute values: a bound on the z-degree a build multiplies
+        out at one point."""
+        return sum(abs(c) for _, lam in self.summands for c in lam.to_fundamental())
+
+    def check_build_degree(self) -> None:
+        """NotAdmissible past MAX_BUILD_DEGREE (see there), before a build
+        starts to multiply out."""
+        if self.degree() > MAX_BUILD_DEGREE:
+            raise NotAdmissible(
+                f"finite points hold {self.degree()} fundamental coweights; builds take"
+                f" at most {MAX_BUILD_DEGREE}"
+            )
 
     @staticmethod
     def make(n: int, mode: str, points: Sequence[Tuple[Point, Coweight]],

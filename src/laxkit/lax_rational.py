@@ -221,6 +221,7 @@ def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
     lists, so a caller may assign into them; the entries are shared."""
     if div.mode != mode:
         raise SignatureMismatch(f"{mode} builder got a {div.mode} divisor")
+    div.check_build_degree()
     sig, rows = _assembled(div, diag, upper, lower)
     return LaxMatrix(signature=sig, divisor=div, entries=[list(row) for row in rows])
 
@@ -278,6 +279,7 @@ def build_gauss_factors(div: Divisor) -> GaussFactors:
     else:
         from . import lax_trig as t
         diag, upper, lower = t.diag_entry_trig, t.upper_entry_trig, t.lower_entry_trig
+    div.check_build_degree()
     sig, n = div.signature(), div.n
     lower_f, upper_f = mat_identity(sig, n), mat_identity(sig, n)
     for i in range(1, n + 1):

@@ -134,7 +134,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import monomials as mono
 from .errors import DivergesAtInfinity, NotAtomFactorable
-from .monomials import FW, HALF, PREC, UNIT_KINDS, VARS, Monomial, Var, unpack_mono, unpacked
+from .monomials import FW, HALF, PREC, UNIT_KINDS, VARS, Monomial, Var, unpacked
 from .poly import (
     _P_ONE,
     _P_ZERO,
@@ -991,21 +991,32 @@ def default_eps_linear_map(v: Var) -> Poly:
 
 def _eps_poly_series(p: Poly, hi: int) -> "TruncSeries":
     """p with every variable u -> exp(eps * l(u)), through eps^hi, with l
-    the default linear map."""
+    the default linear map (made once per distinct variable of p).  The
+    terms of each power of eps are summed in one dict and made canonical
+    (_q) once, as in _lifted_sum."""
     from .series import TruncSeries
 
-    coeffs = [_P_ZERO] * (hi + 1)
+    ells: Dict[int, Poly] = {}  # field -> l of its variable
+    sums: List[Dict[Monomial, Coeff]] = [{} for _ in range(hi + 1)]
+    eb = 0
     for m, c in p.terms.items():
         ell = _P_ZERO
-        for v, e in unpack_mono(m):
-            ell = ell + default_eps_linear_map(v) * e
+        for k, e in unpacked(m):
+            lk = ells.get(k)
+            if lk is None:
+                lk = ells[k] = default_eps_linear_map(VARS[k])
+            ell = ell + lk * e
         # c * exp(eps * ell) = sum_k c * ell^k / k! * eps^k
         term = Poly.const(c)
-        for k in range(hi + 1):
+        for k, total in enumerate(sums):
             if k:
                 term = term * ell * _qdiv(1, k)
-            coeffs[k] = coeffs[k] + term
-    return TruncSeries(dict(enumerate(map(RatFun.from_poly, coeffs))), hi, _R_ZERO)
+            eb = max(eb, term._eb)
+            for mo, tc in term.terms.items():
+                total[mo] = total.get(mo, 0) + tc
+    coeffs = (RatFun(Poly({mo: _q(tc) for mo, tc in total.items() if tc}, eb), {})
+              for total in sums)
+    return TruncSeries(dict(enumerate(coeffs)), hi, _R_ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import NotAtomFactorable, ParseError
-from .monomials import FW, HALF, Var, pack_mono
-from .poly import _q
+from .monomials import FW, HALF, PREC, UNIT_KINDS, VARS, Var, grlex, pack_mono, unpacked
+from .poly import _P_ZERO, _q
 from .ratfun import (
     EPS,
     Poly,
@@ -28,11 +28,19 @@ from .ratfun import (
     V,
     W,
     Z,
+    _memo,
     is_linear_form,
     p_var,
     wh_var,
     x_var,
 )
+
+# The monomial text table, shared by the reader and the writer: the text
+# of a monomial as read -> (packed monomial, its variables, its |exponent|
+# bound, whether a non-unit exponent is negative), and a packed monomial
+# -> its canonical text.  Packed monomials hold for the process that made
+# them, and so does the table; it is capped by ratfun._memo.
+_MONOS: Dict[object, object] = {}
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -56,29 +64,30 @@ def render_var_power(v, e: int) -> str:
     return f"{base}^{e}"
 
 
-def _render_mono(items) -> str:
-    """items: ((var, exp), ...) in var_precedence order."""
-    return "*".join(render_var_power(v, e) for v, e in items)
+def _mono_text(m: int) -> str:
+    """Canonical text of the packed monomial m != 0: its variable powers
+    in var_precedence order."""
+    return "*".join(render_var_power(VARS[k], e)
+                    for k, e in sorted(unpacked(m), key=lambda ke: PREC[ke[0]]))
 
 
 def render_poly(p: Poly) -> str:
+    """Terms in descending canonical order, each monomial's text taken from
+    the monomial text table."""
     if p.is_zero():
         return "0"
+    terms = p.terms
     parts: List[str] = []
-    for m, c in p.ordered_terms():
-        neg = c < 0
-        c_abs = -c if neg else c
-        if not m:
-            body = str(c_abs)
-        elif c_abs == 1:
-            body = _render_mono(m)
+    for m in sorted(terms, key=grlex(p._fields()), reverse=True):
+        c = terms[m]
+        sign, c = ("- ", -c) if c < 0 else ("+ ", c)
+        if m:
+            mono = _MONOS.get(m) or _memo(_MONOS, m, _mono_text, m)
+            parts.append(f"{sign}{mono}" if c == 1 else f"{sign}{c}*{mono}")
         else:
-            body = f"{c_abs}*{_render_mono(m)}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+            parts.append(f"{sign}{c}")
+    out = " ".join(parts)  # the first term reads "-x", not "- x", and "x", not "+ x"
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def render_ratfun(f: RatFun) -> str:
@@ -132,30 +141,38 @@ def render_element(elem) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 #
-# One compiled regex reads the token at a position: a coefficient
-# (with the "*" that may follow it), a variable, shift generator or ")"
-# (each with the power and the "*" that may follow it), or one other
-# character.  Whitespace (space, tab, newline) may stand before any
-# token.  Numerator terms are summed in one packed term dict, and a
-# fraction is assembled by RatFun.quotient: each denominator factor is
-# split once and the whole is reduced once.
+# A polynomial is read a term at a time: one match of _TERM reads its
+# sign, the sign of a signed integer, the coefficient and the monomial
+# text, which the monomial text table maps to its packed monomial.  On a
+# miss, and from a label whose brackets nest (x[a[b]]: a label runs to
+# the first "]" at which its brackets balance), _monomial_at reads the
+# monomial a variable at a time.  Whitespace (space, tab, newline) may
+# stand between any two tokens.  A numerator without denominator or
+# negative power of a non-unit variable is the fraction as read; any
+# other goes through RatFun.quotient, which splits each denominator
+# factor once and reduces the whole once.
 
 _S = r"[ \t\n]*"
 _INT = r"[-+]?[0-9]+"
-_TAIL = rf"(?:{_S}\^{_S}(?P<exp>{_INT}))?(?P<more>{_S}\*)?"
-_TOKEN = re.compile(
-    rf"{_S}(?:"
-    rf"(?P<num>[0-9]+)(?:{_S}/{_S}(?P<den>[0-9]+))?(?P<nmore>{_S}\*)?"
-    rf"|(?:(?P<var>wh|w|p|D|e\^\{{{_S}(?P<neg>-?){_S}(?P<mult>[0-9]*){_S}q)"
-    rf"{_S}\[{_S}(?P<a>{_INT}){_S}(?:;{_S}(?P<b>{_INT}){_S})?,{_S}(?P<c>{_INT}){_S}\]"
-    rf"(?P<close>{_S}\}})?"
-    rf"|(?P<name>[^\W\d]\w*)(?P<label>{_S}\[)?"
-    rf"|(?P<rp>\))){_TAIL}"
-    rf"|(?P<op>.)"
-    rf"|$)",
-    re.S,
+_IDX = rf"{_S}\[{_S}(?P<a>{_INT}){_S}(?:;{_S}(?P<b>{_INT}){_S})?,{_S}(?P<c>{_INT}){_S}\]"
+_POW = rf"(?:{_S}\^{_S}(?P<exp>{_INT}))?"
+_VAR_POWER = rf"[^\W\d]\w*(?:{_S}\[[^\[\]]*\])?(?:{_S}\^{_S}{_INT})?"
+_TERM = re.compile(
+    rf"{_S}(?P<sep>[-+]?)(?:{_S}(?P<sgn>[-+])(?=[0-9]))?"
+    rf"(?:{_S}(?P<num>[0-9]+)(?:{_S}/{_S}(?P<den>[0-9]+))?(?P<star>{_S}\*)?)?"
+    rf"(?:{_S}(?P<mono>{_VAR_POWER}(?:{_S}\*{_S}{_VAR_POWER})*))?(?P<nest>{_S}\[)?"
 )
-_AFTER_LABEL = re.compile(_TAIL)
+_VAR = re.compile(rf"{_S}(?:(?P<kind>wh|w|p){_IDX}|(?P<name>[^\W\d]\w*)(?P<label>{_S}\[)?)")
+_POWER = re.compile(rf"{_POW}(?P<more>{_S}\*)?")
+_OPEN = re.compile(rf"{_S}\(")
+_CLOSE = re.compile(rf"{_S}\)(?P<more>{_S}\*)?")
+_OVER = re.compile(rf"{_S}\){_S}/{_S}\({_S}\(")
+_FACTOR_CLOSE = re.compile(rf"{_S}\){_POW}{_S}(?:(?P<more>\*{_S}\()|\))")
+_PLUS = re.compile(rf"{_S}\+")
+_SHIFT = {
+    "rational": re.compile(rf"{_S}e\^\{{{_S}(?P<neg>-?){_S}(?P<mult>[0-9]*){_S}q{_IDX}{_S}\}}"),
+    "trig": re.compile(rf"{_S}D{_IDX}{_POW}"),
+}
 
 # CPython's default limit on int/str conversions, so that every version
 # reads the same texts
@@ -169,13 +186,6 @@ def _int(digits: str) -> int:
     return int(digits)
 
 
-def _expect(text: str, pos: int, ch: str) -> int:
-    t = _TOKEN.match(text, pos)
-    if t.group().lstrip(" \t\n") != ch:
-        raise ParseError(f"expected {ch!r} at {text[pos : pos + 24]!r}")
-    return t.end()
-
-
 def _at_end(text: str, pos: int) -> None:
     if text[pos:].strip(" \t\n"):
         raise ParseError(f"trailing input {text[pos:]!r}")
@@ -187,125 +197,119 @@ def _slot(t) -> Tuple[int, int, int]:
     return (a, _int(b), _int(t["c"])) if b is not None else (1, a, _int(t["c"]))
 
 
-def _variable(text: str, t) -> Tuple[Var, int, object]:
-    """(variable, exponent, tail match) of a variable token; wh-even
-    rendering w[i,r]^k is wh[i,r]^(2k)."""
-    kind, name, label = t.group("var", "name", "label")
-    if name is not None and label is None:
-        var, mult = _NAMED.get(name), 1
-        if var is None:
-            raise ParseError(f"unknown variable {name!r}")
-    elif name == "x":
-        start = end = t.end("label")
-        while True:
-            end = text.find("]", end)
+def _monomial_at(text: str, pos: int) -> tuple:
+    """The monomial text table's entry of the monomial at pos (packed
+    monomial, its variables, its |exponent| bound, whether a non-unit
+    exponent is negative) and the position after it.  A repeated variable
+    adds its exponents; w[i,r]^k is wh[i,r]^(2k)."""
+    exps: Dict[Var, int] = {}
+    more = True
+    while more:
+        t = _VAR.match(text, pos)
+        if t is None:
+            raise ParseError(f"expected a variable at {text[pos : pos + 24]!r}")
+        kind, name, label = t.group("kind", "name", "label")
+        pos, mult = t.end(), 1
+        if kind is not None:
+            slot, i, r = _slot(t)
+            var = p_var(i, r, slot) if kind == "p" else wh_var(i, r, slot)
+            mult = 2 if kind == "w" else 1
+        elif label is None:
+            var = _NAMED.get(name)
+            if var is None:
+                raise ParseError(f"unknown variable {name!r}")
+        elif name == "x":
+            end = text.find("]", pos)
+            while end >= 0 and text.count("[", pos, end) != text.count("]", pos, end):
+                end = text.find("]", end + 1)
             if end < 0:
-                raise ParseError(f"unclosed label x[{text[start:]}")
-            if text.count("[", start, end) == text.count("]", start, end):
-                break
-            end += 1
-        var, mult = x_var(text[start:end]), 1
-        t = _AFTER_LABEL.match(text, end + 1)
-    elif kind in ("p", "wh", "w") and t["close"] is None:
-        slot, i, r = _slot(t)
-        var = p_var(i, r, slot) if kind == "p" else wh_var(i, r, slot)
-        mult = 2 if kind == "w" else 1
-    else:
-        raise ParseError(f"expected a variable at {text[t.start() : t.start() + 24]!r}")
-    exp = t["exp"]
-    return var, mult if exp is None else mult * _int(exp), t
+                raise ParseError(f"unclosed label x[{text[pos:]}")
+            var, pos = x_var(text[pos:end]), end + 1
+        else:
+            raise ParseError(f"expected a variable at {text[t.start() : t.start() + 24]!r}")
+        t = _POWER.match(text, pos)
+        exps[var] = exps.get(var, 0) + mult * (1 if t["exp"] is None else _int(t["exp"]))
+        pos, more = t.end(), t["more"]
+    b = max(map(abs, exps.values()))
+    if b >= HALF:
+        raise ParseError(f"exponent {b} does not fit a {FW}-bit field")
+    neg = any(e < 0 and v[0] not in UNIT_KINDS for v, e in exps.items())
+    return (pack_mono(exps.items()), frozenset(exps), b, neg), pos
 
 
-def _poly_at(text: str, pos: int, seen: set) -> Tuple[Poly, int]:
-    """The polynomial at pos and the position after it; its variables are
-    added to seen."""
-    match = _TOKEN.match
+def _poly_at(text: str, pos: int, seen: set) -> Tuple[Poly, int, bool]:
+    """The polynomial at pos, the position after it, and whether a term
+    holds a negative power of a non-unit variable; the variable sets of
+    its monomials are added to seen."""
     terms: Dict[int, object] = {}
-    eb = 0
-    sign = 1
-    t = match(text, pos)
-    if t["op"] == "-":
-        sign = -1
-        t = match(text, t.end())
+    eb, neg, frac = 0, False, False
+    t = _TERM.match(text, pos)
+    # "-" may open a polynomial, "+" only a signed integer ("+3")
+    if t["sep"] == "+" and (t["sgn"] or t.start("num") != t.end("sep")):
+        raise ParseError(f"expected a term at {text[pos : pos + 24]!r}")
     while True:
-        c = sign
-        if t["op"] in ("+", "-") and text[t.end() : t.end() + 1].isdigit():
-            c = -sign if t["op"] == "-" else sign  # a signed leading integer
-            t = match(text, t.end())
-        exps: Dict[Var, int] = {}
-        num, den, more = t.group("num", "den", "nmore")
+        sep, sgn, num, den, star, mono = t.group("sep", "sgn", "num", "den", "star", "mono")
+        c = -1 if (sep == "-") != (sgn == "-") else 1
         if num is not None:
             c *= _int(num)
             if den is not None:
-                d = _int(den)
-                if not d:
+                if not (d := _int(den)):
                     raise ParseError(f"zero denominator in {num}/{den}")
-                c = Fraction(c, d)
-            pos = t.end()
-            if more is not None:
-                t = match(text, pos)
+                c, frac = Fraction(c, d), True
+            if star is None:  # a constant term
+                mono, pos = None, t.end("num" if den is None else "den")
+        if mono is None:
+            if num is None or star is not None:
+                raise ParseError(f"expected a term at {text[pos : pos + 24]!r}")
+            m = 0
         else:
-            more = True
-        while more is not None:
-            if t["var"] is None and t["name"] is None:
-                raise ParseError(f"expected a term at {text[t.start() : t.start() + 24]!r}")
-            v, e, t = _variable(text, t)
-            exps[v] = exps.get(v, 0) + e
-            pos = t.end()
-            more = t["more"]
-            if more is not None:
-                t = match(text, pos)
-        b = max(map(abs, exps.values()), default=0)
-        if b >= HALF:
-            raise ParseError(f"exponent {b} does not fit a {FW}-bit field")
-        if b > eb:
-            eb = b
-        seen.update(exps)
-        m = pack_mono(exps.items())
-        nc = terms.get(m, 0) + c
-        if nc:
-            terms[m] = nc
+            if t["nest"] is None:
+                entry = _MONOS.get(mono) or _memo(_MONOS, mono, lambda: _monomial_at(mono, 0)[0])
+                pos = t.end("mono")
+            else:  # a label whose brackets nest
+                entry, pos = _monomial_at(text, t.start("mono"))
+            m, variables, b, lifted = entry
+            seen.add(variables)
+            eb, neg = max(eb, b), neg or lifted
+        c += terms.get(m, 0)
+        if c:
+            terms[m] = c
         else:
             terms.pop(m, None)  # a zero coefficient, or a cancelled term
-        t = match(text, pos)
-        op = t["op"]
-        if op == "+":
-            sign = 1
-        elif op == "-":
-            sign = -1
-        else:
-            return Poly({m: _q(c) for m, c in terms.items()}, eb), pos
-        t = match(text, t.end())
+        t = _TERM.match(text, pos)
+        if not t["sep"]:
+            return Poly({m: _q(c) for m, c in terms.items()} if frac else terms, eb), pos, neg
 
 
 def _ratfun_at(text: str, pos: int, seen: set) -> Tuple[RatFun, int]:
     """A bare polynomial or (NUM) / ((ATOM)^k * ...) at pos, and the
-    position after it; its variables are added to seen."""
+    position after it; the variable sets of its monomials are added to
+    seen."""
     factors = []
-    t = _TOKEN.match(text, pos)
-    if t["op"] == "(":
-        num, pos = _poly_at(text, t.end(), seen)
-        pos = _expect(text, pos, ")")
-        pos = _expect(text, pos, "/")
-        pos = _expect(text, pos, "(")
+    t = _OPEN.match(text, pos)
+    if t is None:
+        num, pos, neg = _poly_at(text, pos, seen)
+        if not neg:
+            return RatFun(num if num.terms else _P_ZERO, {}), pos
+    else:
+        num, pos, _ = _poly_at(text, t.end(), seen)
+        t = _OVER.match(text, pos)
+        if t is None:
+            raise ParseError(f"expected ') / ((' at {text[pos : pos + 24]!r}")
         while True:
-            pos = _expect(text, pos, "(")
-            f, pos = _poly_at(text, pos, seen)
+            f, pos, _ = _poly_at(text, t.end(), seen)
             if not f:
                 raise ParseError("zero denominator factor")
-            t = _TOKEN.match(text, pos)
-            if t["rp"] is None:
+            t = _FACTOR_CLOSE.match(text, pos)
+            if t is None:
                 raise ParseError(f"expected ')' at {text[pos : pos + 24]!r}")
             k = 1 if t["exp"] is None else _int(t["exp"])
             if not 1 <= k < HALF:
                 raise ParseError(f"atom multiplicity {k} is outside 1..{HALF - 1}")
             factors.append((f, k))
-            pos = t.end()
             if t["more"] is None:
                 break
-        pos = _expect(text, pos, ")")
-    else:
-        num, pos = _poly_at(text, pos, seen)
+        pos = t.end()
     try:
         return RatFun.quotient(num, factors), pos
     except (NotAtomFactorable, OverflowError) as exc:
@@ -313,7 +317,7 @@ def _ratfun_at(text: str, pos: int, seen: set) -> Tuple[RatFun, int]:
 
 
 def parse_poly(text: str) -> Poly:
-    p, pos = _poly_at(text, 0, set())
+    p, pos, _ = _poly_at(text, 0, set())
     _at_end(text, pos)
     return p
 
@@ -328,54 +332,48 @@ def parse_element(text: str, signature) -> "AlgebraElement":
     """Inverse of render_element over the given signature."""
     from .algebra import AlgebraElement, ShiftMonomial
 
-    t = _TOKEN.match(text, 0)
-    if t["num"] == "0" and t["den"] is None and t["nmore"] is None:
-        _at_end(text, t.end())
+    if text.strip(" \t\n") == "0":
         return AlgebraElement.zero(signature)
     rational = signature.mode == "rational"
+    shift_at = _SHIFT[signature.mode].match
     terms = {}
     seen = set()
     pos = 0
     while True:
-        pos = _expect(text, pos, "(")
-        coeff, pos = _ratfun_at(text, pos, seen)
+        t = _OPEN.match(text, pos)
+        if t is None:
+            raise ParseError(f"expected '(' at {text[pos : pos + 24]!r}")
+        coeff, pos = _ratfun_at(text, t.end(), seen)
         if rational:
             # every rational atom is a linear form, so prime (see ratfun)
             for a in coeff.den:
                 if not is_linear_form(a.poly):
                     raise ParseError(f"denominator atom ({render_poly(a.poly)}) is not"
                                      " a linear form, as rational atoms are")
-        t = _TOKEN.match(text, pos)
-        if t["rp"] is None or t["exp"] is not None:
+        t = _CLOSE.match(text, pos)
+        if t is None:
             raise ParseError(f"expected ')' at {text[pos : pos + 24]!r}")
         pos = t.end()
         exps = {}
-        if t["more"] is not None:
-            while True:
-                t = _TOKEN.match(text, pos)
-                kind = t["var"]
-                if kind is None or kind[0] != ("e" if rational else "D"):
-                    break
-                # e^{mq[i,r]} closes with "}" and takes no power; D[i,r]^m
-                if (t["close"] is None) == rational or t["more"] or (rational and t["exp"]):
-                    raise ParseError(f"malformed shift generator at {text[pos : pos + 24]!r}")
-                if rational:
-                    m = (-1 if t["neg"] else 1) * (_int(t["mult"]) if t["mult"] else 1)
-                else:
-                    m = 1 if t["exp"] is None else _int(t["exp"])
-                slot, i, r = _slot(t)
-                _check_slot(signature, "shift generator", slot, i, r)
-                exps[(slot, i, r)] = exps.get((slot, i, r), 0) + m
-                pos = t.end()
+        # e^{mq[i,r]} ... in rational mode, D[i,r]^m ... in trig mode
+        while t["more"] is not None and (g := shift_at(text, pos)) is not None:
+            if rational:
+                m = (-1 if g["neg"] else 1) * (_int(g["mult"]) if g["mult"] else 1)
+            else:
+                m = 1 if g["exp"] is None else _int(g["exp"])
+            slot, i, r = _slot(g)
+            _check_slot(signature, "shift generator", slot, i, r)
+            exps[(slot, i, r)] = exps.get((slot, i, r), 0) + m
+            pos = g.end()
         shift = ShiftMonomial(exps)
         cur = terms.get(shift)
         terms[shift] = coeff if cur is None else cur + coeff
-        t = _TOKEN.match(text, pos)
-        if t["op"] != "+":
+        t = _PLUS.match(text, pos)
+        if t is None:
             break
         pos = t.end()
     _at_end(text, pos)
-    _check_slot_vars(seen, signature)
+    _check_slot_vars(frozenset().union(*seen), signature)
     return AlgebraElement(signature, terms)
 
 

@@ -441,6 +441,26 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     assert "Traceback" not in err and "identity failure" not in err
 
 
+def test_divisor_past_the_build_degree_fails_fast(tmp_path, capsys):
+    # one point carrying [32767, 0] is inside MAX_SUMMANDS, so the divisor
+    # is made, but multiplying out (z - x1)^32767 had not ended after
+    # 100 s: every command that builds it refuses it at once (exit 2)
+    from laxkit.coweight import MAX_BUILD_DEGREE, MAX_SUMMANDS
+
+    k = MAX_SUMMANDS
+    path = _write(tmp_path, "d.json", {
+        "n": 2, "mode": "rational",
+        "points": [{"x": "x1", "coweight": {"fundamental": [k, 0]}}],
+        "infinity": {"fundamental": [-k, 0]}})
+    for argv in (["build", "--raw"], ["verify-rtt"], ["qdet"],
+                 ["limit", "--direction", "infinity"]):
+        start = time.perf_counter()
+        assert main([*argv, "--divisor", path]) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        out, err = capsys.readouterr()
+        assert not out and f"builds take at most {MAX_BUILD_DEGREE}" in err, argv
+
+
 def test_high_multiplicity_matrix_fails_without_lifting(tmp_path, capsys):
     # (z - p[1,1])^2000 alone at its highest power in an exchange sum: the
     # sum has a pole there, so no numerator is lifted to the common

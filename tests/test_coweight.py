@@ -137,6 +137,23 @@ def test_divisor_size_is_bounded():
             divisor(point, infinity)
 
 
+def test_build_degree_is_bounded():
+    # a divisor inside MAX_SUMMANDS is made, but builds take at most
+    # MAX_BUILD_DEGREE fundamental coweights at the finite points
+    from laxkit.coweight import MAX_BUILD_DEGREE
+
+    def divisor(k):
+        return Divisor.from_json({"n": 2, "mode": "rational",
+                                  "points": [{"x": "x1", "coweight": {"fundamental": [k, 1]}}],
+                                  "infinity": {"fundamental": [-k, -1]}})
+
+    k = MAX_BUILD_DEGREE - 1
+    assert divisor(k).degree() == MAX_BUILD_DEGREE
+    divisor(k).check_build_degree()
+    with pytest.raises(NotAdmissible, match=f"{MAX_BUILD_DEGREE + 1} fundamental"):
+        divisor(k + 1).check_build_degree()
+
+
 def test_integrality_condition_matches_admissibility():
     rng = random.Random(14)
     for _ in range(150):

@@ -4,13 +4,14 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
 from fractions import Fraction
 
 from laxkit.algebra import AlgebraElement, AlgebraSignature, ShiftMonomial, mat_equal
-from laxkit.errors import ParseError
+from laxkit.errors import LaxkitError, ParseError
 from laxkit.lax_rational import build_lax, fuse
 from laxkit.lax_trig import build_lax_trig
 from laxkit.poly import Poly
@@ -26,10 +27,13 @@ from laxkit.textio import (
     matrix_from_json,
     matrix_to_json,
     parse_element,
+    parse_poly,
     parse_ratfun,
     render_element,
+    render_poly,
     render_ratfun,
 )
+from test_gauss_build import DIGESTS, FAMILIES, _builders, _family_digest, _json_bytes
 
 
 def test_documented_form():
@@ -144,6 +148,21 @@ def test_parse_errors():
     sig = AlgebraSignature(2, "rational", ((1,),), ())
     with pytest.raises(ParseError):
         parse_element("(1) * e^{q[1,1]} trailing", sig)
+    # a label runs to the first ] at which its brackets balance
+    for text in ("x[a", "z*x[a[b]", "x[a[b] + 1", "(x[a) / ((z))"):
+        with pytest.raises(ParseError, match="unclosed label"):
+            parse_ratfun(text)
+
+
+def test_labels_round_trip():
+    # nested brackets and spaces stay in the label, which the monomial
+    # text table keys by its text as read
+    for label in ("a[b]", "a b", "a[b [c]] d", "a + b)"):
+        f = parse_ratfun(f"(x[{label}]^2*z - 3) / ((z - x[{label}]))")
+        assert render_ratfun(f) == f"(z*x[{label}]^2 - 3) / ((z - x[{label}]))"
+        assert f.num == RatFun.from_poly(
+            Poly.variable(Z) * Poly.variable(x_var(label), 2) - 3).num
+        assert parse_ratfun(render_ratfun(f)).equals(f)
 
 
 def test_parsed_negative_powers_move_to_the_denominator():
@@ -162,3 +181,93 @@ def test_parsed_negative_powers_move_to_the_denominator():
     sig = AlgebraSignature(2, "rational", ((1,),), ())
     e = parse_element("(p[1,1]^-1*z + z) * e^{q[1,1]}", sig)
     assert render_element(e) == "((z*p[1,1] + z) / ((p[1,1]))) * e^{q[1,1]}"
+
+
+def _family_matrices():
+    """The raw and linear builds of the families of test_gauss_build."""
+    out = []
+    for family in sorted(FAMILIES):
+        for div in FAMILIES[family]():
+            build, linear = _builders(div)
+            out.append(build(div))
+            try:
+                out.append(linear(div))
+            except LaxkitError:  # no linear form
+                pass
+    return out
+
+
+# a piece of canonical text that no whitespace may split: e^{, an
+# exponent with its sign, an integer, a name, or one other character
+_PIECE = re.compile(r"e\^\{|(?<=\^)-?[0-9]+|[0-9]+|[^\W\d]\w*|.", re.S)
+
+
+def _spaced(text: str, rng: random.Random) -> str:
+    """text with its spaces dropped and seeded runs of spaces, tabs and
+    newlines (or nothing) at every boundary between two pieces; a label
+    x[...] is one piece after its x."""
+    pieces, pos = [], 0
+    while pos < len(text):
+        if text.startswith("x[", pos):
+            end, depth = pos + 1, 0
+            while True:
+                depth += {"[": 1, "]": -1}.get(text[end], 0)
+                if not depth:
+                    break
+                end += 1
+            pieces += ["x", text[pos + 1 : end + 1]]
+            pos = end + 1
+            continue
+        piece = _PIECE.match(text, pos).group()
+        if piece != " ":
+            pieces.append(piece)
+        pos += len(piece)
+    return "".join(p + rng.choice(("", " ", "\t", "\n", " \n\t ")) for p in pieces)
+
+
+def test_free_whitespace_between_tokens():
+    # README: whitespace may stand between any two tokens.  Every entry of
+    # the pinned families and of the special elements, with seeded
+    # whitespace at every token boundary, reads as the same element
+    rng = random.Random(33)
+    elements = [e for mat in _family_matrices() for row in mat.entries for e in row]
+    elements += list(_special_elements())
+    for e in elements:
+        text = render_element(e)
+        spaced = _spaced(text, rng)
+        assert parse_element(spaced, e.signature).equals(e), spaced
+    assert any(render_element(e) != "0" and "x[" in render_element(e) for e in elements)
+    # a bare polynomial and a fraction read alike
+    assert parse_poly(" - 3 /\n4 * z ^ 2 *x [a b] +\t1") == parse_poly("-3/4*z^2*x[a b] + 1")
+
+
+@pytest.mark.parametrize("state", ["cleared", "warm", "evicted"])
+def test_text_does_not_depend_on_the_monomial_table(monkeypatch, state):
+    # every pinned family writes and reads back the same bytes whether the
+    # monomial text table is cleared before each entry it takes, already
+    # holds every monomial of the families, or held them and was cleared
+    # when other monomials filled it past the cap (ratfun._MEMO_CAP)
+    from laxkit import ratfun, textio
+
+    table = textio._MONOS
+    table.clear()
+    mats = _family_matrices()
+    if state == "cleared":
+        monkeypatch.setattr(textio, "_memo",
+                            lambda t, *args: t.clear() or ratfun._memo(t, *args))
+    else:
+        for mat in mats:
+            matrix_from_json(json.loads(_json_bytes(mat)))
+    if state == "evicted":
+        held = set(table)
+        for k in range(ratfun._MEMO_CAP + 1):
+            render_poly(parse_poly(f"z^{k + 1}*x[fill]"))
+        assert held and not held & set(table)
+    for mat in mats:
+        blob = _json_bytes(mat)
+        back = matrix_from_json(json.loads(blob))
+        assert _json_bytes(back) == blob
+    for family in sorted(FAMILIES):
+        assert _family_digest(family) == DIGESTS[family], family
+    if state == "cleared":
+        assert len(table) <= 1
