@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import NonIntegerShift, NotScalar, SignatureMismatch
 from .poly import _P_ONE
@@ -88,8 +88,8 @@ class ShiftMonomial:
         self._key = tuple(sorted(self.exps.items()))
 
     @staticmethod
-    def generator(i: int, r: int, m: int = 1, factor: int = 1) -> "ShiftMonomial":
-        return ShiftMonomial({(factor, i, r): m})
+    def generator(i: int, r: int, m: int = 1) -> "ShiftMonomial":
+        return ShiftMonomial({(1, i, r): m})
 
     def __mul__(self, other: "ShiftMonomial") -> "ShiftMonomial":
         out = dict(self.exps)
@@ -143,14 +143,12 @@ class AlgebraElement:
         return AlgebraElement.from_ratfun(sig, 1)
 
     @staticmethod
-    def shift(sig: AlgebraSignature, i: int, r: int, m: int = 1, factor: int = 1,
-              coeff=1) -> "AlgebraElement":
-        """coeff * e^{m q[i,r]} (rational) or coeff * D[i,r]^m (trig)."""
-        if not (1 <= i < sig.n and 1 <= r <= sig.a(i, factor)):
-            raise SignatureMismatch(f"no slot ({i},{r}) in factor {factor}")
-        return AlgebraElement(
-            sig, {ShiftMonomial.generator(i, r, m, factor): as_ratfun(coeff)}
-        )
+    def shift(sig: AlgebraSignature, i: int, r: int, m: int = 1, coeff=1) -> "AlgebraElement":
+        """coeff * e^{m q[i,r]} (rational) or coeff * D[i,r]^m (trig), on
+        the first tensor factor."""
+        if not (1 <= i < sig.n and 1 <= r <= sig.a(i)):
+            raise SignatureMismatch(f"no slot ({i},{r})")
+        return AlgebraElement(sig, {ShiftMonomial.generator(i, r, m): as_ratfun(coeff)})
 
     # -- predicates
 
@@ -233,12 +231,9 @@ class AlgebraElement:
         if len(self.terms) != 1:
             raise NotScalar("can only invert single-term elements")
         (s, c), = self.terms.items()
-        sig = self.signature
-        cinv = c.invert()
-        for (factor, i, r), m in s.exps.items():
-            step = m if sig.mode == "rational" else -m
-            cinv = cinv.shift_slot(sig.mode, factor, i, r, step)
-        return AlgebraElement(sig, {s.inverse(): cinv})
+        inv = s.inverse()
+        return AlgebraElement(self.signature,
+                              {inv: _moved_left(c.invert(), self.signature.mode, inv)})
 
     # -- equality
 
@@ -265,11 +260,8 @@ class AlgebraElement:
 
     # -- coefficient maps
 
-    def map_coeffs(self, fn: Callable[[RatFun], RatFun],
-                   signature: Optional[AlgebraSignature] = None) -> "AlgebraElement":
-        return AlgebraElement(
-            signature or self.signature, {s: fn(c) for s, c in self.terms.items()}
-        )
+    def map_coeffs(self, fn: Callable[[RatFun], RatFun]) -> "AlgebraElement":
+        return AlgebraElement(self.signature, {s: fn(c) for s, c in self.terms.items()})
 
     def rename_spectral(self, old, new) -> "AlgebraElement":
         return self.map_coeffs(lambda c: c.rename_var(old, new))
@@ -295,6 +287,16 @@ def shift_moves(mode: str, s: ShiftMonomial) -> tuple:
     coefficient left past s: p -> p - m in rational mode, wh -> v^m wh
     in trig mode."""
     return tuple((f, i, r, -m if mode == "rational" else m) for (f, i, r), m in s._key)
+
+
+def _moved_left(c: RatFun, mode: str, s: ShiftMonomial) -> RatFun:
+    """The coefficient c' with s c = c' s: c moved left past the whole
+    shift monomial s by one substitution (shift_moves), as _term_products
+    moves each coefficient."""
+    if not s.exps:
+        return c
+    key = (mode, shift_moves(mode, s))
+    return RatFun(*substitute(c.num, c.den, shift_map(*key), key))
 
 
 def _term_products(x: AlgebraElement, y: AlgebraElement):
@@ -410,9 +412,7 @@ class GammaGauge:
                 raise NonIntegerShift(f"Gamma shift by {k_total}")
             factor = factor * _gamma_quotient(L, int(k_total), e)
         # the quotient sits to the right of the shift monomial; move it left
-        for (f, i, r), m in s.exps.items():
-            factor = factor.shift_slot("rational", f, i, r, -m)
-        return factor
+        return _moved_left(factor, "rational", s)
 
 
 def _gamma_quotient(L: Poly, k: int, e: int) -> RatFun:

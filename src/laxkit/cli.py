@@ -156,7 +156,7 @@ def cmd_qdet(args, out) -> int:
 def cmd_limit(args, out) -> int:
     mat = _build(_load_divisor(args.divisor), normalize=False)
     if args.direction == "zero":
-        mat = limits_trig(mat, "to_zero")
+        mat = limits_trig(mat)
     else:
         mat = normalized_limit(mat)
     _emit_outputs(mat, args, out)

@@ -161,6 +161,26 @@ MAX_SUMMANDS = HALF - 1
 # benchmark divisor holds more than 3.
 MAX_BUILD_DEGREE = 256
 
+# A T coefficient sums fractions over the slot tuples of its rows, whose
+# denominators hold the differences of a row's slot variables, and the
+# cost of that sum grows much faster than the slot counts.  Seconds of
+# build_lax and build_lax_trig on divisors with no point and the given
+# slot counts (Python 3.11, a shared 2-vCPU host):
+#
+#     slot counts    rational   trig        slot counts    rational   trig
+#     (3,)           0.008      0.019       (3, 1)         0.047      0.18
+#     (4,)           0.19       1.2         (3, 2)         0.47       1.1
+#     (5,)           26         -           (4, 1)         5.2        24
+#     (6,)           > 100      -           (3, 3)         11         40
+#     (2, 2, 2)      0.46       0.56        (2, 2, 2, 2)   13         11
+#
+# So the builders refuse a divisor with more than MAX_SLOTS slots in a
+# row (Divisor.check_build_degree): every rank-2 build then ends within
+# 0.02 s.  No pinned family, test, suite check or benchmark divisor has
+# more than 2; rows of 3 slots next to each other can still take tens of
+# seconds.
+MAX_SLOTS = 3
+
 
 def _label(pt: Point) -> str:
     return pt if isinstance(pt, str) else str(pt)
@@ -218,13 +238,17 @@ class Divisor:
         return sum(abs(c) for _, lam in self.summands for c in lam.to_fundamental())
 
     def check_build_degree(self) -> None:
-        """NotAdmissible past MAX_BUILD_DEGREE (see there), before a build
-        starts to multiply out."""
+        """NotAdmissible past MAX_BUILD_DEGREE or MAX_SLOTS (see there),
+        before a build starts to multiply out."""
         if self.degree() > MAX_BUILD_DEGREE:
             raise NotAdmissible(
                 f"finite points hold {self.degree()} fundamental coweights; builds take"
                 f" at most {MAX_BUILD_DEGREE}"
             )
+        a = self.a_vector()
+        if max(a, default=0) > MAX_SLOTS:
+            raise NotAdmissible(f"slot counts {a} reach {max(a)}; builds take at most"
+                                f" {MAX_SLOTS} slots in a row")
 
     @staticmethod
     def make(n: int, mode: str, points: Sequence[Tuple[Point, Coweight]],

@@ -56,30 +56,20 @@ from .lax_rational import (
     _symbolic_last_point,
     _young_data,
     build_lax,
-    normalized_limit,
     slot_sum,
 )
 from .factored import Factored
 from .ratfun import Poly, RatFun, V, Z, wh_var
-from .series import TruncSeries
 
 
 # ---------------------------------------------------------------------------
 # factors (see lax_rational)
 
 
-def _w_half_prod(sig: AlgebraSignature, i: int, exp: int) -> Poly:
-    """prod over slots of row i of wh[i,t]^exp (exp in half-units of w)."""
-    return Poly.monomial(_half(sig, i, exp))
-
-
 def _half(sig: AlgebraSignature, i: int, exp: int) -> tuple:
-    """The monomial of _w_half_prod, as ((var, exp), ...)."""
+    """prod over the slots t of row i of wh[i,t]^exp (exp in half-units
+    of w), as the monomial ((var, exp), ...)."""
     return tuple((wh_var(i, t), exp) for t in range(1, sig.a(i) + 1))
-
-
-def _v_pow(k: int) -> Poly:
-    return Poly.variable(V, k) if k else Poly.const(1)
 
 
 def _w(k: int, r: int) -> tuple:
@@ -229,47 +219,39 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
     if bmp[n - 1] != -1:
         raise NotLinearCase(f"bmu+_n = {bmp[n-1]} not in {{0, -1}}")
 
-    def scalar_factor(i: int) -> RatFun:
-        # (-v^i)^{a_i} / (-v^{i+1})^{a_{i-1}} * prod over points (-x)^(-eps_i(lambda_x))
-        ai, aim = sig.a(i), sig.a(i - 1)
-        sign = (-1) ** ((ai + aim) % 2)
-        out = RatFun.from_poly(_v_pow(i * ai - (i + 1) * aim)) * sign
-        for pt, lam in div.summands:
-            if lam.d[i - 1]:
-                out = out * RatFun.from_poly(-_point_poly(pt)) ** -lam.d[i - 1]
-        return out
-
     z = RatFun.variable(Z)
     entries = mat_zero(sig, n)
     for i in range(1, n + 1):
+        # g_i(z) = z W_i + c_i W_i^-1 with W_i = wh_i^-1 wh_{i-1}: the first
+        # piece when bmu+_{n+1-i} = -1 (g_inf, the z -> infinity limit of
+        # g_i/z), the second when bmu-_{n+1-i} = 0 (g0 = g_i(0))
+        ai, aim = sig.a(i), sig.a(i - 1)
+        g_inf = g0 = None
         acc = AlgebraElement.zero(sig)
         if bmp[n - i] == -1:
-            acc = acc + AlgebraElement.from_ratfun(
-                sig, z * _w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1)
-            )
+            g_inf = AlgebraElement.from_ratfun(
+                sig, Poly.monomial(_half(sig, i, -1) + _half(sig, i - 1, 1)))
+            acc = acc + g_inf * z
         if bmm[n - i] == 0:
-            acc = acc + AlgebraElement.from_ratfun(
-                sig,
-                scalar_factor(i) * _w_half_prod(sig, i, 1) * _w_half_prod(sig, i - 1, -1),
-            )
+            # c_i = (-v^i)^{a_i} / (-v^{i+1})^{a_{i-1}} * prod over points
+            # (-x)^(-eps_i(lambda_x))
+            c = RatFun.from_poly(Poly.monomial(
+                ((V, i * ai - (i + 1) * aim),) + _half(sig, i, 1) + _half(sig, i - 1, -1),
+                (-1) ** (ai + aim)))
+            for pt, lam in div.summands:
+                if lam.d[i - 1]:
+                    c = c * RatFun.from_poly(-_point_poly(pt)) ** -lam.d[i - 1]
+            g0 = AlgebraElement.from_ratfun(sig, c)
+            acc = acc + g0
         entries[i - 1][i - 1] = acc
-    for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if bmp[n - i] == -1:
+            if g_inf is not None:
                 e = _expanded(sig, upper_entry_trig(div, sig, i, j, True))
-                # z -> infinity limit of g_i/z is the half-power prefactor
-                g_inf = AlgebraElement.from_ratfun(
-                    sig, _w_half_prod(sig, i, -1) * _w_half_prod(sig, i - 1, 1)
-                )
                 entries[i - 1][j - 1] = g_inf * e * z
-            if bmm[n - i] == 0:
-                f = _expanded(sig, lower_entry_trig(div, sig, j, i, True))
+            if g0 is not None:
                 # f(0) g_i(0): crossing the shift monomials past g_i(0)
-                # contributes one power of v; scalar_factor carries the rest
-                g0 = AlgebraElement.from_ratfun(
-                    sig,
-                    scalar_factor(i) * _w_half_prod(sig, i, 1) * _w_half_prod(sig, i - 1, -1),
-                )
+                # contributes one power of v; c_i carries the rest
+                f = _expanded(sig, lower_entry_trig(div, sig, j, i, True))
                 entries[j - 1][i - 1] = f * g0
     return LaxMatrix(sig, div, entries)
 
@@ -278,13 +260,9 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
 # limits
 
 
-def limits_trig(T: LaxMatrix, direction: str) -> LaxMatrix:
-    """Send the last point x, with its whole coweight, to zero (the plain
-    substitution x = 0) or to infinity (normalized_limit)."""
-    if direction == "to_infinity":
-        return normalized_limit(T)
-    if direction != "to_zero":
-        raise ValueError(direction)
+def limits_trig(T: LaxMatrix) -> LaxMatrix:
+    """Send the last point x, with its whole coweight, to zero: the plain
+    substitution x = 0 (normalized_limit sends it to infinity)."""
     target = T.divisor.move_last_point("zero")
     xv = _symbolic_last_point(T.divisor)
     entries = mat_map(T.entries, lambda e: e.map_coeffs(lambda c: c.set_value(xv, 0)))
@@ -323,7 +301,9 @@ def degenerate_to_rational(T: LaxMatrix) -> LaxMatrix:
     A term coeff * shift of entry (a, b) lands on eps^(k + extra - d_b),
     so its coefficient is expanded exactly through eps^(d_b - extra): the
     power that lands on eps^0.  Every negative power is inside that
-    window, and no power above eps^0 is computed."""
+    window, and no power above eps^0 is computed.  Each entry's powers are
+    gathered in one dict, power -> {shift monomial: coefficient}, exact
+    through the smallest window of its terms."""
     div = T.divisor
     merged = div.merge_framings_at_infinity()
     rat = build_lax(merged)
@@ -339,7 +319,9 @@ def degenerate_to_rational(T: LaxMatrix) -> LaxMatrix:
     n = T.n
     for a in range(n):
         for b in range(n):
-            series = TruncSeries({}, None, AlgebraElement.zero(rat_sig))
+            d = d_total.d[b]
+            powers: Dict[int, Dict[ShiftMonomial, RatFun]] = {}
+            tops = []  # the exact window of each term, in landed powers
             for shift, coeff in T.entries[a][b].terms.items():
                 sign = 1
                 extra = 0
@@ -348,26 +330,22 @@ def degenerate_to_rational(T: LaxMatrix) -> LaxMatrix:
                     sign *= (-1) ** (m % 2)
                     extra += m * s_exp(i)
                     new_exps[(f, i, r)] = -m
-                cs = coeff.eps_series(d_total.d[b] - extra)
+                cs = coeff.eps_series(d - extra)
+                tops.append(cs.hi + extra - d)
+                # distinct shift monomials stay distinct, so no two terms
+                # meet in one coefficient
                 new_shift = ShiftMonomial(new_exps)
-                term = TruncSeries(
-                    {
-                        k + extra: AlgebraElement(
-                            rat_sig, {new_shift: c * sign}
-                        )
-                        for k, c in cs.coeffs.items()
-                    },
-                    (cs.hi + extra) if cs.hi is not None else None,
-                    AlgebraElement.zero(rat_sig),
-                )
-                series = series + term
-            series = series.shift_powers(-d_total.d[b])
-            v = series.val()
-            if v is not None and v < 0:
+                for k, c in cs.coeffs.items():
+                    powers.setdefault(k + extra - d, {})[new_shift] = c * sign
+            hi = min(tops, default=0)
+            live = [k for k in powers if k <= hi]
+            if live and min(live) < 0:
                 raise NegativeEpsPower(
-                    f"entry ({a+1},{b+1}) degenerates with eps^{v}"
+                    f"entry ({a+1},{b+1}) degenerates with eps^{min(live)}"
                 )
-            got = series.coeff(0)
+            if hi < 0:
+                raise ValueError(f"coefficient 0 beyond exact window {hi}")
+            got = AlgebraElement(rat_sig, powers.get(0, {}))
             if not got.equals(rat.entries[a][b]):
                 raise MismatchWithRational(
                     f"entry ({a+1},{b+1}) disagrees with the rational builder",

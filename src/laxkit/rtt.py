@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import AlgebraElement, AlgebraSignature, embed, mat_map, unreduced_product
 from .coweight import Divisor
-from .errors import SignatureMismatch, SingularLeadingMode, SizeMismatch
+from .errors import SignatureMismatch, SingularLeadingMode
 from .lax_rational import fuse
 from .poly import Poly, mul_add
 from .ratfun import RatFun, V, W, Z, den_product, grouped_sum_is_zero, substitute, x_var
@@ -420,12 +420,10 @@ def _nested_f_bracket(f_ones: List[AlgebraElement], a: int, b: int) -> AlgebraEl
     return out
 
 
-def verify_coproduct_generators(div1: Divisor, div2: Divisor,
-                                order: Optional[int] = None) -> CoproductReport:
+def verify_coproduct_generators(div1: Divisor, div2: Divisor) -> CoproductReport:
     """Check the finite list of coproduct formulas on the images of the
     low current-algebra modes, through the series Gauss decomposition of
-    the fused matrix, exact through `order`.  An order below the deepest
-    mode the checks read raises SizeMismatch."""
+    the fused matrix, exact through the deepest mode the checks read."""
     from .lax_rational import build_gauss_factors, build_lax
 
     if div1.mode != "rational" or div2.mode != "rational":
@@ -437,12 +435,7 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
     b1 = [d1[i] - d1[i + 1] for i in range(n - 1)]
     b2 = [d2[i] - d2[i + 1] for i in range(n - 1)]
     # F and E are read through mode b + 1, G_i through mode 2 - d_i
-    deepest = max([2 - x for x in d] + [b + 1 for b in b1 + b2])
-    if order is None:
-        order = max(4, 2 + max(abs(x) for x in d), deepest)
-    elif order < deepest:
-        raise SizeMismatch(f"order {order} is below {deepest}, the deepest mode "
-                           "the generator checks read")
+    order = max([4, 2 + max(abs(x) for x in d)] + [b + 1 for b in b1 + b2])
     T1 = build_lax(div1)
     T2 = T1 if div2 == div1 else build_lax(div2)
     delta = fuse(T1, T2)
@@ -505,11 +498,11 @@ def verify_coproduct_generators(div1: Divisor, div2: Divisor,
     return CoproductReport(checks)
 
 
-def coproduct_mode_contract(delta, order: int = 4) -> bool:
-    """Gauss-mode contract of the fused matrix: strictly negative z-modes
-    for the unitriangular factors, leading diagonal mode z^{d_i} with
-    coefficient one.  The contract is the rational one: a trig matrix
-    raises SignatureMismatch."""
+def coproduct_mode_contract(delta) -> bool:
+    """Gauss-mode contract of the fused matrix, read through mode 4:
+    strictly negative z-modes for the unitriangular factors, leading
+    diagonal mode z^{d_i} with coefficient one.  The contract is the
+    rational one: a trig matrix raises SignatureMismatch."""
     if delta.signature.mode != "rational":
         raise SignatureMismatch("the Gauss-mode contract is checked in rational mode")
     div = delta.divisor
@@ -517,7 +510,7 @@ def coproduct_mode_contract(delta, order: int = 4) -> bool:
         raise ValueError("fused matrix lost its divisor")
     d = div.mu.d
     n = delta.n
-    F, G, E = _series_gauss(delta, d, order)
+    F, G, E = _series_gauss(delta, d, 4)
     sig = delta.signature
     one = AlgebraElement.one(sig)
     for i in range(n):

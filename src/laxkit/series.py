@@ -59,18 +59,6 @@ class TruncSeries:
             hi = min(hi, self.hi)
         return TruncSeries(self.coeffs, hi, self.zero)
 
-    def shift_powers(self, d: int) -> "TruncSeries":
-        return TruncSeries(
-            {k + d: c for k, c in self.coeffs.items()},
-            None if self.hi is None else self.hi + d,
-            self.zero,
-        )
-
-    def map_coeffs(self, fn) -> "TruncSeries":
-        return TruncSeries(
-            {k: fn(c) for k, c in self.coeffs.items()}, self.hi, self.zero
-        )
-
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         hi = _min_hi(self.hi, other.hi)
         out = dict(self.coeffs)

@@ -120,12 +120,6 @@ def block_example_divisor() -> Divisor:
     )
 
 
-def three_block_divisor() -> Divisor:
-    """n = 3, bmu = (1, 0, -1): the [[z-F, Q, Kbar], [-P, 1, 0], [K, 0, 0]]
-    shape (one-slot middle block)."""
-    return first_example_divisor(3)
-
-
 def pqf_divisor(r: int, s: int) -> Divisor:
     """blambda = (1^r, 0^s), bmu = (0^s, (-1)^r): the [[zI-F, Q], [-P, I]]
     shape with F = x1 I + QP."""
@@ -514,8 +508,9 @@ def check_block_identities() -> CheckResult:
         ]
         if not mat_equal(prod, minus_eye):
             return False, "K Kbar != -I at n=4"
-        # K Kbar = -1 at n = 3, r = s = 1
-        T3 = build_linear_lax(three_block_divisor())
+        # K Kbar = -1 at n = 3, r = s = 1: the first example's
+        # [[z-F, Q, Kbar], [-P, 1, 0], [K, 0, 0]] shape
+        T3 = build_linear_lax(first_example_divisor(3))
         k = T3.entries[2][0]
         kbar = T3.entries[0][2]
         if not (k * kbar).equals(-1):
@@ -569,10 +564,10 @@ def check_block_identities() -> CheckResult:
 # identity lemmas (criterion 8)
 
 
-def _lagrange_sum(a_prev: int, a_cur: int, kind: str,
-                  r_prev: int = 1, s_prev: int = 2) -> RatFun:
+def _lagrange_sum(a_prev: int, a_cur: int, kind: str) -> RatFun:
     """The four summation shapes of the auxiliary lemmas; rows are encoded
-    as p[1,*] (previous) and p[2,*] (current)."""
+    as p[1,*] (previous) and p[2,*] (current), the plain pole and the
+    skipped slot at previous slot 1, the shifted pole at previous slot 2."""
     b = [Poly.variable(p_var(1, t)) for t in range(1, a_prev + 1)]
     c = [Poly.variable(p_var(2, t)) for t in range(1, a_cur + 1)]
     total = RatFun.zero()
@@ -580,19 +575,15 @@ def _lagrange_sum(a_prev: int, a_cur: int, kind: str,
         cr = c[ridx]
         num = RatFun.one()
         for t in range(a_prev):
-            if kind in ("full",):
-                num = num * RatFun.from_poly(cr - Poly.const(1) - b[t])
-            elif t != r_prev - 1:
+            if kind == "full" or t != 0:
                 num = num * RatFun.from_poly(cr - Poly.const(1) - b[t])
         for t in range(a_cur):
             if t != ridx:
                 num = num * RatFun.ratio(Poly.const(1), cr - c[t])
         if kind == "shifted_pole":
-            num = num * RatFun.ratio(
-                Poly.const(1), Poly.const(1) + b[s_prev - 1] - cr
-            )
+            num = num * RatFun.ratio(Poly.const(1), Poly.const(1) + b[1] - cr)
         elif kind == "plain_pole":
-            num = num * RatFun.ratio(Poly.const(1), b[r_prev - 1] - cr)
+            num = num * RatFun.ratio(Poly.const(1), b[0] - cr)
         total = total + num
     return total
 
@@ -634,15 +625,14 @@ def check_identity_lemmas() -> CheckResult:
     return _timed("rational-function identity lemmas", run)
 
 
-def _aux_rhs(a_prev: int, a_cur: int, r_prev: int = 1) -> RatFun:
-    """P_{prev, r}(p_prev_r - 1) / P_cur(p_prev_r)."""
+def _aux_rhs(a_prev: int, a_cur: int) -> RatFun:
+    """P_{prev, 1}(p_prev_1 - 1) / P_cur(p_prev_1)."""
     b = [Poly.variable(p_var(1, t)) for t in range(1, a_prev + 1)]
     c = [Poly.variable(p_var(2, t)) for t in range(1, a_cur + 1)]
-    br = b[r_prev - 1]
+    br = b[0]
     out = RatFun.one()
-    for t in range(a_prev):
-        if t != r_prev - 1:
-            out = out * RatFun.from_poly(br - Poly.const(1) - b[t])
+    for t in range(1, a_prev):
+        out = out * RatFun.from_poly(br - Poly.const(1) - b[t])
     for t in range(a_cur):
         out = out * RatFun.ratio(Poly.const(1), br - c[t])
     return out
@@ -657,8 +647,6 @@ def check_limits() -> CheckResult:
     trig (n, a_max) = (2, 2) and (3, 1) and off the two divisors with an
     index-0 point, towards infinity and, in trig mode, towards zero;
     every intermediate matrix must equal the build of its divisor."""
-    to_zero = lambda T: limits_trig(T, "to_zero")
-
     def run():
         divisors = [rational_pizero_divisor(), trig_pizero_divisor()]
         for mode in ("rational", "trig"):
@@ -666,7 +654,7 @@ def check_limits() -> CheckResult:
                 divisors += enumerate_linear_divisors(n, a_max, mode)
         for div in divisors:
             build = build_lax if div.mode == "rational" else build_lax_trig
-            limits = [normalized_limit] + ([to_zero] if div.mode == "trig" else [])
+            limits = [normalized_limit] + ([limits_trig] if div.mode == "trig" else [])
             for limit in limits:
                 T = build(div)
                 while T.divisor.summands:
@@ -911,14 +899,14 @@ def kernel_gauge_automorphism(cases: int = 200, seed: int = 13) -> Tuple[bool, s
     return True, ""
 
 
-def check_kernel_properties(cases: int = 200) -> CheckResult:
+def check_kernel_properties() -> CheckResult:
     def run():
         for name, fn in (
             ("ring axioms", kernel_ring_axioms),
             ("shift automorphism", kernel_shift_automorphism),
             ("gauge automorphism", kernel_gauge_automorphism),
         ):
-            ok, detail = fn(cases)
+            ok, detail = fn()
             if not ok:
                 return False, f"{name}: {detail}"
         return True, ""
@@ -948,7 +936,7 @@ ALL_CHECKS: List[Callable[[], CheckResult]] = [
 ]
 
 
-def run_suite(emit: Callable[[str], None] = print) -> bool:
+def run_suite(emit: Callable[[str], None]) -> bool:
     results = []
     for fn in ALL_CHECKS:
         res = fn()

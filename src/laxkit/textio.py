@@ -1,7 +1,15 @@
 """Canonical text rendering and parsing.
 
-The grammar is exactly what the renderer emits; parse(render(x)) == x
-bit-exactly.  Variables print as z, w, v, eps, x[label], p[i,r] (or
+The renderer emits one canonical text per value, and parse(render(x)) ==
+x bit-exactly.  The reader accepts that text and a superset of it:
+whitespace between any two tokens; numerator terms in any order, like
+terms summed, a repeated variable's exponents added and a negative power
+of a non-unit variable moved to the denominator; a term's sign followed
+by a signed integer's own sign (--3 and - -3 read as 3, -+3*z as -3*z);
+shift generators in any order, a repeated generator's exponents added,
+and terms that repeat a shift monomial summed; and a "*" after an
+element's coefficient with no generator after it ((z) * reads as (z),
+(z) * + (1) as (z + 1)).  Variables print as z, w, v, eps, x[label], p[i,r] (or
 p[t,i,r] inside tensor algebras), and the half generator wh[i,r]; even
 powers of wh render through the full variable, w[i,r]^k == wh[i,r]^(2k).
 Rational functions print as NUM or (NUM) / (ATOM * ATOM^2 * ...) with the
@@ -440,7 +448,9 @@ def signature_from_json(data: dict):
 
 def matrix_to_json(mat) -> dict:
     """Matrix of algebra elements with embedded signature; entries are the
-    canonical text forms, so files diff cleanly and round-trip exactly."""
+    canonical text forms, so files diff cleanly and round-trip exactly.
+    A normalized matrix says so ("normalized": true), since its quantum
+    determinant's closed form depends on it; a raw matrix has no such key."""
     sig = mat.signature
     data = {
         "signature": signature_to_json(sig),
@@ -448,6 +458,8 @@ def matrix_to_json(mat) -> dict:
     }
     if mat.divisor is not None:
         data["divisor"] = mat.divisor.to_json()
+    if mat.normalized:
+        data["normalized"] = True
     return data
 
 
@@ -479,7 +491,10 @@ def matrix_from_json(data: dict):
     if div is not None and (div.n, div.mode) != (sig.n, sig.mode):
         raise ParseError(f"the divisor (n = {div.n}, {div.mode}) does not match the"
                          f" signature (n = {sig.n}, {sig.mode})")
-    return LaxMatrix(sig, div, entries)
+    normalized = data.get("normalized", False)
+    if not isinstance(normalized, bool):
+        raise ParseError(f"'normalized' must be true or false, got {normalized!r}")
+    return LaxMatrix(sig, div, entries, normalized)
 
 
 def latex_var_power(v, e: int) -> str:

@@ -323,3 +323,41 @@ def test_random_ratfun_draws_as_before(mode):
             assert render_ratfun(got) == render_ratfun(want)
             assert (got.num.terms, got.den) == (want.num.terms, want.den)
         assert new.getstate() == old.getstate()
+
+
+def _per_slot_chain(c, mode, s):
+    """c moved left past the shift monomial s one slot at a time, by
+    shift_slot: the rule invert_single_term and GammaGauge followed
+    before they took their moves from shift_moves."""
+    for (f, i, r), m in s.exps.items():
+        c = c.shift_slot(mode, f, i, r, m if mode == "trig" else -m)
+    return c
+
+
+@pytest.mark.parametrize("mode", ["rational", "trig"])
+def test_one_substitution_moves_a_coefficient_as_the_per_slot_chain(mode):
+    from laxkit.algebra import _moved_left
+    from laxkit.suite import _random_pools, random_ratfun
+    from laxkit.textio import render_ratfun
+
+    sig = AlgebraSignature(3, mode, ((2, 1),), ("x1",))
+    shifts = [ShiftMonomial({(1, 1, 1): 2, (1, 1, 2): -1, (1, 2, 1): 1}),
+              ShiftMonomial({(1, 1, 1): -1, (1, 2, 1): -2}),
+              ShiftMonomial({(1, 1, 2): 3})]
+    recips = _random_pools(mode, None)[1]
+    rng = random.Random(34)
+    for _ in range(30):
+        c = random_ratfun(rng, mode)
+        for s in shifts:
+            got, want = _moved_left(c, mode, s), _per_slot_chain(c, mode, s)
+            assert render_ratfun(got) == render_ratfun(want) and got.equals(want)
+            # s c = got s in the algebra
+            lhs = AlgebraElement(sig, {s: RatFun.one()}) * AlgebraElement.from_ratfun(sig, c)
+            assert lhs.equals(AlgebraElement(sig, {s: got}))
+        # (c S)^-1 = S^-1 c^-1, with c^-1 moved left past S^-1 slot by slot
+        c = rng.choice(recips) * rng.choice(recips)
+        for s in shifts:
+            inv = AlgebraElement(sig, {s: c}).invert_single_term()
+            want = _per_slot_chain(c.invert(), mode, s.inverse())
+            assert list(inv.terms) == [s.inverse()]
+            assert render_ratfun(inv.terms[s.inverse()]) == render_ratfun(want)

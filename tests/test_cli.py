@@ -461,6 +461,25 @@ def test_divisor_past_the_build_degree_fails_fast(tmp_path, capsys):
         assert not out and f"builds take at most {MAX_BUILD_DEGREE}" in err, argv
 
 
+@pytest.mark.parametrize("mode", ["rational", "trig"])
+@pytest.mark.parametrize("k", [5, 32767])
+def test_divisor_past_the_slot_bound_fails_fast(k, mode, tmp_path, capsys):
+    # slot counts (k,) with no point: k = 5 took build_lax 26 s and k = 6
+    # had not ended after 100 s; every command that builds such a divisor
+    # refuses it at once (exit 2), inside the 1 s the contract allows
+    from laxkit.coweight import MAX_SLOTS
+
+    path = _write(tmp_path, "d.json", {
+        "n": 2, "mode": mode, "points": [], "infinity": {"fundamental": [-k, 2 * k]}})
+    for argv in (["build"], ["build", "--raw"], ["verify-rtt"], ["qdet"],
+                 ["coproduct", "--divisor", path]):
+        start = time.perf_counter()
+        assert main([*argv, "--divisor", path]) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        out, err = capsys.readouterr()
+        assert not out and f"at most {MAX_SLOTS} slots in a row" in err, argv
+
+
 def test_high_multiplicity_matrix_fails_without_lifting(tmp_path, capsys):
     # (z - p[1,1])^2000 alone at its highest power in an exchange sum: the
     # sum has a pole there, so no numerator is lifted to the common

@@ -154,6 +154,26 @@ def test_build_degree_is_bounded():
         divisor(k + 1).check_build_degree()
 
 
+def test_slot_counts_are_bounded():
+    # builds take at most MAX_SLOTS slots in a row, and every divisor of
+    # the suite's families holds at most 2
+    from laxkit.coweight import MAX_SLOTS
+    from laxkit.suite import enumerate_linear_divisors
+
+    def divisor(a):
+        return Divisor.from_json({"n": 2, "mode": "rational", "points": [],
+                                  "infinity": {"fundamental": [-a, 2 * a]}})
+
+    assert divisor(MAX_SLOTS).a_vector() == (MAX_SLOTS,)
+    divisor(MAX_SLOTS).check_build_degree()
+    with pytest.raises(NotAdmissible, match=f"at most {MAX_SLOTS} slots"):
+        divisor(MAX_SLOTS + 1).check_build_degree()
+    families = [div for mode in ("rational", "trig")
+                for n, a_max in ((2, 2), (3, 2), (4, 2), (5, 2))
+                for div in enumerate_linear_divisors(n, a_max, mode)]
+    assert max(max(div.a_vector()) for div in families) == 2
+
+
 def test_integrality_condition_matches_admissibility():
     rng = random.Random(14)
     for _ in range(150):

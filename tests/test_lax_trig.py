@@ -92,7 +92,8 @@ def test_limits_match_rebuilt_divisors():
         (_one_point([1, 1], [-2, 1]), "to_zero"),
     ]
     for div, direction in cases:
-        got = limits_trig(build_lax_trig(div), direction)
+        limit = limits_trig if direction == "to_zero" else normalized_limit
+        got = limit(build_lax_trig(div))
         target = div.move_last_point("zero" if direction == "to_zero" else "infinity")
         assert mat_equal(got.entries, build_lax_trig(target).entries), (
             div.to_json(),
@@ -113,7 +114,7 @@ def test_index0_limit_moves_the_whole_point():
         assert div.points_with(0) == [("x", 1)] and div.points_with(1) == [("x", 1)]
         build = build_lax if mode == "rational" else build_lax_trig
         T = build(div)
-        got = normalized_limit(T) if mode == "rational" else limits_trig(T, "to_infinity")
+        got = normalized_limit(T)
         target = div.move_last_point("infinity")
         assert target.summands == () and target.mu == Coweight.zero(2), mode
         assert got.divisor == target and "x" not in got.signature.points, mode
@@ -236,3 +237,29 @@ def test_pizero_normalization():
             for c in e.terms.values():
                 assert not any(atom.degree(Z) for atom in c.den)
                 assert c.num.min_exp(Z) >= 0
+
+
+def test_degeneration_gathers_each_power_exactly():
+    # case 4 has framing power d = 0 in column 2, so an identity-shift
+    # coefficient's eps^-1 part lands on eps^-1.  1/(v - 1) = 2/eps - 1/2
+    # + ... and v(v - 2)/(v - 1) = -2/eps + ... sum to v - 1, whose eps^0
+    # part is 0: added together they leave the degeneration as it was,
+    # and the first alone is a negative power
+    div = trig_case_divisor(4)
+    assert (div.mu + div.mu_zero).d[1] == 0
+    T = build_lax_trig(div)
+    sig = T.signature
+    v = RatFun.variable(V)
+    first = AlgebraElement.from_ratfun(sig, RatFun.ratio(1, v.num - 1))
+    second = AlgebraElement.from_ratfun(sig, RatFun.ratio(v.num * (v.num - 2), v.num - 1))
+
+    def with_entry(extra):
+        entries = [list(row) for row in T.entries]
+        entries[1][1] = entries[1][1] + extra
+        return LaxMatrix(sig, div, entries)
+
+    want = degenerate_to_rational(T)
+    got = degenerate_to_rational(with_entry(first + second))
+    assert mat_equal(got.entries, want.entries)
+    with pytest.raises(NegativeEpsPower, match=r"entry \(2,2\) degenerates with eps\^-1"):
+        degenerate_to_rational(with_entry(first))

@@ -271,3 +271,58 @@ def test_text_does_not_depend_on_the_monomial_table(monkeypatch, state):
         assert _family_digest(family) == DIGESTS[family], family
     if state == "cleared":
         assert len(table) <= 1
+
+
+def test_reader_accepts_the_documented_superset():
+    # the module docstring's examples of text the renderer never writes,
+    # each pinned to the value it reads as
+    sig = AlgebraSignature(2, "rational", ((1,),), ())
+    z = RatFun.variable(Z)
+    assert parse_element("(z) *", sig).equals(AlgebraElement.from_ratfun(sig, z))
+    assert parse_element("(z) * + (1)", sig).equals(AlgebraElement.from_ratfun(sig, z + 1))
+    assert parse_poly("--3") == parse_poly("- -3") == Poly.const(3)
+    assert parse_poly("-+3*z") == Poly.variable(Z) * -3
+    gen = AlgebraElement.shift(sig, 1, 1)
+    assert parse_element("(1) * e^{q[1,1]} e^{q[1,1]}", sig).equals(gen * gen)
+    assert parse_element("(1) * e^{q[1,1]} + (2) * e^{q[1,1]}", sig).equals(gen * 3)
+    assert parse_poly("1 + z*z - z^2 + 3/4*z") == Poly.variable(Z) * Fraction(3, 4) + 1
+
+
+def _normalized_pizero_matrices():
+    from laxkit.lax_rational import normalize_and_check_polynomial
+    from laxkit.lax_trig import normalize_and_check_polynomial_trig
+    from laxkit.suite import rational_pizero_divisor, trig_pizero_divisor
+
+    yield normalize_and_check_polynomial(build_lax(rational_pizero_divisor()))
+    yield normalize_and_check_polynomial_trig(build_lax_trig(trig_pizero_divisor()))
+
+
+def test_normalized_matrix_reads_back_normalized():
+    # qdet's closed form depends on normalization, so a normalized matrix
+    # read back from its file must still say so; a raw file has no key
+    from laxkit.lax_rational import qdet_image
+
+    for mat in _normalized_pizero_matrices():
+        data = json.loads(json.dumps(matrix_to_json(mat)))
+        assert data["normalized"] is True
+        back = matrix_from_json(data)
+        assert back.normalized
+        assert render_ratfun(qdet_image(back)) == render_ratfun(qdet_image(mat))
+        raw = matrix_to_json(build_lax(back.divisor) if back.signature.mode == "rational"
+                             else build_lax_trig(back.divisor))
+        assert "normalized" not in raw and not matrix_from_json(raw).normalized
+
+
+@pytest.mark.parametrize("value", [None, 1, 0, "true", [], {}])
+def test_normalized_key_must_be_a_bool(value, tmp_path, capsys):
+    from laxkit.cli import main
+
+    mat = next(_normalized_pizero_matrices())
+    data = matrix_to_json(mat)
+    data["normalized"] = value
+    with pytest.raises(ParseError, match="'normalized' must be true or false"):
+        matrix_from_json(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify-rtt", "--matrix", str(path)]) == 2
+    assert "normalized" in capsys.readouterr().err
