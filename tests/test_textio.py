@@ -288,13 +288,16 @@ def test_reader_accepts_the_documented_superset():
     assert parse_poly("1 + z*z - z^2 + 3/4*z") == Poly.variable(Z) * Fraction(3, 4) + 1
 
 
-def _normalized_pizero_matrices():
+def _pizero_matrices():
+    """(raw, normalized) matrices of both pizero divisors."""
     from laxkit.lax_rational import normalize_and_check_polynomial
     from laxkit.lax_trig import normalize_and_check_polynomial_trig
     from laxkit.suite import rational_pizero_divisor, trig_pizero_divisor
 
-    yield normalize_and_check_polynomial(build_lax(rational_pizero_divisor()))
-    yield normalize_and_check_polynomial_trig(build_lax_trig(trig_pizero_divisor()))
+    raw = build_lax(rational_pizero_divisor())
+    yield raw, normalize_and_check_polynomial(raw)
+    raw = build_lax_trig(trig_pizero_divisor())
+    yield raw, normalize_and_check_polynomial_trig(raw)
 
 
 def test_normalized_matrix_reads_back_normalized():
@@ -302,22 +305,21 @@ def test_normalized_matrix_reads_back_normalized():
     # read back from its file must still say so; a raw file has no key
     from laxkit.lax_rational import qdet_image
 
-    for mat in _normalized_pizero_matrices():
+    for raw, mat in _pizero_matrices():
         data = json.loads(json.dumps(matrix_to_json(mat)))
         assert data["normalized"] is True
         back = matrix_from_json(data)
         assert back.normalized
         assert render_ratfun(qdet_image(back)) == render_ratfun(qdet_image(mat))
-        raw = matrix_to_json(build_lax(back.divisor) if back.signature.mode == "rational"
-                             else build_lax_trig(back.divisor))
-        assert "normalized" not in raw and not matrix_from_json(raw).normalized
+        data = matrix_to_json(raw)
+        assert "normalized" not in data and not matrix_from_json(data).normalized
 
 
 @pytest.mark.parametrize("value", [None, 1, 0, "true", [], {}])
 def test_normalized_key_must_be_a_bool(value, tmp_path, capsys):
     from laxkit.cli import main
 
-    mat = next(_normalized_pizero_matrices())
+    _, mat = next(_pizero_matrices())
     data = matrix_to_json(mat)
     data["normalized"] = value
     with pytest.raises(ParseError, match="'normalized' must be true or false"):
