@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import monomials as mono
 from .monomials import (
@@ -391,37 +391,8 @@ class Poly:
         return Poly(out, self._eb)
 
     def scale_var(self, v: Var, unit: Iterable[Tuple[Var, int]]) -> "Poly":
-        """v -> unit * v (the one-move case of scale_vars)."""
-        return self.scale_vars(((v, unit),))
-
-    def scale_vars(self, moves: Iterable[Tuple[Var, Iterable[Tuple[Var, int]]]]) -> "Poly":
-        """v -> unit * v over the (v, unit) moves in one pass, the v
-        distinct and each unit ((var, exp), ...) a Laurent monomial in unit
-        variables other than every moved v.  It only renames monomials, so
-        no two terms collide and the coefficients are copied; self when no
-        v occurs."""
-        steps = []  # (bit offset of v, packed unit)
-        ub = 0  # bound on the exponents the units add, per unit of |exponent|
-        for v, unit in moves:
-            s = self._shift_of(v)
-            if s is not None:
-                unit = tuple(unit)
-                steps.append((s, pack_mono(unit)))
-                ub += max((abs(e) for _, e in unit), default=0)
-        if not steps:
-            return self
-        eb = _bounded(lambda b: b * (1 + ub), self)
-        bias = mono.BIAS
-        out: Dict[Monomial, Coeff] = {}
-        for m, c in self.terms.items():
-            y = m + bias
-            nm = m
-            for s, um in steps:
-                e = (y >> s & MASK) - HALF
-                if e:
-                    nm += e * um
-            out[nm] = c
-        return Poly(out, eb)
+        """v -> unit * v (the one-move case of scaling)."""
+        return scaling(((v, unit),))(self)
 
     def set_value(self, v: Var, value: Coeff) -> "Poly":
         value = _q(value)
@@ -455,11 +426,20 @@ class Poly:
 
     def swap_vars(self, a: Var, b: Var) -> "Poly":
         """Exchange a and b.  It permutes the monomials, so no two terms
-        collide and the exponent bound is kept; self when neither occurs."""
-        if self._shift_of(a) is None and self._shift_of(b) is None:
+        collide and the exponent bound is kept; self when neither occurs.
+        The terms are read up to the first that holds a or b, and only
+        then moved, with no scan of which variables occur."""
+        if a not in mono.FIELD and b not in mono.FIELD:
             return self
         sa, sb = FW * field_of(a), FW * field_of(b)
+        both = MASK << sa | MASK << sb
         bias = mono.BIAS
+        # (m + bias) ^ bias is nonzero in each field where m's exponent is
+        for m in self.terms:
+            if ((m + bias) ^ bias) & both:
+                break
+        else:
+            return self
         out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             y = m + bias
@@ -475,6 +455,50 @@ class Poly:
 
 _P_ZERO = Poly({}, 0)
 _P_ONE = Poly({0: Q1}, 0)
+
+
+def scaling(moves: Iterable[Tuple[Var, Iterable[Tuple[Var, int]]]]) -> Callable[[Poly], Poly]:
+    """The map p -> p with v -> unit * v over the (v, unit) moves, the v
+    distinct and each unit ((var, exp), ...) a Laurent monomial in unit
+    variables other than every moved v.  The moves are packed once, here.
+    The map only renames monomials, so no two terms collide and the
+    coefficients are copied; it gives p itself when no v occurs in p.
+    The terms of p are read up to the first that holds a v, and only then
+    moved, with no scan of which variables occur."""
+    steps = []  # (bit offset of v, packed unit, largest |exponent| of unit)
+    fields = 0  # MASK in the field of every v
+    for v, unit in moves:
+        unit = tuple(unit)
+        s = FW * field_of(v)
+        steps.append((s, pack_mono(unit), max((abs(e) for _, e in unit), default=0)))
+        fields |= MASK << s
+
+    def scale(p: Poly) -> Poly:
+        # (m + bias) ^ bias is nonzero in each field where m's exponent is
+        bias = mono.BIAS
+        for m in p.terms:
+            if ((m + bias) ^ bias) & fields:
+                break
+        else:
+            return p
+        seen = 0  # (m + bias) ^ bias over all m
+        out: Dict[Monomial, Coeff] = {}
+        for m, c in p.terms.items():
+            y = m + bias
+            seen |= y ^ bias
+            nm = m
+            for s, um, _ in steps:
+                e = (y >> s & MASK) - HALF
+                if e:
+                    nm += e * um
+            out[nm] = c
+        # per moved v, a bound on the exponents its unit adds, per unit of
+        # |exponent|; a field that overflowed raises in _bounded, so out is
+        # never returned then
+        ub = sum(ua for s, _, ua in steps if seen >> s & MASK)
+        return Poly(out, _bounded(lambda b: b * (1 + ub), p))
+
+    return scale
 
 
 def mul_add(out: Dict[Monomial, Coeff], a: Poly, b: Poly) -> int:

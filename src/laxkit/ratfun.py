@@ -148,6 +148,7 @@ from .poly import (
     binomial_div,
     is_unit_var,
     mul_add,
+    scaling,
     synthetic_div,
 )
 from .rejection import _binomial_root, _linear_root, cannot_divide, prime_parts
@@ -816,12 +817,11 @@ def shift_map(mode: str, moves: tuple):
     moves on distinct slots: the m-fold shift on slot (i, r) of tensor
     factor `slot` for every move at once, in one pass.  Rational
     p -> p + m (Poly.shift_vars); trig wh -> v^m wh, so w -> v^{2m} w
-    (Poly.scale_vars, which only renames monomials)."""
+    (poly.scaling, which only renames monomials)."""
     if mode == "rational":
         shifts = tuple((p_var(i, r, slot), m) for slot, i, r, m in moves)
         return lambda p: p.shift_vars(shifts)
-    scales = tuple((wh_var(i, r, slot), ((V, m),)) for slot, i, r, m in moves)
-    return lambda p: p.scale_vars(scales)
+    return scaling((wh_var(i, r, slot), ((V, m),)) for slot, i, r, m in moves)
 
 
 def _grouped(fracs: list) -> List[Tuple[Poly, Dict[Atom, int]]]:
@@ -989,23 +989,29 @@ def default_eps_linear_map(v: Var) -> Poly:
     raise ValueError(f"variable {v} has no degeneration rule")
 
 
+# field -> default_eps_linear_map of its variable, a function of the key
+# alone (the index is append-only); capped by _memo
+_EPS_FORMS: Dict[int, Poly] = {}
+
+
 def _eps_poly_series(p: Poly, hi: int) -> "TruncSeries":
     """p with every variable u -> exp(eps * l(u)), through eps^hi, with l
-    the default linear map (made once per distinct variable of p).  The
-    terms of each power of eps are summed in one dict and made canonical
-    (_q) once, as in _lifted_sum."""
+    the default linear map (made once per variable per process,
+    _EPS_FORMS; not at all when hi = 0, where eps^0 is the sum of the
+    coefficients).  The terms of each power of eps are summed in one dict
+    and made canonical (_q) once, as in _lifted_sum."""
     from .series import TruncSeries
 
-    ells: Dict[int, Poly] = {}  # field -> l of its variable
     sums: List[Dict[Monomial, Coeff]] = [{} for _ in range(hi + 1)]
     eb = 0
     for m, c in p.terms.items():
-        ell = _P_ZERO
-        for k, e in unpacked(m):
-            lk = ells.get(k)
-            if lk is None:
-                lk = ells[k] = default_eps_linear_map(VARS[k])
-            ell = ell + lk * e
+        if hi:
+            ell = _P_ZERO
+            for k, e in unpacked(m):
+                lk = _EPS_FORMS.get(k)
+                if lk is None:
+                    lk = _memo(_EPS_FORMS, k, default_eps_linear_map, VARS[k])
+                ell = ell + lk * e
         # c * exp(eps * ell) = sum_k c * ell^k / k! * eps^k
         term = Poly.const(c)
         for k, total in enumerate(sums):

@@ -9,22 +9,29 @@ L = T(z) and M = T(w), component (ia, jb) reads
     sum_{k,c} R[ia,kc] L_kj M_cb  =  sum_{k,c} M_ac L_ik R[kc,jb].
 
 R's entries are rational in z, w and v only, so no shift acts on them
-and R is central.  Nothing is divided: each product L_kj M_cb is formed
-once with unreduced coefficients (algebra.unreduced_product).  For each
-component, every fraction of those products is weighted by its entry of
-R and added term by term (poly.mul_add) into one sum per shift monomial
-and atom multiset; no weighted fraction is formed.  Most of these sums
-cancel.  Only the ones left go through the exact zero test
-(ratfun.grouped_sum_is_zero), shift monomial by shift monomial.  A
-failure is reported as (i, a, j, b), the coefficient of E_ij (x) E_ab.
+and R is central.  R, as its lists of row and negated column weights,
+is built once per (mode, n) per process (_R_WEIGHTS).  Nothing is
+divided: each product L_kj M_cb is formed once with unreduced
+coefficients, as algebra.unreduced_product forms it (_entry_product,
+which takes the shift moves and shift map of each term of L_kj once
+per entry, and each product of shift monomials once per check).  Each
+fraction carries the key of its atom multiset, made when the fraction
+is.  For each component, every fraction of those products is weighted
+by its entry of R and added term by term (poly.mul_add) into one sum
+per shift monomial and atom multiset; no weighted fraction is formed.
+Most of these sums cancel.  Only the ones left go through the exact
+zero test (ratfun.grouped_sum_is_zero), shift monomial by shift
+monomial.  A failure is reported as (i, a, j, b), the coefficient of
+E_ij (x) E_ab.
 
 The products M_ac L_ik are not formed again.  The swap sigma of z and w
 is a ring automorphism of the coefficients, and it commutes with every
 shift, which acts on p (rational) or wh (trig) only.  When T holds no w,
 M = sigma(L) and L = sigma(M), so M_ac L_ik = sigma(L_ac M_ik) exactly:
 verify_rtt takes each one as the mirror of an L M product, fraction by
-fraction (ratfun.substitute), and refuses a T that holds w.  In the
-finite relations R T1 T2 = T2 T1 R with both factors the same matrix,
+fraction (ratfun.substitute for a fraction with atoms, Poly.swap_vars
+alone for one without), and refuses a T that holds w.  In the finite
+relations R T1 T2 = T2 T1 R with both factors the same matrix,
 M_ac L_ik is the product L_ac M_ik itself.
 """
 
@@ -34,12 +41,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .algebra import AlgebraElement, AlgebraSignature, embed, mat_map, unreduced_product
+from .algebra import AlgebraElement, AlgebraSignature, embed, mat_map, shift_moves
 from .coweight import Divisor
 from .errors import SignatureMismatch, SingularLeadingMode
 from .lax_rational import fuse
-from .poly import Poly, mul_add
-from .ratfun import RatFun, V, W, Z, den_product, grouped_sum_is_zero, substitute, x_var
+from .poly import _P_ONE, Poly, mul_add
+from .ratfun import (RatFun, V, W, Z, _memo, den_product, grouped_sum_is_zero, shift_map,
+                     substitute, x_var)
 from .series import TruncSeries
 
 Sparse = Dict[int, Dict[int, object]]
@@ -137,10 +145,11 @@ def _blocks(r: Sparse, n: int) -> list:
     return out
 
 
-def _block_product(a: Sparse, b: Sparse) -> dict:
-    """sp_mul(a, b) in the form _exchange_failures sums: cell -> fractions."""
-    return {(r, c): [(val.num, val.den)] for r, row in sp_mul(a, b).items()
-            for c, val in row.items()}
+def _block_product(a: Sparse, shifts: dict):
+    """b -> sp_mul(a, b) in the form _exchange_failures sums: cell ->
+    fractions (shifts is not read: cells are not shift monomials)."""
+    return lambda b: {(r, c): [(val.num, val.den, frozenset(val.den.items()))]
+                      for r, row in sp_mul(a, b).items() for c, val in row.items()}
 
 
 def check_yang_baxter(variant: str, n: int) -> bool:
@@ -150,22 +159,20 @@ def check_yang_baxter(variant: str, n: int) -> bool:
     of T(z) = R13, the R-matrix in z and u3 read as an n x n matrix whose
     entries are scalar matrices on leg 3, checked by _exchange_failures.
     T(w) is T(z) with z renamed to w, and T holds no w, so the z <-> w
-    swap mirrors the products."""
+    swap mirrors the products.  Every R here is built afresh."""
+    r = _exchange_r(variant, n)
     z = RatFun.variable(Z)
     w = RatFun.variable(W)
     u3 = RatFun.variable(x_var("u3"))
     if variant == "rational":
-        r, left, right = (r_rational(n, z - w), r_rational(n, z - u3),
-                          r_rational(n, w - u3))
+        left, right = r_rational(n, z - u3), r_rational(n, w - u3)
     elif variant == "trig":
-        r, left, right = r_trig(n, z, w), r_trig(n, z, u3), r_trig(n, w, u3)
-    elif variant == "finite":
-        r = left = right = r_finite(n)
+        left, right = r_trig(n, z, u3), r_trig(n, w, u3)
     else:
-        raise ValueError(variant)
+        left = right = r
     left = _blocks(left, n)
     right = left if variant == "finite" else _blocks(right, n)
-    return not _exchange_failures(r, left, right, mirror=_swap_zw,
+    return not _exchange_failures(_weights(r, n), left, right, mirror=_swap_zw,
                                   product=_block_product)
 
 
@@ -183,21 +190,132 @@ class RttReport:
         return {"ok": self.ok, "n": self.n, "failures": self.failures}
 
 
-def _exchange_failures(r: Sparse, left, right, mirror=None,
-                       product=unreduced_product) -> List[Tuple[int, int, int, int]]:
+def _exchange_r(mode: str, n: int) -> Sparse:
+    """The R of the exchange relation: R(z, w) in mode "rational" or
+    "trig" (verify_rtt), the constant R in mode "finite"
+    (verify_finite_rtt)."""
+    if mode == "rational":
+        return r_rational(n, RatFun.variable(Z) - RatFun.variable(W))
+    if mode == "trig":
+        return r_trig(n, RatFun.variable(Z), RatFun.variable(W))
+    if mode == "finite":
+        return r_finite(n)
+    raise ValueError(mode)
+
+
+def _weights(r: Sparse, n: int) -> tuple:
+    """R as _exchange_failures reads it, (rows, neg_cols): rows[ia] holds
+    (k n^3 + c n, num, den) for each entry num / den of R[ia, kc], and
+    neg_cols[jb] holds (c n^2 + k, -num, den) for each entry of R[kc, jb].
+    The first field is the part of the flat index of L_kj M_cb, and of
+    M_ac L_ik, that the entry of R fixes."""
+    n2 = n * n
+    rows: list = [[] for _ in range(n2)]
+    neg_cols: list = [[] for _ in range(n2)]
+    for row, cols in r.items():
+        for col, val in cols.items():
+            k, c = divmod(col, n)
+            rows[row].append((k * n * n2 + c * n, val.num, val.den))
+            k, c = divmod(row, n)
+            neg_cols[col].append((c * n2 + k, -val.num, val.den))
+    return rows, neg_cols
+
+
+def _r_weights(mode: str, n: int) -> tuple:
+    """_weights of _exchange_r(mode, n), made once per (mode, n) per
+    process (_R_WEIGHTS)."""
+    return _memo(_R_WEIGHTS, (mode, n), lambda: _weights(_exchange_r(mode, n), n))
+
+
+# (mode, n) -> _r_weights(mode, n), a function of the key alone; capped by
+# ratfun._memo
+_R_WEIGHTS: Dict[tuple, tuple] = {}
+
+
+def _entry_product(x: AlgebraElement, shifts: dict):
+    """y -> x * y as algebra.unreduced_product forms it, keyed by the key
+    of each shift monomial (ShiftMonomial._key), each fraction as (num,
+    den, frozenset(den.items())).  The shift moves and shift map of each
+    term of x are taken here, once per entry, not once per product;
+    shifts is the caller's table (key of s1, key of s2) -> key of s1 s2."""
+    mode = x.signature.mode
+    terms = []
+    for s1, c1 in x.terms.items():
+        key = (mode, shift_moves(mode, s1))
+        fn = shift_map(*key) if s1.exps else None
+        times_one = not c1.den and c1.num == _P_ONE
+        terms.append((s1, c1.num, c1.den, times_one, key, fn))
+
+    def times(y: AlgebraElement) -> dict:
+        out: dict = {}
+        for s1, num1, den1, times_one, key, fn in terms:
+            k1 = s1._key
+            for s2, c2 in y.terms.items():
+                num, den = c2.num, c2.den
+                if fn is not None:
+                    num, den = substitute(num, den, fn, key)
+                if not times_one:
+                    num = num1 * num
+                    if den1:
+                        den = den_product(den1, den)
+                s = shifts.get(sk := (k1, s2._key))
+                if s is None:
+                    s = shifts[sk] = (s1 * s2)._key
+                fracs = out.get(s)
+                if fracs is None:
+                    fracs = out[s] = []
+                fracs.append((num, den, frozenset(den.items())))
+        return out
+
+    return times
+
+
+def _products(xs, ys, product, shifts: dict) -> list:
+    """Every x * y, x an entry of the matrix xs and y one of ys, as
+    product forms it, in one flat list: x * y, with x = xs[k][j] and
+    y = ys[c][b], sits at index (k n + j) n^2 + c n + b."""
+    ys = [y for row in ys for y in row]
+    out: list = []
+    for row in xs:
+        for x in row:
+            out += map(product(x, shifts), ys)
+    return out
+
+
+def _mirrored(prod: dict, mirror) -> dict:
+    """The image of a product under mirror, fraction by fraction; the
+    keys stay, since mirror commutes with every shift."""
+    out = {}
+    for s, fracs in prod.items():
+        out[s] = images = []
+        for num, den, dkey in fracs:
+            if den:
+                # the map is its own key, so its atom images are memoized
+                num, den = substitute(num, den, mirror, mirror)
+                dkey = frozenset(den.items())
+            else:
+                num = mirror(num)
+            images.append((num, den, dkey))
+    return out
+
+
+def _exchange_failures(weights: tuple, left, right, mirror=None,
+                       product=_entry_product) -> List[Tuple[int, int, int, int]]:
     """Components (i, a, j, b) where R L1 M2 - M2 L1 R is nonzero, in order.
 
     Component (ia, jb) of the difference is
-        sum_{k,c} R[ia,kc] L_kj M_cb - sum_{k,c} M_ac L_ik R[kc,jb].
-    The n^4 products L_kj M_cb are formed once.  M_ac L_ik is the product
-    L_ac M_ik when right is left, and its image under mirror when that is
-    given: a Poly map sigma, a ring automorphism commuting with every
-    shift, with right = sigma(left) and left = sigma(right).  Only
-    otherwise are the products M_ac L_ik formed too.  product(x, y) gives
-    x * y as {key: fractions}, the fractions of each key summing to its
-    coefficient: unreduced_product for algebra elements, keyed by shift
-    monomial, _block_product for scalar matrices, keyed by cell.  Their
-    atom multisets hold no zero multiplicity.
+        sum_{k,c} R[ia,kc] L_kj M_cb - sum_{k,c} M_ac L_ik R[kc,jb],
+    with R given as its _weights.  The n^4 products L_kj M_cb are formed
+    once.  M_ac L_ik is the product L_ac M_ik when right is left, and its
+    image under mirror when that is given: a Poly map sigma, a ring
+    automorphism commuting with every shift, with right = sigma(left) and
+    left = sigma(right).  Only otherwise are the products M_ac L_ik formed
+    too.  product(x, shifts) is the map y -> x * y as {key: fractions},
+    the fractions (num, den, frozenset(den.items())) of each key summing
+    to its coefficient: _entry_product for algebra elements, keyed by
+    shift monomial, _block_product for scalar matrices, keyed by cell.
+    It does the work of x once for all its products; shifts is one table
+    per call.  Atom multisets hold no zero multiplicity.
 
     Each component takes R by row and -R by column.  Every weight times
     every fraction of its product is added, term by term, into the
@@ -206,41 +324,34 @@ def _exchange_failures(r: Sparse, left, right, mirror=None,
     fails when, at some key, the numerators that do not cancel give a
     nonzero sum (grouped_sum_is_zero)."""
     n = len(left)
-    quads = list(itertools.product(range(n), repeat=4))
-    lm = {q: product(left[q[0]][q[1]], right[q[2]][q[3]]) for q in quads}
+    n2 = n * n
+    shifts: dict = {}
+    lm = _products(left, right, product, shifts)
     if right is left:
         ml = lm
     elif mirror is not None:
-        # the map is its own key, so its atom images are memoized
-        ml = {q: {s: [substitute(num, den, mirror, mirror) for num, den in fracs]
-                  for s, fracs in prod.items()} for q, prod in lm.items()}
+        ml = [_mirrored(prod, mirror) for prod in lm]
     else:
-        ml = {q: product(right[q[0]][q[1]], left[q[2]][q[3]]) for q in quads}
-    rows: dict = {}  # R by row, -R by column: index -> [(index, num, den)]
-    neg_cols: dict = {}
-    for row, cols in r.items():
-        for col, val in cols.items():
-            rows.setdefault(row, []).append((col, val.num, val.den))
-            neg_cols.setdefault(col, []).append((row, -val.num, val.den))
+        ml = _products(right, left, product, shifts)
+    rows, neg_cols = weights
     failures = []
-    for i, a, j, b in quads:  # in sorted order
-        weighted = [(lm[kc // n, j, kc % n, b], num, den)
-                    for kc, num, den in rows.get(i * n + a, ())]
-        weighted += [(ml[a, kc % n, i, kc // n], num, den)
-                     for kc, num, den in neg_cols.get(j * n + b, ())]
+    for i, a, j, b in itertools.product(range(n), repeat=4):  # in sorted order
+        off, moff = j * n2 + b, (a * n2 + i) * n
+        weighted = [(lm[base + off], num, den) for base, num, den in rows[i * n + a]]
+        weighted += [(ml[base + moff], num, den) for base, num, den in neg_cols[j * n + b]]
         sums: dict = {}  # product key -> {atom multiset: [den, terms, bound]}
         for prod, weight, wden in weighted:
             for s, fracs in prod.items():
                 groups = sums.get(s)
                 if groups is None:
                     groups = sums[s] = {}
-                for num, den in fracs:
+                for num, den, dkey in fracs:
                     if wden:
                         den = den_product(den, wden)
-                    key = frozenset(den.items())
-                    g = groups.get(key)
+                        dkey = frozenset(den.items())
+                    g = groups.get(dkey)
                     if g is None:
-                        g = groups[key] = [den, {}, 0]
+                        g = groups[dkey] = [den, {}, 0]
                     eb = mul_add(g[1], weight, num)
                     if eb > g[2]:
                         g[2] = eb
@@ -273,28 +384,24 @@ def verify_rtt(T) -> RttReport:
                 raise SignatureMismatch(
                     f"entry ({i + 1},{j + 1}) holds w, the second spectral parameter"
                     " of the exchange relation")
-    z = RatFun.variable(Z)
-    w = RatFun.variable(W)
-    if T.signature.mode == "rational":
-        r = r_rational(n, z - w)
-    else:
-        r = r_trig(n, z, w)
     t_w = mat_map(T.entries, lambda e: e.rename_spectral(Z, W))
-    failures = _exchange_failures(r, T.entries, t_w, mirror=_swap_zw)
+    failures = _exchange_failures(_r_weights(T.signature.mode, n), T.entries, t_w,
+                                  mirror=_swap_zw)
     return RttReport(ok=not failures, failures=failures, n=n)
 
 
 def verify_finite_rtt(t_plus, t_minus, sig: AlgebraSignature) -> RttReport:
     """The three z-independent exchange relations of the split pair over
     `sig`: R T+1 T+2 = T+2 T+1 R, the same for T-, and R T-1 T+2 =
-    T+2 T-1 R, with R = r_finite(n)."""
+    T+2 T-1 R, with R = r_finite(n).  SignatureMismatch is raised unless
+    every entry of both factors is over sig."""
     n = len(t_plus)
-    if t_plus[0][0].signature != sig:
+    if any(e.signature != sig for t in (t_plus, t_minus) for row in t for e in row):
         raise SignatureMismatch("the split pair is not over the given signature")
-    r = r_finite(n)
+    weights = _r_weights("finite", n)
     failures = []
     for left, right in ((t_plus, t_plus), (t_minus, t_minus), (t_minus, t_plus)):
-        failures.extend(_exchange_failures(r, left, right))
+        failures.extend(_exchange_failures(weights, left, right))
     return RttReport(ok=not failures, failures=failures, n=n)
 
 

@@ -263,3 +263,59 @@ def test_degeneration_gathers_each_power_exactly():
     assert mat_equal(got.entries, want.entries)
     with pytest.raises(NegativeEpsPower, match=r"entry \(2,2\) degenerates with eps\^-1"):
         degenerate_to_rational(with_entry(first))
+
+
+def _eps_poly_series_reference(p, hi):
+    """ratfun._eps_poly_series as it was before the linear forms were
+    kept per process: every monomial's linear form made on every call,
+    also at hi = 0, from a per-call table of default_eps_linear_map."""
+    from laxkit.monomials import VARS, unpacked
+    from laxkit.poly import Poly, _q, _qdiv
+    from laxkit.ratfun import default_eps_linear_map
+    from laxkit.series import TruncSeries
+
+    ells = {}
+    sums = [{} for _ in range(hi + 1)]
+    eb = 0
+    for m, c in p.terms.items():
+        ell = Poly.zero()
+        for k, e in unpacked(m):
+            lk = ells.get(k)
+            if lk is None:
+                lk = ells[k] = default_eps_linear_map(VARS[k])
+            ell = ell + lk * e
+        term = Poly.const(c)
+        for k, total in enumerate(sums):
+            if k:
+                term = term * ell * _qdiv(1, k)
+            eb = max(eb, term._eb)
+            for mo, tc in term.terms.items():
+                total[mo] = total.get(mo, 0) + tc
+    coeffs = (RatFun(Poly({mo: _q(tc) for mo, tc in total.items() if tc}, eb), {})
+              for total in sums)
+    return TruncSeries(dict(enumerate(coeffs)), hi, RatFun.zero())
+
+
+def test_eps_poly_series_matches_the_per_call_reference():
+    # every numerator and atom of the trig (3, 1) and (4, 1) builds,
+    # expanded through eps^0..eps^3: the same window, coefficients and
+    # exponent bounds as the reference
+    from laxkit.ratfun import _eps_poly_series
+    from laxkit.suite import enumerate_linear_divisors
+
+    polys = {}
+    for div in enumerate_linear_divisors(3, 1, "trig") + enumerate_linear_divisors(4, 1, "trig"):
+        for row in build_lax_trig(div).entries:
+            for e in row:
+                for c in e.terms.values():
+                    for p in [c.num] + [a.poly for a in c.den]:
+                        polys[frozenset(p.terms.items())] = p
+    assert len(polys) > 50, len(polys)
+    for p in polys.values():
+        for hi in range(4):
+            got, want = _eps_poly_series(p, hi), _eps_poly_series_reference(p, hi)
+            assert got.hi == want.hi == hi
+            assert got.coeffs.keys() == want.coeffs.keys()
+            for k, c in want.coeffs.items():
+                g = got.coeffs[k]
+                assert g.num.terms == c.num.terms and g.num._eb == c.num._eb and g.den == c.den

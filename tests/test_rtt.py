@@ -16,11 +16,12 @@ from laxkit.lax_trig import (
     split_finite_rtt,
 )
 from laxkit import rtt
-from laxkit.ratfun import W, Z, RatFun, den_product, substitute, sum_is_zero
+from laxkit.ratfun import V, W, Z, RatFun, den_product, substitute, sum_is_zero, wh_var
 from laxkit.series import TruncSeries
 from laxkit.rtt import (
     _exchange_failures,
     _swap_zw,
+    _weights,
     check_yang_baxter,
     coproduct,
     coproduct_mode_contract,
@@ -151,6 +152,51 @@ def test_finite_rtt_detects_corruption():
     ]
 
 
+def test_finite_rtt_checks_every_entry_of_both_factors():
+    # T+ from a trig (3, 1) divisor, slot counts (1, 1), and T- from a
+    # trig (3, 2) divisor, slot counts (1, 2): t_plus[0][0] is over the
+    # given signature, T-'s entries are not
+    def split(div):
+        return split_finite_rtt(normalize_and_check_polynomial_trig(build_lax_trig(div)))
+
+    d31 = enumerate_linear_divisors(3, 1, "trig")[0]
+    d32 = enumerate_linear_divisors(3, 2, "trig")[0]
+    assert d31.signature().slot_counts == ((1, 1),) and d32.signature().slot_counts == ((1, 2),)
+    (tp, tm), (tp2, tm2) = split(d31), split(d32)
+    assert verify_finite_rtt(tp, tm, d31.signature()).ok
+    for plus, minus, sig in ((tp, tm2, d31.signature()), (tp2, tm, d32.signature()),
+                             (tp, tm, d32.signature())):
+        with pytest.raises(SignatureMismatch, match="not over the given signature"):
+            verify_finite_rtt(plus, minus, sig)
+    mixed = [list(row) for row in tm]
+    mixed[2][1] = tm2[2][1]
+    with pytest.raises(SignatureMismatch):
+        verify_finite_rtt(tp, mixed, d31.signature())
+
+
+@pytest.mark.parametrize("order", ["rational first", "trig first"])
+def test_interleaved_modes_give_the_reports_of_each_alone(monkeypatch, order):
+    # R is built once per (mode, n) per process: rational and trig
+    # matrices of the same n, clean and with 1 added at (1,2), verified
+    # interleaved, report what each reports with the R table empty
+    pairs = [(build_lax(toda_divisor()), build_lax_trig(trig_case_divisor(4))),
+             (build_lax(first_example_divisor(3)),
+              build_lax_trig(enumerate_linear_divisors(3, 1, "trig")[3]))]
+    mats = []
+    for rational, trig in pairs:
+        pair = (rational, trig) if order == "rational first" else (trig, rational)
+        for T in pair:
+            mats += [T, LaxMatrix(T.signature, T.divisor, _plus_one(T.entries, 0, 1))]
+    together = [verify_rtt(T).to_json() for T in mats]
+    alone = []
+    for T in mats:
+        monkeypatch.setattr(rtt, "_R_WEIGHTS", {})
+        alone.append(verify_rtt(T).to_json())
+        assert list(rtt._R_WEIGHTS) == [(T.signature.mode, T.n)]
+    assert together == alone
+    assert [r["ok"] for r in together] == [True, False] * 4
+
+
 def _exchange_reports():
     """128 reports: every rtt_rational_divisors, rtt_trig_divisors and trig
     (3, 1) divisor, clean and with 1 added at (1,2), (n,1) and (n,n), then
@@ -195,7 +241,7 @@ def test_mirrored_products_match_direct_products():
     seen_failures = 0
     for T in cases:
         n = T.n
-        r = r_rational(n, z - w) if T.signature.mode == "rational" else r_trig(n, z, w)
+        r = _weights(r_rational(n, z - w) if T.signature.mode == "rational" else r_trig(n, z, w), n)
         for pos in (None, (0, 0), (0, 1), (n - 1, 0)):
             left = T.entries if pos is None else _plus_one(T.entries, *pos)
             right = mat_map(left, lambda e: e.rename_spectral(Z, W))
@@ -206,7 +252,7 @@ def test_mirrored_products_match_direct_products():
     # with both factors the same matrix the L M products are reused
     T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(4)))
     tp, _ = split_finite_rtt(T)
-    r = r_finite(2)
+    r = _weights(r_finite(2), 2)
     for left in (tp, _plus_one(tp, 0, 1)):
         copy = [list(row) for row in left]
         assert _exchange_failures(r, left, left) == _exchange_failures(r, left, copy)
@@ -241,26 +287,49 @@ def _reference_failures(r, left, right, mirror=None):
     return failures
 
 
-@pytest.mark.parametrize("name", ["toda", "first3", "trig4", "trig31"])
+def _trig_atoms_matrix():
+    """A hand-written trig matrix whose coefficients hold atoms in z and
+    wh[1,1], so the products' fractions carry atoms that the shift
+    D[1,1] and the z <-> w mirror both move."""
+    sig = AlgebraSignature(2, "trig", ((1,),))
+    z, v, wh = RatFun.variable(Z), RatFun.variable(V), RatFun.variable(wh_var(1, 1))
+
+    def shift(m, c):
+        return AlgebraElement.shift(sig, 1, 1, m, c)
+
+    return [[AlgebraElement.from_ratfun(sig, wh) + shift(1, (z - wh).invert()),
+             shift(-1, z * (z - v * v * wh).invert())],
+            [shift(1, (z + wh).invert()),
+             AlgebraElement.from_ratfun(sig, z * wh.invert() + (z - v * wh).invert())]]
+
+
+@pytest.mark.parametrize("name", ["toda", "first3", "trig4", "trig31", "trig41",
+                                  "trig4_over_atom", "trig_atoms"])
 def test_exchange_failures_match_per_fraction_reference(name):
     # clean and with 1 added to each single entry in turn, with the M L
-    # products mirrored and formed directly
-    T = {
-        "toda": lambda: build_lax(toda_divisor()),
-        "first3": lambda: build_lax(first_example_divisor(3)),
-        "trig4": lambda: build_lax_trig(trig_case_divisor(4)),
-        "trig31": lambda: build_lax_trig(enumerate_linear_divisors(3, 1, "trig")[3]),
+    # products mirrored and formed directly; trig4_over_atom is case 4
+    # times the central 1/(z - v^2), which every product fraction carries
+    z, w, v = RatFun.variable(Z), RatFun.variable(W), RatFun.variable(V)
+    entries = {
+        "toda": lambda: build_lax(toda_divisor()).entries,
+        "first3": lambda: build_lax(first_example_divisor(3)).entries,
+        "trig4": lambda: build_lax_trig(trig_case_divisor(4)).entries,
+        "trig31": lambda: build_lax_trig(enumerate_linear_divisors(3, 1, "trig")[3]).entries,
+        "trig41": lambda: build_lax_trig(enumerate_linear_divisors(4, 1, "trig")[3]).entries,
+        "trig4_over_atom": lambda: mat_map(build_lax_trig(trig_case_divisor(4)).entries,
+                                           lambda e: e * (z - v * v).invert()),
+        "trig_atoms": _trig_atoms_matrix,
     }[name]()
-    n = T.n
-    z, w = RatFun.variable(Z), RatFun.variable(W)
-    r = r_rational(n, z - w) if T.signature.mode == "rational" else r_trig(n, z, w)
+    n = len(entries)
+    mode = entries[0][0].signature.mode
+    r = r_rational(n, z - w) if mode == "rational" else r_trig(n, z, w)
     failing = 0
     for pos in [None] + list(itertools.product(range(n), repeat=2)):
-        left = T.entries if pos is None else _plus_one(T.entries, *pos)
+        left = entries if pos is None else _plus_one(entries, *pos)
         right = mat_map(left, lambda e: e.rename_spectral(Z, W))
         for mirror in (_swap_zw, None):
             want = _reference_failures(r, left, right, mirror)
-            assert _exchange_failures(r, left, right, mirror=mirror) == want, (pos, mirror)
+            assert _exchange_failures(_weights(r, n), left, right, mirror=mirror) == want, (pos, mirror)
             failing += bool(want)
     assert failing >= 2
 
@@ -278,7 +347,7 @@ def test_exchange_weighting_checks_the_exponent_bound():
     left = [[elem(RatFun.variable(Z, 32767)), elem(0)], [elem(0), elem(1)]]
     identity = [[elem(1), elem(0)], [elem(0), elem(1)]]
     with pytest.raises(OverflowError):
-        _exchange_failures(r_rational(2, z - w), left, identity)
+        _exchange_failures(_weights(r_rational(2, z - w), 2), left, identity)
 
 
 @pytest.mark.parametrize("mode,entry", [
