@@ -40,6 +40,7 @@ from .lax_rational import (
     fuse,
     normalize_and_check_polynomial,
     normalized_limit,
+    pipeline,
     qdet_image,
 )
 from .lax_trig import (

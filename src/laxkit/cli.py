@@ -24,21 +24,8 @@ from .errors import (
     SizeMismatch,
 )
 from .gelfand_tsetlin import gauge_and_compare
-from .lax_rational import (
-    build_lax,
-    build_linear_lax,
-    fuse,
-    normalize_and_check_polynomial,
-    normalized_limit,
-    qdet_image,
-)
-from .lax_trig import (
-    build_lax_trig,
-    build_linear_lax_trig,
-    degenerate_to_rational,
-    limits_trig,
-    normalize_and_check_polynomial_trig,
-)
+from .lax_rational import fuse, normalized_limit, pipeline, qdet_image
+from .lax_trig import degenerate_to_rational, limits_trig
 from .rtt import check_yang_baxter, verify_coproduct_generators, verify_rtt
 from .suite import run_suite
 from .textio import (
@@ -93,19 +80,8 @@ def _emit_outputs(mat, args, out) -> None:
         _print_matrix(mat, out)
 
 
-def _pipeline(mode: str):
-    """(build, normalize, linear) of a divisor mode.  The names are looked
-    up per call, so wrappers installed on this module's attributes apply."""
-    return {
-        "rational": (build_lax, normalize_and_check_polynomial, build_linear_lax),
-        "trig": (
-            build_lax_trig, normalize_and_check_polynomial_trig, build_linear_lax_trig
-        ),
-    }[mode]
-
-
 def _build(div: Divisor, normalize: bool = True):
-    build, norm, _ = _pipeline(div.mode)
+    build, norm, _ = pipeline(div.mode)
     mat = build(div)
     return norm(mat) if normalize else mat
 
@@ -119,7 +95,7 @@ def cmd_build(args, out) -> int:
 
 def cmd_linear(args, out) -> int:
     div = _load_divisor(args.divisor, args.mode)
-    _, _, linear = _pipeline(div.mode)
+    _, _, linear = pipeline(div.mode)
     _emit_outputs(linear(div), args, out)
     return EXIT_OK
 
@@ -198,7 +174,7 @@ def cmd_degenerate(args, out) -> int:
     div = _load_divisor(args.divisor)
     if div.mode != "trig":
         raise NotAdmissible("degeneration starts from a trig divisor")
-    mat = degenerate_to_rational(build_lax_trig(div))
+    mat = degenerate_to_rational(_build(div, normalize=False))
     _emit_outputs(mat, args, out)
     return EXIT_OK
 

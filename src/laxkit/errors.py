@@ -28,7 +28,9 @@ class DivergesAtInfinity(LaxkitError):
 class NotAdmissible(LaxkitError):
     """Divisor data does not solve the coroot equation in non-negative
     integers; the divisor is rejected at construction.  Also raised for a
-    divisor that a command does not take (wrong mode, unsupported rank)."""
+    divisor that a command does not take (wrong mode, unsupported rank),
+    and for a matrix that is not the raw build of a divisor where a step
+    needs one."""
 
 
 class SizeMismatch(LaxkitError):

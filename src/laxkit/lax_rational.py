@@ -226,7 +226,7 @@ def _assemble(div: Divisor, mode: str, diag: Callable, upper: Callable,
     return LaxMatrix(signature=sig, divisor=div, entries=[list(row) for row in rows])
 
 
-# One lax suite run builds 34 distinct divisors (190 builds) and one pass
+# One lax suite run builds 53 distinct divisors (218 builds) and one pass
 # of the benchmark's construct_cli workload 44 (197 builds); a matrix of
 # rank 4 holds 10-80 KiB (tracemalloc, the (4, 2) families), so 64
 # matrices cover a whole flow in at most a few MB.  Equal divisors (a
@@ -307,12 +307,21 @@ def normalizer(div: Divisor) -> RatFun:
     return out
 
 
-def _normalize(T: LaxMatrix, normalizer_fn: Callable[[Divisor], RatFun]) -> LaxMatrix:
-    """Multiply by the mode's normalizer and assert every coefficient is a
-    polynomial in z: no spectral atom in a denominator, no negative power
-    of z in a numerator."""
+def _raw(T: LaxMatrix, step: str) -> None:
+    """Refuse T unless it is the raw build of its divisor, which step reads."""
+    if T.normalized:
+        raise NotAdmissible(f"{step} needs a raw matrix, got a normalized one")
     if T.divisor is None:
-        raise ValueError("matrix carries no divisor")
+        raise NotAdmissible(f"{step} needs a matrix that carries its divisor")
+
+
+def _normalize(T: LaxMatrix, mode: str, normalizer_fn: Callable[[Divisor], RatFun]) -> LaxMatrix:
+    """Multiply the raw T of the given mode by the mode's normalizer and
+    assert every coefficient is a polynomial in z: no spectral atom in a
+    denominator, no negative power of z in a numerator."""
+    if T.signature.mode != mode:
+        raise SignatureMismatch(f"{mode} normalizer got a {T.signature.mode} matrix")
+    _raw(T, "normalization")
     factor = normalizer_fn(T.divisor)
     entries = mat_map(T.entries, lambda e: e * factor)
     for a, row in enumerate(entries):
@@ -334,7 +343,16 @@ def _normalize(T: LaxMatrix, normalizer_fn: Callable[[Divisor], RatFun]) -> LaxM
 
 def normalize_and_check_polynomial(T: LaxMatrix) -> LaxMatrix:
     """Divide by Z_0(z) and assert every coefficient is polynomial in z."""
-    return _normalize(T, normalizer)
+    return _normalize(T, "rational", normalizer)
+
+
+def pipeline(mode: str) -> Tuple[Callable, Callable, Callable]:
+    """(build, normalize, linear) of a divisor mode.  The names are looked
+    up per call, so wrappers installed on the module attributes apply."""
+    from . import lax_trig as t
+    return {"rational": (build_lax, normalize_and_check_polynomial, build_linear_lax),
+            "trig": (t.build_lax_trig, t.normalize_and_check_polynomial_trig,
+                     t.build_linear_lax_trig)}[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +446,7 @@ def qdet_image(T: LaxMatrix) -> RatFun:
                 key = cols | 1 << j
                 above[key] = above[key] + t if key in above else t
         minors = above
-    out = minors[(1 << n) - 1].scalar_part()
+    out = minors.get((1 << n) - 1, AlgebraElement.zero(T.signature)).scalar_part()
     if T.divisor is not None and not out.equals(_qdet_closed_form(T.divisor, T.normalized)):
         raise NotScalar("qdet disagrees with its closed form")
     return out
@@ -477,7 +495,8 @@ def normalized_limit(T: LaxMatrix) -> LaxMatrix:
     """Send the last point x of the divisor, with its whole coweight
     lambda, to infinity, in either mode: column b is scaled by
     (-x)^(eps_b(lambda)) and the leading term in x is kept.  The divisor
-    moves lambda onto the framing at infinity."""
+    moves lambda onto the framing at infinity.  T must be raw."""
+    _raw(T, "the limit to infinity")
     div = T.divisor
     xv = _symbolic_last_point(div)
     lam = div.point_coweight(div.last_point())

@@ -52,6 +52,7 @@ from .lax_rational import (
     _on_divisor,
     _point,
     _point_poly,
+    _raw,
     _split,
     _symbolic_last_point,
     _young_data,
@@ -198,7 +199,7 @@ def normalizer_trig(div: Divisor) -> RatFun:
 
 
 def normalize_and_check_polynomial_trig(T: LaxMatrix) -> LaxMatrix:
-    return _normalize(T, normalizer_trig)
+    return _normalize(T, "trig", normalizer_trig)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +262,9 @@ def build_linear_lax_trig(div: Divisor) -> LaxMatrix:
 
 
 def limits_trig(T: LaxMatrix) -> LaxMatrix:
-    """Send the last point x, with its whole coweight, to zero: the plain
-    substitution x = 0 (normalized_limit sends it to infinity)."""
+    """Send the last point x of the raw T, with its whole coweight, to
+    zero: the plain substitution x = 0 (normalized_limit: to infinity)."""
+    _raw(T, "the limit to zero")
     target = T.divisor.move_last_point("zero")
     xv = _symbolic_last_point(T.divisor)
     entries = mat_map(T.entries, lambda e: e.map_coeffs(lambda c: c.set_value(xv, 0)))

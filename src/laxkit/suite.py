@@ -41,6 +41,7 @@ from .lax_rational import (
     fuse,
     normalize_and_check_polynomial,
     normalized_limit,
+    pipeline,
     qdet_image,
 )
 from .lax_trig import (
@@ -402,14 +403,12 @@ def rtt_trig_divisors() -> List[Divisor]:
 
 def check_rtt_suite() -> CheckResult:
     def run():
-        for div in rtt_rational_divisors():
-            rep = verify_rtt(build_lax(div))
+        # trig (3, 2) and (4, 1) too; perfbench reads rtt_trig_divisors as it is
+        wide = enumerate_linear_divisors(3, 2, "trig") + enumerate_linear_divisors(4, 1, "trig")
+        for div in rtt_rational_divisors() + rtt_trig_divisors() + wide:
+            rep = verify_rtt(pipeline(div.mode)[0](div))
             if not rep.ok:
-                return False, f"rational divisor {div.to_json()} fails {rep.failures[:3]}"
-        for div in rtt_trig_divisors():
-            rep = verify_rtt(build_lax_trig(div))
-            if not rep.ok:
-                return False, f"trig divisor {div.to_json()} fails {rep.failures[:3]}"
+                return False, f"{div.mode} divisor {div.to_json()} fails {rep.failures[:3]}"
         # finite split relations for the six linear trig cases
         for k in range(1, 7):
             T = normalize_and_check_polynomial_trig(build_lax_trig(trig_case_divisor(k)))
@@ -439,10 +438,10 @@ def check_yang_baxter_all() -> CheckResult:
 
 def check_polynomiality() -> CheckResult:
     def run():
-        for div in rtt_rational_divisors() + [rational_pizero_divisor()]:
-            normalize_and_check_polynomial(build_lax(div))
-        for div in rtt_trig_divisors() + [trig_pizero_divisor()]:
-            normalize_and_check_polynomial_trig(build_lax_trig(div))
+        for div in (rtt_rational_divisors() + [rational_pizero_divisor()]
+                    + rtt_trig_divisors() + [trig_pizero_divisor()]):
+            build, normalize, _ = pipeline(div.mode)
+            normalize(build(div))
         return True, ""
 
     return _timed("normalization yields polynomial matrices", run)
@@ -466,10 +465,8 @@ def check_qdet() -> CheckResult:
         divisors = rtt_rational_divisors() + [rational_pizero_divisor()]
         divisors += rtt_trig_divisors() + [trig_pizero_divisor()]
         for div in divisors + enumerate_linear_divisors(3, 1, "trig"):
-            if div.mode == "rational":
-                T, normalize = build_lax(div), normalize_and_check_polynomial
-            else:
-                T, normalize = build_lax_trig(div), normalize_and_check_polynomial_trig
+            build, normalize, _ = pipeline(div.mode)
+            T = build(div)
             if not (central(T) and central(normalize(T))):
                 return False, f"qdet of {div.to_json()} is not central"
         toda = build_lax(toda_divisor())
@@ -653,7 +650,7 @@ def check_limits() -> CheckResult:
             for n, a_max in ((2, 2), (3, 1)):
                 divisors += enumerate_linear_divisors(n, a_max, mode)
         for div in divisors:
-            build = build_lax if div.mode == "rational" else build_lax_trig
+            build = pipeline(div.mode)[0]
             limits = [normalized_limit] + ([limits_trig] if div.mode == "trig" else [])
             for limit in limits:
                 T = build(div)

@@ -20,8 +20,8 @@ import pytest
 from laxkit import suite
 from laxkit.coweight import Coweight, Divisor, fundamental_coweight
 from laxkit.errors import LaxkitError
-from laxkit.lax_rational import build_gauss_factors, build_linear_lax, build_lax, fuse
-from laxkit.lax_trig import build_lax_trig, build_linear_lax_trig
+from laxkit.lax_rational import build_gauss_factors, build_lax, fuse, pipeline
+from laxkit.lax_trig import build_lax_trig
 from laxkit.ratfun import RatFun
 from laxkit.textio import matrix_to_json
 
@@ -61,12 +61,6 @@ DIGESTS = {
 }
 
 
-def _builders(div):
-    if div.mode == "rational":
-        return build_lax, build_linear_lax
-    return build_lax_trig, build_linear_lax_trig
-
-
 def _json_bytes(mat) -> bytes:
     return json.dumps(matrix_to_json(mat), indent=1, sort_keys=True).encode()
 
@@ -74,7 +68,7 @@ def _json_bytes(mat) -> bytes:
 def _family_digest(family) -> str:
     h = hashlib.sha256()
     for div in FAMILIES[family]():
-        build, linear = _builders(div)
+        build, _, linear = pipeline(div.mode)
         h.update(_json_bytes(build(div)))
         try:
             h.update(_json_bytes(linear(div)))
@@ -149,7 +143,7 @@ def test_builds_do_not_depend_on_what_the_factor_table_holds():
     lax_rational._assembled.cache_clear()
     for div in (suite.enumerate_linear_divisors(3, 1) + suite.enumerate_linear_divisors(3, 1, "trig")
                 + _several_coweights()):
-        _builders(div)[0](div)
+        pipeline(div.mode)[0](div)
     lax_rational._assembled.cache_clear()
     for family in sorted(FAMILIES):
         assert _family_digest(family) == DIGESTS[family], family
@@ -180,7 +174,7 @@ def test_builds_do_not_depend_on_the_matrix_cache(monkeypatch, state):
     else:
         for family in FAMILIES:
             for div in FAMILIES[family]():
-                _builders(div)[0](div)
+                pipeline(div.mode)[0](div)
     if state == "evicted":
         for k in range(64):
             build_lax(_filler(k))
@@ -199,7 +193,7 @@ def test_each_build_gets_its_own_rows():
     # assigning into a returned matrix, or changing its row lists, leaves
     # the next build of the same divisor as it was
     for div in (suite.toda_divisor(), suite.trig_case_divisor(4)):
-        build = _builders(div)[0]
+        build = pipeline(div.mode)[0]
         T = build(div)
         want = _json_bytes(T)
         T.entries[0][1] = T.entries[0][1] + 1
@@ -215,7 +209,7 @@ def test_a_build_carries_the_callers_divisor():
     # an equal divisor read back from its JSON hits the cache but gets
     # back itself, not the divisor the matrix was first built for
     for div in (suite.toda_divisor(), suite.trig_case_divisor(2)):
-        build = _builders(div)[0]
+        build = pipeline(div.mode)[0]
         build(div)
         same = Divisor.from_json(json.loads(json.dumps(div.to_json())))
         assert same == div and same is not div
@@ -249,7 +243,7 @@ def test_an_int_point_and_its_fraction_share_one_matrix(mode):
     int_pt = Divisor(2, mode, ((2, lam),), mu, zero)
     frac_pt = Divisor(2, mode, ((Fraction(2), lam),), mu, zero)
     assert int_pt == frac_pt and hash(int_pt) == hash(frac_pt)
-    build = _builders(int_pt)[0]
+    build = pipeline(int_pt.mode)[0]
     apart = []
     for div in (int_pt, frac_pt):
         lax_rational._assembled.cache_clear()
@@ -285,7 +279,7 @@ def test_trig_3_2_raw_builds_match_pinned_digest():
 def test_gauss_and_t_coefficients_are_reduced(family):
     # full trial division by every atom must find nothing left to cancel
     for div in FAMILIES[family]():
-        T = _builders(div)[0](div)
+        T = pipeline(div.mode)[0](div)
         gauss = build_gauss_factors(div)
         n = T.n
         for i in range(n):
@@ -324,7 +318,7 @@ FUSED_DIGESTS = {
 def test_fused_builds_match_pinned_digest(name):
     h = hashlib.sha256()
     for d1, d2 in FUSED[name]():
-        build = _builders(d1)[0]
+        build = pipeline(d1.mode)[0]
         fused = fuse(build(d1), build(d2))
         for i, row in enumerate(fused.entries):
             for j, e in enumerate(row):

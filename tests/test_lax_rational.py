@@ -13,7 +13,7 @@ from laxkit.coweight import (
     fundamental_coweight,
     simple_coroot,
 )
-from laxkit.errors import NotLinearCase, NotPolynomial, NotScalar
+from laxkit.errors import NotAdmissible, NotLinearCase, NotPolynomial, NotScalar, SignatureMismatch
 from laxkit.lax_rational import (
     LaxMatrix,
     build_gauss_factors,
@@ -23,9 +23,11 @@ from laxkit.lax_rational import (
     fuse,
     normalize_and_check_polynomial,
     normalized_limit,
+    pipeline,
     qdet_image,
 )
-from laxkit.lax_trig import build_lax_trig
+from laxkit import lax_rational, lax_trig
+from laxkit.lax_trig import build_lax_trig, limits_trig
 from laxkit.ratfun import Poly, RatFun, W, Z, p_var, x_var
 from laxkit.rtt import element_z_series, verify_rtt
 from laxkit.suite import (
@@ -35,6 +37,7 @@ from laxkit.suite import (
     rational_pizero_divisor,
     toda_divisor,
     trig_n3_divisor,
+    trig_pizero_divisor,
 )
 
 z = RatFun.variable(Z)
@@ -355,7 +358,7 @@ def test_merging_two_points_is_specialization(mode, lam1, lam2):
     lam1, lam2 = Coweight.from_fundamental(lam1), Coweight.from_fundamental(lam2)
     mu = simple_coroot(2, 1) - lam1 - lam2
     mu_zero = Coweight.zero(2) if mode == "trig" else None
-    build = build_lax if mode == "rational" else build_lax_trig
+    build = pipeline(mode)[0]
     two = build(Divisor.make(2, mode, [("x", lam1), ("y", lam2)], mu, mu_zero))
     merged = build(Divisor.make(2, mode, [("x", lam1 + lam2)], mu, mu_zero))
     assert two.signature.points == ("x", "y") and merged.signature.points == ("x",)
@@ -364,3 +367,67 @@ def test_merging_two_points_is_specialization(mode, lam1, lam2):
         {s: c.rename_var(x_var("y"), x_var("x")) for s, c in e.terms.items()},
     ))
     assert mat_equal(renamed, merged.entries)
+
+
+PIZERO = {"rational": rational_pizero_divisor, "trig": trig_pizero_divisor}
+
+
+@pytest.mark.parametrize("mode, other", [("rational", "trig"), ("trig", "rational")])
+def test_every_stage_refuses_the_other_mode(mode, other):
+    # build and linear take a divisor, normalize a matrix: each stage of
+    # one mode refuses the other mode's input the same way
+    build, normalize, linear = pipeline(mode)
+    div = PIZERO[other]()
+    T = pipeline(other)[0](div)
+    for stage, arg in ((build, div), (normalize, T), (linear, div)):
+        with pytest.raises(SignatureMismatch, match=f"^{mode} \\w+ got a {other} "):
+            stage(arg)
+
+
+ENTRY_POINTS = {
+    "rational": (lax_rational, ("build_lax", "normalize_and_check_polynomial",
+                                "build_linear_lax")),
+    "trig": (lax_trig, ("build_lax_trig", "normalize_and_check_polynomial_trig",
+                        "build_linear_lax_trig")),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ENTRY_POINTS))
+def test_the_mode_lookup_reads_the_entry_points_at_call_time(monkeypatch, mode):
+    # a wrapper installed on a module attribute (a tracer's, say) is what
+    # pipeline hands out, so builds made through it are seen
+    module, names = ENTRY_POINTS[mode]
+    stand_ins = tuple(lambda arg, name=name: name for name in names)
+    for name, fn in zip(names, stand_ins):
+        monkeypatch.setattr(module, name, fn)
+    assert pipeline(mode) == stand_ins
+
+
+@pytest.mark.parametrize("mode", sorted(PIZERO))
+def test_normalize_and_the_limits_refuse_a_normalized_matrix(mode):
+    # each reads the raw build of the divisor: given the normalized one,
+    # the limit to zero came back normalized but flagged raw, the limit to
+    # infinity matched neither build of its target, and normalizing again
+    # kept a spectral atom; without the divisor (a matrix read from a
+    # file) the limits raised AttributeError
+    build, normalize, _ = pipeline(mode)
+    raw = build(PIZERO[mode]())
+    normalized = normalize(raw)
+    no_divisor = LaxMatrix(raw.signature, None, raw.entries)
+    steps = [normalize, normalized_limit] + ([limits_trig] if mode == "trig" else [])
+    for step in steps:
+        with pytest.raises(NotAdmissible, match="needs a raw matrix"):
+            step(normalized)
+        with pytest.raises(NotAdmissible, match="carries its divisor"):
+            step(no_divisor)
+        step(raw)
+
+
+def test_qdet_when_every_term_cancels():
+    # with the second row zero no term survives: the qdet is 0, which the
+    # closed form of the toda divisor then refuses
+    T = build_lax(toda_divisor())
+    entries = [list(T.entries[0]), [AlgebraElement.zero(T.signature)] * 2]
+    assert qdet_image(LaxMatrix(T.signature, None, entries)).is_zero()
+    with pytest.raises(NotScalar, match="closed form"):
+        qdet_image(LaxMatrix(T.signature, T.divisor, entries))

@@ -12,6 +12,7 @@ from laxkit.lax_rational import (
     build_gauss_factors,
     build_lax,
     normalized_limit,
+    pipeline,
     qdet_image,
 )
 from laxkit.lax_trig import (
@@ -112,7 +113,7 @@ def test_index0_limit_moves_the_whole_point():
         )
         assert div.summands == (("x", Coweight.from_fundamental([1, 1])),)
         assert div.points_with(0) == [("x", 1)] and div.points_with(1) == [("x", 1)]
-        build = build_lax if mode == "rational" else build_lax_trig
+        build = pipeline(mode)[0]
         T = build(div)
         got = normalized_limit(T)
         target = div.move_last_point("infinity")

@@ -1100,8 +1100,7 @@ def _check_against_make(got, num, den):
 
 def test_prime_atoms_are_the_shape_a_u_plus_b():
     from laxkit import lax_rational, ratfun, suite
-    from laxkit.lax_rational import build_lax
-    from laxkit.lax_trig import build_lax_trig
+    from laxkit.lax_rational import pipeline
     from laxkit.ratfun import factor_atoms
     from laxkit.rejection import _binomial_root, _linear_root, prime_parts
     from laxkit.textio import parse_poly, render_poly
@@ -1134,7 +1133,7 @@ def test_prime_atoms_are_the_shape_a_u_plus_b():
             + suite.enumerate_linear_divisors(4, 1)
             + [suite.rational_pizero_divisor(), suite.trig_pizero_divisor()])
     for div in divs:
-        (build_lax if div.mode == "rational" else build_lax_trig)(div)
+        pipeline(div.mode)[0](div)
     assert len(ratfun._ATOMS) > 40
     for a in ratfun._ATOMS.values():
         assert a.root == _linear_root(a.poly), a

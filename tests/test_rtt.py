@@ -9,7 +9,7 @@ import pytest
 from laxkit.algebra import AlgebraElement, AlgebraSignature, mat_equal, mat_map, unreduced_product
 from laxkit.coweight import PseudoYoungDiagram, divisor_from_young
 from laxkit.errors import SignatureMismatch
-from laxkit.lax_rational import LaxMatrix, build_lax, fuse
+from laxkit.lax_rational import LaxMatrix, build_lax, fuse, pipeline
 from laxkit.lax_trig import (
     build_lax_trig,
     normalize_and_check_polynomial_trig,
@@ -206,7 +206,7 @@ def _exchange_reports():
     divisors = (rtt_rational_divisors() + rtt_trig_divisors()
                 + enumerate_linear_divisors(3, 1, "trig"))
     for div in divisors:
-        T = (build_lax if div.mode == "rational" else build_lax_trig)(div)
+        T = pipeline(div.mode)[0](div)
         n = T.n
         for pos in (None, (0, 1), (n - 1, 0), (n - 1, n - 1)):
             entries = T.entries if pos is None else _plus_one(T.entries, *pos)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from laxkit.algebra import AlgebraElement, AlgebraSignature, ShiftMonomial, mat_equal
 from laxkit.errors import LaxkitError, ParseError
-from laxkit.lax_rational import build_lax, fuse
+from laxkit.lax_rational import build_lax, fuse, pipeline
 from laxkit.lax_trig import build_lax_trig
 from laxkit.poly import Poly
 from laxkit.ratfun import V, W, RatFun, Z, p_var, wh_var, x_var
@@ -33,7 +33,7 @@ from laxkit.textio import (
     render_poly,
     render_ratfun,
 )
-from test_gauss_build import DIGESTS, FAMILIES, _builders, _family_digest, _json_bytes
+from test_gauss_build import DIGESTS, FAMILIES, _family_digest, _json_bytes
 
 
 def test_documented_form():
@@ -188,7 +188,7 @@ def _family_matrices():
     out = []
     for family in sorted(FAMILIES):
         for div in FAMILIES[family]():
-            build, linear = _builders(div)
+            build, _, linear = pipeline(div.mode)
             out.append(build(div))
             try:
                 out.append(linear(div))
