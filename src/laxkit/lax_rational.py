@@ -37,7 +37,6 @@ from .algebra import (
     AlgebraSignature,
     ShiftMonomial,
     embed,
-    mat_equal,
     mat_identity,
     mat_map,
     mat_mul,
@@ -76,9 +75,6 @@ class LaxMatrix:
     def entry(self, i: int, j: int) -> AlgebraElement:
         """1-based access."""
         return self.entries[i - 1][j - 1]
-
-    def equals(self, other: "LaxMatrix") -> bool:
-        return mat_equal(self.entries, other.entries)
 
 
 # ---------------------------------------------------------------------------

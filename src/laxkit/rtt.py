@@ -20,9 +20,8 @@ is.  For each component, every fraction of those products is weighted
 by its entry of R and added term by term (poly.mul_add) into one sum
 per shift monomial and atom multiset; no weighted fraction is formed.
 Most of these sums cancel.  Only the ones left go through the exact
-zero test (ratfun.grouped_sum_is_zero), shift monomial by shift
-monomial.  A failure is reported as (i, a, j, b), the coefficient of
-E_ij (x) E_ab.
+zero test (ratfun.sum_is_zero), shift monomial by shift monomial.  A
+failure is reported as (i, a, j, b), the coefficient of E_ij (x) E_ab.
 
 The products M_ac L_ik are not formed again.  The swap sigma of z and w
 is a ring automorphism of the coefficients, and it commutes with every
@@ -46,8 +45,8 @@ from .coweight import Divisor
 from .errors import SignatureMismatch, SingularLeadingMode
 from .lax_rational import fuse
 from .poly import _P_ONE, Poly, mul_add
-from .ratfun import (RatFun, V, W, Z, _memo, den_product, grouped_sum_is_zero, shift_map,
-                     substitute, x_var)
+from .ratfun import (RatFun, V, W, Z, _memo, den_product, shift_map, substitute, sum_is_zero,
+                     x_var)
 from .series import TruncSeries
 
 Sparse = Dict[int, Dict[int, object]]
@@ -322,7 +321,7 @@ def _exchange_failures(weights: tuple, left, right, mirror=None,
     numerator of the fraction's key and atom multiset (mul_add, which
     raises OverflowError where a field would overflow).  A component
     fails when, at some key, the numerators that do not cancel give a
-    nonzero sum (grouped_sum_is_zero)."""
+    nonzero sum (sum_is_zero, on these per-multiset sums as they are)."""
     n = len(left)
     n2 = n * n
     shifts: dict = {}
@@ -360,7 +359,7 @@ def _exchange_failures(weights: tuple, left, right, mirror=None,
             for den, terms, eb in groups.values():
                 if any(terms.values()):
                     live.append((Poly({m: c for m, c in terms.items() if c}, eb), den))
-            if live and not grouped_sum_is_zero(live):
+            if live and not sum_is_zero(live):
                 failures.append((i, a, j, b))
                 break
     return failures

@@ -220,10 +220,10 @@ def enumerate_linear_divisors(n: int, a_max: int, mode: str = "rational"):
     return out
 
 
-def _weakly_decreasing(n: int, lo: int, hi: int, last: Optional[int] = None):
+def _weakly_decreasing(n: int, lo: int, hi: int, last: int):
     def rec(prefix):
         if len(prefix) == n:
-            if last is None or prefix[-1] == last:
+            if prefix[-1] == last:
                 yield tuple(prefix)
             return
         top = prefix[-1] if prefix else hi

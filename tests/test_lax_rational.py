@@ -32,6 +32,7 @@ from laxkit.ratfun import Poly, RatFun, W, Z, p_var, x_var
 from laxkit.rtt import element_z_series, verify_rtt
 from laxkit.suite import (
     dst_divisor,
+    enumerate_linear_divisors,
     first_example_divisor,
     heisenberg_divisor,
     rational_pizero_divisor,
@@ -106,6 +107,18 @@ def test_linear_fast_path_matches_general():
         fast = build_linear_lax(div)
         general = normalize_and_check_polynomial(build_lax(div))
         assert mat_equal(fast.entries, general.entries), (bl, bm)
+
+
+@pytest.mark.parametrize("mode, count", [("rational", 15), ("trig", 34)])
+def test_linear_formulas_match_the_normalized_build(mode, count):
+    # the explicit linear formulas against the normalized T_D on every
+    # linear divisor of the boxes (2, 2), (3, 2) and (4, 1)
+    build, normalize, linear = pipeline(mode)
+    divisors = [div for n, a_max in ((2, 2), (3, 2), (4, 1))
+                for div in enumerate_linear_divisors(n, a_max, mode)]
+    assert len(divisors) == count
+    for div in divisors:
+        assert mat_equal(linear(div).entries, normalize(build(div)).entries), div.to_json()
 
 
 def test_linear_rejects_higher_degree():

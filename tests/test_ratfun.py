@@ -1935,7 +1935,7 @@ def test_cancellation_divides_prime_atoms_synthetically(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sums: equal denominators summed before lifting, and the pole test
+# sums: lifted as they come, and the pole test
 
 
 def _naive_reduced_sum(fracs):
@@ -1979,9 +1979,19 @@ def _repeated_den_fracs(rng, mode, pool):
     return fracs
 
 
+def _den_groups(fracs):
+    """The numerators of fracs summed per atom multiset (zero
+    multiplicities ignored)."""
+    groups = {}
+    for num, den in fracs:
+        key = frozenset((a, m) for a, m in den.items() if m)
+        groups[key] = groups.get(key, Poly.zero()) + num
+    return groups
+
+
 def test_grouped_sums_match_make_and_sympy():
     sympy = pytest.importorskip("sympy")
-    from laxkit.ratfun import _grouped, reduced_sum, sum_is_zero
+    from laxkit.ratfun import reduced_sum, sum_is_zero
     from laxkit.suite import random_ratfun
 
     seen = {"zero": 0, "nonzero": 0, "merged": 0, "dropped": 0}
@@ -1993,10 +2003,9 @@ def test_grouped_sums_match_make_and_sympy():
             if idx % 2:
                 total = _naive_reduced_sum(fracs)
                 fracs.append((-total.num, dict(total.den)))  # the sum is 0
-            groups = _grouped(fracs)
-            dens = {frozenset((a, m) for a, m in den.items() if m) for _, den in fracs}
-            seen["merged"] += len(dens) < len(fracs)
-            seen["dropped"] += len(groups) < len(dens)
+            groups = _den_groups(fracs)
+            seen["merged"] += len(groups) < len(fracs)
+            seen["dropped"] += any(num.is_zero() for num in groups.values())
             got, want = reduced_sum(fracs), _naive_reduced_sum(fracs)
             assert (got.num.terms, got.den) == (want.num.terms, want.den), (mode, idx)
             zero = want.is_zero()
@@ -2010,7 +2019,7 @@ def test_grouped_sums_match_make_and_sympy():
 
 
 def test_sum_with_a_sole_highest_power_is_a_pole():
-    from laxkit.ratfun import _grouped, _has_pole, factor_atoms, sum_is_zero
+    from laxkit.ratfun import _has_pole, factor_atoms, sum_is_zero
     from laxkit.textio import parse_poly
 
     def atom(text):
@@ -2021,26 +2030,30 @@ def test_sum_with_a_sole_highest_power_is_a_pole():
     one = Poly.const(1)
     # a^2 alone: a pole whatever the other fractions hold
     fracs = [(one, {a: 2}), (a.poly, {a: 1, b: 1}), (one, {b: 3})]
-    assert _has_pole(_grouped(fracs)) and not sum_is_zero(fracs)
+    assert _has_pole(fracs) and not sum_is_zero(fracs)
     # the sole holder's numerator is divisible by a: no verdict, the lifted
     # sum decides (and finds 0)
     fracs = [(a.poly, {a: 2}), (-one, {a: 1})]
-    assert not _has_pole(_grouped(fracs)) and sum_is_zero(fracs)
+    assert not _has_pole(fracs) and sum_is_zero(fracs)
     # a monomial atom is skipped: z^-1 / z - 1 / z^2 is 0
     zat = atom("z")
     fracs = [(Poly.variable(Z, -1), {zat: 1}), (-one, {zat: 2})]
-    assert not _has_pole(_grouped(fracs)) and sum_is_zero(fracs)
+    assert not _has_pole(fracs) and sum_is_zero(fracs)
     # a non-prime atom in z may share a factor with a prime one:
     # 1/(z - 1) - (z + 1)(z^2 + 1)/(z^4 - 1) is 0
     lin, quartic = atom("z - 1"), atom("z^4 - 1")
     fracs = [(one, {lin: 1}), (-parse_poly("z^3 + z^2 + z + 1"), {quartic: 1})]
-    assert not _has_pole(_grouped(fracs)) and sum_is_zero(fracs)
+    assert not _has_pole(fracs) and sum_is_zero(fracs)
     # ... but z - p[1,1] provably does not divide z^4 - 1
     fracs = [(one, {a: 2, quartic: 1}), (one, {a: 1, lin: 1})]
-    assert _has_pole(_grouped(fracs)) and not sum_is_zero(fracs)
+    assert _has_pole(fracs) and not sum_is_zero(fracs)
     # a zero multiplicity holds nothing: b is no pole of 1/a - 1/a
     fracs = [(one, {a: 1, b: 0}), (-one, {a: 1})]
-    assert not _grouped(fracs) and sum_is_zero(fracs)
+    assert not _has_pole(fracs) and sum_is_zero(fracs)
+    # two fractions over one atom multiset are never a sole holder:
+    # a^2 is no pole of 1/a^2 - 1/a^2
+    fracs = [(one, {a: 2}), (-one, {a: 2})]
+    assert not _has_pole(fracs) and sum_is_zero(fracs)
 
 
 # ---------------------------------------------------------------------------
